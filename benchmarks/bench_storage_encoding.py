@@ -8,12 +8,7 @@ for dictionary encoding + vertical partitioning:
     dataset at all.
 2.  *Resident set (proxy)* — Python-object footprint of the string
     triples vs the column payload plus the term dictionary.
-3.  *End-to-end discovery* — the full RDFind pipeline under
-    ``storage='strings'`` (record-at-a-time dataflow counting) vs
-    ``storage='encoded'`` (columnar counting fast paths), asserting the
-    rendered pertinent-CIND and AR output is identical before comparing
-    the clocks.
-4.  *Compressed storage v2* — the bit-packed, frequency-remapped
+3.  *Compressed storage v2* — the bit-packed, frequency-remapped
     :class:`~repro.storage.compressed.CompressedDataset` and the frozen
     vertical store vs their PR 1 mutable forms; the compressed column
     payload must come in at least ``MIN_COMPRESSION_V2`` times smaller
@@ -30,12 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.discovery import RDFind, RDFindConfig
 from repro.datasets import registry
 from repro.storage.compressed import CompressedDataset
 from repro.storage.vertical import VerticalPartitionStore
 
-DATASETS = (("Countries", 10), ("Diseasome", 25))
+DATASETS = ("Countries", "Diseasome")
 
 #: Acceptance floor: compressed columns vs the PR 1 encoded columns.
 MIN_COMPRESSION_V2 = 2.0
@@ -58,8 +52,8 @@ def _encoded_bytes(encoded) -> int:
     return encoded.nbytes() + encoded.dictionary.nbytes()
 
 
-@pytest.mark.parametrize("dataset_name,h", DATASETS)
-def test_storage_encoding(dataset_name, h, benchmark, report):
+@pytest.mark.parametrize("dataset_name", DATASETS)
+def test_storage_encoding(dataset_name, benchmark, report):
     def body():
         started = time.perf_counter()
         strings = registry.load(dataset_name)
@@ -75,20 +69,6 @@ def test_storage_encoding(dataset_name, h, benchmark, report):
 
         string_bytes = _string_bytes(strings)
         encoded_bytes = _encoded_bytes(encoded)
-
-        timings = {}
-        outputs = {}
-        for storage in ("strings", "encoded"):
-            config = RDFindConfig(support_threshold=h, storage=storage)
-            source = strings if storage == "strings" else direct
-            started = time.perf_counter()
-            result = RDFind(config).discover(source)
-            timings[storage] = time.perf_counter() - started
-            outputs[storage] = (
-                result.render_cinds(),
-                result.render_association_rules(),
-            )
-        assert outputs["encoded"] == outputs["strings"]
 
         started = time.perf_counter()
         compressed = CompressedDataset.from_encoded(direct)
@@ -106,9 +86,6 @@ def test_storage_encoding(dataset_name, h, benchmark, report):
             "direct_seconds": max(direct_seconds, 0.0),
             "string_mb": string_bytes / 1e6,
             "encoded_mb": encoded_bytes / 1e6,
-            "strings_seconds": timings["strings"],
-            "encoded_seconds": timings["encoded"],
-            "cinds": len(outputs["encoded"][0]),
             "column_bytes": direct.nbytes(),
             "compressed_bytes": compressed.nbytes(),
             "compressed_total_bytes": compressed.total_nbytes(),
@@ -121,10 +98,8 @@ def test_storage_encoding(dataset_name, h, benchmark, report):
     row = benchmark.pedantic(body, rounds=1, iterations=1)
 
     compression = row["string_mb"] / max(row["encoded_mb"], 1e-9)
-    speedup = row["strings_seconds"] / max(row["encoded_seconds"], 1e-9)
     section = report.section(
-        f"Storage encoding — {dataset_name} "
-        f"({row['triples']:,} triples, h={DATASETS[[d for d, _ in DATASETS].index(dataset_name)][1]})"
+        f"Storage encoding — {dataset_name} ({row['triples']:,} triples)"
     )
     section.row(
         f"encode {row['encode_seconds']:6.3f}s"
@@ -133,11 +108,6 @@ def test_storage_encoding(dataset_name, h, benchmark, report):
     section.row(
         f"resident set {row['string_mb']:7.2f} MB strings ->"
         f" {row['encoded_mb']:7.2f} MB encoded ({compression:4.1f}x smaller)"
-    )
-    section.row(
-        f"discovery {row['strings_seconds']:6.2f}s strings ->"
-        f" {row['encoded_seconds']:6.2f}s encoded ({speedup:4.2f}x),"
-        f" {row['cinds']:,} identical pertinent CINDs"
     )
     compression_v2 = row["column_bytes"] / max(row["compressed_bytes"], 1)
     store_ratio = row["store_mutable_bytes"] / max(row["store_frozen_bytes"], 1)
@@ -161,17 +131,13 @@ def test_storage_encoding(dataset_name, h, benchmark, report):
             payload = {}
     payload[dataset_name] = dict(
         row,
-        h=h,
         compression_v2=compression_v2,
         store_compression=store_ratio,
     )
     OUTPUT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    # The columnar layout must never lose on memory, and the counting
-    # fast paths should win end to end on at least the larger dataset.
+    # The columnar layout must never lose on memory.
     assert row["encoded_mb"] < row["string_mb"]
-    if dataset_name == "Diseasome":
-        assert speedup > 1.0
     # Storage v2 acceptance: the bit-packed columns must at least halve
     # the PR 1 encoded column payload, and freezing the vertical store
     # must never lose.

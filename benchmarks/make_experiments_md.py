@@ -114,11 +114,10 @@ VERDICTS: Dict[str, str] = {
         "than RDFind-DE (paper: up to 3×), with byte-identical output."
     ),
     "Storage encoding": (
-        "**Verdict — physical layout only, output byte-identical "
-        "(asserted).** Dictionary-encoded columns shrink the resident set "
-        "~4× vs string triples and the columnar counting fast paths speed "
-        "up end-to-end discovery, growing with dataset size (~1.1× on "
-        "tiny Countries, ~1.6× on full-size Diseasome). The storage-v2 "
+        "**Verdict — physical layout only.** Dictionary-encoded columns "
+        "shrink the resident set ~4× vs string triples; they are the one "
+        "representation discovery runs on (a string dataset is encoded "
+        "on entry). The storage-v2 "
         "layer (frequency-ordered codes + per-column bit packing, frozen "
         "varint posting lists) shrinks the column payload a further "
         "≥2× (measured ~3×) with identical content. Not a paper "
@@ -191,21 +190,6 @@ VERDICTS: Dict[str, str] = {
         "the same job id. Byte-identity of the HTTP result against the "
         "CLI's `discover -o` is pinned by `tests/test_server.py`."
     ),
-    "Vectorized kernels": (
-        "**Verdict — execution strategy only, output byte-identical "
-        "(asserted).** Not a paper experiment — this characterizes the "
-        "batch-kernel layer and the cost-based stage planner. Forcing "
-        "every kernel (`--planner static`) fuses the hot operator chains "
-        "over columnar id batches — Bloom probes and capture construction "
-        "cached per distinct id — for a ~1.9× end-to-end speedup on "
-        "full-size Diseasome at h=10; the adaptive planner reaches the "
-        "same decisions from its cost model (records floors, observed "
-        "reduction ratios) and lands within noise of static. Every "
-        "decision is stamped into the stage metrics, and all planned "
-        "runs serialize byte-identically to the record-at-a-time oracle "
-        "(pinned across executors and shuffle planes by "
-        "`tests/test_planner.py`)."
-    ),
     "Streaming maintenance": (
         "**Verdict — delta maintenance beats full re-discovery at every "
         "batch size; results agree exactly (asserted).** Not a paper "
@@ -243,8 +227,8 @@ VERDICTS: Dict[str, str] = {
         "multiplies wall-clock ~4-5× with zero cores to win back, which "
         "is why `serial` stays the default. The ≥1.5× at 4 workers "
         "acceptance assertion arms automatically on machines with ≥4 "
-        "cores, where the compute-dense stages (cg/evidences at ~37 "
-        "µs/record) dominate and parallelize."
+        "cores, where the compute-dense stages (cg/group-by-value, "
+        "ex/merge-candidates) dominate and parallelize."
     ),
 }
 

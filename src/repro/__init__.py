@@ -38,7 +38,6 @@ from repro.core.discovery import (
     RDFindConfig,
     find_pertinent_cinds,
 )
-from repro.core.incremental import IncrementalRDFind
 from repro.core.validation import NaiveProfiler
 from repro.rdf.model import Attr, Dataset, Triple
 
@@ -57,7 +56,6 @@ __all__ = [
     "RDFind",
     "RDFindConfig",
     "find_pertinent_cinds",
-    "IncrementalRDFind",
     "NaiveProfiler",
     "Attr",
     "Dataset",

@@ -31,6 +31,7 @@ from repro.core.discovery import DiscoveryResult, DiscoveryStats, RDFindConfig
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.dataflow.engine import DataSet, ExecutionEnvironment
 from repro.dataflow.gcpause import gc_paused
+from repro.dataflow.kernels import batch_dataset
 from repro.rdf.model import Dataset, EncodedDataset
 
 CapturePredicate = Callable[[Capture], bool]
@@ -88,9 +89,9 @@ def minimal_first_discover(
     started = time.perf_counter()
     with gc_paused():
         env = ExecutionEnvironment(parallelism=parallelism, name=f"minimal-first(h={h})")
-        triples = env.from_collection(dataset.triples, name="source/triples")
-        frequent = detect_frequent_conditions(env, triples, h=h, scope=scope)
-        groups = create_capture_groups(env, triples, scope=scope, frequent=frequent)
+        batches = batch_dataset(env, dataset)
+        frequent = detect_frequent_conditions(env, batches, h=h, scope=scope)
+        groups = create_capture_groups(env, batches, scope=scope, frequent=frequent)
 
         unary = lambda c: c.is_unary  # noqa: E731 - local arity predicates
         binary = lambda c: c.is_binary  # noqa: E731

@@ -57,22 +57,21 @@ from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot
 def _load_input(
     spec: str,
     scale: float = 1.0,
-    storage: str = "encoded",
+    encoded: bool = True,
     snapshot_dir: "Optional[str]" = None,
 ) -> "Dataset | EncodedDataset":
-    """Load an input in the requested physical layout.
+    """Load an input, dictionary-encoded unless ``encoded`` is false.
 
-    With ``storage='encoded'`` (the default), ``dataset:`` inputs are
-    generated straight into dictionary-encoded columns and parsed files
-    are encoded right after parsing; ``storage='strings'`` keeps the
-    record-at-a-time string :class:`Dataset`.
+    ``dataset:`` inputs are generated straight into dictionary-encoded
+    columns and parsed files are encoded right after parsing;
+    ``encoded=False`` returns the string :class:`Dataset` instead (for
+    callers that re-encode several inputs into one shared dictionary).
 
     ``*.snap`` inputs are mmap-loaded snapshots
-    (:mod:`repro.storage.snapshot`).  With ``snapshot_dir`` set (and
-    encoded storage), other inputs go through the snapshot cache: a warm
-    job skips parsing entirely, a cold one leaves a snapshot behind.
+    (:mod:`repro.storage.snapshot`).  With ``snapshot_dir`` set, other
+    encoded inputs go through the snapshot cache: a warm job skips
+    parsing entirely, a cold one leaves a snapshot behind.
     """
-    encoded = storage == "encoded"
     if str(spec).endswith(SNAPSHOT_SUFFIX):
         dataset = load_snapshot(spec)
         return dataset if encoded else dataset.decode()
@@ -131,12 +130,6 @@ def _fetch_endpoint_input(url: str) -> EncodedDataset:
     return fetched.encoded
 
 
-def _ensure_encoded(dataset: "Dataset | EncodedDataset") -> EncodedDataset:
-    if isinstance(dataset, EncodedDataset):
-        return dataset
-    return dataset.encode()
-
-
 def _scope(name: str) -> ConditionScope:
     if name == "full":
         return ConditionScope.full()
@@ -155,10 +148,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale", type=float, default=1.0, help="scale for dataset: inputs"
-    )
-    parser.add_argument(
-        "--storage", choices=("strings", "encoded"), default="encoded",
-        help="physical triple layout (dictionary-encoded columns by default)",
     )
     _add_executor_flags(parser)
 
@@ -233,15 +222,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="per-task wall-clock bound under --executor process; a hung "
         "task becomes a retryable transient fault (default: no bound)",
     )
-    parser.add_argument(
-        "--planner", choices=("off", "static", "adaptive"), default=None,
-        help="cost-based stage planning: 'static' always picks the "
-        "vectorized batch kernels, 'adaptive' chooses per stage from "
-        "input sizes and calibrated costs (kernel vs record path, "
-        "combiner, shuffle plane, batch count); output is byte-identical "
-        "either way and decisions show up in the metrics summary "
-        "(default: off)",
-    )
 
 
 def _apply_executor_flags(args: argparse.Namespace) -> None:
@@ -251,8 +231,7 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
     RDFIND_FAULTS / RDFIND_MAX_RETRIES / RDFIND_OOM_RECOVERY /
     RDFIND_SHUFFLE / RDFIND_MEMORY_BUDGET_BYTES / RDFIND_SPILL_DIR /
     RDFIND_CHECKPOINT / RDFIND_CHECKPOINT_DIR / RDFIND_RESUME /
-    RDFIND_CRASH_POINT / RDFIND_TASK_TIMEOUT_SECONDS / RDFIND_PLANNER as
-    its defaults, so
+    RDFIND_CRASH_POINT / RDFIND_TASK_TIMEOUT_SECONDS as its defaults, so
     setting the environment here makes the choice reach every config the
     subcommands build internally (funnel, profile, rank, ...).
     """
@@ -286,8 +265,6 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
         os.environ["RDFIND_TASK_TIMEOUT_SECONDS"] = str(
             args.task_timeout_seconds
         )
-    if getattr(args, "planner", None):
-        os.environ["RDFIND_PLANNER"] = args.planner
 
 
 def _require_writable_dir(path: str, *, flag: str) -> None:
@@ -323,10 +300,8 @@ def _snapshot_cache_dir(args: argparse.Namespace) -> Optional[str]:
 
 
 def _discover(args: argparse.Namespace) -> DiscoveryResult:
-    storage = getattr(args, "storage", "encoded")
-    snapshot_dir = _snapshot_cache_dir(args) if storage == "encoded" else None
     dataset = _load_input(
-        args.input, scale=args.scale, storage=storage, snapshot_dir=snapshot_dir
+        args.input, scale=args.scale, snapshot_dir=_snapshot_cache_dir(args)
     )
     variant = getattr(args, "variant", "rdfind")
     builders = {
@@ -338,7 +313,6 @@ def _discover(args: argparse.Namespace) -> DiscoveryResult:
         support_threshold=args.support,
         parallelism=args.parallelism,
         scope=_scope(getattr(args, "scope", "full")),
-        storage=storage,
     )
     return RDFind(config).discover(dataset)
 
@@ -382,19 +356,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
             f"{metrics.total_retries} task retries, "
             f"{metrics.total_recovered_oom_splits} OOM splits recovered"
         )
-    if metrics.planner != "off" and metrics.planner_decisions:
-        choices = sorted(
-            {
-                stage.planner_choice
-                for stage in metrics.stages
-                if stage.planner_choice
-            }
-        )
-        print(
-            f"planner: {metrics.planner}, "
-            f"{metrics.planner_decisions} stage decisions "
-            f"({', '.join(choices)})"
-        )
     if metrics.checkpoint_bytes or metrics.resumed_stages:
         print(
             f"checkpoint: {metrics.checkpoint_bytes:,} bytes written, "
@@ -414,7 +375,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_funnel(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
+    dataset = _load_input(args.input, scale=args.scale)
     funnel = search_space_funnel(
         dataset, args.support, exhaustive=args.exhaustive,
         parallelism=args.parallelism,
@@ -424,7 +385,7 @@ def cmd_funnel(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
+    dataset = _load_input(args.input, scale=args.scale)
     histogram = condition_frequency_histogram(dataset)
     print(f"{'frequency':>10} {'conditions':>12}")
     for frequency in sorted(histogram):
@@ -451,15 +412,14 @@ def cmd_facts(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
-    analysis = recommend_support_threshold(_ensure_encoded(dataset))
+    dataset = _load_input(args.input, scale=args.scale)
+    analysis = recommend_support_threshold(dataset)
     print(analysis.describe())
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
-    encoded = _ensure_encoded(dataset)
+    encoded = _load_input(args.input, scale=args.scale)
     result = RDFind(
         RDFindConfig(
             support_threshold=args.support, parallelism=args.parallelism
@@ -477,8 +437,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_inds(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
-    result = discover_inds(_ensure_encoded(dataset), parallelism=args.parallelism)
+    dataset = _load_input(args.input, scale=args.scale)
+    result = discover_inds(dataset, parallelism=args.parallelism)
     print(
         f"plain INDs over the s/p/o attributes "
         f"({result.elapsed_seconds:.2f}s) — the coarseness that motivates "
@@ -494,8 +454,8 @@ def cmd_inds(args: argparse.Namespace) -> int:
 def cmd_cross(args: argparse.Namespace) -> int:
     # cross-dataset discovery re-encodes both sides into one shared
     # dictionary, so the inputs stay in string form here
-    left = _load_input(args.left, scale=args.scale, storage="strings")
-    right = _load_input(args.right, scale=args.scale, storage="strings")
+    left = _load_input(args.left, scale=args.scale, encoded=False)
+    right = _load_input(args.right, scale=args.scale, encoded=False)
     report = discover_cross_cinds(left, right, h=args.support)
     print(report.describe(limit=args.limit))
     return 0
@@ -691,9 +651,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.storage.snapshot import save_snapshot, snapshot_info
 
     if args.snapshot_command == "save":
-        dataset = _ensure_encoded(
-            _load_input(args.input, scale=args.scale, storage="encoded")
-        )
+        dataset = _load_input(args.input, scale=args.scale)
         header = save_snapshot(dataset, args.output, remap=args.remap)
         size = os.path.getsize(args.output)
         remapped = " (frequency-remapped ids)" if header["remapped"] else ""
@@ -751,9 +709,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if session.applied_seq:
                 print(f"state dir is non-empty; ignoring --init {args.init}")
             else:
-                dataset = _load_input(
-                    args.init, scale=args.scale, storage="strings"
-                )
+                dataset = _load_input(args.init, scale=args.scale, encoded=False)
                 loaded = session.load_initial(dataset)
                 print(
                     f"loaded {loaded:,} initial triples from {args.init} "
@@ -814,9 +770,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale, storage=args.storage)
+    dataset = _load_input(args.input, scale=args.scale)
     h = args.support if args.support > 0 else None
-    print(profile_dataset(_ensure_encoded(dataset), h=h, parallelism=args.parallelism)
+    print(profile_dataset(dataset, h=h, parallelism=args.parallelism)
           .describe(limit=args.limit))
     return 0
 
@@ -1094,10 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("-p", "--parallelism", type=int, default=4)
     profile.add_argument("--scale", type=float, default=1.0)
-    profile.add_argument(
-        "--storage", choices=("strings", "encoded"), default="encoded",
-        help="physical triple layout (dictionary-encoded columns by default)",
-    )
     _add_executor_flags(profile)
     profile.add_argument("-n", "--limit", type=int, default=10)
 

@@ -14,7 +14,6 @@ Modules follow the paper's architecture (Figure 3):
 * :mod:`repro.core.validation` — a brute-force oracle used by the tests
   and the search-space statistics.
 * :mod:`repro.core.stats` — search-space statistics (Figures 2 and 4).
-* :mod:`repro.core.incremental` — CIND maintenance under insertions.
 * :mod:`repro.core.serialization` — JSON export/import of results.
 """
 

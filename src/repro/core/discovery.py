@@ -53,8 +53,7 @@ from repro.dataflow.checkpoint import (
     dataset_digest,
     fingerprint_fields,
 )
-from repro.dataflow.engine import ExecutionEnvironment, record_cells
-from repro.dataflow.planner import PLANNER_MODES, StagePlanner
+from repro.dataflow.engine import ExecutionEnvironment
 from repro.dataflow.shuffle import SHUFFLE_MODES
 from repro.dataflow.executors import EXECUTOR_NAMES
 from repro.dataflow.faults import CRASH_MOMENTS, FaultPlan, RetryPolicy
@@ -92,16 +91,11 @@ class RDFindConfig:
     memory_budget:
         Optional per-worker record budget; exceeding it raises
         :class:`~repro.dataflow.engine.SimulatedOutOfMemory` (used to
-        reproduce the paper's reported algorithm failures).
+        reproduce the paper's reported algorithm failures).  The triple
+        source is charged at 3 cells per triple.
     keep_broad_cinds:
         Also materialize the full broad (pre-minimality) CIND list on the
         result object.
-    storage:
-        Physical layout of the triple source: ``"encoded"`` (default)
-        runs the counting stages directly over the dictionary-encoded id
-        columns and charges the source against the memory budget by
-        cell cost; ``"strings"`` keeps the record-at-a-time dataflow
-        paths.  Both produce identical results.
     executor:
         Dataflow backend: ``"serial"`` (default) runs partition tasks
         inline; ``"process"`` runs them concurrently on a persistent
@@ -177,16 +171,6 @@ class RDFindConfig:
         task becomes a retryable transient fault instead of hanging the
         job.  Off by default; ignored by ``serial``.
         ``RDFIND_TASK_TIMEOUT_SECONDS`` supplies the default.
-    planner:
-        Cost-based stage planning: ``"off"`` (default) always runs the
-        record-at-a-time/driver-columnar defaults; ``"static"`` always
-        picks the vectorized batch kernels; ``"adaptive"`` chooses per
-        stage from input sizes and calibrated per-stage costs (kernel vs
-        record path, combiner on/off, inline vs spill shuffle, batch
-        count).  Every choice is byte-identical on the wire — the
-        planner only trades wall-clock.  Decisions are stamped into the
-        stage metrics (``summary()`` shows what was picked and why).
-        ``RDFIND_PLANNER`` supplies the default.
     """
 
     support_threshold: int = 25
@@ -200,7 +184,6 @@ class RDFindConfig:
     candidate_bloom_hashes: int = DEFAULT_CANDIDATE_BLOOM_HASHES
     memory_budget: Optional[int] = None
     keep_broad_cinds: bool = False
-    storage: str = "encoded"
     executor: str = field(
         default_factory=lambda: os.environ.get("RDFIND_EXECUTOR", "serial")
     )
@@ -267,9 +250,6 @@ class RDFindConfig:
             else None
         )
     )
-    planner: str = field(
-        default_factory=lambda: os.environ.get("RDFIND_PLANNER", "off")
-    )
 
     def __post_init__(self) -> None:
         if self.support_threshold < 1:
@@ -278,10 +258,6 @@ class RDFindConfig:
             )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.storage not in ("strings", "encoded"):
-            raise ValueError(
-                f"storage must be 'strings' or 'encoded', got {self.storage!r}"
-            )
         if self.executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_NAMES}, got {self.executor!r}"
@@ -328,10 +304,6 @@ class RDFindConfig:
         if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
             raise ValueError(
                 f"task_timeout_seconds must be > 0, got {self.task_timeout_seconds}"
-            )
-        if self.planner not in PLANNER_MODES:
-            raise ValueError(
-                f"planner must be one of {PLANNER_MODES}, got {self.planner!r}"
             )
 
     def effective_fault_plan(self) -> Optional[FaultPlan]:
@@ -528,20 +500,6 @@ class RDFind:
             task_timeout_seconds=config.task_timeout_seconds,
             metrics=metrics,
         )
-        if config.planner != "off":
-            # The planner only trades wall-clock: every path it may pick
-            # is byte-identical to the default, so it is deliberately NOT
-            # part of the checkpoint fingerprint.  Kernels are disabled
-            # under a record-count memory budget — the record path is the
-            # oracle those budget semantics are defined against.
-            env.planner = StagePlanner(
-                config.planner,
-                parallelism=env.parallelism,
-                env_shuffle=config.shuffle,
-                memory_budget_bytes=config.memory_budget_bytes,
-                allow_kernels=config.memory_budget is None,
-            )
-            env.metrics.planner = config.planner
         manager: Optional[CheckpointManager] = None
         try:
             if config.checkpoint != "off":
@@ -556,21 +514,19 @@ class RDFind:
                 manager.open()
                 env.checkpoint = manager
 
-            use_columns = config.storage == "encoded"
-            triples = env.from_collection(
-                encoded,
-                name="source/triples",
-                cost_fn=record_cells if use_columns else None,
-            )
+            # Imported here: the kernels import repro.core, whose package
+            # import reaches this module.
+            from repro.dataflow.kernels import batch_dataset
+
+            batches = batch_dataset(env, encoded)
 
             def compute_frequent() -> FrequentConditions:
                 return detect_frequent_conditions(
                     env,
-                    triples,
+                    batches,
                     h=config.support_threshold,
                     scope=config.scope,
                     fp_rate=config.bloom_fp_rate,
-                    columns=encoded if use_columns else None,
                 )
 
             frequent: Optional[FrequentConditions] = None
@@ -589,31 +545,9 @@ class RDFind:
             )
 
             def compute_groups():
-                batches = None
-                plan = None
-                planner = env.planner
-                if planner is not None and use_columns:
-                    plan = planner.plan_kernel("cg/group-by-value", len(encoded))
-                    if plan.use_kernel:
-                        from repro.dataflow.kernels import batch_dataset
-
-                        # Pinned to `parallelism` batches: batch i is
-                        # partition i of the triples dataset, so the
-                        # kernel's emission order is the record path's.
-                        batches = batch_dataset(env, encoded, name="cg/batches")
-                groups = create_capture_groups(
-                    env,
-                    triples,
-                    scope=config.scope,
-                    frequent=frequent,
-                    batches=batches,
+                return create_capture_groups(
+                    env, batches, scope=config.scope, frequent=frequent
                 )
-                if plan is not None and batches is None:
-                    # The kernel path stamps its decision inside
-                    # create_capture_groups; record the "stay on the
-                    # record path" verdict too, so summaries show why.
-                    planner.annotate(env.metrics, "cg/group-by-value", plan)
-                return groups
 
             def compute_extraction():
                 # Nesting the cg boundary inside the ex compute means a
@@ -668,12 +602,11 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
 
     Covers everything that shapes the persisted boundary values: the
     dataset content (id columns + dictionary), ``h``, the scope, the
-    variant flags, bloom geometry, partitioning, storage layout, the
-    executor backend, and the task-fault seed/rates.  Deliberately
-    excluded: driver crash points (the resume launch legitimately drops
-    ``--crash-point``), retry/backoff knobs, the spill plane, and the
-    stage planner — none of them change any boundary's value (every
-    planner path is byte-identical to the default).
+    variant flags, bloom geometry, partitioning, the executor backend,
+    and the task-fault seed/rates.  Deliberately excluded: driver crash
+    points (the resume launch legitimately drops ``--crash-point``),
+    retry/backoff knobs, and the spill plane — none of them change any
+    boundary's value.
     """
     plan = config.effective_fault_plan()
     injects_task_faults = plan is not None and (
@@ -719,7 +652,6 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
         candidate_bloom_bits=config.candidate_bloom_bits,
         candidate_bloom_hashes=config.candidate_bloom_hashes,
         memory_budget=config.memory_budget,
-        storage=config.storage,
         executor=config.executor,
         faults=fault_key,
     )

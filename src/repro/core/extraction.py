@@ -47,7 +47,6 @@ from repro.dataflow.bloom import BloomFilter
 from repro.dataflow.engine import (
     DataSet,
     ExecutionEnvironment,
-    SimulatedOutOfMemory,
     pair_key,
     pair_value,
 )
@@ -95,7 +94,6 @@ class ExtractionStats:
     uncertain_candidates: int = 0
     broad_dependents: int = 0
     broad_cind_count: int = 0
-    max_partition_ref_cells: int = 0
 
 
 #: Result: dependent capture -> (exact referenced captures, support).
@@ -150,45 +148,22 @@ def extract_broad_cinds(
     # Candidate generation is FUSED into the keyed aggregation (Flink's
     # operator chaining): a group's candidate sets fold into the combiner
     # as they are produced, so the quadratic flatMap output is never
-    # materialized.  The combiner *state* (one referenced set per
-    # dependent capture seen so far) is what the memory budget prices —
-    # exactly the footprint that kills RDFind-DE on dominant groups.
+    # materialized.  Non-dominant groups emit the group frozenset itself
+    # as the initial reference set (shared, not copied per dependent) and
+    # a materialize step removes each dependent from its own final set
+    # (see _materialize_shared_refs).
     #
-    # When the stage planner picks the vectorized path, non-dominant
-    # groups emit the group frozenset itself as the initial reference set
-    # (shared, not copied per dependent — the per-group difference() loop
-    # is quadratic in group size) and a materialize step removes each
-    # dependent from its own final set, restoring the oracle's values
-    # exactly (see _materialize_shared_refs).
-    planner = env.planner
-    kernel_plan = None
-    if planner is not None and planner.active:
-        kernel_plan = planner.plan_kernel(
-            "ex/merge-candidates", stats.groups_after_pruning or stats.groups_total
-        )
-    if kernel_plan is not None and kernel_plan.use_kernel:
-        # No state pricing on this path: kernels only run without a
-        # record-count budget, and per-dependent pricing would bill the
-        # shared group frozenset once per dependent — the very copy the
-        # emitter avoids.  peak_state_cost degrades to the dependent
-        # count here.
-        merged = groups.flat_map_reduce_by_key(
-            _SharedRefsCandidateEmitter(config, average_load),
-            _merge_candidate_values,
-            name="ex/merge-candidates",
-        ).map(_materialize_shared_refs, name="ex/materialize-refs")
-    else:
-        merged = groups.flat_map_reduce_by_key(
-            _CandidateEmitter(config, average_load),
-            _merge_candidate_values,
-            state_cost_fn=_candidate_state_cost,
-            name="ex/merge-candidates",
-        )
-    if kernel_plan is not None:
-        planner.annotate(env.metrics, "ex/merge-candidates", kernel_plan)
-    stats.max_partition_ref_cells = (
-        env.metrics.stage_by_name("ex/merge-candidates").peak_state_cost
-    )
+    # Under a record-count memory budget the combiner *state* (one
+    # referenced set per dependent capture seen so far) is priced —
+    # exactly the footprint that kills RDFind-DE on dominant groups.
+    merged = groups.flat_map_reduce_by_key(
+        _SharedRefsCandidateEmitter(config, average_load),
+        _merge_candidate_values,
+        state_cost_fn=(
+            _candidate_state_cost if env.memory_budget is not None else None
+        ),
+        name="ex/merge-candidates",
+    ).map(_materialize_shared_refs, name="ex/materialize-refs")
     broad = merged.filter(
         partial(_support_at_least, config.h), name="ex/broadness-filter"
     )
@@ -266,35 +241,14 @@ def _prune_capture_support(
     config: ExtractionConfig,
     stats: ExtractionStats,
 ) -> DataSet:
-    # The planner may fuse the counter flat_map into the keyed reduction:
-    # the per-capture (capture, 1) records are folded into the combiner as
-    # they are produced instead of being materialized first.  The fused
-    # combiner sees the same pairs in the same order, so the aggregated
-    # supports are byte-identical.
-    planner = getattr(env, "planner", None)
-    fuse_plan = None
-    if planner is not None and planner.active:
-        fuse_plan = planner.plan_kernel(
-            "ex/capture-support", groups._total_records()
-        )
-    if fuse_plan is not None and fuse_plan.use_kernel:
-        supports = groups.flat_map_reduce_by_key(
-            _emit_capture_counters,
-            operator.add,
-            name="ex/capture-support",
-        )
-    else:
-        supports = groups.flat_map(
-            _emit_capture_counters, name="ex/capture-counters"
-        ).reduce_by_key(
-            key_fn=pair_key,
-            value_fn=pair_value,
-            reduce_fn=operator.add,
-            name="ex/capture-support",
-            order_insensitive=True,
-        )
-    if fuse_plan is not None:
-        planner.annotate(env.metrics, "ex/capture-support", fuse_plan)
+    # The counter flat_map is fused into the keyed reduction: the
+    # per-capture (capture, 1) records fold into the combiner as they are
+    # produced instead of being materialized first.
+    supports = groups.flat_map_reduce_by_key(
+        _emit_capture_counters,
+        operator.add,
+        name="ex/capture-support",
+    )
     stats.captures_total = supports.count()
     prunable = frozenset(
         supports.filter(
@@ -339,48 +293,23 @@ def _average_worker_load(env: ExecutionEnvironment, groups: DataSet) -> float:
 # ----------------------------------------------------------------------
 
 
-class _CandidateEmitter:
+class _SharedRefsCandidateEmitter:
     """Per-group candidate-set producer (consumed by the fused reduce).
+
+    A dominant group shares one Bloom filter over all its captures as
+    every dependent's reference set.  A regular group ``G`` shares the
+    group frozenset itself as every dependent's initial reference set,
+    where the paper emits ``G − {c}`` per dependent ``c`` — a fresh
+    frozenset each, quadratic allocation per group.  After merging, a
+    candidate's reference set differs from the paper's only by containing
+    its own dependent: every value merged under key ``c`` came from a
+    group (or a dominant group's Bloom filter, which has no false
+    negatives) containing ``c``, so ``c`` survives every exact
+    intersection and every Bloom probe.  :func:`_materialize_shared_refs`
+    removes it and recomputes the approx flag.
 
     A module-level class so the fused combine task stays picklable under
     the process executor.
-    """
-
-    __slots__ = ("bloom_bits", "bloom_hashes", "average_load")
-
-    def __init__(self, config: ExtractionConfig, average_load: float) -> None:
-        self.bloom_bits = config.candidate_bloom_bits
-        self.bloom_hashes = config.candidate_bloom_hashes
-        self.average_load = average_load
-
-    def __call__(
-        self, group: FrozenSet[Capture]
-    ) -> Iterator[Tuple[Capture, CandidateValue]]:
-        size = len(group)
-        if size * size > self.average_load:
-            bloom = BloomFilter(self.bloom_bits, self.bloom_hashes)
-            bloom.update(group)
-            for capture in group:
-                yield capture, (bloom, 1, True)
-        else:
-            for capture in group:
-                yield capture, (group.difference((capture,)), 1, False)
-
-
-class _SharedRefsCandidateEmitter:
-    """Vectorized candidate-set producer: shared initial reference sets.
-
-    Identical to :class:`_CandidateEmitter` for dominant groups (those
-    already share one Bloom filter).  For regular groups the oracle emits
-    ``G − {c}`` per dependent ``c`` — a fresh frozenset each, quadratic
-    allocation per group — while this emitter shares the group itself as
-    every dependent's initial reference set.  After merging, a candidate's
-    reference set differs from the oracle's only by containing its own
-    dependent: every value merged under key ``c`` came from a group (or a
-    dominant group's Bloom filter, which has no false negatives)
-    containing ``c``, so ``c`` survives every exact intersection and every
-    Bloom probe.  :func:`_materialize_shared_refs` removes it and
-    recomputes the approx flag, restoring the oracle's output exactly.
     """
 
     __slots__ = ("bloom_bits", "bloom_hashes", "average_load")
@@ -408,11 +337,11 @@ def _materialize_shared_refs(pair):
     """Remove a candidate's own dependent from its shared reference set.
 
     Exact reference sets produced by :class:`_SharedRefsCandidateEmitter`
-    are the oracle's sets plus the dependent capture itself; Bloom-valued
-    sets are already identical (the oracle shares the full-group filter
-    too).  The approx flag is recomputed against the corrected set so the
-    empty-set → certain collapse (Algorithm 3, line 10) matches the
-    oracle's merge-time behaviour.
+    are ``(∩ G_i)``, which contains the dependent; the CIND's referenced
+    captures are ``(∩ G_i) − {c}``.  Bloom-valued sets stay as they are
+    (the validation pass filters the dependent out).  The approx flag is
+    recomputed against the corrected set, so a set that is empty once its
+    dependent is gone counts as certain (Algorithm 3, line 10).
     """
     dependent, (refs, count, approx) = pair
     if not isinstance(refs, BloomFilter):
@@ -422,11 +351,15 @@ def _materialize_shared_refs(pair):
 
 
 def _candidate_state_cost(value: CandidateValue) -> int:
-    """Combiner-state price of one candidate set (cells)."""
+    """Combiner-state price of one candidate set (cells).
+
+    An exact set costs one cell per member: the shared set holds the
+    referenced captures plus the dependent itself, i.e. ``|refs| + 1``.
+    """
     refs, _count, _approx = value
     if isinstance(refs, BloomFilter):
         return 8  # constant-size filter
-    return len(refs) + 1
+    return len(refs)
 
 
 class _WorkUnitSplitter:

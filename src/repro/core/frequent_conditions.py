@@ -31,12 +31,9 @@ capture-support pruning or the final broadness filter removes.
 
 from __future__ import annotations
 
-import operator
-import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cind import AssociationRule, SupportedAR
 from repro.core.conditions import (
@@ -46,13 +43,7 @@ from repro.core.conditions import (
     UnaryCondition,
 )
 from repro.dataflow.bloom import BloomFilter
-from repro.dataflow.engine import (
-    DataSet,
-    ExecutionEnvironment,
-    pair_key,
-    pair_value,
-)
-from repro.rdf.model import Attr, EncodedDataset, EncodedTriple
+from repro.dataflow.engine import DataSet, ExecutionEnvironment, pair_key
 
 
 #: Default false-positive rate for the condition Bloom filters.
@@ -95,222 +86,6 @@ class FrequentConditions:
         return self.binary_counts.get(condition, 0)
 
 
-# The operator callables below are module-level classes (not closures) so
-# that the process executor can pickle them together with their config.
-
-
-class _UnaryCounterEmitter:
-    """Per-triple ``(unary condition, 1)`` counters (Figure 5, step 1)."""
-
-    __slots__ = ("attrs",)
-
-    def __init__(self, scope: ConditionScope) -> None:
-        self.attrs = tuple(sorted(scope.condition_attrs))
-
-    def __call__(
-        self, triple: EncodedTriple
-    ) -> Iterator[Tuple[UnaryCondition, int]]:
-        for attr in self.attrs:
-            yield UnaryCondition(attr, triple[int(attr)]), 1
-
-
-class _BinaryCounterEmitter:
-    """Algorithm 1: on-demand binary candidate creation via Bloom probes."""
-
-    __slots__ = ("attrs", "pairs", "unary_bloom")
-
-    def __init__(self, scope: ConditionScope, unary_bloom: BloomFilter) -> None:
-        self.attrs = tuple(sorted(scope.condition_attrs))
-        pairs = []
-        for index, attr1 in enumerate(self.attrs):
-            for attr2 in self.attrs[index + 1 :]:
-                pairs.append((attr1, attr2))
-        self.pairs = tuple(pairs)
-        self.unary_bloom = unary_bloom
-
-    def __call__(
-        self, triple: EncodedTriple
-    ) -> Iterator[Tuple[BinaryCondition, int]]:
-        unary_bloom = self.unary_bloom
-        probed = {
-            attr: UnaryCondition(attr, triple[int(attr)]) in unary_bloom
-            for attr in self.attrs
-        }
-        for attr1, attr2 in self.pairs:
-            if probed[attr1] and probed[attr2]:
-                yield (
-                    BinaryCondition(
-                        attr1, triple[int(attr1)], attr2, triple[int(attr2)]
-                    ),
-                    1,
-                )
-
-
-def _count_at_least(h: int, pair: Tuple[Condition, int]) -> bool:
-    """Frequency filter used via ``functools.partial`` (picklable)."""
-    return pair[1] >= h
-
-
-def _columnar_unary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    h: int,
-) -> Dict[UnaryCondition, int]:
-    """Columnar fast path for steps 1-2: count ids straight off the columns.
-
-    ``Counter(column)`` iterates an ``array`` at C speed, so no per-triple
-    Python-level counter records are materialized.  The result is the same
-    dict the dataflow path collects: the per-attribute first-occurrence
-    order of a column equals the first-occurrence order of the attribute
-    over the triples, so even insertion order matches.
-    """
-    stage = env.metrics.new_stage("fc/unary-columnar")
-    start = time.perf_counter()
-    counts: Dict[UnaryCondition, int] = {}
-    distinct = 0
-    for attr in sorted(scope.condition_attrs):
-        column_counts = Counter(columns.column(attr))
-        distinct += len(column_counts)
-        for value, count in column_counts.items():
-            if count >= h:
-                counts[UnaryCondition(attr, value)] = count
-    elapsed = time.perf_counter() - start
-    stage.records_in = [len(columns) * len(scope.condition_attrs)]
-    stage.records_out = [len(counts)]
-    stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
-    # The dataflow path's combiners hold one counter per distinct
-    # condition; charge the same state to keep budget semantics honest.
-    stage.peak_state_cost = distinct
-    env._check_budget("fc/unary-columnar", distinct)
-    return counts
-
-
-def _columnar_binary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    unary_bloom: BloomFilter,
-    h: int,
-) -> Dict[BinaryCondition, int]:
-    """Columnar fast path for Algorithm 1 (steps 6-7).
-
-    Bloom probes are memoized per (attribute, id): a dataset has far fewer
-    distinct ids than triples, and :class:`BinaryCondition` objects are
-    only built for pairs that survive the frequency filter.
-    """
-    stage = env.metrics.new_stage("fc/binary-columnar")
-    start = time.perf_counter()
-    attrs = tuple(sorted(scope.condition_attrs))
-    probe_caches: Dict[Attr, Dict[int, bool]] = {attr: {} for attr in attrs}
-    counts: Dict[BinaryCondition, int] = {}
-    records_in = 0
-    distinct = 0
-    for index, attr1 in enumerate(attrs):
-        cache1 = probe_caches[attr1]
-        column1 = columns.column(attr1)
-        for attr2 in attrs[index + 1 :]:
-            cache2 = probe_caches[attr2]
-            pair_counter: Counter = Counter()
-            for v1, v2 in zip(column1, columns.column(attr2)):
-                hit1 = cache1.get(v1)
-                if hit1 is None:
-                    hit1 = cache1[v1] = UnaryCondition(attr1, v1) in unary_bloom
-                if not hit1:
-                    continue
-                hit2 = cache2.get(v2)
-                if hit2 is None:
-                    hit2 = cache2[v2] = UnaryCondition(attr2, v2) in unary_bloom
-                if hit2:
-                    pair_counter[(v1, v2)] += 1
-            records_in += sum(pair_counter.values())
-            distinct = max(distinct, len(pair_counter))
-            env._check_budget("fc/binary-columnar", len(pair_counter))
-            for (v1, v2), count in pair_counter.items():
-                if count >= h:
-                    counts[BinaryCondition(attr1, v1, attr2, v2)] = count
-    elapsed = time.perf_counter() - start
-    stage.records_in = [records_in]
-    stage.records_out = [len(counts)]
-    stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
-    stage.peak_state_cost = distinct
-    return counts
-
-
-def _last_stage(env: ExecutionEnvironment, name: str):
-    """Most recent stage with ``name`` (the one the planner just shaped)."""
-    for stage in reversed(env.metrics.stages):
-        if stage.name == name:
-            return stage
-    return None
-
-
-def _plan_unary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    h: int,
-) -> Dict[UnaryCondition, int]:
-    """Columnar counting with planner dispatch (steps 1-2).
-
-    When a stage planner is attached and picks the batch kernel, the scan
-    runs as a ``reduce_partitions`` over column batches on the executor
-    (real cores under the process backend); otherwise the single-threaded
-    driver scan runs.  Both produce the same counts, so downstream output
-    is byte-identical either way — the planner only trades wall-clock.
-    """
-    planner = getattr(env, "planner", None)
-    if planner is None or not planner.active:
-        return _columnar_unary_counts(env, columns, scope, h)
-    records = len(columns) * len(scope.condition_attrs)
-    plan = planner.plan_kernel("fc/unary-columnar", records)
-    if plan.use_kernel:
-        from repro.dataflow.kernels import batch_dataset, unary_counts_kernel
-
-        split = planner.plan_partitions("fc/unary-columnar", records)
-        batches = batch_dataset(
-            env, columns, split.partitions, name="fc/unary-batches"
-        )
-        counts = unary_counts_kernel(env, batches, scope, h)
-    else:
-        counts = _columnar_unary_counts(env, columns, scope, h)
-    planner.annotate(env.metrics, "fc/unary-columnar", plan)
-    stage = _last_stage(env, "fc/unary-columnar")
-    if stage is not None:
-        planner.observe(stage)
-    return counts
-
-
-def _plan_binary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    unary_bloom: BloomFilter,
-    h: int,
-) -> Dict[BinaryCondition, int]:
-    """Columnar Algorithm 1 with planner dispatch (steps 6-7)."""
-    planner = getattr(env, "planner", None)
-    if planner is None or not planner.active:
-        return _columnar_binary_counts(env, columns, scope, unary_bloom, h)
-    records = len(columns) * len(scope.condition_attrs)
-    plan = planner.plan_kernel("fc/binary-columnar", records)
-    if plan.use_kernel:
-        from repro.dataflow.kernels import batch_dataset, binary_counts_kernel
-
-        split = planner.plan_partitions("fc/binary-columnar", records)
-        batches = batch_dataset(
-            env, columns, split.partitions, name="fc/binary-batches"
-        )
-        counts = binary_counts_kernel(env, batches, scope, unary_bloom, h)
-    else:
-        counts = _columnar_binary_counts(env, columns, scope, unary_bloom, h)
-    planner.annotate(env.metrics, "fc/binary-columnar", plan)
-    stage = _last_stage(env, "fc/binary-columnar")
-    if stage is not None:
-        planner.observe(stage)
-    return counts
-
-
 def _local_bloom(
     capacity: int, fp_rate: float, partition: List[Tuple[Condition, int]]
 ) -> BloomFilter:
@@ -332,99 +107,25 @@ def _build_bloom(
     )
 
 
-def _dataflow_unary_counts(
-    env: ExecutionEnvironment,
-    triples: DataSet,
-    scope: ConditionScope,
-    h: int,
-) -> Tuple[Dict[UnaryCondition, int], DataSet]:
-    """Record-at-a-time path for steps 1-2 (counts dict + frequent dataset)."""
-    unary_counters = triples.flat_map(
-        _UnaryCounterEmitter(scope), name="fc/unary-counters"
-    ).reduce_by_key(
-        key_fn=pair_key,
-        value_fn=pair_value,
-        reduce_fn=operator.add,
-        name="fc/unary-aggregate",
-        order_insensitive=True,
-    )
-    frequent_unary = unary_counters.filter(
-        partial(_count_at_least, h), name="fc/unary-filter"
-    )
-    return dict(frequent_unary.collect(name="fc/unary-collect")), frequent_unary
-
-
-def _dataflow_binary_counts(
-    env: ExecutionEnvironment,
-    triples: DataSet,
-    scope: ConditionScope,
-    unary_bloom: BloomFilter,
-    h: int,
-) -> Tuple[Dict[BinaryCondition, int], DataSet]:
-    """Record-at-a-time path for Algorithm 1 (counts dict + frequent dataset)."""
-    binary_counters = triples.flat_map(
-        _BinaryCounterEmitter(scope, unary_bloom),
-        name="fc/binary-counters",
-    ).reduce_by_key(
-        key_fn=pair_key,
-        value_fn=pair_value,
-        reduce_fn=operator.add,
-        name="fc/binary-aggregate",
-        order_insensitive=True,
-    )
-    frequent_binary = binary_counters.filter(
-        partial(_count_at_least, h), name="fc/binary-filter"
-    )
-    return (
-        dict(frequent_binary.collect(name="fc/binary-collect")),
-        frequent_binary,
-    )
-
-
-def _unary_counts_only(
-    env: ExecutionEnvironment,
-    triples: DataSet,
-    scope: ConditionScope,
-    h: int,
-    columns: Optional[EncodedDataset],
-) -> Dict[UnaryCondition, int]:
-    """The fc/unary checkpoint boundary's value: just the counts dict."""
-    if columns is not None:
-        return _plan_unary_counts(env, columns, scope, h)
-    return _dataflow_unary_counts(env, triples, scope, h)[0]
-
-
-def _binary_counts_only(
-    env: ExecutionEnvironment,
-    triples: DataSet,
-    scope: ConditionScope,
-    unary_bloom: BloomFilter,
-    h: int,
-    columns: Optional[EncodedDataset],
-) -> Dict[BinaryCondition, int]:
-    """The fc/binary checkpoint boundary's value: just the counts dict."""
-    if columns is not None:
-        return _plan_binary_counts(env, columns, scope, unary_bloom, h)
-    return _dataflow_binary_counts(env, triples, scope, unary_bloom, h)[0]
-
-
 def detect_frequent_conditions(
     env: ExecutionEnvironment,
-    triples: DataSet,
+    batches: DataSet,
     h: int,
     scope: Optional[ConditionScope] = None,
     fp_rate: float = DEFAULT_FP_RATE,
-    columns: Optional[EncodedDataset] = None,
 ) -> FrequentConditions:
-    """Run the FCDetector over a dataset of encoded triples.
+    """Run the FCDetector over a dataset of column batches.
 
     Parameters
     ----------
     env:
         The execution environment (fixes parallelism, gathers metrics).
-    triples:
-        A :class:`~repro.dataflow.engine.DataSet` of
-        :class:`~repro.rdf.model.EncodedTriple`.
+    batches:
+        The triple source from
+        :func:`~repro.dataflow.kernels.batch_dataset`: one
+        :class:`~repro.storage.columnar.TripleBatch` per worker.  The
+        counting stages run as batch kernels over the id columns; the
+        Bloom/AR stages run on the dataflow engine.
     h:
         The user-defined support threshold; conditions below it are
         pruned (Lemma 1 makes this sound for broad-CIND discovery).
@@ -432,46 +133,33 @@ def detect_frequent_conditions(
         Attribute restrictions; defaults to the general setting.
     fp_rate:
         Target false-positive rate of the condition Bloom filters.
-    columns:
-        The columnar form of the same triples.  When given, the counting
-        stages run directly over the id columns (same counts, same Bloom
-        filters, far fewer Python-level records); the Bloom/AR stages
-        still run on the dataflow engine.
     """
+    # Imported here: the kernels import repro.core, whose package import
+    # reaches this module.
+    from repro.dataflow.kernels import binary_counts_kernel, unary_counts_kernel
+
     if h < 1:
         raise ValueError(f"support threshold must be >= 1, got {h}")
     scope = scope if scope is not None else ConditionScope.full()
 
     # Stage-granularity checkpointing: the counting stages (the expensive
-    # part of the phase) become durable boundaries.  A checkpointed run
-    # materializes the frequent-condition datasets from the collected
-    # count dicts — content-identical to the filter datasets the plain
-    # dataflow path feeds downstream (the Bloom unions are bit-wise ORs
-    # and the AR list is sorted at the end, so neither depends on the
-    # partition layout), which is what lets a restored dict stand in.
+    # part of the phase) become durable boundaries.  The Bloom unions are
+    # bit-wise ORs and the AR list is sorted at the end, so neither
+    # depends on the order of a restored count dict.
     ckpt = getattr(env, "checkpoint", None)
     if ckpt is not None and not ckpt.enabled("stage"):
         ckpt = None
 
+    def step(name: str, compute):
+        return ckpt.step(name, "stage", compute) if ckpt is not None else compute()
+
     # Steps 1-2: frequent unary conditions with early aggregation.
-    if ckpt is not None:
-        unary_counts: Dict[UnaryCondition, int] = ckpt.step(
-            "fc/unary",
-            "stage",
-            partial(_unary_counts_only, env, triples, scope, h, columns),
-        )
-        frequent_unary = env.from_collection(
-            unary_counts.items(), name="fc/unary-frequent"
-        )
-    elif columns is not None:
-        unary_counts = _plan_unary_counts(env, columns, scope, h)
-        frequent_unary = env.from_collection(
-            unary_counts.items(), name="fc/unary-frequent"
-        )
-    else:
-        unary_counts, frequent_unary = _dataflow_unary_counts(
-            env, triples, scope, h
-        )
+    unary_counts: Dict[UnaryCondition, int] = step(
+        "fc/unary", partial(unary_counts_kernel, env, batches, scope, h)
+    )
+    frequent_unary = env.from_collection(
+        unary_counts.items(), name="fc/unary-frequent"
+    )
 
     # Steps 3-5: unary Bloom filter, built distributedly and broadcast.
     unary_bloom = _build_bloom(
@@ -483,34 +171,13 @@ def detect_frequent_conditions(
     binary_counts: Dict[BinaryCondition, int] = {}
     if scope.allow_binary and len(scope.condition_attrs) >= 2:
         # Steps 6-7: frequent binary conditions (Algorithm 1).
-        if ckpt is not None:
-            binary_counts = ckpt.step(
-                "fc/binary",
-                "stage",
-                partial(
-                    _binary_counts_only,
-                    env,
-                    triples,
-                    scope,
-                    unary_bloom,
-                    h,
-                    columns,
-                ),
-            )
-            frequent_binary = env.from_collection(
-                binary_counts.items(), name="fc/binary-frequent"
-            )
-        elif columns is not None:
-            binary_counts = _plan_binary_counts(
-                env, columns, scope, unary_bloom, h
-            )
-            frequent_binary = env.from_collection(
-                binary_counts.items(), name="fc/binary-frequent"
-            )
-        else:
-            binary_counts, frequent_binary = _dataflow_binary_counts(
-                env, triples, scope, unary_bloom, h
-            )
+        binary_counts = step(
+            "fc/binary",
+            partial(binary_counts_kernel, env, batches, scope, unary_bloom, h),
+        )
+        frequent_binary = env.from_collection(
+            binary_counts.items(), name="fc/binary-frequent"
+        )
         # Steps 8-9: binary Bloom filter.
         binary_bloom = _build_bloom(
             frequent_binary, len(binary_counts), fp_rate, name="fc/binary-bloom"
@@ -520,16 +187,10 @@ def detect_frequent_conditions(
         binary_bloom = BloomFilter.for_capacity(1, fp_rate)
 
     # Step 11: association rules by joining unary and binary counters.
-    if ckpt is not None:
-        association_rules = ckpt.step(
-            "fc/rules",
-            "stage",
-            partial(_extract_association_rules, frequent_unary, frequent_binary),
-        )
-    else:
-        association_rules = _extract_association_rules(
-            frequent_unary, frequent_binary
-        )
+    association_rules = step(
+        "fc/rules",
+        partial(_extract_association_rules, frequent_unary, frequent_binary),
+    )
 
     return FrequentConditions(
         h=h,

@@ -28,12 +28,8 @@ CRC-framed runs to disk under a byte-accurate memory budget and merges
 them reduce-side — bounded memory on arbitrarily large buckets, again
 with byte-identical output.
 
-*How* a stage executes is pluggable as well
-(:mod:`repro.dataflow.planner` and :mod:`repro.dataflow.kernels`): a
-cost-based stage planner may swap the record-at-a-time operator chains of
-the hot stages for fused, vectorized batch kernels over columnar id
-slices, toggle combiners, switch the shuffle plane, or re-slice batch
-counts — per stage, from calibrated costs, always byte-identically.
+The hot stages of the three discovery phases run as fused batch kernels
+over columnar id slices (:mod:`repro.dataflow.kernels`).
 """
 
 from repro.dataflow.bloom import BloomFilter
@@ -68,7 +64,6 @@ from repro.dataflow.faults import (
 )
 from repro.dataflow.gcpause import gc_paused, stage_gc_pause
 from repro.dataflow.metrics import JobMetrics, StageMetrics
-from repro.dataflow.planner import PLANNER_MODES, StagePlan, StagePlanner
 from repro.dataflow.shuffle import (
     SHUFFLE_MODES,
     MemoryBudget,
@@ -102,9 +97,6 @@ __all__ = [
     "SimulatedWorkerCrash",
     "JobMetrics",
     "StageMetrics",
-    "PLANNER_MODES",
-    "StagePlan",
-    "StagePlanner",
     "gc_paused",
     "stage_gc_pause",
     "SHUFFLE_MODES",

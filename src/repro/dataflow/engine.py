@@ -520,12 +520,6 @@ class ExecutionEnvironment:
         #: plain attribute: repro.dataflow.checkpoint must stay importable
         #: without the engine and vice versa).
         self.checkpoint = None
-        #: Optional StagePlanner the discovery facade attaches
-        #: (repro.dataflow.planner): keyed operators consult it for
-        #: per-stage combine and shuffle decisions, pipeline code for
-        #: kernel-vs-record decisions.  Plain attribute for the same
-        #: import-independence reason as ``checkpoint``.
-        self.planner = None
         self.executor = create_executor(
             executor,
             self.parallelism,
@@ -585,19 +579,9 @@ class ExecutionEnvironment:
         self.close()
 
     def from_collection(
-        self,
-        items: Iterable[T],
-        name: str = "source",
-        cost_fn: Optional[Callable[[T], int]] = None,
+        self, items: Iterable[T], name: str = "source"
     ) -> "DataSet[T]":
-        """Create a dataset by round-robin partitioning ``items``.
-
-        ``cost_fn`` prices one record in memory-budget cells (see
-        :func:`record_cells`); when given, each worker's materialized
-        source partition is charged against the memory budget by *cost*
-        rather than implicitly held for free — this is how
-        dictionary-encoded sources account for their three-id records.
-        """
+        """Create a dataset by round-robin partitioning ``items``."""
         partitions: List[List[T]] = [[] for _ in range(self.parallelism)]
         start = time.perf_counter()
         for index, item in enumerate(items):
@@ -608,11 +592,6 @@ class ExecutionEnvironment:
         stage.partition_seconds = [elapsed / self.parallelism] * self.parallelism
         stage.records_in = [len(p) for p in partitions]
         stage.records_out = [len(p) for p in partitions]
-        if cost_fn is not None:
-            for partition in partitions:
-                cost = sum(map(cost_fn, partition))
-                stage.peak_state_cost = max(stage.peak_state_cost, cost)
-                self._check_budget(name, cost)
         return DataSet(self, partitions, name=name)
 
     def from_batches(
@@ -629,8 +608,9 @@ class ExecutionEnvironment:
         how many *logical* records each batch stands for, so stage
         accounting and the process backend's inline threshold see the
         real record volume rather than "one record per partition".
-        ``cost_fn`` charges each batch against the memory budget, exactly
-        as :meth:`from_collection` charges materialized sources.
+        ``cost_fn`` prices one batch in memory-budget cells (see
+        :func:`record_cells`); when given, each worker's batch is charged
+        against the memory budget rather than held for free.
         """
         if len(batches) != self.parallelism:
             raise ValueError(
@@ -1146,7 +1126,6 @@ class DataSet(Generic[T]):
         reduce_fn: Callable[[V, V], V],
         combine: bool = True,
         name: str = "reduce_by_key",
-        order_insensitive: bool = False,
     ) -> "DataSet[Tuple[K, V]]":
         """Hash-partitioned keyed reduction producing ``(key, value)`` pairs.
 
@@ -1155,60 +1134,19 @@ class DataSet(Generic[T]):
         partition before the shuffle, which shrinks shuffle volume for
         low-cardinality keys.
 
-        ``order_insensitive=True`` declares that the reduction's *output*
-        is independent of combine order and grouping layout (commutative
-        integer aggregation over fixed keys): only such stages may have
-        their combiner switched off by the stage planner without changing
-        output bytes.  Set-valued folds must leave it ``False``.
-
         Under ``shuffle="spill"`` the same reduction runs on the
         disk-backed data plane: the combiner spills sorted runs whenever
         the byte budget overflows and the reduce side merges them —
         byte-identical output in bounded memory, so the record-count
         ``memory_budget`` simulation does not apply.
         """
-        env = self.env
-        planner = env.planner
-        plans = []
-        use_spill = env.shuffle == "spill"
-        if planner is not None and planner.active and env.memory_budget is None:
-            records = self._total_records()
-            combine_plan = planner.plan_combine(
-                name, records, order_insensitive=order_insensitive
-            )
-            if combine_plan.combine is not None and combine_plan.combine != combine:
-                combine = combine_plan.combine
-                plans.append(combine_plan)
-            if not use_spill:
-                shuffle_plan = planner.plan_shuffle(name, records)
-                if shuffle_plan.shuffle == "spill":
-                    use_spill = True
-                    plans.append(shuffle_plan)
-        stage_index = len(env.metrics.stages)
-        if use_spill:
-            result = self._spill_reduce_by_key(
+        if self.env.shuffle == "spill":
+            return self._spill_reduce_by_key(
                 key_fn, value_fn, reduce_fn, combine, name
             )
-            self._finish_planned_stage(stage_index, plans)
-            return result
-        result = self._inline_reduce_by_key(
+        return self._inline_reduce_by_key(
             key_fn, value_fn, reduce_fn, combine, name
         )
-        self._finish_planned_stage(stage_index, plans)
-        return result
-
-    def _finish_planned_stage(self, stage_index: int, plans) -> None:
-        """Record planner decisions on a finished stage and feed back costs."""
-        planner = self.env.planner
-        if planner is None or not planner.active:
-            return
-        stages = self.env.metrics.stages
-        if stage_index >= len(stages):
-            return
-        for plan in plans:
-            planner.record(stages[stage_index], plan)
-        for stage in stages[stage_index:]:
-            planner.observe(stage)
 
     def _inline_reduce_by_key(
         self,
@@ -1287,30 +1225,11 @@ class DataSet(Generic[T]):
         replaces ``state_cost_fn`` pricing, and the output stays
         byte-identical.
         """
-        env = self.env
-        planner = env.planner
-        plans = []
-        use_spill = env.shuffle == "spill"
-        if (
-            planner is not None
-            and planner.active
-            and env.memory_budget is None
-            and not use_spill
-        ):
-            shuffle_plan = planner.plan_shuffle(name, self._total_records())
-            if shuffle_plan.shuffle == "spill":
-                use_spill = True
-                plans.append(shuffle_plan)
-        stage_index = len(env.metrics.stages)
-        if use_spill:
-            result = self._spill_flat_map_reduce_by_key(flat_fn, reduce_fn, name)
-            self._finish_planned_stage(stage_index, plans)
-            return result
-        result = self._inline_flat_map_reduce_by_key(
+        if self.env.shuffle == "spill":
+            return self._spill_flat_map_reduce_by_key(flat_fn, reduce_fn, name)
+        return self._inline_flat_map_reduce_by_key(
             flat_fn, reduce_fn, state_cost_fn, name
         )
-        self._finish_planned_stage(stage_index, plans)
-        return result
 
     def _inline_flat_map_reduce_by_key(
         self,

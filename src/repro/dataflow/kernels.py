@@ -1,6 +1,6 @@
-"""Vectorized batch kernels for the discovery hot path.
+"""Batch kernels: the operators of the three discovery phases' hot stages.
 
-A *batch kernel* is an operator that consumes one
+A *batch kernel* consumes one
 :class:`~repro.storage.columnar.TripleBatch` — a worker's slice of the
 encoded dataset kept as three parallel id ``array`` columns — instead of
 a stream of per-triple Python records.  The kernels fuse whole operator
@@ -10,20 +10,20 @@ construction) behind per-id caches: a column has far fewer distinct ids
 than elements, so each probe/object is paid once per distinct id instead
 of once per triple.
 
-Byte-identity contract (enforced by ``tests/test_planner.py``): every
-kernel reproduces the record-at-a-time oracle exactly.
+Exactness (checked by ``tests/test_kernels.py`` against the
+record-at-a-time transcriptions of Algorithms 1-2 in
+``tests/record_oracle.py``):
 
-* The frequent-condition counting kernels produce the same *content* as
-  the driver columnar scans in :mod:`repro.core.frequent_conditions`
-  (count dicts feed order-independent consumers: Bloom unions, sorted AR
-  lists, sorted final output).
+* The frequent-condition counting kernels produce the same count dicts
+  as per-triple counters; their consumers (Bloom unions, sorted AR
+  lists, sorted final output) do not depend on dict order.
 * The capture-group kernel (:class:`EvidenceBatchKernel`) yields
-  ``(value, {capture})`` pairs in exactly the order the record path's
-  ``flat_map`` emits per-triple evidences — batch ``i`` holds precisely
-  partition ``i``'s triples in partition order
+  ``(value, {capture})`` pairs in exactly the per-triple, per-projection
+  order of Algorithm 2 — batch ``i`` holds round-robin partition ``i``'s
+  triples in partition order
   (:func:`~repro.storage.columnar.build_triple_batches`), so the fused
-  combiner builds the identical aggregation dict and the shuffle routes
-  identical buckets.
+  combiner builds the same aggregation dict and the shuffle routes the
+  same buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
 
 Everything here is module-level (and picklable), so the kernels run
 unchanged on the ``serial`` and ``process`` executor backends.
@@ -32,7 +32,7 @@ unchanged on the ``serial`` and ``process`` executor backends.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.core.cind import Capture
 from repro.core.conditions import (
@@ -40,7 +40,7 @@ from repro.core.conditions import (
     ConditionScope,
     UnaryCondition,
 )
-from repro.dataflow.engine import DataSet, ExecutionEnvironment
+from repro.dataflow.engine import DataSet, ExecutionEnvironment, record_cells
 from repro.storage.columnar import EncodedDataset, TripleBatch, build_triple_batches
 
 __all__ = [
@@ -51,31 +51,22 @@ __all__ = [
 ]
 
 
-def batch_dataset(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    batch_count: Optional[int] = None,
-    name: str = "batches",
-) -> DataSet:
-    """A dataset of column batches, ``batch_count`` slices round-robined
-    onto the environment's workers.
+def batch_dataset(env: ExecutionEnvironment, columns: EncodedDataset) -> DataSet:
+    """The triple source: one column batch per worker.
 
-    With ``batch_count == parallelism`` (the default) batch ``i`` *is*
-    partition ``i`` of ``from_collection(columns)`` — the layout the
-    order-sensitive kernels require.  Larger counts (the planner's skew
-    split for the order-insensitive counting kernels) round-robin extra
-    batches onto the workers.  No source stage is recorded: the batches
-    are views of the already-accounted encoded dataset.
+    Batch ``i`` holds the triples round-robin partition ``i`` would hold,
+    in the same order — the layout the order-sensitive evidence kernel
+    relies on.  Recorded as the ``source/triples`` stage, and each batch
+    is charged against the record-count memory budget at its
+    ``budget_cells`` (3 cells per triple).
     """
-    parallelism = env.parallelism
-    count = batch_count if batch_count is not None else parallelism
-    batches = build_triple_batches(columns, count)
-    partitions: List[List[TripleBatch]] = [[] for _ in range(parallelism)]
-    sizes = [0] * parallelism
-    for index, batch in enumerate(batches):
-        partitions[index % parallelism].append(batch)
-        sizes[index % parallelism] += len(batch)
-    return DataSet(env, partitions, name=name, logical_sizes=sizes)
+    batches = build_triple_batches(columns, env.parallelism)
+    return env.from_batches(
+        batches,
+        sizes=[len(batch) for batch in batches],
+        name="source/triples",
+        cost_fn=record_cells,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -112,18 +103,21 @@ def unary_counts_kernel(
     scope: ConditionScope,
     h: int,
 ) -> Dict[UnaryCondition, int]:
-    """Batch-kernel version of the unary counting scan (steps 1-2).
+    """Frequent unary conditions with their counts (steps 1-2).
 
     Runs the per-partition counting on the executor (real cores under the
     process backend) and merges the partial per-attribute counters on the
-    driver; produces the same counts dict as
-    ``_columnar_unary_counts`` / the dataflow path.
+    driver.  The merged table holds one counter per distinct condition;
+    that is the state the record-count memory budget is charged.
     """
     attrs = tuple(sorted(scope.condition_attrs))
     merged = batches.reduce_partitions(
         _UnaryBatchCounter(attrs),
         _merge_attr_counters,
         name="fc/unary-columnar",
+    )
+    env._check_budget(
+        "fc/unary-columnar", sum(len(merged[attr]) for attr in attrs)
     )
     counts: Dict[UnaryCondition, int] = {}
     for attr in attrs:
@@ -193,7 +187,11 @@ def binary_counts_kernel(
     unary_bloom,
     h: int,
 ) -> Dict[BinaryCondition, int]:
-    """Batch-kernel version of Algorithm 1 (steps 6-7)."""
+    """Frequent binary conditions with their counts: Algorithm 1 (steps 6-7).
+
+    Each attribute pair's merged counter table is charged against the
+    record-count memory budget, one pair at a time.
+    """
     attrs = tuple(sorted(scope.condition_attrs))
     merged = batches.reduce_partitions(
         _BinaryBatchCounter(attrs, unary_bloom),
@@ -203,7 +201,9 @@ def binary_counts_kernel(
     counts: Dict[BinaryCondition, int] = {}
     for index, attr1 in enumerate(attrs):
         for attr2 in attrs[index + 1 :]:
-            for (v1, v2), count in merged[(attr1, attr2)].items():
+            pair_counter = merged[(attr1, attr2)]
+            env._check_budget("fc/binary-columnar", len(pair_counter))
+            for (v1, v2), count in pair_counter.items():
                 if count >= h:
                     counts[BinaryCondition(attr1, v1, attr2, v2)] = count
     return counts
@@ -218,16 +218,18 @@ _PRUNED = object()
 
 
 class EvidenceBatchKernel:
-    """Fused Algorithm 2 over one column batch (order-exact).
+    """Algorithm 2 over one column batch, for ``flat_map_reduce_by_key``.
 
-    Drop-in for the record path's ``flat_map(_EvidenceEmitter) →
-    reduce_by_key`` chain when used with ``flat_map_reduce_by_key``: the
-    generator yields ``(value, {capture})`` singleton-set pairs in
-    exactly the per-triple, per-projection order the record path emits,
-    so the fused combiner state — and everything downstream of it — is
-    byte-identical.
+    Per triple and projection attribute, the two candidate unary
+    conditions are probed against the unary-condition Bloom filter; if
+    both pass, the binary condition is probed against the binary filter
+    and checked against the known association rules.  A frequent, non-AR
+    binary condition yields a single binary capture evidence; an
+    AR-embedding or infrequent one yields the passing unary evidences.
+    The generator yields ``(value, {capture})`` singleton-set pairs in
+    per-triple, per-projection order.
 
-    The speedup comes from the caches: per projection, the full
+    The speed comes from the caches: per projection, the full
     bloom-probe / rule-check / capture-construction decision is computed
     once per distinct condition-value combination and replayed as a tuple
     of shared (immutable, value-hashed) :class:`Capture` objects for
@@ -239,8 +241,6 @@ class EvidenceBatchKernel:
     def __init__(
         self, scope: ConditionScope, frequent
     ) -> None:
-        # Mirrors _EvidenceEmitter.__init__ (repro.core.capture_groups)
-        # field for field — the projection order is the oracle's order.
         self.projections = tuple(
             (attr, scope.condition_attrs_for(attr))
             for attr in sorted(scope.projection_attrs)
@@ -268,8 +268,8 @@ class EvidenceBatchKernel:
         """``(ok, condition)`` for one condition id, memoized per attr.
 
         A column has far fewer distinct ids than elements, so the Bloom
-        probe — pure-Python double hashing, the record path's dominant
-        cost — and the condition object are paid once per distinct id.
+        probe — pure-Python double hashing — and the condition object
+        are paid once per distinct id.
         """
         entry = cache.get(value)
         if entry is None:

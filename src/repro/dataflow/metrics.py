@@ -56,11 +56,6 @@ class StageMetrics:
     #: Largest estimated in-memory state, in bytes, any spill-mode worker
     #: held before cutting a run (bounded by the byte budget).
     peak_state_bytes: int = 0
-    #: Execution strategy the stage planner chose for this stage
-    #: ("kernel", "record", "combine-off", ...; empty = no planner).
-    planner_choice: str = ""
-    #: Why the planner chose it (cost evidence or rule).
-    planner_reason: str = ""
     #: Gen-0 GC passes the stage's gc-pause wrapper suppressed across
     #: all of its workers (repro.dataflow.gcpause.stage_gc_pause).
     gc_suppressed_collections: int = 0
@@ -120,8 +115,6 @@ class StageMetrics:
             "spilled_bytes": self.spilled_bytes,
             "merge_passes": self.merge_passes,
             "peak_state_bytes": self.peak_state_bytes,
-            "planner_choice": self.planner_choice,
-            "planner_reason": self.planner_reason,
             "gc_suppressed_collections": self.gc_suppressed_collections,
             "parallel_seconds": self.parallel_seconds,
             "cpu_seconds": self.cpu_seconds,
@@ -152,8 +145,6 @@ class StageMetrics:
             )
         if self.gc_suppressed_collections:
             line += f" gc-suppressed={self.gc_suppressed_collections}"
-        if self.planner_choice:
-            line += f" plan={self.planner_choice} ({self.planner_reason})"
         return line
 
 
@@ -174,8 +165,6 @@ class JobMetrics:
     #: Pipeline boundaries restored from a checkpoint instead of
     #: recomputed (--resume) — the proof that completed work was skipped.
     resumed_stages: int = 0
-    #: Stage-planner mode the job ran under ("off", "static", "adaptive").
-    planner: str = "off"
     stages: List[StageMetrics] = field(default_factory=list)
 
     def new_stage(self, name: str) -> StageMetrics:
@@ -250,11 +239,6 @@ class JobMetrics:
         return max((stage.skew for stage in self.stages), default=1.0)
 
     @property
-    def planner_decisions(self) -> int:
-        """Stages the planner stamped a decision onto."""
-        return sum(1 for stage in self.stages if stage.planner_choice)
-
-    @property
     def total_gc_suppressed_collections(self) -> int:
         """GC passes suppressed by stage pauses across all stages."""
         return sum(stage.gc_suppressed_collections for stage in self.stages)
@@ -285,8 +269,6 @@ class JobMetrics:
                 spilled_bytes=stage.spilled_bytes,
                 merge_passes=stage.merge_passes,
                 peak_state_bytes=stage.peak_state_bytes,
-                planner_choice=stage.planner_choice,
-                planner_reason=stage.planner_reason,
                 gc_suppressed_collections=stage.gc_suppressed_collections,
             )
             self.stages.append(absorbed)
@@ -324,8 +306,6 @@ class JobMetrics:
                 "checkpoint_bytes": self.checkpoint_bytes,
                 "checkpoint_seconds": self.checkpoint_seconds,
                 "resumed_stages": self.resumed_stages,
-                "planner": self.planner,
-                "planner_decisions": self.planner_decisions,
                 "gc_suppressed_collections": self.total_gc_suppressed_collections,
             },
             "stages": [stage.to_dict() for stage in self.stages],
@@ -376,11 +356,6 @@ class JobMetrics:
                 f" ckpt-bytes={self.checkpoint_bytes} "
                 f"ckpt-seconds={self.checkpoint_seconds:.3f} "
                 f"resumed={self.resumed_stages}"
-            )
-        if self.planner != "off" or self.planner_decisions:
-            total += (
-                f" planner={self.planner} "
-                f"decisions={self.planner_decisions}"
             )
         if self.total_gc_suppressed_collections:
             total += f" gc-suppressed={self.total_gc_suppressed_collections}"

@@ -64,7 +64,6 @@ _JOB_ID_RE = re.compile(r"^j(\d{6,})$")
 
 _SCOPES = ("full", "predicates")
 _VARIANTS = ("rdfind", "de", "nf")
-_STORAGES = ("strings", "encoded")
 _EXECUTORS = ("serial", "process")
 
 
@@ -106,7 +105,6 @@ class JobRequest:
     scope: str = "full"
     variant: str = "rdfind"
     parallelism: int = 4
-    storage: str = "encoded"
     executor: Optional[str] = None
     workers: Optional[int] = None
     hold: bool = False
@@ -129,10 +127,6 @@ class JobRequest:
             )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.storage not in _STORAGES:
-            raise ValueError(
-                f"storage must be one of {_STORAGES}, got {self.storage!r}"
-            )
         if self.executor is not None and self.executor not in _EXECUTORS:
             raise ValueError(
                 f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
@@ -165,7 +159,6 @@ class JobRequest:
             scope=self.scope,
             variant=self.variant,
             parallelism=self.parallelism,
-            storage=self.storage,
             executor=self.effective_executor(),
             workers=self.workers,
             hold=self.hold,
@@ -180,7 +173,6 @@ class JobRequest:
             "scope": self.scope,
             "variant": self.variant,
             "parallelism": self.parallelism,
-            "storage": self.storage,
             "executor": self.executor,
             "workers": self.workers,
             "hold": self.hold,
@@ -198,7 +190,6 @@ class JobRequest:
             "scope": str(data.get("scope", "full")),
             "variant": str(data.get("variant", "rdfind")),
             "parallelism": int(data.get("parallelism", 4)),
-            "storage": str(data.get("storage", "encoded")),
             "executor": data.get("executor") or None,
             "workers": int(data["workers"]) if data.get("workers") else None,
             "hold": bool(data.get("hold", False)),
@@ -245,10 +236,15 @@ class JobRecord:
     def from_json(cls, data: Any) -> "JobRecord":
         if not isinstance(data, dict):
             raise ValueError("job record is not a JSON object")
+        request = data["request"]
+        if isinstance(request, dict):
+            # Records persisted before the request lost its ``storage``
+            # field must still load on restart.
+            request = {k: v for k, v in request.items() if k != "storage"}
         return cls(
             id=str(data["id"]),
             fingerprint=str(data["fingerprint"]),
-            request=JobRequest.from_json(data["request"]),
+            request=JobRequest.from_json(request),
             state=str(data["state"]),
             created=float(data.get("created") or 0.0),
             started=data.get("started"),

@@ -82,7 +82,7 @@ def _install_signal_handlers() -> None:
 
 
 def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
-    """Load the request's dataset in its requested physical layout.
+    """Load the request's dataset, dictionary-encoded.
 
     With ``snapshot_dir`` (the store-wide snapshot cache) a warm job
     mmap-loads the dataset instead of re-parsing/generating it; the
@@ -101,12 +101,7 @@ def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
         # loader's explicit form.  (endpoint: refs pass through to the
         # loader's federation path untouched.)
         spec = f"dataset:{spec}"
-    return _load_input(
-        spec,
-        scale=request.scale,
-        storage=request.storage,
-        snapshot_dir=snapshot_dir,
-    )
+    return _load_input(spec, scale=request.scale, snapshot_dir=snapshot_dir)
 
 
 def _build_config(request: JobRequest, checkpoint_dir: str) -> RDFindConfig:
@@ -132,7 +127,6 @@ def _build_config(request: JobRequest, checkpoint_dir: str) -> RDFindConfig:
         support_threshold=request.support_threshold,
         parallelism=request.parallelism,
         scope=scope,
-        storage=request.storage,
         checkpoint="phase",
         checkpoint_dir=checkpoint_dir,
         resume=True,

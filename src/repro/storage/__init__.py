@@ -38,7 +38,7 @@ _EXPORTS = {
     "TRIPLE_CELLS": "repro.storage.columnar",
     "TripleBatch": "repro.storage.columnar",
     "build_triple_batches": "repro.storage.columnar",
-    "packed_column_nbytes": "repro.storage.columnar",
+    "packed_column_nbytes": "repro.storage.compressed",
     "VerticalPartitionStore": "repro.storage.vertical",
     "PostingOverflowError": "repro.storage.vertical",
     "BitPackedColumn": "repro.storage.compressed",

@@ -29,22 +29,6 @@ from repro.storage.dictionary import INT32_MAX, EncodedTriple, TermDictionary
 TRIPLE_CELLS = 3
 
 
-def packed_column_nbytes(column: Sequence[int]) -> int:
-    """Bytes a non-negative id column occupies when bit-packed.
-
-    The fixed-width packing of
-    :class:`repro.storage.compressed.BitPackedColumn`: every value at the
-    bits the column maximum needs (at least 1), rounded up to whole
-    bytes.  Defined here (not in ``compressed``) so pricing call sites
-    can estimate packed sizes without importing the compression layer.
-    """
-    count = len(column)
-    if not count:
-        return 0
-    width = max(1, max(column).bit_length())
-    return (count * width + 7) // 8
-
-
 class TripleBatch:
     """One worker's slice of an :class:`EncodedDataset`, kept columnar.
 
@@ -87,18 +71,8 @@ class TripleBatch:
         return TRIPLE_CELLS * len(self.s)
 
     def nbytes(self) -> int:
-        """Byte-budget price of the batch: its bit-packed column size.
-
-        Batches spend most of their life in compressed form (the packed
-        columns of :mod:`repro.storage.compressed`, the framed spill
-        runs), so the spill budget and the planner price them at what the
-        ids pack to — per-column maximum bit width — rather than at the
-        mutable arrays' fixed 4/8-byte slots."""
-        return (
-            packed_column_nbytes(self.s)
-            + packed_column_nbytes(self.p)
-            + packed_column_nbytes(self.o)
-        )
+        """Byte-budget price of the batch: the bytes its columns hold."""
+        return sum(column.itemsize * len(column) for column in self.columns)
 
     def __repr__(self) -> str:
         return f"<TripleBatch: {len(self)} triples, '{self.s.typecode}' columns>"

@@ -40,17 +40,32 @@ from array import array
 from collections import Counter
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.storage.columnar import EncodedDataset, packed_column_nbytes
+from repro.storage.columnar import EncodedDataset
 from repro.storage.dictionary import EncodedTriple, TermDictionary
 
 __all__ = [
     "BitPackedColumn",
+    "packed_column_nbytes",
     "CompressedDataset",
     "FrozenPostingList",
     "frequency_order",
     "frequency_rank",
     "remap_by_frequency",
 ]
+
+
+def packed_column_nbytes(column: Sequence[int]) -> int:
+    """Bytes a non-negative id column occupies when bit-packed.
+
+    The fixed-width packing of :class:`BitPackedColumn`: every value at
+    the bits the column maximum needs (at least 1), rounded up to whole
+    bytes.
+    """
+    count = len(column)
+    if not count:
+        return 0
+    width = max(1, max(column).bit_length())
+    return (count * width + 7) // 8
 
 
 # ----------------------------------------------------------------------

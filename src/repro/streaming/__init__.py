@@ -10,10 +10,10 @@ mutating knowledge graph.  The subsystem is a stack of small modules::
                    presence plus term reference counts, so removals
                    actually retract and the materialized dataset stays
                    byte-equal to a fresh batch load
-    maintainer.py  StreamingRDFind: IncrementalRDFind's successor that
-                   also handles removals (conditions deactivate below h,
-                   interpretations shrink, groups lose members) with
-                   monotonicity-aware re-evaluation and the dirty
+    maintainer.py  StreamingRDFind: CIND maintenance under adds and
+                   removes (conditions activate at h and deactivate
+                   below it, interpretations and groups grow and shrink)
+                   with monotonicity-aware re-evaluation and the dirty
                    capture-group set
     compaction.py  periodic checkpoint compaction: fingerprinted
                    manifests keyed on (changelog position, h, scope) so

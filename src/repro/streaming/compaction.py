@@ -215,7 +215,15 @@ class StreamCheckpointer:
                 raise ValueError(f"checkpoint header mismatch: {header}")
             maintainer = pickle.loads(read_frame(stream))
             seq = int(header["seq"])
-        except (FrameError, ValueError, KeyError, pickle.PickleError, EOFError, AttributeError) as error:
+        except (
+            FrameError,
+            ValueError,
+            KeyError,
+            pickle.PickleError,
+            EOFError,
+            AttributeError,  # pickled class renamed since the checkpoint
+            ImportError,  # ... or its module moved
+        ) as error:
             warnings.warn(
                 f"{payload_path}: corrupt checkpoint payload ({error}); "
                 "rebuilding from full changelog replay",

@@ -1,10 +1,22 @@
 """StreamingRDFind: pertinent-CIND maintenance under adds *and* removes.
 
-Supersedes the add-only :class:`~repro.core.incremental.IncrementalRDFind`.
-The structures are the same (exact condition frequencies, per-condition
-postings, Lemma 3 capture groups and interpretations, the dirty-capture
-set over a per-dependent referenced-intersection cache); what changes is
-that every one of them can now also shrink.
+Re-running discovery from scratch per update batch is wasteful, so this
+module maintains the discovery state incrementally:
+
+* exact condition frequencies and per-condition posting lists, so that a
+  condition *crossing* the support threshold back-fills its captures from
+  the already-seen triples (the subtle part of maintaining the
+  frequent-condition pruning online);
+* capture groups (Lemma 3's structure), interpretations and capture
+  supports;
+* a per-dependent cache of referenced-capture intersections, invalidated
+  only for captures whose groups changed — the *dirty set*.  A triple
+  touches at most three groups, so typical updates re-derive only a small
+  fraction of the adjacency (values with giant groups, e.g. ``rdf:type``,
+  dirty more — skew hurts incrementality exactly as it hurts the batch
+  extractor).
+
+Every one of these structures can grow and shrink.
 
 Monotonicity is what keeps a delta cheap: within one delta class, every
 quantity moves in only one direction, so only that direction is checked.
@@ -20,8 +32,7 @@ quantity moves in only one direction, so only that direction is checked.
 
 Either way, a touched group dirties only its own members, so a query
 re-derives referenced sets for the few dependents an update actually
-reached — the same skew economics as the add-only maintainer, now in
-both directions.
+reached.
 
 Two query surfaces:
 
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.cind import (
@@ -60,7 +72,6 @@ from repro.core.conditions import (
     conditions_of_triple,
     is_binary,
 )
-from repro.core.incremental import MaintenanceStats
 from repro.core.minimality import consolidate_pertinent
 from repro.core.serialization import (
     FORMAT_NAME,
@@ -77,13 +88,39 @@ from repro.rdf.model import (
 )
 from repro.streaming.delta import DeltaStore
 
-__all__ = ["StreamingRDFind"]
+__all__ = ["MaintenanceStats", "StreamingRDFind"]
 
 TripleLike = Union[Triple, Tuple[str, str, str]]
 
 #: The variant label the batch pipeline stamps into result documents for
 #: its default configuration (the one the streaming document mirrors).
 BATCH_VARIANT = "RDFind"
+
+
+@dataclass
+class MaintenanceStats:
+    """Work counters across a maintainer's lifetime."""
+
+    triples_added: int = 0
+    triples_removed: int = 0
+    duplicates_ignored: int = 0
+    removals_ignored: int = 0
+    conditions_activated: int = 0
+    conditions_deactivated: int = 0
+    evidences_applied: int = 0
+    evidences_retracted: int = 0
+    dependents_recomputed: int = 0
+    compactions: int = 0
+    queries: int = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        """JSON-safe rendering of every counter.
+
+        Mirrors :meth:`repro.dataflow.metrics.StageMetrics.to_dict`:
+        plain ints under the field names, so the job server can stream
+        maintenance progress exactly like it streams job metrics.
+        """
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 class StreamingRDFind:

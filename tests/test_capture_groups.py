@@ -14,6 +14,7 @@ from repro.core.conditions import (
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
 from repro.dataflow.engine import ExecutionEnvironment
+from repro.dataflow.kernels import batch_dataset
 from repro.rdf.model import Attr
 from tests.conftest import random_rdf
 
@@ -29,7 +30,7 @@ def build_groups(
     exercised separately in ``TestBloomFalsePositives``.
     """
     env = ExecutionEnvironment(parallelism=parallelism)
-    triples = env.from_collection(encoded.triples)
+    triples = batch_dataset(env, encoded)
     frequent = None
     if pruned:
         frequent = detect_frequent_conditions(

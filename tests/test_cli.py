@@ -24,25 +24,11 @@ class TestCli:
         )
         assert "pertinent" in out and "⊆" in out
 
-    def test_discover_storage_variants_identical(self, capsys):
-        outputs = {}
-        for storage in ("strings", "encoded"):
-            out = run(
-                capsys, "discover", "dataset:Countries", "--scale", "0.1",
-                "-s", "5", "-n", "10", "--storage", storage,
-            )
-            # drop the header line, whose timings differ between runs,
-            # and the planner summary line: with RDFIND_PLANNER set, the
-            # stage-decision *count* differs between storage layouts
-            # (encoded exposes kernel-capable stages that strings lacks)
-            # even though the discovered output is identical.
-            outputs[storage] = [
-                line
-                for line in out.splitlines()[1:]
-                if not line.startswith("planner:")
-            ]
-        assert outputs["encoded"] == outputs["strings"]
-        assert outputs["encoded"]
+    def test_removed_path_selection_flags_are_rejected(self, capsys):
+        for flag, value in (("--storage", "strings"), ("--planner", "static")):
+            with pytest.raises(SystemExit):
+                main(["discover", "dataset:Countries", "-s", "5", flag, value])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_discover_variant_de(self, capsys):
         out = run(

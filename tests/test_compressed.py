@@ -7,13 +7,14 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.columnar import EncodedDataset, packed_column_nbytes
+from repro.storage.columnar import EncodedDataset
 from repro.storage.compressed import (
     BitPackedColumn,
     CompressedDataset,
     FrozenPostingList,
     frequency_order,
     frequency_rank,
+    packed_column_nbytes,
     remap_by_frequency,
 )
 from repro.storage.dictionary import TermDictionary

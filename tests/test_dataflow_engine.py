@@ -241,29 +241,6 @@ class TestSourceCostAccounting:
         assert record_cells((1, 2, 3)) == 3  # an EncodedTriple
         assert record_cells(((1, 2), "12345678")) == 4
 
-    def test_costed_source_within_budget(self):
-        environment = env(2, memory_budget=10)
-        ds = environment.from_collection(
-            [(1, 2, 3)] * 6, cost_fn=record_cells
-        )
-        assert ds.count() == 6  # 3 triples x 3 cells per worker = 9 <= 10
-
-    def test_costed_source_over_budget_raises(self):
-        environment = env(1, memory_budget=10)
-        with pytest.raises(SimulatedOutOfMemory):
-            environment.from_collection(
-                [(1, 2, 3)] * 6, cost_fn=record_cells
-            )
-
-    def test_costed_source_records_peak_state(self):
-        environment = env(2)
-        environment.from_collection(
-            [(1, 2, 3)] * 6, name="src", cost_fn=record_cells
-        )
-        stage = environment.metrics.stages[-1]
-        assert stage.name == "src"
-        assert stage.peak_state_cost == 9
-
     def test_uncosted_source_holds_records_for_free(self):
         environment = env(1, memory_budget=10)
         ds = environment.from_collection([(1, 2, 3)] * 6)
@@ -375,77 +352,6 @@ class TestBatchDatasets:
         ds = environment.from_batches(batches, sizes=[3, 2])
         flattened = ds.flat_map(lambda batch: list(batch.items), name="unbatch")
         assert sorted(flattened.collect()) == [1, 2, 3, 4, 5]
-
-
-class TestPlannerIntegration:
-    """Engine-level behaviour of an attached StagePlanner."""
-
-    def _warmed_planner(self, stage_name, ratio_out=1000, **kwargs):
-        from repro.dataflow.metrics import StageMetrics
-        from repro.dataflow.planner import StagePlanner
-
-        planner = StagePlanner("adaptive", parallelism=3, **kwargs)
-        planner.observe(
-            StageMetrics(
-                name=stage_name,
-                partition_seconds=[0.1],
-                records_in=[1000],
-                records_out=[ratio_out],
-            )
-        )
-        return planner
-
-    def _count(self, environment, values, order_insensitive):
-        return (
-            environment.from_collection(values)
-            .reduce_by_key(
-                key_fn=lambda x: x,
-                value_fn=lambda _x: 1,
-                reduce_fn=lambda a, b: a + b,
-                name="count",
-                order_insensitive=order_insensitive,
-            )
-            .collect()
-        )
-
-    def test_combine_off_is_output_identical(self):
-        values = [x % 40 for x in range(97)]
-        baseline = self._count(env(3), values, order_insensitive=True)
-        planned = env(3)
-        planned.planner = self._warmed_planner("count")  # ratio 1.0 > 0.95
-        result = self._count(planned, values, order_insensitive=True)
-        assert result == baseline
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == "combine-off"
-
-    def test_order_sensitive_reduction_keeps_combiner(self):
-        planned = env(3)
-        planned.planner = self._warmed_planner("count")
-        self._count(planned, list(range(20)), order_insensitive=False)
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == ""  # no decision to stamp
-
-    def test_shuffle_escalation_is_output_identical(self):
-        values = [x % 10 for x in range(200)]
-        baseline = self._count(env(3), values, order_insensitive=True)
-        planned = env(3)
-        # Tiny byte budget: the projection always exceeds it.
-        planned.planner = self._warmed_planner(
-            "count", ratio_out=10, memory_budget_bytes=64
-        )
-        result = self._count(planned, values, order_insensitive=True)
-        assert result == baseline
-        stage = planned.metrics.stage_by_name("count")
-        assert "spill" in stage.planner_choice
-        assert stage.spilled_runs >= 0  # ran on the spill plane
-
-    def test_record_memory_budget_bypasses_planner(self):
-        # The record-count OOM simulation must see the unplanned paths.
-        planned = env(3, memory_budget=10_000)
-        planned.planner = self._warmed_planner("count")
-        self._count(planned, list(range(20)), order_insensitive=True)
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == ""
 
 
 class TestFusedFastPath:

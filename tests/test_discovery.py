@@ -12,6 +12,7 @@ from repro.core.discovery import (
     find_pertinent_cinds,
 )
 from repro.core.validation import NaiveProfiler
+from repro.datasets import registry
 from repro.rdf.model import Attr, Dataset
 from tests.conftest import ar_set, cind_set, random_rdf
 
@@ -249,3 +250,61 @@ class TestVariants:
         system = RDFind(RDFindConfig(support_threshold=1))
         result = system.discover(table1_encoded, h=3)
         assert result.support_threshold == 3
+
+
+class TestStageNames:
+    """Stage names are one list: the same on every execution path.
+
+    The table lives in docs/algorithm.md ("Stages of a run").  This run
+    prunes captures (``ex/prune-groups``, ``ex/drop-empty-groups``) and
+    leaves no Bloom-tainted candidate to validate.
+    """
+
+    DEFAULT_RUN = [
+        "source/triples",
+        "fc/unary-columnar",
+        "fc/unary-columnar/merge",
+        "fc/unary-frequent",
+        "fc/unary-bloom",
+        "fc/unary-bloom/merge",
+        "fc/unary-bloom-broadcast",
+        "fc/binary-columnar",
+        "fc/binary-columnar/merge",
+        "fc/binary-frequent",
+        "fc/binary-bloom",
+        "fc/binary-bloom/merge",
+        "fc/ar-explode",
+        "fc/ar-join",
+        "fc/ar-join/apply",
+        "fc/ar-collect",
+        "cg/group-by-value",
+        "cg/group-by-value/reduce",
+        "cg/rebalance",
+        "cg/expand",
+        "ex/capture-support",
+        "ex/capture-support/reduce",
+        "ex/prunable-filter",
+        "ex/prunable-captures",
+        "ex/prunable-broadcast",
+        "ex/prune-groups",
+        "ex/drop-empty-groups",
+        "ex/estimate-loads",
+        "ex/collect-loads",
+        "ex/split-dominant-groups",
+        "ex/rebalance-work-units",
+        "ex/merge-candidates",
+        "ex/merge-candidates/reduce",
+        "ex/materialize-refs",
+        "ex/broadness-filter",
+        "ex/collect",
+    ]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("shuffle", ["inline", "spill"])
+    def test_default_run_stage_sequence(self, executor, shuffle):
+        dataset = registry.load("Countries", scale=0.1, encoded=True)
+        config = RDFindConfig(
+            support_threshold=5, executor=executor, workers=2, shuffle=shuffle
+        )
+        result = RDFind(config).discover(dataset)
+        assert [stage.name for stage in result.metrics.stages] == self.DEFAULT_RUN

@@ -1,16 +1,15 @@
 """Execute module doctests so the examples in docstrings stay true.
 
-The ``IncrementalRDFind`` docstring shipped an example that silently
-drifted from the real API (``add`` returns ``True``/``False``; the
-example showed no output).  Running the doctests as a test leg keeps
-every embedded example honest from now on.
+A maintainer docstring once shipped an example that silently drifted
+from the real API (``add`` returns ``True``/``False``; the example showed
+no output).  Running the doctests as a test leg keeps every embedded
+example honest.
 """
 
 import doctest
 
 import pytest
 
-import repro.core.incremental
 import repro.streaming.changelog
 import repro.streaming.compaction
 import repro.streaming.delta
@@ -18,7 +17,6 @@ import repro.streaming.maintainer
 import repro.streaming.session
 
 MODULES = [
-    repro.core.incremental,
     repro.streaming.changelog,
     repro.streaming.compaction,
     repro.streaming.delta,
@@ -35,8 +33,8 @@ def test_module_doctests(module):
     assert results.failed == 0, f"{module.__name__}: {results.failed} failed"
 
 
-def test_incremental_examples_actually_run():
-    """The fixed doctest must exercise the API, not be vacuously empty."""
-    results = doctest.testmod(repro.core.incremental, verbose=False)
+def test_maintainer_examples_actually_run():
+    """The doctest must exercise the API, not be vacuously empty."""
+    results = doctest.testmod(repro.streaming.maintainer, verbose=False)
     assert results.attempted > 0
     assert results.failed == 0

@@ -365,8 +365,8 @@ class TestDiscoveryEquivalence:
 
     def test_stage_record_counts_identical(self):
         dataset = random_rdf(11, n_triples=150)
-        serial = _discover(dataset, "serial", storage="strings")
-        process = _discover(dataset, "process", storage="strings")
+        serial = _discover(dataset, "serial")
+        process = _discover(dataset, "process")
         serial_stages = [
             (stage.name, stage.total_in, stage.total_out, stage.shuffled_records)
             for stage in serial.metrics.stages

@@ -11,6 +11,7 @@ from repro.core.extraction import (
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
 from repro.dataflow.engine import ExecutionEnvironment, SimulatedOutOfMemory
+from repro.dataflow.kernels import batch_dataset
 from tests.conftest import random_rdf
 
 
@@ -22,7 +23,7 @@ def run_extraction(
     **config_overrides,
 ):
     env = ExecutionEnvironment(parallelism=parallelism, memory_budget=memory_budget)
-    triples = env.from_collection(encoded.triples)
+    triples = batch_dataset(env, encoded)
     frequent = detect_frequent_conditions(env, triples, h=h, fp_rate=1e-9)
     groups = create_capture_groups(env, triples, frequent=frequent)
     config = ExtractionConfig(h=h, **config_overrides)

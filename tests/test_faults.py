@@ -74,9 +74,9 @@ class TestFaultPlan:
             straggler_rate=0.0,
             forced=(("fc/", 1, CRASH),),
         )
-        assert plan.decide("fc/unary-aggregate", 1, 0) == CRASH
-        assert plan.decide("cg/evidences", 1, 0) is None
-        assert plan.decide("fc/unary-aggregate", 0, 0) is None
+        assert plan.decide("fc/unary-columnar", 1, 0) == CRASH
+        assert plan.decide("cg/group-by-value", 1, 0) is None
+        assert plan.decide("fc/unary-columnar", 0, 0) is None
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ class TestFaultExceptionPickling:
         """The __reduce__ satellite: catch, pickle, unpickle, re-raise —
         the cycle a pool worker's failure goes through — must preserve
         the structured fields each time around."""
-        original = SimulatedOutOfMemory("cg/evidences", 999, 100)
+        original = SimulatedOutOfMemory("cg/group-by-value", 999, 100)
         for _round in range(3):
             payload = pickle.dumps(original)
             clone = pickle.loads(payload)
@@ -293,7 +293,7 @@ class TestFaultExceptionPickling:
                 raise clone
             original = excinfo.value
         assert (original.stage, original.records, original.budget) == (
-            "cg/evidences",
+            "cg/group-by-value",
             999,
             100,
         )
@@ -317,7 +317,7 @@ class TestFaultExceptionPickling:
 #: conditions, capture groups, extraction) plus one worker crash.
 PHASE_FAULTS = (
     ("fc/unary-frequent", 0, TRANSIENT),
-    ("cg/evidences", 0, TRANSIENT),
+    ("cg/expand", 0, TRANSIENT),
     ("ex/merge-candidates", 0, TRANSIENT),
     ("cg/group-by-value", 1, CRASH),
 )

@@ -15,13 +15,14 @@ from repro.core.conditions import (
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
 from repro.dataflow.engine import ExecutionEnvironment
+from repro.dataflow.kernels import batch_dataset
 from repro.rdf.model import Attr
 from tests.conftest import random_rdf
 
 
 def run_fcdetector(encoded, h, scope=None, parallelism=3):
     env = ExecutionEnvironment(parallelism=parallelism)
-    triples = env.from_collection(encoded.triples)
+    triples = batch_dataset(env, encoded)
     return detect_frequent_conditions(env, triples, h=h, scope=scope)
 
 

@@ -110,7 +110,7 @@ class TestEndpoints:
     def test_result_byte_identical_to_direct_run(self, served):
         """The acceptance criterion: HTTP result == CLI run, byte for byte."""
         _server, client, job_id = served
-        dataset = _load_input("dataset:Countries", scale=0.25, storage="encoded")
+        dataset = _load_input("dataset:Countries", scale=0.25)
         direct = RDFind(RDFindConfig(support_threshold=5)).discover(dataset)
         expected = json.dumps(
             result_to_dict(direct), ensure_ascii=False, indent=1
@@ -224,15 +224,24 @@ class TestRecovery:
         finally:
             server.stop()
 
-    def test_server_restart_resumes_inflight_job(self, tmp_path, tiny_nt):
+    @pytest.mark.parametrize("legacy_storage_key", [False, True])
+    def test_server_restart_resumes_inflight_job(
+        self, tmp_path, tiny_nt, legacy_storage_key
+    ):
         """The acceptance criterion: kill the server mid-job, restart,
-        and the orphaned job is requeued and completes."""
+        and the orphaned job is requeued and completes — also when the
+        persisted request still carries the retired ``storage`` field."""
         job_dir = tmp_path / "jobs"
         server, client = make_server(job_dir)
         job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
         client.wait_state(job["id"], "running")
         server.stop(graceful=False)  # the server dies; the record says running
         store = JobStore(str(job_dir))
+        if legacy_storage_key:
+            path = os.path.join(store.job_dir(job["id"]), "job.json")
+            document = read_json(path)
+            document["request"]["storage"] = "strings"
+            atomic_write_json(path, document)
         assert store.get(job["id"]).state == "running"
         release(server, job["id"])
         server2, client2 = make_server(job_dir)
@@ -304,6 +313,8 @@ class TestStore:
             JobRequest(dataset="Countries", executor="threads")
         with pytest.raises(ValueError):
             JobRequest.from_json({"dataset": "Countries", "zork": 1})
+        with pytest.raises(ValueError, match="unknown request fields: storage"):
+            JobRequest.from_json({"dataset": "Countries", "storage": "encoded"})
         with pytest.raises(ValueError):
             JobRequest.from_json(["not", "an", "object"])
 

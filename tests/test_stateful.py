@@ -8,10 +8,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.incremental import IncrementalRDFind
 from repro.core.validation import NaiveProfiler
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.store import TripleStore
+from repro.streaming import StreamingRDFind
 
 _terms = st.sampled_from(["a", "b", "c", "d", "e"])
 _triples = st.builds(Triple, _terms, _terms, _terms)
@@ -62,21 +62,28 @@ TestStoreMachine.settings = settings(
 )
 
 
-class IncrementalMachine(RuleBasedStateMachine):
-    """The incremental maintainer must always equal batch recomputation."""
+class StreamingMachine(RuleBasedStateMachine):
+    """The streaming maintainer must always equal batch recomputation."""
 
     def __init__(self) -> None:
         super().__init__()
         self.h = 2
-        self.maintainer = IncrementalRDFind(h=self.h)
+        self.maintainer = StreamingRDFind(h=self.h)
         self.model: list = []
 
     @rule(triple=_triples)
     def add(self, triple):
-        was_new = triple not in set(self.model)
+        was_new = triple not in self.model
         assert self.maintainer.add(triple) == was_new
         if was_new:
             self.model.append(triple)
+
+    @rule(triple=_triples)
+    def remove(self, triple):
+        was_live = triple in self.model
+        assert self.maintainer.remove(triple) == was_live
+        if was_live:
+            self.model.remove(triple)
 
     @invariant()
     def pertinent_matches_batch(self):
@@ -97,7 +104,7 @@ class IncrementalMachine(RuleBasedStateMachine):
         assert got == want
 
 
-TestIncrementalMachine = IncrementalMachine.TestCase
-TestIncrementalMachine.settings = settings(
+TestStreamingMachine = StreamingMachine.TestCase
+TestStreamingMachine.settings = settings(
     max_examples=15, stateful_step_count=15, deadline=None
 )

@@ -222,38 +222,31 @@ class TestSparqlOnEitherStore:
 
 
 class TestStorageVariantIdentity:
-    def test_discovery_output_is_byte_identical(self):
+    def test_string_and_encoded_inputs_give_identical_output(self):
         dataset = random_rdf(23, n_triples=150, n_subjects=8, n_objects=8)
-        results = {}
-        for storage in ("strings", "encoded"):
-            config = RDFindConfig(
-                support_threshold=3, parallelism=3, storage=storage
+        config = RDFindConfig(support_threshold=3, parallelism=3)
+        results = [
+            (result.render_cinds(), result.render_association_rules())
+            for result in (
+                RDFind(config).discover(dataset),
+                RDFind(config).discover(dataset.encode()),
             )
-            result = RDFind(config).discover(dataset)
-            results[storage] = (
-                result.render_cinds(),
-                result.render_association_rules(),
-            )
-        assert results["encoded"] == results["strings"]
+        ]
+        assert results[0] == results[1]
+        assert results[0][0]
 
-    def test_encoded_run_uses_columnar_stages(self):
+    def test_string_input_runs_the_columnar_stages(self):
+        # A string Dataset is encoded on entry: there is no per-triple
+        # record path behind it.
         dataset = random_rdf(29, n_triples=80)
-        result = RDFind(RDFindConfig(support_threshold=3)).discover(dataset)
-        names = [stage.name for stage in result.metrics.stages]
+        config = RDFindConfig(support_threshold=3)
+        from_strings = RDFind(config).discover(dataset)
+        from_columns = RDFind(config).discover(dataset.encode())
+        names = [stage.name for stage in from_strings.metrics.stages]
+        assert names == [stage.name for stage in from_columns.metrics.stages]
+        assert names[0] == "source/triples"
         assert "fc/unary-columnar" in names
         assert "fc/binary-columnar" in names
-
-    def test_strings_run_uses_dataflow_stages(self):
-        dataset = random_rdf(29, n_triples=80)
-        config = RDFindConfig(support_threshold=3, storage="strings")
-        result = RDFind(config).discover(dataset)
-        names = [stage.name for stage in result.metrics.stages]
-        assert "fc/unary-counters" in names
-        assert not any("columnar" in name for name in names)
-
-    def test_invalid_storage_rejected(self):
-        with pytest.raises(ValueError):
-            RDFindConfig(storage="parquet")
 
     def test_loader_encoding_matches_post_hoc_encoding(self):
         from repro.datasets.registry import load

@@ -158,6 +158,44 @@ class TestThresholdChurn:
         )
 
 
+class TestIncrementality:
+    def test_insertion_can_break_a_cind(self):
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(
+            [("a", "p", "x"), ("b", "p", "y"), ("a", "q", "x"), ("b", "q", "y")]
+        )
+        before = {maintainer.render(sc) for sc in maintainer.pertinent_cinds()}
+        assert "(s, p=q) ⊆ (s, p=p)  [support=2]" in before
+        maintainer.add(("c", "q", "z"))  # c has q but not p
+        after = {maintainer.render(sc) for sc in maintainer.pertinent_cinds()}
+        assert not any(line.startswith("(s, p=q) ⊆ (s, p=p)") for line in after)
+        assert "(s, p=p) ⊆ (s, p=q)  [support=2]" in after
+
+    def test_clean_dependents_not_recomputed(self):
+        """Inserting a triple touching fresh values must not recompute the
+        whole adjacency."""
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(random_rdf(1200, n_triples=60))
+        maintainer.pertinent_cinds()  # settle the cache
+        before = maintainer.stats.dependents_recomputed
+
+        maintainer.add(("totally", "new", "terms"))
+        maintainer.pertinent_cinds()
+        # fresh terms activate nothing at h=2 — no recomputation at all
+        assert maintainer.stats.dependents_recomputed == before
+
+    def test_repeated_queries_without_updates_are_free(self):
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(random_rdf(1201, n_triples=40))
+        first = maintainer.pertinent_cinds()
+        recomputed = maintainer.stats.dependents_recomputed
+        second = maintainer.pertinent_cinds()
+        assert maintainer.stats.dependents_recomputed == recomputed
+        assert {(sc.cind, sc.support) for sc in first} == {
+            (sc.cind, sc.support) for sc in second
+        }
+
+
 class TestStatsAndStore:
     def test_stats_to_dict_matches_fields(self):
         """Satellite 2: to_dict() exposes every counter, StageMetrics-style."""
