@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import result_to_dict
+from repro.core.serialization import dump_result
 from repro.dataflow.checkpoint import dataset_digest
 from repro.datasets import registry
 from repro.rdf.ntriples import parse_ntriples_file, write_ntriples_file
@@ -38,10 +38,11 @@ MIN_SPEEDUP = 20.0
 OUTPUT_JSON = Path(__file__).resolve().parent.parent / "BENCH_snapshot.json"
 
 
-def _discovery_digest(dataset, executor: str) -> str:
+def _discovery_bytes(dataset, executor: str, path: Path) -> bytes:
+    """What ``discover -o`` writes for ``dataset`` on ``executor``."""
     config = RDFindConfig(support_threshold=H, executor=executor)
-    result = RDFind(config).discover(dataset)
-    return json.dumps(result_to_dict(result), sort_keys=True)
+    dump_result(RDFind(config).discover(dataset), path)
+    return path.read_bytes()
 
 
 def test_snapshot_load(benchmark, report, tmp_path):
@@ -66,9 +67,11 @@ def test_snapshot_load(benchmark, report, tmp_path):
 
         identity = {}
         for executor in ("serial", "process"):
-            source_digest = _discovery_digest(parsed, executor)
-            snap_digest = _discovery_digest(load_snapshot(snap_path), executor)
-            identity[executor] = source_digest == snap_digest
+            source_bytes = _discovery_bytes(parsed, executor, tmp_path / "source.json")
+            snap_bytes = _discovery_bytes(
+                load_snapshot(snap_path), executor, tmp_path / "snap.json"
+            )
+            identity[executor] = source_bytes == snap_bytes
         return {
             "triples": len(parsed),
             "terms": len(parsed.dictionary),

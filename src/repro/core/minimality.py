@@ -19,9 +19,9 @@ identical checks in a single pass.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import List
 
-from repro.core.cind import CIND, Capture, SupportedCIND
+from repro.core.cind import CIND, SupportedCIND
 from repro.core.extraction import BroadCINDs
 
 
@@ -41,78 +41,42 @@ def consolidate_pertinent(broad: BroadCINDs) -> List[SupportedCIND]:
     """Keep only the minimal CINDs among the broad ones.
 
     ``broad`` is the extractor's adjacency form: dependent capture ->
-    (exact referenced captures, support).  Trivial inclusions are dropped
-    on the fly.
+    (exact referenced captures, support).  Each row is reduced with set
+    differences on the capture tuples themselves:
+
+    * **trivial** references go: the dependent itself and, for a binary
+      dependent, its own unary relaxations;
+    * **dependent-implied** ones go: whatever a relaxation ``(α, φ1')``
+      of the dependent references in the broad set, the tighter
+      ``(α, φ1)`` references by inference, because
+      ``I(α, φ1) ⊆ I(α, φ1')``.  (Past the trivial test the implier is
+      never trivial: the reference is not that relaxation.);
+    * **referenced-implied** ones go: a binary reference in the row
+      implies the same capture relaxed to either unary part — the
+      tightened implier shares the dependent, hence the row.
+
+    All rows of one dependent share its support, so the result order
+    ``(-support, dependent, referenced)`` is the dependents sorted once
+    and each row's survivors sorted on their own.
     """
     pertinent: List[SupportedCIND] = []
-    for dependent, (refs, support) in broad.items():
-        relaxations = tuple(dependent.unary_relaxations())
-        binary_parts = _binary_ref_index(refs)
-        for referenced in refs:
-            cind = CIND(dependent, referenced)
-            if cind.is_trivial():
-                continue
-            if _dependent_implied(cind, relaxations, broad):
-                continue
-            if _referenced_implied(cind, binary_parts):
-                continue
-            pertinent.append(SupportedCIND(cind, support))
-    pertinent.sort(key=lambda sc: (-sc.support, sc.cind))
+    rows = sorted(broad.items(), key=lambda row: (-row[1][1], row[0]))
+    for dependent, (refs, support) in rows:
+        minimal = set(refs)
+        minimal.discard(dependent)
+        for relaxed in dependent.unary_relaxations():
+            minimal.discard(relaxed)
+            entry = broad.get(relaxed)
+            if entry is not None:
+                minimal.difference_update(entry[0])
+        # Plain tuples hash and compare equal to the captures they spell.
+        for attr, condition in refs:
+            if len(condition) == 4:
+                attr1, value1, attr2, value2 = condition
+                minimal.discard((attr, (attr1, value1)))
+                minimal.discard((attr, (attr2, value2)))
+        pertinent.extend(
+            SupportedCIND(CIND(dependent, referenced), support)
+            for referenced in sorted(minimal)
+        )
     return pertinent
-
-
-def _binary_ref_index(refs: FrozenSet[Capture]) -> Set[Capture]:
-    """Unary relaxations of the binary captures among ``refs``.
-
-    If a dependent's reference set contains a binary capture, the same
-    capture relaxed to either unary part is a referenced-implication
-    victim: the binary (tighter) inclusion implies the unary (looser) one.
-    """
-    index: Set[Capture] = set()
-    for capture in refs:
-        for relaxed in capture.unary_relaxations():
-            index.add(relaxed)
-    return index
-
-
-def _dependent_implied(
-    cind: CIND, relaxations: Tuple[Capture, ...], broad: BroadCINDs
-) -> bool:
-    """Is the CIND inferable by relaxing its (binary) dependent condition?
-
-    A valid relaxed CIND ``(α, φ1') ⊆ ref`` with ``φ1 ⇒ φ1'`` implies the
-    tighter ``(α, φ1) ⊆ ref`` because ``I(α, φ1) ⊆ I(α, φ1')``.  So the
-    CIND is non-minimal when a relaxation of its dependent capture
-    references the same capture in the broad set.
-    """
-    for relaxed in relaxations:
-        entry = broad.get(relaxed)
-        if entry is None:
-            continue
-        refs, _support = entry
-        implier = CIND(relaxed, cind.referenced)
-        if cind.referenced in refs and implier != cind and not implier.is_trivial():
-            return True
-    return False
-
-
-def _referenced_implied(cind: CIND, binary_parts: Set[Capture]) -> bool:
-    """Is the CIND inferable by tightening its (unary) referenced condition?
-
-    The tightened implier shares the dependent capture, hence lives in the
-    same adjacency row; ``binary_parts`` indexes the unary relaxations of
-    that row's binary references.  A unary reference found there is
-    implied — unless the only tightening is the trivial self-inclusion,
-    which :func:`_binary_ref_index` cannot produce because trivial binary
-    references never appear for the same dependent (a capture never
-    references itself and arity classes differ).
-    """
-    referenced = cind.referenced
-    if referenced.is_binary:
-        return False
-    return referenced in binary_parts
-
-
-def count_minimal(broad: BroadCINDs) -> int:
-    """Number of pertinent CINDs without materializing them all."""
-    return len(consolidate_pertinent(broad))

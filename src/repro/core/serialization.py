@@ -2,11 +2,14 @@
 
 Discovery is the expensive step; its consumers (the query minimizer, the
 ontology and knowledge apps, downstream tooling) often run later or
-elsewhere.  This module renders a :class:`DiscoveryResult`'s CINDs and
-ARs into a self-contained JSON document (term strings inlined, no
-dictionary needed to read it) and reads such documents back into
-decoded, string-valued structures ready for
-:class:`repro.sparql.minimizer.QueryMinimizer` and friends.
+elsewhere.  :func:`write_result` renders ordered CINDs and ARs into a
+self-contained JSON document (term strings inlined, no dictionary needed
+to read it) and is the only producer of those bytes: ``dump_result``
+(CLI, server worker) and the streaming maintainer's ``document_json``
+both call it.  Ids stay the resident form up to this boundary; a term is
+decoded and escaped once per distinct capture, not once per row.
+:func:`parse_result_dict` reads such documents back into string-valued
+structures ready for :class:`repro.sparql.minimizer.QueryMinimizer`.
 
 It also exposes the *binary frame* layer the spilling shuffle
 (:mod:`repro.dataflow.shuffle`) builds its run files on: length-prefixed,
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, TextIO, Tuple, Union
 
 from repro.core.cind import (
     CIND,
@@ -51,10 +55,13 @@ from repro.core.cind import (
     Capture,
     SupportedAR,
     SupportedCIND,
-    decode_capture,
-    decode_condition,
 )
-from repro.core.conditions import BinaryCondition, Condition, UnaryCondition
+from repro.core.conditions import (
+    BinaryCondition,
+    Condition,
+    UnaryCondition,
+    is_binary,
+)
 from repro.core.discovery import DiscoveryResult
 from repro.core.framing import (  # noqa: F401  (re-exported facade)
     FRAME_HEADER,
@@ -73,14 +80,6 @@ FORMAT_NAME = "rdfind-result"
 FORMAT_VERSION = 1
 
 
-def _condition_to_json(condition: Condition) -> List[List[str]]:
-    if isinstance(condition, UnaryCondition):
-        return [[condition.attr.symbol, condition.value]]
-    return [
-        [part.attr.symbol, part.value] for part in condition.unary_parts()
-    ]
-
-
 def _condition_from_json(payload: List[List[str]]) -> Condition:
     if len(payload) == 1:
         ((symbol, value),) = payload
@@ -93,13 +92,6 @@ def _condition_from_json(payload: List[List[str]]) -> Condition:
     raise ValueError(f"malformed condition payload: {payload!r}")
 
 
-def _capture_to_json(capture: Capture) -> Dict:
-    return {
-        "attr": capture.attr.symbol,
-        "cond": _condition_to_json(capture.condition),
-    }
-
-
 def _capture_from_json(payload: Dict) -> Capture:
     return Capture(
         Attr.from_symbol(payload["attr"]),
@@ -107,45 +99,89 @@ def _capture_from_json(payload: Dict) -> Capture:
     )
 
 
-def result_to_dict(result: DiscoveryResult) -> Dict:
-    """Render a discovery result as a JSON-ready dict (strings inlined)."""
-    dictionary = result.dictionary
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "support_threshold": result.support_threshold,
-        "variant": result.config.variant_name,
-        "cinds": [
-            {
-                "dep": _capture_to_json(
-                    decode_capture(sc.cind.dependent, dictionary)
-                ),
-                "ref": _capture_to_json(
-                    decode_capture(sc.cind.referenced, dictionary)
-                ),
-                "support": sc.support,
-            }
-            for sc in result.cinds
-        ],
-        "association_rules": [
-            {
-                "lhs": _condition_to_json(
-                    decode_condition(sa.rule.lhs, dictionary)
-                )[0],
-                "rhs": _condition_to_json(
-                    decode_condition(sa.rule.rhs, dictionary)
-                )[0],
-                "support": sa.support,
-            }
-            for sa in result.association_rules
-        ],
-    }
+def write_result(
+    handle: TextIO,
+    support_threshold: int,
+    variant: str,
+    cinds: Iterable[SupportedCIND],
+    rules: Iterable[SupportedAR],
+    decode: Callable[[int], str],
+) -> None:
+    """Write a version-1 result document straight to a text stream.
+
+    Exactly the text the stdlib encoder renders for the schema above
+    with ``ensure_ascii=False, indent=1``, without ever building the
+    document.  ``cinds`` and ``rules`` arrive in result order over term
+    ids; ``decode`` turns an id into its term, and each distinct capture
+    is decoded, escaped and indented once per call however many rows
+    name it.
+    """
+    quote = json.encoder.encode_basestring
+
+    def pair(part: UnaryCondition, depth: int) -> str:
+        """``[symbol, term]`` as the stdlib encoder indents it at ``depth``."""
+        inner = "\n" + " " * (depth + 1)
+        return (
+            f"[{inner}{quote(part.attr.symbol)},"
+            f"{inner}{quote(decode(part.value))}\n{' ' * depth}]"
+        )
+
+    class CaptureFragments(dict):
+        """capture -> its JSON object as a ``dep``/``ref`` value, on demand."""
+
+        def __missing__(self, capture: Capture) -> str:
+            condition = capture.condition
+            parts = (
+                condition.unary_parts() if is_binary(condition) else (condition,)
+            )
+            cond = ",\n     ".join(pair(part, 5) for part in parts)
+            fragment = self[capture] = (
+                f'{{\n    "attr": {quote(capture.attr.symbol)},'
+                f'\n    "cond": [\n     {cond}\n    ]\n   }}'
+            )
+            return fragment
+
+    def write_rows(rows: Iterator[str]) -> None:
+        """A JSON array of rendered rows, joined a bounded chunk at a time."""
+        chunk_rows = 4096
+        opener = "[\n"
+        while chunk := ",\n".join(islice(rows, chunk_rows)):
+            handle.write(opener)
+            handle.write(chunk)
+            opener = ",\n"
+        handle.write("[]" if opener == "[\n" else "\n ]")
+
+    fragments = CaptureFragments()
+    handle.write(
+        f'{{\n "format": {quote(FORMAT_NAME)},\n "version": {FORMAT_VERSION},'
+        f'\n "support_threshold": {support_threshold},'
+        f'\n "variant": {quote(variant)},\n "cinds": '
+    )
+    write_rows(
+        f'  {{\n   "dep": {fragments[dependent]},\n   "ref": '
+        f'{fragments[referenced]},\n   "support": {support}\n  }}'
+        for (dependent, referenced), support in cinds
+    )
+    handle.write(',\n "association_rules": ')
+    write_rows(
+        f'  {{\n   "lhs": {pair(lhs, 3)},\n   "rhs": {pair(rhs, 3)},'
+        f'\n   "support": {support}\n  }}'
+        for (lhs, rhs), support in rules
+    )
+    handle.write("\n}")
 
 
 def dump_result(result: DiscoveryResult, path: Union[str, os.PathLike]) -> None:
     """Write a discovery result as JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result_to_dict(result), handle, ensure_ascii=False, indent=1)
+        write_result(
+            handle,
+            result.support_threshold,
+            result.config.variant_name,
+            result.cinds,
+            result.association_rules,
+            result.dictionary.decode,
+        )
 
 
 def parse_result_dict(
@@ -158,31 +194,36 @@ def parse_result_dict(
     :meth:`QueryMinimizer <repro.sparql.minimizer.QueryMinimizer>` and the
     apps' canonicalization helpers.
     """
-    if payload.get("format") != FORMAT_NAME:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {payload.get('version')!r}")
-    cinds = [
-        SupportedCIND(
-            CIND(
-                _capture_from_json(row["dep"]),
-                _capture_from_json(row["ref"]),
-            ),
-            int(row["support"]),
-        )
-        for row in payload.get("cinds", [])
-    ]
-    rules = [
-        SupportedAR(
-            AssociationRule(
-                _condition_from_json([row["lhs"]]),
-                _condition_from_json([row["rhs"]]),
-            ),
-            int(row["support"]),
-        )
-        for row in payload.get("association_rules", [])
-    ]
-    return cinds, rules, int(payload.get("support_threshold", 1))
+    try:
+        cinds = [
+            SupportedCIND(
+                CIND(
+                    _capture_from_json(row["dep"]),
+                    _capture_from_json(row["ref"]),
+                ),
+                int(row["support"]),
+            )
+            for row in payload.get("cinds", [])
+        ]
+        rules = [
+            SupportedAR(
+                AssociationRule(
+                    _condition_from_json([row["lhs"]]),
+                    _condition_from_json([row["rhs"]]),
+                ),
+                int(row["support"]),
+            )
+            for row in payload.get("association_rules", [])
+        ]
+        return cinds, rules, int(payload.get("support_threshold", 1))
+    except (KeyError, TypeError, AttributeError) as error:
+        # A missing key, a non-list row or a non-string attribute symbol:
+        # callers handle ValueError, the only error a document may raise.
+        raise ValueError(f"malformed {FORMAT_NAME} document: {error!r}") from error
 
 
 def load_result(

@@ -13,8 +13,8 @@ mutating knowledge graph.  The subsystem is a stack of small modules::
     maintainer.py  StreamingRDFind: CIND maintenance under adds and
                    removes (conditions activate at h and deactivate
                    below it, interpretations and groups grow and shrink)
-                   with monotonicity-aware re-evaluation and the dirty
-                   capture-group set
+                   with a row cache kept exact per evidence event
+                   (Lemma 3), so a query recomputes only what changed
     compaction.py  periodic checkpoint compaction: fingerprinted
                    manifests keyed on (changelog position, h, scope) so
                    a restart replays only the changelog suffix

@@ -9,14 +9,31 @@ module maintains the discovery state incrementally:
   frequent-condition pruning online);
 * capture groups (Lemma 3's structure), interpretations and capture
   supports;
-* a per-dependent cache of referenced-capture intersections, invalidated
-  only for captures whose groups changed — the *dirty set*.  A triple
-  touches at most three groups, so typical updates re-derive only a small
-  fraction of the adjacency (values with giant groups, e.g. ``rdf:type``,
-  dirty more — skew hurts incrementality exactly as it hurts the batch
-  extractor).
+* a per-dependent cache of referenced-capture intersections (*rows*),
+  kept exact per evidence event instead of re-derived per group.
 
 Every one of these structures can grow and shrink.
+
+The cache invariant — every cached row not in the *dirty set* equals
+what :meth:`StreamingRDFind._refs_of` would compute now — is maintained
+straight from Lemma 3 (``c ⊆ c'`` iff ``c'`` is in every capture group
+that holds ``c``).  One event changes one ``(capture, value)`` pair:
+
+* capture ``c`` **gains** value ``v``: ``c``'s clean row becomes
+  ``row ∩ group[v]`` (no clean row — new, below h, already dirty — marks
+  ``c`` dirty); every *other* member ``d`` of ``group[v]`` with a cached
+  row gains ``c`` iff ``I(d) ⊆ I(c)`` (it cannot have held ``c`` before:
+  ``v ∈ I(d)``, ``v ∉ I(c)``);
+* capture ``c`` **loses** ``v``: every other member of ``group[v]`` with
+  a cached row drops ``c``; only ``c`` itself is marked dirty, because
+  its row may grow;
+* capture ``c`` is **torn down** (its condition fell below h): the loss
+  rule for each of its values.
+
+Per-event work is bounded by the members that hold a cached row, not by
+group size, so a bulk load (nothing cached yet) pays nothing and a query
+recomputes only the captures that lost a value, reached h or were
+(re)built — ``MaintenanceStats.dependents_recomputed`` counts those.
 
 Monotonicity is what keeps a delta cheap: within one delta class, every
 quantity moves in only one direction, so only that direction is checked.
@@ -30,20 +47,18 @@ quantity moves in only one direction, so only that direction is checked.
   groups, and only *retract* evidence — a value leaves an interpretation
   exactly when its witness count hits zero.
 
-Either way, a touched group dirties only its own members, so a query
-re-derives referenced sets for the few dependents an update actually
-reached.
-
 Two query surfaces:
 
 * :meth:`pertinent_cinds` — the maintainer's native semantics (no
   AR-equivalence rewriting), validated against
   ``NaiveProfiler(..., prune_ar_equivalents=False)``;
-* :meth:`batch_result` / :meth:`result_document` — the *batch pipeline's*
-  semantics, derived on demand: exact association rules from the
-  maintained frequencies, AR-embedding binary captures filtered out of
-  the adjacency, and the document re-encoded through a fresh dictionary
-  in materialization order so it is **byte-identical** to
+* :meth:`batch_result` / :meth:`result_document` /
+  :meth:`document_json` — the *batch pipeline's* semantics, derived on
+  demand: exact association rules from the maintained frequencies,
+  AR-embedding binary captures filtered out of the adjacency, the rows
+  ordered by each term's first occurrence in live insertion order (the
+  id order of a cold batch encode) and written by the one result
+  encoder, so the document is **byte-identical** to
   ``rdfind discover -o`` on the materialized dataset.  (The batch
   pipeline bakes AR rewriting into its capture groups; here an AR can be
   broken by a later delta, so the rewrite must stay at query time.)
@@ -51,34 +66,21 @@ Two query surfaces:
 
 from __future__ import annotations
 
-import json
+import io
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.cind import (
-    AssociationRule,
-    Capture,
-    SupportedAR,
-    SupportedCIND,
-    decode_capture,
-    decode_condition,
-)
+from repro.core.cind import AssociationRule, Capture, SupportedAR, SupportedCIND
 from repro.core.conditions import (
-    BinaryCondition,
     Condition,
     ConditionScope,
-    UnaryCondition,
     conditions_of_triple,
     is_binary,
 )
 from repro.core.minimality import consolidate_pertinent
-from repro.core.serialization import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    _capture_to_json,
-    _condition_to_json,
-)
+from repro.core.serialization import write_result
 from repro.rdf.model import (
     Dataset,
     EncodedDataset,
@@ -238,12 +240,7 @@ class StreamingRDFind:
             self._apply_evidence(condition, triple_of(triple_id))
 
     def _deactivate(self, condition: Condition) -> None:
-        """A condition dropped *below* h: tear its captures down whole.
-
-        Every member of every group a torn capture sat in may have cached
-        this capture in its referenced set, so each touched group is
-        dirtied before the capture leaves it.
-        """
+        """A condition dropped *below* h: tear its captures down whole."""
         self._active.discard(condition)
         self.stats.conditions_deactivated += 1
         used = set(condition.attrs)
@@ -252,11 +249,7 @@ class StreamingRDFind:
                 continue
             capture = Capture(attr, condition)
             for value in self._interpretations.pop(capture, ()):
-                group = self._groups[value]
-                self._dirty.update(group)
-                group.discard(capture)
-                if not group:
-                    del self._groups[value]
+                self._leave_group(capture, value)
             self._evidence.pop(capture, None)
             self._dirty.add(capture)
 
@@ -274,13 +267,27 @@ class StreamingRDFind:
             witnesses[value] += 1
             if witnesses[value] > 1:
                 continue
-            self._interpretations.setdefault(capture, set()).add(value)
+            interpretation = self._interpretations.setdefault(capture, set())
+            interpretation.add(value)
             group = self._groups.setdefault(value, set())
             group.add(capture)
-            # The group's membership changed: every member's cached
-            # referenced set may be stale.
-            self._dirty.update(group)
             self.stats.evidences_applied += 1
+            # The gainer's own row can only shrink, to members of the
+            # group it joined; with no clean row to shrink it is dirty.
+            cache = self._refs_cache
+            row = cache.get(capture)
+            if row is None or capture in self._dirty:
+                self._dirty.add(capture)
+            else:
+                cache[capture] = row & group
+            # Any other member gains the gainer iff its interpretation is
+            # now covered.  The keys-view intersection walks the smaller
+            # side in C: an empty cache (bulk load) or a giant group of
+            # uncached captures costs no per-member work.
+            interpretations = self._interpretations
+            for member in cache.keys() & group:
+                if member != capture and interpretations[member] <= interpretation:
+                    cache[member] = cache[member] | {capture}
 
     def _retract_evidence(self, condition: Condition, triple: EncodedTriple) -> None:
         """One witness of ``condition``'s captures is gone."""
@@ -296,20 +303,28 @@ class StreamingRDFind:
                 witnesses[value] = remaining
                 continue
             del witnesses[value]
-            group = self._groups[value]
-            # Dirty while the capture is still a member: the leaver's own
-            # refs may grow (fewer values to intersect over) and every
-            # other member may lose the leaver from its refs.
-            self._dirty.update(group)
-            group.discard(capture)
-            if not group:
-                del self._groups[value]
+            self._leave_group(capture, value)
+            # The leaver's own row may grow (fewer groups to intersect).
+            self._dirty.add(capture)
             interpretation = self._interpretations[capture]
             interpretation.discard(value)
             if not interpretation:
                 del self._interpretations[capture]
                 del self._evidence[capture]
             self.stats.evidences_retracted += 1
+
+    def _leave_group(self, capture: Capture, value: int) -> None:
+        """``capture`` lost ``value``: it leaves the group and its members' rows."""
+        group = self._groups[value]
+        group.discard(capture)
+        if not group:
+            del self._groups[value]
+            return
+        cache = self._refs_cache
+        for member in cache.keys() & group:
+            row = cache[member]
+            if capture in row:
+                cache[member] = row - {capture}
 
     # ------------------------------------------------------------------
     # queries (maintainer semantics: no AR rewriting)
@@ -407,100 +422,69 @@ class StreamingRDFind:
                 filtered[dependent] = (kept, support)
         return consolidate_pertinent(filtered), rules
 
-    def result_document(self) -> Dict:
-        """The batch-identical result document for the live dataset.
+    def result_document(self) -> Tuple[List[SupportedCIND], List[SupportedAR]]:
+        """:meth:`batch_result` in the row order of ``rdfind discover -o``.
 
-        Byte-for-byte what ``rdfind discover -o`` writes for the
-        materialized dataset.  The streaming dictionary retains ids for
-        terms only dead triples ever used, so its id order differs from
-        a cold batch encode; the document therefore re-encodes every
-        result through a fresh dictionary built in materialization order
-        and sorts with the batch keys in that id space.
+        The batch pipeline sorts by the ids a cold encode of the
+        materialized dataset assigns, and such an id is nothing but the
+        rank of the term's first occurrence in live insertion order.  (The
+        streaming dictionary keeps ids of terms only dead triples used,
+        so its own id order differs.)  One pass over the live id triples
+        gives every term's first-occurrence position; the rows are sorted
+        with the batch key under those positions and keep their stream
+        ids, which :meth:`document_json` decodes.
         """
         cinds, rules = self.batch_result()
-        fresh = TermDictionary()
-        decode = self.dictionary.decode
-        for s, p, o in self.store.live():
-            fresh.encode(decode(s))
-            fresh.encode(decode(p))
-            fresh.encode(decode(o))
+        flat = list(chain.from_iterable(self.store.live()))
+        # Written back to front, so a term's first position is what stays.
+        first = dict(zip(reversed(flat), range(len(flat), 0, -1)))
 
-        def recode_condition(condition: Condition) -> Condition:
-            decoded = decode_condition(condition, self.dictionary)
-            if isinstance(decoded, UnaryCondition):
-                return UnaryCondition(
-                    decoded.attr, fresh.encode_existing(decoded.value)
-                )
-            return BinaryCondition(
-                decoded.attr1,
-                fresh.encode_existing(decoded.value1),
-                decoded.attr2,
-                fresh.encode_existing(decoded.value2),
+        def positioned(condition: Condition) -> Tuple[int, ...]:
+            """``condition`` with each term id replaced by its position."""
+            if is_binary(condition):
+                attr1, value1, attr2, value2 = condition
+                return (attr1, first[value1], attr2, first[value2])
+            return (condition.attr, first[condition.value])
+
+        # One key object per capture: equal keys then compare by identity,
+        # and a query allocates per distinct capture, not per row.
+        keys: Dict[Capture, Tuple] = {}
+
+        def capture_key(capture: Capture) -> Tuple:
+            key = keys.get(capture)
+            if key is None:
+                key = keys[capture] = (capture.attr, positioned(capture.condition))
+            return key
+
+        cinds.sort(
+            key=lambda sc: (
+                -sc.support,
+                capture_key(sc.cind.dependent),
+                capture_key(sc.cind.referenced),
             )
-
-        def recode_capture(capture: Capture) -> Capture:
-            return Capture(capture.attr, recode_condition(capture.condition))
-
-        recoded_cinds = sorted(
-            (
-                SupportedCIND(
-                    type(sc.cind)(
-                        recode_capture(sc.cind.dependent),
-                        recode_capture(sc.cind.referenced),
-                    ),
-                    sc.support,
-                )
-                for sc in cinds
-            ),
-            key=lambda sc: (-sc.support, sc.cind),
         )
-        recoded_rules = sorted(
-            (
-                SupportedAR(
-                    AssociationRule(
-                        recode_condition(sar.rule.lhs),
-                        recode_condition(sar.rule.rhs),
-                    ),
-                    sar.support,
-                )
-                for sar in rules
-            ),
-            key=lambda sar: (-sar.support, sar.rule),
+        rules.sort(
+            key=lambda sar: (
+                -sar.support,
+                positioned(sar.rule.lhs),
+                positioned(sar.rule.rhs),
+            )
         )
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "support_threshold": self.h,
-            "variant": BATCH_VARIANT,
-            "cinds": [
-                {
-                    "dep": _capture_to_json(
-                        decode_capture(sc.cind.dependent, fresh)
-                    ),
-                    "ref": _capture_to_json(
-                        decode_capture(sc.cind.referenced, fresh)
-                    ),
-                    "support": sc.support,
-                }
-                for sc in recoded_cinds
-            ],
-            "association_rules": [
-                {
-                    "lhs": _condition_to_json(
-                        decode_condition(sar.rule.lhs, fresh)
-                    )[0],
-                    "rhs": _condition_to_json(
-                        decode_condition(sar.rule.rhs, fresh)
-                    )[0],
-                    "support": sar.support,
-                }
-                for sar in recoded_rules
-            ],
-        }
+        return cinds, rules
 
     def document_json(self) -> str:
-        """:meth:`result_document` serialized exactly like ``dump_result``."""
-        return json.dumps(self.result_document(), ensure_ascii=False, indent=1)
+        """The live dataset's result document, byte-identical to batch.
+
+        :meth:`result_document` rows through the one result encoder,
+        :func:`repro.core.serialization.write_result`: exactly what
+        ``rdfind discover -o`` writes for the materialized dataset.
+        """
+        cinds, rules = self.result_document()
+        buffer = io.StringIO()
+        write_result(
+            buffer, self.h, BATCH_VARIANT, cinds, rules, self.dictionary.decode
+        )
+        return buffer.getvalue()
 
     # ------------------------------------------------------------------
     # introspection

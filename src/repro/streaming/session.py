@@ -163,9 +163,6 @@ class StreamSession:
     def pertinent_cinds(self) -> List[SupportedCIND]:
         return self.maintainer.pertinent_cinds()
 
-    def result_document(self) -> Dict:
-        return self.maintainer.result_document()
-
     def document_json(self) -> str:
         return self.maintainer.document_json()
 

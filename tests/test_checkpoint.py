@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig, checkpoint_fingerprint
 from repro.core.framing import write_frame
-from repro.core.serialization import result_to_dict
 from repro.dataflow import workspace
 from repro.dataflow.checkpoint import (
     CheckpointCorruptError,
@@ -42,6 +41,7 @@ from repro.dataflow.faults import (
 from repro.dataflow.metrics import StageMetrics
 from repro.rdf.model import Dataset
 from tests.conftest import ar_set, cind_set, random_rdf
+from tests.result_oracle import result_to_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

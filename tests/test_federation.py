@@ -407,7 +407,7 @@ class TestByteIdentityUnderFaults:
 
     def test_discovery_over_faulty_fetch_matches_local(self, data_file, tmp_path):
         from repro.core.discovery import RDFind, RDFindConfig
-        from repro.core.serialization import result_to_dict
+        from tests.result_oracle import result_to_dict
 
         faults = EndpointFaultScript.from_spec("429,ok,truncate,ok,malformed")
         with MockSparqlEndpoint(data_file, faults=faults) as ep:

@@ -9,7 +9,6 @@ the same result bytes.
 
 from __future__ import annotations
 
-import json
 import sys
 from unittest import mock
 
@@ -21,7 +20,6 @@ from repro.core.conditions import Attr, ConditionScope, UnaryCondition
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.extraction import ExtractionConfig, extract_broad_cinds
 from repro.core.frequent_conditions import detect_frequent_conditions
-from repro.core.serialization import result_to_dict
 from repro.core.validation import NaiveProfiler
 from repro.dataflow.bloom import BloomFilter
 from repro.dataflow.engine import (
@@ -42,6 +40,7 @@ from repro.storage.columnar import build_triple_batches
 
 from tests import record_oracle
 from tests.conftest import ar_set, cind_set, random_rdf
+from tests.result_oracle import result_json
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +218,6 @@ class TestBloomIntKeyFastPath:
 # ----------------------------------------------------------------------
 
 
-def result_bytes(result) -> str:
-    """What ``dump_result`` writes for ``result``."""
-    return json.dumps(result_to_dict(result), ensure_ascii=False, indent=1)
-
-
 _terms = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 _datasets = st.lists(
     st.tuples(_terms, st.sampled_from(["p", "q", "r"]), _terms),
@@ -278,7 +272,7 @@ class TestDifferential:
         )
         result = RDFind(config).discover(dataset)
         oracle = record_oracle.discover(dataset, config)
-        assert result_bytes(result) == result_bytes(oracle)
+        assert result_json(result) == result_json(oracle)
 
         profiler = NaiveProfiler(
             dataset.encode(),

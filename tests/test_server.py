@@ -22,7 +22,6 @@ import pytest
 
 from repro.cli import _load_input
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import result_to_dict
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.server import (
     DiscoveryServer,
@@ -34,6 +33,7 @@ from repro.server import (
     ServiceConfig,
 )
 from repro.server.store import atomic_write_json, read_json
+from tests.result_oracle import result_to_dict
 
 COUNTRIES = {"dataset": "Countries", "support_threshold": 5, "scale": 0.25}
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import result_to_dict
 from repro.dataflow.checkpoint import dataset_digest
 from repro.rdf.ntriples import write_ntriples_file
 from repro.storage.columnar import EncodedDataset
@@ -25,6 +24,7 @@ from repro.storage.snapshot import (
     snapshot_info,
 )
 from tests.conftest import random_rdf
+from tests.result_oracle import result_to_dict
 from tests.test_storage import UNICODE_TERMS
 
 

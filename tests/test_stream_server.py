@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import result_to_dict
 from repro.server import DiscoveryServer, JobService, ServerError, ServiceConfig
 from repro.server.client import ServerClient
 from repro.server.streams import StreamManager
 from repro.streaming import StreamingRDFind
 from tests.conftest import random_rdf
+from tests.result_oracle import result_to_dict
 
 
 def make_server(job_dir):

@@ -1,16 +1,19 @@
 """Tests for StreamingRDFind: add/remove maintenance vs the batch oracle."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cind import decode_cind
+from repro.core.conditions import ConditionScope, conditions_of_triple
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import result_to_dict
 from repro.core.validation import NaiveProfiler
 from repro.streaming import DeltaStore, StreamingRDFind
 from tests.conftest import random_rdf
+from tests.result_oracle import result_to_dict
 
 
 def oracle_decoded(dataset, h):
@@ -28,6 +31,17 @@ def maintained_decoded(maintainer):
         (decode_cind(sc.cind, maintainer.dictionary), sc.support)
         for sc in maintainer.pertinent_cinds()
     }
+
+
+def rows_from_scratch(maintainer):
+    """``broad_cinds()`` with no cache: every row intersected afresh."""
+    rows = {}
+    for capture, values in maintainer._interpretations.items():
+        if len(values) >= maintainer.h:
+            refs = maintainer._refs_of(capture)
+            if refs:
+                rows[capture] = (refs, len(values))
+    return rows
 
 
 def mixed_ops(seed, n_triples=40, n_ops=110):
@@ -184,6 +198,60 @@ class TestIncrementality:
         # fresh terms activate nothing at h=2 — no recomputation at all
         assert maintainer.stats.dependents_recomputed == before
 
+    def test_add_under_active_conditions_recomputes_only_what_reaches_h(self):
+        """With every condition of the new triple active already, each
+        capture it feeds shrinks its own row in place; a full intersection
+        is due only where a capture's support just reached h."""
+        h = 2
+        maintainer = StreamingRDFind(h=h)
+        dataset = random_rdf(1202, n_triples=80, n_subjects=4, n_objects=4)
+        maintainer.add_all(dataset)
+        terms = [sorted({t[slot] for t in dataset}) for slot in range(3)]
+        tried = silent = 0
+        for triple in itertools.product(*terms):
+            if triple in maintainer.store:
+                continue
+            encoded = maintainer.dictionary.encode_triple(triple)
+            if not all(
+                condition in maintainer._active
+                for condition in conditions_of_triple(encoded, maintainer.scope)
+            ):
+                continue
+            maintainer.broad_cinds()  # settle the cache
+            below = {
+                capture
+                for capture, values in maintainer._interpretations.items()
+                if len(values) == h - 1
+            }
+            before = maintainer.stats.dependents_recomputed
+            assert maintainer.add(triple)
+            assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
+            reached = sum(maintainer.capture_support(c) == h for c in below)
+            recomputed = maintainer.stats.dependents_recomputed - before
+            assert recomputed == reached
+            tried += 1
+            silent += recomputed == 0
+        assert tried >= 5 and silent >= 5
+
+    def test_remove_recomputes_at_most_the_evidence_it_retracted(self):
+        """Only a capture that lost a value needs its intersection again;
+        the captures that shared a group with it drop it in place."""
+        maintainer = StreamingRDFind(h=2)
+        dataset = list(random_rdf(1203, n_triples=80, n_subjects=4, n_objects=4))
+        maintainer.add_all(dataset)
+        total = 0
+        for triple in dataset[::3]:
+            maintainer.broad_cinds()  # settle the cache
+            recomputed = maintainer.stats.dependents_recomputed
+            retracted = maintainer.stats.evidences_retracted
+            if not maintainer.remove(triple):
+                continue  # the generator repeats triples
+            assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
+            recomputed = maintainer.stats.dependents_recomputed - recomputed
+            assert recomputed <= maintainer.stats.evidences_retracted - retracted
+            total += recomputed
+        assert total > 0
+
     def test_repeated_queries_without_updates_are_free(self):
         maintainer = StreamingRDFind(h=2)
         maintainer.add_all(random_rdf(1201, n_triples=40))
@@ -194,6 +262,46 @@ class TestIncrementality:
         assert {(sc.cind, sc.support) for sc in first} == {
             (sc.cind, sc.support) for sc in second
         }
+
+
+_SCOPES = {
+    "full": ConditionScope.full,
+    "predicates_only": ConditionScope.predicates_only,
+    "no_predicate_projections": ConditionScope.no_predicate_projections,
+}
+_term = st.sampled_from(["a", "b", "c", "d", "e"])
+_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _term, st.sampled_from(["p", "q", "r"]), _term),
+        st.tuples(st.just("remove"), st.integers(min_value=0)),
+        st.tuples(st.just("query")),
+    ),
+    max_size=90,
+)
+
+
+class TestExactInvalidation:
+    """The cache invariant: a served row is the intersection computed now."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        script=_script,
+        scope=st.sampled_from(sorted(_SCOPES)),
+        h=st.integers(min_value=1, max_value=4),
+    )
+    def test_cached_rows_equal_recomputation_at_any_point(self, script, scope, h):
+        maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+        live = []
+        for op, *args in script:
+            if op == "add":
+                if maintainer.add(tuple(args)):
+                    live.append(tuple(args))
+            elif op == "remove":
+                if live:  # a live triple, so evidence really retracts
+                    assert maintainer.remove(live.pop(args[0] % len(live)))
+            else:
+                assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
+        assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
 
 
 class TestStatsAndStore:
