@@ -113,123 +113,6 @@ VERDICTS: Dict[str, str] = {
         "the extract-then-consolidate design and is up to ~2.5× slower "
         "than RDFind-DE (paper: up to 3×), with byte-identical output."
     ),
-    "Storage encoding": (
-        "**Verdict — physical layout only.** Dictionary-encoded columns "
-        "shrink the resident set ~4× vs string triples; they are the one "
-        "representation discovery runs on (a string dataset is encoded "
-        "on entry). The storage-v2 "
-        "layer (frequency-ordered codes + per-column bit packing, frozen "
-        "varint posting lists) shrinks the column payload a further "
-        "≥2× (measured ~3×) with identical content. Not a paper "
-        "experiment — this reproduces the dictionary-encoding + "
-        "vertical-partitioning design of the in-memory RDF stores the "
-        "paper builds on."
-    ),
-    "Snapshot load": (
-        "**Verdict — warm start is effectively free; output "
-        "byte-identical (asserted).** Not a paper experiment — this "
-        "characterizes the mmap snapshot format (`rdfind snapshot`, "
-        "`repro.storage.snapshot`). Loading Diseasome from a CRC-framed "
-        "snapshot (three `frombytes` column adoptions + lazy term "
-        "decode off the mapping) beats N-Triples parse+encode by ≥20× "
-        "(measured ~25-30×), reproduces the exact checkpoint dataset "
-        "digest, and discovery from the snapshot serializes "
-        "byte-identically to the parse-from-source run on both "
-        "executors. Corrupted or truncated snapshots raise typed errors "
-        "and the cache path falls back to re-parsing (pinned by "
-        "`tests/test_snapshot.py`)."
-    ),
-    "Fault recovery": (
-        "**Verdict — recovery guarantee holds; overhead is bounded.** Not "
-        "a paper experiment — this characterizes the fault-tolerance layer "
-        "the paper inherits from Flink for free. With a seeded FaultPlan "
-        "injecting transient task failures, a worker crash, and "
-        "stragglers into every phase, discovery completes with CINDs/ARs "
-        "byte-identical to the clean run (asserted), paying only the "
-        "re-executed tasks. Adaptive OOM recovery (`--oom-recovery`) "
-        "turns a budget-exceeded abort into a completed run by key-"
-        "splitting the offending partitions, at a modest slowdown."
-    ),
-    "Checkpoint/resume": (
-        "**Verdict — crash-resumability holds; durability is cheap at "
-        "this scale.** Not a paper experiment — this characterizes the "
-        "driver-level checkpointing standing in for resubmitting a lost "
-        "Flink job against its last completed state. Persisting the fc/"
-        "cg/ex phase boundaries costs a few MB of framed pickle I/O and "
-        "a few percent of wall-clock; a resume after a simulated "
-        "post-phase-1 crash skips FCDetector entirely and a fully-"
-        "durable resume replays almost nothing, both with output "
-        "identical to the uncheckpointed run (asserted). The SIGKILL-"
-        "level crash/resume acceptance path — exit at an injected crash "
-        "point, relaunch with `--resume`, byte-compare the result JSON — "
-        "is pinned by `tests/test_checkpoint.py` on both executors."
-    ),
-    "Spilling shuffle": (
-        "**Verdict — bounded memory bought at a bounded slowdown; output "
-        "byte-identical (asserted).** Not a paper experiment — this "
-        "characterizes the disk-backed data plane standing in for Flink's "
-        "out-of-core shuffle, which the paper's billion-evidence groupings "
-        "rely on. With a spill budget far below the inline shuffle's "
-        "working set, discovery completes with identical CINDs/ARs while "
-        "the shuffle state lives in CRC-framed sorted runs on disk; the "
-        "runtime premium is the write-sort-merge tax. Peak RSS stays "
-        "within noise of the inline run's — at this scale the resident "
-        "dataset dominates both legs; the O(budget) bound on *shuffle* "
-        "state is pinned directly by `tests/test_shuffle.py`'s "
-        "peak-state assertions."
-    ),
-    "Server cache": (
-        "**Verdict — cache reuse holds; a fingerprint hit is effectively "
-        "free.** Not a paper experiment — this characterizes the "
-        "discovery-as-a-service layer (`rdfind serve`). A warm resubmission "
-        "of an identical config is answered from the stored result document "
-        "in milliseconds (bytes asserted identical to the cold run, which "
-        "pays admission + worker subprocess + full discovery), and a "
-        "thundering herd of identical concurrent clients is collapsed onto "
-        "a single in-flight job — one worker spawned, every client handed "
-        "the same job id. Byte-identity of the HTTP result against the "
-        "CLI's `discover -o` is pinned by `tests/test_server.py`."
-    ),
-    "Streaming maintenance": (
-        "**Verdict — delta maintenance beats full re-discovery at every "
-        "batch size; results agree exactly (asserted).** Not a paper "
-        "experiment — this characterizes the streaming update subsystem "
-        "(`rdfind stream`, `repro.streaming`). After loading ~90% of "
-        "Diseasome, applying an add/remove batch to the maintainer and "
-        "re-querying costs a small fraction of re-running batch RDFind "
-        "on the materialized dataset (~150× for single-update batches, "
-        "~10× at 512-update batches, where the one-off reactivation "
-        "backfills amortize). The CIND sets agree exactly per batch, and "
-        "byte-identity of the streamed result document against "
-        "`discover -o` plus SIGKILL-resume from the changelog+checkpoint "
-        "pair are pinned by `tests/test_streaming.py` and "
-        "`tests/test_stream_session.py`."
-    ),
-    "Federation ingest": (
-        "**Verdict — faults cost backoff time, never correctness.** Not "
-        "a paper experiment — this characterizes the federated ingestion "
-        "layer (`rdfind fetch`, `repro.federation`). Fetching Diseasome "
-        "through the deterministic mock SPARQL endpoint with a seeded "
-        "fault script (timeouts, 429s, 503s, truncated and malformed "
-        "bodies injected into ~35% of early requests) produces a "
-        "dictionary-encoded dataset with exactly the local parse's "
-        "digest — same as the clean fetch — at a modest wall-clock "
-        "premium that is almost entirely deliberate backoff sleeps. "
-        "The full taxonomy/breaker/resume behavior is pinned by "
-        "`tests/test_federation.py`; cross-endpoint partial-result "
-        "discovery by its `TestFederatedDiscovery` cases."
-    ),
-    "Parallel scaling": (
-        "**Verdict — infrastructure landed; speedup is hardware-gated.** "
-        "The process executor produces byte-identical CINDs/ARs to serial "
-        "on every run (asserted). On a single-core container the bench "
-        "instead characterizes the overhead floor: per-stage pickling/IPC "
-        "multiplies wall-clock ~4-5× with zero cores to win back, which "
-        "is why `serial` stays the default. The ≥1.5× at 4 workers "
-        "acceptance assertion arms automatically on machines with ≥4 "
-        "cores, where the compute-dense stages (cg/group-by-value, "
-        "ex/merge-candidates) dominate and parallelize."
-    ),
 }
 
 _SECTION_RE = re.compile(r"^=+ (.+?) =+$")
@@ -244,20 +127,7 @@ def extract_sections(log_text: str) -> List[Tuple[str, List[str]]]:
         match = _SECTION_RE.match(line.strip())
         if match and any(
             match.group(1).startswith(prefix)
-            for prefix in (
-                "Table",
-                "Figure",
-                "Section",
-                "Storage",
-                "Snapshot",
-                "Vectorized",
-                "Parallel",
-                "Fault",
-                "Spilling",
-                "Checkpoint",
-                "Server",
-                "Federation",
-            )
+            for prefix in ("Table", "Figure", "Section")
         ):
             if title is not None:
                 sections.append((title, current))

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set
 
-from repro.core.cind import Capture, decode_capture
+from repro.core.cind import Capture
 from repro.core.conditions import ConditionScope, conditions_of_triple
 from repro.rdf.model import Attr, Dataset, TermDictionary
+from repro.storage.dictionary import EncodedTriple
 
 
 class CrossCIND(NamedTuple):
@@ -77,14 +78,21 @@ class IntegrationReport:
         return "\n".join(lines)
 
 
-def _capture_interpretations(
-    dataset: Dataset,
-    dictionary: TermDictionary,
+def capture_interpretations(
+    triples: Iterable[EncodedTriple],
     h: int,
-    scope: ConditionScope,
+    scope: Optional[ConditionScope] = None,
 ) -> Dict[Capture, Set[int]]:
-    """Interpretations of all captures over h-frequent conditions."""
-    encoded = [dictionary.encode_triple(t) for t in dataset]
+    """Interpretations of all captures over h-frequent conditions.
+
+    ``triples`` are id triples of one source (iterating an
+    :class:`~repro.storage.columnar.EncodedDataset` yields them); two
+    sources are comparable when their ids come from one dictionary.
+    """
+    if h < 1:
+        raise ValueError(f"support threshold must be >= 1, got {h}")
+    scope = scope if scope is not None else ConditionScope.full()
+    encoded = list(triples)
     frequencies: Counter = Counter()
     for triple in encoded:
         frequencies.update(conditions_of_triple(triple, scope))
@@ -104,30 +112,13 @@ def _capture_interpretations(
     return values
 
 
-def discover_cross_cinds(
-    left: Dataset,
-    right: Dataset,
-    h: int = 25,
-    scope: Optional[ConditionScope] = None,
-    dictionary: Optional[TermDictionary] = None,
-) -> IntegrationReport:
-    """All cross-dataset CINDs ``(left, c) ⊆ (right, c')`` with support >= h.
-
-    Both datasets share one term dictionary, so the same URI or literal
-    in either source denotes the same value.  Only captures over
-    conditions frequent *within their own dataset* participate (the same
-    Lemma 1 pruning as single-dataset discovery), and trivial
-    self-comparisons do not arise because the two sides come from
-    different sources.
-    """
-    if h < 1:
-        raise ValueError(f"support threshold must be >= 1, got {h}")
-    scope = scope if scope is not None else ConditionScope.full()
-    dictionary = dictionary if dictionary is not None else TermDictionary()
-
-    left_values = _capture_interpretations(left, dictionary, h, scope)
-    right_values = _capture_interpretations(right, dictionary, h, scope)
-
+def cross_cinds(
+    left_values: Dict[Capture, Set[int]],
+    right_values: Dict[Capture, Set[int]],
+    h: int,
+) -> List[CrossCIND]:
+    """The containment core: every ``(left, c) ⊆ (right, c')`` with
+    support >= h between two sources' capture interpretations, sorted."""
     # Group the right side by value (Lemma 3's structure).
     right_groups: Dict[int, Set[Capture]] = {}
     for capture, values in right_values.items():
@@ -155,9 +146,32 @@ def discover_cross_cinds(
             cinds.append(CrossCIND(dependent, referenced, len(values)))
 
     cinds.sort(key=lambda row: (-row.support, row.dependent, row.referenced))
+    return cinds
+
+
+def discover_cross_cinds(
+    left: Dataset,
+    right: Dataset,
+    h: int = 25,
+    scope: Optional[ConditionScope] = None,
+    dictionary: Optional[TermDictionary] = None,
+) -> IntegrationReport:
+    """All cross-dataset CINDs ``(left, c) ⊆ (right, c')`` with support >= h.
+
+    Both datasets share one term dictionary, so the same URI or literal
+    in either source denotes the same value.  Only captures over
+    conditions frequent *within their own dataset* participate (the same
+    Lemma 1 pruning as single-dataset discovery), and trivial
+    self-comparisons do not arise because the two sides come from
+    different sources.
+    """
+    dictionary = dictionary if dictionary is not None else TermDictionary()
+    encode = dictionary.encode_triple
+    left_values = capture_interpretations((encode(t) for t in left), h, scope)
+    right_values = capture_interpretations((encode(t) for t in right), h, scope)
     return IntegrationReport(
         left_name=left.name or "left",
         right_name=right.name or "right",
-        cinds=cinds,
+        cinds=cross_cinds(left_values, right_values, h),
         dictionary=dictionary,
     )

@@ -173,11 +173,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="retry budget per task (default: 2)",
     )
     parser.add_argument(
-        "--oom-recovery", action="store_true", default=False,
-        help="recover from simulated out-of-memory by splitting the "
-        "offending partition state by key hash (off by default)",
-    )
-    parser.add_argument(
         "--shuffle", choices=("inline", "spill"), default=None,
         help="keyed-operator data plane: 'inline' (in-memory buckets, "
         "default) or 'spill' (disk-backed sorted runs merged reduce-side; "
@@ -228,10 +223,10 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
     """Publish executor/fault flags as environment defaults.
 
     ``RDFindConfig`` reads RDFIND_EXECUTOR / RDFIND_WORKERS /
-    RDFIND_FAULTS / RDFIND_MAX_RETRIES / RDFIND_OOM_RECOVERY /
-    RDFIND_SHUFFLE / RDFIND_MEMORY_BUDGET_BYTES / RDFIND_SPILL_DIR /
-    RDFIND_CHECKPOINT / RDFIND_CHECKPOINT_DIR / RDFIND_RESUME /
-    RDFIND_CRASH_POINT / RDFIND_TASK_TIMEOUT_SECONDS as its defaults, so
+    RDFIND_FAULTS / RDFIND_MAX_RETRIES / RDFIND_SHUFFLE /
+    RDFIND_MEMORY_BUDGET_BYTES / RDFIND_SPILL_DIR / RDFIND_CHECKPOINT /
+    RDFIND_CHECKPOINT_DIR / RDFIND_RESUME / RDFIND_CRASH_POINT /
+    RDFIND_TASK_TIMEOUT_SECONDS as its defaults, so
     setting the environment here makes the choice reach every config the
     subcommands build internally (funnel, profile, rank, ...).
     """
@@ -243,8 +238,6 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
         os.environ["RDFIND_FAULTS"] = str(args.faults)
     if getattr(args, "max_retries", None) is not None:
         os.environ["RDFIND_MAX_RETRIES"] = str(args.max_retries)
-    if getattr(args, "oom_recovery", False):
-        os.environ["RDFIND_OOM_RECOVERY"] = "1"
     if getattr(args, "shuffle", None):
         os.environ["RDFIND_SHUFFLE"] = args.shuffle
     if getattr(args, "memory_budget_bytes", None) is not None:
@@ -346,15 +339,10 @@ def cmd_discover(args: argparse.Namespace) -> int:
         f"executor={result.metrics.executor} x{result.metrics.workers})"
     )
     metrics = result.metrics
-    if (
-        metrics.total_faults_injected
-        or metrics.total_retries
-        or metrics.total_recovered_oom_splits
-    ):
+    if metrics.total_faults_injected or metrics.total_retries:
         print(
             f"fault tolerance: {metrics.total_faults_injected} faults injected, "
-            f"{metrics.total_retries} task retries, "
-            f"{metrics.total_recovered_oom_splits} OOM splits recovered"
+            f"{metrics.total_retries} task retries"
         )
     if metrics.checkpoint_bytes or metrics.resumed_stages:
         print(
@@ -652,12 +640,11 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
     if args.snapshot_command == "save":
         dataset = _load_input(args.input, scale=args.scale)
-        header = save_snapshot(dataset, args.output, remap=args.remap)
+        header = save_snapshot(dataset, args.output)
         size = os.path.getsize(args.output)
-        remapped = " (frequency-remapped ids)" if header["remapped"] else ""
         print(
             f"wrote {header['triples']:,} triples / {header['terms']:,} terms "
-            f"to {args.output} ({size:,} bytes){remapped}"
+            f"to {args.output} ({size:,} bytes)"
         )
         return 0
     if args.snapshot_command == "load":
@@ -696,7 +683,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         h=args.support,
         scope=_scope(args.scope),
         compact_every=args.compact_every,
-        fsync=not args.no_fsync,
     )
     with session:
         if session.resumed_from_checkpoint or session.replayed_records:
@@ -968,12 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_save.add_argument(
         "--scale", type=float, default=1.0, help="scale for dataset: inputs"
     )
-    snapshot_save.add_argument(
-        "--remap", action="store_true", default=False,
-        help="rewrite term ids in frequency order before saving (shortest "
-        "codes for the hottest terms; decoded triples are unchanged, "
-        "integer ids are not)",
-    )
     snapshot_load = snapshot_sub.add_parser(
         "load", help="load a snapshot and report triples/terms/latency"
     )
@@ -1024,10 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--compact-on-exit", action="store_true", default=False,
         help="write a final checkpoint before exiting",
-    )
-    stream.add_argument(
-        "--no-fsync", action="store_true", default=False,
-        help="skip per-append fsync (faster, loses the durability guarantee)",
     )
     stream.add_argument("-n", "--limit", type=int, default=20)
     stream.add_argument(

@@ -119,13 +119,6 @@ class RDFindConfig:
         Retry budget per task (``RetryPolicy.max_retries``).  ``None``
         keeps the policy default.  ``RDFIND_MAX_RETRIES`` supplies the
         default.
-    oom_recovery:
-        Adaptive out-of-memory degradation: when a stage's task exceeds
-        the ``memory_budget``, the engine splits the offending partition
-        state by key hash (or spills the combiner) and retries at higher
-        effective parallelism instead of failing the run.  Off by
-        default — the paper's reported OOM failures stay reproducible.
-        ``RDFIND_OOM_RECOVERY`` supplies the default.
     shuffle:
         Data plane for keyed operators: ``"inline"`` (in-memory buckets,
         the default and reference) or ``"spill"`` (disk-backed sorted
@@ -208,10 +201,6 @@ class RDFindConfig:
             if os.environ.get("RDFIND_MAX_RETRIES")
             else None
         )
-    )
-    oom_recovery: bool = field(
-        default_factory=lambda: os.environ.get("RDFIND_OOM_RECOVERY", "").lower()
-        in ("1", "true", "yes", "on")
     )
     shuffle: str = field(
         default_factory=lambda: os.environ.get("RDFIND_SHUFFLE", "inline")
@@ -493,7 +482,6 @@ class RDFind:
             workers=config.workers,
             fault_plan=config.effective_fault_plan(),
             retry_policy=config.effective_retry_policy(),
-            oom_recovery=config.oom_recovery,
             shuffle=config.shuffle,
             memory_budget_bytes=config.memory_budget_bytes,
             spill_dir=config.spill_dir,

@@ -1,4 +1,4 @@
-"""Binary frame streams: the substrate under the spill-file format.
+"""Binary frame streams and the atomic file publish they are written with.
 
 A frame on disk is ``[4-byte big-endian payload length][4-byte CRC32 of
 the payload][payload]``; a stream of frames ends at clean EOF.
@@ -10,13 +10,23 @@ The codec is re-exported by :mod:`repro.core.serialization` (the
 serialization facade); it lives here, dependency-free, so the shuffle
 subsystem (:mod:`repro.dataflow.shuffle`) can build run files on it
 without importing the discovery result types.
+
+:func:`atomic_write` is the one way a durable file is published:
+written under a temp name beside the target, flushed and fsynced, then
+renamed over it — a reader (or a restart after a power cut) sees the old
+content or the new, never a torn file.  Two renames stay outside it on
+purpose: ``shuffle.write_run`` (scratch run files that a retried task
+simply re-cuts must not pay an fsync) and the changelog's seal rename
+(the segment is already synced when it is renamed).
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from typing import BinaryIO, Iterator, Optional
+from contextlib import contextmanager
+from typing import IO, BinaryIO, Iterator, Optional
 
 __all__ = [
     "FRAME_HEADER",
@@ -24,6 +34,7 @@ __all__ = [
     "FrameError",
     "FrameCorruptionError",
     "FrameTruncatedError",
+    "atomic_write",
     "pack_frame",
     "write_frame",
     "read_frame",
@@ -49,6 +60,31 @@ class FrameCorruptionError(FrameError):
 
 class FrameTruncatedError(FrameError):
     """The stream ended in the middle of a frame (writer died mid-write)."""
+
+
+@contextmanager
+def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
+    """Open a stream whose content replaces ``path`` atomically on exit.
+
+    The temp file lives in the target's directory (a rename is atomic
+    only within one filesystem) under a per-process ``*.tmp`` name, so
+    concurrent writers of one path never share it and the workspace
+    sweepers recognise what a killed writer leaves.  A clean exit
+    flushes, fsyncs and renames; any exception unlinks the temp and
+    leaves ``path`` untouched.
+    """
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(tmp_path, mode, encoding=encoding) as stream:
+            yield stream
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 def pack_frame(payload: bytes) -> bytes:

@@ -12,7 +12,7 @@ completed boundaries instead of recomputing them, and continues from the
 last durable one — with byte-identical final output on both executor
 backends.
 
-On-disk layout (everything written tmp-then-``os.replace``, the spill
+On-disk layout (everything written tmp-then-rename, the spill
 plane's atomicity discipline, so a crash mid-write leaves either the old
 state or ``*.tmp`` litter, never a half-valid artifact)::
 
@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.core.framing import FrameError, iter_frames, write_frame
+from repro.core.framing import FrameError, atomic_write, iter_frames, write_frame
 from repro.dataflow import workspace
 from repro.dataflow.faults import DRIVER_CRASH_EXIT_CODE, FaultPlan
 
@@ -244,12 +244,8 @@ class JobManifest:
 
     def save(self, path: str) -> None:
         """Atomically write the manifest (tmp-then-rename + fsync)."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as stream:
+        with atomic_write(path, "w") as stream:
             json.dump(self.to_json(), stream, indent=1, sort_keys=True)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "JobManifest":
@@ -486,7 +482,6 @@ class CheckpointManager:
         assert self.manifest is not None
         started = time.perf_counter()
         path = self._path(name)
-        tmp = path + ".tmp"
         digest = hashlib.blake2b(digest_size=16)
         framed_bytes = 0
         header = pickle.dumps(
@@ -499,14 +494,11 @@ class CheckpointManager:
             },
             protocol=_PICKLE_PROTOCOL,
         )
-        with open(tmp, "wb") as stream:
+        with atomic_write(path) as stream:
             framed_bytes += write_frame(stream, header)
             for payload in payloads:
                 digest.update(payload)
                 framed_bytes += write_frame(stream, payload)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
         seconds = time.perf_counter() - started
         self.manifest.steps[name] = StepRecord(
             kind=kind,

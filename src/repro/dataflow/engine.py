@@ -23,16 +23,16 @@ paper / Flink             here
 ========================  ====================================================
 ``Map`` / ``FlatMap``     :meth:`DataSet.map`, :meth:`DataSet.flat_map`,
                           :meth:`DataSet.filter`
-``GroupBy`` + ``Group-    :meth:`DataSet.reduce_by_key` (hash-partitioned
-Combine`` + ``Group-      shuffle with optional local pre-aggregation — the
-Reduce``                  paper's "early aggregation")
+``GroupBy`` + ``Group-    :meth:`DataSet.reduce_by_key`,
+Combine`` + ``Group-      :meth:`DataSet.flat_map_reduce_by_key` (hash-
+Reduce``                  partitioned shuffle after local pre-aggregation —
+                          the paper's "early aggregation")
 ``CoGroup``               :meth:`DataSet.co_group`
 ``GlobalReduce``          :meth:`DataSet.reduce_partitions` (local partials
                           merged on one worker — used for Bloom unions)
 ``Broadcast``             :meth:`DataSet.broadcast` (collect + per-worker
                           copy accounting)
-``Repartition``           :meth:`DataSet.rebalance`,
-                          :meth:`DataSet.partition_by_key`
+``Repartition``           :meth:`DataSet.rebalance`
 ========================  ====================================================
 
 Shuffles are routed by :func:`stable_hash`, a deterministic 64-bit hash
@@ -44,11 +44,10 @@ between runs.
 
 The *shuffle mode* decides how keyed operators move data.  The default,
 ``shuffle="inline"``, materializes every shuffle bucket in driver
-memory — the reference data plane, byte-identical to the engine's
-historical behaviour.  ``shuffle="spill"`` routes
-:meth:`DataSet.reduce_by_key`, :meth:`DataSet.flat_map_reduce_by_key`,
-:meth:`DataSet.group_by_key`, and :meth:`DataSet.co_group` through
-:mod:`repro.dataflow.shuffle` instead: map-side workers cut sorted,
+memory — the reference data plane.  ``shuffle="spill"`` routes
+:meth:`DataSet.reduce_by_key`, :meth:`DataSet.flat_map_reduce_by_key`
+and :meth:`DataSet.co_group` through :mod:`repro.dataflow.shuffle`
+instead: map-side workers cut sorted,
 CRC-framed runs to disk whenever a byte-accurate
 :class:`~repro.dataflow.shuffle.MemoryBudget` (``memory_budget_bytes``)
 overflows, and reduce-side workers k-way-merge the runs — bounded memory
@@ -64,16 +63,6 @@ have to hold more records than the budget allows.  The exception pickles
 faithfully, so a budget blown inside a pool worker surfaces in the driver
 exactly like a serial one.  The paper's Figures 7 and 13 report such
 failures for Cinderella and RDFind-DE.
-
-With ``oom_recovery=True`` the engine treats memory exhaustion as an
-operating mode instead of a crash (full-in-memory RDF engines in the
-vertical-partitioning tradition do the same): a stateful stage that blows
-the budget is retried at higher effective parallelism — its hash buckets
-are split into sub-buckets re-routed by a salted :func:`stable_hash` of
-the key, so each sub-task holds a strictly smaller state — and a combiner
-that blows the budget degrades to no-combine streaming (a spill).  Runs
-that would have failed complete slower instead; the flag defaults off so
-the paper's failure tables still reproduce.
 """
 
 from __future__ import annotations
@@ -105,7 +94,7 @@ from repro.dataflow.faults import (
     SimulatedOutOfMemory,
 )
 from repro.dataflow.gcpause import stage_gc_pause
-from repro.dataflow.hashing import _mix_int, hash_partition, stable_hash
+from repro.dataflow.hashing import hash_partition, stable_hash
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.dataflow.shuffle import (
     SHUFFLE_MODES,
@@ -222,29 +211,23 @@ def _map_partition_task(payload):
 
 def _combine_shuffle_task(payload):
     """Local pre-aggregation + bucket split of ``reduce_by_key``."""
-    key_fn, value_fn, reduce_fn, combine, parallelism, budget, stage, partition = payload
+    key_fn, value_fn, reduce_fn, parallelism, budget, stage, partition = payload
     start = time.perf_counter()
     with stage_gc_pause() as pause:
-        if combine:
-            local: Dict[Any, Any] = {}
-            for item in partition:
-                key = key_fn(item)
-                value = value_fn(item)
-                if key in local:
-                    local[key] = reduce_fn(local[key], value)
-                else:
-                    local[key] = value
-            if budget is not None and len(local) > budget:
-                raise SimulatedOutOfMemory(stage, len(local), budget)
-            pairs: Iterable[Tuple[Any, Any]] = local.items()
-            emitted = len(local)
-        else:
-            pairs = [(key_fn(item), value_fn(item)) for item in partition]
-            emitted = len(partition)
+        local: Dict[Any, Any] = {}
+        for item in partition:
+            key = key_fn(item)
+            value = value_fn(item)
+            if key in local:
+                local[key] = reduce_fn(local[key], value)
+            else:
+                local[key] = value
+        if budget is not None and len(local) > budget:
+            raise SimulatedOutOfMemory(stage, len(local), budget)
         buckets: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
-        for key, value in pairs:
+        for key, value in local.items():
             buckets[_hash_partition(key, parallelism)].append((key, value))
-    return buckets, emitted, pause.suppressed, time.perf_counter() - start
+    return buckets, len(local), pause.suppressed, time.perf_counter() - start
 
 
 def _fused_combine_shuffle_task(payload):
@@ -289,58 +272,6 @@ def _fused_combine_shuffle_task(payload):
     return buckets, len(local), peak, pause.suppressed, time.perf_counter() - start
 
 
-def _fused_nocombine_shuffle_task(payload):
-    """The spill path of the fused operator: stream pairs, hold no state.
-
-    Used by OOM recovery when the combiner state of
-    :func:`_fused_combine_shuffle_task` blows the memory budget — the
-    flatMap output goes straight into the shuffle buckets, so the worker
-    needs no aggregation table at all.  The shuffle volume grows (every
-    pair moves instead of one entry per key), which is exactly the
-    slow-but-completed trade the recovery mode makes.
-    """
-    flat_fn, _reduce_fn, _state_cost_fn, parallelism, _budget, _stage, partition = payload
-    start = time.perf_counter()
-    with stage_gc_pause() as pause:
-        buckets: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
-        emitted = 0
-        for item in partition:
-            for key, value in flat_fn(item):
-                buckets[_hash_partition(key, parallelism)].append((key, value))
-                emitted += 1
-    return buckets, emitted, 0, pause.suppressed, time.perf_counter() - start
-
-
-#: Salt decorrelating the OOM sub-bucket routing from the primary
-#: bucket routing (both are stable_hash-based; without a salt every
-#: record of one bucket would land in the same sub-bucket).
-_OOM_SPLIT_SALT = 0x5851F42D4C957F2D
-
-#: Upper bound on the per-bucket split factor OOM recovery will try
-#: before conceding that the budget cannot be met (2 -> 4 -> ... -> 256).
-MAX_OOM_SPLIT_FACTOR = 256
-
-
-def _oom_split_index(key: Any, factor: int) -> int:
-    """Deterministic sub-bucket for ``key`` under a split ``factor``."""
-    return _mix_int(stable_hash(key) ^ _OOM_SPLIT_SALT) % factor
-
-
-def _split_bucket_by_key(
-    bucket: List[Tuple[Any, Any]], factor: int
-) -> List[List[Tuple[Any, Any]]]:
-    """Split one ``(key, ...)`` bucket into ``factor`` key-disjoint parts.
-
-    Every occurrence of a key lands in the same sub-bucket (routing is a
-    pure function of the key), so keyed reduction/grouping over the parts
-    is exact — the stage merely runs at higher effective parallelism.
-    """
-    parts: List[List[Tuple[Any, Any]]] = [[] for _ in range(factor)]
-    for pair in bucket:
-        parts[_oom_split_index(pair[0], factor)].append(pair)
-    return parts
-
-
 def _reduce_bucket_task(payload):
     """The post-shuffle reduction of one key bucket."""
     reduce_fn, budget, stage, bucket = payload
@@ -366,19 +297,6 @@ def _keyed_shuffle_task(payload):
         key = key_fn(item)
         buckets[_hash_partition(key, parallelism)].append((key, item))
     return buckets, time.perf_counter() - start
-
-
-def _group_bucket_task(payload):
-    """Materialize one bucket's ``(key, [records])`` groups."""
-    budget, stage, bucket = payload
-    start = time.perf_counter()
-    with stage_gc_pause() as pause:
-        if budget is not None and len(bucket) > budget:
-            raise SimulatedOutOfMemory(stage, len(bucket), budget)
-        grouped: Dict[Any, List[Any]] = {}
-        for key, item in bucket:
-            grouped.setdefault(key, []).append(item)
-    return list(grouped.items()), pause.suppressed, time.perf_counter() - start
 
 
 def _co_group_apply_task(payload):
@@ -446,13 +364,6 @@ class ExecutionEnvironment:
         Bounded-retry/backoff configuration for failed tasks
         (:class:`~repro.dataflow.faults.RetryPolicy`; a default policy
         with 2 retries applies when omitted).
-    oom_recovery:
-        When ``True``, a stateful stage that raises
-        :class:`SimulatedOutOfMemory` is retried with its partitions
-        split by a salted key hash (and combiners degraded to streaming)
-        instead of failing the job.  Off by default so configured budget
-        failures — the paper's Figure 7/13 "failed" cells — still
-        reproduce.
     shuffle:
         Data plane for the keyed operators: ``"inline"`` (in-memory
         buckets, the reference) or ``"spill"`` (disk-backed sorted runs
@@ -488,7 +399,6 @@ class ExecutionEnvironment:
         workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        oom_recovery: bool = False,
         shuffle: str = "inline",
         memory_budget_bytes: Optional[int] = None,
         spill_dir: Optional[str] = None,
@@ -504,7 +414,6 @@ class ExecutionEnvironment:
             )
         self.parallelism = int(parallelism)
         self.memory_budget = memory_budget
-        self.oom_recovery = bool(oom_recovery)
         self.shuffle = shuffle
         self.spill_config = (
             spill_config
@@ -797,61 +706,6 @@ class DataSet(Generic[T]):
                 buckets[index].extend(chunk)
         return buckets
 
-    def _next_split_factor(self, stage: StageMetrics, factor: int) -> int:
-        """Advance one OOM-recovery round, or re-raise if recovery is off.
-
-        Called from an ``except SimulatedOutOfMemory`` block: doubles the
-        split factor (2, 4, ..., :data:`MAX_OOM_SPLIT_FACTOR`) and counts
-        the recovery on the stage.
-        """
-        if not self.env.oom_recovery or factor >= MAX_OOM_SPLIT_FACTOR:
-            raise
-        stage.recovered_oom_splits += 1
-        return factor * 2
-
-    def _run_split_bucket_stage(
-        self,
-        stage: StageMetrics,
-        task: Callable[[Any], Any],
-        buckets: List[List[Tuple[Any, Any]]],
-        make_payload: Callable[[List[Tuple[Any, Any]]], Any],
-        records: int,
-    ) -> List[List[Any]]:
-        """Run a per-bucket stateful task, splitting buckets on OOM.
-
-        On :class:`SimulatedOutOfMemory` (with recovery enabled) every
-        bucket is split into key-disjoint sub-buckets re-routed by the
-        salted :func:`stable_hash` sub-key, and the stage is retried at
-        the higher effective parallelism — doubling the factor until the
-        per-sub-task state fits the budget.  Returns one result list per
-        *original* bucket (sub-results concatenated in split order).
-        """
-        factor = 1
-        while True:
-            if factor == 1:
-                sub_buckets: List[List[Tuple[Any, Any]]] = list(buckets)
-            else:
-                sub_buckets = [
-                    part
-                    for bucket in buckets
-                    for part in _split_bucket_by_key(bucket, factor)
-                ]
-            payloads = [make_payload(bucket) for bucket in sub_buckets]
-            try:
-                results = self._run_stage(stage, task, payloads, records=records)
-                break
-            except SimulatedOutOfMemory:
-                factor = self._next_split_factor(stage, factor)
-        for sub_bucket, (result, suppressed, elapsed) in zip(sub_buckets, results):
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(sub_bucket))
-            stage.records_out.append(len(result))
-            stage.gc_suppressed_collections += suppressed
-        out: List[List[Any]] = [[] for _ in buckets]
-        for index, (result, _suppressed, _elapsed) in enumerate(results):
-            out[index // factor].extend(result)
-        return out
-
     def _reduce_buckets(
         self,
         buckets: List[List[Tuple[K, V]]],
@@ -859,15 +713,24 @@ class DataSet(Generic[T]):
         name: str,
     ) -> List[List[Tuple[K, V]]]:
         """The post-shuffle reduce stage shared by the keyed operators."""
-        env = self.env
-        reduce_stage = env.metrics.new_stage(name)
-        return self._run_split_bucket_stage(
-            reduce_stage,
+        stage = self.env.metrics.new_stage(name)
+        payloads = [
+            (reduce_fn, self.env.memory_budget, name, bucket) for bucket in buckets
+        ]
+        results = self._run_stage(
+            stage,
             _reduce_bucket_task,
-            buckets,
-            lambda bucket: (reduce_fn, env.memory_budget, name, bucket),
+            payloads,
             records=sum(len(b) for b in buckets),
         )
+        out: List[List[Tuple[K, V]]] = []
+        for bucket, (result, suppressed, elapsed) in zip(buckets, results):
+            stage.partition_seconds.append(elapsed)
+            stage.records_in.append(len(bucket))
+            stage.records_out.append(len(result))
+            stage.gc_suppressed_collections += suppressed
+            out.append(result)
+        return out
 
     # ------------------------------------------------------------------
     # spilling shuffle (disk-backed data plane; repro.dataflow.shuffle)
@@ -927,7 +790,6 @@ class DataSet(Generic[T]):
         key_fn: Callable[[T], K],
         value_fn: Callable[[T], V],
         reduce_fn: Callable[[V, V], V],
-        combine: bool,
         name: str,
     ) -> "DataSet[Tuple[K, V]]":
         env = self.env
@@ -939,7 +801,6 @@ class DataSet(Generic[T]):
                     key_fn,
                     value_fn,
                     reduce_fn,
-                    combine,
                     env.parallelism,
                     env.spill_config,
                     stage_dir,
@@ -1018,43 +879,6 @@ class DataSet(Generic[T]):
             shutil.rmtree(stage_dir, ignore_errors=True)
         return DataSet(env, out, name=name)
 
-    def _spill_group_by_key(
-        self, key_fn: Callable[[T], K], name: str
-    ) -> "DataSet[Tuple[K, List[T]]]":
-        env = self.env
-        stage = env.metrics.new_stage(name)
-        stage_dir = env._new_spill_stage_dir()
-        try:
-            payloads = [
-                (
-                    key_fn,
-                    None,
-                    env.parallelism,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                    partition,
-                )
-                for index, partition in enumerate(self.partitions)
-            ]
-            run_lists = self._run_spill_map_stage(
-                stage,
-                _shuffle._spill_keyed_map_task,
-                payloads,
-                self._total_records(),
-                [len(p) for p in self.partitions],
-            )
-            group_stage = env.metrics.new_stage(name + "/group")
-            out = self._run_spill_merge_stage(
-                group_stage,
-                _shuffle._spill_group_task,
-                lambda index, runs: (runs, env.spill_config, stage_dir, index),
-                run_lists,
-            )
-        finally:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-        return DataSet(env, out, name=name)
-
     def _spill_co_group(
         self,
         other: "DataSet[U]",
@@ -1124,15 +948,13 @@ class DataSet(Generic[T]):
         key_fn: Callable[[T], K],
         value_fn: Callable[[T], V],
         reduce_fn: Callable[[V, V], V],
-        combine: bool = True,
         name: str = "reduce_by_key",
     ) -> "DataSet[Tuple[K, V]]":
         """Hash-partitioned keyed reduction producing ``(key, value)`` pairs.
 
-        With ``combine=True`` (the default, matching the paper's
-        early-aggregation optimisation) each worker pre-aggregates its
-        partition before the shuffle, which shrinks shuffle volume for
-        low-cardinality keys.
+        Each worker pre-aggregates its partition before the shuffle (the
+        paper's early-aggregation optimisation), which shrinks shuffle
+        volume for low-cardinality keys.
 
         Under ``shuffle="spill"`` the same reduction runs on the
         disk-backed data plane: the combiner spills sorted runs whenever
@@ -1141,19 +963,14 @@ class DataSet(Generic[T]):
         ``memory_budget`` simulation does not apply.
         """
         if self.env.shuffle == "spill":
-            return self._spill_reduce_by_key(
-                key_fn, value_fn, reduce_fn, combine, name
-            )
-        return self._inline_reduce_by_key(
-            key_fn, value_fn, reduce_fn, combine, name
-        )
+            return self._spill_reduce_by_key(key_fn, value_fn, reduce_fn, name)
+        return self._inline_reduce_by_key(key_fn, value_fn, reduce_fn, name)
 
     def _inline_reduce_by_key(
         self,
         key_fn: Callable[[T], K],
         value_fn: Callable[[T], V],
         reduce_fn: Callable[[V, V], V],
-        combine: bool,
         name: str,
     ) -> "DataSet[Tuple[K, V]]":
         env = self.env
@@ -1164,7 +981,6 @@ class DataSet(Generic[T]):
                 key_fn,
                 value_fn,
                 reduce_fn,
-                combine,
                 parallelism,
                 env.memory_budget,
                 name,
@@ -1172,20 +988,7 @@ class DataSet(Generic[T]):
             )
             for partition in self.partitions
         ]
-        try:
-            results = self._run_stage(stage, _combine_shuffle_task, payloads, records=self._total_records())
-        except SimulatedOutOfMemory:
-            # Combiner state blew the budget: spill — re-run the stage
-            # without local pre-aggregation (the combine=False path holds
-            # no state), trading shuffle volume for completion.
-            if not (env.oom_recovery and combine):
-                raise
-            stage.recovered_oom_splits += 1
-            payloads = [
-                (key_fn, value_fn, reduce_fn, False, parallelism, None, name, partition)
-                for partition in self.partitions
-            ]
-            results = self._run_stage(stage, _combine_shuffle_task, payloads, records=self._total_records())
+        results = self._run_stage(stage, _combine_shuffle_task, payloads, records=self._total_records())
         shuffled = 0
         for size, (_buckets, emitted, suppressed, elapsed) in zip(
             self._partition_sizes(), results
@@ -1253,19 +1056,7 @@ class DataSet(Generic[T]):
             )
             for partition in self.partitions
         ]
-        try:
-            results = self._run_stage(stage, _fused_combine_shuffle_task, payloads, records=self._total_records())
-        except SimulatedOutOfMemory:
-            # The fused combiner's state (e.g. candidate sets on dominant
-            # capture groups — the footprint that kills RDFind-DE) blew
-            # the budget: spill to the no-combine streaming task, which
-            # holds no aggregation state at all.  The un-combined pairs
-            # inflate the shuffle, and the post-shuffle reduce still
-            # recovers by key-splitting if a bucket's state is too big.
-            if not env.oom_recovery:
-                raise
-            stage.recovered_oom_splits += 1
-            results = self._run_stage(stage, _fused_nocombine_shuffle_task, payloads, records=self._total_records())
+        results = self._run_stage(stage, _fused_combine_shuffle_task, payloads, records=self._total_records())
         shuffled = 0
         for size, (_buckets, emitted, peak, suppressed, elapsed) in zip(
             self._partition_sizes(), results
@@ -1279,40 +1070,6 @@ class DataSet(Generic[T]):
         stage.shuffled_records = shuffled
         buckets = self._gather_buckets(split for split, _e, _p, _g, _t in results)
         out = self._reduce_buckets(buckets, reduce_fn, name + "/reduce")
-        return DataSet(env, out, name=name)
-
-    def group_by_key(
-        self,
-        key_fn: Callable[[T], K],
-        name: str = "group_by_key",
-    ) -> "DataSet[Tuple[K, List[T]]]":
-        """Hash-partitioned grouping into ``(key, [records])`` pairs."""
-        env = self.env
-        if env.shuffle == "spill":
-            return self._spill_group_by_key(key_fn, name)
-        parallelism = env.parallelism
-        stage = env.metrics.new_stage(name)
-        payloads = [
-            (key_fn, parallelism, partition) for partition in self.partitions
-        ]
-        results = self._run_stage(stage, _keyed_shuffle_task, payloads, records=self._total_records())
-        shuffled = 0
-        for partition, (_buckets, elapsed) in zip(self.partitions, results):
-            shuffled += len(partition)
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(partition))
-            stage.records_out.append(len(partition))
-        stage.shuffled_records = shuffled
-        buckets = self._gather_buckets(split for split, _t in results)
-
-        group_stage = env.metrics.new_stage(name + "/group")
-        out = self._run_split_bucket_stage(
-            group_stage,
-            _group_bucket_task,
-            buckets,
-            lambda bucket: (env.memory_budget, name + "/group", bucket),
-            records=sum(len(b) for b in buckets),
-        )
         return DataSet(env, out, name=name)
 
     # ------------------------------------------------------------------
@@ -1369,35 +1126,18 @@ class DataSet(Generic[T]):
         apply_records = sum(len(b) for b in left_buckets) + sum(
             len(b) for b in right_buckets
         )
-        factor = 1
-        while True:
-            if factor == 1:
-                pairs = list(zip(left_buckets, right_buckets))
-            else:
-                # Both sides split by the same salted key routing, so each
-                # sub-pair co-groups a disjoint key subset exactly.
-                pairs = [
-                    (left_part, right_part)
-                    for left_bucket, right_bucket in zip(left_buckets, right_buckets)
-                    for left_part, right_part in zip(
-                        _split_bucket_by_key(left_bucket, factor),
-                        _split_bucket_by_key(right_bucket, factor),
-                    )
-                ]
-            apply_payloads = [
-                (fn, env.memory_budget, name + "/apply", left_bucket, right_bucket)
-                for left_bucket, right_bucket in pairs
-            ]
-            try:
-                results = self._run_stage(
-                    apply_stage,
-                    _co_group_apply_task,
-                    apply_payloads,
-                    records=apply_records,
-                )
-                break
-            except SimulatedOutOfMemory:
-                factor = self._next_split_factor(apply_stage, factor)
+        pairs = list(zip(left_buckets, right_buckets))
+        apply_payloads = [
+            (fn, env.memory_budget, name + "/apply", left_bucket, right_bucket)
+            for left_bucket, right_bucket in pairs
+        ]
+        results = self._run_stage(
+            apply_stage,
+            _co_group_apply_task,
+            apply_payloads,
+            records=apply_records,
+        )
+        out: List[List[Any]] = []
         for (left_bucket, right_bucket), (result, suppressed, elapsed) in zip(
             pairs, results
         ):
@@ -1405,9 +1145,7 @@ class DataSet(Generic[T]):
             apply_stage.records_in.append(len(left_bucket) + len(right_bucket))
             apply_stage.records_out.append(len(result))
             apply_stage.gc_suppressed_collections += suppressed
-        out: List[List[Any]] = [[] for _ in left_buckets]
-        for index, (result, _suppressed, _elapsed) in enumerate(results):
-            out[index // factor].extend(result)
+            out.append(result)
         return DataSet(env, out, name=name)
 
     # ------------------------------------------------------------------
@@ -1508,43 +1246,6 @@ class DataSet(Generic[T]):
         stage.wall_seconds = time.perf_counter() - wall_start
         stage.shuffled_records = total
         return DataSet(env, out, name=name)
-
-    def partition_by_key(
-        self, key_fn: Callable[[T], K], name: str = "partition_by_key"
-    ) -> "DataSet[T]":
-        """Hash-redistribute records by key (stable across processes)."""
-        env = self.env
-        parallelism = env.parallelism
-        stage = env.metrics.new_stage(name)
-        wall_start = time.perf_counter()
-        out: List[List[T]] = [[] for _ in range(parallelism)]
-        total = 0
-        for partition in self.partitions:
-            start = time.perf_counter()
-            for item in partition:
-                out[_hash_partition(key_fn(item), parallelism)].append(item)
-            total += len(partition)
-            stage.partition_seconds.append(time.perf_counter() - start)
-            stage.records_in.append(len(partition))
-            stage.records_out.append(len(partition))
-        stage.wall_seconds = time.perf_counter() - wall_start
-        stage.shuffled_records = total
-        return DataSet(env, out, name=name)
-
-    def union(self, other: "DataSet[T]", name: str = "union") -> "DataSet[T]":
-        """Concatenate two datasets partition-wise (no shuffle)."""
-        stage = self.env.metrics.new_stage(name)
-        out: List[List[T]] = []
-        for left, right in zip(self.partitions, other.partitions):
-            start = time.perf_counter()
-            merged = left + right
-            elapsed = time.perf_counter() - start
-            stage.wall_seconds += elapsed
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(merged))
-            stage.records_out.append(len(merged))
-            out.append(merged)
-        return DataSet(self.env, out, name=name)
 
     def __repr__(self) -> str:
         sizes = [len(p) for p in self.partitions]

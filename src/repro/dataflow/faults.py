@@ -33,10 +33,10 @@ Three pieces:
     here (rather than in :mod:`repro.dataflow.engine`, which re-exports
     it) so the executor layer can classify it without a circular import:
     a *genuine* budget OOM is deterministic and must not be retried —
-    re-running the same task against the same budget fails identically;
-    the engine instead recovers by splitting the offending partition
-    (see ``ExecutionEnvironment(oom_recovery=True)``).  An *injected* OOM
-    is transient by construction and is retried like any other fault.
+    re-running the same task against the same budget fails identically,
+    so it fails the job (the paper's Figure 7/13 "failed" cells).  An
+    *injected* OOM is transient by construction and is retried like any
+    other fault.
 """
 
 from __future__ import annotations

@@ -43,9 +43,6 @@ class StageMetrics:
     retries: int = 0
     #: Faults a seeded FaultPlan injected into this stage's tasks.
     faults_injected: int = 0
-    #: Times the engine recovered this stage from a SimulatedOutOfMemory
-    #: by splitting partitions / spilling the combiner (--oom-recovery).
-    recovered_oom_splits: int = 0
     #: Sorted runs this stage's workers cut to disk (--shuffle spill).
     spilled_runs: int = 0
     #: Bytes written to spill-run files by this stage's workers.
@@ -110,7 +107,6 @@ class StageMetrics:
             "wall_seconds": self.wall_seconds,
             "retries": self.retries,
             "faults_injected": self.faults_injected,
-            "recovered_oom_splits": self.recovered_oom_splits,
             "spilled_runs": self.spilled_runs,
             "spilled_bytes": self.spilled_bytes,
             "merge_passes": self.merge_passes,
@@ -132,11 +128,8 @@ class StageMetrics:
             f"skew={self.skew:.2f} shuffle={self.shuffled_records} "
             f"bcast={self.broadcast_records}"
         )
-        if self.faults_injected or self.retries or self.recovered_oom_splits:
-            line += (
-                f" faults={self.faults_injected} retries={self.retries} "
-                f"oom-splits={self.recovered_oom_splits}"
-            )
+        if self.faults_injected or self.retries:
+            line += f" faults={self.faults_injected} retries={self.retries}"
         if self.spilled_runs or self.merge_passes:
             line += (
                 f" spills={self.spilled_runs} "
@@ -209,11 +202,6 @@ class JobMetrics:
         return sum(stage.faults_injected for stage in self.stages)
 
     @property
-    def total_recovered_oom_splits(self) -> int:
-        """Adaptive OOM recoveries across all stages (--oom-recovery)."""
-        return sum(stage.recovered_oom_splits for stage in self.stages)
-
-    @property
     def total_spilled_runs(self) -> int:
         """Sorted runs cut to disk across all stages (--shuffle spill)."""
         return sum(stage.spilled_runs for stage in self.stages)
@@ -250,29 +238,6 @@ class JobMetrics:
                 return stage
         return None
 
-    def merge_prefixed(self, other: "JobMetrics", prefix: str) -> None:
-        """Absorb another job's stages under a name prefix."""
-        for stage in other.stages:
-            absorbed = StageMetrics(
-                name=f"{prefix}{stage.name}",
-                partition_seconds=list(stage.partition_seconds),
-                records_in=list(stage.records_in),
-                records_out=list(stage.records_out),
-                shuffled_records=stage.shuffled_records,
-                broadcast_records=stage.broadcast_records,
-                peak_state_cost=stage.peak_state_cost,
-                wall_seconds=stage.wall_seconds,
-                retries=stage.retries,
-                faults_injected=stage.faults_injected,
-                recovered_oom_splits=stage.recovered_oom_splits,
-                spilled_runs=stage.spilled_runs,
-                spilled_bytes=stage.spilled_bytes,
-                merge_passes=stage.merge_passes,
-                peak_state_bytes=stage.peak_state_bytes,
-                gc_suppressed_collections=stage.gc_suppressed_collections,
-            )
-            self.stages.append(absorbed)
-
     def to_dict(self) -> Dict[str, object]:
         """The whole job as a JSON-safe dict: identity, totals, stages.
 
@@ -298,7 +263,6 @@ class JobMetrics:
                 "skew": self.max_skew,
                 "retries": self.total_retries,
                 "faults_injected": self.total_faults_injected,
-                "recovered_oom_splits": self.total_recovered_oom_splits,
                 "spilled_runs": self.total_spilled_runs,
                 "spilled_bytes": self.total_spilled_bytes,
                 "merge_passes": self.total_merge_passes,
@@ -335,15 +299,10 @@ class JobMetrics:
             f"wall={self.wall_clock_seconds * 1000:.1f}ms "
             f"shuffle={self.shuffled_records} bcast={self.broadcast_records}"
         )
-        if (
-            self.total_faults_injected
-            or self.total_retries
-            or self.total_recovered_oom_splits
-        ):
+        if self.total_faults_injected or self.total_retries:
             total += (
                 f" faults={self.total_faults_injected} "
-                f"retries={self.total_retries} "
-                f"oom-splits={self.total_recovered_oom_splits}"
+                f"retries={self.total_retries}"
             )
         if self.total_spilled_runs or self.total_merge_passes:
             total += (

@@ -276,6 +276,8 @@ def write_run(
             written += write_frame(
                 stream, pickle.dumps(batch, protocol=_PICKLE_PROTOCOL)
             )
+    # Not core.framing.atomic_write on purpose: a run is scratch that a
+    # retried task re-cuts, so it must not pay an fsync.
     os.replace(temp_path, path)
     return RunInfo(path=path, partition=partition, records=total, bytes=written)
 
@@ -374,18 +376,17 @@ def _bucketize(
 def _spill_combine_map_task(payload):
     """Map side of ``reduce_by_key`` under the spilling shuffle.
 
-    With ``combine=True`` the worker folds pairs into a local table,
-    charging the byte budget with re-priced deltas; on overflow the
-    table is cut into sorted per-partition runs and restarted.  The
-    ``seq`` recorded with a key is its *first-insertion* emission index,
-    so the merge's min-seq ordering reproduces the inline combiner's
-    ``dict`` insertion order exactly.
+    The worker folds pairs into a local table, charging the byte budget
+    with re-priced deltas; on overflow the table is cut into sorted
+    per-partition runs and restarted.  The ``seq`` recorded with a key
+    is its *first-insertion* emission index, so the merge's min-seq
+    ordering reproduces the inline combiner's ``dict`` insertion order
+    exactly.
     """
     (
         key_fn,
         value_fn,
         reduce_fn,
-        combine,
         parallelism,
         conf,
         stage_dir,
@@ -396,63 +397,39 @@ def _spill_combine_map_task(payload):
     sink = _RunSink(stage_dir, map_index, conf.frame_records)
     budget = MemoryBudget(conf.budget_bytes)
     emitted = 0
-    if combine:
-        local: Dict[Any, Tuple[Tuple[int, int], Any]] = {}
-        prices: Dict[Any, int] = {}
-        for index, item in enumerate(partition):
-            key = key_fn(item)
-            value = value_fn(item)
-            entry = local.get(key)
-            if entry is None:
-                local[key] = ((map_index, index), value)
-                cost = _pair_cost(key, value)
-                prices[key] = cost
-                budget.charge(cost)
-            else:
-                merged = reduce_fn(entry[1], value)
-                local[key] = (entry[0], merged)
-                cost = _pair_cost(key, merged)
-                budget.charge(cost - prices[key])
-                prices[key] = cost
-            if budget.exceeded:
-                emitted += len(local)
-                sink.spill_buckets(
-                    _bucketize(
-                        ((seq, k, v) for k, (seq, v) in local.items()),
-                        parallelism,
-                    )
-                )
-                local = {}
-                prices = {}
-                budget.reset()
-        if local:
+    local: Dict[Any, Tuple[Tuple[int, int], Any]] = {}
+    prices: Dict[Any, int] = {}
+    for index, item in enumerate(partition):
+        key = key_fn(item)
+        value = value_fn(item)
+        entry = local.get(key)
+        if entry is None:
+            local[key] = ((map_index, index), value)
+            cost = _pair_cost(key, value)
+            prices[key] = cost
+            budget.charge(cost)
+        else:
+            merged = reduce_fn(entry[1], value)
+            local[key] = (entry[0], merged)
+            cost = _pair_cost(key, merged)
+            budget.charge(cost - prices[key])
+            prices[key] = cost
+        if budget.exceeded:
             emitted += len(local)
             sink.spill_buckets(
                 _bucketize(
-                    ((seq, k, v) for k, (seq, v) in local.items()), parallelism
+                    ((seq, k, v) for k, (seq, v) in local.items()),
+                    parallelism,
                 )
             )
-    else:
-        buffers: List[List[Tuple]] = [[] for _ in range(parallelism)]
-        buffered = 0
-        for index, item in enumerate(partition):
-            key = key_fn(item)
-            value = value_fn(item)
-            key_hash = stable_hash(key)
-            buffers[key_hash % parallelism].append(
-                (key_hash, (map_index, index), key, value)
-            )
-            buffered += 1
-            budget.charge(_pair_cost(key, value))
-            if budget.exceeded:
-                emitted += buffered
-                sink.spill_buckets(buffers)
-                buffers = [[] for _ in range(parallelism)]
-                buffered = 0
-                budget.reset()
-        if buffered:
-            emitted += buffered
-            sink.spill_buckets(buffers)
+            local = {}
+            prices = {}
+            budget.reset()
+    if local:
+        emitted += len(local)
+        sink.spill_buckets(
+            _bucketize(((seq, k, v) for k, (seq, v) in local.items()), parallelism)
+        )
     return (
         sink.runs,
         emitted,
@@ -513,11 +490,10 @@ def _spill_fused_map_task(payload):
 
 
 def _spill_keyed_map_task(payload):
-    """Key + buffer + spill map side of ``group_by_key`` / ``co_group``.
+    """Key + buffer + spill map side of ``co_group``.
 
-    ``value_wrap`` tags each record for ``co_group`` (side 0/1) and is
-    ``None`` for plain grouping.  ``map_index`` is offset by the
-    parallelism for the right-hand co-group input, which both avoids run
+    ``side`` (0 left, 1 right) tags each record.  ``map_index`` is offset
+    by the parallelism for the right-hand input, which both avoids run
     name collisions and makes every left run order before every right
     run in the merge — the order the inline co-group applies sides in.
     """
@@ -530,7 +506,7 @@ def _spill_keyed_map_task(payload):
     buffered = 0
     for index, item in enumerate(partition):
         key = key_fn(item)
-        value = item if side is None else (side, item)
+        value = (side, item)
         key_hash = stable_hash(key)
         buffers[key_hash % parallelism].append(
             (key_hash, (map_index, index), key, value)
@@ -673,33 +649,6 @@ def _spill_reduce_task(payload):
         rows.append((entry[0], block_key, entry[1]))
     rows.sort(key=itemgetter(0))
     result = [(key, value) for _seq, key, value in rows]
-    return result, passes, time.perf_counter() - start
-
-
-def _spill_group_task(payload):
-    """Merge one partition's runs into ``(key, [records])`` groups."""
-    runs, conf, scratch_dir, reduce_partition = payload
-    start = time.perf_counter()
-    paths, passes = _consolidate_runs(runs, conf, scratch_dir, reduce_partition)
-    rows: List[Tuple[Tuple[int, int], Any, List[Any]]] = []
-    current_hash: Optional[int] = None
-    block: Dict[Any, List] = {}
-    for record in _stream_merged(paths):
-        key_hash, seq, key, value = record
-        if key_hash != current_hash:
-            for block_key, entry in block.items():
-                rows.append((entry[0], block_key, entry[1]))
-            block = {}
-            current_hash = key_hash
-        entry = block.get(key)
-        if entry is None:
-            block[key] = [seq, [value]]
-        else:
-            entry[1].append(value)
-    for block_key, entry in block.items():
-        rows.append((entry[0], block_key, entry[1]))
-    rows.sort(key=itemgetter(0))
-    result = [(key, values) for _seq, key, values in rows]
     return result, passes, time.perf_counter() - start
 
 

@@ -6,8 +6,10 @@ entities, and CINDs surface exactly such links.  This module runs that
 story against *live* sources: every endpoint is fetched into the same
 :class:`~repro.storage.dictionary.TermDictionary` id space, then
 cross-dataset CINDs (dependent capture from one source, referenced
-capture from another) are discovered for every ordered source pair via
-:func:`repro.apps.integration.discover_cross_cinds`.
+capture from another) are discovered for every ordered source pair by
+the containment core of :mod:`repro.apps.integration`, straight over
+the fetched id columns — each source's capture interpretations are
+built once, however many pairs it takes part in.
 
 The robustness contract — a federation job degrades, it does not
 explode: when a source dies mid-fetch (circuit opens, retries exhausted,
@@ -26,7 +28,11 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.integration import IntegrationReport, discover_cross_cinds
+from repro.apps.integration import (
+    IntegrationReport,
+    capture_interpretations,
+    cross_cinds,
+)
 from repro.federation.client import SparqlEndpointClient
 from repro.federation.errors import FederationError
 from repro.federation.ingest import FetchResult, fetch_endpoint
@@ -243,20 +249,28 @@ def federated_discover(
             )
         )
 
-    pairs: List[Tuple[str, str, IntegrationReport]] = []
-    usable = [outcome for outcome in outcomes if outcome.usable]
-    for left in usable:
-        for right in usable:
-            if left is right:
-                continue
-            report = discover_cross_cinds(
-                left.encoded.decode(),
-                right.encoded.decode(),
-                h=h,
-                scope=scope,
+    # Every source was fetched into `dictionary`, so its id columns are
+    # already comparable: interpret each source once, contain per pair.
+    usable = [
+        (outcome.name, capture_interpretations(outcome.encoded, h, scope))
+        for outcome in outcomes
+        if outcome.usable
+    ]
+    pairs: List[Tuple[str, str, IntegrationReport]] = [
+        (
+            left,
+            right,
+            IntegrationReport(
+                left_name=left,
+                right_name=right,
+                cinds=cross_cinds(left_values, right_values, h),
                 dictionary=dictionary,
-            )
-            pairs.append((left.name, right.name, report))
+            ),
+        )
+        for left, left_values in usable
+        for right, right_values in usable
+        if left != right
+    ]
 
     return FederatedResult(
         sources=outcomes,

@@ -37,6 +37,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from repro.core.framing import (
     FrameCorruptionError,
     FrameTruncatedError,
+    atomic_write,
     read_frame,
     write_frame,
 )
@@ -182,11 +183,9 @@ def _write_manifest(directory: str, endpoint: str, fingerprint: str) -> None:
         "query": SCAN_QUERY,
         "fingerprint": fingerprint,
     }
-    tmp = os.path.join(directory, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with atomic_write(os.path.join(directory, MANIFEST_NAME), "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, os.path.join(directory, MANIFEST_NAME))
 
 
 def _load_pages(path: str) -> Tuple[List[Tuple[str, str, str]], int, int]:

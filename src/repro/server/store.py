@@ -18,7 +18,7 @@ One directory per job, next to the job's own checkpoint dir, so the job
 The single-writer split is the concurrency story: the server mutates
 ``job.json`` (queued/running/cancelled bookkeeping), the worker writes
 everything else, and both sides publish with the checkpoint plane's
-tmp-then-``os.replace`` discipline — a reader never observes a torn
+tmp-then-rename discipline — a reader never observes a torn
 file, and a crash leaves at worst ``*.tmp`` litter for the workspace
 sweeper.
 
@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
+from repro.core.framing import atomic_write
 from repro.dataflow.checkpoint import fingerprint_fields
 
 __all__ = [
@@ -68,13 +69,9 @@ _EXECUTORS = ("serial", "process")
 
 
 def atomic_write_json(path: str, payload: Any) -> None:
-    """Publish a JSON document with tmp-then-rename + fsync atomicity."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as stream:
+    """Publish a JSON document through :func:`atomic_write`."""
+    with atomic_write(path, "w") as stream:
         json.dump(payload, stream, indent=1, sort_keys=True)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
 
 
 def read_json(path: str) -> Optional[Any]:

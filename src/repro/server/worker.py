@@ -38,7 +38,8 @@ from typing import List, Optional
 
 from repro.core.conditions import ConditionScope
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.serialization import dump_result
+from repro.core.framing import atomic_write
+from repro.core.serialization import write_result
 from repro.dataflow.metrics import JobMetrics
 from repro.server.store import JobRequest, JobStore, atomic_write_json, read_json
 
@@ -206,9 +207,15 @@ def run_job(job_dir: str) -> int:
             result = RDFind(config).discover(dataset, metrics=metrics)
         # result.json first, outcome.json last: the outcome is the commit
         # point, so a crash between the two reads as "no result yet".
-        tmp_result = store.result_path(job_id) + ".tmp"
-        dump_result(result, tmp_result)
-        os.replace(tmp_result, store.result_path(job_id))
+        with atomic_write(store.result_path(job_id), "w") as handle:
+            write_result(
+                handle,
+                result.support_threshold,
+                result.config.variant_name,
+                result.cinds,
+                result.association_rules,
+                result.dictionary.decode,
+            )
         atomic_write_json(store.metrics_path(job_id), metrics.to_dict())
         atomic_write_json(
             store.outcome_path(job_id),

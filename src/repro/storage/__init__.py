@@ -9,14 +9,6 @@ discovery hot path runs on:
 * :class:`~repro.storage.columnar.EncodedDataset` — a dataset as three
   parallel ``array('i'/'q')`` id columns (widened automatically), the
   representation loaders produce and the pipeline consumes.
-* :class:`~repro.storage.vertical.VerticalPartitionStore` — (s, o)
-  columns grouped by predicate id, exposing the same ``match`` primitive
-  as :class:`repro.rdf.store.TripleStore` so SPARQL evaluation and query
-  minimization run on either store; ``freeze()`` drops it into the
-  compressed resident form.
-* :mod:`repro.storage.compressed` — bit-packed columns, zigzag-delta
-  varint posting lists, and frequency-ordered term codes: the same
-  logical content at a fraction of the bytes.
 * :mod:`repro.storage.snapshot` — a versioned, CRC-framed on-disk
   format (dictionary blob + id columns) loading via ``mmap`` with lazy
   term decode, plus the snapshot cache warm-start policy used by
@@ -24,8 +16,8 @@ discovery hot path runs on:
 
 Attributes are resolved lazily (PEP 562): :mod:`repro.rdf.model`
 re-exports the dictionary layer from here, so an eager import of the
-column/partition layers (which themselves use the RDF data model for
-decoding) would bootstrap a cycle.
+column layer (which itself uses the RDF data model for decoding) would
+bootstrap a cycle.
 """
 
 from importlib import import_module
@@ -38,14 +30,6 @@ _EXPORTS = {
     "TRIPLE_CELLS": "repro.storage.columnar",
     "TripleBatch": "repro.storage.columnar",
     "build_triple_batches": "repro.storage.columnar",
-    "packed_column_nbytes": "repro.storage.compressed",
-    "VerticalPartitionStore": "repro.storage.vertical",
-    "PostingOverflowError": "repro.storage.vertical",
-    "BitPackedColumn": "repro.storage.compressed",
-    "CompressedDataset": "repro.storage.compressed",
-    "FrozenPostingList": "repro.storage.compressed",
-    "frequency_order": "repro.storage.compressed",
-    "remap_by_frequency": "repro.storage.compressed",
     "SNAPSHOT_SUFFIX": "repro.storage.snapshot",
     "SnapshotError": "repro.storage.snapshot",
     "SnapshotTermDictionary": "repro.storage.snapshot",

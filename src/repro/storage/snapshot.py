@@ -7,13 +7,12 @@ adopted with one ``array.frombytes`` memcpy each, and the dictionary
 terms stay *lazy* — a :class:`SnapshotTermDictionary` serves ``decode``
 straight off the mapped UTF-8 blob and only materializes the terms a
 run actually renders.  Re-parsing N-Triples, by contrast, re-tokenizes
-and re-interns every term of every triple; the gap is the ≥20x measured
-in ``benchmarks/bench_snapshot_load.py``.
+and re-interns every term of every triple.
 
 On-disk layout (after an 8-byte magic)::
 
     frame 0   header JSON: version, name, triples, terms, typecode,
-              byteorder, remapped
+              byteorder
     frame 1   dictionary term-end offsets, array('q') bytes
     frame 2+  dictionary UTF-8 blob (chunked)
     ...       s column bytes (chunked), p column bytes, o column bytes
@@ -25,7 +24,7 @@ than the frame cap are split across frames; the reader knows each
 section's byte length from the header and reassembles.
 
 Durability follows the repo convention: write to a temp file in the
-destination directory, fsync, ``os.replace``.
+destination directory, fsync, rename (:func:`repro.core.framing.atomic_write`).
 
 :func:`load_with_snapshot_cache` is the warm-start policy used by the
 CLI resume path and the job server: given a cache key for the source
@@ -46,7 +45,12 @@ import zlib
 from array import array
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.core.framing import FRAME_HEADER, MAX_FRAME_BYTES, write_frame
+from repro.core.framing import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    atomic_write,
+    write_frame,
+)
 from repro.storage.columnar import EncodedDataset
 from repro.storage.dictionary import TermDictionary
 
@@ -97,24 +101,12 @@ class SnapshotFormatError(SnapshotError):
 # ----------------------------------------------------------------------
 
 
-def save_snapshot(
-    encoded: EncodedDataset,
-    path: str,
-    remap: bool = False,
-) -> dict:
+def save_snapshot(encoded: EncodedDataset, path: str) -> dict:
     """Write ``encoded`` to ``path`` atomically; returns the header dict.
 
-    With ``remap`` the dataset's term ids are first rewritten in
-    frequency order (:func:`repro.storage.compressed.remap_by_frequency`)
-    so the stored columns carry the shortest possible codes.  The decoded
-    *triples* are identical either way, but remapping changes the integer
-    coding — and therefore the dataset digest checkpoint resume keys on —
-    so the default keeps the ids exactly as loaded.
+    Term ids are stored exactly as loaded, so the dataset digest that
+    checkpoint resume keys on survives the round trip.
     """
-    if remap:
-        from repro.storage.compressed import remap_by_frequency
-
-        encoded = remap_by_frequency(encoded)
     dictionary = encoded.dictionary
     ends = array("q")
     blob_parts: List[bytes] = []
@@ -133,27 +125,15 @@ def save_snapshot(
         "terms": len(dictionary),
         "typecode": s.typecode,
         "byteorder": sys.byteorder,
-        "remapped": bool(remap),
     }
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    try:
-        with open(tmp_path, "wb") as stream:
-            stream.write(SNAPSHOT_MAGIC)
-            write_frame(
-                stream, json.dumps(header, sort_keys=True).encode("utf-8")
-            )
-            _write_section(stream, ends.tobytes())
-            _write_section(stream, blob)
-            for column in (s, p, o):
-                _write_section(stream, column.tobytes())
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_write(path) as stream:
+        stream.write(SNAPSHOT_MAGIC)
+        write_frame(stream, json.dumps(header, sort_keys=True).encode("utf-8"))
+        _write_section(stream, ends.tobytes())
+        _write_section(stream, blob)
+        for column in (s, p, o):
+            _write_section(stream, column.tobytes())
     return header
 
 

@@ -265,6 +265,8 @@ class ChangeLog:
         sealed_path = os.path.join(
             self.directory, _segment_name(self._open_first_seq, sealed=True)
         )
+        # Not core.framing.atomic_write: the segment was synced just above
+        # and is renamed in place, there is no temp copy to publish.
         os.replace(self._open_path, sealed_path)
         self._segments.append((self._open_first_seq, sealed_path))
         self._open_first_seq = self.last_seq + 1

@@ -24,12 +24,11 @@ import io
 import json
 import os
 import pickle
-import tempfile
 import warnings
 from typing import Optional, Tuple
 
 from repro.core.conditions import ConditionScope
-from repro.core.framing import FrameError, read_frame, write_frame
+from repro.core.framing import FrameError, atomic_write, read_frame, write_frame
 from repro.dataflow.checkpoint import fingerprint_fields
 from repro.streaming.maintainer import StreamingRDFind
 
@@ -104,7 +103,8 @@ class StreamCheckpointer:
 
         payload_name = f"state-{seq:012d}.bin"
         payload_path = os.path.join(self.directory, payload_name)
-        self._write_atomic(payload_path, payload)
+        with atomic_write(payload_path) as stream:
+            stream.write(payload)
         manifest = {
             "format": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
@@ -116,27 +116,10 @@ class StreamCheckpointer:
             "payload": payload_name,
             "payload_digest": digest,
         }
-        self._write_atomic(
-            self.manifest_path,
-            json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"),
-        )
+        with atomic_write(self.manifest_path, "w") as stream:
+            json.dump(manifest, stream, indent=1, sort_keys=True)
         self._sweep(keep=payload_name)
         return payload_path
-
-    def _write_atomic(self, path: str, data: bytes) -> None:
-        handle, tmp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=os.path.basename(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(data)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
 
     def _sweep(self, keep: str) -> None:
         """Drop superseded payloads (the manifest points at one only)."""

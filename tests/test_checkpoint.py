@@ -117,7 +117,7 @@ class TestManifest:
         manifest.save(path)
         loaded = JobManifest.load(path)
         assert loaded == manifest
-        assert not os.path.exists(path + ".tmp")
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
     def test_load_rejects_non_json(self, tmp_path):
         path = str(tmp_path / "manifest.json")

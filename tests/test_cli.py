@@ -25,9 +25,17 @@ class TestCli:
         assert "pertinent" in out and "⊆" in out
 
     def test_removed_path_selection_flags_are_rejected(self, capsys):
-        for flag, value in (("--storage", "strings"), ("--planner", "static")):
-            with pytest.raises(SystemExit):
-                main(["discover", "dataset:Countries", "-s", "5", flag, value])
+        discover = ["discover", "dataset:Countries", "-s", "5"]
+        for argv in (
+            discover + ["--storage", "strings"],
+            discover + ["--planner", "static"],
+            discover + ["--oom-recovery"],
+            ["snapshot", "save", "dataset:Countries", "-o", "c.snap", "--remap"],
+            ["stream", "state", "-s", "5", "--no-fsync"],
+        ):
+            with pytest.raises(SystemExit) as raised:
+                main(argv)
+            assert raised.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_discover_variant_de(self, capsys):

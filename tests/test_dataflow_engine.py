@@ -59,36 +59,23 @@ class TestElementWise:
 
 
 class TestKeyedOperators:
-    def _word_counts(self, parallelism, combine):
+    @pytest.mark.parametrize("parallelism", [1, 2, 5])
+    def test_reduce_by_key_counts(self, parallelism):
         words = ["a", "b", "a", "c", "b", "a"]
-        ds = env(parallelism).from_collection(words)
-        counted = ds.reduce_by_key(
+        counted = env(parallelism).from_collection(words).reduce_by_key(
             key_fn=lambda w: w,
             value_fn=lambda _w: 1,
             reduce_fn=lambda x, y: x + y,
-            combine=combine,
         )
-        return dict(counted.collect())
-
-    @pytest.mark.parametrize("parallelism", [1, 2, 5])
-    @pytest.mark.parametrize("combine", [True, False])
-    def test_reduce_by_key_counts(self, parallelism, combine):
-        assert self._word_counts(parallelism, combine) == {"a": 3, "b": 2, "c": 1}
+        assert dict(counted.collect()) == {"a": 3, "b": 2, "c": 1}
 
     def test_combine_reduces_shuffle_volume(self):
-        words = ["a"] * 100
-        env_combined = env(2)
-        env_combined.from_collection(words).reduce_by_key(
-            lambda w: w, lambda _w: 1, lambda x, y: x + y, combine=True
+        environment = env(2)
+        environment.from_collection(["a"] * 100).reduce_by_key(
+            lambda w: w, lambda _w: 1, lambda x, y: x + y
         )
-        combined_shuffle = env_combined.metrics.shuffled_records
-
-        env_plain = env(2)
-        env_plain.from_collection(words).reduce_by_key(
-            lambda w: w, lambda _w: 1, lambda x, y: x + y, combine=False
-        )
-        plain_shuffle = env_plain.metrics.shuffled_records
-        assert combined_shuffle < plain_shuffle
+        # one pre-aggregated pair per worker moves, not one per record
+        assert environment.metrics.stage_by_name("reduce_by_key").shuffled_records == 2
 
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_flat_map_reduce_by_key_equals_unfused(self, parallelism):
@@ -135,12 +122,6 @@ class TestKeyedOperators:
         )
         stage = environment.metrics.stage_by_name("flat_map_reduce_by_key")
         assert stage.peak_state_cost == 8
-
-    def test_group_by_key(self):
-        ds = env(2).from_collection([(1, "a"), (2, "b"), (1, "c")])
-        grouped = dict(ds.group_by_key(lambda pair: pair[0]).collect())
-        assert sorted(v for _k, v in grouped[1]) == ["a", "c"]
-        assert [v for _k, v in grouped[2]] == ["b"]
 
     def test_co_group_inner_and_outer(self):
         left = env(2).from_collection([("a", 1), ("b", 2)])
@@ -189,20 +170,6 @@ class TestRepartitioning:
         ds = environment.from_partitions([[1] * 8, [], [], []]).rebalance()
         sizes = [len(p) for p in ds.partitions]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_by_key_is_deterministic(self):
-        ds = env(3).from_collection(range(20)).partition_by_key(lambda x: x % 5)
-        for partition in ds.partitions:
-            # all records with equal key land in the same partition
-            keys_here = {x % 5 for x in partition}
-            for other in ds.partitions:
-                if other is not partition:
-                    assert keys_here.isdisjoint({x % 5 for x in other})
-
-    def test_union(self):
-        a = env(2).from_collection([1, 2])
-        b = a.env.from_collection([3, 4])
-        assert sorted(a.union(b).collect()) == [1, 2, 3, 4]
 
 
 class TestMemoryBudget:
@@ -278,14 +245,6 @@ class TestMetrics:
         environment.from_collection(range(4)).map(lambda x: x)
         text = environment.metrics.describe()
         assert "map" in text and "TOTAL" in text
-
-    def test_merge_prefixed(self):
-        a = env(2)
-        a.from_collection(range(4))
-        b = env(2)
-        b.from_collection(range(4))
-        a.metrics.merge_prefixed(b.metrics, "sub/")
-        assert a.metrics.stage_by_name("sub/source") is not None
 
 
 class TestParallelismInvariance:

@@ -231,7 +231,6 @@ class TestEngineEquivalence:
             fused = data.flat_map_reduce_by_key(
                 _index_pairs, _add, name="fused"
             )
-            grouped = data.group_by_key(_mod3)
             joined = counts.co_group(
                 fused, pair_key, pair_key, _join, name="join"
             )
@@ -240,9 +239,6 @@ class TestEngineEquivalence:
                 "tagged": tagged.collect(),
                 "counts": counts.collect(),
                 "fused": fused.collect(),
-                "grouped": [
-                    (key, sorted(values)) for key, values in grouped.collect()
-                ],
                 "joined": joined.collect(),
                 "reduced_partitions": data.reduce_partitions(sum, _add),
             }
@@ -259,10 +255,6 @@ class TestEngineEquivalence:
 
 def _add(a, b):
     return a + b
-
-
-def _mod3(x):
-    return x % 3
 
 
 class TestFromPartitionsRoundRobin:

@@ -1,4 +1,4 @@
-"""Fault tolerance: deterministic injection, retry, adaptive OOM recovery.
+"""Fault tolerance: deterministic injection and retry.
 
 The acceptance criterion mirrors Flink's recovery guarantee: with a seeded
 FaultPlan injecting transient failures, worker crashes, and stragglers,
@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.dataflow.engine import ExecutionEnvironment, SimulatedOutOfMemory
+from repro.dataflow.engine import SimulatedOutOfMemory
 from repro.dataflow.executors import (
     EXECUTOR_NAMES,
     ProcessExecutor,
@@ -151,14 +151,6 @@ class TestRetryPolicy:
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
-
-
-def _unit_pair(x):
-    return [(x, 1)]
 
 
 def _crash_forcing_plan(kind, task_index=1):
@@ -385,71 +377,5 @@ class TestFaultyDiscoveryEquivalence:
         summary = result.metrics.summary()
         assert summary["faults_injected"] == result.metrics.total_faults_injected
         assert summary["retries"] == result.metrics.total_retries
-        assert "recovered_oom_splits" in summary
         assert "faults=" in result.metrics.describe()
 
-
-# ----------------------------------------------------------------------
-# adaptive OOM recovery (--oom-recovery)
-# ----------------------------------------------------------------------
-
-
-class TestOomRecovery:
-    BUDGET = 500  # fails in ex/merge-candidates without recovery
-
-    def test_flag_defaults_off(self):
-        assert RDFindConfig().oom_recovery is False
-        assert ExecutionEnvironment(parallelism=2).oom_recovery is False
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("RDFIND_OOM_RECOVERY", "1")
-        assert RDFindConfig().oom_recovery is True
-
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_budget_fails_without_flag_completes_with_it(self, executor):
-        # The record-count budget simulation is inline-shuffle semantics:
-        # under --shuffle spill the keyed operators spill instead of
-        # raising, so pin inline regardless of the ambient RDFIND_SHUFFLE.
-        dataset = random_rdf(3, n_triples=200)
-        with pytest.raises(SimulatedOutOfMemory):
-            _discover(
-                dataset, executor, memory_budget=self.BUDGET, shuffle="inline"
-            )
-        recovered = _discover(
-            dataset,
-            executor,
-            memory_budget=self.BUDGET,
-            oom_recovery=True,
-            shuffle="inline",
-        )
-        unconstrained = _discover(dataset, executor)
-        assert recovered.cinds == unconstrained.cinds
-        assert recovered.association_rules == unconstrained.association_rules
-        assert recovered.metrics.total_recovered_oom_splits >= 1
-
-    def test_fused_combiner_spill(self):
-        """A combiner-state OOM falls back to the no-combine shuffle
-        (plus key-splitting of the post-shuffle reduce buckets)."""
-        with ExecutionEnvironment(
-            parallelism=2, memory_budget=30, oom_recovery=True
-        ) as environment:
-            data = environment.from_collection(range(100))
-            reduced = data.flat_map_reduce_by_key(_unit_pair, _add, name="spill")
-            # collect() would trip the driver-side budget check, which is
-            # deliberately unrecoverable; read the partitions directly.
-            counts = dict(
-                pair for partition in reduced.partitions for pair in partition
-            )
-        assert counts == {x: 1 for x in range(100)}
-        metrics = environment.metrics
-        assert metrics.total_recovered_oom_splits >= 1
-
-    def test_driver_side_budget_is_not_recoverable(self):
-        """collect()'s driver-side budget check models the driver's own
-        memory, which splitting workers cannot help."""
-        with ExecutionEnvironment(
-            parallelism=2, memory_budget=10, oom_recovery=True
-        ) as environment:
-            data = environment.from_collection(range(100))
-            with pytest.raises(SimulatedOutOfMemory):
-                data.collect()

@@ -27,7 +27,9 @@ from repro.core.retry import RetryPolicy
 from repro.dataflow.checkpoint import dataset_digest
 from repro.federation.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.federation.client import SparqlEndpointClient, binding_to_term
+from repro.apps.integration import discover_cross_cinds
 from repro.federation.cross import (
+    FederatedResult,
     federated_discover,
     federated_result_to_dict,
 )
@@ -446,6 +448,7 @@ class TestResumableFetch:
             )
         assert result.resumed_rows > 0
         assert dataset_digest(result.encoded) == reference
+        assert not [name for name in os.listdir(ws) if ".tmp" in name]
 
     def test_torn_tail_frame_is_dropped(self, data_file, tmp_path):
         ws = str(tmp_path / "ws")
@@ -514,6 +517,33 @@ def write_pair(tmp_path):
     return lp, rp
 
 
+def document_via_strings(result):
+    """The result document recomputed the long way round: every usable
+    source decoded to strings and re-encoded by the public pairwise API
+    (what ``federated_discover`` did before it ran on its id columns)."""
+    usable = [source for source in result.sources if source.usable]
+    pairs = [
+        (
+            left.name,
+            right.name,
+            discover_cross_cinds(
+                left.encoded.decode(),
+                right.encoded.decode(),
+                h=result.support_threshold,
+                dictionary=result.dictionary,
+            ),
+        )
+        for left in usable
+        for right in usable
+        if left is not right
+    ]
+    return federated_result_to_dict(
+        FederatedResult(
+            result.sources, pairs, result.dictionary, result.support_threshold
+        )
+    )
+
+
 class TestFederatedDiscovery:
     def test_two_healthy_sources_find_cross_cinds(self, tmp_path):
         lp, rp = write_pair(tmp_path)
@@ -527,6 +557,7 @@ class TestFederatedDiscovery:
         assert [s["status"] for s in document["sources"]] == [
             "complete", "complete",
         ]
+        assert json.dumps(document) == json.dumps(document_via_strings(result))
 
     def test_dead_source_degrades_to_partial_document(self, tmp_path):
         lp, rp = write_pair(tmp_path)
@@ -553,6 +584,30 @@ class TestFederatedDiscovery:
         pair_names = {(p["left"], p["right"]) for p in document["pairs"]}
         assert pair_names == {("drugs", "diseases"), ("diseases", "drugs")}
         assert document["complete"] is False
+        assert json.dumps(document) == json.dumps(document_via_strings(result))
+
+    def test_each_usable_source_is_interpreted_once(self, tmp_path, monkeypatch):
+        from repro.federation import cross
+
+        interpreted = []
+        capture_interpretations = cross.capture_interpretations
+
+        def counting(triples, h, scope):
+            interpreted.append(triples.name)
+            return capture_interpretations(triples, h, scope)
+
+        monkeypatch.setattr(cross, "capture_interpretations", counting)
+        lp, rp = write_pair(tmp_path)
+        with MockSparqlEndpoint(lp) as a, MockSparqlEndpoint(rp) as b, \
+                MockSparqlEndpoint(lp) as c:
+            result = federated_discover(
+                [("drugs", a.url), ("diseases", b.url), ("more-drugs", c.url)],
+                h=2, page_size=16,
+            )
+        assert len(result.pairs) == 6
+        assert interpreted == ["drugs", "diseases", "more-drugs"]
+        document = federated_result_to_dict(result)
+        assert json.dumps(document) == json.dumps(document_via_strings(result))
 
     def test_circuit_opening_midjob_yields_partial_source(self, tmp_path):
         """A source that dies partway contributes its salvaged pages."""

@@ -117,6 +117,13 @@ class TestEndpoints:
         ).encode("utf-8")
         assert client.raw_result(job_id) == expected
 
+    def test_finished_job_dir_holds_no_temp_files(self, served):
+        server, _client, job_id = served
+        job_dir = server.service.store.job_dir(job_id)
+        names = [name for _dir, _subdirs, files in os.walk(job_dir) for name in files]
+        assert "result.json" in names and "outcome.json" in names
+        assert not [name for name in names if ".tmp" in name]
+
     def test_result_pagination(self, served):
         _server, client, job_id = served
         first = client.result(job_id, offset=0, limit=3)
@@ -194,6 +201,26 @@ class TestAdmission:
                 client.cancel(job_id)
                 client.wait(job_id, expect="cancelled", timeout=30)
                 assert client.cancel(job_id)["state"] == "cancelled"
+        finally:
+            server.stop()
+
+    def test_concurrent_identical_submissions_share_one_job(self, tmp_path, tiny_nt):
+        """A thundering herd of one config: one job id, one worker spawned."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                herd = list(
+                    pool.map(
+                        lambda _i: client.submit(dataset=tiny_nt, support_threshold=2),
+                        range(8),
+                    )
+                )
+            assert len({job["id"] for job in herd}) == 1
+            assert [job["cache"] for job in herd].count("miss") == 1
+            client.wait(herd[0]["id"], timeout=120)
+            assert server.service.started_jobs == 1
         finally:
             server.stop()
 
@@ -367,7 +394,7 @@ class TestStore:
         path = str(tmp_path / "doc.json")
         atomic_write_json(path, {"a": 1})
         assert read_json(path) == {"a": 1}
-        assert not os.path.exists(path + ".tmp")
+        assert os.listdir(tmp_path) == ["doc.json"]
         assert read_json(str(tmp_path / "missing.json")) is None
 
 

@@ -20,6 +20,7 @@ from repro.core.framing import (
     FrameCorruptionError,
     FrameError,
     FrameTruncatedError,
+    atomic_write,
     iter_frames,
     pack_frame,
     read_frame,
@@ -41,6 +42,26 @@ from tests.conftest import ar_set, cind_set, random_rdf
 # ----------------------------------------------------------------------
 # binary frames (satellite: CRC corruption + truncation error paths)
 # ----------------------------------------------------------------------
+
+
+class TestAtomicWrite:
+    def test_failed_body_keeps_old_content_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "doc.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(path)) as stream:
+                stream.write(b"half-written")
+                raise RuntimeError("writer died")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["doc.bin"]
+
+    def test_clean_exit_replaces_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text("old")
+        with atomic_write(str(path), "w") as stream:
+            stream.write("né")
+        assert path.read_bytes() == "né".encode("utf-8")
+        assert os.listdir(tmp_path) == ["doc.txt"]
 
 
 class TestFrames:
@@ -297,15 +318,15 @@ def _run_keyed_pipeline(shuffle, executor="serial", **env_kwargs):
     ) as env:
         ds = env.from_collection(data, name="src")
         reduced = ds.reduce_by_key(_mod7, _identity, _add).partitions
-        streamed = ds.reduce_by_key(
-            _mod7, _identity, _add, combine=False
-        ).partitions
+        # 101 distinct keys: under a small byte budget the combiner
+        # overflows and cuts several runs per key, which the merge must
+        # fold back together.
+        wide = ds.reduce_by_key(_identity, _identity, _add).partitions
         fused = ds.flat_map_reduce_by_key(_expand_pairs, _add).partitions
-        grouped = ds.group_by_key(_mod7).partitions
         other = env.from_collection(data[::3], name="src2")
         joined = ds.co_group(other, _mod7, _mod7, _count_join).partitions
         summary = env.metrics.summary()
-    return (reduced, streamed, fused, grouped, joined), summary
+    return (reduced, wide, fused, joined), summary
 
 
 class TestSpillEquivalence:
@@ -365,11 +386,11 @@ class TestSpillEquivalence:
 
 class TestBoundedMemory:
     def test_oversized_bucket_completes_within_budget(self):
-        # Acceptance: a reduce_by_key whose single dominant bucket is
-        # >= 10x the byte budget completes by spilling — runs on disk,
-        # peak in-memory state bounded, no SimulatedOutOfMemory even
-        # though the record-count budget would have fired inline.
-        data = [0] * 20000  # one bucket, all records
+        # Acceptance: a reduce_by_key whose combiner state is >= 10x the
+        # byte budget completes by spilling — several runs per key on
+        # disk, peak in-memory state bounded, no SimulatedOutOfMemory
+        # even though the record-count budget would have fired inline.
+        data = [i % 5000 for i in range(20000)]  # every key four times
         budget_bytes = 8192
         with ExecutionEnvironment(
             parallelism=2,
@@ -378,35 +399,42 @@ class TestBoundedMemory:
             memory_budget=100,  # record-count simulation: ignored by spill
         ) as env:
             pairs = env.from_collection(data).reduce_by_key(
-                _identity, _identity, _add, combine=False
+                _identity, _identity, _add
             )
-            [result] = pairs.collect(name="result")
+            # collect() would trip the driver-side record budget; read
+            # the partitions directly.
+            totals = dict(pair for part in pairs.partitions for pair in part)
             summary = env.metrics.summary()
-        assert result == (0, 0)
-        bucket_bytes = summary["spilled_bytes"]
-        assert bucket_bytes >= 10 * budget_bytes
-        assert summary["spilled_runs"] > 0
+        assert totals == {key: 4 * key for key in range(5000)}
+        assert summary["spilled_bytes"] >= 10 * budget_bytes
+        # far more runs than one final flush per (task, partition)
+        assert summary["spilled_runs"] > 10 * 2 * 2
         # One record of slack: the budget check runs after the charge.
         assert summary["peak_state_bytes"] <= 2 * budget_bytes
 
     def test_inline_same_bucket_would_oom_but_spill_completes(self):
-        # The counterpart: grouping the same oversized bucket inline under
-        # a record-count budget raises; the spill path just spills.
+        # The counterpart on the operator that cannot combine: co-grouping
+        # one oversized key inline under a record-count budget raises;
+        # the spill path just spills.
         from repro.dataflow.faults import SimulatedOutOfMemory
 
         data = [0] * 20000
         with ExecutionEnvironment(parallelism=2, memory_budget=100) as env:
+            ds = env.from_collection(data)
             with pytest.raises(SimulatedOutOfMemory):
-                env.from_collection(data).group_by_key(_identity)
+                ds.co_group(ds, _identity, _identity, _count_join)
         with ExecutionEnvironment(
             parallelism=2,
             memory_budget=100,
             shuffle="spill",
             memory_budget_bytes=8192,
         ) as env:
-            groups = env.from_collection(data).group_by_key(_identity)
-            [(key, members)] = groups.collect(name="groups")
-        assert key == 0 and len(members) == 20000
+            ds = env.from_collection(data)
+            joined = ds.co_group(ds, _identity, _identity, _count_join)
+            [row] = joined.collect(name="joined")
+            summary = env.metrics.summary()
+        assert row == (0, 20000, 20000, 0)
+        assert summary["spilled_bytes"] >= 10 * 8192
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +464,7 @@ class TestSpillHygiene:
         ) as env:
             ds = env.from_collection(range(500))
             ds.reduce_by_key(_mod7, _identity, _add)
-            ds.group_by_key(_mod7)
+            ds.co_group(ds, _mod7, _mod7, _count_join)
             (workspace,) = os.listdir(spill_dir)
             # Runs are per-stage scratch: nothing survives the operator.
             assert os.listdir(os.path.join(spill_dir, workspace)) == []
@@ -460,7 +488,7 @@ class TestSpillHygiene:
             seed=11,
             transient_rate=0.2,
             crash_rate=0.0,
-            forced=(("reduce_by_key", 0, TRANSIENT), ("group", 1, TRANSIENT)),
+            forced=(("reduce_by_key", 0, TRANSIENT), ("co_group/apply", 1, TRANSIENT)),
         )
         clean, _ = _run_keyed_pipeline("spill", memory_budget_bytes=2048)
         faulty, summary = _run_keyed_pipeline(

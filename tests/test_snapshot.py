@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.discovery import RDFind, RDFindConfig
+from repro.core.framing import FRAME_HEADER, write_frame
 from repro.dataflow.checkpoint import dataset_digest
 from repro.rdf.ntriples import write_ntriples_file
 from repro.storage.columnar import EncodedDataset
@@ -28,10 +29,26 @@ from tests.result_oracle import result_to_dict
 from tests.test_storage import UNICODE_TERMS
 
 
-def roundtrip(tmp_path, encoded, **save_kwargs):
+def roundtrip(tmp_path, encoded):
     path = str(tmp_path / "data.snap")
-    header = save_snapshot(encoded, path, **save_kwargs)
+    header = save_snapshot(encoded, path)
     return path, header, load_snapshot(path)
+
+
+def rewrite_header(path, out_path, **updates):
+    """Copy a snapshot with its header frame edited, CRC intact."""
+    with open(path, "rb") as stream:
+        raw = stream.read()
+    offset = len(SNAPSHOT_MAGIC)
+    length, _crc = FRAME_HEADER.unpack_from(raw, offset)
+    start = offset + FRAME_HEADER.size
+    header = json.loads(raw[start : start + length].decode("utf-8"))
+    header.update(updates)
+    with open(out_path, "wb") as stream:
+        stream.write(raw[:offset])
+        write_frame(stream, json.dumps(header, sort_keys=True).encode("utf-8"))
+        stream.write(raw[start + length :])
+    return out_path
 
 
 class TestRoundTrip:
@@ -68,15 +85,15 @@ class TestRoundTrip:
         _path, _header, loaded = roundtrip(tmp_path, encoded)
         assert dataset_digest(loaded) == dataset_digest(encoded)
 
-    def test_remap_preserves_triples_not_ids(self, tmp_path):
+    def test_parent_written_header_key_is_ignored(self, tmp_path):
+        # snapshots written before `snapshot save --remap` was removed
+        # carry a write-only "remapped" key; they must keep loading
         encoded = random_rdf(43, n_triples=120).encode()
-        path = str(tmp_path / "remap.snap")
-        header = save_snapshot(encoded, path, remap=True)
-        assert header["remapped"] is True
-        loaded = load_snapshot(path)
-        assert sorted(map(tuple, loaded.decode())) == sorted(
-            map(tuple, encoded.decode())
-        )
+        path, header, _loaded = roundtrip(tmp_path, encoded)
+        assert "remapped" not in header
+        old = rewrite_header(path, str(tmp_path / "old.snap"), remapped=False)
+        assert snapshot_info(old)["remapped"] is False
+        assert dataset_digest(load_snapshot(old)) == dataset_digest(encoded)
 
     def test_widen_boundary_at_int32_max(self, tmp_path):
         # ids beyond INT32_MAX force 'q' columns; the snapshot must
@@ -185,28 +202,7 @@ class TestCorruptionRecovery:
     def test_unsupported_version_raises(self, tmp_path):
         encoded = random_rdf(53, n_triples=10).encode()
         path, _header, _loaded = roundtrip(tmp_path, encoded)
-        raw = bytearray(open(path, "rb").read())
-        # rewrite the header frame with a future version, CRC intact
-        import struct
-        import zlib
-
-        from repro.core.framing import FRAME_HEADER
-
-        offset = len(SNAPSHOT_MAGIC)
-        length, _crc = FRAME_HEADER.unpack_from(raw, offset)
-        start = offset + FRAME_HEADER.size
-        header = json.loads(raw[start : start + length].decode("utf-8"))
-        header["version"] = 99
-        payload = json.dumps(header, sort_keys=True).encode("utf-8")
-        rebuilt = (
-            bytes(raw[:offset])
-            + FRAME_HEADER.pack(len(payload), zlib.crc32(payload))
-            + payload
-            + bytes(raw[start + length :])
-        )
-        bad = str(tmp_path / "future.snap")
-        with open(bad, "wb") as stream:
-            stream.write(rebuilt)
+        bad = rewrite_header(path, str(tmp_path / "future.snap"), version=99)
         with pytest.raises(SnapshotFormatError, match="version"):
             load_snapshot(bad)
 
