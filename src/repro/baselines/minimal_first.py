@@ -25,7 +25,7 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.capture_groups import create_capture_groups
-from repro.core.cind import CIND, Capture, SupportedCIND
+from repro.core.cind import CIND, Capture, SupportedCIND, code_capture
 from repro.core.conditions import ConditionScope
 from repro.core.discovery import DiscoveryResult, DiscoveryStats, RDFindConfig
 from repro.core.frequent_conditions import detect_frequent_conditions
@@ -91,7 +91,10 @@ def minimal_first_discover(
         env = ExecutionEnvironment(parallelism=parallelism, name=f"minimal-first(h={h})")
         batches = batch_dataset(env, dataset)
         frequent = detect_frequent_conditions(env, batches, h=h, scope=scope)
-        groups = create_capture_groups(env, batches, scope=scope, frequent=frequent)
+        # The passes work on the captures themselves; decode the codes here.
+        groups = create_capture_groups(
+            env, batches, scope=scope, frequent=frequent
+        ).map(_decode_group, name="mf/decode-groups")
 
         unary = lambda c: c.is_unary  # noqa: E731 - local arity predicates
         binary = lambda c: c.is_binary  # noqa: E731
@@ -137,6 +140,10 @@ def minimal_first_discover(
         metrics=env.metrics,
         elapsed_seconds=elapsed,
     )
+
+
+def _decode_group(group: FrozenSet[int]) -> FrozenSet[Capture]:
+    return frozenset(map(code_capture, group))
 
 
 def _materialize(

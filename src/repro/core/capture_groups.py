@@ -26,18 +26,20 @@ Section 8.5.
 
 from __future__ import annotations
 
+import operator
 from typing import FrozenSet, Optional, Set, Tuple
 
-from repro.core.cind import Capture
-from repro.core.conditions import ConditionScope, is_binary
+from repro.core.cind import unary_part_codes
+from repro.core.conditions import ConditionScope
 from repro.core.frequent_conditions import FrequentConditions
 from repro.dataflow.engine import DataSet, ExecutionEnvironment
 
-#: A capture group: the set of captures that share one common value.
-CaptureGroup = FrozenSet[Capture]
+#: A capture group: the captures that share one common value, each as its
+#: :func:`~repro.core.cind.capture_code`.
+CaptureGroup = FrozenSet[int]
 
 
-def expand_captures(captures: Set[Capture]) -> CaptureGroup:
+def expand_captures(codes: Set[int]) -> CaptureGroup:
     """Recover the unary captures a binary capture evidence subsumes.
 
     A binary evidence ``v ∈ (α, φ1 ∧ φ2)`` implies ``v ∈ (α, φ1)`` and
@@ -45,11 +47,9 @@ def expand_captures(captures: Set[Capture]) -> CaptureGroup:
     binary one is (the Apriori property), so no extra frequency check is
     needed here.
     """
-    expanded: Set[Capture] = set(captures)
-    for capture in captures:
-        if is_binary(capture.condition):
-            for part in capture.condition.unary_parts():
-                expanded.add(Capture(capture.attr, part))
+    expanded = set(codes)
+    for code in codes:
+        expanded.update(unary_part_codes(code))
     return frozenset(expanded)
 
 
@@ -62,7 +62,7 @@ def create_capture_groups(
     """Run the CGCreator: evidences → grouped and expanded capture groups.
 
     Returns a :class:`~repro.dataflow.engine.DataSet` of
-    :data:`CaptureGroup` (frozensets of captures); the grouping values are
+    :data:`CaptureGroup` (frozensets of capture codes); the grouping values are
     discarded after aggregation, as in the paper ("the system discards the
     values as they are no longer needed").
 
@@ -86,9 +86,11 @@ def create_capture_groups(
     from repro.dataflow.kernels import EvidenceBatchKernel
 
     scope = scope if scope is not None else ConditionScope.full()
+    # The aggregation owns its accumulator sets, so the in-place union is
+    # safe; it is a left fold, so every evidence is inserted once.
     grouped = batches.flat_map_reduce_by_key(
         EvidenceBatchKernel(scope, frequent),
-        _merge_sets,
+        operator.ior,
         name="cg/group-by-value",
     )
     # Round-robin the groups before the expensive per-group work: the hash
@@ -100,19 +102,7 @@ def create_capture_groups(
     return rebalanced.map(_expand_group_value, name="cg/expand")
 
 
-def _expand_group_value(pair: Tuple[int, Set[Capture]]) -> CaptureGroup:
+def _expand_group_value(pair: Tuple[int, Set[int]]) -> CaptureGroup:
     """Drop the grouping value and expand subsumed unary captures."""
     return expand_captures(pair[1])
 
-
-def _merge_sets(a: Set[Capture], b: Set[Capture]) -> Set[Capture]:
-    """Union two accumulator sets, mutating the larger one.
-
-    The accumulators are owned by the aggregation, so in-place union is
-    safe; always growing the larger set keeps aggregation near-linear even
-    for values with very many capture evidences.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a

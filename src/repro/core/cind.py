@@ -10,7 +10,7 @@ implied CINDs because their semantics are stronger.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Set
+from typing import Iterator, NamedTuple, Optional, Set, Tuple
 
 from repro.core.conditions import (
     BinaryCondition,
@@ -63,6 +63,60 @@ class Capture(NamedTuple):
     def render(self, dictionary: TermDictionary) -> str:
         """Paper-style rendering, e.g. ``(s, p=rdf:type ∧ o=gradStudent)``."""
         return f"({self.attr.symbol}, {self.condition.render(dictionary)})"
+
+
+# Capture codes: what a capture is between the evidence kernel and the end
+# of extraction — a plain int computed from the term ids alone, so there
+# is no interning table and every worker process computes the same one:
+#
+#   unary  (α, β=v)          ->  v << 4 | α << 2 | β
+#   binary (α, β=v1 ∧ γ=v2)  ->  (v2 + 1) << 36 | v1 << 4 | α << 2 | 3
+#
+# (β, γ of a binary capture are the two attributes other than α.)  Term
+# ids fit array('i'), so a unary code stays below bit 35 and any bit from
+# 36 up means binary.  What varies between the captures of one group sits
+# in the low bits, where CPython starts probing a set; a tag kept above
+# the value would collide every unary capture of a group.
+_BINARY_TAG = 3
+_UNARY_BITS = (1 << 36) - 1
+
+
+def capture_code(capture: Capture) -> int:
+    """The int code of ``capture`` (inverse: :func:`code_capture`)."""
+    attr, condition = capture
+    if len(condition) == 2:
+        return (condition[1] << 4) | (attr << 2) | condition[0]
+    return (
+        ((condition[3] + 1) << 36) | (condition[1] << 4) | (attr << 2) | _BINARY_TAG
+    )
+
+
+def code_capture(code: int) -> Capture:
+    """The capture a code spells (inverse: :func:`capture_code`)."""
+    attr = Attr((code >> 2) & 3)
+    tag = code & 3
+    value = (code & _UNARY_BITS) >> 4
+    if tag != _BINARY_TAG:
+        return Capture(attr, UnaryCondition(Attr(tag), value))
+    beta, gamma = Attr.others(attr)
+    return Capture(attr, BinaryCondition(beta, value, gamma, (code >> 36) - 1))
+
+
+def unary_part_codes(code: int) -> Tuple[int, ...]:
+    """Codes of a binary code's two unary relaxations; none for a unary code.
+
+    ``map(code_capture, unary_part_codes(capture_code(c)))`` spells
+    ``c.unary_relaxations()``.
+    """
+    high = code >> 36
+    if not high:
+        return ()
+    projection = code & 12
+    beta, gamma = Attr.others(projection >> 2)  # ints key like their Attr
+    return (
+        (code & _UNARY_BITS) - _BINARY_TAG + beta,
+        ((high - 1) << 4) | projection | gamma,
+    )
 
 
 class CIND(NamedTuple):

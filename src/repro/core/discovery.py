@@ -646,12 +646,15 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
 
 
 def _count_non_trivial_broad(broad) -> int:
-    count = 0
-    for dependent, (refs, _support) in broad.items():
-        for referenced in refs:
-            if not CIND(dependent, referenced).is_trivial():
-                count += 1
-    return count
+    """``len(broad_cind_list(broad))`` without building the rows.
+
+    A dependent is never among its own references, so the only trivial
+    rows are a binary dependent's own unary relaxations.
+    """
+    return sum(
+        len(refs) - len(refs.intersection(dependent.unary_relaxations()))
+        for dependent, (refs, _support) in broad.items()
+    )
 
 
 def _as_encoded(dataset: Union[Dataset, EncodedDataset, Sequence]) -> EncodedDataset:

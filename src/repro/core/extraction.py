@@ -18,10 +18,11 @@ countermeasures (Section 7.2):
   it are *dominant* and are split into per-worker work units.
 * **Approximate-validate extraction** — dominant groups emit candidate
   sets whose referenced captures are encoded in a constant-size Bloom
-  filter (O(n) instead of O(n²) space).  Candidate sets are merged with
-  Algorithm 3 (exact ∩ exact, Bloom AND Bloom, exact probed against
-  Bloom); merged sets with Bloom lineage are *uncertain* and are
-  re-validated against the retained work units, which restores exactness.
+  filter (O(n) instead of O(n²) space), held as one int.  Candidate sets
+  are merged with Algorithm 3 (exact ∩ exact, Bloom AND Bloom, exact
+  probed against Bloom); merged sets with Bloom lineage are *uncertain*
+  and are re-validated against the retained work units, which restores
+  exactness.
 
 Disabling the countermeasures yields the paper's RDFind-DE ablation
 (direct extraction, Section 8.5).
@@ -33,6 +34,11 @@ single filter per dominant group (containing all of G) and share it across
 that group's candidate sets; the dependent capture itself is filtered out
 when results are materialized, and the validation pass corrects any
 self-hit exactly as it corrects other false positives.
+
+From the capture groups that come in to the last step of
+:func:`extract_broad_cinds`, which decodes each distinct code once, a
+capture is its :func:`~repro.core.cind.capture_code` int; nothing in
+between is specific to captures.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.core.cind import Capture
-from repro.dataflow.bloom import BloomFilter
+from repro.core.cind import Capture, code_capture
+from repro.dataflow.bloom import int_key_mask
 from repro.dataflow.engine import (
     DataSet,
     ExecutionEnvironment,
@@ -51,14 +57,15 @@ from repro.dataflow.engine import (
     pair_value,
 )
 
-#: Referenced-capture collection of a candidate set: exact or approximate.
-Refs = Union[FrozenSet[Capture], BloomFilter]
+#: Referenced-capture collection of a candidate set: an exact set of
+#: capture codes, or an approximate one — a Bloom filter's bits as an int.
+Refs = Union[FrozenSet[int], int]
 
 #: Candidate-set value: (referenced captures, support count, approx flag).
 CandidateValue = Tuple[Refs, int, bool]
 
 #: A work unit: (dependent captures to process, the full dominant group).
-WorkUnit = Tuple[FrozenSet[Capture], FrozenSet[Capture]]
+WorkUnit = Tuple[FrozenSet[int], FrozenSet[int]]
 
 #: Bloom-filter size used for dominant-group candidate sets; the paper
 #: found 64 bytes (512 bits) to perform best.
@@ -98,6 +105,17 @@ class ExtractionStats:
 
 #: Result: dependent capture -> (exact referenced captures, support).
 BroadCINDs = Dict[Capture, Tuple[FrozenSet[Capture], int]]
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed once per distinct key."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def extract_broad_cinds(
@@ -144,6 +162,13 @@ def extract_broad_cinds(
         average_load = float("inf")
 
     work_units = _build_work_units(env, groups, average_load, stats)
+    masks = _Memo(
+        partial(
+            int_key_mask,
+            num_bits=config.candidate_bloom_bits,
+            num_hashes=config.candidate_bloom_hashes,
+        )
+    )
 
     # Candidate generation is FUSED into the keyed aggregation (Flink's
     # operator chaining): a group's candidate sets fold into the combiner
@@ -157,8 +182,8 @@ def extract_broad_cinds(
     # referenced set per dependent capture seen so far) is priced —
     # exactly the footprint that kills RDFind-DE on dominant groups.
     merged = groups.flat_map_reduce_by_key(
-        _SharedRefsCandidateEmitter(config, average_load),
-        _merge_candidate_values,
+        _SharedRefsCandidateEmitter(masks, average_load),
+        partial(_merge_candidate_values, masks),
         state_cost_fn=(
             _candidate_state_cost if env.memory_budget is not None else None
         ),
@@ -168,24 +193,29 @@ def extract_broad_cinds(
         partial(_support_at_least, config.h), name="ex/broadness-filter"
     )
 
-    certain: BroadCINDs = {}
-    uncertain: Dict[Capture, Refs] = {}
-    counts: Dict[Capture, int] = {}
+    certain: Dict[int, Tuple[FrozenSet[int], int]] = {}
+    uncertain: Dict[int, Refs] = {}
+    counts: Dict[int, int] = {}
     for dependent, (refs, count, approx) in broad.collect(name="ex/collect"):
         counts[dependent] = count
         if not approx:
             certain[dependent] = (refs, count)
-        elif not _refs_empty(refs):
+        elif refs:
             uncertain[dependent] = refs
     stats.uncertain_candidates = len(uncertain)
 
     if uncertain:
-        validated = _validate_uncertain(env, work_units, uncertain)
+        validated = _validate_uncertain(env, work_units, masks, uncertain)
         for dependent, refs in validated.items():
             certain[dependent] = (refs, counts[dependent])
 
-    result = {
-        dependent: (refs, count)
+    # The one place captures are materialized: one object per distinct code.
+    captures = _Memo(code_capture)
+    result: BroadCINDs = {
+        captures[dependent]: (
+            frozenset(map(captures.__getitem__, refs)),
+            count,
+        )
         for dependent, (refs, count) in certain.items()
         if refs
     }
@@ -199,14 +229,12 @@ def extract_broad_cinds(
 # ----------------------------------------------------------------------
 
 
-def _emit_capture_counters(
-    group: FrozenSet[Capture],
-) -> Iterator[Tuple[Capture, int]]:
+def _emit_capture_counters(group: FrozenSet[int]) -> Iterator[Tuple[int, int]]:
     for capture in group:
         yield capture, 1
 
 
-def _support_below(h: int, pair: Tuple[Capture, int]) -> bool:
+def _support_below(h: int, pair: Tuple[int, int]) -> bool:
     return pair[1] < h
 
 
@@ -215,7 +243,7 @@ def _support_at_least(h: int, pair) -> bool:
     return pair[1][1] >= h
 
 
-def _difference_from(prunable: FrozenSet[Capture], group: FrozenSet[Capture]):
+def _difference_from(prunable: FrozenSet[int], group: FrozenSet[int]):
     return group.difference(prunable)
 
 
@@ -273,9 +301,7 @@ def _prune_capture_support(
 # ----------------------------------------------------------------------
 
 
-def _partition_load(
-    partition: List[FrozenSet[Capture]], _worker: int
-) -> List[int]:
+def _partition_load(partition: List[FrozenSet[int]], _worker: int) -> List[int]:
     return [sum(len(g) ** 2 for g in partition)]
 
 
@@ -296,41 +322,43 @@ def _average_worker_load(env: ExecutionEnvironment, groups: DataSet) -> float:
 class _SharedRefsCandidateEmitter:
     """Per-group candidate-set producer (consumed by the fused reduce).
 
-    A dominant group shares one Bloom filter over all its captures as
-    every dependent's reference set.  A regular group ``G`` shares the
-    group frozenset itself as every dependent's initial reference set,
-    where the paper emits ``G − {c}`` per dependent ``c`` — a fresh
-    frozenset each, quadratic allocation per group.  After merging, a
-    candidate's reference set differs from the paper's only by containing
-    its own dependent: every value merged under key ``c`` came from a
-    group (or a dominant group's Bloom filter, which has no false
-    negatives) containing ``c``, so ``c`` survives every exact
-    intersection and every Bloom probe.  :func:`_materialize_shared_refs`
-    removes it and recomputes the approx flag.
+    A dominant group shares one Bloom filter over all its captures — the
+    ``|`` of their probe masks — as every dependent's reference set.  A
+    regular group ``G`` shares the group frozenset itself as every
+    dependent's initial reference set, where the paper emits ``G − {c}``
+    per dependent ``c`` — a fresh frozenset each, quadratic allocation
+    per group.  After merging, a candidate's reference set differs from
+    the paper's only by containing its own dependent: every value merged
+    under key ``c`` came from a group (or a dominant group's Bloom
+    filter, which has no false negatives) containing ``c``, so ``c``
+    survives every exact intersection and every Bloom probe.
+    :func:`_materialize_shared_refs` removes it and recomputes the
+    approx flag.
 
     A module-level class so the fused combine task stays picklable under
     the process executor.
     """
 
-    __slots__ = ("bloom_bits", "bloom_hashes", "average_load")
+    __slots__ = ("masks", "average_load")
 
-    def __init__(self, config: ExtractionConfig, average_load: float) -> None:
-        self.bloom_bits = config.candidate_bloom_bits
-        self.bloom_hashes = config.candidate_bloom_hashes
+    def __init__(self, masks: _Memo, average_load: float) -> None:
+        self.masks = masks
         self.average_load = average_load
 
     def __call__(
-        self, group: FrozenSet[Capture]
-    ) -> Iterator[Tuple[Capture, CandidateValue]]:
+        self, group: FrozenSet[int]
+    ) -> Iterator[Tuple[int, CandidateValue]]:
         size = len(group)
         if size * size > self.average_load:
-            bloom = BloomFilter(self.bloom_bits, self.bloom_hashes)
-            bloom.update(group)
+            masks = self.masks
+            bloom = 0
             for capture in group:
-                yield capture, (bloom, 1, True)
+                bloom |= masks[capture]
+            value = (bloom, 1, True)
         else:
-            for capture in group:
-                yield capture, (group, 1, False)
+            value = (group, 1, False)
+        for capture in group:
+            yield capture, value
 
 
 def _materialize_shared_refs(pair):
@@ -344,10 +372,9 @@ def _materialize_shared_refs(pair):
     dependent is gone counts as certain (Algorithm 3, line 10).
     """
     dependent, (refs, count, approx) = pair
-    if not isinstance(refs, BloomFilter):
+    if type(refs) is not int:
         refs = refs.difference((dependent,))
-    approx = approx and not _refs_empty(refs)
-    return dependent, (refs, count, approx)
+    return dependent, (refs, count, approx and bool(refs))
 
 
 def _candidate_state_cost(value: CandidateValue) -> int:
@@ -357,7 +384,7 @@ def _candidate_state_cost(value: CandidateValue) -> int:
     referenced captures plus the dependent itself, i.e. ``|refs| + 1``.
     """
     refs, _count, _approx = value
-    if isinstance(refs, BloomFilter):
+    if type(refs) is int:
         return 8  # constant-size filter
     return len(refs)
 
@@ -372,7 +399,7 @@ class _WorkUnitSplitter:
         self.parallelism = parallelism
 
     def __call__(
-        self, partition: List[FrozenSet[Capture]], _worker: int
+        self, partition: List[FrozenSet[int]], _worker: int
     ) -> Iterator[WorkUnit]:
         for group in partition:
             size = len(group)
@@ -410,34 +437,32 @@ def _build_work_units(
 # ----------------------------------------------------------------------
 
 
-def _refs_empty(refs: Refs) -> bool:
-    if isinstance(refs, BloomFilter):
-        return refs.is_empty()
-    return not refs
-
-
-def _merge_candidate_values(a: CandidateValue, b: CandidateValue) -> CandidateValue:
+def _merge_candidate_values(
+    masks: _Memo, a: CandidateValue, b: CandidateValue
+) -> CandidateValue:
     """Merge two candidate sets for the same dependent capture.
 
     Exact sets intersect exactly; two Bloom filters intersect via bitwise
-    AND; a mixed pair probes the exact set against the filter.  The result
-    is *approximate* (needs validation) when any input was approximate and
-    the merged reference set is non-empty (Algorithm 3, line 10).
+    AND — ``&`` either way; a mixed pair probes the exact set's members
+    against the filter (a member may be in it iff none of its mask bits
+    is absent).  The result is *approximate* (needs validation) when any
+    input was approximate and the merged reference set is non-empty
+    (Algorithm 3, line 10).
     """
     refs_a, count_a, approx_a = a
     refs_b, count_b, approx_b = b
-    bloom_a = isinstance(refs_a, BloomFilter)
-    bloom_b = isinstance(refs_b, BloomFilter)
-    if not bloom_a and not bloom_b:
+    if type(refs_a) is type(refs_b):
         refs: Refs = refs_a & refs_b
-    elif bloom_a and bloom_b:
-        refs = refs_a.intersect(refs_b)
     else:
-        exact, bloom = (refs_b, refs_a) if bloom_a else (refs_a, refs_b)
-        refs = frozenset(capture for capture in exact if capture in bloom)
-    count = count_a + count_b
-    approx = (approx_a or approx_b) and not _refs_empty(refs)
-    return refs, count, approx
+        exact, bloom = (refs_b, refs_a) if type(refs_a) is int else (refs_a, refs_b)
+        refs = _probe_members(masks, exact, bloom)
+    return refs, count_a + count_b, (approx_a or approx_b) and bool(refs)
+
+
+def _probe_members(masks: _Memo, exact, bloom: int) -> FrozenSet[int]:
+    """The members of ``exact`` that may be in the filter ``bloom``."""
+    absent = ~bloom
+    return frozenset([c for c in exact if not masks[c] & absent])
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +473,9 @@ def _merge_candidate_values(a: CandidateValue, b: CandidateValue) -> CandidateVa
 def _validate_uncertain(
     env: ExecutionEnvironment,
     work_units: DataSet,
-    uncertain: Dict[Capture, Refs],
-) -> Dict[Capture, FrozenSet[Capture]]:
+    masks: _Memo,
+    uncertain: Dict[int, Refs],
+) -> Dict[int, FrozenSet[int]]:
     """Re-derive exact referenced sets for Bloom-tainted candidates.
 
     The uncertain candidate map is broadcast; every worker scans its work
@@ -462,7 +488,7 @@ def _validate_uncertain(
     broadcast_stage.broadcast_records = len(uncertain) * env.parallelism
 
     validated = work_units.flat_map(
-        _ValidationEmitter(uncertain), name="ex/validation-sets"
+        _ValidationEmitter(masks, uncertain), name="ex/validation-sets"
     ).reduce_by_key(
         key_fn=pair_key,
         value_fn=pair_value,
@@ -479,25 +505,20 @@ class _ValidationEmitter:
     picklable under the process executor.
     """
 
-    __slots__ = ("uncertain",)
+    __slots__ = ("masks", "uncertain")
 
-    def __init__(self, uncertain: Dict[Capture, Refs]) -> None:
+    def __init__(self, masks: _Memo, uncertain: Dict[int, Refs]) -> None:
+        self.masks = masks
         self.uncertain = uncertain
 
-    def __call__(
-        self, unit: WorkUnit
-    ) -> Iterator[Tuple[Capture, FrozenSet[Capture]]]:
+    def __call__(self, unit: WorkUnit) -> Iterator[Tuple[int, FrozenSet[int]]]:
         chunk, group = unit
         for dependent in chunk:
             refs = self.uncertain.get(dependent)
             if refs is None:
                 continue
-            if isinstance(refs, BloomFilter):
-                validation = frozenset(
-                    capture
-                    for capture in group
-                    if capture != dependent and capture in refs
-                )
+            if type(refs) is int:
+                members = _probe_members(self.masks, group, refs)
+                yield dependent, members.difference((dependent,))
             else:
-                validation = group & refs
-            yield dependent, validation
+                yield dependent, group & refs

@@ -8,7 +8,9 @@ RDFind uses Bloom filters in two places:
 2. to approximate the referenced-capture sets of CIND candidates that stem
    from *dominant* capture groups (Section 7.2), where candidate sets are
    intersected via bitwise AND (Algorithm 3, case ii) and exact sets are
-   probed against them (case iii).
+   probed against them (case iii).  Those filters are small and their
+   keys are ints, so the extractor holds each as one int built from
+   :func:`int_key_mask` instead of a :class:`BloomFilter`.
 
 The implementation uses the classic double-hashing scheme
 ``index_i = (h1 + i * h2) mod m`` over a ``bytearray`` bit vector.  Hashes
@@ -96,6 +98,24 @@ def _hash_pair(item: Any) -> Tuple[int, int]:
     h1 = int.from_bytes(digest[:8], "big")
     h2 = int.from_bytes(digest[8:], "big") | 1
     return h1, h2
+
+
+def int_key_mask(key: int, num_bits: int, num_hashes: int) -> int:
+    """The probe positions of an int key as one ``num_bits``-wide int.
+
+    Bit ``i`` is set iff ``BloomFilter(num_bits, num_hashes).add(key)``
+    sets bit ``i``.  A small filter is then itself an int: the ``|`` of
+    its members' masks, intersected with ``&``, and ``key`` may be in it
+    iff ``mask & ~filter == 0`` (the candidate filters of Algorithm 3).
+    """
+    if num_hashes < 1:
+        raise ValueError("num_hashes must be >= 1")
+    num_bits = max(num_bits, 8)
+    h1, h2 = _hash_pair(key)
+    mask = 0
+    for i in range(num_hashes):
+        mask |= 1 << (h1 + i * h2) % num_bits
+    return mask
 
 
 class BloomFilter:

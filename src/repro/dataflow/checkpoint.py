@@ -88,7 +88,9 @@ MANIFEST_FORMAT = "rdfind-job-manifest"
 MANIFEST_VERSION = 1
 
 CHECKPOINT_MAGIC = "rdfind-checkpoint"
-CHECKPOINT_VERSION = 1
+#: Version 2: capture groups hold capture codes (ints), not ``Capture``
+#: tuples.  A version-1 step file is recomputed, never resumed.
+CHECKPOINT_VERSION = 2
 
 #: Payload kinds a step file can hold.
 VALUE = "value"  # one pickled driver-side value

@@ -5,10 +5,8 @@ A *batch kernel* consumes one
 encoded dataset kept as three parallel id ``array`` columns — instead of
 a stream of per-triple Python records.  The kernels fuse whole operator
 chains into one pass per partition (no intermediate record lists), and
-amortize the expensive per-record work (Bloom probes, capture
-construction) behind per-id caches: a column has far fewer distinct ids
-than elements, so each probe/object is paid once per distinct id instead
-of once per triple.
+pay the expensive per-record work (Bloom probes, capture codes) once per
+distinct id: a column has far fewer distinct ids than elements.
 
 Exactness (checked by ``tests/test_kernels.py`` against the
 record-at-a-time transcriptions of Algorithms 1-2 in
@@ -18,7 +16,7 @@ record-at-a-time transcriptions of Algorithms 1-2 in
   as per-triple counters; their consumers (Bloom unions, sorted AR
   lists, sorted final output) do not depend on dict order.
 * The capture-group kernel (:class:`EvidenceBatchKernel`) yields
-  ``(value, {capture})`` pairs in exactly the per-triple, per-projection
+  ``(value, {code})`` pairs in exactly the per-triple, per-projection
   order of Algorithm 2 — batch ``i`` holds round-robin partition ``i``'s
   triples in partition order
   (:func:`~repro.storage.columnar.build_triple_batches`), so the fused
@@ -34,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.core.cind import Capture
+from repro.core.cind import capture_code
 from repro.core.conditions import (
     BinaryCondition,
     ConditionScope,
@@ -127,8 +125,22 @@ def unary_counts_kernel(
     return counts
 
 
+def _passing_ids(column, attr, unary_bloom) -> Set[int]:
+    """The distinct ids of ``column`` whose unary condition passes the filter.
+
+    One probe per distinct id — a column has far fewer distinct ids than
+    elements — on the same ``UnaryCondition`` keys the filter was built
+    from.  Without a filter (RDFind-NF) every id passes.
+    """
+    distinct = set(column)
+    if unary_bloom is None:
+        return distinct
+    probe = unary_bloom.contains_int_key
+    return {value for value in distinct if probe(UnaryCondition(attr, value))}
+
+
 class _BinaryBatchCounter:
-    """Per-partition Algorithm 1 over id columns, probes cached per id."""
+    """Per-partition Algorithm 1 over id columns, one probe per distinct id."""
 
     __slots__ = ("attrs", "pairs", "unary_bloom")
 
@@ -142,35 +154,20 @@ class _BinaryBatchCounter:
         self.unary_bloom = unary_bloom
 
     def __call__(self, partition: List[TripleBatch]) -> Dict:
-        unary_bloom = self.unary_bloom
-        probe_caches: Dict = {attr: {} for attr in self.attrs}
         counters: Dict = {pair: Counter() for pair in self.pairs}
         for batch in partition:
+            passing = {
+                attr: _passing_ids(batch.column(attr), attr, self.unary_bloom)
+                for attr in self.attrs
+            }
             for attr1, attr2 in self.pairs:
-                cache1 = probe_caches[attr1]
-                cache2 = probe_caches[attr2]
-                pair_counter = counters[(attr1, attr2)]
-                for v1, v2 in zip(batch.column(attr1), batch.column(attr2)):
-                    hit1 = cache1.get(v1)
-                    if hit1 is None:
-                        hit1 = cache1[v1] = (
-                            unary_bloom is None
-                            or unary_bloom.contains_int_key(
-                                UnaryCondition(attr1, v1)
-                            )
-                        )
-                    if not hit1:
-                        continue
-                    hit2 = cache2.get(v2)
-                    if hit2 is None:
-                        hit2 = cache2[v2] = (
-                            unary_bloom is None
-                            or unary_bloom.contains_int_key(
-                                UnaryCondition(attr2, v2)
-                            )
-                        )
-                    if hit2:
-                        pair_counter[(v1, v2)] += 1
+                passing1 = passing[attr1]
+                passing2 = passing[attr2]
+                counters[(attr1, attr2)].update(
+                    pair
+                    for pair in zip(batch.column(attr1), batch.column(attr2))
+                    if pair[0] in passing1 and pair[1] in passing2
+                )
         return counters
 
 
@@ -213,10 +210,6 @@ def binary_counts_kernel(
 # capture-evidence kernel (CGCreator, Algorithm 2)
 # ----------------------------------------------------------------------
 
-#: Cache sentinel: a probed-and-pruned condition id (vs "not cached yet").
-_PRUNED = object()
-
-
 class EvidenceBatchKernel:
     """Algorithm 2 over one column batch, for ``flat_map_reduce_by_key``.
 
@@ -226,14 +219,17 @@ class EvidenceBatchKernel:
     and checked against the known association rules.  A frequent, non-AR
     binary condition yields a single binary capture evidence; an
     AR-embedding or infrequent one yields the passing unary evidences.
-    The generator yields ``(value, {capture})`` singleton-set pairs in
-    per-triple, per-projection order.
+    The generator yields ``(value, {code})`` singleton-set pairs — the
+    capture as its :func:`~repro.core.cind.capture_code` — in per-triple,
+    per-projection, β-before-γ order.
 
-    The speed comes from the caches: per projection, the full
-    bloom-probe / rule-check / capture-construction decision is computed
-    once per distinct condition-value combination and replayed as a tuple
-    of shared (immutable, value-hashed) :class:`Capture` objects for
-    every other triple carrying the same ids.
+    The unary probe decisions are taken once per batch and condition
+    attribute (:func:`_passing_ids`) and shared by all projections; each
+    projection maps its passing ids to their unary codes, so the
+    per-triple work is two dict lookups per projection.  Only when *both*
+    parts pass is the binary decision looked up, memoized per distinct
+    ``(v_beta, v_gamma)`` pair — those are the pairs that repeat (a
+    frequent binary condition occurs at least ``h`` times).
     """
 
     __slots__ = ("projections", "unary_bloom", "binary_bloom", "rules", "allow_binary")
@@ -254,131 +250,72 @@ class EvidenceBatchKernel:
             self.rules = frozenset()
         self.allow_binary = scope.allow_binary
 
-    def _probe_capture(self, cache: dict, alpha, attr, value: int):
-        """Capture for a unary-case condition id (``_PRUNED`` if pruned)."""
-        unary = UnaryCondition(attr, value)
-        if self.unary_bloom is None or self.unary_bloom.contains_int_key(unary):
-            entry = Capture(alpha, unary)
-        else:
-            entry = _PRUNED
-        cache[value] = entry
-        return entry
+    def _binary_code(self, alpha, beta, gamma, v_beta: int, v_gamma: int) -> int:
+        """The binary capture's code, or 0 where the unary evidences stand in.
 
-    def _probe_unary(self, cache: dict, attr, value: int):
-        """``(ok, condition)`` for one condition id, memoized per attr.
-
-        A column has far fewer distinct ids than elements, so the Bloom
-        probe — pure-Python double hashing — and the condition object
-        are paid once per distinct id.
+        The attributes arrive as plain column indexes; they hash and
+        compare like their ``Attr``, so filter and rule keys are the same.
         """
-        entry = cache.get(value)
-        if entry is None:
-            unary = UnaryCondition(attr, value)
-            entry = cache[value] = (
-                self.unary_bloom is None
-                or self.unary_bloom.contains_int_key(unary),
-                unary,
-            )
-        return entry
+        binary = BinaryCondition(beta, v_beta, gamma, v_gamma)
+        if not self.allow_binary or not (
+            self.binary_bloom is None or self.binary_bloom.contains_int_key(binary)
+        ):
+            return 0
+        unary_beta = UnaryCondition(beta, v_beta)
+        unary_gamma = UnaryCondition(gamma, v_gamma)
+        if (unary_beta, unary_gamma) in self.rules or (
+            unary_gamma,
+            unary_beta,
+        ) in self.rules:
+            return 0
+        return capture_code((alpha, binary))
 
-    def _binary_captures(
-        self, alpha, beta, gamma, beta_entry, gamma_entry
-    ) -> Tuple[Capture, ...]:
-        """The capture template one (v_beta, v_gamma) id pair produces."""
-        beta_ok, unary_beta = beta_entry
-        gamma_ok, unary_gamma = gamma_entry
-        if beta_ok and gamma_ok:
-            binary = BinaryCondition(
-                beta, unary_beta.value, gamma, unary_gamma.value
-            )
-            binary_ok = (
-                self.binary_bloom is None
-                or self.binary_bloom.contains_int_key(binary)
-            )
-            if (
-                binary_ok
-                and (unary_beta, unary_gamma) not in self.rules
-                and (unary_gamma, unary_beta) not in self.rules
-            ):
-                return (Capture(alpha, binary),)
-            return (Capture(alpha, unary_beta), Capture(alpha, unary_gamma))
-        if beta_ok:
-            return (Capture(alpha, unary_beta),)
-        if gamma_ok:
-            return (Capture(alpha, unary_gamma),)
-        return ()
-
-    def __call__(
-        self, batch: TripleBatch
-    ) -> Iterator[Tuple[int, Set[Capture]]]:
-        columns = batch.columns
-        # Per-projection execution plans: (True, value_col, beta_col,
-        # gamma_col, beta, gamma, alpha, beta_cache, gamma_cache,
-        # pair_cache) for the binary case, (False, value_col,
-        # [(alpha, attr, col, cache), ...]) for unaries.  The unary
-        # caches are keyed by condition id; the pair cache memoizes the
-        # full decision per distinct (v_beta, v_gamma) combination.
+    def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Set[int]]]:
+        if batch.s.itemsize > 4:
+            raise ValueError("capture codes cover array('i') term ids only")
+        passing = {
+            attr: _passing_ids(batch.column(attr), attr, self.unary_bloom)
+            for attr in {attr for _alpha, attrs in self.projections for attr in attrs}
+        }
+        # One plan per projection: alpha, beta, gamma as column indexes,
+        # the unary code of every id passing as beta / as gamma, and the
+        # pair memo.  A projection with a single in-scope condition
+        # attribute has no gamma: nothing passes there.
         plans = []
         for alpha, condition_attrs in self.projections:
-            value_col = columns[int(alpha)]
-            if len(condition_attrs) == 2 and self.allow_binary:
-                beta, gamma = condition_attrs
+            codes = [
+                {value: capture_code((alpha, (attr, value))) for value in passing[attr]}
+                for attr in condition_attrs
+            ]
+            if codes:
                 plans.append(
                     (
-                        True,
-                        value_col,
-                        columns[int(beta)],
-                        columns[int(gamma)],
-                        beta,
-                        gamma,
-                        alpha,
-                        {},
-                        {},
+                        int(alpha),
+                        int(condition_attrs[0]),
+                        int(condition_attrs[-1]),
+                        codes[0],
+                        codes[1] if len(codes) == 2 else {},
                         {},
                     )
                 )
-            else:
-                unary_plans = [
-                    (alpha, attr, columns[int(attr)], {})
-                    for attr in condition_attrs
-                ]
-                plans.append((False, value_col, unary_plans))
-        for index in range(len(batch)):
-            for plan in plans:
-                if plan[0]:
-                    (
-                        _b,
-                        value_col,
-                        beta_col,
-                        gamma_col,
-                        beta,
-                        gamma,
-                        alpha,
-                        beta_cache,
-                        gamma_cache,
-                        pair_cache,
-                    ) = plan
-                    pair = (beta_col[index], gamma_col[index])
-                    captures = pair_cache.get(pair)
-                    if captures is None:
-                        captures = pair_cache[pair] = self._binary_captures(
-                            alpha,
-                            beta,
-                            gamma,
-                            self._probe_unary(beta_cache, beta, pair[0]),
-                            self._probe_unary(gamma_cache, gamma, pair[1]),
-                        )
-                    if captures:
-                        value = value_col[index]
-                        for capture in captures:
-                            yield value, {capture}
+        for row in zip(*batch.columns):
+            for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
+                beta_code = beta_codes.get(row[beta])
+                gamma_code = gamma_codes.get(row[gamma])
+                if beta_code is None:
+                    if gamma_code is not None:
+                        yield row[alpha], {gamma_code}
+                elif gamma_code is None:
+                    yield row[alpha], {beta_code}
                 else:
-                    _b, value_col, unary_plans = plan
-                    value = value_col[index]
-                    for alpha, attr, col, cache in unary_plans:
-                        entry = cache.get(col[index])
-                        if entry is None:
-                            entry = self._probe_capture(cache, alpha, attr, col[index])
-                        capture = entry
-                        if capture is not _PRUNED:
-                            yield value, {capture}
+                    pair = (row[beta], row[gamma])
+                    code = pairs.get(pair)
+                    if code is None:
+                        code = pairs[pair] = self._binary_code(
+                            alpha, beta, gamma, *pair
+                        )
+                    if code:
+                        yield row[alpha], {code}
+                    else:
+                        yield row[alpha], {beta_code}
+                        yield row[alpha], {gamma_code}

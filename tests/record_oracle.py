@@ -9,6 +9,12 @@ candidate emitter (``repro.core.extraction``); the tests compare those
 against this module: same count dicts, same capture-group partitions,
 same result bytes.
 
+Between CGCreator and the end of extraction production code holds a
+capture as its int code; this module still builds the ``Capture`` the
+paper describes per triple and speaks codes through the public
+``capture_code`` only, and its candidate filters through the public
+``int_key_mask``.
+
 The classes and the ``_dataflow_*`` functions were moved here unchanged
 from ``repro.core`` when the kernels became the only production path.
 :func:`detect_frequent_conditions` and :func:`create_capture_groups`
@@ -24,8 +30,8 @@ from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 from unittest import mock
 
 from repro.core import discovery, extraction
-from repro.core.capture_groups import _expand_group_value, _merge_sets
-from repro.core.cind import Capture
+from repro.core.capture_groups import _expand_group_value
+from repro.core.cind import Capture, capture_code
 from repro.core.conditions import (
     BinaryCondition,
     Condition,
@@ -33,7 +39,7 @@ from repro.core.conditions import (
     UnaryCondition,
 )
 from repro.core.discovery import DiscoveryResult, RDFind, RDFindConfig
-from repro.core.extraction import CandidateValue, ExtractionConfig
+from repro.core.extraction import CandidateValue
 from repro.core.frequent_conditions import (
     DEFAULT_FP_RATE,
     FrequentConditions,
@@ -175,7 +181,11 @@ class _EvidenceEmitter:
             self.rules = frozenset()
         self.allow_binary = scope.allow_binary
 
-    def __call__(
+    def __call__(self, triple: EncodedTriple) -> Iterator[Tuple[int, int]]:
+        for value, capture in self._evidences(triple):
+            yield value, capture_code(capture)
+
+    def _evidences(
         self, triple: EncodedTriple
     ) -> Iterator[Tuple[int, Capture]]:
         unary_bloom = self.unary_bloom
@@ -214,7 +224,7 @@ class _EvidenceEmitter:
                         yield value, Capture(alpha, unary)
 
 
-def _singleton_capture_set(pair: Tuple[int, Capture]) -> Set[Capture]:
+def _singleton_capture_set(pair: Tuple[int, int]) -> Set[int]:
     """Seed accumulator for one evidence record."""
     return {pair[1]}
 
@@ -226,20 +236,20 @@ class _CandidateEmitter:
     the process executor.
     """
 
-    __slots__ = ("bloom_bits", "bloom_hashes", "average_load")
+    __slots__ = ("masks", "average_load")
 
-    def __init__(self, config: ExtractionConfig, average_load: float) -> None:
-        self.bloom_bits = config.candidate_bloom_bits
-        self.bloom_hashes = config.candidate_bloom_hashes
+    def __init__(self, masks, average_load: float) -> None:
+        self.masks = masks  # code -> int_key_mask(code, bits, hashes)
         self.average_load = average_load
 
     def __call__(
-        self, group: FrozenSet[Capture]
-    ) -> Iterator[Tuple[Capture, CandidateValue]]:
+        self, group: FrozenSet[int]
+    ) -> Iterator[Tuple[int, CandidateValue]]:
         size = len(group)
         if size * size > self.average_load:
-            bloom = BloomFilter(self.bloom_bits, self.bloom_hashes)
-            bloom.update(group)
+            bloom = 0
+            for capture in group:
+                bloom |= self.masks[capture]
             for capture in group:
                 yield capture, (bloom, 1, True)
         else:
@@ -250,7 +260,7 @@ class _CandidateEmitter:
 def _candidate_state_cost(value: CandidateValue) -> int:
     """Combiner-state price of one candidate set (cells)."""
     refs, _count, _approx = value
-    if isinstance(refs, BloomFilter):
+    if isinstance(refs, int):
         return 8  # constant-size filter
     return len(refs) + 1
 
@@ -323,7 +333,7 @@ def create_capture_groups(
     grouped = evidences.reduce_by_key(
         key_fn=pair_key,
         value_fn=_singleton_capture_set,
-        reduce_fn=_merge_sets,
+        reduce_fn=operator.ior,
         name="cg/group-by-value",
     )
     return grouped.rebalance(name="cg/rebalance").map(

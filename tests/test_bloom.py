@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataflow.bloom import BloomFilter
+from repro.dataflow.bloom import BloomFilter, int_key_mask
 
 
 _int_keys = st.one_of(
@@ -88,6 +88,45 @@ class TestIntFastPath:
         keys = [2**70 + i for i in range(50)]
         bloom = BloomFilter.from_items(keys, capacity=50)
         assert all(key in bloom for key in keys)
+
+
+class TestIntKeyMask:
+    """A small filter held as one int (Algorithm 3's candidate filters)."""
+
+    _keys = st.integers(0, 2**68)  # capture codes reach bit 67
+    _geometries = st.tuples(
+        st.sampled_from([1, 8, 64, 512, 1000]), st.integers(1, 6)
+    )
+
+    @given(key=_keys, geometry=_geometries)
+    def test_mask_is_the_bits_add_would_set(self, key, geometry):
+        bloom = BloomFilter(*geometry)
+        bloom.add(key)
+        mask = int_key_mask(key, *geometry)
+        assert mask == int.from_bytes(bloom._bits, "little")
+        assert 0 < mask < 1 << bloom.num_bits
+
+    @given(
+        members=st.lists(_keys, min_size=1, max_size=30),
+        probes=st.lists(_keys, max_size=30),
+        geometry=_geometries,
+    )
+    def test_or_and_probe_agree_with_the_bytearray_filter(
+        self, members, probes, geometry
+    ):
+        bloom = BloomFilter(*geometry)
+        bloom.update(members)
+        bits = 0
+        for member in members:
+            bits |= int_key_mask(member, *geometry)
+        for key in members + probes:
+            may_contain = int_key_mask(key, *geometry) & ~bits == 0
+            assert may_contain == bloom.contains_int_key(key)
+            assert may_contain or key not in members  # no false negatives
+
+    def test_hash_count_validation(self):
+        with pytest.raises(ValueError):
+            int_key_mask(7, 512, 0)
 
 
 class TestSizing:

@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 
 from repro.core.capture_groups import create_capture_groups, expand_captures
-from repro.core.cind import Capture
+from repro.core.cind import Capture, capture_code, code_capture
 from repro.core.conditions import (
     BinaryCondition,
     ConditionScope,
@@ -22,7 +22,10 @@ from tests.conftest import random_rdf
 def build_groups(
     encoded, h, parallelism=3, pruned=True, scope=None, fp_rate=1e-9
 ):
-    """Run FCDetector + CGCreator and collect the groups.
+    """Run FCDetector + CGCreator and collect the groups, decoded.
+
+    The groups hold capture codes; the assertions below are about the
+    captures the codes spell.
 
     The default ``fp_rate`` is effectively zero so that structural tests
     can compare against the oracle exactly; Bloom false positives (which
@@ -37,7 +40,12 @@ def build_groups(
             env, triples, h=h, scope=scope, fp_rate=fp_rate
         )
     groups = create_capture_groups(env, triples, scope=scope, frequent=frequent)
-    return groups.collect()
+    return [decoded(group) for group in groups.collect()]
+
+
+def decoded(group):
+    assert type(group) is frozenset and all(type(code) is int for code in group)
+    return frozenset(map(code_capture, group))
 
 
 def groups_from_oracle(encoded, h, scope=None):
@@ -60,8 +68,8 @@ def groups_from_oracle(encoded, h, scope=None):
 class TestExpansion:
     def test_binary_capture_expands_to_unary_relaxations(self):
         binary = Capture(Attr.S, BinaryCondition.make(Attr.P, 1, Attr.O, 2))
-        expanded = expand_captures({binary})
-        assert expanded == frozenset(
+        expanded = expand_captures({capture_code(binary)})
+        assert decoded(expanded) == frozenset(
             {
                 binary,
                 Capture(Attr.S, UnaryCondition(Attr.P, 1)),
@@ -71,7 +79,7 @@ class TestExpansion:
 
     def test_unary_captures_untouched(self):
         unary = Capture(Attr.S, UnaryCondition(Attr.P, 1))
-        assert expand_captures({unary}) == frozenset({unary})
+        assert decoded(expand_captures({capture_code(unary)})) == frozenset({unary})
 
 
 class TestGroupsMatchDefinition:

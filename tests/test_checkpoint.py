@@ -15,12 +15,14 @@ import pickle
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
+from repro.core.cind import code_capture
 from repro.core.discovery import RDFind, RDFindConfig, checkpoint_fingerprint
 from repro.core.framing import write_frame
-from repro.dataflow import workspace
+from repro.dataflow import checkpoint, workspace
 from repro.dataflow.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
@@ -415,6 +417,31 @@ class TestDiscoveryResume:
         assert result_to_dict(resumed) == result_to_dict(clean)
         assert resumed.metrics.resumed_stages == 1  # fc only
 
+    def test_pre_upgrade_step_files_are_recomputed_not_resumed(
+        self, tmp_path, capsys
+    ):
+        """Version-1 ``cg.ckpt`` held ``Capture``-valued groups; the
+        fingerprint did not change with the payload type, the version did."""
+        dataset = random_rdf(13, n_triples=60)
+        clean = RDFind(RDFindConfig(support_threshold=2, parallelism=2)).discover(
+            dataset
+        )
+        RDFind(self._config(tmp_path)).discover(dataset)
+        rewrite_as_version_1(tmp_path)
+        capsys.readouterr()
+        resumed = RDFind(self._config(tmp_path, resume=True)).discover(dataset)
+        warnings = capsys.readouterr().err
+        assert "recomputing step 'cg': unsupported checkpoint version 1" in warnings
+        assert result_to_dict(resumed) == result_to_dict(clean)
+        assert resumed.metrics.resumed_stages == 0
+        stage_names = [stage.name for stage in resumed.metrics.stages]
+        assert "checkpoint/resume:cg" not in stage_names
+        assert "cg/group-by-value" in stage_names
+        # ... and the recomputed steps were persisted in the current format
+        again = RDFind(self._config(tmp_path, resume=True)).discover(dataset)
+        assert again.metrics.resumed_stages == 2
+        assert result_to_dict(again) == result_to_dict(clean)
+
     def test_config_mismatch_on_resume_raises(self, tmp_path):
         dataset = random_rdf(12, n_triples=40)
         RDFind(self._config(tmp_path)).discover(dataset)
@@ -440,6 +467,28 @@ class TestDiscoveryResume:
             )
         with pytest.raises(ValueError):
             RDFindConfig(task_timeout_seconds=0)
+
+
+def rewrite_as_version_1(directory):
+    """Turn a finished phase-checkpoint dir into what the release before
+    capture codes left behind when it died between ``cg`` and ``ex``:
+    version-1 headers on ``fc`` and ``cg``, the capture groups as sets of
+    ``Capture`` tuples, digests and manifest consistent, no ``ex``."""
+    manifest = JobManifest.load(os.path.join(str(directory), "manifest.json"))
+    manager = CheckpointManager(
+        str(directory), "phase", fingerprint=manifest.fingerprint, resume=False
+    )
+    manager.manifest = manifest
+    manager.discard("ex")
+    fc = manager._read_step_file("fc", checkpoint.VALUE)
+    cg = []
+    for raw in manager._read_step_file("cg", checkpoint.DATASET):
+        count, index, groups = pickle.loads(raw)
+        groups = [frozenset(map(code_capture, group)) for group in groups]
+        cg.append(pickle.dumps((count, index, groups), protocol=4))
+    with mock.patch.object(checkpoint, "CHECKPOINT_VERSION", 1):
+        manager._persist("fc", checkpoint.VALUE, fc)
+        manager._persist("cg", checkpoint.DATASET, cg)
 
 
 # ----------------------------------------------------------------------

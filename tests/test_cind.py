@@ -1,6 +1,7 @@
 """Tests for captures, CINDs, and association rules."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.cind import (
     CIND,
@@ -8,9 +9,12 @@ from repro.core.cind import (
     Capture,
     SupportedAR,
     SupportedCIND,
+    capture_code,
+    code_capture,
     decode_capture,
     decode_cind,
     decode_condition,
+    unary_part_codes,
 )
 from repro.core.conditions import BinaryCondition, UnaryCondition
 from repro.rdf.model import Attr, EncodedTriple, TermDictionary
@@ -155,3 +159,76 @@ class TestDecoding:
         decoded = decode_condition(binary, dictionary)
         parts = decoded.unary_parts()
         assert parts[0].value in ("rdf:type", "gradStudent")
+
+
+# ----------------------------------------------------------------------
+# capture codes: the int form a capture takes inside CGCreator/CINDExtractor
+# ----------------------------------------------------------------------
+
+_INT32_MAX = 2**31 - 1
+_ids = st.one_of(
+    st.sampled_from([0, 1, _INT32_MAX]), st.integers(0, _INT32_MAX)
+)
+
+
+@st.composite
+def _captures(draw):
+    """All nine (projection, condition shape) kinds over the full id range."""
+    attr = draw(st.sampled_from(list(Attr)))
+    beta, gamma = Attr.others(attr)
+    shape = draw(st.sampled_from(["beta", "gamma", "binary"]))
+    if shape == "binary":
+        return Capture(attr, BinaryCondition(beta, draw(_ids), gamma, draw(_ids)))
+    return Capture(
+        attr, UnaryCondition(beta if shape == "beta" else gamma, draw(_ids))
+    )
+
+
+class TestCaptureCode:
+    @given(capture=_captures())
+    def test_round_trip(self, capture):
+        code = capture_code(capture)
+        assert type(code) is int and code >= 0
+        decoded = code_capture(code)
+        assert decoded == capture
+        assert type(decoded) is Capture
+        assert type(decoded.condition) is type(capture.condition)
+        assert isinstance(decoded.attr, Attr)
+
+    @given(a=_captures(), b=_captures())
+    def test_injective(self, a, b):
+        assert (capture_code(a) == capture_code(b)) == (a == b)
+
+    def test_extremes_of_the_id_range_round_trip_for_every_kind(self):
+        seen = set()
+        for attr in Attr:
+            beta, gamma = Attr.others(attr)
+            for v1 in (0, _INT32_MAX):
+                kinds = [
+                    Capture(attr, UnaryCondition(beta, v1)),
+                    Capture(attr, UnaryCondition(gamma, v1)),
+                ] + [
+                    Capture(attr, BinaryCondition(beta, v1, gamma, v2))
+                    for v2 in (0, _INT32_MAX)
+                ]
+                for capture in kinds:
+                    assert code_capture(capture_code(capture)) == capture
+                    seen.add(capture_code(capture))
+        assert len(seen) == 3 * 2 * (2 + 2)
+
+    @given(capture=_captures())
+    def test_unary_parts_commute_with_unary_relaxations(self, capture):
+        parts = unary_part_codes(capture_code(capture))
+        assert [code_capture(part) for part in parts] == list(
+            capture.unary_relaxations()
+        )
+
+    @given(attr=st.sampled_from(list(Attr)), value=_ids)
+    def test_what_varies_inside_a_group_sits_in_the_low_bits(self, attr, value):
+        """CPython probes a set from the low bits of an int's hash."""
+        beta, gamma = Attr.others(attr)
+        as_beta = capture_code(Capture(attr, UnaryCondition(beta, value)))
+        as_gamma = capture_code(Capture(attr, UnaryCondition(gamma, value)))
+        assert as_beta & 15 != as_gamma & 15
+        neighbour = capture_code(Capture(attr, UnaryCondition(beta, value ^ 1)))
+        assert (as_beta ^ neighbour) == 16

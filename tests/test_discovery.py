@@ -115,6 +115,39 @@ class TestAgainstOracle:
         assert ar_set(result) == {(sa.rule, sa.support) for sa in oracle_ars}
 
 
+class TestBroadCindCount:
+    """``stats.num_broad_cinds`` is counted from the adjacency rows, not by
+    building every CIND: it must equal the length of the built list."""
+
+    @pytest.mark.parametrize(
+        "name,h,expected", [("Countries", 3, 182_288), ("Diseasome", 10, 3_350)]
+    )
+    def test_registry_datasets(self, name, h, expected):
+        dataset = registry.load(name, encoded=True)
+        config = RDFindConfig(support_threshold=h, keep_broad_cinds=True)
+        result = RDFind(config).discover(dataset)
+        assert result.stats.num_broad_cinds == len(result.broad_cinds) == expected
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)),
+            min_size=1,
+            max_size=35,
+        ),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_random_rdf(self, rows, h):
+        dataset = Dataset.from_tuples(
+            [(f"t{s}", f"p{p}", f"t{o}") for s, p, o in rows]
+        )
+        config = RDFindConfig(
+            support_threshold=h, parallelism=2, keep_broad_cinds=True
+        )
+        result = RDFind(config).discover(dataset)
+        assert result.stats.num_broad_cinds == len(result.broad_cinds)
+
+
 class TestPaperLemmas:
     def test_lemma1_condition_frequency_bounds_support(self):
         """Lemma 1: both condition frequencies >= the CIND's support."""

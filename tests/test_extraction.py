@@ -1,9 +1,12 @@
 """Tests for the CINDExtractor (broad CIND extraction from groups)."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core import extraction
 from repro.core.capture_groups import create_capture_groups
-from repro.core.cind import CIND
+from repro.core.cind import CIND, Capture, capture_code
 from repro.core.extraction import (
     ExtractionConfig,
     extract_broad_cinds,
@@ -12,6 +15,7 @@ from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
 from repro.dataflow.engine import ExecutionEnvironment, SimulatedOutOfMemory
 from repro.dataflow.kernels import batch_dataset
+from repro.rdf.model import Dataset
 from tests.conftest import random_rdf
 
 
@@ -105,6 +109,69 @@ class TestAblationSwitches:
             encoded, 1, parallelism=2, balance_dominant_groups=False
         )
         assert broad_as_set(small) == broad_as_set(exact)
+
+
+def two_hub_dataset():
+    """Two dominant groups (the values ``type`` and ``knows``) that share
+    captures with each other and, through ``rare``/``odd``, with regular
+    groups — so all three cases of Algorithm 3 occur at parallelism 4."""
+    rows = []
+    for i in range(16):
+        rows.append((f"s{i}", "type", f"C{i % 2}"))
+        rows.append((f"s{i}", "knows", f"s{(i * 7 + 1) % 16}"))
+    rows += [("s0", "rare", "s1"), ("s1", "rare", "s2"), ("s0", "odd", "C0")]
+    return Dataset.from_tuples(rows).encode()
+
+
+class TestIntCandidateFilters:
+    @pytest.mark.parametrize("bits,hashes", [(8, 1), (64, 4), (512, 4)])
+    def test_all_merge_cases_and_validation_stay_exact(self, bits, hashes):
+        encoded = two_hub_dataset()
+        cases = set()
+        merge = extraction._merge_candidate_values
+
+        def spy(masks, a, b):
+            cases.add((type(a[0]) is int) + (type(b[0]) is int))
+            return merge(masks, a, b)
+
+        with mock.patch.object(extraction, "_merge_candidate_values", spy):
+            broad, stats = run_extraction(
+                encoded, 1, parallelism=4,
+                candidate_bloom_bits=bits, candidate_bloom_hashes=hashes,
+            )
+        # exact ∩ exact, exact probed against a filter, filter AND filter
+        assert cases == {0, 1, 2}
+        assert stats.dominant_groups == 2
+        assert stats.uncertain_candidates > 0
+        exact, _ = run_extraction(
+            encoded, 1, parallelism=4, balance_dominant_groups=False
+        )
+        assert broad == exact
+        assert broad_as_set(broad) == oracle_broad_set(encoded, 1)
+
+
+class TestCodesInsideCapturesOutside:
+    def test_groups_hold_int_codes(self):
+        encoded = random_rdf(7, n_triples=60).encode()
+        env = ExecutionEnvironment(parallelism=3)
+        groups = create_capture_groups(env, batch_dataset(env, encoded)).collect()
+        assert groups
+        for group in groups:
+            assert type(group) is frozenset
+            assert all(type(code) is int for code in group)
+
+    def test_result_holds_one_capture_object_per_code(self):
+        broad, _stats = run_extraction(two_hub_dataset(), 1, parallelism=4)
+        objects = {}
+        occurrences = 0
+        for dependent, (refs, _support) in broad.items():
+            assert type(refs) is frozenset
+            for capture in (dependent, *refs):
+                assert type(capture) is Capture
+                objects.setdefault(capture_code(capture), set()).add(id(capture))
+                occurrences += 1
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert occurrences > 10 * len(objects)  # shared, not rebuilt per row
 
 
 class TestStats:

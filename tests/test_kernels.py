@@ -177,6 +177,14 @@ class TestKernelOracles:
         ).partitions
         assert kernel == oracle
 
+    def test_ids_beyond_int32_are_rejected_not_miscoded(self):
+        """Capture codes give the first condition value 32 bits."""
+        encoded = random_rdf(17, n_triples=10).encode()
+        encoded.append_ids(2**31, 0, 1)  # widens the columns to 'q'
+        env = kernel_env()
+        with pytest.raises(ValueError, match="term ids"):
+            create_capture_groups(env, batch_dataset(env, encoded))
+
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("balance", [False, True])
     def test_shared_refs_match_per_dependent_candidates(self, executor, balance):
@@ -257,9 +265,13 @@ class TestDifferential:
         executor=st.sampled_from(["serial", "process"]),
         shuffle=st.sampled_from(["inline", "spill"]),
         h=st.integers(min_value=1, max_value=3),
+        # Saturated to roomy candidate filters: all three cases of
+        # Algorithm 3 and the validation pass on int filters.
+        bloom_bits=st.sampled_from([8, 64, 512]),
+        bloom_hashes=st.sampled_from([1, 4]),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
-        self, rows, scope, variant, executor, shuffle, h
+        self, rows, scope, variant, executor, shuffle, h, bloom_bits, bloom_hashes
     ):
         dataset = Dataset.from_tuples(rows)
         config = _VARIANTS[variant](
@@ -269,6 +281,8 @@ class TestDifferential:
             executor=executor,
             workers=2,
             shuffle=shuffle,
+            candidate_bloom_bits=bloom_bits,
+            candidate_bloom_hashes=bloom_hashes,
         )
         result = RDFind(config).discover(dataset)
         oracle = record_oracle.discover(dataset, config)

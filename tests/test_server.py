@@ -279,6 +279,38 @@ class TestRecovery:
         finally:
             server2.stop()
 
+    def test_job_requeued_across_the_capture_code_upgrade_completes(
+        self, tmp_path, tiny_nt
+    ):
+        """The old release's worker got past ``cg`` (version-1 step files,
+        ``Capture``-valued groups), the server was upgraded and restarted:
+        the requeued job recomputes instead of resuming and succeeds."""
+        from repro.server import worker
+        from tests.test_checkpoint import rewrite_as_version_1
+
+        job_dir = tmp_path / "jobs"
+        server, client = make_server(job_dir)
+        job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+        client.wait_state(job["id"], "running")
+        server.stop(graceful=False)
+        store = JobStore(str(job_dir))
+        request = store.get(job["id"]).request
+        config = worker._build_config(request, store.checkpoint_dir(job["id"]))
+        direct = RDFind(config).discover(worker._load_dataset(request))
+        rewrite_as_version_1(store.checkpoint_dir(job["id"]))
+        release(server, job["id"])
+        server2, client2 = make_server(job_dir)
+        try:
+            final = client2.wait(job["id"], timeout=120)
+            assert final["state"] == "succeeded"
+            assert final["result_summary"]["resumed_stages"] == 0
+            assert final["result_summary"]["pertinent_cinds"] == len(direct.cinds)
+            assert client2.raw_result(job["id"]) == json.dumps(
+                result_to_dict(direct), ensure_ascii=False, indent=1
+            ).encode("utf-8")
+        finally:
+            server2.stop()
+
     def test_graceful_stop_requeues_running_jobs(self, tmp_path):
         server, client = make_server(tmp_path / "jobs")
         job = client.submit(**COUNTRIES, hold=True)

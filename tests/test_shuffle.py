@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.core.cind import capture_code
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.framing import (
     FrameCorruptionError,
@@ -36,6 +37,7 @@ from repro.dataflow.shuffle import (
     read_run,
     write_run,
 )
+from repro.rdf.model import Attr
 from tests.conftest import ar_set, cind_set, random_rdf
 
 
@@ -130,6 +132,11 @@ def _deep_sizeof(record) -> int:
     return size
 
 
+_UNARY_CODE = capture_code((Attr.P, (Attr.O, 123456)))
+_BINARY_CODE = capture_code((Attr.S, (Attr.P, 98765, Attr.O, 2**31 - 1)))
+assert _UNARY_CODE < 2**35 and _BINARY_CODE > 2**36
+
+
 class TestRecordBytes:
     # The record shapes the encoded-storage pipeline actually shuffles:
     # EncodedTriple-style id tuples, (key, value) pairs, capture-ish
@@ -145,6 +152,12 @@ class TestRecordBytes:
         {(i, i + 1) for i in range(15)},
         [(-i, i * 3) for i in range(25)],
         ((1, 2), ({3, 4, 5}, 6, True)),
+        # Capture codes (unary below 2**35, binary above 2**36) as they are
+        # shuffled: cg evidence sets, exact and int-filter candidate sets.
+        (4711, {_UNARY_CODE, _BINARY_CODE, _BINARY_CODE + 16}),
+        (_BINARY_CODE, (frozenset(_UNARY_CODE + 16 * i for i in range(40)), 3, False)),
+        (_UNARY_CODE, (frozenset({_BINARY_CODE + i for i in range(9)}), 3, False)),
+        (_BINARY_CODE, ((1 << 512) - 12345, 1, True)),
     ]
 
     @pytest.mark.parametrize("record", SHAPES, ids=[repr(s)[:40] for s in SHAPES])
