@@ -689,7 +689,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
             print(
                 f"resumed at seq {session.applied_seq:,} "
                 f"(checkpoint: {'yes' if session.resumed_from_checkpoint else 'no'}, "
-                f"replayed {session.replayed_records:,} changelog records)"
+                f"replayed {session.replayed_records:,} changelog records, "
+                f"rebuilt in {session.rebuild_seconds:.2f} s)"
             )
         if args.init:
             if session.applied_seq:

@@ -7,17 +7,19 @@ mutating knowledge graph.  The subsystem is a stack of small modules::
                    monotonic sequence numbers, sealed/open segments,
                    replay-from-offset, truncated-tail recovery
     delta.py       DeltaStore: the mutable triple overlay — set-semantics
-                   presence plus term reference counts, so removals
-                   actually retract and the materialized dataset stays
-                   byte-equal to a fresh batch load
+                   presence in insertion order, so removals actually
+                   retract and the materialized dataset stays byte-equal
+                   to a fresh batch load
     maintainer.py  StreamingRDFind: CIND maintenance under adds and
                    removes (conditions activate at h and deactivate
                    below it, interpretations and groups grow and shrink)
-                   with a row cache kept exact per evidence event
-                   (Lemma 3), so a query recomputes only what changed
-    compaction.py  periodic checkpoint compaction: fingerprinted
-                   manifests keyed on (changelog position, h, scope) so
-                   a restart replays only the changelog suffix
+                   over int capture codes, with a row cache kept exact
+                   per evidence event (Lemma 3), so a query recomputes
+                   only what changed
+    compaction.py  periodic checkpoint compaction: the live triples as
+                   a storage snapshot plus a manifest with the changelog
+                   position, so a restart rebuilds from them (under any
+                   h and scope) and replays only the changelog suffix
     session.py     StreamSession: ties log + maintainer + compaction
                    together for the CLI (`rdfind stream`) and the
                    server's `/streams` endpoints

@@ -1,75 +1,68 @@
 """Checkpoint compaction: bound the replay cost of a streaming restart.
 
 Without compaction a restart replays the whole changelog; with it, the
-maintainer's full state is periodically persisted and a restart replays
-only the changelog *suffix* past the snapshot.  The format mirrors
-:mod:`repro.dataflow.checkpoint`'s manifests:
+live triples are periodically persisted and a restart replays only the
+changelog *suffix* past the checkpoint.  Everything else the maintainer
+holds is a pure function of the live triples in insertion order, so a
+checkpoint is just those, in the format the repo already has:
 
-* ``manifest.json`` — written atomically (tmp + fsync + rename) with a
-  BLAKE2b ``fingerprint_fields`` key over ``(h, scope)`` plus the
-  changelog position (``seq``) the payload captures and the payload's
-  own BLAKE2b digest;
-* ``state-<seq>.bin`` — a CRC-framed header + pickled maintainer.
+* ``state-<seq>.snap`` — a :mod:`repro.storage.snapshot` of
+  :meth:`StreamingRDFind.materialize` (CRC-framed, atomic, mmap-loaded;
+  dead terms are compacted away for free, and ``rdfind discover`` reads
+  it like any other snapshot);
+* ``manifest.json`` — written atomically after the payload landed: the
+  changelog position (``seq``) the payload captures, the payload's name
+  and BLAKE2b digest, and the ``MaintenanceStats`` counters, so they
+  stay lifetime counters across restarts.
 
-Loads validate fingerprint, framing, and digest; *any* mismatch is
-answered with a warning and ``None`` — the session then rebuilds from a
-full changelog replay, because a checkpoint is a cache, never the source
-of truth.
+A load checks the digest, lets ``load_snapshot`` check the frames, and
+re-adds the triples in column order through the maintainer's one add
+path at id level.  Nothing on disk depends on ``(h, scope)`` or on the
+classes that wrote it, and loading executes no code from the directory.
+*Any* mismatch — a version-1 directory (serialized maintainer objects)
+included, whose payload is not even opened — is answered with a warning
+and ``None``; the session then rebuilds from a full changelog replay,
+because a checkpoint is a cache, never the source of truth.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import pickle
 import warnings
 from typing import Optional, Tuple
 
 from repro.core.conditions import ConditionScope
-from repro.core.framing import FrameError, atomic_write, read_frame, write_frame
-from repro.dataflow.checkpoint import fingerprint_fields
-from repro.streaming.maintainer import StreamingRDFind
+from repro.core.framing import atomic_write
+from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot, save_snapshot
+from repro.streaming.delta import DeltaStore
+from repro.streaming.maintainer import MaintenanceStats, StreamingRDFind
 
-__all__ = ["StreamCheckpointer", "scope_signature"]
+__all__ = ["StreamCheckpointer"]
 
 CHECKPOINT_MAGIC = "rdfind-stream-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
-#: Matches the dataflow checkpoint writer: protocol 4 keeps payloads
-#: loadable across every supported interpreter.
-_PICKLE_PROTOCOL = 4
 
-
-def scope_signature(scope: ConditionScope) -> str:
-    """A canonical, hash-order-independent rendering of a scope.
-
-    ``fingerprint_fields`` reprs its values, and frozensets repr in
-    iteration order — fine for ints, but spelled out here so the
-    signature is readable in the manifest and immune to enum repr
-    changes.
-    """
-    projection = ",".join(sorted(attr.name for attr in scope.projection_attrs))
-    condition = ",".join(sorted(attr.name for attr in scope.condition_attrs))
-    return f"proj={projection};cond={condition};binary={scope.allow_binary}"
+def _digest(path: str) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class StreamCheckpointer:
-    """Saves/loads maintainer snapshots keyed on (position, h, scope)."""
+    """Saves/loads the live triples keyed on a changelog position."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-
-    def fingerprint(self, h: int, scope: ConditionScope) -> str:
-        return fingerprint_fields(
-            magic=CHECKPOINT_MAGIC,
-            version=CHECKPOINT_VERSION,
-            h=h,
-            scope=scope_signature(scope),
-        )
+        #: Position and payload size of the checkpoint last saved or loaded.
+        self.seq = 0
+        self.nbytes = 0
 
     @property
     def manifest_path(self) -> str:
@@ -78,57 +71,34 @@ class StreamCheckpointer:
     # -- saving --------------------------------------------------------
 
     def save(self, maintainer: StreamingRDFind, seq: int) -> str:
-        """Persist the maintainer as of changelog position ``seq``.
+        """Persist the live triples as of changelog position ``seq``.
 
         Returns the payload path.  The payload lands fully (fsync) before
         the manifest flips to it — a crash between the two leaves the
         previous checkpoint intact.
         """
-        buffer = io.BytesIO()
-        header = json.dumps(
-            {
-                "magic": CHECKPOINT_MAGIC,
-                "version": CHECKPOINT_VERSION,
-                "seq": seq,
-                "fingerprint": self.fingerprint(maintainer.h, maintainer.scope),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        write_frame(buffer, header)
-        write_frame(
-            buffer, pickle.dumps(maintainer, protocol=_PICKLE_PROTOCOL)
-        )
-        payload = buffer.getvalue()
-        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-        payload_name = f"state-{seq:012d}.bin"
+        payload_name = f"state-{seq:012d}{SNAPSHOT_SUFFIX}"
         payload_path = os.path.join(self.directory, payload_name)
-        with atomic_write(payload_path) as stream:
-            stream.write(payload)
+        save_snapshot(maintainer.materialize(name=payload_name), payload_path)
         manifest = {
             "format": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
-            "fingerprint": self.fingerprint(maintainer.h, maintainer.scope),
-            "h": maintainer.h,
-            "scope": scope_signature(maintainer.scope),
             "seq": seq,
             "triples": maintainer.triples,
             "payload": payload_name,
-            "payload_digest": digest,
+            "payload_digest": _digest(payload_path),
+            "stats": maintainer.stats.to_dict(),
         }
         with atomic_write(self.manifest_path, "w") as stream:
             json.dump(manifest, stream, indent=1, sort_keys=True)
         self._sweep(keep=payload_name)
+        self.seq, self.nbytes = seq, os.path.getsize(payload_path)
         return payload_path
 
     def _sweep(self, keep: str) -> None:
         """Drop superseded payloads (the manifest points at one only)."""
         for name in os.listdir(self.directory):
-            if (
-                name.startswith("state-")
-                and name.endswith(".bin")
-                and name != keep
-            ):
+            if name.startswith("state-") and name != keep:
                 try:
                     os.unlink(os.path.join(self.directory, name))
                 except OSError:  # pragma: no cover - concurrent sweep
@@ -139,12 +109,11 @@ class StreamCheckpointer:
     def load(
         self, h: int, scope: ConditionScope
     ) -> Optional[Tuple[StreamingRDFind, int]]:
-        """``(maintainer, seq)`` from the latest matching checkpoint.
+        """``(maintainer, seq)`` rebuilt from the latest checkpoint.
 
-        ``None`` when there is no checkpoint, the fingerprint does not
-        match the requested ``(h, scope)``, or the payload fails any
-        integrity check — each non-empty miss warns, so a silently slow
-        full replay is at least a *visible* decision.
+        ``None`` when there is no checkpoint or it fails any check —
+        each non-empty miss warns, so a silently slow full replay is at
+        least a *visible* decision.
         """
         try:
             with open(self.manifest_path, "r", encoding="utf-8") as stream:
@@ -152,65 +121,38 @@ class StreamCheckpointer:
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as error:
-            warnings.warn(
-                f"{self.manifest_path}: unreadable checkpoint manifest "
-                f"({error}); rebuilding from full changelog replay",
-                stacklevel=2,
+            return self._miss(self.manifest_path, f"unreadable manifest ({error})")
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("format") != CHECKPOINT_MAGIC
+            or manifest.get("version") != CHECKPOINT_VERSION
+        ):
+            return self._miss(
+                self.manifest_path, "not a version-2 manifest (payload left unread)"
             )
-            return None
-        expected = self.fingerprint(h, scope)
-        if manifest.get("fingerprint") != expected:
-            warnings.warn(
-                f"{self.manifest_path}: checkpoint fingerprint mismatch "
-                f"(saved for h={manifest.get('h')}, "
-                f"scope={manifest.get('scope')!r}); rebuilding from full "
-                "changelog replay",
-                stacklevel=2,
-            )
-            return None
         payload_path = os.path.join(self.directory, str(manifest.get("payload")))
         try:
-            with open(payload_path, "rb") as stream:
-                payload = stream.read()
-        except OSError as error:
-            warnings.warn(
-                f"{payload_path}: unreadable checkpoint payload ({error}); "
-                "rebuilding from full changelog replay",
-                stacklevel=2,
-            )
-            return None
-        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-        if digest != manifest.get("payload_digest"):
-            warnings.warn(
-                f"{payload_path}: checkpoint payload digest mismatch; "
-                "rebuilding from full changelog replay",
-                stacklevel=2,
-            )
-            return None
-        try:
-            stream = io.BytesIO(payload)
-            header = json.loads(read_frame(stream).decode("utf-8"))
-            if (
-                header.get("magic") != CHECKPOINT_MAGIC
-                or header.get("version") != CHECKPOINT_VERSION
-                or header.get("fingerprint") != expected
-            ):
-                raise ValueError(f"checkpoint header mismatch: {header}")
-            maintainer = pickle.loads(read_frame(stream))
-            seq = int(header["seq"])
-        except (
-            FrameError,
-            ValueError,
-            KeyError,
-            pickle.PickleError,
-            EOFError,
-            AttributeError,  # pickled class renamed since the checkpoint
-            ImportError,  # ... or its module moved
-        ) as error:
-            warnings.warn(
-                f"{payload_path}: corrupt checkpoint payload ({error}); "
-                "rebuilding from full changelog replay",
-                stacklevel=2,
-            )
-            return None
+            if _digest(payload_path) != manifest.get("payload_digest"):
+                return self._miss(payload_path, "payload digest mismatch")
+            encoded = load_snapshot(payload_path)
+            seq = int(manifest["seq"])
+            stats = MaintenanceStats(**manifest["stats"])
+            if len(encoded) != manifest["triples"]:
+                raise ValueError(f"payload holds {len(encoded)} triples")
+        except (OSError, ValueError, KeyError, TypeError) as error:  # SnapshotError too
+            return self._miss(payload_path, f"unusable payload ({error})")
+        maintainer = StreamingRDFind(
+            h, scope=scope, store=DeltaStore(encoded.dictionary)
+        )
+        for triple in encoded:
+            maintainer.add_encoded(triple)
+        maintainer.stats = stats
+        self.seq, self.nbytes = seq, os.path.getsize(payload_path)
         return maintainer, seq
+
+    def _miss(self, path: str, why: str) -> None:
+        warnings.warn(
+            f"{path}: checkpoint {why}; rebuilding from full changelog replay",
+            stacklevel=3,
+        )
+        return None

@@ -3,10 +3,10 @@
 :class:`~repro.storage.columnar.EncodedDataset` is append-only by design
 (three parallel id columns); a mutating stream needs an overlay that can
 *retract*.  :class:`DeltaStore` keeps the live triple set as an
-insertion-ordered map over a shared :class:`TermDictionary`, plus a
-reference count per term id (how many live triple slots use the term),
-so a removed triple actually disappears — from the logical dataset *and*
-from the accounting — instead of lingering as a tombstone.
+insertion-ordered map over a shared :class:`TermDictionary`, so a
+removed triple actually disappears instead of lingering as a tombstone.
+(Its terms stay interned; :meth:`materialize` — and with it every stream
+checkpoint — compacts the dead ones away.)
 
 Two order guarantees matter downstream:
 
@@ -20,8 +20,6 @@ Two order guarantees matter downstream:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.rdf.model import (
@@ -37,28 +35,15 @@ __all__ = ["DeltaStore"]
 TripleLike = Union[Triple, Tuple[str, str, str]]
 
 
-@dataclass
-class DeltaStoreStats:
-    """Apply-side counters (the maintainer keeps the semantic ones)."""
-
-    adds_applied: int = 0
-    removes_applied: int = 0
-    duplicate_adds: int = 0
-    missing_removes: int = 0
-
-
 class DeltaStore:
-    """Insertion-ordered live triple set with term reference counts."""
+    """Insertion-ordered live triple set over a shared term dictionary."""
 
     def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        self.stats = DeltaStoreStats()
         #: triple id -> encoded triple, in insertion order (dict order).
         self._live: Dict[int, EncodedTriple] = {}
         #: encoded triple -> its current triple id.
         self._ids: Dict[EncodedTriple, int] = {}
-        #: term id -> number of live (triple, position) slots using it.
-        self._term_refs: Counter = Counter()
         self._next_id = 0
 
     # -- mutation ------------------------------------------------------
@@ -66,17 +51,18 @@ class DeltaStore:
     def add(self, triple: TripleLike) -> Optional[Tuple[int, EncodedTriple]]:
         """Insert one triple; ``None`` if it is already live (set semantics)."""
         encoded = self.dictionary.encode_triple(triple)
+        triple_id = self.add_encoded(encoded)
+        return None if triple_id is None else (triple_id, encoded)
+
+    def add_encoded(self, encoded: EncodedTriple) -> Optional[int]:
+        """:meth:`add` for a triple of this dictionary's ids; its triple id."""
         if encoded in self._ids:
-            self.stats.duplicate_adds += 1
             return None
         triple_id = self._next_id
         self._next_id += 1
         self._ids[encoded] = triple_id
         self._live[triple_id] = encoded
-        for term_id in encoded:
-            self._term_refs[term_id] += 1
-        self.stats.adds_applied += 1
-        return triple_id, encoded
+        return triple_id
 
     def remove(self, triple: TripleLike) -> Optional[Tuple[int, EncodedTriple]]:
         """Retract one triple; ``None`` if it is not live.
@@ -87,21 +73,12 @@ class DeltaStore:
         lookup = self.dictionary.lookup
         ids = (lookup(triple[0]), lookup(triple[1]), lookup(triple[2]))
         if None in ids:
-            self.stats.missing_removes += 1
             return None
         encoded = EncodedTriple(*ids)
         triple_id = self._ids.pop(encoded, None)
         if triple_id is None:
-            self.stats.missing_removes += 1
             return None
         del self._live[triple_id]
-        for term_id in encoded:
-            remaining = self._term_refs[term_id] - 1
-            if remaining:
-                self._term_refs[term_id] = remaining
-            else:
-                del self._term_refs[term_id]
-        self.stats.removes_applied += 1
         return triple_id, encoded
 
     # -- lookup --------------------------------------------------------
@@ -121,16 +98,6 @@ class DeltaStore:
     def live(self) -> Iterator[EncodedTriple]:
         """Live triples in insertion order (shared-dictionary ids)."""
         return iter(self._live.values())
-
-    @property
-    def live_terms(self) -> int:
-        """Distinct terms still referenced by at least one live triple."""
-        return len(self._term_refs)
-
-    @property
-    def dead_terms(self) -> int:
-        """Interned terms no live triple references (dictionary garbage)."""
-        return len(self.dictionary) - len(self._term_refs)
 
     # -- materialization -----------------------------------------------
 
@@ -156,6 +123,5 @@ class DeltaStore:
     def __repr__(self) -> str:
         return (
             f"<DeltaStore {len(self._live):,} live triples, "
-            f"{self.live_terms:,} live terms "
-            f"({self.dead_terms:,} dead)>"
+            f"{len(self.dictionary):,} interned terms>"
         )

@@ -3,16 +3,22 @@
 Re-running discovery from scratch per update batch is wasteful, so this
 module maintains the discovery state incrementally:
 
-* exact condition frequencies and per-condition posting lists, so that a
-  condition *crossing* the support threshold back-fills its captures from
-  the already-seen triples (the subtle part of maintaining the
-  frequent-condition pruning online);
-* capture groups (Lemma 3's structure), interpretations and capture
-  supports;
+* per-condition posting sets — their sizes are the exact condition
+  frequencies — so that a condition *crossing* the support threshold
+  back-fills its captures from the already-seen triples (the subtle part
+  of maintaining the frequent-condition pruning online);
+* capture groups (Lemma 3's structure) and, per capture, its live-witness
+  counts, whose key view is the interpretation and whose size the support;
 * a per-dependent cache of referenced-capture intersections (*rows*),
   kept exact per evidence event instead of re-derived per group.
 
-Every one of these structures can grow and shrink.
+Every one of these structures can grow and shrink.  Inside, a capture is
+its :func:`repro.core.cind.capture_code` int and a condition a plain int
+tuple, from the moment a triple arrives until a query is answered; which
+captures a condition feeds is a per-scope plan computed once, so an
+evidence event is shifts, an ``or``, two dict lookups and a set add.
+``Capture`` objects exist at one boundary only: :meth:`broad_cinds`
+decodes its rows through a per-maintainer memo, one object per code.
 
 The cache invariant — every cached row not in the *dirty set* equals
 what :meth:`StreamingRDFind._refs_of` would compute now — is maintained
@@ -67,21 +73,30 @@ Two query surfaces:
 from __future__ import annotations
 
 import io
-from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.cind import AssociationRule, Capture, SupportedAR, SupportedCIND
+from repro.core.cind import (
+    AssociationRule,
+    Capture,
+    SupportedAR,
+    SupportedCIND,
+    capture_code,
+    code_capture,
+)
 from repro.core.conditions import (
     Condition,
     ConditionScope,
-    conditions_of_triple,
+    UnaryCondition,
     is_binary,
 )
+from repro.core.extraction import BroadCINDs, _Memo
 from repro.core.minimality import consolidate_pertinent
 from repro.core.serialization import write_result
 from repro.rdf.model import (
+    ALL_ATTRS,
+    Attr,
     Dataset,
     EncodedDataset,
     EncodedTriple,
@@ -97,6 +112,9 @@ TripleLike = Union[Triple, Tuple[str, str, str]]
 #: The variant label the batch pipeline stamps into result documents for
 #: its default configuration (the one the streaming document mirrors).
 BATCH_VARIANT = "RDFind"
+
+#: What a condition shape feeds: ``(α, low code bits)`` per capture.
+Feeds = Tuple[Tuple[int, int], ...]
 
 
 @dataclass
@@ -123,6 +141,15 @@ class MaintenanceStats:
         maintenance progress exactly like it streams job metrics.
         """
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+
+
+def _fed(condition: Tuple[int, ...], feeds: Feeds) -> List[Tuple[int, int]]:
+    """``(α, capture code)`` of every capture ``condition`` feeds."""
+    if len(condition) == 2:
+        base = condition[1] << 4
+    else:
+        base = ((condition[3] + 1) << 36) | (condition[1] << 4)
+    return [(alpha, base | low) for alpha, low in feeds]
 
 
 class StreamingRDFind:
@@ -152,20 +179,44 @@ class StreamingRDFind:
         self.store = store if store is not None else DeltaStore()
         self.stats = MaintenanceStats()
 
-        self._frequencies: Counter = Counter()
-        self._postings: Dict[Condition, Set[int]] = {}
-        self._active: Set[Condition] = set()
+        # The per-scope plan: each condition shape (β, γ) — γ None for a
+        # unary one, in ``conditions_of_triple`` order — with its feeds.
+        attrs = [int(a) for a in ALL_ATTRS if a in self.scope.condition_attrs]
+        shapes = [(beta, None) for beta in attrs]
+        if self.scope.allow_binary:
+            shapes.extend(combinations(attrs, 2))
+        projections = sorted(map(int, self.scope.projection_attrs))
+        self._plan: Tuple[Tuple[int, Optional[int], Feeds], ...] = tuple(
+            (
+                beta,
+                gamma,
+                tuple(
+                    (alpha, (alpha << 2) | (beta if gamma is None else 3))
+                    for alpha in projections
+                    if alpha != beta and alpha != gamma
+                ),
+            )
+            for beta, gamma in shapes
+        )
 
-        # Lemma 3 structures: value -> captures, capture -> values.
-        self._groups: Dict[int, Set[Capture]] = {}
-        self._interpretations: Dict[Capture, Set[int]] = {}
-        #: (capture, value) live-witness counts: how many live triples
-        #: put ``value`` into ``capture``'s interpretation.  The value
-        #: retracts exactly when its count hits zero.
-        self._evidence: Dict[Capture, Counter] = {}
+        #: condition -> ids of the live triples satisfying it; its size
+        #: is the condition's frequency.
+        self._postings: Dict[Tuple[int, ...], Set[int]] = {}
+        self._active: Set[Tuple[int, ...]] = set()
 
-        self._dirty: Set[Capture] = set()
-        self._refs_cache: Dict[Capture, FrozenSet[Capture]] = {}
+        # Lemma 3 structures over capture codes: value -> captures, and
+        # capture -> value -> live-witness count (how many live triples
+        # put the value into the capture's interpretation; it retracts
+        # exactly when the count hits zero).  The key view of a capture's
+        # witness dict *is* its interpretation.
+        self._groups: Dict[int, Set[int]] = {}
+        self._witnesses: Dict[int, Dict[int, int]] = {}
+
+        self._dirty: Set[int] = set()
+        self._refs_cache: Dict[int, FrozenSet[int]] = {}
+        #: code -> its Capture, one object per distinct code (as the batch
+        #: extractor decodes its result).
+        self._decoded = _Memo(code_capture)
 
     @property
     def dictionary(self) -> TermDictionary:
@@ -175,21 +226,40 @@ class StreamingRDFind:
     # updates
     # ------------------------------------------------------------------
 
+    def _conditions(self, triple: EncodedTriple) -> List[Tuple[Tuple[int, ...], Feeds]]:
+        """Every in-scope condition of ``triple`` with its shape's feeds."""
+        return [
+            (
+                (beta, triple[beta])
+                if gamma is None
+                else (beta, triple[beta], gamma, triple[gamma]),
+                feeds,
+            )
+            for beta, gamma, feeds in self._plan
+        ]
+
     def add(self, triple: TripleLike) -> bool:
         """Insert one triple; returns ``False`` for duplicates."""
-        applied = self.store.add(triple)
-        if applied is None:
+        return self.add_encoded(self.dictionary.encode_triple(triple))
+
+    def add_encoded(self, encoded: EncodedTriple) -> bool:
+        """:meth:`add` for a triple of this dictionary's ids (the one path)."""
+        triple_id = self.store.add_encoded(encoded)
+        if triple_id is None:
             self.stats.duplicates_ignored += 1
             return False
-        triple_id, encoded = applied
         self.stats.triples_added += 1
-        for condition in conditions_of_triple(encoded, self.scope):
-            self._frequencies[condition] += 1
-            self._postings.setdefault(condition, set()).add(triple_id)
-            if condition in self._active:
-                self._apply_evidence(condition, encoded)
-            elif self._frequencies[condition] >= self.h:
-                self._activate(condition)
+        postings, active, h = self._postings, self._active, self.h
+        for condition, feeds in self._conditions(encoded):
+            posting = postings.get(condition)
+            if posting is None:
+                posting = postings[condition] = set()
+            posting.add(triple_id)
+            if condition in active:
+                for alpha, code in _fed(condition, feeds):
+                    self._gain(code, encoded[alpha])
+            elif len(posting) >= h:
+                self._activate(condition, feeds)
         return True
 
     def remove(self, triple: TripleLike) -> bool:
@@ -200,21 +270,18 @@ class StreamingRDFind:
             return False
         triple_id, encoded = removed
         self.stats.triples_removed += 1
-        for condition in conditions_of_triple(encoded, self.scope):
-            remaining = self._frequencies[condition] - 1
-            if remaining:
-                self._frequencies[condition] = remaining
-            else:
-                del self._frequencies[condition]
-            postings = self._postings[condition]
-            postings.discard(triple_id)
-            if not postings:
-                del self._postings[condition]
-            if condition in self._active:
-                if remaining < self.h:
-                    self._deactivate(condition)
+        postings, active, h = self._postings, self._active, self.h
+        for condition, feeds in self._conditions(encoded):
+            posting = postings[condition]
+            posting.discard(triple_id)
+            if not posting:
+                del postings[condition]
+            if condition in active:
+                if len(posting) < h:
+                    self._deactivate(condition, feeds)
                 else:
-                    self._retract_evidence(condition, encoded)
+                    for alpha, code in _fed(condition, feeds):
+                        self._lose(code, encoded[alpha])
         return True
 
     def add_all(self, triples: Iterable[TripleLike]) -> int:
@@ -231,89 +298,76 @@ class StreamingRDFind:
 
     # -- threshold transitions -----------------------------------------
 
-    def _activate(self, condition: Condition) -> None:
+    def _activate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
         """A condition crossed *up* to h: back-fill from live postings."""
         self._active.add(condition)
         self.stats.conditions_activated += 1
+        fed = _fed(condition, feeds)
         triple_of = self.store.triple
         for triple_id in self._postings[condition]:
-            self._apply_evidence(condition, triple_of(triple_id))
+            triple = triple_of(triple_id)
+            for alpha, code in fed:
+                self._gain(code, triple[alpha])
 
-    def _deactivate(self, condition: Condition) -> None:
+    def _deactivate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
         """A condition dropped *below* h: tear its captures down whole."""
         self._active.discard(condition)
         self.stats.conditions_deactivated += 1
-        used = set(condition.attrs)
-        for attr in self.scope.projection_attrs:
-            if attr in used:
-                continue
-            capture = Capture(attr, condition)
-            for value in self._interpretations.pop(capture, ()):
-                self._leave_group(capture, value)
-            self._evidence.pop(capture, None)
-            self._dirty.add(capture)
+        for _alpha, code in _fed(condition, feeds):
+            for value in self._witnesses.pop(code, ()):
+                self._leave_group(code, value)
+            self._dirty.add(code)
 
     # -- per-triple evidence -------------------------------------------
 
-    def _apply_evidence(self, condition: Condition, triple: EncodedTriple) -> None:
-        """One live triple now witnesses ``condition``'s captures."""
-        used = set(condition.attrs)
-        for attr in self.scope.projection_attrs:
-            if attr in used:
-                continue
-            capture = Capture(attr, condition)
-            value = triple[int(attr)]
-            witnesses = self._evidence.setdefault(capture, Counter())
-            witnesses[value] += 1
-            if witnesses[value] > 1:
-                continue
-            interpretation = self._interpretations.setdefault(capture, set())
-            interpretation.add(value)
-            group = self._groups.setdefault(value, set())
-            group.add(capture)
-            self.stats.evidences_applied += 1
-            # The gainer's own row can only shrink, to members of the
-            # group it joined; with no clean row to shrink it is dirty.
-            cache = self._refs_cache
-            row = cache.get(capture)
-            if row is None or capture in self._dirty:
-                self._dirty.add(capture)
-            else:
-                cache[capture] = row & group
-            # Any other member gains the gainer iff its interpretation is
-            # now covered.  The keys-view intersection walks the smaller
-            # side in C: an empty cache (bulk load) or a giant group of
-            # uncached captures costs no per-member work.
-            interpretations = self._interpretations
-            for member in cache.keys() & group:
-                if member != capture and interpretations[member] <= interpretation:
-                    cache[member] = cache[member] | {capture}
-
-    def _retract_evidence(self, condition: Condition, triple: EncodedTriple) -> None:
-        """One witness of ``condition``'s captures is gone."""
-        used = set(condition.attrs)
-        for attr in self.scope.projection_attrs:
-            if attr in used:
-                continue
-            capture = Capture(attr, condition)
-            value = triple[int(attr)]
-            witnesses = self._evidence[capture]
-            remaining = witnesses[value] - 1
-            if remaining:
-                witnesses[value] = remaining
-                continue
-            del witnesses[value]
-            self._leave_group(capture, value)
-            # The leaver's own row may grow (fewer groups to intersect).
+    def _gain(self, capture: int, value: int) -> None:
+        """One more live triple puts ``value`` into ``capture``."""
+        witnesses = self._witnesses.get(capture)
+        if witnesses is None:
+            witnesses = self._witnesses[capture] = {}
+        count = witnesses.get(value)
+        if count:
+            witnesses[value] = count + 1
+            return
+        witnesses[value] = 1
+        group = self._groups.get(value)
+        if group is None:
+            group = self._groups[value] = set()
+        group.add(capture)
+        self.stats.evidences_applied += 1
+        # The gainer's own row can only shrink, to members of the
+        # group it joined; with no clean row to shrink it is dirty.
+        cache = self._refs_cache
+        row = cache.get(capture)
+        if row is None or capture in self._dirty:
             self._dirty.add(capture)
-            interpretation = self._interpretations[capture]
-            interpretation.discard(value)
-            if not interpretation:
-                del self._interpretations[capture]
-                del self._evidence[capture]
-            self.stats.evidences_retracted += 1
+        else:
+            cache[capture] = row & group
+        # Any other member gains the gainer iff its interpretation is
+        # now covered.  The keys-view intersection walks the smaller
+        # side in C: an empty cache (bulk load) or a giant group of
+        # uncached captures costs no per-member work.
+        interpretation = witnesses.keys()
+        for member in cache.keys() & group:
+            if member != capture and self._witnesses[member].keys() <= interpretation:
+                cache[member] = cache[member] | {capture}
 
-    def _leave_group(self, capture: Capture, value: int) -> None:
+    def _lose(self, capture: int, value: int) -> None:
+        """One witness of ``value`` in ``capture`` is gone."""
+        witnesses = self._witnesses[capture]
+        remaining = witnesses[value] - 1
+        if remaining:
+            witnesses[value] = remaining
+            return
+        del witnesses[value]
+        if not witnesses:
+            del self._witnesses[capture]
+        self._leave_group(capture, value)
+        # The leaver's own row may grow (fewer groups to intersect).
+        self._dirty.add(capture)
+        self.stats.evidences_retracted += 1
+
+    def _leave_group(self, capture: int, value: int) -> None:
         """``capture`` lost ``value``: it leaves the group and its members' rows."""
         group = self._groups[value]
         group.discard(capture)
@@ -332,33 +386,35 @@ class StreamingRDFind:
 
     def capture_support(self, capture: Capture) -> int:
         """Current support (interpretation size) of a capture."""
-        return len(self._interpretations.get(capture, ()))
+        return len(self._witnesses.get(capture_code(capture), ()))
 
-    def _refs_of(self, dependent: Capture) -> FrozenSet[Capture]:
+    def _refs_of(self, dependent: int) -> FrozenSet[int]:
         """Exact referenced set: intersection over the dependent's groups."""
-        values = self._interpretations[dependent]
-        iterator = iter(values)
-        refs: Set[Capture] = set(self._groups[next(iterator)])
-        for value in iterator:
-            refs &= self._groups[value]
-            if len(refs) == 1:  # only the dependent itself left
-                break
+        groups = map(self._groups.__getitem__, self._witnesses[dependent])
+        refs = set.intersection(*sorted(groups, key=len))  # smallest first
         refs.discard(dependent)
         return frozenset(refs)
 
-    def broad_cinds(self) -> Dict[Capture, Tuple[FrozenSet[Capture], int]]:
-        """Current broad CINDs in adjacency form (recomputing dirty rows)."""
+    def broad_cinds(self) -> BroadCINDs:
+        """Current broad CINDs in adjacency form (recomputing dirty rows).
+
+        The one boundary where codes become :class:`Capture` objects.
+        """
         self.stats.queries += 1
+        witnesses = self._witnesses
         for dependent in self._dirty:
-            support = self.capture_support(dependent)
-            if support >= self.h:
+            if len(witnesses.get(dependent, ())) >= self.h:
                 self._refs_cache[dependent] = self._refs_of(dependent)
                 self.stats.dependents_recomputed += 1
             else:
                 self._refs_cache.pop(dependent, None)
         self._dirty.clear()
+        decoded = self._decoded
         return {
-            dependent: (refs, self.capture_support(dependent))
+            decoded[dependent]: (
+                frozenset(map(decoded.__getitem__, refs)),
+                len(witnesses[dependent]),
+            )
             for dependent, refs in self._refs_cache.items()
             if refs
         }
@@ -379,19 +435,20 @@ class StreamingRDFind:
         """Exact ARs among the currently frequent conditions (Lemma 2).
 
         ``lhs → rhs`` is exact iff ``freq(lhs ∧ rhs) == freq(lhs)``;
-        both frequencies are maintained exactly, so this is a pure
-        query-time join over the frequent binary conditions.
+        both frequencies are exact (posting-set sizes), so this is a
+        pure query-time join over the frequent binary conditions.
         """
-        frequencies = self._frequencies
-        h = self.h
+        postings = self._postings
         rules: List[SupportedAR] = []
-        for condition, count in frequencies.items():
-            if count < h or not is_binary(condition):
+        for condition in self._active:  # exactly the conditions at or above h
+            if len(condition) != 4:
                 continue
-            first, second = condition.unary_parts()
-            if frequencies.get(first) == count:
+            count = len(postings[condition])
+            first = UnaryCondition(Attr(condition[0]), condition[1])
+            second = UnaryCondition(Attr(condition[2]), condition[3])
+            if len(postings[first]) == count:
                 rules.append(SupportedAR(AssociationRule(first, second), count))
-            if frequencies.get(second) == count:
+            if len(postings[second]) == count:
                 rules.append(SupportedAR(AssociationRule(second, first), count))
         rules.sort(key=lambda sar: (-sar.support, sar.rule))
         return rules
@@ -409,7 +466,7 @@ class StreamingRDFind:
         """
         rules = self.association_rules()
         pruned = {sar.rule.binary_condition for sar in rules}
-        filtered: Dict[Capture, Tuple[FrozenSet[Capture], int]] = {}
+        filtered: BroadCINDs = {}
         for dependent, (refs, support) in self.broad_cinds().items():
             if dependent.condition in pruned:
                 continue

@@ -4,14 +4,16 @@ Layout::
 
     <directory>/
         changelog/      ChangeLog segments (the source of truth)
-        checkpoints/    StreamCheckpointer manifest + pickled state
+        checkpoints/    StreamCheckpointer manifest + ``.snap`` of the live triples
 
-Opening a session recovers: load the newest checkpoint whose
-``(h, scope)`` fingerprint matches, then replay only the changelog
-records past its position (``replayed_records`` says how many — the
-restart-cost number the compaction cadence controls).  Every accepted
-update is appended to the changelog *before* it touches the maintainer,
-so the maintainer is always reconstructible from (checkpoint, log).
+Opening a session recovers: rebuild the maintainer from the checkpoint
+(any ``h``, any scope — it holds triples, not state), then replay only
+the changelog records past its position (``replayed_records`` says how
+many — the restart-cost number the compaction cadence controls).  Every
+accepted update is appended to the changelog *before* it touches the
+maintainer, so the maintainer is always reconstructible from
+(checkpoint, log) — unless the checkpoint is *ahead* of the log, which
+means acknowledged updates were lost and is refused outright.
 
 This is the engine under both front doors: ``rdfind stream`` (CLI) and
 the job server's ``/streams`` endpoints.
@@ -20,12 +22,20 @@ the job server's ``/streams`` endpoints.
 from __future__ import annotations
 
 import os
+import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.cind import SupportedCIND
 from repro.core.conditions import ConditionScope
+from repro.dataflow.gcpause import gc_paused
 from repro.rdf.model import Triple
-from repro.streaming.changelog import OP_ADD, OP_REMOVE, ChangeLog, ChangeRecord
+from repro.streaming.changelog import (
+    OP_ADD,
+    OP_REMOVE,
+    ChangeLog,
+    ChangeLogCorruptError,
+    ChangeRecord,
+)
 from repro.streaming.compaction import StreamCheckpointer
 from repro.streaming.maintainer import StreamingRDFind
 
@@ -77,19 +87,30 @@ class StreamSession:
             os.path.join(directory, "checkpoints")
         )
 
-        loaded = self.checkpointer.load(h, self.scope)
-        if loaded is not None:
-            self.maintainer, self.applied_seq = loaded
-            self.resumed_from_checkpoint = True
-        else:
-            self.maintainer = StreamingRDFind(h, scope=self.scope)
-            self.applied_seq = 0
-            self.resumed_from_checkpoint = False
-
-        self.replayed_records = 0
-        for record in self.changelog.replay(after_seq=self.applied_seq):
-            self._apply_record(record)
-            self.replayed_records += 1
+        started = time.perf_counter()
+        with gc_paused():
+            loaded = self.checkpointer.load(h, self.scope)
+            self.resumed_from_checkpoint = loaded is not None
+            self.maintainer, self.applied_seq = loaded or (
+                StreamingRDFind(h, scope=self.scope),
+                0,
+            )
+            if self.applied_seq > self.changelog.last_seq:
+                self.changelog.close()
+                # Neither side alone is trustworthy: appending would reuse
+                # sequence numbers the checkpoint already covers.
+                raise ChangeLogCorruptError(
+                    f"{directory}: checkpoint at seq {self.applied_seq} is ahead "
+                    f"of the changelog (last seq {self.changelog.last_seq}); "
+                    "acknowledged updates were lost"
+                )
+            self.replayed_records = 0
+            for record in self.changelog.replay(after_seq=self.applied_seq):
+                self._apply_record(record)
+                self.replayed_records += 1
+        #: Seconds this open spent on checkpoint rebuild + suffix replay.
+        self.rebuild_seconds = time.perf_counter() - started
+        self.last_compact_seconds = 0.0
         self._since_compaction = self.replayed_records
 
     # -- applying updates ----------------------------------------------
@@ -139,24 +160,27 @@ class StreamSession:
     def load_initial(self, triples: Iterable) -> int:
         """Bulk-load an initial dataset as logged adds; returns new count."""
         new = 0
-        for triple in triples:
-            if isinstance(triple, Triple):
-                s, p, o = triple.s, triple.p, triple.o
-            else:
-                s, p, o = triple
-            if self.apply(OP_ADD, s, p, o):
-                new += 1
+        with gc_paused():
+            for triple in triples:
+                if isinstance(triple, Triple):
+                    s, p, o = triple.s, triple.p, triple.o
+                else:
+                    s, p, o = triple
+                if self.apply(OP_ADD, s, p, o):
+                    new += 1
         self.changelog.sync()
         return new
 
     # -- compaction ----------------------------------------------------
 
     def compact(self) -> None:
-        """Checkpoint the maintainer at the current changelog position."""
+        """Checkpoint the live triples at the current changelog position."""
+        started = time.perf_counter()
         self.changelog.sync()
+        self.maintainer.stats.compactions += 1  # the manifest counts itself
         self.checkpointer.save(self.maintainer, self.applied_seq)
-        self.maintainer.stats.compactions += 1
         self._since_compaction = 0
+        self.last_compact_seconds = time.perf_counter() - started
 
     # -- queries -------------------------------------------------------
 
@@ -177,7 +201,11 @@ class StreamSession:
             "changelog_bytes": self.changelog.nbytes(),
             "resumed_from_checkpoint": self.resumed_from_checkpoint,
             "replayed_records": self.replayed_records,
+            "rebuild_seconds": self.rebuild_seconds,
             "compact_every": self.compact_every,
+            "checkpoint_seq": self.checkpointer.seq,
+            "checkpoint_bytes": self.checkpointer.nbytes,
+            "last_compact_seconds": self.last_compact_seconds,
             "stats": self.maintainer.stats.to_dict(),
         }
 

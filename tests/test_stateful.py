@@ -1,5 +1,8 @@
 """Stateful (model-based) property tests via hypothesis."""
 
+import shutil
+import tempfile
+
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -11,7 +14,7 @@ from hypothesis.stateful import (
 from repro.core.validation import NaiveProfiler
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.store import TripleStore
-from repro.streaming import StreamingRDFind
+from repro.streaming import StreamSession
 
 _terms = st.sampled_from(["a", "b", "c", "d", "e"])
 _triples = st.builds(Triple, _terms, _terms, _terms)
@@ -63,27 +66,52 @@ TestStoreMachine.settings = settings(
 
 
 class StreamingMachine(RuleBasedStateMachine):
-    """The streaming maintainer must always equal batch recomputation."""
+    """The streaming maintainer must always equal batch recomputation —
+    across compactions and close/reopen of its durable session too."""
 
     def __init__(self) -> None:
         super().__init__()
         self.h = 2
-        self.maintainer = StreamingRDFind(h=self.h)
+        self.directory = tempfile.mkdtemp()
+        self.session = StreamSession(self.directory, h=self.h, fsync=False)
         self.model: list = []
+        self.since_checkpoint = 0
+
+    def teardown(self):
+        self.session.close()
+        shutil.rmtree(self.directory)
+
+    @property
+    def maintainer(self):
+        return self.session.maintainer
 
     @rule(triple=_triples)
     def add(self, triple):
         was_new = triple not in self.model
-        assert self.maintainer.add(triple) == was_new
+        assert self.session.add(*triple) == was_new
+        self.since_checkpoint += 1
         if was_new:
             self.model.append(triple)
 
     @rule(triple=_triples)
     def remove(self, triple):
         was_live = triple in self.model
-        assert self.maintainer.remove(triple) == was_live
+        assert self.session.remove(*triple) == was_live
+        self.since_checkpoint += 1
         if was_live:
             self.model.remove(triple)
+
+    @rule()
+    def compact(self):
+        self.session.compact()
+        self.since_checkpoint = 0
+
+    @rule()
+    def reopen(self):
+        self.session.close()
+        self.session = StreamSession(self.directory, h=self.h, fsync=False)
+        assert self.session.replayed_records == self.since_checkpoint
+        assert list(self.maintainer.as_dataset()) == self.model
 
     @invariant()
     def pertinent_matches_batch(self):

@@ -1,14 +1,27 @@
 """StreamSession durability: compaction, crash-resume, and the CLI door."""
 
+import glob
+import hashlib
+import io
 import json
 import os
+import pickle
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
+from repro.core.discovery import RDFind, RDFindConfig
+from repro.core.framing import write_frame
+from repro.core.serialization import dump_result
+from repro.dataflow.checkpoint import fingerprint_fields
+from repro.streaming import ChangeLogCorruptError
 from repro.streaming.session import StreamSession
 from tests.conftest import random_rdf
 
@@ -74,16 +87,24 @@ class TestResume:
             assert session.resumed_from_checkpoint
             assert session.replayed_records == 10
 
-    def test_mismatched_h_falls_back_to_full_replay(self, tmp_path):
+    def test_checkpoint_serves_any_h(self, tmp_path):
+        """A checkpoint holds triples, not state: another ``h`` resumes
+        from it instead of replaying the whole log."""
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
             for op, s, p, o in scripted_ops(5, n_ops=30):
                 session.apply(op, s, p, o)
             session.compact()
-        with pytest.warns(UserWarning, match="fingerprint mismatch"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with StreamSession(directory, h=3) as session:
-                assert not session.resumed_from_checkpoint
-                assert session.replayed_records == 30
+                assert session.resumed_from_checkpoint
+                assert session.replayed_records == 0
+                resumed = session.document_json()
+        with StreamSession(str(tmp_path / "fresh"), h=3) as session:
+            for op, s, p, o in scripted_ops(5, n_ops=30):
+                session.apply(op, s, p, o)
+            assert session.document_json() == resumed
 
     def test_sigkill_resumes_from_last_checkpoint(self, tmp_path):
         """A SIGKILLed writer loses nothing durable: the restarted session
@@ -134,6 +155,227 @@ class TestResume:
             assert session.document_json() == resumed
 
 
+def batch_bytes(session, h, path):
+    """``discover -o`` bytes for the session's materialized dataset."""
+    result = RDFind(RDFindConfig(support_threshold=h)).discover(
+        session.maintainer.materialize()
+    )
+    dump_result(result, path)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+_term = st.sampled_from(["a", "b", "c", "d"])
+_restart_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _term, st.sampled_from(["p", "q"]), _term),
+        st.tuples(st.just("remove"), st.integers(min_value=0)),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("reopen"), st.integers(min_value=1, max_value=3)),
+    ),
+    max_size=40,
+)
+
+
+class TestReopenInterleavings:
+    """ROADMAP item 4: add/remove interleavings against session reopen."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(script=_restart_script)
+    def test_reopen_anywhere_serves_the_same_bytes(self, script):
+        """``compact()`` and close/reopen (under the same ``h`` or another)
+        at drawn positions: after every reopen the document equals a
+        never-restarted session's and the batch oracle's bytes, and only
+        the suffix past the checkpoint was replayed."""
+        root = tempfile.mkdtemp()
+        try:
+            restarted = StreamSession(os.path.join(root, "restarted"), h=2, fsync=False)
+            steady = {
+                h: StreamSession(os.path.join(root, f"steady-{h}"), h=h, fsync=False)
+                for h in (1, 2, 3)
+            }
+            live = []
+            since_checkpoint = 0
+            compacted = False
+            for op, *args in script:
+                if op == "compact":
+                    restarted.compact()
+                    since_checkpoint = 0
+                    compacted = True
+                    continue
+                if op == "reopen":
+                    (h,) = args
+                    restarted.close()
+                    restarted = StreamSession(
+                        os.path.join(root, "restarted"), h=h, fsync=False
+                    )
+                    assert restarted.replayed_records == since_checkpoint
+                    assert restarted.resumed_from_checkpoint == compacted
+                    document = restarted.document_json()
+                    assert document == steady[h].document_json()
+                    assert document.encode("utf-8") == batch_bytes(
+                        restarted, h, os.path.join(root, "oracle.json")
+                    )
+                    continue
+                if op == "remove":
+                    if not live:
+                        continue
+                    delta = ("remove",) + live.pop(args[0] % len(live))
+                else:
+                    delta = ("add",) + tuple(args)
+                    if tuple(args) not in live:
+                        live.append(tuple(args))
+                for session in (restarted, *steady.values()):
+                    session.apply(*delta)
+                since_checkpoint += 1
+            restarted.close()
+            for session in steady.values():
+                session.close()
+        finally:
+            shutil.rmtree(root)
+
+
+class TestCheckpointTrust:
+    def test_checkpoint_ahead_of_changelog_is_refused(self, tmp_path):
+        """Losing the un-synced open segment after a compaction must not
+        resume: the next append would reuse covered sequence numbers and
+        the reopen after it would silently skip that update."""
+        directory = str(tmp_path / "state")
+
+        def write(state_dir):
+            with StreamSession(state_dir, h=2, fsync=False) as session:
+                session.load_initial((f"s{i}", "p", f"o{i % 3}") for i in range(10))
+                assert session.applied_seq == 10
+                session.compact()
+
+        write(directory)
+        for segment in glob.glob(os.path.join(directory, "changelog", "*.open")):
+            os.unlink(segment)  # the open segment never reached the disk
+        with pytest.raises(ChangeLogCorruptError) as raised:
+            StreamSession(directory, h=2, fsync=False)
+        assert "seq 10" in str(raised.value) and "last seq 0" in str(raised.value)
+
+        intact = str(tmp_path / "intact")
+        write(intact)
+        with StreamSession(intact, h=2, fsync=False) as session:
+            assert session.resumed_from_checkpoint
+            assert session.applied_seq == session.changelog.last_seq == 10
+            assert session.add("x", "y", "z")
+        with StreamSession(intact, h=2, fsync=False) as session:
+            assert session.maintainer.triples == 11
+
+    def test_version_1_directory_is_never_unpickled(self, tmp_path):
+        """A pickle-era checkpoint directory takes the warn-and-replay
+        path without its payload being loaded, and the next compaction
+        supersedes and sweeps it."""
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2) as session:
+            for op, s, p, o in scripted_ops(12, n_ops=30):
+                session.apply(op, s, p, o)
+            expected = session.document_json()
+
+        sentinel = tmp_path / "unpickled"
+
+        class Bomb:
+            def __reduce__(self):
+                return (open, (str(sentinel), "w"))
+
+        # Byte for byte what the version-1 writer left behind for (h, scope).
+        scope = "proj=O,P,S;cond=O,P,S;binary=True"
+        fingerprint = fingerprint_fields(
+            magic="rdfind-stream-checkpoint", version=1, h=2, scope=scope
+        )
+        buffer = io.BytesIO()
+        header = {
+            "magic": "rdfind-stream-checkpoint",
+            "version": 1,
+            "seq": 30,
+            "fingerprint": fingerprint,
+        }
+        write_frame(buffer, json.dumps(header, sort_keys=True).encode("utf-8"))
+        write_frame(buffer, pickle.dumps(Bomb(), protocol=4))
+        checkpoints = tmp_path / "state" / "checkpoints"
+        payload = checkpoints / "state-000000000030.bin"
+        payload.write_bytes(buffer.getvalue())
+        manifest = {
+            "format": "rdfind-stream-checkpoint",
+            "version": 1,
+            "fingerprint": fingerprint,
+            "h": 2,
+            "scope": scope,
+            "seq": 30,
+            "triples": 1,
+            "payload": payload.name,
+            "payload_digest": hashlib.blake2b(
+                buffer.getvalue(), digest_size=16
+            ).hexdigest(),
+        }
+        (checkpoints / "manifest.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True)
+        )
+
+        with pytest.warns(UserWarning, match="full changelog replay"):
+            session = StreamSession(directory, h=2)
+        with session:
+            assert not session.resumed_from_checkpoint
+            assert session.replayed_records == 30
+            assert session.document_json() == expected
+            assert not sentinel.exists()
+            session.compact()
+            assert sorted(os.listdir(checkpoints)) == [
+                "manifest.json",
+                "state-000000000030.snap",
+            ]
+        with StreamSession(directory, h=2) as session:
+            assert session.resumed_from_checkpoint
+            assert session.document_json() == expected
+        assert not sentinel.exists()
+
+    def test_damaged_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2) as session:
+            for op, s, p, o in scripted_ops(13, n_ops=25):
+                session.apply(op, s, p, o)
+            session.compact()
+            expected = session.document_json()
+        (payload,) = glob.glob(os.path.join(directory, "checkpoints", "*.snap"))
+        with open(payload, "r+b") as handle:
+            handle.seek(os.path.getsize(payload) - 3)
+            handle.write(b"\xff")
+        with pytest.warns(UserWarning, match="digest mismatch"):
+            session = StreamSession(directory, h=2)
+        with session:
+            assert not session.resumed_from_checkpoint
+            assert session.replayed_records == 25
+            assert session.document_json() == expected
+
+    def test_checkpoint_is_a_discoverable_snapshot(self, tmp_path, capsys):
+        """``rdfind discover`` reads a stream's checkpoint like any snapshot."""
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2) as session:
+            for op, s, p, o in scripted_ops(14, n_ops=40):
+                session.apply(op, s, p, o)
+            session.compact()
+            expected = session.document_json()
+        (payload,) = glob.glob(os.path.join(directory, "checkpoints", "*.snap"))
+        out = str(tmp_path / "from-checkpoint.json")
+        assert cli_main(["discover", payload, "-s", "2", "--limit", "0", "-o", out]) == 0
+        capsys.readouterr()
+        with open(out, encoding="utf-8") as handle:
+            assert handle.read() == expected
+
+    def test_stats_stay_lifetime_counters_across_reopen(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2) as session:
+            for op, s, p, o in scripted_ops(15, n_ops=40):
+                session.apply(op, s, p, o)
+            session.document_json()
+            session.compact()
+            before = session.status()["stats"]
+        with StreamSession(directory, h=2) as session:
+            assert session.status()["stats"] == before
+
+
 class TestBatchAndStatus:
     def test_apply_batch_counts(self, tmp_path):
         with StreamSession(str(tmp_path / "state"), h=1) as session:
@@ -160,6 +402,22 @@ class TestBatchAndStatus:
             assert status["support_threshold"] == 2
             assert status["triples"] == session.maintainer.triples
             assert status["stats"]["triples_added"] > 0
+            assert status["checkpoint_seq"] == status["checkpoint_bytes"] == 0
+            assert status["last_compact_seconds"] == 0.0
+            session.compact()
+            status = session.status()
+            json.dumps(status)
+            assert status["checkpoint_seq"] == status["last_seq"]
+            (payload,) = glob.glob(
+                os.path.join(session.directory, "checkpoints", "*.snap")
+            )
+            assert status["checkpoint_bytes"] == os.path.getsize(payload)
+            assert status["last_compact_seconds"] > 0.0
+        with StreamSession(str(tmp_path / "state"), h=2) as session:
+            reopened = session.status()
+            assert reopened["checkpoint_seq"] == status["checkpoint_seq"]
+            assert reopened["checkpoint_bytes"] == status["checkpoint_bytes"]
+            assert reopened["rebuild_seconds"] > 0.0
 
 
 class TestCliDoor:
@@ -222,6 +480,7 @@ class TestCliDoor:
         assert cli_main(["stream", state, "-s", "2", "-n", "0"]) == 0
         out = capsys.readouterr().out
         assert "resumed at seq 10" in out
+        assert "rebuilt in" in out
 
     def test_stream_cli_rejects_bad_update_line(self, tmp_path):
         (tmp_path / "bad.jsonl").write_text('{"op": "add", "s": "x"}\n')

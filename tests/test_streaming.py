@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cind import decode_cind
+from repro.core.cind import Capture, code_capture, decode_cind
 from repro.core.conditions import ConditionScope, conditions_of_triple
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.validation import NaiveProfiler
@@ -34,13 +34,20 @@ def maintained_decoded(maintainer):
 
 
 def rows_from_scratch(maintainer):
-    """``broad_cinds()`` with no cache: every row intersected afresh."""
+    """``broad_cinds()`` with no cache: every row intersected afresh.
+
+    The maintainer holds capture codes; they are decoded here, at the
+    assertion.
+    """
     rows = {}
-    for capture, values in maintainer._interpretations.items():
+    for code, values in maintainer._witnesses.items():
         if len(values) >= maintainer.h:
-            refs = maintainer._refs_of(capture)
+            refs = maintainer._refs_of(code)
             if refs:
-                rows[capture] = (refs, len(values))
+                rows[code_capture(code)] = (
+                    frozenset(map(code_capture, refs)),
+                    len(values),
+                )
     return rows
 
 
@@ -219,8 +226,8 @@ class TestIncrementality:
                 continue
             maintainer.broad_cinds()  # settle the cache
             below = {
-                capture
-                for capture, values in maintainer._interpretations.items()
+                code_capture(code)
+                for code, values in maintainer._witnesses.items()
                 if len(values) == h - 1
             }
             before = maintainer.stats.dependents_recomputed
@@ -302,6 +309,96 @@ class TestExactInvalidation:
             else:
                 assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
         assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        script=_script,
+        scope=st.sampled_from(sorted(_SCOPES)),
+        h=st.integers(min_value=1, max_value=3),
+    )
+    def test_clean_rows_are_exact_after_every_event(self, script, scope, h):
+        """The invariant on codes, checked between queries too: every
+        cached row outside the dirty set is the intersection computed now."""
+        maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+        live = []
+        for op, *args in script:
+            if op == "add":
+                if maintainer.add(tuple(args)):
+                    live.append(tuple(args))
+            elif op == "remove":
+                if live:
+                    assert maintainer.remove(live.pop(args[0] % len(live)))
+            else:
+                maintainer.broad_cinds()
+                assert not maintainer._dirty
+            for code, row in maintainer._refs_cache.items():
+                if code not in maintainer._dirty:
+                    assert row == maintainer._refs_of(code)
+                    assert len(maintainer._witnesses[code]) >= h
+
+
+class TestCodesInsideCapturesOutside:
+    """A capture is an int from the triple to the query boundary."""
+
+    @pytest.mark.parametrize("scope", sorted(_SCOPES))
+    def test_ints_inside_captures_outside(self, scope):
+        maintainer = StreamingRDFind(h=2, scope=_SCOPES[scope]())
+        for op, triple in mixed_ops(2500):
+            maintainer.apply(op, triple)
+            if op == "remove":
+                maintainer.broad_cinds()  # fill the row cache along the way
+        broad = maintainer.broad_cinds()
+        assert broad
+
+        def is_code(code):
+            return type(code) is int
+
+        assert all(map(is_code, maintainer._witnesses))
+        assert all(is_code(c) for group in maintainer._groups.values() for c in group)
+        assert all(map(is_code, maintainer._refs_cache))
+        assert all(is_code(c) for row in maintainer._refs_cache.values() for c in row)
+        assert all(map(is_code, maintainer._dirty))
+        # Conditions are plain tuples of plain ints.
+        assert all(
+            type(condition) is tuple and all(type(x) is int for x in condition)
+            for condition in maintainer._postings
+        )
+
+        returned = list(broad)
+        for refs, _support in broad.values():
+            returned.extend(refs)
+        assert all(type(capture) is Capture for capture in returned)
+        # One object per distinct code: equal captures are the same object.
+        memo = maintainer._decoded
+        assert all(capture is memo[code] for code, capture in list(memo.items()))
+        assert all(code_capture(code) == capture for code, capture in memo.items())
+        by_value = {}
+        for capture in returned:
+            assert by_value.setdefault(capture, capture) is capture
+        assert len(by_value) <= len(memo)
+
+    def test_scope_plan_matches_conditions_of_triple(self):
+        """The per-scope plan spells ``conditions_of_triple`` and the
+        captures each condition feeds, for every scope."""
+        from repro.core.cind import capture_code
+        from repro.streaming.maintainer import _fed
+
+        triple = (7, 8, 9)
+        for name in sorted(_SCOPES):
+            scope = _SCOPES[name]()
+            maintainer = StreamingRDFind(h=1, scope=scope)
+            planned = maintainer._conditions(triple)
+            assert [c for c, _feeds in planned] == list(
+                conditions_of_triple(triple, scope)
+            )
+            for condition, feeds in planned:
+                used = {condition[0]} | set(condition[2:3])
+                expected = {
+                    (int(attr), capture_code((attr, condition)))
+                    for attr in scope.projection_attrs
+                    if attr not in used
+                }
+                assert set(_fed(condition, feeds)) == expected
 
 
 class TestStatsAndStore:
