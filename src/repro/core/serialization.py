@@ -2,12 +2,13 @@
 
 Discovery is the expensive step; its consumers (the query minimizer, the
 ontology and knowledge apps, downstream tooling) often run later or
-elsewhere.  :func:`write_result` renders ordered CINDs and ARs into a
-self-contained JSON document (term strings inlined, no dictionary needed
-to read it) and is the only producer of those bytes: ``dump_result``
-(CLI, server worker) and the streaming maintainer's ``document_json``
-both call it.  Ids stay the resident form up to this boundary; a term is
-decoded and escaped once per distinct capture, not once per row.
+elsewhere.  :class:`ResultEncoder` renders ordered CINDs and ARs as the
+rows of a self-contained JSON document (term strings inlined, no
+dictionary needed to read it) and is the only producer of those bytes:
+:func:`write_result` (``dump_result``: CLI, server worker) streams them,
+the streaming maintainer's ``document_json`` keeps them per dependent.
+Ids stay the resident form up to this boundary; a term is decoded and
+escaped once per distinct capture, not once per row.
 :func:`parse_result_dict` reads such documents back into string-valued
 structures ready for :class:`repro.sparql.minimizer.QueryMinimizer`.
 
@@ -79,6 +80,8 @@ from repro.rdf.model import Attr
 FORMAT_NAME = "rdfind-result"
 FORMAT_VERSION = 1
 
+_quote = json.encoder.encode_basestring
+
 
 def _condition_from_json(payload: List[List[str]]) -> Condition:
     if len(payload) == 1:
@@ -99,6 +102,84 @@ def _capture_from_json(payload: Dict) -> Capture:
     )
 
 
+class ResultEncoder(dict):
+    """The one template of a version-1 document, a row at a time.
+
+    Exactly the text the stdlib encoder renders for the schema above with
+    ``ensure_ascii=False, indent=1``, without ever building the document.
+    It is its own memo: ``encoder[key]`` is a capture's JSON object, its
+    terms decoded by ``decode``, escaped and indented once however many
+    rows name it; a key is the capture or what ``capture_of`` maps to one.
+    """
+
+    def __init__(self, decode: Callable[[int], str], capture_of=None) -> None:
+        self.decode, self.capture_of = decode, capture_of
+
+    def pair(self, part: UnaryCondition, depth: int) -> str:
+        """``[symbol, term]`` as the stdlib encoder indents it at ``depth``."""
+        inner = "\n" + " " * (depth + 1)
+        return (
+            f"[{inner}{_quote(part.attr.symbol)},"
+            f"{inner}{_quote(self.decode(part.value))}\n{' ' * depth}]"
+        )
+
+    def __missing__(self, key) -> str:
+        capture = self.capture_of(key) if self.capture_of else key
+        condition = capture.condition
+        parts = condition.unary_parts() if is_binary(condition) else (condition,)
+        cond = ",\n     ".join(self.pair(part, 5) for part in parts)
+        fragment = self[key] = (
+            f'{{\n    "attr": {_quote(capture.attr.symbol)},'
+            f'\n    "cond": [\n     {cond}\n    ]\n   }}'
+        )
+        return fragment
+
+    def cind_rows(self, cinds: Iterable[Tuple[Tuple, int]]) -> Iterator[str]:
+        """A row per ``((dependent key, referenced key), support)``."""
+        return (
+            f'  {{\n   "dep": {self[dependent]},\n   "ref": '
+            f'{self[referenced]},\n   "support": {support}\n  }}'
+            for (dependent, referenced), support in cinds
+        )
+
+    def rule_rows(self, rules: Iterable[SupportedAR]) -> Iterator[str]:
+        """A row per association rule."""
+        return (
+            f'  {{\n   "lhs": {self.pair(lhs, 3)},\n   "rhs": {self.pair(rhs, 3)},'
+            f'\n   "support": {support}\n  }}'
+            for (lhs, rhs), support in rules
+        )
+
+
+def _array(rows: Iterator[str]) -> Iterator[str]:
+    """A JSON array of rendered rows, joined a bounded chunk at a time."""
+    opener = "[\n"
+    while chunk := ",\n".join(islice(rows, 4096)):
+        yield opener
+        yield chunk
+        opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n ]"
+
+
+def result_pieces(
+    support_threshold: int,
+    variant: str,
+    cind_rows: Iterator[str],
+    rule_rows: Iterator[str],
+) -> Iterator[str]:
+    """The document around :class:`ResultEncoder` rows (or blocks of rows
+    already joined by ``",\\n"``), as the pieces to write or join."""
+    yield (
+        f'{{\n "format": {_quote(FORMAT_NAME)},\n "version": {FORMAT_VERSION},'
+        f'\n "support_threshold": {support_threshold},'
+        f'\n "variant": {_quote(variant)},\n "cinds": '
+    )
+    yield from _array(cind_rows)
+    yield ',\n "association_rules": '
+    yield from _array(rule_rows)
+    yield "\n}"
+
+
 def write_result(
     handle: TextIO,
     support_threshold: int,
@@ -107,68 +188,11 @@ def write_result(
     rules: Iterable[SupportedAR],
     decode: Callable[[int], str],
 ) -> None:
-    """Write a version-1 result document straight to a text stream.
-
-    Exactly the text the stdlib encoder renders for the schema above
-    with ``ensure_ascii=False, indent=1``, without ever building the
-    document.  ``cinds`` and ``rules`` arrive in result order over term
-    ids; ``decode`` turns an id into its term, and each distinct capture
-    is decoded, escaped and indented once per call however many rows
-    name it.
-    """
-    quote = json.encoder.encode_basestring
-
-    def pair(part: UnaryCondition, depth: int) -> str:
-        """``[symbol, term]`` as the stdlib encoder indents it at ``depth``."""
-        inner = "\n" + " " * (depth + 1)
-        return (
-            f"[{inner}{quote(part.attr.symbol)},"
-            f"{inner}{quote(decode(part.value))}\n{' ' * depth}]"
-        )
-
-    class CaptureFragments(dict):
-        """capture -> its JSON object as a ``dep``/``ref`` value, on demand."""
-
-        def __missing__(self, capture: Capture) -> str:
-            condition = capture.condition
-            parts = (
-                condition.unary_parts() if is_binary(condition) else (condition,)
-            )
-            cond = ",\n     ".join(pair(part, 5) for part in parts)
-            fragment = self[capture] = (
-                f'{{\n    "attr": {quote(capture.attr.symbol)},'
-                f'\n    "cond": [\n     {cond}\n    ]\n   }}'
-            )
-            return fragment
-
-    def write_rows(rows: Iterator[str]) -> None:
-        """A JSON array of rendered rows, joined a bounded chunk at a time."""
-        chunk_rows = 4096
-        opener = "[\n"
-        while chunk := ",\n".join(islice(rows, chunk_rows)):
-            handle.write(opener)
-            handle.write(chunk)
-            opener = ",\n"
-        handle.write("[]" if opener == "[\n" else "\n ]")
-
-    fragments = CaptureFragments()
-    handle.write(
-        f'{{\n "format": {quote(FORMAT_NAME)},\n "version": {FORMAT_VERSION},'
-        f'\n "support_threshold": {support_threshold},'
-        f'\n "variant": {quote(variant)},\n "cinds": '
-    )
-    write_rows(
-        f'  {{\n   "dep": {fragments[dependent]},\n   "ref": '
-        f'{fragments[referenced]},\n   "support": {support}\n  }}'
-        for (dependent, referenced), support in cinds
-    )
-    handle.write(',\n "association_rules": ')
-    write_rows(
-        f'  {{\n   "lhs": {pair(lhs, 3)},\n   "rhs": {pair(rhs, 3)},'
-        f'\n   "support": {support}\n  }}'
-        for (lhs, rhs), support in rules
-    )
-    handle.write("\n}")
+    """Write ``cinds`` and ``rules`` (in result order, over term ids) as a
+    version-1 result document, straight to a text stream."""
+    encoder = ResultEncoder(decode)
+    rows = encoder.cind_rows(cinds), encoder.rule_rows(rules)
+    handle.writelines(result_pieces(support_threshold, variant, *rows))
 
 
 def dump_result(result: DiscoveryResult, path: Union[str, os.PathLike]) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
 from repro.rdf.model import Dataset, Triple
@@ -46,6 +47,7 @@ _ESCAPES = {
     "\\": "\\",
 }
 
+_UNICODE_ESCAPE = re.compile(r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}")
 _ESCAPES_INV = {
     "\\": "\\\\",
     "\n": "\\n",
@@ -104,14 +106,13 @@ def _unescape(text: str, line_number: int, line: str) -> str:
         if code in _ESCAPES:
             out.append(_ESCAPES[code])
             index += 2
-        elif code == "u":
-            out.append(chr(int(text[index + 2 : index + 6], 16)))
-            index += 6
-        elif code == "U":
-            out.append(chr(int(text[index + 2 : index + 10], 16)))
-            index += 10
-        else:
-            raise NTriplesParseError(f"bad escape \\{code}", line_number, line)
+        else:  # exactly 4 / 8 hex digits spelling a code point, or nothing
+            match = _UNICODE_ESCAPE.match(text, index + 1)
+            if match is None or int(match[0][1:], 16) >= 0x110000:
+                bad = text[index : index + 10]
+                raise NTriplesParseError(f"bad escape {bad}", line_number, line)
+            out.append(chr(int(match[0][1:], 16)))
+            index = match.end()
     return "".join(out)
 
 

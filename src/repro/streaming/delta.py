@@ -20,7 +20,7 @@ Two order guarantees matter downstream:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.rdf.model import (
     Dataset,
@@ -98,6 +98,24 @@ class DeltaStore:
     def live(self) -> Iterator[EncodedTriple]:
         """Live triples in insertion order (shared-dictionary ids)."""
         return iter(self._live.values())
+
+    def first_position(
+        self, term: int, columns: Sequence[int], before: Optional[int] = None
+    ) -> Optional[int]:
+        """``3 * triple_id + column`` of ``term``'s first live occurrence.
+
+        In ``columns`` (ascending) only, giving up at — and answering —
+        ``before``, a position known from elsewhere.  Triple ids rise in
+        insertion order, so positions order terms like a cold encode's ids.
+        """
+        for triple_id, triple in self._live.items():
+            for column in columns:
+                position = 3 * triple_id + column
+                if before is not None and position >= before:
+                    return before
+                if triple[column] == term:
+                    return position
+        return before
 
     # -- materialization -----------------------------------------------
 

@@ -10,7 +10,10 @@ module maintains the discovery state incrementally:
 * capture groups (Lemma 3's structure) and, per capture, its live-witness
   counts, whose key view is the interpretation and whose size the support;
 * a per-dependent cache of referenced-capture intersections (*rows*),
-  kept exact per evidence event instead of re-derived per group.
+  kept exact per evidence event instead of re-derived per group;
+* what a result document is made of — first-occurrence positions of the
+  terms it names, the exact rules, one rendered block per dependent —
+  so that a query costs what changed since the last one.
 
 Every one of these structures can grow and shrink.  Inside, a capture is
 its :func:`repro.core.cind.capture_code` int and a condition a plain int
@@ -18,27 +21,29 @@ tuple, from the moment a triple arrives until a query is answered; which
 captures a condition feeds is a per-scope plan computed once, so an
 evidence event is shifts, an ``or``, two dict lookups and a set add.
 ``Capture`` objects exist at one boundary only: :meth:`broad_cinds`
-decodes its rows through a per-maintainer memo, one object per code.
+decodes changed rows through a per-maintainer memo, one object per code.
 
-The cache invariant — every cached row not in the *dirty set* equals
-what :meth:`StreamingRDFind._refs_of` would compute now — is maintained
-straight from Lemma 3 (``c ⊆ c'`` iff ``c'`` is in every capture group
-that holds ``c``).  One event changes one ``(capture, value)`` pair:
+The cache invariant has two clauses: a cached row outside the *dirty
+set* equals Lemma 3's intersection (``c ⊆ c'`` iff ``c'`` is in every
+capture group that holds ``c``) as computed now, and a dirty one is a
+subset of it — a lower bound that lets :meth:`StreamingRDFind._refs_of`
+stop early.  One event changes one ``(capture, value)`` pair:
 
-* capture ``c`` **gains** value ``v``: ``c``'s clean row becomes
-  ``row ∩ group[v]`` (no clean row — new, below h, already dirty — marks
-  ``c`` dirty); every *other* member ``d`` of ``group[v]`` with a cached
-  row gains ``c`` iff ``I(d) ⊆ I(c)`` (it cannot have held ``c`` before:
+* capture ``c`` **gains** value ``v``: ``c``'s row, exact or bound,
+  becomes ``row ∩ group[v]`` (no row — new, below h — marks ``c``
+  dirty); every *other* member ``d`` of ``group[v]`` with a cached row
+  gains ``c`` iff ``I(d) ⊆ I(c)`` (it cannot have held ``c`` before:
   ``v ∈ I(d)``, ``v ∉ I(c)``);
 * capture ``c`` **loses** ``v``: every other member of ``group[v]`` with
   a cached row drops ``c``; only ``c`` itself is marked dirty, because
-  its row may grow;
+  its row may grow — from what it was, which stays as the bound;
 * capture ``c`` is **torn down** (its condition fell below h): the loss
   rule for each of its values.
 
-Per-event work is bounded by the members that hold a cached row, not by
-group size, so a bulk load (nothing cached yet) pays nothing and a query
-recomputes only the captures that lost a value, reached h or were
+Both rules only remove false and add true members, whatever the row's
+state.  Per-event work is bounded by the members that hold a cached row,
+not by group size, so a bulk load (nothing cached yet) pays nothing and a
+query recomputes only the captures that lost a value, reached h or were
 (re)built — ``MaintenanceStats.dependents_recomputed`` counts those.
 
 Monotonicity is what keeps a delta cheap: within one delta class, every
@@ -58,23 +63,23 @@ Two query surfaces:
 * :meth:`pertinent_cinds` — the maintainer's native semantics (no
   AR-equivalence rewriting), validated against
   ``NaiveProfiler(..., prune_ar_equivalents=False)``;
-* :meth:`batch_result` / :meth:`result_document` /
-  :meth:`document_json` — the *batch pipeline's* semantics, derived on
-  demand: exact association rules from the maintained frequencies,
-  AR-embedding binary captures filtered out of the adjacency, the rows
-  ordered by each term's first occurrence in live insertion order (the
-  id order of a cold batch encode) and written by the one result
-  encoder, so the document is **byte-identical** to
-  ``rdfind discover -o`` on the materialized dataset.  (The batch
-  pipeline bakes AR rewriting into its capture groups; here an AR can be
-  broken by a later delta, so the rewrite must stay at query time.)
+* :meth:`document_json` (through :meth:`result_document` and
+  :meth:`batch_result`) — the *batch pipeline's* semantics: exact
+  association rules from the maintained frequencies, AR-embedding binary
+  captures filtered out of the adjacency, rows ordered by each term's
+  first live occurrence (the id order of a cold batch encode) and
+  rendered by the one result encoder, so the document is
+  **byte-identical** to ``rdfind discover -o`` on the materialized
+  dataset.  (The batch pipeline bakes AR rewriting into its capture
+  groups; here an AR can be broken by a later delta, so the rewrite stays
+  at query time — applied to the blocks that changed, not to the lot.)
 """
 
 from __future__ import annotations
 
-import io
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.cind import (
@@ -84,16 +89,12 @@ from repro.core.cind import (
     SupportedCIND,
     capture_code,
     code_capture,
+    unary_part_codes,
 )
-from repro.core.conditions import (
-    Condition,
-    ConditionScope,
-    UnaryCondition,
-    is_binary,
-)
+from repro.core.conditions import ConditionScope, UnaryCondition
 from repro.core.extraction import BroadCINDs, _Memo
 from repro.core.minimality import consolidate_pertinent
-from repro.core.serialization import write_result
+from repro.core.serialization import ResultEncoder, result_pieces
 from repro.rdf.model import (
     ALL_ATTRS,
     Attr,
@@ -130,6 +131,9 @@ class MaintenanceStats:
     evidences_applied: int = 0
     evidences_retracted: int = 0
     dependents_recomputed: int = 0
+    groups_intersected: int = 0
+    terms_repositioned: int = 0
+    blocks_rebuilt: int = 0
     compactions: int = 0
     queries: int = 0
 
@@ -198,6 +202,11 @@ class StreamingRDFind:
             )
             for beta, gamma in shapes
         )
+        #: condition attribute -> its binary partners; the unposted attributes.
+        self._partners = {
+            a: [b for b in attrs if b != a and self.scope.allow_binary] for a in attrs
+        }
+        self._unposted = [a for a in map(int, ALL_ATTRS) if a not in attrs]
 
         #: condition -> ids of the live triples satisfying it; its size
         #: is the condition's frequency.
@@ -217,6 +226,29 @@ class StreamingRDFind:
         #: code -> its Capture, one object per distinct code (as the batch
         #: extractor decodes its result).
         self._decoded = _Memo(code_capture)
+
+        # What a query keeps rather than rebuilds.  Rows rewritten since
+        # the last broad_cinds(), dependents due a new block; the decoded
+        # adjacency; unary capture -> cached binary ones relaxing to it;
+        # named term -> position (see _position), terms that lost theirs.
+        self._touched: Set[int] = set()
+        self._stale: Set[int] = set()
+        self._broad: BroadCINDs = {}
+        self._relaxers: Dict[int, Set[int]] = {}
+        self._first: Dict[int, int] = {}
+        self._moved: Set[int] = set()
+        # (lhs attr, lhs value, rhs attr) -> (sort key, row, rule, pruned
+        # capture) of the exact rule, checked again for what is in _resized.
+        self._resized: Set[Tuple[int, ...]] = set()
+        self._rules: Dict[Tuple[int, int, int], Tuple] = {}
+        self._pruned: Set[int] = set()
+        self._rule_order: List[Tuple] = []
+        # Blocks: dependent -> (sort key, dependent, rows, terms named),
+        # the same tuples in document order, and the document they spell.
+        self._blocks: Dict[int, Tuple] = {}
+        self._order: List[Tuple] = []
+        self._encoder = ResultEncoder(self.dictionary.decode, self._decoded.__getitem__)
+        self._document: Optional[str] = None
 
     @property
     def dictionary(self) -> TermDictionary:
@@ -256,6 +288,7 @@ class StreamingRDFind:
                 posting = postings[condition] = set()
             posting.add(triple_id)
             if condition in active:
+                self._resized.add(condition)
                 for alpha, code in _fed(condition, feeds):
                     self._gain(code, encoded[alpha])
             elif len(posting) >= h:
@@ -270,6 +303,11 @@ class StreamingRDFind:
             return False
         triple_id, encoded = removed
         self.stats.triples_removed += 1
+        for position, term in enumerate(encoded, 3 * triple_id):
+            if self._first.get(term) == position:  # its first occurrence
+                del self._first[term]
+                self._moved.add(term)
+                self.stats.terms_repositioned += 1
         postings, active, h = self._postings, self._active, self.h
         for condition, feeds in self._conditions(encoded):
             posting = postings[condition]
@@ -277,6 +315,7 @@ class StreamingRDFind:
             if not posting:
                 del postings[condition]
             if condition in active:
+                self._resized.add(condition)
                 if len(posting) < h:
                     self._deactivate(condition, feeds)
                 else:
@@ -301,6 +340,7 @@ class StreamingRDFind:
     def _activate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
         """A condition crossed *up* to h: back-fill from live postings."""
         self._active.add(condition)
+        self._resized.add(condition)
         self.stats.conditions_activated += 1
         fed = _fed(condition, feeds)
         triple_of = self.store.triple
@@ -335,14 +375,15 @@ class StreamingRDFind:
             group = self._groups[value] = set()
         group.add(capture)
         self.stats.evidences_applied += 1
-        # The gainer's own row can only shrink, to members of the
-        # group it joined; with no clean row to shrink it is dirty.
-        cache = self._refs_cache
+        # The gainer's own row — exact or a lower bound — can only shrink,
+        # to members of the group it joined; with no row it is dirty.
+        cache, touched = self._refs_cache, self._touched
         row = cache.get(capture)
-        if row is None or capture in self._dirty:
+        if row is None:
             self._dirty.add(capture)
         else:
             cache[capture] = row & group
+            touched.add(capture)
         # Any other member gains the gainer iff its interpretation is
         # now covered.  The keys-view intersection walks the smaller
         # side in C: an empty cache (bulk load) or a giant group of
@@ -351,6 +392,7 @@ class StreamingRDFind:
         for member in cache.keys() & group:
             if member != capture and self._witnesses[member].keys() <= interpretation:
                 cache[member] = cache[member] | {capture}
+                touched.add(member)
 
     def _lose(self, capture: int, value: int) -> None:
         """One witness of ``value`` in ``capture`` is gone."""
@@ -379,6 +421,7 @@ class StreamingRDFind:
             row = cache[member]
             if capture in row:
                 cache[member] = row - {capture}
+                self._touched.add(member)
 
     # ------------------------------------------------------------------
     # queries (maintainer semantics: no AR rewriting)
@@ -389,35 +432,59 @@ class StreamingRDFind:
         return len(self._witnesses.get(capture_code(capture), ()))
 
     def _refs_of(self, dependent: int) -> FrozenSet[int]:
-        """Exact referenced set: intersection over the dependent's groups."""
-        groups = map(self._groups.__getitem__, self._witnesses[dependent])
-        refs = set.intersection(*sorted(groups, key=len))  # smallest first
-        refs.discard(dependent)
-        return frozenset(refs)
+        """Exact referenced set: Lemma 3's intersection, cut short.
+
+        The cached row, if any, is a lower bound: the walk over the groups
+        ends once no more candidates beyond it are left than groups were
+        walked; their interpretations settle those (``I(dependent) ⊆ I(c)``).
+        """
+        witnesses, groups = self._witnesses, self._groups
+        values = witnesses[dependent].keys()
+        bound = self._refs_cache.get(dependent, frozenset())
+        refs, walked = None, 0
+        for value in values:
+            refs = groups[value] if refs is None else refs & groups[value]
+            walked += 1
+            if len(refs) - len(bound) - 1 <= walked:
+                break
+        self.stats.groups_intersected += walked
+        return frozenset(
+            c
+            for c in refs
+            if c in bound or c != dependent and values <= witnesses[c].keys()
+        )
 
     def broad_cinds(self) -> BroadCINDs:
         """Current broad CINDs in adjacency form (recomputing dirty rows).
 
-        The one boundary where codes become :class:`Capture` objects.
+        The one boundary where codes become :class:`Capture` objects, a
+        changed row at a time: the dict is the maintained one.
         """
         self.stats.queries += 1
-        witnesses = self._witnesses
+        witnesses, cache, touched = self._witnesses, self._refs_cache, self._touched
         for dependent in self._dirty:
             if len(witnesses.get(dependent, ())) >= self.h:
-                self._refs_cache[dependent] = self._refs_of(dependent)
+                cache[dependent] = self._refs_of(dependent)
                 self.stats.dependents_recomputed += 1
             else:
-                self._refs_cache.pop(dependent, None)
+                cache.pop(dependent, None)
+        touched.update(self._dirty)
         self._dirty.clear()
-        decoded = self._decoded
-        return {
-            decoded[dependent]: (
-                frozenset(map(decoded.__getitem__, refs)),
-                len(witnesses[dependent]),
-            )
-            for dependent, refs in self._refs_cache.items()
-            if refs
-        }
+        decoded, broad, stale = self._decoded, self._broad, self._stale
+        for code in touched:
+            capture = decoded[code]
+            row = frozenset(map(decoded.__getitem__, cache.get(code, ())))
+            old, _support = broad.pop(capture, (frozenset(), 0))
+            if row:
+                broad[capture] = (row, len(witnesses[code]))
+            if row != old:  # the binary dependents relaxing to it read this row
+                stale.update(self._relaxers.get(code, ()))
+            for part in unary_part_codes(code):
+                relaxers = self._relaxers.setdefault(part, set())
+                (relaxers.add if row else relaxers.discard)(code)
+        stale.update(touched)
+        touched.clear()
+        return broad
 
     def pertinent_cinds(self) -> List[SupportedCIND]:
         """Current pertinent (broad and minimal) CINDs."""
@@ -431,117 +498,154 @@ class StreamingRDFind:
     # queries (batch semantics: AR rewriting at query time)
     # ------------------------------------------------------------------
 
+    def _position(self, term: int) -> int:
+        """``3 * triple_id + column`` of ``term``'s first live occurrence.
+
+        Orders terms like a cold batch encode's ids.  Kept for the terms
+        the document names until that occurrence goes; refilled from the
+        unary postings, and the store for a column the scope posts none for.
+        """
+        position = self._first.get(term)
+        if position is None:
+            posted = ((a, self._postings.get((a, term))) for a in self._partners)
+            position = min((3 * min(ids) + a for a, ids in posted if ids), default=None)
+            if self._unposted:
+                position = self.store.first_position(term, self._unposted, position)
+            self._first[term] = position
+        return position
+
+    def _sort_key(self, capture: Capture) -> Tuple:
+        """The batch sort key of ``capture``, positions for term ids."""
+        attr, condition = capture
+        key = list(condition)
+        key[1::2] = map(self._position, key[1::2])
+        return attr, tuple(key)
+
     def association_rules(self) -> List[SupportedAR]:
         """Exact ARs among the currently frequent conditions (Lemma 2).
 
-        ``lhs → rhs`` is exact iff ``freq(lhs ∧ rhs) == freq(lhs)``;
-        both frequencies are exact (posting-set sizes), so this is a
-        pure query-time join over the frequent binary conditions.
+        ``lhs → rhs`` is exact iff ``freq(lhs ∧ rhs) == freq(lhs)``, both
+        posting sizes that only an update holding ``lhs`` moves: just the
+        conditions resized since the last call are looked at again, where
+        any triple of ``lhs`` shows the one possible ``rhs``.  Document order.
         """
-        postings = self._postings
-        rules: List[SupportedAR] = []
-        for condition in self._active:  # exactly the conditions at or above h
-            if len(condition) != 4:
-                continue
-            count = len(postings[condition])
-            first = UnaryCondition(Attr(condition[0]), condition[1])
-            second = UnaryCondition(Attr(condition[2]), condition[3])
-            if len(postings[first]) == count:
-                rules.append(SupportedAR(AssociationRule(first, second), count))
-            if len(postings[second]) == count:
-                rules.append(SupportedAR(AssociationRule(second, first), count))
-        rules.sort(key=lambda sar: (-sar.support, sar.rule))
-        return rules
+        postings, rules, position = self._postings, self._rules, self._position
+        if self._moved:  # sort keys hold positions: look at every rule again
+            self._resized.update(key[:2] for key in rules)
+        changed, flipped = False, set()
+        for attr, value in [c for c in self._resized if len(c) == 2]:
+            posting = postings.get((attr, value), ())
+            for other in self._partners[attr]:
+                entry, count = None, len(posting)
+                if count >= self.h:
+                    partner = self.store.triple(next(iter(posting)))[other]
+                    lhs, rhs = (attr, value), (other, partner)
+                    binary = lhs + rhs if attr < other else rhs + lhs
+                    if len(postings.get(binary, ())) == count:
+                        sides = (UnaryCondition(Attr(a), v) for a, v in (lhs, rhs))
+                        rule = SupportedAR(AssociationRule(*sides), count)
+                        key = (attr, position(value)), (other, position(partner))
+                        entry = (
+                            (-count, *key),
+                            next(self._encoder.rule_rows((rule,))),
+                            rule,
+                            capture_code((3 - attr - other, binary)),
+                        )
+                old = rules.pop((attr, value, other), None)
+                if entry is not None:
+                    rules[attr, value, other] = entry
+                changed = changed or entry != old
+                if (entry and entry[3]) != (old and old[3]):
+                    flipped.update(e[3] for e in (entry, old) if e)
+        self._resized.clear()
+        if flipped:  # whatever names a capture whose rule came or went is stale
+            self._pruned = {entry[3] for entry in rules.values()}
+            self._stale.update(flipped)
+            cache = self._refs_cache
+            for pruned in flipped if cache else ():
+                for value in self._witnesses.get(pruned, ()):
+                    named = cache.keys() & self._groups[value]
+                    self._stale.update(m for m in named if pruned in cache[m])
+        if changed:
+            self._rule_order, self._document = sorted(rules.values()), None
+        return [entry[2] for entry in self._rule_order]
 
-    def batch_result(self) -> Tuple[List[SupportedCIND], List[SupportedAR]]:
-        """CINDs and ARs under the batch pipeline's semantics.
+    def batch_result(self) -> Tuple[Set[int], List[SupportedCIND]]:
+        """The stale dependents and their CINDs under the batch semantics.
+
+        Stale is a dependent whose row or support changed, a binary one
+        relaxing to a changed row, one naming a capture whose AR status
+        flipped or a re-positioned term.  Only their rows are consolidated,
+        with the relaxation rows those read (whose CINDs come along).
 
         The batch pipeline never builds captures over AR-embedding binary
         conditions (their extent equals a unary twin's, Section 5.1).
-        Filtering those captures out of the maintained adjacency — as
-        dependents and inside referenced sets — yields exactly the batch
-        broad set: pruning removes the same members from every group, so
-        intersect-then-filter equals filter-then-intersect, and supports
-        (dependent interpretation sizes) are untouched.
+        Filtering them out of the maintained rows — as dependents and as
+        references — yields exactly the batch broad set: pruning removes
+        the same members from every group, so intersect-then-filter equals
+        filter-then-intersect, and supports are untouched.
         """
-        rules = self.association_rules()
-        pruned = {sar.rule.binary_condition for sar in rules}
-        filtered: BroadCINDs = {}
-        for dependent, (refs, support) in self.broad_cinds().items():
-            if dependent.condition in pruned:
-                continue
-            kept = frozenset(
-                referenced
-                for referenced in refs
-                if referenced.condition not in pruned
-            )
-            if kept:
-                filtered[dependent] = (kept, support)
-        return consolidate_pertinent(filtered), rules
+        self.association_rules()  # first: the rows it reads may be bounds
+        self.broad_cinds()
+        stale, moved, cache = self._stale, self._moved, self._refs_cache
+        if moved:
+            stale.update(b[1] for b in self._order if not moved.isdisjoint(b[3]))
+            moved.clear()
+        decoded, pruned, broad = self._decoded, self._pruned, self._broad
+        rows: BroadCINDs = {}
+        for code in chain(stale, *map(unary_part_codes, stale)):
+            entry = code not in pruned and broad.get(decoded[code])
+            if entry and not cache[code].isdisjoint(pruned):
+                kept = map(decoded.__getitem__, cache[code] - pruned)
+                entry = (frozenset(kept), entry[1])
+            if entry and entry[0]:
+                rows[decoded[code]] = entry
+        return stale, consolidate_pertinent(rows)
 
-    def result_document(self) -> Tuple[List[SupportedCIND], List[SupportedAR]]:
-        """:meth:`batch_result` in the row order of ``rdfind discover -o``.
+    def result_document(self) -> Tuple[List[Tuple], List[Tuple]]:
+        """The document's blocks and rules, in ``rdfind discover -o`` order.
 
-        The batch pipeline sorts by the ids a cold encode of the
-        materialized dataset assigns, and such an id is nothing but the
-        rank of the term's first occurrence in live insertion order.  (The
-        streaming dictionary keeps ids of terms only dead triples used,
-        so its own id order differs.)  One pass over the live id triples
-        gives every term's first-occurrence position; the rows are sorted
-        with the batch key under those positions and keep their stream
-        ids, which :meth:`document_json` decodes.
+        A dependent's pertinent rows share support and dependent key, so
+        they are one contiguous *block*; blocks, and the rows of one, sort
+        by the batch key under :meth:`_position`.  Only the stale blocks
+        are keyed and rendered again, by the maintainer's one
+        :class:`ResultEncoder`: a capture is decoded once in its lifetime.
         """
-        cinds, rules = self.batch_result()
-        flat = list(chain.from_iterable(self.store.live()))
-        # Written back to front, so a term's first position is what stays.
-        first = dict(zip(reversed(flat), range(len(flat), 0, -1)))
-
-        def positioned(condition: Condition) -> Tuple[int, ...]:
-            """``condition`` with each term id replaced by its position."""
-            if is_binary(condition):
-                attr1, value1, attr2, value2 = condition
-                return (attr1, first[value1], attr2, first[value2])
-            return (condition.attr, first[condition.value])
-
-        # One key object per capture: equal keys then compare by identity,
-        # and a query allocates per distinct capture, not per row.
-        keys: Dict[Capture, Tuple] = {}
-
-        def capture_key(capture: Capture) -> Tuple:
-            key = keys.get(capture)
-            if key is None:
-                key = keys[capture] = (capture.attr, positioned(capture.condition))
-            return key
-
-        cinds.sort(
-            key=lambda sc: (
-                -sc.support,
-                capture_key(sc.cind.dependent),
-                capture_key(sc.cind.referenced),
-            )
-        )
-        rules.sort(
-            key=lambda sar: (
-                -sar.support,
-                positioned(sar.rule.lhs),
-                positioned(sar.rule.rhs),
-            )
-        )
-        return cinds, rules
+        stale, cinds = self.batch_result()
+        blocks, order, key_of = self._blocks, self._order, self._sort_key
+        for code in stale & blocks.keys():
+            del order[bisect_left(order, blocks.pop(code))]
+            self._document = None
+        for dependent, rows in groupby(cinds, key=lambda sc: sc.cind.dependent):
+            code = capture_code(dependent)
+            if code in stale:
+                refs = sorted((sc.cind.referenced for sc in rows), key=key_of)
+                support = len(self._witnesses[code])
+                keyed = (((code, capture_code(ref)), support) for ref in refs)
+                terms = (c.condition[1::2] for c in (dependent, *refs))
+                blocks[code] = block = (
+                    (-support, key_of(dependent)),
+                    code,
+                    ",\n".join(self._encoder.cind_rows(keyed)),
+                    frozenset(chain.from_iterable(terms)),
+                )
+                insort(order, block)
+                self.stats.blocks_rebuilt += 1
+                self._document = None
+        stale.clear()
+        return order, self._rule_order
 
     def document_json(self) -> str:
         """The live dataset's result document, byte-identical to batch.
 
-        :meth:`result_document` rows through the one result encoder,
-        :func:`repro.core.serialization.write_result`: exactly what
-        ``rdfind discover -o`` writes for the materialized dataset.
+        What ``rdfind discover -o`` writes for the materialized dataset,
+        through the same encoder; the last call's string if nothing changed.
         """
-        cinds, rules = self.result_document()
-        buffer = io.StringIO()
-        write_result(
-            buffer, self.h, BATCH_VARIANT, cinds, rules, self.dictionary.decode
-        )
-        return buffer.getvalue()
+        blocks, rules = self.result_document()
+        if self._document is None:
+            texts = (block[2] for block in blocks), (rule[1] for rule in rules)
+            self._document = "".join(result_pieces(self.h, BATCH_VARIANT, *texts))
+        return self._document
 
     # ------------------------------------------------------------------
     # introspection

@@ -50,6 +50,33 @@ class TestParseLine:
         triple = parse_ntriples_line(r'<a> <b> "é" .')
         assert "é" in triple.o
 
+    def test_long_unicode_escapes_in_literal_and_uri(self):
+        triple = parse_ntriples_line(
+            r'<http://x/café\U0001F600> <b> "café \U0001F600" .'
+        )
+        assert triple.s == "http://x/café\U0001F600"
+        assert literal_value(triple.o) == "café \U0001F600"
+        again = parse_ntriples_line(serialize_triple(triple))
+        assert again == triple
+        assert serialize_term(again.o) == '"café \U0001F600"'
+
+    @pytest.mark.parametrize(
+        "line, escape",
+        [
+            (r'<a> <b> "x\u12" .', r"\u12"),  # truncated: not U+0012
+            (r'<a> <b> "x\uZZZZ" .', r"\uZZZZ"),
+            (r'<a> <b> "x\U0011FFFF" .', r"\U0011FFFF"),  # beyond U+10FFFF
+            (r'<a> <b> "x\u+12a" .', r"\u+12a"),  # int() would take the sign
+            (r"<a\u12> <b> <c> .", r"\u12"),
+            (r"<a> <b\U0011FFFF> <c> .", r"\U0011FFFF"),
+        ],
+    )
+    def test_bad_unicode_escape_is_a_parse_error_with_its_line(self, line, escape):
+        with pytest.raises(NTriplesParseError) as caught:
+            parse_ntriples_line(line, line_number=7)
+        assert caught.value.line_number == 7
+        assert f"bad escape {escape}" in str(caught.value)
+
     def test_comment_line_returns_none(self):
         assert parse_ntriples_line("# a comment") is None
 

@@ -1,14 +1,21 @@
 """Tests for discovery-result JSON serialization."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.cind import decode_cind, decode_condition
+from repro.core.cind import capture_code, code_capture, decode_cind, decode_condition
 from repro.core.discovery import RDFind, RDFindConfig, find_pertinent_cinds
-from repro.core.serialization import dump_result, load_result, parse_result_dict
+from repro.core.serialization import (
+    ResultEncoder,
+    dump_result,
+    load_result,
+    parse_result_dict,
+    result_pieces,
+)
 from repro.rdf.model import Dataset
 from repro.sparql import QueryMinimizer, lubm_q2
 from tests.conftest import random_rdf
@@ -25,6 +32,38 @@ def dumped(result, directory) -> str:
     path = directory / "result.json"
     dump_result(result, path)
     return path.read_bytes().decode("utf-8")
+
+
+def joined(result, blocks: bool) -> str:
+    """``result`` through the row-level entry point, pieces joined.
+
+    Row by row keyed by the captures themselves, or — the stream's way —
+    keyed by capture codes, the rows of a dependent joined into one block.
+    """
+    if not blocks:
+        rows = ResultEncoder(result.dictionary.decode)
+        cinds = rows.cind_rows(result.cinds)
+    else:
+        rows = ResultEncoder(result.dictionary.decode, code_capture)
+        cinds = (
+            ",\n".join(
+                rows.cind_rows(
+                    ((capture_code(dep), capture_code(ref)), support)
+                    for (dep, ref), support in block
+                )
+            )
+            for _dependent, block in itertools.groupby(
+                result.cinds, key=lambda sc: sc.cind.dependent
+            )
+        )
+    return "".join(
+        result_pieces(
+            result.support_threshold,
+            result.config.variant_name,
+            cinds,
+            rows.rule_rows(result.association_rules),
+        )
+    )
 
 
 def decoded_rows(result):
@@ -128,6 +167,7 @@ class TestEncoderBytes:
         )
         text = dumped(result, tmp_path_factory.mktemp("encoder"))
         assert text == result_json(result)
+        assert joined(result, blocks=data.draw(st.booleans())) == text
 
         cinds, rules, parsed_h = parse_result_dict(json.loads(text))
         assert parsed_h == h
@@ -151,6 +191,7 @@ class TestEncoderBytes:
         )
         text = dumped(result, tmp_path)
         assert text == result_json(result)
+        assert joined(result, blocks=False) == joined(result, blocks=True) == text
         assert ('"cinds": []' in text) == (not keep_cinds)
         assert ('"association_rules": []' in text) == (not keep_rules)
 
@@ -162,6 +203,19 @@ class TestEncoderBytes:
         )
         assert len(result.cinds) > 2 * 4096
         assert dumped(result, tmp_path) == result_json(result)
+        assert joined(result, blocks=False) == result_json(result)
+        assert joined(result, blocks=True) == result_json(result)
+        # Blocks cross a seam too: the same rows two to a block.
+        encoder = ResultEncoder(result.dictionary.decode)
+        rows = list(encoder.cind_rows(result.cinds))
+        pairs = (",\n".join(rows[at : at + 2]) for at in range(0, len(rows), 2))
+        pieces = result_pieces(
+            result.support_threshold,
+            result.config.variant_name,
+            pairs,
+            encoder.rule_rows(result.association_rules),
+        )
+        assert "".join(pieces) == result_json(result)
 
 
 class TestMalformedDocuments:

@@ -1,5 +1,6 @@
 """Stateful (model-based) property tests via hypothesis."""
 
+import os
 import shutil
 import tempfile
 
@@ -11,6 +12,8 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.discovery import RDFind, RDFindConfig
+from repro.core.serialization import dump_result
 from repro.core.validation import NaiveProfiler
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.store import TripleStore
@@ -76,6 +79,7 @@ class StreamingMachine(RuleBasedStateMachine):
         self.session = StreamSession(self.directory, h=self.h, fsync=False)
         self.model: list = []
         self.since_checkpoint = 0
+        self.served = None
 
     def teardown(self):
         self.session.close()
@@ -112,6 +116,30 @@ class StreamingMachine(RuleBasedStateMachine):
         self.session = StreamSession(self.directory, h=self.h, fsync=False)
         assert self.session.replayed_records == self.since_checkpoint
         assert list(self.maintainer.as_dataset()) == self.model
+
+    @rule()
+    def query(self):
+        """Ask for the document here: the steps since the last query meet
+        warm blocks, positions and rules, and :meth:`document_is_batch_bytes`
+        checks what they made of them."""
+        self.served = self.session.document_json()
+
+    @invariant()
+    def document_is_batch_bytes(self):
+        """A document just served is ``discover`` + ``dump_result`` on the
+        materialized triples.  (Asking after *every* step would leave the
+        incremental state nothing to accumulate, so only ``query`` asks.)"""
+        served, self.served = self.served, None
+        if served is None:
+            return
+        result = RDFind(RDFindConfig(support_threshold=self.h)).discover(
+            self.maintainer.materialize()
+        )
+        path = os.path.join(self.directory, "oracle.json")
+        dump_result(result, path)
+        with open(path, encoding="utf-8") as stream:
+            assert served == stream.read()
+        assert self.session.document_json() is served  # nothing changed since
 
     @invariant()
     def pertinent_matches_batch(self):

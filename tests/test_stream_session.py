@@ -375,6 +375,39 @@ class TestCheckpointTrust:
         with StreamSession(directory, h=2) as session:
             assert session.status()["stats"] == before
 
+    def test_manifest_older_than_a_counter_resumes_with_it_at_zero(self, tmp_path):
+        """``blocks_rebuilt`` & co. are younger than version-2 manifests:
+        one without them is no miss, the counters just start at 0."""
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2) as session:
+            for op, s, p, o in scripted_ops(16, n_ops=40):
+                session.apply(op, s, p, o)
+            document = session.document_json()
+            session.compact()
+            before = session.status()["stats"]
+        young = ("blocks_rebuilt", "terms_repositioned", "groups_intersected")
+        assert before["blocks_rebuilt"] > 0 and before["groups_intersected"] > 0
+        manifest_path = os.path.join(directory, "checkpoints", "manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        for name in young:
+            del manifest["stats"][name]
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=1, sort_keys=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            session = StreamSession(directory, h=2)
+        with session:
+            assert session.resumed_from_checkpoint
+            assert session.replayed_records == 0
+            stats = session.status()["stats"]
+            assert {name: stats[name] for name in young} == dict.fromkeys(young, 0)
+            assert {k: v for k, v in stats.items() if k not in young} == {
+                k: v for k, v in before.items() if k not in young
+            }
+            assert session.document_json() == document
+            assert session.status()["stats"]["blocks_rebuilt"] > 0
+
 
 class TestBatchAndStatus:
     def test_apply_batch_counts(self, tmp_path):

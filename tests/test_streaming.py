@@ -14,6 +14,11 @@ from repro.core.validation import NaiveProfiler
 from repro.streaming import DeltaStore, StreamingRDFind
 from tests.conftest import random_rdf
 from tests.result_oracle import result_to_dict
+from tests.stream_oracle import (
+    document_from_scratch,
+    full_intersection,
+    rows_from_scratch,
+)
 
 
 def oracle_decoded(dataset, h):
@@ -31,24 +36,6 @@ def maintained_decoded(maintainer):
         (decode_cind(sc.cind, maintainer.dictionary), sc.support)
         for sc in maintainer.pertinent_cinds()
     }
-
-
-def rows_from_scratch(maintainer):
-    """``broad_cinds()`` with no cache: every row intersected afresh.
-
-    The maintainer holds capture codes; they are decoded here, at the
-    assertion.
-    """
-    rows = {}
-    for code, values in maintainer._witnesses.items():
-        if len(values) >= maintainer.h:
-            refs = maintainer._refs_of(code)
-            if refs:
-                rows[code_capture(code)] = (
-                    frozenset(map(code_capture, refs)),
-                    len(values),
-                )
-    return rows
 
 
 def mixed_ops(seed, n_triples=40, n_ops=110):
@@ -318,7 +305,9 @@ class TestExactInvalidation:
     )
     def test_clean_rows_are_exact_after_every_event(self, script, scope, h):
         """The invariant on codes, checked between queries too: every
-        cached row outside the dirty set is the intersection computed now."""
+        cached row outside the dirty set is the intersection computed now,
+        every dirty one a subset of it — the bound ``_refs_of`` may stop
+        at, which therefore answers exactly for any capture at any time."""
         maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
         live = []
         for op, *args in script:
@@ -335,6 +324,143 @@ class TestExactInvalidation:
                 if code not in maintainer._dirty:
                     assert row == maintainer._refs_of(code)
                     assert len(maintainer._witnesses[code]) >= h
+                elif code in maintainer._witnesses:  # else torn down: no row due
+                    assert row <= full_intersection(maintainer, code)
+            for code in maintainer._witnesses:
+                assert maintainer._refs_of(code) == full_intersection(maintainer, code)
+
+
+def replayed(script, h, scope):
+    """A maintainer that lived through ``script``, queries included."""
+    maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+    live = []
+    for op, *args in script:
+        if op == "add":
+            if maintainer.add(tuple(args)):
+                live.append(tuple(args))
+        elif op == "remove":
+            if live:
+                assert maintainer.remove(live.pop(args[0] % len(live)))
+        else:
+            maintainer.document_json()
+    return maintainer
+
+
+class TestIncrementalDocument:
+    """The blocks, positions and rules a query keeps are only ever seen
+    through the bytes they spell, so the bytes are compared at every point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # several scripts on end: long enough for warm state to matter
+        script=st.lists(_script, min_size=1, max_size=6).map(
+            lambda scripts: list(itertools.chain.from_iterable(scripts))
+        ),
+        scope=st.sampled_from(sorted(_SCOPES)),
+        h=st.integers(min_value=1, max_value=3),
+    )
+    def test_document_after_every_event_is_the_fresh_document(self, script, scope, h):
+        """Whatever was served before (the script's queries), the document
+        after each event is the one a maintainer new to the live triples
+        writes, and the one rebuilt from nothing."""
+        for upto in range(1, len(script) + 1):
+            if script[upto - 1][0] == "query":
+                continue  # the next event's replay asks here
+            warm = replayed(script[:upto], h, scope)
+            fresh = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+            fresh.add_all(warm.as_dataset())
+            document = warm.document_json()
+            assert document == fresh.document_json()
+            assert document == document_from_scratch(warm)
+
+    @pytest.mark.parametrize("scope", sorted(_SCOPES))
+    def test_what_moves_a_block(self, scope):
+        """A term dying and returning, a re-added triple, a rule appearing
+        and breaking, a dependent crossing its neighbour: one warm
+        maintainer, compared with the rebuild after every event."""
+        maintainer = StreamingRDFind(h=2, scope=_SCOPES[scope]())
+        seen = set()
+        for op, triple in mixed_ops(2600, n_triples=30, n_ops=160) + [
+            ("add", ("a", "p", "x")),
+            ("add", ("b", "p", "x")),  # o=x → p=p holds ...
+            ("add", ("b", "q", "x")),  # ... and breaks
+            ("remove", ("a", "p", "x")),  # the first occurrence of a, p, x
+            ("add", ("a", "p", "x")),  # back, at the end of the order
+        ]:
+            maintainer.apply(op, triple)
+            assert maintainer.document_json() == document_from_scratch(maintainer)
+            seen.add(maintainer.document_json())
+        assert len(seen) > 3
+        assert any('"lhs"' in document for document in seen) == (
+            maintainer.scope.allow_binary
+        )
+        assert maintainer.stats.terms_repositioned > 0
+        assert maintainer.stats.blocks_rebuilt > 0
+
+    def test_a_relaxation_row_moves_the_binary_dependents_that_read_it(self):
+        """``(s, p=type ∧ o=Gene) ⊆ (s, p=name)`` is minimal until
+        ``(s, p=type) ⊆ (s, p=name)`` holds — which an event that touches
+        no value of the binary dependent can bring about."""
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(
+            [
+                ("g1", "type", "Gene"), ("g2", "type", "Gene"),
+                ("x", "type", "Disease"), ("z", "type", "Disease"),
+                ("y", "likes", "Gene"),  # keeps o=Gene → p=type from being a rule
+                ("g1", "name", "n1"), ("g2", "name", "n2"), ("z", "name", "n4"),
+            ]
+        )  # fmt: skip
+
+        def gene_rows(document):
+            return [
+                row
+                for row in json.loads(document)["cinds"]
+                if row["dep"]["cond"] == [["p", "type"], ["o", "Gene"]]
+                and row["ref"]["cond"] == [["p", "name"]]
+            ]
+
+        assert len(gene_rows(maintainer.document_json())) == 1
+        maintainer.add(("x", "name", "n3"))  # x is no Gene
+        document = maintainer.document_json()
+        assert document == document_from_scratch(maintainer)
+        assert gene_rows(document) == []
+        maintainer.remove(("x", "name", "n3"))
+        assert maintainer.document_json() == document_from_scratch(maintainer)
+        assert len(gene_rows(maintainer.document_json())) == 1
+
+    def test_an_idle_query_returns_the_same_string(self):
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(random_rdf(1201, n_triples=60))
+        document = maintainer.document_json()
+        rebuilt = maintainer.stats.blocks_rebuilt
+        walked = maintainer.stats.groups_intersected
+        assert maintainer.document_json() is document
+        assert maintainer.stats.blocks_rebuilt == rebuilt > 0
+        assert maintainer.stats.groups_intersected == walked > 0
+        maintainer.add(("brand", "new", "terms"))  # below h: names nothing
+        assert maintainer.document_json() is document
+        assert maintainer.stats.blocks_rebuilt == rebuilt
+
+    def test_one_triple_rebuilds_a_handful_of_blocks(self):
+        """Diseasome-sized state: what a delta costs follows the delta."""
+        from repro.datasets import registry
+
+        triples = [tuple(t) for t in registry.load("Diseasome")]
+        maintainer = StreamingRDFind(h=10)
+        maintainer.add_all(triples[:-200])
+        document = maintainer.document_json()
+        blocks = len(maintainer._blocks)
+        assert blocks > 300
+        for triple in triples[-200::20]:
+            before = maintainer.stats.to_dict()
+            assert maintainer.add(triple)
+            changed = maintainer.document_json()
+            after = maintainer.stats.to_dict()
+            assert after["blocks_rebuilt"] - before["blocks_rebuilt"] < 60
+            assert after["groups_intersected"] - before["groups_intersected"] < 2000
+            assert (changed is document) == (changed == document)
+            document = changed
+        assert document == document_from_scratch(maintainer)
 
 
 class TestCodesInsideCapturesOutside:
