@@ -10,8 +10,6 @@
   local-closed-world reading (the paper's second future-work item).
 * :mod:`repro.apps.profile_report` — everything above behind one call, in
   the spirit of the ProLOD++ profiling suite the paper relates to (§9).
-* :mod:`repro.apps.materialize` — emit the mined schema hints as RDFS/OWL
-  triples.
 * :mod:`repro.apps.integration` — cross-dataset CINDs for data
   integration (join paths and schema correspondences between sources).
 """
@@ -27,7 +25,6 @@ from repro.apps.integration import (
     discover_cross_cinds,
 )
 from repro.apps.knowledge import KnowledgeFact, discover_knowledge
-from repro.apps.materialize import materialize_ontology, subclass_closure
 from repro.apps.ontology import OntologyHint, reverse_engineer_ontology
 from repro.apps.profile_report import ProfileReport, profile_dataset
 from repro.apps.ranking import ScoredCIND, rank_cinds, spurious
@@ -41,8 +38,6 @@ __all__ = [
     "discover_cross_cinds",
     "KnowledgeFact",
     "discover_knowledge",
-    "materialize_ontology",
-    "subclass_closure",
     "OntologyHint",
     "reverse_engineer_ontology",
     "ProfileReport",

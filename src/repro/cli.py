@@ -344,6 +344,12 @@ def cmd_discover(args: argparse.Namespace) -> int:
             f"fault tolerance: {metrics.total_faults_injected} faults injected, "
             f"{metrics.total_retries} task retries"
         )
+    if metrics.total_spilled_runs:
+        print(
+            f"spill: {metrics.total_spilled_runs} runs, "
+            f"{metrics.total_spilled_bytes:,} bytes, "
+            f"{metrics.total_merge_passes} merge passes"
+        )
     if metrics.checkpoint_bytes or metrics.resumed_stages:
         print(
             f"checkpoint: {metrics.checkpoint_bytes:,} bytes written, "

@@ -119,7 +119,7 @@ def int_key_mask(key: int, num_bits: int, num_hashes: int) -> int:
 
 
 class BloomFilter:
-    """A fixed-size Bloom filter with union and AND-intersection.
+    """A fixed-size Bloom filter with bitwise-OR union.
 
     Parameters
     ----------
@@ -221,18 +221,8 @@ class BloomFilter:
             bits[index] |= byte
         return self
 
-    def intersect(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise-AND approximation of set intersection (Algorithm 3)."""
-        self._check_compatible(other)
-        result = BloomFilter(self.num_bits, self.num_hashes)
-        result._bits = bytearray(a & b for a, b in zip(self._bits, other._bits))
-        return result
-
     def __or__(self, other: "BloomFilter") -> "BloomFilter":
         return self.union(other)
-
-    def __and__(self, other: "BloomFilter") -> "BloomFilter":
-        return self.intersect(other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
@@ -255,10 +245,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of bits set (saturation indicator)."""
         return self.bit_count / self.num_bits
-
-    def is_empty(self) -> bool:
-        """True if no element was ever added."""
-        return not any(self._bits)
 
     def approximate_cardinality(self) -> float:
         """Estimate of the number of distinct inserted elements."""

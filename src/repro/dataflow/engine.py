@@ -42,19 +42,24 @@ not do: it is randomized per process for strings (``PYTHONHASHSEED``),
 which would make partition assignment differ between pool workers and
 between runs.
 
-The *shuffle mode* decides how keyed operators move data.  The default,
-``shuffle="inline"``, materializes every shuffle bucket in driver
-memory — the reference data plane.  ``shuffle="spill"`` routes
-:meth:`DataSet.reduce_by_key`, :meth:`DataSet.flat_map_reduce_by_key`
-and :meth:`DataSet.co_group` through :mod:`repro.dataflow.shuffle`
-instead: map-side workers cut sorted,
-CRC-framed runs to disk whenever a byte-accurate
-:class:`~repro.dataflow.shuffle.MemoryBudget` (``memory_budget_bytes``)
-overflows, and reduce-side workers k-way-merge the runs — bounded memory
-regardless of bucket size, output asserted byte-identical to ``inline``
-on both executor backends.  Under the ``process`` backend the spill path
-also moves the shuffled data through the filesystem instead of pickling
-whole buckets through the driver.
+Each keyed operator is written once.  Its map task
+(:func:`_combine_map_task` for the two reductions — ``reduce_by_key`` is
+``flat_map_reduce_by_key`` over one pair per record — and
+:func:`_keyed_map_task` for ``co_group``) hands its output to a *sink*,
+one driver (:meth:`DataSet._keyed_stages`) gathers what the sinks return
+per reduce partition, in task order, and runs the reduce-side task.  The
+*shuffle mode* picks the sink and the reduce-side task, nothing else.
+``shuffle="inline"``, the default and the reference, uses
+:class:`_BucketSink`: hash buckets in memory, state priced in records
+against ``memory_budget``, an overrun raises
+:class:`SimulatedOutOfMemory`; the reduce side folds a bucket in a dict.
+``shuffle="spill"`` uses :class:`~repro.dataflow.shuffle.SpillSink`:
+state priced in bytes against ``memory_budget_bytes``, an overrun cuts
+sorted, CRC-framed runs to disk; the reduce side k-way-merges the runs —
+bounded memory regardless of bucket size, output asserted byte-identical
+to ``inline`` on both executor backends.  Under the ``process`` backend
+the spill plane also moves the shuffled data through the filesystem
+instead of pickling whole buckets through the driver.
 
 A configurable per-partition *memory budget* (max records materialized in
 any one worker's in-memory state) emulates out-of-memory failures: stateful
@@ -71,6 +76,7 @@ import os
 import shutil
 import tempfile
 import time
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -85,7 +91,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.dataflow import shuffle as _shuffle
 from repro.dataflow import workspace as _workspace
 from repro.dataflow.executors import create_executor
 from repro.dataflow.faults import (
@@ -98,9 +103,12 @@ from repro.dataflow.hashing import hash_partition, stable_hash
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.dataflow.shuffle import (
     SHUFFLE_MODES,
-    RunInfo,
     SpillConfig,
+    SpillSink,
+    _spill_apply_task,
+    _spill_reduce_task,
     record_bytes,
+    run_records,
 )
 
 T = TypeVar("T")
@@ -119,11 +127,6 @@ __all__ = [
     "record_cells",
     "record_bytes",  # re-exported from repro.dataflow.shuffle
 ]
-
-
-#: Backward-compatible alias — the partitioner moved to
-#: :mod:`repro.dataflow.hashing` so the shuffle subsystem can share it.
-_hash_partition = hash_partition
 
 
 # ----------------------------------------------------------------------
@@ -209,38 +212,89 @@ def _map_partition_task(payload):
     return result, time.perf_counter() - start
 
 
-def _combine_shuffle_task(payload):
-    """Local pre-aggregation + bucket split of ``reduce_by_key``."""
-    key_fn, value_fn, reduce_fn, parallelism, budget, stage, partition = payload
-    start = time.perf_counter()
-    with stage_gc_pause() as pause:
-        local: Dict[Any, Any] = {}
-        for item in partition:
-            key = key_fn(item)
-            value = value_fn(item)
-            if key in local:
-                local[key] = reduce_fn(local[key], value)
-            else:
-                local[key] = value
-        if budget is not None and len(local) > budget:
-            raise SimulatedOutOfMemory(stage, len(local), budget)
-        buckets: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
-        for key, value in local.items():
-            buckets[_hash_partition(key, parallelism)].append((key, value))
-    return buckets, len(local), pause.suppressed, time.perf_counter() - start
+def _one_pair(key_fn, value_fn, item):
+    """``reduce_by_key``'s ``flat_fn``: one ``(key, value)`` pair per record."""
+    return ((key_fn(item), value_fn(item)),)
 
 
-def _fused_combine_shuffle_task(payload):
-    """Fused flatMap + local combine + bucket split (operator chaining)."""
-    flat_fn, reduce_fn, state_cost_fn, parallelism, budget, stage, partition = payload
+class _BucketSink:
+    """Map-side sink of the inline plane: in-memory hash buckets.
+
+    A *sink* is where a map task's keyed output goes (the spill plane's is
+    :class:`repro.dataflow.shuffle.SpillSink`).  The map tasks know four
+    things about it: ``metered`` (does any pair need pricing at all),
+    ``charge`` (price one insert or merge, true on excess), ``overflow``
+    (deal with the excess) and ``finish`` (the output split by reduce
+    partition), plus ``emitted`` and ``stats()`` for the stage record.
+
+    Here state is priced in records — ``state_cost_fn`` of the values
+    when given, else one per key — against the per-worker
+    ``memory_budget``, and excess raises :class:`SimulatedOutOfMemory`:
+    an in-memory combiner has nowhere to put it.
+    """
+
+    __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "used", "emitted")
+
+    def __init__(self, parallelism, budget, state_cost_fn, stage) -> None:
+        self.parallelism = parallelism
+        self.budget = budget
+        self.state_cost_fn = state_cost_fn
+        self.stage = stage
+        self.used = 0
+        self.emitted = 0
+
+    @property
+    def metered(self) -> bool:
+        return self.budget is not None or self.state_cost_fn is not None
+
+    def charge(self, key, previous, value) -> bool:
+        cost_fn = self.state_cost_fn
+        if cost_fn is None:
+            if previous is None:
+                self.used += 1
+        elif previous is None:
+            self.used += cost_fn(value)
+        else:
+            self.used += cost_fn(value) - cost_fn(previous)
+        return self.budget is not None and self.used > self.budget
+
+    def overflow(self, pairs) -> None:
+        raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
+
+    def finish(self, pairs) -> List[List[Tuple[Any, Any]]]:
+        parallelism = self.parallelism
+        parts: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
+        for pair in pairs:
+            parts[hash_partition(pair[0], parallelism)].append(pair)
+        self.emitted = sum(map(len, parts))
+        if self.state_cost_fn is None:
+            self.used = self.emitted
+        return parts
+
+    def stats(self) -> Tuple[int, int, int, int]:
+        """``(peak_state_cost, peak_state_bytes, spilled_runs, spilled_bytes)``."""
+        return self.used, 0, 0, 0
+
+
+def _combine_map_task(payload):
+    """Map side of the keyed reductions: flatMap fused into the combine fold.
+
+    The one place pairs are folded before a shuffle, on either plane.
+    Each pair ``flat_fn`` yields goes into the local table as it is
+    produced; a metered sink prices every insert and merge and says when
+    the table has to go (spill: cut to sorted runs and start over;
+    inline: :class:`SimulatedOutOfMemory`).  A value of ``None`` reads as
+    "no value yet".
+    """
+    flat_fn, reduce_fn, make_sink, partition = payload
     start = time.perf_counter()
+    sink = make_sink()
     with stage_gc_pause() as pause:
         local: Dict[Any, Any] = {}
-        state_cost = 0
-        if state_cost_fn is None and budget is None:
+        local_get = local.get
+        if not sink.metered:
             # Unpriced, unbudgeted fast path (the batch kernels' case):
             # same fold, same insertion order, no per-pair branch work.
-            local_get = local.get
             for item in partition:
                 for key, value in flat_fn(item):
                     previous = local_get(key)
@@ -249,32 +303,52 @@ def _fused_combine_shuffle_task(payload):
                     else:
                         local[key] = reduce_fn(previous, value)
         else:
+            charge = sink.charge
             for item in partition:
                 for key, value in flat_fn(item):
-                    previous = local.get(key)
-                    if previous is None:
-                        local[key] = value
-                        if state_cost_fn is not None:
-                            state_cost += state_cost_fn(value)
-                    else:
-                        merged = reduce_fn(previous, value)
-                        local[key] = merged
-                        if state_cost_fn is not None:
-                            state_cost += state_cost_fn(merged) - state_cost_fn(previous)
-                    if budget is not None:
-                        used = state_cost if state_cost_fn is not None else len(local)
-                        if used > budget:
-                            raise SimulatedOutOfMemory(stage, used, budget)
-        peak = state_cost if state_cost_fn is not None else len(local)
-        buckets: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
-        for key, value in local.items():
-            buckets[_hash_partition(key, parallelism)].append((key, value))
-    return buckets, len(local), peak, pause.suppressed, time.perf_counter() - start
+                    previous = local_get(key)
+                    if previous is not None:
+                        value = reduce_fn(previous, value)
+                    local[key] = value
+                    if charge(key, previous, value):
+                        sink.overflow(local.items())
+                        local.clear()
+        parts = sink.finish(local.items())
+    return parts, sink.emitted, sink.stats(), pause.suppressed, time.perf_counter() - start
+
+
+def _keyed_map_task(payload):
+    """Map side of ``co_group``: key every record of one input side.
+
+    Nothing combines, so records are buffered as ``(key, (side, item))``
+    in arrival order and every one is a fresh insert to the sink.
+    """
+    key_fn, side, make_sink, partition = payload
+    start = time.perf_counter()
+    sink = make_sink()
+    charge = sink.charge
+    pairs: List[Tuple[Any, Any]] = []
+    for item in partition:
+        key = key_fn(item)
+        value = (side, item)
+        pairs.append((key, value))
+        if charge(key, None, value):
+            sink.overflow(pairs)
+            pairs.clear()
+    parts = sink.finish(pairs)
+    return parts, sink.emitted, sink.stats(), 0, time.perf_counter() - start
+
+
+# Reduce-side tasks take ``(fn, part, context, index)``: ``part`` is what
+# the map tasks sent to reduce partition ``index`` (pairs here, run
+# manifests on the spill plane) and ``context`` belongs to the plane (here
+# the record budget and the stage name an overrun is reported under).
+# They return ``(result, gc-suppressed, merge passes, seconds)``.
 
 
 def _reduce_bucket_task(payload):
     """The post-shuffle reduction of one key bucket."""
-    reduce_fn, budget, stage, bucket = payload
+    reduce_fn, bucket, (budget, stage), _index = payload
     start = time.perf_counter()
     with stage_gc_pause() as pause:
         grouped: Dict[Any, Any] = {}
@@ -285,35 +359,21 @@ def _reduce_bucket_task(payload):
                 grouped[key] = value
         if budget is not None and len(grouped) > budget:
             raise SimulatedOutOfMemory(stage, len(grouped), budget)
-    return list(grouped.items()), pause.suppressed, time.perf_counter() - start
-
-
-def _keyed_shuffle_task(payload):
-    """Key every record and split it into hash buckets (shuffle side)."""
-    key_fn, parallelism, partition = payload
-    start = time.perf_counter()
-    buckets: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
-    for item in partition:
-        key = key_fn(item)
-        buckets[_hash_partition(key, parallelism)].append((key, item))
-    return buckets, time.perf_counter() - start
+    return list(grouped.items()), pause.suppressed, 0, time.perf_counter() - start
 
 
 def _co_group_apply_task(payload):
-    """Group both sides of one bucket pair and apply the join function."""
-    fn, budget, stage, left_bucket, right_bucket = payload
+    """Group both sides of one bucket and apply the join function."""
+    fn, bucket, (budget, stage), _index = payload
     start = time.perf_counter()
     with stage_gc_pause() as pause:
-        if budget is not None and len(left_bucket) + len(right_bucket) > budget:
-            raise SimulatedOutOfMemory(
-                stage, len(left_bucket) + len(right_bucket), budget
-            )
-        left_groups: Dict[Any, List[Any]] = {}
-        for key, item in left_bucket:
-            left_groups.setdefault(key, []).append(item)
-        right_groups: Dict[Any, List[Any]] = {}
-        for key, item in right_bucket:
-            right_groups.setdefault(key, []).append(item)
+        if budget is not None and len(bucket) > budget:
+            raise SimulatedOutOfMemory(stage, len(bucket), budget)
+        # groups[0] is the left side, groups[1] the right.
+        groups: Tuple[Dict[Any, List[Any]], Dict[Any, List[Any]]] = ({}, {})
+        for key, (side, item) in bucket:
+            groups[side].setdefault(key, []).append(item)
+        left_groups, right_groups = groups
         result: List[Any] = []
         # Deterministic key order (left insertion order, then right-only keys)
         # instead of set union — set iteration order would leak the process's
@@ -323,7 +383,7 @@ def _co_group_apply_task(payload):
         for key in right_groups:
             if key not in left_groups:
                 result.extend(fn(key, [], right_groups[key]))
-    return result, pause.suppressed, time.perf_counter() - start
+    return result, pause.suppressed, 0, time.perf_counter() - start
 
 
 def _local_reduce_task(payload):
@@ -626,49 +686,36 @@ class DataSet(Generic[T]):
     # element-wise operators
     # ------------------------------------------------------------------
 
-    def map(self, fn: Callable[[T], U], name: str = "map") -> "DataSet[U]":
-        """Apply ``fn`` to every record."""
+    def _element_wise(
+        self, task: Callable[[Any], Any], fn: Callable[..., Any], name: str
+    ) -> "DataSet[Any]":
+        """One stage applying ``task(fn, partition)`` to every partition."""
         stage = self.env.metrics.new_stage(name)
         payloads = [(fn, partition) for partition in self.partitions]
-        out: List[List[U]] = []
+        out: List[List[Any]] = []
         for partition, (result, elapsed) in zip(
-            self.partitions, self._run_stage(stage, _map_task, payloads, records=self._total_records())
+            self.partitions,
+            self._run_stage(stage, task, payloads, records=self._total_records()),
         ):
             stage.partition_seconds.append(elapsed)
             stage.records_in.append(len(partition))
             stage.records_out.append(len(result))
             out.append(result)
         return DataSet(self.env, out, name=name)
+
+    def map(self, fn: Callable[[T], U], name: str = "map") -> "DataSet[U]":
+        """Apply ``fn`` to every record."""
+        return self._element_wise(_map_task, fn, name)
 
     def flat_map(
         self, fn: Callable[[T], Iterable[U]], name: str = "flat_map"
     ) -> "DataSet[U]":
         """Apply ``fn`` and flatten its iterable results."""
-        stage = self.env.metrics.new_stage(name)
-        payloads = [(fn, partition) for partition in self.partitions]
-        out: List[List[U]] = []
-        for partition, (result, elapsed) in zip(
-            self.partitions, self._run_stage(stage, _flat_map_task, payloads, records=self._total_records())
-        ):
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(partition))
-            stage.records_out.append(len(result))
-            out.append(result)
-        return DataSet(self.env, out, name=name)
+        return self._element_wise(_flat_map_task, fn, name)
 
     def filter(self, pred: Callable[[T], bool], name: str = "filter") -> "DataSet[T]":
         """Keep records for which ``pred`` is true."""
-        stage = self.env.metrics.new_stage(name)
-        payloads = [(pred, partition) for partition in self.partitions]
-        out: List[List[T]] = []
-        for partition, (result, elapsed) in zip(
-            self.partitions, self._run_stage(stage, _filter_task, payloads, records=self._total_records())
-        ):
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(partition))
-            stage.records_out.append(len(result))
-            out.append(result)
-        return DataSet(self.env, out, name=name)
+        return self._element_wise(_filter_task, pred, name)
 
     def map_partition(
         self,
@@ -693,254 +740,104 @@ class DataSet(Generic[T]):
         return DataSet(self.env, out, name=name)
 
     # ------------------------------------------------------------------
-    # keyed aggregation (GroupBy + GroupCombine + GroupReduce)
+    # keyed operators (GroupBy + GroupCombine + GroupReduce, CoGroup)
     # ------------------------------------------------------------------
 
-    def _gather_buckets(
-        self, bucket_lists: Iterable[List[List[Any]]]
-    ) -> List[List[Any]]:
-        """Concatenate per-task bucket splits in partition order."""
-        buckets: List[List[Any]] = [[] for _ in range(self.env.parallelism)]
-        for split in bucket_lists:
-            for index, chunk in enumerate(split):
-                buckets[index].extend(chunk)
-        return buckets
-
-    def _reduce_buckets(
+    def _keyed_stages(
         self,
-        buckets: List[List[Tuple[K, V]]],
-        reduce_fn: Callable[[V, V], V],
         name: str,
-    ) -> List[List[Tuple[K, V]]]:
-        """The post-shuffle reduce stage shared by the keyed operators."""
-        stage = self.env.metrics.new_stage(name)
-        payloads = [
-            (reduce_fn, self.env.memory_budget, name, bucket) for bucket in buckets
-        ]
-        results = self._run_stage(
-            stage,
-            _reduce_bucket_task,
-            payloads,
-            records=sum(len(b) for b in buckets),
-        )
-        out: List[List[Tuple[K, V]]] = []
-        for bucket, (result, suppressed, elapsed) in zip(buckets, results):
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(len(bucket))
-            stage.records_out.append(len(result))
-            stage.gc_suppressed_collections += suppressed
-            out.append(result)
-        return out
-
-    # ------------------------------------------------------------------
-    # spilling shuffle (disk-backed data plane; repro.dataflow.shuffle)
-    # ------------------------------------------------------------------
-
-    def _run_spill_map_stage(
-        self,
-        stage: StageMetrics,
-        task: Callable[[Any], Any],
-        payloads: List[Any],
-        records: int,
-        input_sizes: List[int],
-    ) -> List[List[RunInfo]]:
-        """Run map-side spill tasks; account manifests, return runs per
-        reduce partition in global ``(map partition, cut order)`` order."""
-        results = self._run_stage(stage, task, payloads, records=records)
-        shuffled = 0
-        per_task_runs: List[List[RunInfo]] = []
-        for size, (runs, emitted, spilled_bytes, peak_bytes, elapsed) in zip(
-            input_sizes, results
-        ):
-            shuffled += emitted
-            per_task_runs.append(runs)
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(size)
-            stage.records_out.append(emitted)
-            stage.spilled_runs += len(runs)
-            stage.spilled_bytes += spilled_bytes
-            stage.peak_state_bytes = max(stage.peak_state_bytes, peak_bytes)
-        stage.shuffled_records = shuffled
-        return _shuffle.gather_runs(per_task_runs, self.env.parallelism)
-
-    def _run_spill_merge_stage(
-        self,
-        stage: StageMetrics,
-        task: Callable[[Any], Any],
-        make_payload: Callable[[int, List[RunInfo]], Any],
-        run_lists: List[List[RunInfo]],
-    ) -> List[List[Any]]:
-        """Run reduce-side merge tasks, one per partition's run set."""
-        records = sum(info.records for runs in run_lists for info in runs)
-        payloads = [
-            make_payload(index, runs) for index, runs in enumerate(run_lists)
-        ]
-        results = self._run_stage(stage, task, payloads, records=records)
-        out: List[List[Any]] = []
-        for runs, (result, passes, elapsed) in zip(run_lists, results):
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(sum(info.records for info in runs))
-            stage.records_out.append(len(result))
-            stage.merge_passes += passes
-            out.append(result)
-        return out
-
-    def _spill_reduce_by_key(
-        self,
-        key_fn: Callable[[T], K],
-        value_fn: Callable[[T], V],
-        reduce_fn: Callable[[V, V], V],
-        name: str,
-    ) -> "DataSet[Tuple[K, V]]":
-        env = self.env
-        stage = env.metrics.new_stage(name)
-        stage_dir = env._new_spill_stage_dir()
-        try:
-            payloads = [
-                (
-                    key_fn,
-                    value_fn,
-                    reduce_fn,
-                    env.parallelism,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                    partition,
-                )
-                for index, partition in enumerate(self.partitions)
-            ]
-            run_lists = self._run_spill_map_stage(
-                stage,
-                _shuffle._spill_combine_map_task,
-                payloads,
-                self._total_records(),
-                self._partition_sizes(),
-            )
-            reduce_stage = env.metrics.new_stage(name + "/reduce")
-            out = self._run_spill_merge_stage(
-                reduce_stage,
-                _shuffle._spill_reduce_task,
-                lambda index, runs: (
-                    reduce_fn,
-                    runs,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                ),
-                run_lists,
-            )
-        finally:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-        return DataSet(env, out, name=name)
-
-    def _spill_flat_map_reduce_by_key(
-        self,
-        flat_fn: Callable[[T], Iterable[Tuple[K, V]]],
-        reduce_fn: Callable[[V, V], V],
-        name: str,
-    ) -> "DataSet[Tuple[K, V]]":
-        env = self.env
-        stage = env.metrics.new_stage(name)
-        stage_dir = env._new_spill_stage_dir()
-        try:
-            payloads = [
-                (
-                    flat_fn,
-                    reduce_fn,
-                    env.parallelism,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                    partition,
-                )
-                for index, partition in enumerate(self.partitions)
-            ]
-            run_lists = self._run_spill_map_stage(
-                stage,
-                _shuffle._spill_fused_map_task,
-                payloads,
-                self._total_records(),
-                self._partition_sizes(),
-            )
-            reduce_stage = env.metrics.new_stage(name + "/reduce")
-            out = self._run_spill_merge_stage(
-                reduce_stage,
-                _shuffle._spill_reduce_task,
-                lambda index, runs: (
-                    reduce_fn,
-                    runs,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                ),
-                run_lists,
-            )
-        finally:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-        return DataSet(env, out, name=name)
-
-    def _spill_co_group(
-        self,
-        other: "DataSet[U]",
-        key_self: Callable[[T], K],
-        key_other: Callable[[U], K],
-        fn: Callable[[K, List[T], List[U]], Iterable[Any]],
-        name: str,
+        map_task: Callable[[Any], Any],
+        map_inputs: List[Tuple[Tuple[Any, ...], List[Any], int]],
+        tail: str,
+        fn: Callable[..., Any],
+        reduce_tasks: Tuple[Callable[[Any], Any], Callable[[Any], Any]],
+        state_cost_fn: Optional[Callable[[Any], int]] = None,
+        record_budget: Optional[int] = None,
     ) -> "DataSet[Any]":
+        """The driver of every keyed operator, on either plane.
+
+        ``map_inputs`` holds one ``(leading payload fields, partition,
+        logical size)`` per map task; each task gets a fresh sink and
+        returns its output split by reduce partition.  The parts are
+        gathered in task order — which is what fixes the fold order on
+        both planes — and handed to the plane's reduce-side task
+        (``reduce_tasks`` is the ``(inline, spill)`` pair) under the stage
+        ``name + tail``.  Map-side accounting is folded onto
+        ``parallelism`` slots (task ``i`` counts towards slot
+        ``i % parallelism``), so an operator with two inputs reports one
+        entry per worker, like every other stage.
+
+        This is the only place that reads ``env.shuffle``.
+        """
         env = self.env
         parallelism = env.parallelism
         stage = env.metrics.new_stage(name)
-        stage_dir = env._new_spill_stage_dir()
-        try:
-            # The right side's map indices are offset by the parallelism:
-            # unique run names, and every left run globally orders before
-            # every right run — the side order the inline co-group applies.
-            payloads = [
-                (
-                    key_self,
-                    0,
-                    parallelism,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                    partition,
-                )
-                for index, partition in enumerate(self.partitions)
-            ] + [
-                (
-                    key_other,
-                    1,
-                    parallelism,
-                    env.spill_config,
-                    stage_dir,
-                    parallelism + index,
-                    partition,
-                )
-                for index, partition in enumerate(other.partitions)
+        stage_dir: Optional[str] = None
+        if env.shuffle == "spill":
+            stage_dir = env._new_spill_stage_dir()
+            sinks = [
+                partial(SpillSink, env.spill_config, parallelism, stage_dir, index)
+                for index in range(len(map_inputs))
             ]
-            run_lists = self._run_spill_map_stage(
+            reduce_task = reduce_tasks[1]
+            context: Tuple[Any, Any] = (env.spill_config, stage_dir)
+            part_records = run_records
+        else:
+            sinks = [
+                partial(_BucketSink, parallelism, record_budget, state_cost_fn, name)
+            ] * len(map_inputs)
+            reduce_task = reduce_tasks[0]
+            context = (env.memory_budget, name + tail)
+            part_records = len
+        try:
+            payloads = [
+                leading + (make_sink, partition)
+                for (leading, partition, _size), make_sink in zip(map_inputs, sinks)
+            ]
+            results = self._run_stage(
                 stage,
-                _shuffle._spill_keyed_map_task,
+                map_task,
                 payloads,
-                self._total_records() + other._total_records(),
-                [len(p) for p in self.partitions]
-                + [len(p) for p in other.partitions],
+                records=sum(size for _l, _p, size in map_inputs),
             )
-            apply_stage = env.metrics.new_stage(name + "/apply")
-            out = self._run_spill_merge_stage(
-                apply_stage,
-                _shuffle._spill_co_group_task,
-                lambda index, runs: (
-                    fn,
-                    runs,
-                    env.spill_config,
-                    stage_dir,
-                    index,
-                ),
-                run_lists,
-            )
+            stage.partition_seconds = [0.0] * parallelism
+            stage.records_in = [0] * parallelism
+            stage.records_out = [0] * parallelism
+            gathered: List[List[Any]] = [[] for _ in range(parallelism)]
+            for index, (parts, emitted, stats, suppressed, elapsed) in enumerate(results):
+                slot = index % parallelism
+                stage.partition_seconds[slot] += elapsed
+                stage.records_in[slot] += map_inputs[index][2]
+                stage.records_out[slot] += emitted
+                stage.shuffled_records += emitted
+                stage.gc_suppressed_collections += suppressed
+                peak_cost, peak_bytes, runs, spilled_bytes = stats
+                stage.peak_state_cost = max(stage.peak_state_cost, peak_cost)
+                stage.peak_state_bytes = max(stage.peak_state_bytes, peak_bytes)
+                stage.spilled_runs += runs
+                stage.spilled_bytes += spilled_bytes
+                for target, part in zip(gathered, parts):
+                    target.extend(part)
+
+            reduce_stage = env.metrics.new_stage(name + tail)
+            sizes = [part_records(part) for part in gathered]
+            payloads = [
+                (fn, part, context, index) for index, part in enumerate(gathered)
+            ]
+            out: List[List[Any]] = []
+            for size, (result, suppressed, passes, elapsed) in zip(
+                sizes,
+                self._run_stage(reduce_stage, reduce_task, payloads, records=sum(sizes)),
+            ):
+                reduce_stage.partition_seconds.append(elapsed)
+                reduce_stage.records_in.append(size)
+                reduce_stage.records_out.append(len(result))
+                reduce_stage.gc_suppressed_collections += suppressed
+                reduce_stage.merge_passes += passes
+                out.append(result)
         finally:
-            shutil.rmtree(stage_dir, ignore_errors=True)
+            if stage_dir is not None:
+                shutil.rmtree(stage_dir, ignore_errors=True)
         return DataSet(env, out, name=name)
 
     def reduce_by_key(
@@ -952,56 +849,13 @@ class DataSet(Generic[T]):
     ) -> "DataSet[Tuple[K, V]]":
         """Hash-partitioned keyed reduction producing ``(key, value)`` pairs.
 
-        Each worker pre-aggregates its partition before the shuffle (the
-        paper's early-aggregation optimisation), which shrinks shuffle
-        volume for low-cardinality keys.
-
-        Under ``shuffle="spill"`` the same reduction runs on the
-        disk-backed data plane: the combiner spills sorted runs whenever
-        the byte budget overflows and the reduce side merges them —
-        byte-identical output in bounded memory, so the record-count
-        ``memory_budget`` simulation does not apply.
+        :meth:`flat_map_reduce_by_key` over the one pair
+        ``(key_fn(record), value_fn(record))`` per record — same stages,
+        same budget rule, same output order.
         """
-        if self.env.shuffle == "spill":
-            return self._spill_reduce_by_key(key_fn, value_fn, reduce_fn, name)
-        return self._inline_reduce_by_key(key_fn, value_fn, reduce_fn, name)
-
-    def _inline_reduce_by_key(
-        self,
-        key_fn: Callable[[T], K],
-        value_fn: Callable[[T], V],
-        reduce_fn: Callable[[V, V], V],
-        name: str,
-    ) -> "DataSet[Tuple[K, V]]":
-        env = self.env
-        parallelism = env.parallelism
-        stage = env.metrics.new_stage(name)
-        payloads = [
-            (
-                key_fn,
-                value_fn,
-                reduce_fn,
-                parallelism,
-                env.memory_budget,
-                name,
-                partition,
-            )
-            for partition in self.partitions
-        ]
-        results = self._run_stage(stage, _combine_shuffle_task, payloads, records=self._total_records())
-        shuffled = 0
-        for size, (_buckets, emitted, suppressed, elapsed) in zip(
-            self._partition_sizes(), results
-        ):
-            shuffled += emitted
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(size)
-            stage.records_out.append(emitted)
-            stage.gc_suppressed_collections += suppressed
-        stage.shuffled_records = shuffled
-        buckets = self._gather_buckets(split for split, _e, _g, _t in results)
-        out = self._reduce_buckets(buckets, reduce_fn, name + "/reduce")
-        return DataSet(env, out, name=name)
+        return self.flat_map_reduce_by_key(
+            partial(_one_pair, key_fn, value_fn), reduce_fn, name=name
+        )
 
     def flat_map_reduce_by_key(
         self,
@@ -1013,68 +867,49 @@ class DataSet(Generic[T]):
         """Fused flatMap + keyed reduction (Flink's operator chaining).
 
         ``flat_fn`` yields ``(key, value)`` pairs per record; each pair is
-        folded into the local combine state *as it is produced*, so the
-        flatMap's output is never materialized — essential when a record
-        expands into very many pairs (e.g. CIND candidate sets, which are
-        quadratic in capture-group size).
+        folded into the worker's combine table *as it is produced* (the
+        paper's early aggregation), so the flatMap's output is never
+        materialized — essential when a record expands into very many
+        pairs (e.g. CIND candidate sets, which are quadratic in
+        capture-group size) — and only one pair per key and worker is
+        shuffled.  Values must not be ``None``.
 
-        ``state_cost_fn`` prices a combine-state value (e.g. the size of a
-        referenced-capture set); when given, the per-worker memory budget
-        is enforced against the *total state cost*, which models a real
-        combiner running out of memory (the paper's RDFind-DE failures).
+        The budget rule, the same for every keyed operator: under
+        ``shuffle="inline"`` the record-count ``memory_budget`` is
+        checked after every insert or merge into the combine table, and
+        the first one that takes the table over it raises
+        :class:`SimulatedOutOfMemory` under the stage ``name`` — with
+        ``records == budget + 1`` when the table is priced at one record
+        per key.  ``state_cost_fn`` prices a combine-state value instead
+        (e.g. the size of a referenced-capture set), which models a real
+        combiner running out of memory (the paper's RDFind-DE failures);
+        a merge is charged ``state_cost_fn(merged) -
+        state_cost_fn(previous)`` *after* ``reduce_fn`` ran, so with a
+        ``state_cost_fn`` ``reduce_fn`` must return a new value rather
+        than grow ``previous`` in place.  The reduce side checks its
+        grouped table once, under ``name + "/reduce"``.  The stage
+        reports the largest table cost any worker ended with as
+        ``peak_state_cost``.
 
-        Under ``shuffle="spill"`` the fused combiner spills its state to
-        sorted runs instead of raising: the byte-accurate spill budget
-        replaces ``state_cost_fn`` pricing, and the output stays
+        Under ``shuffle="spill"`` the combiner cuts its table to sorted
+        runs instead of raising: the byte-accurate spill budget replaces
+        both the record count and ``state_cost_fn``, and the output stays
         byte-identical.
         """
-        if self.env.shuffle == "spill":
-            return self._spill_flat_map_reduce_by_key(flat_fn, reduce_fn, name)
-        return self._inline_flat_map_reduce_by_key(
-            flat_fn, reduce_fn, state_cost_fn, name
-        )
-
-    def _inline_flat_map_reduce_by_key(
-        self,
-        flat_fn: Callable[[T], Iterable[Tuple[K, V]]],
-        reduce_fn: Callable[[V, V], V],
-        state_cost_fn: Optional[Callable[[V], int]],
-        name: str,
-    ) -> "DataSet[Tuple[K, V]]":
-        env = self.env
-        parallelism = env.parallelism
-        stage = env.metrics.new_stage(name)
-        payloads = [
-            (
-                flat_fn,
-                reduce_fn,
-                state_cost_fn,
-                parallelism,
-                env.memory_budget,
-                name,
-                partition,
-            )
-            for partition in self.partitions
+        inputs = [
+            ((flat_fn, reduce_fn), partition, size)
+            for partition, size in zip(self.partitions, self._partition_sizes())
         ]
-        results = self._run_stage(stage, _fused_combine_shuffle_task, payloads, records=self._total_records())
-        shuffled = 0
-        for size, (_buckets, emitted, peak, suppressed, elapsed) in zip(
-            self._partition_sizes(), results
-        ):
-            shuffled += emitted
-            stage.peak_state_cost = max(stage.peak_state_cost, peak)
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(size)
-            stage.records_out.append(emitted)
-            stage.gc_suppressed_collections += suppressed
-        stage.shuffled_records = shuffled
-        buckets = self._gather_buckets(split for split, _e, _p, _g, _t in results)
-        out = self._reduce_buckets(buckets, reduce_fn, name + "/reduce")
-        return DataSet(env, out, name=name)
-
-    # ------------------------------------------------------------------
-    # joins
-    # ------------------------------------------------------------------
+        return self._keyed_stages(
+            name,
+            _combine_map_task,
+            inputs,
+            "/reduce",
+            reduce_fn,
+            (_reduce_bucket_task, _spill_reduce_task),
+            state_cost_fn=state_cost_fn,
+            record_budget=self.env.memory_budget,
+        )
 
     def co_group(
         self,
@@ -1087,66 +922,27 @@ class DataSet(Generic[T]):
         """Shuffle both inputs by key and apply ``fn`` per key group.
 
         ``fn`` receives the key and the (possibly empty) record lists from
-        each side, enabling inner, outer, and semi joins.
+        each side, enabling inner, outer, and semi joins.  Nothing
+        combines map-side, so under ``shuffle="inline"`` the record
+        budget is checked where the records meet: a bucket larger than
+        ``memory_budget`` raises under ``name + "/apply"``.
         """
-        env = self.env
-        if env.shuffle == "spill":
-            return self._spill_co_group(other, key_self, key_other, fn, name)
-        parallelism = env.parallelism
-        stage = env.metrics.new_stage(name)
-        left_payloads = [
-            (key_self, parallelism, partition) for partition in self.partitions
+        # One map task per partition of either input, the record's side
+        # carried as a tag; task ``parallelism + i`` is the right input's
+        # partition ``i``, so both count towards worker ``i``.
+        inputs = [
+            ((key_self, 0), partition, len(partition)) for partition in self.partitions
+        ] + [
+            ((key_other, 1), partition, len(partition)) for partition in other.partitions
         ]
-        right_payloads = [
-            (key_other, parallelism, partition) for partition in other.partitions
-        ]
-        results = self._run_stage(
-            stage,
-            _keyed_shuffle_task,
-            left_payloads + right_payloads,
-            records=self._total_records() + other._total_records(),
+        return self._keyed_stages(
+            name,
+            _keyed_map_task,
+            inputs,
+            "/apply",
+            fn,
+            (_co_group_apply_task, _spill_apply_task),
         )
-        left_results = results[: len(self.partitions)]
-        right_results = results[len(self.partitions) :]
-        shuffled = 0
-        for index in range(parallelism):
-            left_partition = self.partitions[index]
-            right_partition = other.partitions[index]
-            elapsed = left_results[index][1] + right_results[index][1]
-            moved = len(left_partition) + len(right_partition)
-            shuffled += moved
-            stage.partition_seconds.append(elapsed)
-            stage.records_in.append(moved)
-            stage.records_out.append(moved)
-        stage.shuffled_records = shuffled
-        left_buckets = self._gather_buckets(split for split, _t in left_results)
-        right_buckets = self._gather_buckets(split for split, _t in right_results)
-
-        apply_stage = env.metrics.new_stage(name + "/apply")
-        apply_records = sum(len(b) for b in left_buckets) + sum(
-            len(b) for b in right_buckets
-        )
-        pairs = list(zip(left_buckets, right_buckets))
-        apply_payloads = [
-            (fn, env.memory_budget, name + "/apply", left_bucket, right_bucket)
-            for left_bucket, right_bucket in pairs
-        ]
-        results = self._run_stage(
-            apply_stage,
-            _co_group_apply_task,
-            apply_payloads,
-            records=apply_records,
-        )
-        out: List[List[Any]] = []
-        for (left_bucket, right_bucket), (result, suppressed, elapsed) in zip(
-            pairs, results
-        ):
-            apply_stage.partition_seconds.append(elapsed)
-            apply_stage.records_in.append(len(left_bucket) + len(right_bucket))
-            apply_stage.records_out.append(len(result))
-            apply_stage.gc_suppressed_collections += suppressed
-            out.append(result)
-        return DataSet(env, out, name=name)
 
     # ------------------------------------------------------------------
     # global operations

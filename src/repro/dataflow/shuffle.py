@@ -1,44 +1,48 @@
 """External spilling shuffle: the engine's disk-backed data plane.
 
-The inline shuffle (:mod:`repro.dataflow.engine`) materializes every
-shuffle bucket in driver memory, which caps the largest dataset the
-engine can group at the resident set — the paper's RDFind leans on
-Flink's out-of-core shuffle precisely to escape that cap (Sections 5-6:
-CGCreator and CINDExtractor group billions of capture evidences by
-value).  This module provides the real, bounded-memory alternative the
-engine exposes as ``shuffle="spill"``:
+The inline plane (:mod:`repro.dataflow.engine`) holds every shuffle
+bucket in memory, which caps the largest dataset the engine can group
+at the resident set — the paper's RDFind leans on Flink's out-of-core
+shuffle precisely to escape that cap (Sections 5-6: CGCreator and
+CINDExtractor group billions of capture evidences by value).  This
+module is the bounded-memory alternative, ``shuffle="spill"``.  The
+keyed operators themselves — the combine fold, the driver — live in the
+engine and are the same code on both planes; what is here is the two
+ends that differ:
+
+:class:`SpillSink` (map side)
+    Where a map task's pairs go.  A :class:`MemoryBudget` accounts
+    estimated *bytes* via :func:`record_bytes`, a pricing function
+    calibrated against ``sys.getsizeof`` (regression-tested to stay
+    honest within 2x for the encoded-storage record shapes).  The sink
+    is charged per pair; when it overflows, the task's table (or
+    buffer) is cut to sorted runs and started over, so no worker ever
+    holds more than the budget plus one record.
 
 Run files
     A *run* is a sorted, key-partitioned slice of map output on disk:
-    length-prefixed, CRC-checked frames (:mod:`repro.core.serialization`)
+    length-prefixed, CRC-checked frames (:mod:`repro.core.framing`)
     holding pickled record batches, preceded by a versioned header frame.
     Records are ``(hash, seq, key, value)`` tuples where ``hash`` is the
     process-stable :func:`~repro.dataflow.hashing.stable_hash` of the key
     (the sort key — stable across processes, so any worker produces the
-    same order) and ``seq`` is the record's provenance
-    ``(map partition, emission index)`` — what lets the merge reproduce
-    the inline shuffle's output order exactly.
+    same order) and ``seq`` is ``(map task, cut number, position in the
+    cut)``, assigned when the run is cut — what lets the merge reproduce
+    the inline plane's output order exactly.
 
-Byte-accurate budgets
-    A :class:`MemoryBudget` accounts estimated *bytes* via
-    :func:`record_bytes`, a pricing function calibrated against
-    ``sys.getsizeof`` (regression-tested to stay honest within 2x for the
-    encoded-storage record shapes).  Map-side combiners and buffers
-    charge it per record; when it overflows they cut a sorted run to disk
-    and start over, so no worker ever holds more than the budget plus one
-    record.
-
-Merging
-    Reduce-side tasks group each partition's runs with a k-way
-    ``heapq.merge`` over ``(hash, run, position)`` — fully ordered, no
-    tie ever compares the (arbitrary) record payloads — folding each
-    key's records in exactly the order the inline shuffle would have,
-    and emitting groups ordered by first occurrence.  The result is
-    *byte-identical* to the inline shuffle on both executor backends,
-    in O(budget + output) memory regardless of bucket size.  When a
-    partition accumulates more runs than ``merge_fanin``, intermediate
-    merge passes consolidate them first (``merge_passes`` in the stage
-    metrics).
+Merging (reduce side)
+    :func:`_spill_reduce_task` and :func:`_spill_apply_task` group
+    one partition's runs with a k-way ``heapq.merge`` over ``(hash, run,
+    position)`` — fully ordered, no tie ever compares the (arbitrary)
+    record payloads — folding each key's records in exactly the order
+    the inline plane would have, and emitting groups ordered by first
+    occurrence.  The result is *byte-identical* to the inline plane on
+    both executor backends, in O(budget + output) memory regardless of
+    bucket size.  When a partition accumulates more runs than
+    ``merge_fanin``, intermediate merge passes consolidate them first
+    (``merge_passes`` in the stage metrics).  This is a different
+    algorithm from the inline plane's one-dict fold, not a copy of it:
+    it never holds more than one hash value's keys at a time.
 
 Because map tasks return only :class:`RunInfo` manifests and reduce
 tasks read the run files themselves, the ``process`` executor exchanges
@@ -81,8 +85,10 @@ __all__ = [
     "MemoryBudget",
     "RunInfo",
     "SpillConfig",
+    "SpillSink",
     "record_bytes",
     "read_run",
+    "run_records",
     "write_run",
 ]
 
@@ -118,7 +124,7 @@ DEFAULT_MERGE_FANIN = 64
 _CONTAINER_ELEMENT_BYTES = 56
 
 #: Overhead of one spill record beyond its key and value: the 4-tuple,
-#: the cached 64-bit hash, and the (partition, index) provenance pair.
+#: the cached 64-bit hash, and the (task, cut, position) seq it is cut with.
 _SPILL_RECORD_OVERHEAD = 200
 
 
@@ -320,232 +326,106 @@ def read_run(path: str) -> Iterator[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# map side: partitioned spill writers
+# map side: the spill sink
 # ----------------------------------------------------------------------
 
 
-class _RunSink:
-    """Names, sorts, and writes one map task's runs (in cut order)."""
+class SpillSink:
+    """Map-side sink of the spill plane: byte pricing, overflow cuts runs.
 
-    __slots__ = ("stage_dir", "map_index", "frame_records", "runs", "spills")
+    The counterpart of the inline plane's bucket sink (see
+    :mod:`repro.dataflow.engine` for what the map tasks ask of a sink).
+    Every pair held by the task is priced in estimated bytes — a merged
+    value re-priced, the delta charged — and when the budget overflows
+    the task's pairs are cut into one sorted run per non-empty reduce
+    partition.  ``finish`` cuts what is left and returns the run
+    manifests split by reduce partition, each list in cut order.
 
-    def __init__(self, stage_dir: str, map_index: int, frame_records: int) -> None:
+    A record's ``seq`` is assigned here, when its run is cut: ``(map
+    task, cut number, position in the cut)``.  Pairs arrive in the order
+    the task first produced them (a combine table iterates in
+    first-insertion order, a buffer in arrival order) and cuts are
+    chronological, so the tuple orders keys exactly as a per-pair
+    emission counter would.
+    """
+
+    metered = True
+
+    __slots__ = (
+        "conf", "stage_dir", "map_index", "budget", "prices", "parts", "cuts", "emitted"
+    )
+
+    def __init__(
+        self, conf: "SpillConfig", parallelism: int, stage_dir: str, map_index: int
+    ) -> None:
+        self.conf = conf
         self.stage_dir = stage_dir
         self.map_index = map_index
-        self.frame_records = frame_records
-        self.runs: List[RunInfo] = []
-        self.spills = 0
+        self.budget = MemoryBudget(conf.budget_bytes)
+        #: What each key's pair is currently charged at.  Kept rather
+        #: than re-derived: ``reduce_fn`` may grow ``previous`` in place.
+        self.prices: Dict[Any, int] = {}
+        self.parts: List[List[RunInfo]] = [[] for _ in range(parallelism)]
+        self.cuts = 0
+        self.emitted = 0
 
-    def spill_buckets(self, buckets: List[List[Tuple]]) -> None:
-        """Cut one sorted run per non-empty reduce partition.
+    def charge(self, key: Any, previous: Any, value: Any) -> bool:
+        """Price ``value`` now held under ``key``; true when over budget.
 
-        Each bucket is sorted by the record's stable hash; the sort is
-        stable, so records of one key keep their emission order — the
-        invariant the merge's fold-order guarantee rests on.
+        ``previous is None`` means a pair of its own (a first insert, or
+        any record of a buffer); otherwise ``value`` replaced it.
         """
-        event = self.spills
-        self.spills += 1
+        cost = _pair_cost(key, value)
+        if previous is None:
+            self.budget.charge(cost)
+        else:
+            self.budget.charge(cost - self.prices[key])
+        self.prices[key] = cost
+        return self.budget.exceeded
+
+    def overflow(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
+        """Cut ``pairs`` to sorted runs and empty the account."""
+        parallelism = len(self.parts)
+        map_index, cut = self.map_index, self.cuts
+        buckets: List[List[Tuple]] = [[] for _ in range(parallelism)]
+        count = 0
+        for key, value in pairs:
+            key_hash = stable_hash(key)
+            buckets[key_hash % parallelism].append(
+                (key_hash, (map_index, cut, count), key, value)
+            )
+            count += 1
         for partition, records in enumerate(buckets):
             if not records:
                 continue
+            # Stable sort on the hash alone: records of one key keep their
+            # seq order, which the merge's fold-order guarantee rests on.
             records.sort(key=itemgetter(0))
             path = os.path.join(
                 self.stage_dir,
-                f"map{self.map_index:04d}-run{event:04d}-part{partition:04d}.run",
+                f"map{map_index:04d}-run{cut:04d}-part{partition:04d}.run",
             )
-            self.runs.append(
-                write_run(path, partition, records, self.frame_records)
+            self.parts[partition].append(
+                write_run(path, partition, records, self.conf.frame_records)
             )
+        self.emitted += count
+        self.cuts += 1
+        self.prices.clear()
+        self.budget.reset()
 
-    @property
-    def spilled_bytes(self) -> int:
-        return sum(info.bytes for info in self.runs)
+    def finish(self, pairs: Iterable[Tuple[Any, Any]]) -> List[List[RunInfo]]:
+        self.overflow(pairs)
+        return self.parts
 
-
-def _bucketize(
-    pairs: Iterable[Tuple[Tuple[int, int], Any, Any]], parallelism: int
-) -> List[List[Tuple]]:
-    """Split ``(seq, key, value)`` pairs into per-partition spill records."""
-    buckets: List[List[Tuple]] = [[] for _ in range(parallelism)]
-    for seq, key, value in pairs:
-        key_hash = stable_hash(key)
-        buckets[key_hash % parallelism].append((key_hash, seq, key, value))
-    return buckets
+    def stats(self) -> Tuple[int, int, int, int]:
+        """``(peak_state_cost, peak_state_bytes, spilled_runs, spilled_bytes)``."""
+        runs = [info for part in self.parts for info in part]
+        return 0, self.budget.peak_bytes, len(runs), sum(info.bytes for info in runs)
 
 
-def _spill_combine_map_task(payload):
-    """Map side of ``reduce_by_key`` under the spilling shuffle.
-
-    The worker folds pairs into a local table, charging the byte budget
-    with re-priced deltas; on overflow the table is cut into sorted
-    per-partition runs and restarted.  The ``seq`` recorded with a key
-    is its *first-insertion* emission index, so the merge's min-seq
-    ordering reproduces the inline combiner's ``dict`` insertion order
-    exactly.
-    """
-    (
-        key_fn,
-        value_fn,
-        reduce_fn,
-        parallelism,
-        conf,
-        stage_dir,
-        map_index,
-        partition,
-    ) = payload
-    start = time.perf_counter()
-    sink = _RunSink(stage_dir, map_index, conf.frame_records)
-    budget = MemoryBudget(conf.budget_bytes)
-    emitted = 0
-    local: Dict[Any, Tuple[Tuple[int, int], Any]] = {}
-    prices: Dict[Any, int] = {}
-    for index, item in enumerate(partition):
-        key = key_fn(item)
-        value = value_fn(item)
-        entry = local.get(key)
-        if entry is None:
-            local[key] = ((map_index, index), value)
-            cost = _pair_cost(key, value)
-            prices[key] = cost
-            budget.charge(cost)
-        else:
-            merged = reduce_fn(entry[1], value)
-            local[key] = (entry[0], merged)
-            cost = _pair_cost(key, merged)
-            budget.charge(cost - prices[key])
-            prices[key] = cost
-        if budget.exceeded:
-            emitted += len(local)
-            sink.spill_buckets(
-                _bucketize(
-                    ((seq, k, v) for k, (seq, v) in local.items()),
-                    parallelism,
-                )
-            )
-            local = {}
-            prices = {}
-            budget.reset()
-    if local:
-        emitted += len(local)
-        sink.spill_buckets(
-            _bucketize(((seq, k, v) for k, (seq, v) in local.items()), parallelism)
-        )
-    return (
-        sink.runs,
-        emitted,
-        sink.spilled_bytes,
-        budget.peak_bytes,
-        time.perf_counter() - start,
-    )
-
-
-def _spill_fused_map_task(payload):
-    """Fused flatMap + combine map side (``flat_map_reduce_by_key``)."""
-    flat_fn, reduce_fn, parallelism, conf, stage_dir, map_index, partition = payload
-    start = time.perf_counter()
-    sink = _RunSink(stage_dir, map_index, conf.frame_records)
-    budget = MemoryBudget(conf.budget_bytes)
-    emitted = 0
-    local: Dict[Any, Tuple[Tuple[int, int], Any]] = {}
-    prices: Dict[Any, int] = {}
-    produced = 0
-    for item in partition:
-        for key, value in flat_fn(item):
-            entry = local.get(key)
-            if entry is None:
-                local[key] = ((map_index, produced), value)
-                cost = _pair_cost(key, value)
-                prices[key] = cost
-                budget.charge(cost)
-            else:
-                merged = reduce_fn(entry[1], value)
-                local[key] = (entry[0], merged)
-                cost = _pair_cost(key, merged)
-                budget.charge(cost - prices[key])
-                prices[key] = cost
-            produced += 1
-            if budget.exceeded:
-                emitted += len(local)
-                sink.spill_buckets(
-                    _bucketize(
-                        ((seq, k, v) for k, (seq, v) in local.items()),
-                        parallelism,
-                    )
-                )
-                local = {}
-                prices = {}
-                budget.reset()
-    if local:
-        emitted += len(local)
-        sink.spill_buckets(
-            _bucketize(((seq, k, v) for k, (seq, v) in local.items()), parallelism)
-        )
-    return (
-        sink.runs,
-        emitted,
-        sink.spilled_bytes,
-        budget.peak_bytes,
-        time.perf_counter() - start,
-    )
-
-
-def _spill_keyed_map_task(payload):
-    """Key + buffer + spill map side of ``co_group``.
-
-    ``side`` (0 left, 1 right) tags each record.  ``map_index`` is offset
-    by the parallelism for the right-hand input, which both avoids run
-    name collisions and makes every left run order before every right
-    run in the merge — the order the inline co-group applies sides in.
-    """
-    key_fn, side, parallelism, conf, stage_dir, map_index, partition = payload
-    start = time.perf_counter()
-    sink = _RunSink(stage_dir, map_index, conf.frame_records)
-    budget = MemoryBudget(conf.budget_bytes)
-    emitted = 0
-    buffers: List[List[Tuple]] = [[] for _ in range(parallelism)]
-    buffered = 0
-    for index, item in enumerate(partition):
-        key = key_fn(item)
-        value = (side, item)
-        key_hash = stable_hash(key)
-        buffers[key_hash % parallelism].append(
-            (key_hash, (map_index, index), key, value)
-        )
-        buffered += 1
-        budget.charge(_pair_cost(key, value))
-        if budget.exceeded:
-            emitted += buffered
-            sink.spill_buckets(buffers)
-            buffers = [[] for _ in range(parallelism)]
-            buffered = 0
-            budget.reset()
-    if buffered:
-        emitted += buffered
-        sink.spill_buckets(buffers)
-    return (
-        sink.runs,
-        emitted,
-        sink.spilled_bytes,
-        budget.peak_bytes,
-        time.perf_counter() - start,
-    )
-
-
-def gather_runs(
-    per_task_runs: Iterable[List[RunInfo]], parallelism: int
-) -> List[List[RunInfo]]:
-    """Group map-task manifests by reduce partition, in global run order.
-
-    Tasks are visited in submission (map-partition) order and each task's
-    runs are chronological, so every partition's list is ordered
-    ``(map partition, cut order)`` — the order the merge's tie-breaking
-    relies on to reproduce the inline fold order.
-    """
-    per_partition: List[List[RunInfo]] = [[] for _ in range(parallelism)]
-    for runs in per_task_runs:
-        for info in runs:
-            per_partition[info.partition].append(info)
-    return per_partition
+def run_records(runs: List[RunInfo]) -> int:
+    """Records held by one reduce partition's runs."""
+    return sum(info.records for info in runs)
 
 
 # ----------------------------------------------------------------------
@@ -627,10 +507,10 @@ def _consolidate_runs(
 
 def _spill_reduce_task(payload):
     """Merge one partition's runs and fold each key (``reduce_by_key``)."""
-    reduce_fn, runs, conf, scratch_dir, reduce_partition = payload
+    reduce_fn, runs, (conf, scratch_dir), reduce_partition = payload
     start = time.perf_counter()
     paths, passes = _consolidate_runs(runs, conf, scratch_dir, reduce_partition)
-    rows: List[Tuple[Tuple[int, int], Any, Any]] = []
+    rows: List[Tuple[Tuple[int, int, int], Any, Any]] = []
     current_hash: Optional[int] = None
     block: Dict[Any, List] = {}
     for record in _stream_merged(paths):
@@ -649,20 +529,21 @@ def _spill_reduce_task(payload):
         rows.append((entry[0], block_key, entry[1]))
     rows.sort(key=itemgetter(0))
     result = [(key, value) for _seq, key, value in rows]
-    return result, passes, time.perf_counter() - start
+    return result, 0, passes, time.perf_counter() - start
 
 
-def _spill_co_group_task(payload):
+def _spill_apply_task(payload):
     """Merge both sides' runs and apply the co-group function per key.
 
     Inline ``co_group`` emits every key with left records in left
     first-occurrence order, then right-only keys in right order; the
-    spill path reproduces that by sorting each key's output block on
-    ``(side present, first seq on that side)``.  Left runs order before
-    right runs in the merge (their map indices are offset), so each
-    side's records fold in inline order too.
+    spill plane reproduces that by sorting each key's output block on
+    ``(side present, first seq on that side)``.  A side's runs merge in
+    ``(map task, cut)`` order, so its records reach ``fn`` in inline
+    order too; records carry their side, so how the two sides' runs
+    interleave is immaterial.
     """
-    fn, runs, conf, scratch_dir, reduce_partition = payload
+    fn, runs, (conf, scratch_dir), reduce_partition = payload
     start = time.perf_counter()
     paths, passes = _consolidate_runs(runs, conf, scratch_dir, reduce_partition)
     rows: List[Tuple[Tuple, List[Any]]] = []
@@ -698,4 +579,4 @@ def _spill_co_group_task(payload):
     result: List[Any] = []
     for _order, outputs in rows:
         result.extend(outputs)
-    return result, passes, time.perf_counter() - start
+    return result, 0, passes, time.perf_counter() - start

@@ -21,7 +21,6 @@ from repro.datasets.drugbank import drugbank
 from repro.datasets.freebase import freebase
 from repro.datasets.linkedmdb import linkedmdb
 from repro.datasets.lubm import lubm
-from repro.datasets.noise import corrupt, erosion_curve, violating_triple
 from repro.datasets.registry import DATASETS, DatasetSpec, get_dataset, load
 from repro.datasets.table1 import table1
 
@@ -39,7 +38,4 @@ __all__ = [
     "get_dataset",
     "load",
     "table1",
-    "corrupt",
-    "erosion_curve",
-    "violating_triple",
 ]

@@ -63,6 +63,50 @@ class TestCli:
         out = run(capsys, "funnel", "dataset:Countries", "--scale", "0.05", "-s", "3")
         assert "all CIND candidates" in out
 
+    def test_funnel_exhaustive_adds_the_enumerated_rows(self, capsys, tmp_path):
+        from repro.rdf.ntriples import serialize_ntriples
+        from tests.conftest import random_rdf
+
+        path = tmp_path / "tiny.nt"
+        path.write_text(
+            serialize_ntriples(random_rdf(710, n_triples=40)), encoding="utf-8"
+        )
+        plain = run(capsys, "funnel", str(path), "-s", "2")
+        exhaustive = run(capsys, "funnel", str(path), "-s", "2", "--exhaustive")
+        assert "all CINDs" not in plain
+        assert "all CINDs" in exhaustive and "minimal CINDs" in exhaustive
+
+    def test_parallelism_does_not_change_the_result_bytes(self, capsys, tmp_path):
+        # -p is the paper's scale-out axis (Fig. 9): it moves the simulated
+        # runtime, never an output byte.
+        outputs = []
+        for workers in ("1", "3"):
+            path = tmp_path / f"p{workers}.json"
+            run(
+                capsys, "discover", "dataset:Countries", "--scale", "0.1",
+                "-s", "5", "-p", workers, "-o", str(path),
+            )
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_spill_plane_writes_the_same_bytes_and_says_it_ran(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import re
+
+        monkeypatch.delenv("RDFIND_SHUFFLE", raising=False)
+        discover = ["discover", "dataset:Countries", "--scale", "0.1", "-s", "5"]
+        inline = run(capsys, *discover, "-o", str(tmp_path / "inline.json"))
+        spill = run(
+            capsys, *discover, "--shuffle", "spill",
+            "--memory-budget-bytes", "4096", "-o", str(tmp_path / "spill.json"),
+        )
+        assert "spill:" not in inline
+        assert re.search(r"^spill: [1-9]\d* runs, [\d,]+ bytes, \d+ merge passes$", spill, re.M)
+        assert (tmp_path / "inline.json").read_bytes() == (
+            tmp_path / "spill.json"
+        ).read_bytes()
+
     def test_histogram(self, capsys):
         out = run(capsys, "histogram", "dataset:Countries", "--scale", "0.05")
         assert "frequency" in out

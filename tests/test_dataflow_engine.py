@@ -138,6 +138,29 @@ class TestKeyedOperators:
         assert rows["c"] == ([], [30])
 
 
+class TestStageAccounting:
+    """A keyed operator's two stages have one shape on both planes."""
+
+    @pytest.mark.parametrize("shuffle", ["inline", "spill"])
+    def test_co_group_reports_one_entry_per_worker(self, shuffle):
+        with env(3, shuffle=shuffle) as environment:
+            left = environment.from_collection(range(10), name="left")
+            right = environment.from_collection(range(5, 12), name="right")
+            left.co_group(
+                right, lambda x: x, lambda x: x, lambda k, l, r: [(k, l, r)], name="j"
+            )
+            shuffle_stage = environment.metrics.stage_by_name("j")
+            apply_stage = environment.metrics.stage_by_name("j/apply")
+        # left + right of a worker summed: sizes 4,3,3 and 3,2,2
+        assert shuffle_stage.records_in == [7, 5, 5]
+        assert shuffle_stage.records_out == [7, 5, 5]
+        assert shuffle_stage.shuffled_records == 17
+        assert len(shuffle_stage.partition_seconds) == 3
+        assert sum(apply_stage.records_in) == 17
+        assert len(apply_stage.partition_seconds) == 3
+        assert sum(apply_stage.records_out) == 12  # keys 0..11
+
+
 class TestGlobalOperators:
     def test_reduce_partitions(self):
         total = env(4).from_collection(range(10)).reduce_partitions(
@@ -178,6 +201,39 @@ class TestMemoryBudget:
         ds = environment.from_collection(range(10))
         with pytest.raises(SimulatedOutOfMemory):
             ds.reduce_by_key(lambda x: x, lambda x: x, lambda a, b: a)
+
+    @pytest.mark.parametrize("operator", ["reduce_by_key", "flat_map_reduce_by_key"])
+    def test_record_budget_is_checked_per_insert(self, operator):
+        # One rule for every keyed operator: the insert that takes the
+        # combine table over the budget raises, under the operator's name.
+        ds = env(1, memory_budget=3).from_collection(range(10))
+        with pytest.raises(SimulatedOutOfMemory) as raised:
+            if operator == "reduce_by_key":
+                ds.reduce_by_key(lambda x: x, lambda x: x, lambda a, b: a, name="op")
+            else:
+                ds.flat_map_reduce_by_key(
+                    lambda x: [(x, x)], lambda a, b: a, name="op"
+                )
+        assert raised.value.stage == "op"
+        assert raised.value.budget == 3
+        assert raised.value.records == 4
+
+    def test_reduce_side_overrun_is_reported_under_its_stage(self):
+        # Two workers hold three keys each (within budget); the one
+        # reduce bucket that receives both keys' tables does not fit.
+        environment = env(2, memory_budget=3)
+        ds = environment.from_collection([0, 1, 2, 3, 4, 5])
+        with pytest.raises(SimulatedOutOfMemory) as raised:
+            ds.reduce_by_key(lambda x: 2 * x, lambda x: x, lambda a, b: a, name="op")
+        assert raised.value.stage == "op/reduce"
+        assert raised.value.budget == 3
+
+    def test_reduce_by_key_reports_peak_state_cost(self):
+        environment = env(1)
+        environment.from_collection([1, 2, 3, 1, 2, 1]).reduce_by_key(
+            lambda x: x, lambda x: x, lambda a, b: a + b
+        )
+        assert environment.metrics.stage_by_name("reduce_by_key").peak_state_cost == 3
 
     def test_collect_over_budget_raises(self):
         environment = env(1, memory_budget=3)

@@ -3,11 +3,13 @@
 A deletion sweep leaves dangling references behind — a README row for a
 removed flag, a pointer to a removed benchmark script.  Every
 ``tests/…py`` / ``benchmarks/…py`` / ``examples/…py`` / ``src/…py`` /
-``BENCH_*.json`` path and every ``--flag`` token in the user-facing
-documents must resolve against the tree and the registered parsers.
+``BENCH_*.json`` path, every ``--flag`` token and every dotted
+``repro.x.y`` name in the user-facing documents must resolve against the
+tree, the registered parsers and the importable package.
 """
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -35,6 +37,7 @@ _PATH_RE = re.compile(
     r"(?:tests|benchmarks|examples|src)/[\w./-]*\.py|BENCH_\w+\.json"
 )
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_DOTTED_RE = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def _parser_flags(parser: argparse.ArgumentParser) -> set:
@@ -65,3 +68,29 @@ def test_named_paths_and_flags_exist(document, registered_flags):
     assert not missing, f"{document.name} names files that do not exist: {missing}"
     unknown = sorted(set(_FLAG_RE.findall(text)) - registered_flags)
     assert not unknown, f"{document.name} names unregistered flags: {unknown}"
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then walk attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for attribute in parts[cut:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda path: path.name)
+def test_named_modules_import(document):
+    text = document.read_text(encoding="utf-8")
+    dangling = sorted(
+        name for name in set(_DOTTED_RE.findall(text)) if not _resolves(name)
+    )
+    assert not dangling, f"{document.name} names modules that do not import: {dangling}"

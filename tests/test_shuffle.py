@@ -14,6 +14,7 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cind import capture_code
 from repro.core.discovery import RDFind, RDFindConfig
@@ -448,6 +449,145 @@ class TestBoundedMemory:
             summary = env.metrics.summary()
         assert row == (0, 20000, 20000, 0)
         assert summary["spilled_bytes"] >= 10 * 8192
+
+    def test_co_group_buffers_stay_within_budget(self):
+        # co_group cannot combine, so its map side buffers: the buffer is
+        # priced per record and cut like a combine table is.
+        data = list(range(3000))
+        budget_bytes = 8192
+        with ExecutionEnvironment(
+            parallelism=2, shuffle="spill", memory_budget_bytes=budget_bytes
+        ) as env:
+            ds = env.from_collection(data)
+            joined = ds.co_group(ds, _mod7, _mod7, _count_join)
+            rows = sorted(row for part in joined.partitions for row in part)
+            stage = env.metrics.stage_by_name("co_group")
+        assert [row[:3] for row in rows] == [
+            (key, len(data[key::7]), len(data[key::7])) for key in range(7)
+        ]
+        assert stage.spilled_bytes >= 10 * budget_bytes
+        assert 0 < stage.peak_state_bytes <= 2 * budget_bytes
+
+
+# ----------------------------------------------------------------------
+# the drawn differential: spill == inline wherever hypothesis looks
+# ----------------------------------------------------------------------
+#
+# TestSpillEquivalence hand-picks one pipeline and four configurations;
+# this draws them.  Values are tuples folded by concatenation, so a fold
+# in the wrong order — not just a wrong set of keys — changes the output.
+
+
+def _concat(a, b):
+    return a + b
+
+
+def _record_key(record):
+    return record[0]
+
+
+def _record_tag(record):
+    return (record[1],)
+
+
+def _two_pairs(record):
+    key, index = record
+    return [(key, (index,)), ((key, index % 3), (index, index))]
+
+
+def _sides(key, left, right):
+    return [(key, tuple(left), tuple(right))]
+
+
+_KEY_POOLS = st.lists(
+    st.one_of(
+        st.integers(-50, 50),
+        st.text(alphabet="abé:/", max_size=4),
+        st.tuples(st.integers(0, 6), st.text(alphabet="xy", max_size=2)),
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+)
+
+
+@st.composite
+def _keyed_records(draw, pool, max_size):
+    """``(key, position)`` records over ``pool``, uniform or one-key-heavy."""
+    last = len(pool) - 1
+    index = st.integers(0, last)
+    if draw(st.booleans()):
+        index = st.one_of(st.just(draw(st.integers(0, last))), index)
+    picks = draw(st.lists(index, max_size=max_size))
+    return [(pool[pick], position) for position, pick in enumerate(picks)]
+
+
+def _run_drawn(operator, left, right, parallelism, **env_kwargs):
+    with ExecutionEnvironment(parallelism=parallelism, **env_kwargs) as env:
+        ds = env.from_collection(left, name="left")
+        if operator == "reduce_by_key":
+            out = ds.reduce_by_key(_record_key, _record_tag, _concat, name="op")
+        elif operator == "flat_map_reduce_by_key":
+            out = ds.flat_map_reduce_by_key(_two_pairs, _concat, name="op")
+        else:
+            other = env.from_collection(right, name="right")
+            out = ds.co_group(other, _record_key, _record_key, _sides, name="op")
+        stages = [
+            stage for stage in env.metrics.stages if stage.name.startswith("op")
+        ]
+    return out.partitions, stages
+
+
+class TestDrawnSpillEquivalence:
+    @given(
+        data=st.data(),
+        pool=_KEY_POOLS,
+        parallelism=st.integers(1, 5),
+        operator=st.sampled_from(
+            ["reduce_by_key", "flat_map_reduce_by_key", "co_group"]
+        ),
+        budget_bytes=st.one_of(st.none(), st.integers(256, 8192)),
+        merge_fanin=st.integers(2, 8),
+        frame_records=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spill_partitions_equal_inline_partitions(
+        self, data, pool, parallelism, operator, budget_bytes, merge_fanin,
+        frame_records,
+    ):
+        left = data.draw(_keyed_records(pool, 80))
+        right = data.draw(_keyed_records(pool[::-1] + [("right-only", 1)], 40))
+        inline, inline_stages = _run_drawn(operator, left, right, parallelism)
+        spill, spill_stages = _run_drawn(
+            operator,
+            left,
+            right,
+            parallelism,
+            shuffle="spill",
+            spill_config=SpillConfig(
+                budget_bytes=budget_bytes,
+                merge_fanin=merge_fanin,
+                frame_records=frame_records,
+            ),
+        )
+        assert spill == inline  # lists: order within a partition included
+        assert [stage.name for stage in spill_stages] == [
+            stage.name for stage in inline_stages
+        ]
+        for spill_stage, inline_stage in zip(spill_stages, inline_stages):
+            for shape in ("records_in", "records_out", "partition_seconds"):
+                assert (
+                    len(getattr(spill_stage, shape))
+                    == len(getattr(inline_stage, shape))
+                    == parallelism
+                )
+            if budget_bytes is None:
+                # One cut per task holds exactly the inline combine table.
+                assert spill_stage.records_in == inline_stage.records_in
+                assert spill_stage.records_out == inline_stage.records_out
+                assert spill_stage.shuffled_records == inline_stage.shuffled_records
+        # The map stage reads the same input on either plane, budget or not.
+        assert spill_stages[0].records_in == inline_stages[0].records_in
 
 
 # ----------------------------------------------------------------------
