@@ -10,6 +10,11 @@ module implements a pragmatic, line-based N-Triples 1.1 reader/writer:
   ``\\uXXXX``, ``\\UXXXXXXXX``).
 * Comments (``# ...``) and blank lines are skipped.
 
+The cursor parser (:func:`parse_ntriples_line`) is the authority on all of
+that and on every error.  The file loader first tries one regex for the
+canonical line shape (:data:`_FAST_LINE`) and interns the terms straight
+into id columns; see ``docs/algorithm.md``, "Input loading".
+
 Terms are represented as plain strings that keep just enough surface syntax
 to round-trip: URIs and blank nodes are stored bare (no angle brackets),
 literals are stored with surrounding double quotes plus any suffix, e.g.
@@ -22,9 +27,9 @@ from __future__ import annotations
 import io
 import os
 import re
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.rdf.model import Dataset, Triple
+from repro.rdf.model import Dataset, EncodedDataset, Triple
 
 
 class NTriplesParseError(ValueError):
@@ -220,7 +225,7 @@ def parse_ntriples_line(line: str, line_number: int = 1) -> Optional[Triple]:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    parser = _LineParser(line.rstrip("\n"), line_number)
+    parser = _LineParser(line.rstrip("\r\n"), line_number)
     subject = parser.parse_term(allow_literal=False)
     predicate = parser.parse_term(allow_literal=False)
     obj = parser.parse_term(allow_literal=True)
@@ -242,10 +247,32 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]]) -> Iterator[Tripl
             yield triple
 
 
+#: The canonical shape: blanks between terms and only blanks after the dot,
+#: no backslash or empty URI, no quote, tab, CR or LF in a literal.  No term
+#: needs unescaping or can end earlier than the cursor ends it.
+_FAST_LINE = re.compile(
+    r'[ \t]*(?:<([^>\\]+)>|(_:[^ \t.]*))[ \t]+<([^>\\]+)>[ \t]+'
+    r'(?:<([^>\\]+)>|(_:[^ \t.]*|"[^"\\\t\r\n]*"(?:@[^ \t.]*|\^\^<[^>\\]*>)?))'
+    r"[ \t]*\.[ \t]*[\r\n]*"
+).fullmatch
+
+
+def _term_rows(lines: Iterable[str]) -> Iterator[Sequence[str]]:
+    """``(s, p, o)`` rows: by :data:`_FAST_LINE`, else by the cursor parser."""
+    for line_number, line in enumerate(lines, start=1):
+        match = _FAST_LINE(line)
+        if match is not None:
+            yield match[1] or match[2], match[3], match[4] or match[5]
+        elif (triple := parse_ntriples_line(line, line_number)) is not None:
+            yield triple
+
+
 def parse_ntriples_file(path: Union[str, os.PathLike], name: str = "") -> Dataset:
-    """Parse an N-Triples file into a :class:`Dataset`."""
+    """Parse an N-Triples file into an id-backed :class:`Dataset`: terms are
+    interned straight into id columns (:meth:`Dataset.from_encoded`)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return Dataset(parse_ntriples(handle), name=name or str(path))
+        rows = EncodedDataset.from_terms(_term_rows(handle), name=name or str(path))
+    return Dataset.from_encoded(rows)
 
 
 def literal_parts(term: str) -> "tuple[str, Optional[str], Optional[str]]":

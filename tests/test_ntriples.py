@@ -1,11 +1,16 @@
 """Tests for the N-Triples parser and serializer."""
 
+import os
+import tempfile
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.ntriples import (
+    _FAST_LINE,
     NTriplesParseError,
+    _term_rows,
     is_blank,
     is_literal,
     literal_value,
@@ -107,6 +112,20 @@ class TestParseLine:
         with pytest.raises(NTriplesParseError):
             parse_ntriples_line("<a> <b> <c> . <junk>")
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r", "\n\r\n", "\n"])
+    def test_every_ntriples_eol_ends_a_statement(self, eol):
+        """EOL is ``[\\r\\n]+``; a string source is not newline-translated."""
+        assert parse_ntriples_line("<a> <b> <c> ." + eol) == Triple("a", "b", "c")
+        assert parse_ntriples_line('<a> <b> "x\\u00e9" . # c' + eol).o == '"xé"'
+        assert list(parse_ntriples("<a> <b> <c> ." + eol)) == [Triple("a", "b", "c")]
+
+    @pytest.mark.parametrize(
+        "line", ["<a> <b>\r<c> .", "<a>\r<b> <c> .", "<a> <b> <c>\r.", "<a> <b> <c> .\r<d>"]
+    )
+    def test_carriage_return_inside_a_statement_is_an_error(self, line):
+        with pytest.raises(NTriplesParseError):
+            parse_ntriples_line(line)
+
     def test_error_carries_line_number(self):
         try:
             parse_ntriples_line("<bad", line_number=42)
@@ -192,3 +211,171 @@ class TestRoundtripProperties:
         (parsed,) = list(parse_ntriples(serialize_triple(source) + "\n"))
         # Value may re-escape differently but must denote the same string.
         assert literal_value(parsed.o) == literal_value(source.o)
+
+
+# ----------------------------------------------------------------------
+# the fast line shape against the cursor parser (the oracle)
+# ----------------------------------------------------------------------
+
+_GOOD_ESCAPES = [
+    r"\t", r"\b", r"\n", r"\r", r"\f", r"\"", r"\'", "\\\\",
+    r"\u00e9", r"\U0001F600",
+]
+_BAD_ESCAPES = [r"\u12", r"\uZZZZ", r"\U0011FFFF", r"\u+12a", r"\x", "\\"]
+_PLAIN = ["a", "b", "é", "/", ":", "-", "0"]
+#: What is legal, or at least harmless, inside a literal but ends or
+#: derails a statement anywhere else.
+_LITERAL_NOISE = [">", "<", "#", " . ", " ", "_:", "@", "^^", "."]
+
+
+def _text(pieces, min_size=0):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=5).map("".join)
+
+
+def _terms(uri_pieces, literal_pieces, suffixes):
+    """``(subject, predicate, object)`` surface-syntax strategies."""
+    uri = _text(uri_pieces).map("<{}>".format)
+    blank = _text(["b", "1", "-", "<", '"'], min_size=0).map("_:{}".format)
+    literal = st.builds(
+        '"{}"{}'.format, _text(literal_pieces), st.sampled_from(suffixes)
+    )
+    return st.one_of(uri, blank), uri, st.one_of(uri, blank, literal)
+
+
+_SUFFIXES = ["", "", "@en", "@en-US", "^^<dt>", "^^<http://x/y#int>"]
+_canonical_terms = _terms(_PLAIN, _PLAIN + _LITERAL_NOISE, _SUFFIXES)
+_well_formed_terms = _terms(
+    _PLAIN + _GOOD_ESCAPES[-2:],
+    _PLAIN + _GOOD_ESCAPES + _LITERAL_NOISE,
+    _SUFFIXES,
+)
+_wild_subject, _wild_predicate, _wild_object = _terms(
+    _PLAIN + _GOOD_ESCAPES + _BAD_ESCAPES + [" ", "<", '"', "\t"],
+    _PLAIN + _GOOD_ESCAPES + _BAD_ESCAPES + _LITERAL_NOISE + ["\t", "\r"],
+    _SUFFIXES + ["@", "^^<dt", "^^dt", "x", '"'],
+)
+_broken = st.sampled_from(["<a", "_b", '"open', "", "a", '"lit"'])
+_gap = st.sampled_from([" ", " ", "\t", "", "  ", " \t "])
+_eol = st.sampled_from(["\n", "\n", "", "\r\n", "\r"])
+_well_formed_end = st.sampled_from([".", ".", " .", " . ", " . # comment", ".#c", "\t.\t"])
+_wild_end = st.sampled_from([".", " .", "", " . junk", " . <x>", "..", " .\x0b# c", ";"])
+
+_well_formed_lines = st.one_of(
+    st.builds(
+        "{0}{3}{1}{3}{2}{4}{5}".format,
+        *_canonical_terms, st.sampled_from([" ", "\t"]), st.sampled_from([" .", "."]), _eol,
+    ),
+    st.builds(
+        "{0}{3}{4}{1}{4}{2}{5}{6}".format,
+        *_well_formed_terms, _gap, st.sampled_from([" ", "\t", "  "]),
+        _well_formed_end, _eol,
+    ),
+    st.sampled_from(["\n", "   \n", "# a comment\n", "<a><b><c>.\n", "_:b<p> <p> <o> .\n"]),
+)
+_wild_lines = st.builds(
+    "{0}{1}{2}{3}{4}{5}{6}{7}".format,
+    _gap, st.one_of(_wild_subject, _broken), _gap,
+    st.one_of(_wild_predicate, _broken), _gap,
+    st.one_of(_wild_object, _broken), st.one_of(_well_formed_end, _wild_end), _eol,
+)
+
+
+def _outcome(parse):
+    """A parse's result, or what identifies its error."""
+    try:
+        return parse()
+    except NTriplesParseError as error:
+        return (str(error), error.line_number)
+
+
+class TestFastLineShape:
+    """The regex either declines a line or returns the cursor's triple."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "<a> <b> <c> .\n",
+            "<http://x/a#b>\t<p> _:b1 .",
+            "_:s <p> _: .",
+            '_:b1  <p>  "a > b < c # d . e" .\r\n',
+            '  <a> <b> "chat"@fr-BE.',
+            '<a> <b> "42"^^<http://www.w3.org/2001/XMLSchema#integer> . \n',
+            "<a <b> <c> <d> .",
+            "_:b<p> <p> <o> .",
+        ],
+    )
+    def test_canonical_lines_take_the_fast_path(self, line):
+        assert _FAST_LINE(line) is not None
+        assert list(_term_rows([line])) == [parse_ntriples_line(line)]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "<a><b><c>.",
+            "<> <b> <c> .",
+            "<a> _:p <c> .",
+            r"<a\u00e9> <b> <c> .",
+            r'<a> <b> "x\ty" .',
+            '<a> <b> "x\ty" .',
+            '<a> <b> "x\ry" .',
+            r'<a> <b> "x"^^<d\u00e9> .',
+            "<a> <b> <c> . # comment",
+            "_:b<p> <o> .",
+            "<a> <b> _:b.c .",
+            "<a> <b> <c> . \n \n",
+            "# <a> <b> <c> .",
+            '"lit" <b> <c> .',
+        ],
+    )
+    def test_everything_else_is_left_to_the_cursor(self, line):
+        assert _FAST_LINE(line) is None
+        expected = _outcome(lambda: parse_ntriples_line(line))
+        actual = _outcome(lambda: list(_term_rows([line])))
+        assert actual == ([expected] if isinstance(expected, Triple) else expected or [])
+
+    @given(st.one_of(_well_formed_lines, _wild_lines))
+    def test_line_differential(self, line):
+        expected = _outcome(lambda: parse_ntriples_line(line, 3))
+        match = _FAST_LINE(line)
+        event("fast" if match else "error" if type(expected) is tuple else "cursor")
+        if match is not None:
+            assert isinstance(expected, Triple)
+        actual = _outcome(lambda: list(_term_rows(["\n", "# c\n", line])))
+        if isinstance(expected, Triple):
+            assert actual == [expected] and type(actual[0][2]) is str
+        else:
+            assert actual == (expected or [])
+
+    @given(
+        st.lists(_well_formed_lines, max_size=12),
+        st.lists(st.integers(0, 11), max_size=6),
+        st.none() | st.tuples(st.integers(0, 12), _wild_lines),
+    )
+    def test_file_differential(self, lines, repeats, wild):
+        """``parse_ntriples_file(p).encode()`` is the cursor's ``Dataset``
+        encoded — columns, term order and sizes — or the same error."""
+        lines = [line if line.endswith(("\n", "\r")) else line + "\n" for line in lines]
+        lines += [lines[index] for index in repeats if index < len(lines)]
+        if wild is not None:
+            lines.insert(wild[0], wild[1] + "\n")
+        handle, path = tempfile.mkstemp(suffix=".nt")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8", newline="") as out:
+                out.writelines(lines)
+
+            def by_cursor():
+                with open(path, encoding="utf-8") as source:
+                    return Dataset(parse_ntriples(source), name=path).encode()
+
+            expected = _outcome(by_cursor)
+            actual = _outcome(lambda: parse_ntriples_file(path).encode())
+        finally:
+            os.unlink(path)
+        if type(expected) is tuple:
+            assert actual == expected
+            return
+        assert actual.columns == expected.columns
+        assert list(actual.dictionary.terms()) == list(expected.dictionary.terms())
+        assert actual.nbytes() == expected.nbytes()
+        assert actual.dictionary.nbytes() == expected.dictionary.nbytes()
+        assert actual.name == expected.name

@@ -160,6 +160,63 @@ class TestDataset:
         assert "1" in repr(ds)
 
 
+class TestIdBackedDataset:
+    """``Dataset.from_encoded``: ids until strings are asked for."""
+
+    ROWS = [(f"s{i % 7}", f"p{i % 3}", f"o{i % 5}") for i in range(40)]
+
+    def both(self):
+        strings = Dataset.from_tuples(self.ROWS, name="demo")
+        return strings, Dataset.from_encoded(strings.encode())
+
+    def test_len_repr_and_encode_do_not_materialise(self):
+        strings, backed = self.both()
+        columns = backed._encoded
+        assert len(backed) == len(strings) and repr(backed) == repr(strings)
+        assert backed.name == "demo"
+        assert backed.encode() is columns  # the backing itself, in O(1)
+        assert backed._encoded is columns
+
+    def test_string_reads_equal_a_string_built_dataset(self):
+        strings, backed = self.both()
+        assert list(backed) == list(strings)
+        assert backed._encoded is None  # one form at a time
+        assert backed.triples == strings.triples
+        assert len(backed) == len(strings)
+        _strings, backed = self.both()
+        assert Triple("s1", "p1", "o1") in backed
+        assert Triple("s1", "p1", "nope") not in backed
+        _strings, backed = self.both()
+        assert backed == strings and strings == backed
+        _strings, backed = self.both()
+        assert backed.sample(10, seed=3) == strings.sample(10, seed=3)
+        assert list(backed.head(4)) == list(strings.head(4))
+        assert backed.values(Attr.P) == strings.values(Attr.P)
+
+    def test_add_leaves_handed_out_columns_alone(self):
+        strings, backed = self.both()
+        columns = backed.encode()
+        assert backed.add(Triple("s0", "p0", "o0")) is False
+        assert backed.add(Triple("new", "p0", "o0")) is True
+        strings.add(Triple("new", "p0", "o0"))
+        assert list(backed) == list(strings) and len(columns) == len(self.ROWS)
+        again = backed.encode()
+        assert again is not columns
+        assert list(again) == list(strings.encode())
+
+    def test_encode_with_a_shared_dictionary_re_encodes(self):
+        strings, backed = self.both()
+        shared, expected = TermDictionary(), TermDictionary()
+        for dictionary in (shared, expected):
+            dictionary.encode("o3")  # another dataset got there first
+        assert list(backed.encode(shared)) == list(strings.encode(expected))
+        assert list(shared.terms()) == list(expected.terms())
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            Dataset().no_such_attribute
+
+
 class TestEncodedDataset:
     def test_encode_decode_roundtrip(self, table1_dataset):
         encoded = table1_dataset.encode()
