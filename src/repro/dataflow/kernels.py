@@ -15,11 +15,11 @@ record-at-a-time transcriptions of Algorithms 1-2 in
 * The frequent-condition counting kernels produce the same count dicts
   as per-triple counters; their consumers (Bloom unions, sorted AR
   lists, sorted final output) do not depend on dict order.
-* The capture-group kernel (:class:`EvidenceBatchKernel`) yields
-  ``(value, {code})`` pairs in exactly the per-triple, per-projection
-  order of Algorithm 2 — batch ``i`` holds round-robin partition ``i``'s
-  triples in partition order
-  (:func:`~repro.storage.columnar.build_triple_batches`), so the fused
+* The capture-group kernel (:class:`EvidenceBatchKernel`) folds evidences
+  into a ``value -> {codes}`` dict, :data:`EVIDENCE_FOLD_ROWS` triples at
+  a time, in exactly the per-triple, per-projection order of Algorithm 2 —
+  batch ``i`` holds round-robin partition ``i``'s triples in partition
+  order — and a dict iterates in first-insertion order, so the fused
   combiner builds the same aggregation dict and the shuffle routes the
   same buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
 
@@ -29,7 +29,7 @@ unchanged on the ``serial`` and ``process`` executor backends.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.core.cind import capture_code
@@ -210,6 +210,11 @@ def binary_counts_kernel(
 # capture-evidence kernel (CGCreator, Algorithm 2)
 # ----------------------------------------------------------------------
 
+#: Rows folded into the kernel's own table between hand-overs to the engine's
+#: combiner: the kernel's transient state is bounded whatever the batch size.
+EVIDENCE_FOLD_ROWS = 4096
+
+
 class EvidenceBatchKernel:
     """Algorithm 2 over one column batch, for ``flat_map_reduce_by_key``.
 
@@ -219,9 +224,9 @@ class EvidenceBatchKernel:
     and checked against the known association rules.  A frequent, non-AR
     binary condition yields a single binary capture evidence; an
     AR-embedding or infrequent one yields the passing unary evidences.
-    The generator yields ``(value, {code})`` singleton-set pairs — the
-    capture as its :func:`~repro.core.cind.capture_code` — in per-triple,
-    per-projection, β-before-γ order.
+    Evidences — a capture is its :func:`~repro.core.cind.capture_code` —
+    are folded per value in per-triple, per-projection order, and the
+    generator yields a chunk's ``(value, {codes})`` pairs as first seen.
 
     The unary probe decisions are taken once per batch and condition
     attribute (:func:`_passing_ids`) and shared by all projections; each
@@ -298,24 +303,25 @@ class EvidenceBatchKernel:
                         {},
                     )
                 )
-        for row in zip(*batch.columns):
-            for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
-                beta_code = beta_codes.get(row[beta])
-                gamma_code = gamma_codes.get(row[gamma])
-                if beta_code is None:
-                    if gamma_code is not None:
-                        yield row[alpha], {gamma_code}
-                elif gamma_code is None:
-                    yield row[alpha], {beta_code}
-                else:
-                    pair = (row[beta], row[gamma])
-                    code = pairs.get(pair)
-                    if code is None:
-                        code = pairs[pair] = self._binary_code(
-                            alpha, beta, gamma, *pair
-                        )
-                    if code:
-                        yield row[alpha], {code}
+        for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
+            stop = start + EVIDENCE_FOLD_ROWS
+            table: Dict[int, Set[int]] = defaultdict(set)
+            for row in zip(*(column[start:stop] for column in batch.columns)):
+                for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
+                    beta_code = beta_codes.get(row[beta])
+                    gamma_code = gamma_codes.get(row[gamma])
+                    if beta_code is None:
+                        if gamma_code is not None:
+                            table[row[alpha]].add(gamma_code)
+                    elif gamma_code is None:
+                        table[row[alpha]].add(beta_code)
                     else:
-                        yield row[alpha], {beta_code}
-                        yield row[alpha], {gamma_code}
+                        pair = (row[beta], row[gamma])
+                        codes = pairs.get(pair)
+                        if codes is None:
+                            code = self._binary_code(alpha, beta, gamma, *pair)
+                            codes = pairs[pair] = (
+                                (code,) if code else (beta_code, gamma_code)
+                            )
+                        table[row[alpha]].update(codes)
+            yield from table.items()

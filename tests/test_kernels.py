@@ -165,6 +165,20 @@ class TestKernelOracles:
         # feeds the same shuffle routing as the per-triple evidences.
         assert kernel == oracle
 
+    @pytest.mark.parametrize("fold_rows", [1, 2, 7])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_capture_groups_across_fold_chunks(
+        self, monkeypatch, fold_rows, executor, pruned
+    ):
+        """A 40-row batch folded 1, 2 and 7 rows at a time: every chunk
+        boundary hands the engine's combiner keys it has and has not seen,
+        and the partitions — order included — stay the per-triple ones."""
+        from repro.dataflow import kernels
+
+        monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", fold_rows)
+        self.test_capture_groups_match_algorithm_2(executor, pruned)
+
     def test_capture_group_kernel_with_restricted_scope(self):
         encoded = random_rdf(15, n_triples=80).encode()
         scope = ConditionScope.predicates_only()
