@@ -89,8 +89,9 @@ MANIFEST_VERSION = 1
 
 CHECKPOINT_MAGIC = "rdfind-checkpoint"
 #: Version 2: capture groups hold capture codes (ints), not ``Capture``
-#: tuples.  A version-1 step file is recomputed, never resumed.
-CHECKPOINT_VERSION = 2
+#: tuples.  Version 3: a Bloom filter pickles as its ``to_bytes``.  An
+#: older step file is recomputed, never resumed.
+CHECKPOINT_VERSION = 3
 
 #: Payload kinds a step file can hold.
 VALUE = "value"  # one pickled driver-side value

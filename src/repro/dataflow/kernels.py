@@ -6,7 +6,8 @@ encoded dataset kept as three parallel id ``array`` columns — instead of
 a stream of per-triple Python records.  The kernels fuse whole operator
 chains into one pass per partition (no intermediate record lists), and
 pay the expensive per-record work (Bloom probes, capture codes) once per
-distinct id: a column has far fewer distinct ids than elements.
+distinct id: a column has far fewer distinct ids than elements, and the
+unary filter keeps its decisions for the job (``decide_int_key``).
 
 Exactness (checked by ``tests/test_kernels.py`` against the
 record-at-a-time transcriptions of Algorithms 1-2 in
@@ -135,7 +136,7 @@ def _passing_ids(column, attr, unary_bloom) -> Set[int]:
     distinct = set(column)
     if unary_bloom is None:
         return distinct
-    probe = unary_bloom.contains_int_key
+    probe = unary_bloom.decide_int_key
     return {value for value in distinct if probe(UnaryCondition(attr, value))}
 
 

@@ -1,5 +1,7 @@
 """Tests for the Bloom filter."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +215,43 @@ class TestDiagnostics:
 
     def test_repr(self):
         assert "bits=256" in repr(BloomFilter(256))
+
+
+class TestDecisionMemo:
+    """``decide_int_key``: ``contains_int_key``, remembered on the filter."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 500)), max_size=60),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 500)), max_size=120),
+    )
+    def test_decisions_equal_probes(self, members, probes):
+        bloom = BloomFilter.from_items(members, capacity=max(1, len(members)))
+        for key in probes + probes:  # second pass answers from the memo
+            assert bloom.decide_int_key(key) is bloom.contains_int_key(key)
+        assert set(bloom._decisions) == set(probes)
+
+    def test_add_and_union_update_forget(self):
+        bloom = BloomFilter(64, num_hashes=2)
+        assert bloom.decide_int_key((0, 7)) is False
+        bloom.add((0, 7))
+        assert bloom.decide_int_key((0, 7)) is True
+        other = BloomFilter(64, num_hashes=2)
+        other.add((1, 9))
+        assert bloom.decide_int_key((1, 9)) is False
+        assert bloom.union_update(other).decide_int_key((1, 9)) is True
+        assert (bloom | other)._decisions == {}
+
+    def test_pickle_and_equality_leave_the_decisions_behind(self):
+        keys = [(attr, value) for attr in range(3) for value in range(300)]
+        bloom = BloomFilter.from_items(keys[::3], capacity=300)
+        fresh = pickle.dumps(bloom)
+        verdicts = [bloom.decide_int_key(key) for key in keys]
+        assert len(bloom._decisions) == len(keys)
+        assert len(pickle.dumps(bloom)) <= len(fresh)
+        restored = pickle.loads(pickle.dumps(bloom))
+        assert restored._decisions == {}
+        assert restored == bloom and bloom == BloomFilter.from_bytes(bloom.to_bytes())
+        assert [restored.decide_int_key(key) for key in keys] == verdicts
 
 
 class TestSerialization:
