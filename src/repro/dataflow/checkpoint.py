@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import sys
@@ -475,6 +474,8 @@ class CheckpointManager:
         # would reclaim its containers, and orphaned idle workers holding
         # inherited stdout/stderr pipes would hang any pipe-reading parent.
         try:
+            import multiprocessing
+
             for child in multiprocessing.active_children():
                 child.kill()
         except Exception:  # noqa: BLE001 - the abort must happen regardless

@@ -40,10 +40,8 @@ between them.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor
-from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -213,10 +211,14 @@ class ProcessExecutor:
         #: stages run in the driver and are not subject to the bound.
         self.task_timeout_seconds = task_timeout_seconds
         self.clock = SimulatedClock()
-        self._pool: Optional[_ProcessPool] = None
+        self._pool = None
 
-    def _ensure_pool(self) -> _ProcessPool:
+    def _ensure_pool(self):
         if self._pool is None:
+            # Imported here: a serial run never pays for the pool machinery.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor as _ProcessPool
+
             # fork is the cheap path on Linux: workers inherit the loaded
             # modules, so only per-stage payloads cross the pipe.
             methods = multiprocessing.get_all_start_methods()

@@ -1,5 +1,9 @@
 """Smoke tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -37,6 +41,22 @@ class TestCli:
                 main(argv)
             assert raised.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serial_run_does_not_import_the_process_pool(self):
+        """``multiprocessing`` and the pool are imported where a pool is built."""
+        script = (
+            "import sys; from repro.cli import main; "
+            "code = main(['discover', 'dataset:Countries', '--scale', '0.05', "
+            "'-s', '5', '-n', '1', '--executor', 'serial']); "
+            "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules]; sys.exit(code or bool(loaded))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_discover_variant_de(self, capsys):
         out = run(
