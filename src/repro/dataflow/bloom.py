@@ -5,7 +5,7 @@ RDFind uses Bloom filters in two places:
 1. to compact the sets of frequent unary/binary conditions so that workers
    can test membership in constant time and small memory (Figure 5,
    steps 3-4 and 8-9), built distributedly via bitwise-OR union, each
-   key decided once per filter (:meth:`BloomFilter.decide_int_key`);
+   key decided once per filter (:attr:`BloomFilter.decisions`);
 2. to approximate the referenced-capture sets of CIND candidates that stem
    from *dominant* capture groups (Section 7.2), where candidate sets are
    intersected via bitwise AND (Algorithm 3, case ii) and exact sets are
@@ -130,7 +130,7 @@ class BloomFilter:
         Number of probe positions per element.
     """
 
-    __slots__ = ("num_bits", "num_hashes", "_bits", "_decisions")
+    __slots__ = ("num_bits", "num_hashes", "_bits", "decisions")
 
     def __init__(self, num_bits: int, num_hashes: int = 4) -> None:
         if num_bits < 8:
@@ -140,7 +140,10 @@ class BloomFilter:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
-        self._decisions: dict = {}
+        #: What callers concluded from the current bits (the batch kernels:
+        #: the ids that pass, per attribute).  Emptied when the bits change;
+        #: ``==`` ignores it and a pickled filter (a task payload) has none.
+        self.decisions: dict = {}
 
     @classmethod
     def for_capacity(cls, capacity: int, fp_rate: float = 0.01) -> "BloomFilter":
@@ -172,7 +175,7 @@ class BloomFilter:
         bits = self._bits
         for index in self._indexes(item):
             bits[index >> 3] |= 1 << (index & 7)
-        self._decisions.clear()
+        self.decisions.clear()
 
     def update(self, items: Iterable[Any]) -> None:
         """Insert many elements."""
@@ -205,14 +208,6 @@ class BloomFilter:
                 return False
         return True
 
-    def decide_int_key(self, item: Any) -> bool:
-        """:meth:`contains_int_key`, remembered per key until the bits change
-        (``==`` ignores the decisions; a pickled filter carries none)."""
-        verdict = self._decisions.get(item)
-        if verdict is None:
-            verdict = self._decisions[item] = self.contains_int_key(item)
-        return verdict
-
     def __reduce__(self):
         return BloomFilter.from_bytes, (self.to_bytes(),)
 
@@ -233,7 +228,7 @@ class BloomFilter:
         bits = self._bits
         for index, byte in enumerate(other._bits):
             bits[index] |= byte
-        self._decisions.clear()
+        self.decisions.clear()
         return self
 
     def __or__(self, other: "BloomFilter") -> "BloomFilter":

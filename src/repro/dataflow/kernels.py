@@ -7,7 +7,7 @@ a stream of per-triple Python records.  The kernels fuse whole operator
 chains into one pass per partition (no intermediate record lists), and
 pay the expensive per-record work (Bloom probes, capture codes) once per
 distinct id: a column has far fewer distinct ids than elements, and the
-unary filter keeps its decisions for the job (``decide_int_key``).
+unary filter keeps those decisions for the job (``_passing_ids``).
 
 Exactness (checked by ``tests/test_kernels.py`` against the
 record-at-a-time transcriptions of Algorithms 1-2 in
@@ -129,15 +129,21 @@ def unary_counts_kernel(
 def _passing_ids(column, attr, unary_bloom) -> Set[int]:
     """The distinct ids of ``column`` whose unary condition passes the filter.
 
-    One probe per distinct id — a column has far fewer distinct ids than
-    elements — on the same ``UnaryCondition`` keys the filter was built
-    from.  Without a filter (RDFind-NF) every id passes.
+    One probe per distinct id and job — a column has far fewer distinct ids
+    than elements, and the filter keeps the ids decided and those that
+    passed (``decisions``) for the next batch and stage — on the same
+    ``UnaryCondition`` keys the filter was built from.  Without a filter
+    (RDFind-NF) every id passes.
     """
     distinct = set(column)
     if unary_bloom is None:
         return distinct
-    probe = unary_bloom.decide_int_key
-    return {value for value in distinct if probe(UnaryCondition(attr, value))}
+    seen, passed = unary_bloom.decisions.setdefault(attr, (set(), set()))
+    probe = unary_bloom.contains_int_key
+    fresh = distinct - seen
+    passed.update(value for value in fresh if probe(UnaryCondition(attr, value)))
+    seen |= fresh
+    return distinct & passed
 
 
 class _BinaryBatchCounter:
@@ -229,8 +235,8 @@ class EvidenceBatchKernel:
     are folded per value in per-triple, per-projection order, and the
     generator yields a chunk's ``(value, {codes})`` pairs as first seen.
 
-    The unary probe decisions are taken once per batch and condition
-    attribute (:func:`_passing_ids`) and shared by all projections; each
+    The passing ids are computed once per batch and condition attribute
+    (:func:`_passing_ids`) and shared by all projections; each
     projection maps its passing ids to their unary codes, so the
     per-triple work is two dict lookups per projection.  Only when *both*
     parts pass is the binary decision looked up, memoized per distinct

@@ -271,8 +271,8 @@ def parse_ntriples_file(path: Union[str, os.PathLike], name: str = "") -> Datase
     """Parse an N-Triples file into an id-backed :class:`Dataset`: terms are
     interned straight into id columns (:meth:`Dataset.from_encoded`)."""
     with open(path, "r", encoding="utf-8") as handle:
-        rows = EncodedDataset.from_terms(_term_rows(handle), name=name or str(path))
-    return Dataset.from_encoded(rows)
+        encoded = EncodedDataset.from_terms(_term_rows(handle), name=name or str(path))
+    return Dataset.from_encoded(encoded)
 
 
 def literal_parts(term: str) -> "tuple[str, Optional[str], Optional[str]]":

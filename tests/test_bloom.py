@@ -217,41 +217,30 @@ class TestDiagnostics:
         assert "bits=256" in repr(BloomFilter(256))
 
 
-class TestDecisionMemo:
-    """``decide_int_key``: ``contains_int_key``, remembered on the filter."""
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 500)), max_size=60),
-        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 500)), max_size=120),
-    )
-    def test_decisions_equal_probes(self, members, probes):
-        bloom = BloomFilter.from_items(members, capacity=max(1, len(members)))
-        for key in probes + probes:  # second pass answers from the memo
-            assert bloom.decide_int_key(key) is bloom.contains_int_key(key)
-        assert set(bloom._decisions) == set(probes)
+class TestDecisions:
+    """``decisions``: scratch space that lives and dies with the bits."""
 
     def test_add_and_union_update_forget(self):
         bloom = BloomFilter(64, num_hashes=2)
-        assert bloom.decide_int_key((0, 7)) is False
+        bloom.decisions["seen"] = {1, 2}
         bloom.add((0, 7))
-        assert bloom.decide_int_key((0, 7)) is True
+        assert bloom.decisions == {}
+        bloom.decisions["seen"] = {1, 2}
         other = BloomFilter(64, num_hashes=2)
         other.add((1, 9))
-        assert bloom.decide_int_key((1, 9)) is False
-        assert bloom.union_update(other).decide_int_key((1, 9)) is True
-        assert (bloom | other)._decisions == {}
+        assert bloom.union_update(other).decisions == {}
+        bloom.decisions["seen"] = {3}
+        assert (bloom | other).decisions == {}
 
     def test_pickle_and_equality_leave_the_decisions_behind(self):
-        keys = [(attr, value) for attr in range(3) for value in range(300)]
-        bloom = BloomFilter.from_items(keys[::3], capacity=300)
+        bloom = BloomFilter.from_items(range(0, 900, 3), capacity=300)
         fresh = pickle.dumps(bloom)
-        verdicts = [bloom.decide_int_key(key) for key in keys]
-        assert len(bloom._decisions) == len(keys)
-        assert len(pickle.dumps(bloom)) <= len(fresh)
+        bloom.decisions[0] = (set(range(900)), set(range(0, 900, 3)))
+        assert pickle.dumps(bloom) == fresh
         restored = pickle.loads(pickle.dumps(bloom))
-        assert restored._decisions == {}
+        assert restored.decisions == {}
         assert restored == bloom and bloom == BloomFilter.from_bytes(bloom.to_bytes())
-        assert [restored.decide_int_key(key) for key in keys] == verdicts
+        assert all(key in restored for key in range(0, 900, 3))
 
 
 class TestSerialization:

@@ -179,6 +179,28 @@ class TestKernelOracles:
         monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", fold_rows)
         self.test_capture_groups_match_algorithm_2(executor, pruned)
 
+    @given(
+        st.lists(st.integers(0, 400), max_size=40),
+        st.lists(st.lists(st.integers(0, 400), max_size=60), max_size=5),
+    )
+    def test_passing_ids_remember_decisions_not_answers(self, members, columns):
+        """Every column gets the ids a fresh probe passes, whatever was
+        decided for earlier columns; each id is probed once per filter."""
+        from repro.dataflow.kernels import _passing_ids
+
+        bloom = BloomFilter.from_items(
+            [UnaryCondition(1, value) for value in members], capacity=40
+        )
+        for column in columns:
+            assert _passing_ids(column, 1, bloom) == {
+                value for value in column if UnaryCondition(1, value) in bloom
+            }
+            assert _passing_ids(column, 1, None) == set(column)
+        seen, passed = bloom.decisions.get(1, (set(), set()))
+        assert seen == {value for column in columns for value in column}
+        assert passed == {value for value in seen if UnaryCondition(1, value) in bloom}
+        assert set(bloom.decisions) <= {1}
+
     def test_capture_group_kernel_with_restricted_scope(self):
         encoded = random_rdf(15, n_triples=80).encode()
         scope = ConditionScope.predicates_only()
