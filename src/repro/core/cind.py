@@ -20,7 +20,7 @@ from repro.core.conditions import (
     is_binary,
     is_unary,
 )
-from repro.rdf.model import Attr, EncodedTriple, TermDictionary
+from repro.rdf.model import ALL_ATTRS, Attr, EncodedTriple, TermDictionary
 
 
 class Capture(NamedTuple):
@@ -93,11 +93,11 @@ def capture_code(capture: Capture) -> int:
 
 def code_capture(code: int) -> Capture:
     """The capture a code spells (inverse: :func:`capture_code`)."""
-    attr = Attr((code >> 2) & 3)
+    attr = ALL_ATTRS[(code >> 2) & 3]  # indexed: Attr(n) is an EnumMeta call
     tag = code & 3
     value = (code & _UNARY_BITS) >> 4
     if tag != _BINARY_TAG:
-        return Capture(attr, UnaryCondition(Attr(tag), value))
+        return Capture(attr, UnaryCondition(ALL_ATTRS[tag], value))
     beta, gamma = Attr.others(attr)
     return Capture(attr, BinaryCondition(beta, value, gamma, (code >> 36) - 1))
 

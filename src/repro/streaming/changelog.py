@@ -28,13 +28,13 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import BinaryIO, Iterator, List, NamedTuple, Optional, Tuple
+from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.framing import (
     FrameCorruptionError,
     FrameTruncatedError,
+    pack_frame,
     read_frame,
-    write_frame,
 )
 
 __all__ = [
@@ -54,6 +54,7 @@ _SEGMENT_PREFIX = "seg-"
 _SEALED_SUFFIX = ".log"
 _OPEN_SUFFIX = ".open"
 _SEQ_DIGITS = 12
+_quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept as is
 
 
 class ChangeLogError(ValueError):
@@ -100,6 +101,11 @@ def _parse_segment_name(name: str) -> Optional[Tuple[int, bool]]:
     if "." + suffix == _OPEN_SUFFIX:
         return int(stem), False
     return None
+
+
+def _encode_record(seq: int, op: str, s: str, p: str, o: str) -> bytes:
+    """``[seq, op, s, p, o]`` as compact UTF-8 JSON, no encoder built per record."""
+    return f'[{seq},"{op}",{_quote(s)},{_quote(p)},{_quote(o)}]'.encode("utf-8")
 
 
 def _decode_record(payload: bytes, path: str) -> ChangeRecord:
@@ -181,11 +187,12 @@ class ChangeLog:
         self._handle = open(self._open_path, "ab")
 
     def _scan_sealed_tail(self, segment: Tuple[int, str]) -> int:
+        """The last sealed segment's tail seq: every frame CRC-checked, one decoded."""
         first_seq, path = segment
-        last = first_seq - 1
-        for record in self._iter_segment(path, sealed=True):
-            last = record.seq
-        return last
+        payload = None
+        for payload in self._iter_segment(path, sealed=True):
+            pass
+        return first_seq - 1 if payload is None else _decode_record(payload, path).seq
 
     def _recover_open_segment(self) -> int:
         """Drop a torn tail record, truncate the file, return the tail seq."""
@@ -228,19 +235,21 @@ class ChangeLog:
 
     def append(self, op: str, s: str, p: str, o: str) -> int:
         """Append one record; returns its sequence number (not yet synced)."""
+        return self.extend(op, ((s, p, o),))
+
+    def extend(self, op: str, triples: Iterable[Tuple[str, str, str]]) -> int:
+        """:meth:`append` ``op`` for each triple in turn; the last sequence number."""
         if op not in _OPS:
             raise ValueError(f"unknown changelog op {op!r} (use add/remove)")
         if self._handle is None:
             raise ChangeLogError("changelog is closed")
-        seq = self.last_seq + 1
-        payload = json.dumps(
-            [seq, op, s, p, o], ensure_ascii=False, separators=(",", ":")
-        ).encode("utf-8")
-        write_frame(self._handle, payload)
-        self.last_seq = seq
-        if self._handle.tell() >= self.max_segment_bytes:
-            self.rotate()
-        return seq
+        for s, p, o in triples:
+            seq = self.last_seq + 1
+            self._handle.write(pack_frame(_encode_record(seq, op, s, p, o)))
+            self.last_seq = seq
+            if self._handle.tell() >= self.max_segment_bytes:
+                self.rotate()
+        return self.last_seq
 
     def sync(self) -> None:
         """Flush (and fsync, unless disabled) the open segment."""
@@ -305,14 +314,16 @@ class ChangeLog:
             )
             if next_first is not None and next_first - 1 <= after_seq:
                 continue  # the whole segment is at or before the offset
-            for record in self._iter_segment(path, sealed=is_sealed):
+            for payload in self._iter_segment(path, sealed=is_sealed):
+                record = _decode_record(payload, path)
                 if record.seq <= after_seq:
                     continue
                 self._check_seq(record, previous)
                 previous = record.seq
                 yield record
 
-    def _iter_segment(self, path: str, sealed: bool) -> Iterator[ChangeRecord]:
+    def _iter_segment(self, path: str, sealed: bool) -> Iterator[bytes]:
+        """The CRC-checked record payloads of one segment, undecoded."""
         if not os.path.exists(path):
             return
         with open(path, "rb") as stream:
@@ -333,7 +344,7 @@ class ChangeLog:
                     raise ChangeLogCorruptError(f"{path}: {error}") from error
                 if payload is None:
                     return
-                yield _decode_record(payload, path)
+                yield payload
 
     # -- introspection -------------------------------------------------
 

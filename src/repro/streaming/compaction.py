@@ -16,13 +16,13 @@ checkpoint is just those, in the format the repo already has:
   stay lifetime counters across restarts.
 
 A load checks the digest, lets ``load_snapshot`` check the frames, and
-re-adds the triples in column order through the maintainer's one add
-path at id level.  Nothing on disk depends on ``(h, scope)`` or on the
-classes that wrote it, and loading executes no code from the directory.
-*Any* mismatch — a version-1 directory (serialized maintainer objects)
-included, whose payload is not even opened — is answered with a warning
-and ``None``; the session then rebuilds from a full changelog replay,
-because a checkpoint is a cache, never the source of truth.
+re-adds the triples in column order as one bulk add at id level.
+Nothing on disk depends on ``(h, scope)`` or on the classes that wrote
+it, and loading executes no code from the directory.  *Any* mismatch —
+a version-1 directory (serialized maintainer objects) included, whose
+payload is not even opened — is answered with a warning and ``None``;
+the session then rebuilds from a full changelog replay, because a
+checkpoint is a cache, never the source of truth.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ class StreamCheckpointer:
         maintainer = StreamingRDFind(
             h, scope=scope, store=DeltaStore(encoded.dictionary)
         )
-        for triple in encoded:
-            maintainer.add_encoded(triple)
+        maintainer.add_all_encoded(encoded)
         maintainer.stats = stats
         self.seq, self.nbytes = seq, os.path.getsize(payload_path)
         return maintainer, seq

@@ -42,7 +42,11 @@ stop early.  One event changes one ``(capture, value)`` pair:
 
 Both rules only remove false and add true members, whatever the row's
 state.  Per-event work is bounded by the members that hold a cached row,
-not by group size, so a bulk load (nothing cached yet) pays nothing and a
+not by group size, and adds arrive in bulk (:meth:`StreamingRDFind.add_all`:
+postings first, each touched condition looked at once, activations
+counted rather than replayed), so a bulk add pays nothing for rows it
+does not change — into cold state nothing is cached, into warm state
+only cached members of the groups it reaches are looked at — and a
 query recomputes only the captures that lost a value, reached h or were
 (re)built — ``MaintenanceStats.dependents_recomputed`` counts those.
 
@@ -78,8 +82,10 @@ Two query surfaces:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.cind import (
@@ -271,29 +277,60 @@ class StreamingRDFind:
         ]
 
     def add(self, triple: TripleLike) -> bool:
-        """Insert one triple; returns ``False`` for duplicates."""
-        return self.add_encoded(self.dictionary.encode_triple(triple))
+        """Insert one triple (a bulk add of one); ``False`` for a duplicate."""
+        return bool(self.add_all((triple,)))
 
-    def add_encoded(self, encoded: EncodedTriple) -> bool:
-        """:meth:`add` for a triple of this dictionary's ids (the one path)."""
-        triple_id = self.store.add_encoded(encoded)
-        if triple_id is None:
-            self.stats.duplicates_ignored += 1
-            return False
-        self.stats.triples_added += 1
+    def add_all(self, triples: Iterable[TripleLike]) -> int:
+        """Insert many triples; returns how many were new.
+
+        All are encoded first: a malformed one raises with nothing stored.
+        """
+        return self.add_all_encoded(list(map(self.dictionary.encode_triple, triples)))
+
+    def add_all_encoded(self, triples: Iterable[EncodedTriple]) -> int:
+        """:meth:`add_all` at id level — the one add path, bulk by construction.
+
+        Stores the new triples, extends the postings shape by shape, and
+        only then looks at each touched condition once: an active one
+        gains what the new triples show (the per-event rule, so cached
+        rows stay exact), one that reached h is activated from its whole
+        posting.  The state reached is a function of the live triple set.
+        """
+        ids: List[int] = []
+        fresh: List[EncodedTriple] = []
+        for triple in triples:
+            triple_id = self.store.add_encoded(triple)
+            if triple_id is None:
+                self.stats.duplicates_ignored += 1
+            else:
+                ids.append(triple_id)
+                fresh.append(triple)
+        self.stats.triples_added += len(fresh)
         postings, active, h = self._postings, self._active, self.h
-        for condition, feeds in self._conditions(encoded):
-            posting = postings.get(condition)
-            if posting is None:
-                posting = postings[condition] = set()
-            posting.add(triple_id)
-            if condition in active:
-                self._resized.add(condition)
+        for beta, gamma, feeds in self._plan:
+            gained: Dict[Tuple[int, ...], List[EncodedTriple]] = {}
+            crossed: Set[Tuple[int, ...]] = set()
+            for triple_id, triple in zip(ids, fresh):
+                if gamma is None:
+                    condition = (beta, triple[beta])
+                else:
+                    condition = (beta, triple[beta], gamma, triple[gamma])
+                posting = postings.get(condition)
+                if posting is None:
+                    posting = postings[condition] = set()
+                posting.add(triple_id)
+                if condition in active:
+                    gained.setdefault(condition, []).append(triple)
+                elif len(posting) >= h:
+                    crossed.add(condition)
+            self._resized.update(gained)
+            for condition, shown in gained.items():
                 for alpha, code in _fed(condition, feeds):
-                    self._gain(code, encoded[alpha])
-            elif len(posting) >= h:
+                    for triple in shown:
+                        self._gain(code, triple[alpha])
+            for condition in crossed:
                 self._activate(condition, feeds)
-        return True
+        return len(fresh)
 
     def remove(self, triple: TripleLike) -> bool:
         """Retract one triple; returns ``False`` if it is not present."""
@@ -323,10 +360,6 @@ class StreamingRDFind:
                         self._lose(code, encoded[alpha])
         return True
 
-    def add_all(self, triples: Iterable[TripleLike]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for triple in triples if self.add(triple))
-
     def apply(self, op: str, triple: TripleLike) -> bool:
         """Dispatch one ``add``/``remove`` delta (the changelog's ops)."""
         if op == "add":
@@ -338,16 +371,40 @@ class StreamingRDFind:
     # -- threshold transitions -----------------------------------------
 
     def _activate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
-        """A condition crossed *up* to h: back-fill from live postings."""
+        """A condition crossed *up* to h: back-fill from its live posting.
+
+        Each fed capture starts empty (one condition feeds it), so its
+        witness counts are one ``Counter`` over the posting's rows; it then
+        joins its groups value by value as :meth:`_gain` would, its
+        interpretation already final.
+        """
         self._active.add(condition)
         self._resized.add(condition)
         self.stats.conditions_activated += 1
-        fed = _fed(condition, feeds)
-        triple_of = self.store.triple
-        for triple_id in self._postings[condition]:
-            triple = triple_of(triple_id)
-            for alpha, code in fed:
-                self._gain(code, triple[alpha])
+        rows = list(map(self.store.triple, self._postings[condition]))
+        groups, cache, touched = self._groups, self._refs_cache, self._touched
+        for alpha, code in _fed(condition, feeds):
+            witnesses = dict(Counter(map(itemgetter(alpha), rows)))
+            self._witnesses[code] = witnesses
+            self.stats.evidences_applied += len(witnesses)
+            # A row survives a tear-down as a bound: it shrinks as in _gain.
+            row = cache.get(code)
+            (self._dirty if row is None else touched).add(code)
+            interpretation = witnesses.keys()
+            for value in witnesses:
+                group = groups.get(value)
+                if group is None:
+                    group = groups[value] = set()
+                group.add(code)
+                if row is not None:
+                    row &= group
+                for member in cache.keys() & group if cache else ():
+                    covered = self._witnesses[member].keys() <= interpretation
+                    if covered and member != code:
+                        cache[member] = cache[member] | {code}
+                        touched.add(member)
+            if row is not None:
+                cache[code] = row
 
     def _deactivate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
         """A condition dropped *below* h: tear its captures down whole."""

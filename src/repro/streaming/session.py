@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.cind import SupportedCIND
 from repro.core.conditions import ConditionScope
 from repro.dataflow.gcpause import gc_paused
-from repro.rdf.model import Triple
 from repro.streaming.changelog import (
     OP_ADD,
     OP_REMOVE,
@@ -130,10 +129,14 @@ class StreamSession:
         seq = self.changelog.append(op, s, p, o)
         changed = self.maintainer.apply(op, (s, p, o))
         self.applied_seq = seq
-        self._since_compaction += 1
+        self._applied(1)
+        return changed
+
+    def _applied(self, records: int) -> None:
+        """Count applied records towards the cadence; compact when it is due."""
+        self._since_compaction += records
         if self.compact_every and self._since_compaction >= self.compact_every:
             self.compact()
-        return changed
 
     def add(self, s: str, p: str, o: str) -> bool:
         return self.apply(OP_ADD, s, p, o)
@@ -158,17 +161,18 @@ class StreamSession:
         return counts
 
     def load_initial(self, triples: Iterable) -> int:
-        """Bulk-load an initial dataset as logged adds; returns new count."""
-        new = 0
+        """Bulk-load an initial dataset as logged adds; returns new count.
+
+        Logged, then applied as one bulk add, then synced; checkpointed at
+        most once — after the sync — however small ``compact_every`` is.
+        """
+        # As _normalize_delta; a malformed triple raises here, nothing logged yet.
+        triples = [(str(s), str(p), str(o)) for s, p, o in triples]
         with gc_paused():
-            for triple in triples:
-                if isinstance(triple, Triple):
-                    s, p, o = triple.s, triple.p, triple.o
-                else:
-                    s, p, o = triple
-                if self.apply(OP_ADD, s, p, o):
-                    new += 1
+            self.applied_seq = self.changelog.extend(OP_ADD, triples)
+            new = self.maintainer.add_all(triples)
         self.changelog.sync()
+        self._applied(len(triples))
         return new
 
     # -- compaction ----------------------------------------------------
@@ -176,7 +180,7 @@ class StreamSession:
     def compact(self) -> None:
         """Checkpoint the live triples at the current changelog position."""
         started = time.perf_counter()
-        self.changelog.sync()
+        self.changelog.rotate()  # sealed: a reopen skips what the checkpoint covers
         self.maintainer.stats.compactions += 1  # the manifest counts itself
         self.checkpointer.save(self.maintainer, self.applied_seq)
         self._since_compaction = 0

@@ -1,10 +1,11 @@
 """Torture tests for the durable triple changelog (PR 4/5 harness style)."""
 
+import json
 import os
 
 import pytest
 
-from repro.core.framing import FRAME_HEADER
+from repro.core.framing import FRAME_HEADER, iter_frames
 from repro.streaming.changelog import (
     OP_ADD,
     OP_REMOVE,
@@ -64,6 +65,53 @@ class TestRoundtrip:
             log.append(OP_ADD, "søren", "häßt", "naïveté ∧ 空")
             (record,) = list(log.replay())
         assert record.triple == ("søren", "häßt", "naïveté ∧ 空")
+
+
+class TestExtend:
+    TRIPLES = [(f"s{i}", "häßt", f'"o{i}" ∧ 空\n') for i in range(30)]
+
+    def test_extend_writes_what_repeated_append_writes(self, tmp_path):
+        """Same frames, sequence numbers and rotation points: the two
+        directories are equal file by file, byte by byte."""
+        one, many = str(tmp_path / "one"), str(tmp_path / "many")
+        with ChangeLog(one, max_segment_bytes=128) as log:
+            for triple in self.TRIPLES:
+                tail = log.append(OP_ADD, *triple)
+        with ChangeLog(many, max_segment_bytes=128) as log:
+            assert log.extend(OP_ADD, self.TRIPLES[:1]) == 1
+            assert log.extend(OP_ADD, iter(self.TRIPLES[1:])) == log.last_seq == tail
+            assert log.extend(OP_REMOVE, []) == tail  # nothing to write
+            assert [r.triple for r in log.replay()] == self.TRIPLES
+        assert len(segment_files(one)) > 3
+        assert segment_files(many) == segment_files(one)
+        for name in segment_files(one):
+            with open(os.path.join(one, name), "rb") as a:
+                with open(os.path.join(many, name), "rb") as b:
+                    assert a.read() == b.read(), name
+
+    def test_record_bytes_are_compact_json(self, tmp_path):
+        """The hand-rolled record encoder spells ``json.dumps``."""
+        directory = str(tmp_path / "log")
+        with ChangeLog(directory) as log:
+            log.extend(OP_ADD, self.TRIPLES)
+        (name,) = segment_files(directory)
+        with open(os.path.join(directory, name), "rb") as stream:
+            payloads = list(iter_frames(stream))
+        assert payloads == [
+            json.dumps([seq, OP_ADD, *triple], ensure_ascii=False, separators=(",", ":"))
+            .encode("utf-8")
+            for seq, triple in enumerate(self.TRIPLES, 1)
+        ]
+
+    def test_bad_op_and_closed_log_refuse_both(self, tmp_path):
+        log = ChangeLog(str(tmp_path / "log"))
+        with pytest.raises(ValueError):
+            log.extend("upsert", self.TRIPLES)
+        log.close()
+        for write in (log.extend, lambda op, rows: log.append(op, *rows[0])):
+            with pytest.raises(ChangeLogError):
+                write(OP_ADD, self.TRIPLES)
+        assert log.last_seq == 0
 
 
 class TestRotation:

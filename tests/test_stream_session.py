@@ -87,6 +87,32 @@ class TestResume:
             assert session.resumed_from_checkpoint
             assert session.replayed_records == 10
 
+    def test_bulk_load_checkpoints_once(self, tmp_path):
+        """``compact_every`` far below the load's size: one checkpoint,
+        taken after the load is synced, and the same document as without."""
+        triples = list(random_rdf(11, n_triples=60))
+        with StreamSession(str(tmp_path / "plain"), h=2) as session:
+            assert session.load_initial(triples) == len(set(triples))
+            assert session.maintainer.stats.compactions == 0
+            expected = session.document_json()
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2, compact_every=5) as session:
+            session.load_initial(triples)
+            assert session.maintainer.stats.compactions == 1
+            assert session.checkpointer.seq == session.applied_seq == len(triples)
+            assert session.document_json() == expected
+        with StreamSession(directory, h=2, compact_every=5) as session:
+            assert session.resumed_from_checkpoint
+            assert session.replayed_records == 0
+            assert session.document_json() == expected
+            session.load_initial(triples[:4])  # below the cadence: none due
+            assert session.maintainer.stats.compactions == 1
+            session.load_initial(triples[:1])  # reaches it
+            assert session.maintainer.stats.compactions == 2
+            # Each compaction sealed what it covers; nothing is deleted.
+            assert session.status()["changelog_segments"] == 3
+            assert session.document_json() == expected
+
     def test_checkpoint_serves_any_h(self, tmp_path):
         """A checkpoint holds triples, not state: another ``h`` resumes
         from it instead of replaying the whole log."""
@@ -237,9 +263,11 @@ class TestReopenInterleavings:
 
 class TestCheckpointTrust:
     def test_checkpoint_ahead_of_changelog_is_refused(self, tmp_path):
-        """Losing the un-synced open segment after a compaction must not
-        resume: the next append would reuse covered sequence numbers and
-        the reopen after it would silently skip that update."""
+        """A checkpoint whose covered records are gone from the log must
+        not resume: the next append would reuse covered sequence numbers
+        and the reopen after it would silently skip that update.  A
+        compaction seals what it covers, so losing the open segment alone
+        loses nothing; the sealed one has to go too."""
         directory = str(tmp_path / "state")
 
         def write(state_dir):
@@ -250,7 +278,13 @@ class TestCheckpointTrust:
 
         write(directory)
         for segment in glob.glob(os.path.join(directory, "changelog", "*.open")):
-            os.unlink(segment)  # the open segment never reached the disk
+            os.unlink(segment)  # empty since the compaction sealed its records
+        with StreamSession(directory, h=2, fsync=False) as session:
+            assert session.resumed_from_checkpoint
+            assert session.applied_seq == session.changelog.last_seq == 10
+            assert session.replayed_records == 0
+        for segment in glob.glob(os.path.join(directory, "changelog", "seg-*")):
+            os.unlink(segment)  # the sealed segment never reached the disk
         with pytest.raises(ChangeLogCorruptError) as raised:
             StreamSession(directory, h=2, fsync=False)
         assert "seq 10" in str(raised.value) and "last seq 0" in str(raised.value)

@@ -330,6 +330,86 @@ class TestExactInvalidation:
                 assert maintainer._refs_of(code) == full_intersection(maintainer, code)
 
 
+_triple = st.tuples(_term, st.sampled_from(["p", "q", "r"]), _term)
+_bulk_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_all"), st.lists(_triple, min_size=1, max_size=8)),
+        st.tuples(st.just("remove"), st.integers(min_value=0)),
+        st.tuples(st.just("query")),
+    ),
+    max_size=90,
+)
+
+
+def assert_cache_invariant(maintainer):
+    """Clean rows are exact and at or above h, dirty ones lower bounds."""
+    for code, row in maintainer._refs_cache.items():
+        if code not in maintainer._dirty:
+            assert row == full_intersection(maintainer, code)
+            assert len(maintainer._witnesses[code]) >= maintainer.h
+        elif code in maintainer._witnesses:  # else torn down: no row due
+            assert row <= full_intersection(maintainer, code)
+
+
+class TestBulkAdd:
+    """``add_all`` reaches the state one ``add`` per triple reaches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        script=_bulk_script,
+        scope=st.sampled_from(sorted(_SCOPES)),
+        h=st.integers(min_value=1, max_value=4),
+    )
+    def test_bulk_add_equals_one_add_at_a_time(self, script, scope, h):
+        """Cold or warm, before or after a query: postings, active set,
+        witness counts, groups and every counter but the walk-order
+        dependent ``groups_intersected`` agree after each op, the served
+        rows and bytes after each query, and the bulk side keeps the
+        cache invariant between queries."""
+        bulk = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+        twin = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+        live = []
+        for op, *args in script:
+            if op == "add_all":  # of one: what the other tests' ``add`` is
+                added = [triple for triple in args[0] if twin.add(triple)]
+                assert bulk.add_all(args[0]) == len(added)
+                live.extend(added)
+            elif op == "remove":
+                if live:
+                    triple = live.pop(args[0] % len(live))
+                    assert bulk.remove(triple) and twin.remove(triple)
+            else:
+                assert bulk.document_json() == twin.document_json()
+                assert bulk.pertinent_cinds() == twin.pertinent_cinds()
+                assert bulk._refs_cache == twin._refs_cache
+                assert not bulk._dirty
+            assert list(bulk.store.live()) == list(twin.store.live())
+            for state in ("_postings", "_active", "_witnesses", "_groups"):
+                assert getattr(bulk, state) == getattr(twin, state), state
+            ours, theirs = bulk.stats.to_dict(), twin.stats.to_dict()
+            del ours["groups_intersected"], theirs["groups_intersected"]
+            assert ours == theirs
+            assert_cache_invariant(bulk)
+
+    def test_reactivated_capture_shrinks_its_stale_row(self):
+        """A torn-down capture keeps its row as a bound; activated again
+        before the next query, the row must shrink to the groups it joins
+        (``add a p a · query · remove · add a p b`` at h=1)."""
+        maintainer = StreamingRDFind(h=1)
+        maintainer.add(("a", "p", "a"))
+        maintainer.broad_cinds()
+        maintainer.remove(("a", "p", "a"))
+        maintainer.add(("a", "p", "b"))
+        assert_cache_invariant(maintainer)
+        assert maintainer.broad_cinds() == rows_from_scratch(maintainer)
+
+    def test_malformed_triple_leaves_the_store_untouched(self):
+        maintainer = StreamingRDFind(h=1)
+        with pytest.raises(IndexError):
+            maintainer.add_all([("a", "p", "b"), ("a", "p")])
+        assert maintainer.triples == 0 and not maintainer._postings
+
+
 def replayed(script, h, scope):
     """A maintainer that lived through ``script``, queries included."""
     maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
