@@ -22,10 +22,11 @@ slower even than RDFind-DE" and kept the extract-then-consolidate design.
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.capture_groups import create_capture_groups
-from repro.core.cind import CIND, Capture, SupportedCIND, code_capture
+from repro.core.cind import CIND, Capture, SupportedCIND, capture_code, code_capture
 from repro.core.conditions import ConditionScope
 from repro.core.discovery import DiscoveryResult, DiscoveryStats, RDFindConfig
 from repro.core.frequent_conditions import detect_frequent_conditions
@@ -123,6 +124,11 @@ def minimal_first_discover(
             pertinent.append(supported)
 
     pertinent.sort(key=lambda sc: (-sc.support, sc.cind))
+    by_dependent = groupby(pertinent, key=lambda sc: (sc.cind.dependent, sc.support))
+    blocks = [  # handed over as the pipeline hands it over
+        (capture_code(dep), support, [capture_code(sc.cind.referenced) for sc in rows])
+        for (dep, support), rows in by_dependent
+    ]
     elapsed = time.perf_counter() - started
     stats = DiscoveryStats(
         num_triples=len(dataset),
@@ -132,7 +138,7 @@ def minimal_first_discover(
         num_pertinent_cinds=len(pertinent),
     )
     return DiscoveryResult(
-        cinds=pertinent,
+        blocks=blocks,
         association_rules=list(frequent.association_rules),
         dictionary=dataset.dictionary,
         config=config,

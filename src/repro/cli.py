@@ -130,6 +130,14 @@ def _fetch_endpoint_input(url: str) -> EncodedDataset:
     return fetched.encoded
 
 
+def non_negative_int(text: str) -> int:
+    """The ``-n/--limit`` type: how many rows to print."""
+    limit = int(text)
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {limit}")
+    return limit
+
+
 def _scope(name: str) -> ConditionScope:
     if name == "full":
         return ConditionScope.full()
@@ -332,7 +340,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"{result.config.variant_name} h={result.support_threshold}: "
-        f"{stats.num_triples:,} triples -> {len(result.cinds):,} pertinent "
+        f"{stats.num_triples:,} triples -> {stats.num_pertinent_cinds:,} pertinent "
         f"CINDs, {len(result.association_rules):,} ARs "
         f"in {result.elapsed_seconds:.2f}s "
         f"(simulated parallel {result.metrics.simulated_parallel_seconds:.2f}s, "
@@ -795,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", choices=("full", "predicates"), default="full",
         help="condition scope ('predicates' = the paper's Freebase setting)",
     )
-    discover.add_argument("-n", "--limit", type=int, default=20)
+    discover.add_argument("-n", "--limit", type=non_negative_int, default=20)
     discover.add_argument(
         "-o", "--output", default=None,
         help="also write the full result as JSON (see core.serialization)",
@@ -815,11 +823,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ontology = sub.add_parser("ontology", help="ontology reverse engineering")
     _add_common(ontology)
-    ontology.add_argument("-n", "--limit", type=int, default=30)
+    ontology.add_argument("-n", "--limit", type=non_negative_int, default=30)
 
     facts = sub.add_parser("facts", help="knowledge discovery facts")
     _add_common(facts)
-    facts.add_argument("-n", "--limit", type=int, default=30)
+    facts.add_argument("-n", "--limit", type=non_negative_int, default=30)
 
     advise = sub.add_parser(
         "advise", help="recommend support thresholds (paper Section 10)"
@@ -830,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rank", help="rank CINDs by meaningfulness (paper Section 10)"
     )
     _add_common(rank)
-    rank.add_argument("-n", "--limit", type=int, default=20)
+    rank.add_argument("-n", "--limit", type=non_negative_int, default=20)
 
     inds = sub.add_parser(
         "inds", help="plain attribute-level INDs (SINDY-style)"
@@ -844,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("right", help="N-Triples/Turtle file or dataset:<Name>")
     cross.add_argument("-s", "--support", type=int, default=25)
     cross.add_argument("--scale", type=float, default=1.0)
-    cross.add_argument("-n", "--limit", type=int, default=20)
+    cross.add_argument("-n", "--limit", type=non_negative_int, default=20)
 
     fetch = sub.add_parser(
         "fetch",
@@ -1012,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-on-exit", action="store_true", default=False,
         help="write a final checkpoint before exiting",
     )
-    stream.add_argument("-n", "--limit", type=int, default=20)
+    stream.add_argument("-n", "--limit", type=non_negative_int, default=20)
     stream.add_argument(
         "-o", "--output", default=None,
         help="write the final result document as JSON (byte-identical to "
@@ -1034,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("-p", "--parallelism", type=int, default=4)
     profile.add_argument("--scale", type=float, default=1.0)
     _add_executor_flags(profile)
-    profile.add_argument("-n", "--limit", type=int, default=10)
+    profile.add_argument("-n", "--limit", type=non_negative_int, default=10)
 
     return parser
 

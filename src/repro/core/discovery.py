@@ -4,8 +4,8 @@ This is the public entry point of the library::
 
     from repro import RDFind, RDFindConfig
     result = RDFind(RDFindConfig(support_threshold=25)).discover(dataset)
-    for cind in result.cinds[:10]:
-        print(result.render(cind))
+    for line in result.render_cinds(10):
+        print(line)
 
 The facade wires the three paper components together — FCDetector
 (Section 5), CGCreator (Section 6), CINDExtractor + minimality
@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.capture_groups import create_capture_groups
@@ -32,6 +34,8 @@ from repro.core.cind import (
     Capture,
     SupportedAR,
     SupportedCIND,
+    code_capture,
+    unary_part_codes,
 )
 from repro.core.conditions import ConditionScope
 from repro.core.extraction import (
@@ -39,6 +43,7 @@ from repro.core.extraction import (
     DEFAULT_CANDIDATE_BLOOM_HASHES,
     ExtractionConfig,
     ExtractionStats,
+    _Memo,
     extract_broad_cinds,
 )
 from repro.core.frequent_conditions import (
@@ -46,7 +51,13 @@ from repro.core.frequent_conditions import (
     FrequentConditions,
     detect_frequent_conditions,
 )
-from repro.core.minimality import broad_cind_list, consolidate_pertinent
+from repro.core.minimality import (
+    Block,
+    block_cinds,
+    broad_cind_list,
+    capture_rank,
+    consolidate_pertinent,
+)
 from repro.dataflow.checkpoint import (
     CHECKPOINT_MODES,
     CheckpointManager,
@@ -376,12 +387,14 @@ class DiscoveryStats:
 class DiscoveryResult:
     """Everything a discovery run produced.
 
-    ``cinds`` are the pertinent CINDs (broad and minimal, trivial and
-    AR-implied ones excluded); ``association_rules`` complement them — an
-    AR stands in for the CINDs it implies (Section 3.3).
+    ``blocks`` are the pertinent CINDs (broad and minimal, trivial and
+    AR-implied ones excluded), one ``(dependent, support, refs)`` block of
+    capture codes per dependent; ``cinds`` spells them as ``SupportedCIND``
+    rows.  ``association_rules`` complement them — an AR stands in for the
+    CINDs it implies (Section 3.3).
     """
 
-    cinds: List[SupportedCIND]
+    blocks: List[Block]
     association_rules: List[SupportedAR]
     dictionary: TermDictionary
     config: RDFindConfig
@@ -389,6 +402,13 @@ class DiscoveryResult:
     metrics: JobMetrics
     elapsed_seconds: float = 0.0
     broad_cinds: Optional[List[SupportedCIND]] = None
+    #: code -> its Capture, one object per distinct code.
+    captures: Dict[int, Capture] = field(default_factory=lambda: _Memo(code_capture))
+
+    @cached_property
+    def cinds(self) -> List[SupportedCIND]:
+        """The pertinent CINDs, most supported first (built on first access)."""
+        return list(block_cinds(self.blocks, self.captures.__getitem__))
 
     @property
     def support_threshold(self) -> int:
@@ -400,8 +420,9 @@ class DiscoveryResult:
         return item.render(self.dictionary)
 
     def render_cinds(self, limit: Optional[int] = None) -> List[str]:
-        """Rendered pertinent CINDs (most supported first)."""
-        rows = self.cinds if limit is None else self.cinds[:limit]
+        """Rendered pertinent CINDs (most supported first), building ``limit``."""
+        rows = block_cinds(self.blocks, self.captures.__getitem__)
+        rows = self.cinds if limit is None else islice(rows, limit)
         return [self.render(row) for row in rows]
 
     def render_association_rules(self, limit: Optional[int] = None) -> List[str]:
@@ -423,7 +444,7 @@ class DiscoveryResult:
             "variant": self.config.variant_name,
             "h": self.support_threshold,
             "triples": self.stats.num_triples,
-            "pertinent_cinds": len(self.cinds),
+            "pertinent_cinds": self.stats.num_pertinent_cinds,
             "association_rules": len(self.association_rules),
             "broad_cinds": self.stats.num_broad_cinds,
             "elapsed_seconds": self.elapsed_seconds,
@@ -435,7 +456,7 @@ class DiscoveryResult:
     def __repr__(self) -> str:
         return (
             f"<DiscoveryResult {self.config.variant_name} h={self.support_threshold}: "
-            f"{len(self.cinds)} pertinent CINDs, "
+            f"{self.stats.num_pertinent_cinds} pertinent CINDs, "
             f"{len(self.association_rules)} ARs in {self.elapsed_seconds:.2f}s>"
         )
 
@@ -555,7 +576,9 @@ class RDFind:
                 )
             else:
                 broad, extraction_stats = compute_extraction()
-            pertinent = consolidate_pertinent(broad)
+            captures = _Memo(code_capture)
+            decode = captures.__getitem__
+            blocks = consolidate_pertinent(broad, capture_rank(broad, decode))
         finally:
             if manager is not None:
                 manager.close()
@@ -570,18 +593,21 @@ class RDFind:
             num_association_rules=len(frequent.association_rules) if frequent else 0,
             num_capture_groups=extraction_stats.groups_total,
             num_broad_cinds=_count_non_trivial_broad(broad),
-            num_pertinent_cinds=len(pertinent),
+            num_pertinent_cinds=sum(len(refs) for _dep, _support, refs in blocks),
             extraction=extraction_stats,
         )
         return DiscoveryResult(
-            cinds=pertinent,
+            blocks=blocks,
             association_rules=list(frequent.association_rules) if frequent else [],
             dictionary=encoded.dictionary,
             config=config,
             stats=stats,
             metrics=env.metrics,
             elapsed_seconds=elapsed,
-            broad_cinds=broad_cind_list(broad) if config.keep_broad_cinds else None,
+            broad_cinds=(
+                broad_cind_list(broad, decode) if config.keep_broad_cinds else None
+            ),
+            captures=captures,
         )
 
 
@@ -646,13 +672,9 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
 
 
 def _count_non_trivial_broad(broad) -> int:
-    """``len(broad_cind_list(broad))`` without building the rows.
-
-    A dependent is never among its own references, so the only trivial
-    rows are a binary dependent's own unary relaxations.
-    """
+    """``len(broad_cind_list(broad, ...))`` without building the rows."""
     return sum(
-        len(refs) - len(refs.intersection(dependent.unary_relaxations()))
+        len(refs) - len(refs.intersection(unary_part_codes(dependent)))
         for dependent, (refs, _support) in broad.items()
     )
 

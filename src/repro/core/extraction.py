@@ -35,10 +35,10 @@ that group's candidate sets; the dependent capture itself is filtered out
 when results are materialized, and the validation pass corrects any
 self-hit exactly as it corrects other false positives.
 
-From the capture groups that come in to the last step of
-:func:`extract_broad_cinds`, which decodes each distinct code once, a
+From the capture groups that come in to the broad CINDs that go out, a
 capture is its :func:`~repro.core.cind.capture_code` int; nothing in
-between is specific to captures.
+between is specific to captures, and minimality consolidates the codes
+(:mod:`repro.core.minimality`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.core.cind import Capture, code_capture
 from repro.dataflow.bloom import int_key_mask
 from repro.dataflow.engine import (
     DataSet,
@@ -103,8 +102,8 @@ class ExtractionStats:
     broad_cind_count: int = 0
 
 
-#: Result: dependent capture -> (exact referenced captures, support).
-BroadCINDs = Dict[Capture, Tuple[FrozenSet[Capture], int]]
+#: Result: dependent capture code -> (exact referenced codes, support).
+BroadCINDs = Dict[int, Tuple[FrozenSet[int], int]]
 
 
 class _Memo(dict):
@@ -125,11 +124,12 @@ def extract_broad_cinds(
 ) -> Tuple[BroadCINDs, ExtractionStats]:
     """Run the CINDExtractor over a dataset of capture groups.
 
-    Returns the broad CINDs in adjacency form — for every dependent
-    capture with support >= h, the exact set of referenced captures that
-    co-occur with it in *every* group — plus run statistics.  Trivial
-    inclusions are *not* filtered here (the discovery facade does that);
-    the dependent capture itself never appears among its references.
+    Returns the broad CINDs in adjacency form over capture codes — for
+    every dependent capture with support >= h and any reference, the
+    exact set of referenced captures that co-occur with it in *every*
+    group — plus run statistics.  Trivial inclusions are *not* filtered
+    here (minimality does that); the dependent capture itself never
+    appears among its references.
     """
     stats = ExtractionStats()
     stats.groups_total = groups.count()
@@ -209,15 +209,8 @@ def extract_broad_cinds(
         for dependent, refs in validated.items():
             certain[dependent] = (refs, counts[dependent])
 
-    # The one place captures are materialized: one object per distinct code.
-    captures = _Memo(code_capture)
     result: BroadCINDs = {
-        captures[dependent]: (
-            frozenset(map(captures.__getitem__, refs)),
-            count,
-        )
-        for dependent, (refs, count) in certain.items()
-        if refs
+        dependent: row for dependent, row in certain.items() if row[0]
     }
     stats.broad_dependents = len(result)
     stats.broad_cind_count = sum(len(refs) for refs, _count in result.values())

@@ -4,11 +4,15 @@ Discovery is the expensive step; its consumers (the query minimizer, the
 ontology and knowledge apps, downstream tooling) often run later or
 elsewhere.  :class:`ResultEncoder` renders ordered CINDs and ARs as the
 rows of a self-contained JSON document (term strings inlined, no
-dictionary needed to read it) and is the only producer of those bytes:
-:func:`write_result` (``dump_result``: CLI, server worker) streams them,
-the streaming maintainer's ``document_json`` keeps them per dependent.
-Ids stay the resident form up to this boundary; a term is decoded and
-escaped once per distinct capture, not once per row.
+dictionary needed to read it) and is the only producer of those bytes.
+Its unit is minimality's *block* — one dependent's pertinent CINDs, a
+string per block (:meth:`ResultEncoder.block`): :func:`write_result`
+(``dump_result``: CLI, server worker) writes the blocks one at a time,
+never a chunk of them, since one chunk of Countries' blocks at h=3 is
+the whole 38 MB document; the streaming maintainer's ``document_json``
+keeps them per dependent.  Ids and capture codes stay the resident form
+up to this boundary; a term is decoded and escaped once per distinct
+capture, not once per row.
 :func:`parse_result_dict` reads such documents back into string-valued
 structures ready for :class:`repro.sparql.minimizer.QueryMinimizer`.
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, TextIO, Tuple, Union
 
 from repro.core.cind import (
@@ -103,7 +106,7 @@ def _capture_from_json(payload: Dict) -> Capture:
 
 
 class ResultEncoder(dict):
-    """The one template of a version-1 document, a row at a time.
+    """The one template of a version-1 document, a block at a time.
 
     Exactly the text the stdlib encoder renders for the schema above with
     ``ensure_ascii=False, indent=1``, without ever building the document.
@@ -134,11 +137,18 @@ class ResultEncoder(dict):
         )
         return fragment
 
+    def block(self, dependent, support: int, refs: Iterable) -> str:
+        """The rows ``dependent ⊆ ref`` of each of ``refs`` (at least
+        one), joined by ``",\\n"``: the text that differs between them is
+        the referenced capture."""
+        head = f'  {{\n   "dep": {self[dependent]},\n   "ref": '
+        tail = f',\n   "support": {support}\n  }}'
+        return head + f"{tail},\n{head}".join(map(self.__getitem__, refs)) + tail
+
     def cind_rows(self, cinds: Iterable[Tuple[Tuple, int]]) -> Iterator[str]:
         """A row per ``((dependent key, referenced key), support)``."""
         return (
-            f'  {{\n   "dep": {self[dependent]},\n   "ref": '
-            f'{self[referenced]},\n   "support": {support}\n  }}'
+            self.block(dependent, support, (referenced,))
             for (dependent, referenced), support in cinds
         )
 
@@ -152,11 +162,11 @@ class ResultEncoder(dict):
 
 
 def _array(rows: Iterator[str]) -> Iterator[str]:
-    """A JSON array of rendered rows, joined a bounded chunk at a time."""
+    """A JSON array of rendered rows (or blocks), a piece per row and seam."""
     opener = "[\n"
-    while chunk := ",\n".join(islice(rows, 4096)):
+    for row in rows:
         yield opener
-        yield chunk
+        yield row
         opener = ",\n"
     yield "[]" if opener == "[\n" else "\n ]"
 
@@ -180,32 +190,20 @@ def result_pieces(
     yield "\n}"
 
 
-def write_result(
-    handle: TextIO,
-    support_threshold: int,
-    variant: str,
-    cinds: Iterable[SupportedCIND],
-    rules: Iterable[SupportedAR],
-    decode: Callable[[int], str],
-) -> None:
-    """Write ``cinds`` and ``rules`` (in result order, over term ids) as a
-    version-1 result document, straight to a text stream."""
-    encoder = ResultEncoder(decode)
-    rows = encoder.cind_rows(cinds), encoder.rule_rows(rules)
-    handle.writelines(result_pieces(support_threshold, variant, *rows))
+def write_result(handle: TextIO, result: DiscoveryResult) -> None:
+    """Write ``result`` as a version-1 document straight to a text stream:
+    its blocks one string each, its rules a row each."""
+    encoder = ResultEncoder(result.dictionary.decode, result.captures.__getitem__)
+    blocks = (encoder.block(*block) for block in result.blocks)
+    rules = encoder.rule_rows(result.association_rules)
+    h, variant = result.support_threshold, result.config.variant_name
+    handle.writelines(result_pieces(h, variant, blocks, rules))
 
 
 def dump_result(result: DiscoveryResult, path: Union[str, os.PathLike]) -> None:
     """Write a discovery result as JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        write_result(
-            handle,
-            result.support_threshold,
-            result.config.variant_name,
-            result.cinds,
-            result.association_rules,
-            result.dictionary.decode,
-        )
+        write_result(handle, result)
 
 
 def parse_result_dict(

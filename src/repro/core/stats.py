@@ -172,7 +172,7 @@ def search_space_funnel(
         frequent_condition_candidates=frequent * (frequent - 1),
         broad_cind_candidates=broad_captures * max(0, frequent - 1),
         broad_cinds=result.stats.num_broad_cinds,
-        pertinent_cinds=len(result.cinds),
+        pertinent_cinds=result.stats.num_pertinent_cinds,
         association_rules=len(result.association_rules),
         valid_cinds=valid_cinds,
         minimal_cinds=minimal_cinds,

@@ -88,9 +88,10 @@ MANIFEST_VERSION = 1
 
 CHECKPOINT_MAGIC = "rdfind-checkpoint"
 #: Version 2: capture groups hold capture codes (ints), not ``Capture``
-#: tuples.  Version 3: a Bloom filter pickles as its ``to_bytes``.  An
-#: older step file is recomputed, never resumed.
-CHECKPOINT_VERSION = 3
+#: tuples.  Version 3: a Bloom filter pickles as its ``to_bytes``.
+#: Version 4: ``ex``'s broad CINDs are codes too.  An older step file is
+#: recomputed, never resumed.
+CHECKPOINT_VERSION = 4
 
 #: Payload kinds a step file can hold.
 VALUE = "value"  # one pickled driver-side value

@@ -208,14 +208,7 @@ def run_job(job_dir: str) -> int:
         # result.json first, outcome.json last: the outcome is the commit
         # point, so a crash between the two reads as "no result yet".
         with atomic_write(store.result_path(job_id), "w") as handle:
-            write_result(
-                handle,
-                result.support_threshold,
-                result.config.variant_name,
-                result.cinds,
-                result.association_rules,
-                result.dictionary.decode,
-            )
+            write_result(handle, result)
         atomic_write_json(store.metrics_path(job_id), metrics.to_dict())
         atomic_write_json(
             store.outcome_path(job_id),
@@ -226,7 +219,7 @@ def run_job(job_dir: str) -> int:
                     "variant": result.config.variant_name,
                     "h": result.support_threshold,
                     "triples": result.stats.num_triples,
-                    "pertinent_cinds": len(result.cinds),
+                    "pertinent_cinds": result.stats.num_pertinent_cinds,
                     "association_rules": len(result.association_rules),
                     "resumed_stages": metrics.resumed_stages,
                 },

@@ -20,8 +20,10 @@ its :func:`repro.core.cind.capture_code` int and a condition a plain int
 tuple, from the moment a triple arrives until a query is answered; which
 captures a condition feeds is a per-scope plan computed once, so an
 evidence event is shifts, an ``or``, two dict lookups and a set add.
-``Capture`` objects exist at one boundary only: :meth:`broad_cinds`
-decodes changed rows through a per-maintainer memo, one object per code.
+``Capture`` objects come from a per-maintainer memo, one object per
+code: :meth:`broad_cinds` decodes changed rows, and the document decodes
+what it sorts and renders; its rows, their minimality and its blocks
+stay codes.
 
 The cache invariant has two clauses: a cached row outside the *dirty
 set* equals Lemma 3's intersection (``c ⊆ c'`` iff ``c'`` is in every
@@ -84,7 +86,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
@@ -99,7 +101,7 @@ from repro.core.cind import (
 )
 from repro.core.conditions import ConditionScope, UnaryCondition
 from repro.core.extraction import BroadCINDs, _Memo
-from repro.core.minimality import consolidate_pertinent
+from repro.core.minimality import Block, block_cinds, consolidate_pertinent
 from repro.core.serialization import ResultEncoder, result_pieces
 from repro.rdf.model import (
     ALL_ATTRS,
@@ -239,7 +241,7 @@ class StreamingRDFind:
         # named term -> position (see _position), terms that lost theirs.
         self._touched: Set[int] = set()
         self._stale: Set[int] = set()
-        self._broad: BroadCINDs = {}
+        self._broad: Dict[Capture, Tuple[FrozenSet[Capture], int]] = {}
         self._relaxers: Dict[int, Set[int]] = {}
         self._first: Dict[int, int] = {}
         self._moved: Set[int] = set()
@@ -511,11 +513,11 @@ class StreamingRDFind:
             if c in bound or c != dependent and values <= witnesses[c].keys()
         )
 
-    def broad_cinds(self) -> BroadCINDs:
+    def broad_cinds(self) -> Dict[Capture, Tuple[FrozenSet[Capture], int]]:
         """Current broad CINDs in adjacency form (recomputing dirty rows).
 
-        The one boundary where codes become :class:`Capture` objects, a
-        changed row at a time: the dict is the maintained one.
+        The decoded form of the row cache, a changed row at a time: the
+        dict is the maintained one.
         """
         self.stats.queries += 1
         witnesses, cache, touched = self._witnesses, self._refs_cache, self._touched
@@ -544,8 +546,11 @@ class StreamingRDFind:
         return broad
 
     def pertinent_cinds(self) -> List[SupportedCIND]:
-        """Current pertinent (broad and minimal) CINDs."""
-        return consolidate_pertinent(self.broad_cinds())
+        """Current pertinent (broad and minimal) CINDs, in ``Capture`` order."""
+        self.broad_cinds()
+        decode, witnesses = self._decoded.__getitem__, self._witnesses
+        rows = {c: (r, len(witnesses[c])) for c, r in self._refs_cache.items() if r}
+        return list(block_cinds(consolidate_pertinent(rows, decode), decode))
 
     def render(self, supported: SupportedCIND) -> str:
         """Render a result row with this maintainer's dictionary."""
@@ -571,9 +576,9 @@ class StreamingRDFind:
             self._first[term] = position
         return position
 
-    def _sort_key(self, capture: Capture) -> Tuple:
-        """The batch sort key of ``capture``, positions for term ids."""
-        attr, condition = capture
+    def _sort_key(self, code: int) -> Tuple:
+        """The batch sort key of capture ``code``, positions for term ids."""
+        attr, condition = self._decoded[code]
         key = list(condition)
         key[1::2] = map(self._position, key[1::2])
         return attr, tuple(key)
@@ -627,8 +632,9 @@ class StreamingRDFind:
             self._rule_order, self._document = sorted(rules.values()), None
         return [entry[2] for entry in self._rule_order]
 
-    def batch_result(self) -> Tuple[Set[int], List[SupportedCIND]]:
-        """The stale dependents and their CINDs under the batch semantics.
+    def batch_result(self) -> Tuple[Set[int], List[Block]]:
+        """The stale dependents and their CINDs under the batch semantics,
+        as minimality's blocks in document order.
 
         Stale is a dependent whose row or support changed, a binary one
         relaxing to a changed row, one naming a capture whose AR status
@@ -648,16 +654,15 @@ class StreamingRDFind:
         if moved:
             stale.update(b[1] for b in self._order if not moved.isdisjoint(b[3]))
             moved.clear()
-        decoded, pruned, broad = self._decoded, self._pruned, self._broad
+        pruned, witnesses = self._pruned, self._witnesses
         rows: BroadCINDs = {}
         for code in chain(stale, *map(unary_part_codes, stale)):
-            entry = code not in pruned and broad.get(decoded[code])
-            if entry and not cache[code].isdisjoint(pruned):
-                kept = map(decoded.__getitem__, cache[code] - pruned)
-                entry = (frozenset(kept), entry[1])
-            if entry and entry[0]:
-                rows[decoded[code]] = entry
-        return stale, consolidate_pertinent(rows)
+            row = code not in pruned and cache.get(code)
+            if row and not row.isdisjoint(pruned):
+                row = row - pruned
+            if row:
+                rows[code] = (row, len(witnesses[code]))
+        return stale, consolidate_pertinent(rows, self._sort_key)
 
     def result_document(self) -> Tuple[List[Tuple], List[Tuple]]:
         """The document's blocks and rules, in ``rdfind discover -o`` order.
@@ -669,21 +674,17 @@ class StreamingRDFind:
         :class:`ResultEncoder`: a capture is decoded once in its lifetime.
         """
         stale, cinds = self.batch_result()
-        blocks, order, key_of = self._blocks, self._order, self._sort_key
+        blocks, order, decoded = self._blocks, self._order, self._decoded
         for code in stale & blocks.keys():
             del order[bisect_left(order, blocks.pop(code))]
             self._document = None
-        for dependent, rows in groupby(cinds, key=lambda sc: sc.cind.dependent):
-            code = capture_code(dependent)
-            if code in stale:
-                refs = sorted((sc.cind.referenced for sc in rows), key=key_of)
-                support = len(self._witnesses[code])
-                keyed = (((code, capture_code(ref)), support) for ref in refs)
-                terms = (c.condition[1::2] for c in (dependent, *refs))
-                blocks[code] = block = (
-                    (-support, key_of(dependent)),
-                    code,
-                    ",\n".join(self._encoder.cind_rows(keyed)),
+        for dependent, support, refs in cinds:
+            if dependent in stale:
+                terms = (decoded[c].condition[1::2] for c in (dependent, *refs))
+                blocks[dependent] = block = (
+                    (-support, self._sort_key(dependent)),
+                    dependent,
+                    self._encoder.block(dependent, support, refs),
                     frozenset(chain.from_iterable(terms)),
                 )
                 insort(order, block)

@@ -10,7 +10,6 @@ caches, so it is the reference the incremental document must equal byte
 for byte at every point.
 """
 
-import io
 from itertools import chain
 
 from repro.core.cind import (
@@ -19,10 +18,10 @@ from repro.core.cind import (
     code_capture,
 )
 from repro.core.conditions import UnaryCondition, is_binary
-from repro.core.minimality import consolidate_pertinent
-from repro.core.serialization import write_result
+from repro.core.serialization import ResultEncoder, result_pieces
 from repro.rdf.model import Attr
 from repro.streaming.maintainer import BATCH_VARIANT
+from tests.result_oracle import consolidate_pertinent
 
 
 def full_intersection(maintainer, code):
@@ -106,13 +105,6 @@ def document_from_scratch(maintainer):
             positioned(sar.rule.rhs),
         )
     )
-    buffer = io.StringIO()
-    write_result(
-        buffer,
-        maintainer.h,
-        BATCH_VARIANT,
-        cinds,
-        rules,
-        maintainer.dictionary.decode,
-    )
-    return buffer.getvalue()
+    encoder = ResultEncoder(maintainer.dictionary.decode)
+    rows = encoder.cind_rows(cinds), encoder.rule_rows(rules)
+    return "".join(result_pieces(maintainer.h, BATCH_VARIANT, *rows))

@@ -165,6 +165,15 @@ class TestMinimalFirst:
         alternative = minimal_first_discover(table1_encoded, h=2)
         assert cind_set(reference) == cind_set(alternative)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hands_over_the_pipelines_blocks(self, seed):
+        encoded = random_rdf(seed + 520, n_triples=40).encode()
+        reference = find_pertinent_cinds(encoded, support_threshold=2)
+        alternative = minimal_first_discover(encoded, h=2)
+        assert alternative.blocks == reference.blocks
+        assert alternative.cinds == reference.cinds
+        assert alternative.stats.num_pertinent_cinds == len(reference.cinds)
+
     def test_does_more_group_scans(self, table1_encoded):
         """The strategy's defining cost: multiple passes over the groups."""
         result = minimal_first_discover(table1_encoded, h=2)

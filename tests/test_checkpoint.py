@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.cind import code_capture
 from repro.core.discovery import RDFind, RDFindConfig, checkpoint_fingerprint
+from repro.core.serialization import dump_result
 from repro.core.framing import write_frame
 from repro.dataflow import checkpoint, workspace
 from repro.dataflow.checkpoint import (
@@ -442,6 +443,28 @@ class TestDiscoveryResume:
         assert again.metrics.resumed_stages == 2
         assert result_to_dict(again) == result_to_dict(clean)
 
+    def test_version_3_ex_step_is_recomputed_not_resumed(self, tmp_path, capsys):
+        """Version-3 ``ex.ckpt`` held ``Capture``-keyed broad CINDs; the
+        current one holds capture codes."""
+        dataset = random_rdf(14, n_triples=60)
+        clean = RDFind(RDFindConfig(support_threshold=2, parallelism=2)).discover(
+            dataset
+        )
+        RDFind(self._config(tmp_path)).discover(dataset)
+        rewrite_ex_as_version_3(tmp_path)
+        capsys.readouterr()
+        resumed = RDFind(self._config(tmp_path, resume=True)).discover(dataset)
+        assert (
+            "recomputing step 'ex': unsupported checkpoint version 3"
+            in capsys.readouterr().err
+        )
+        assert resumed.metrics.resumed_stages == 2  # fc and cg, not ex
+        dump_result(clean, tmp_path / "clean.json")
+        dump_result(resumed, tmp_path / "resumed.json")
+        assert (tmp_path / "resumed.json").read_bytes() == (
+            tmp_path / "clean.json"
+        ).read_bytes()
+
     def test_config_mismatch_on_resume_raises(self, tmp_path):
         dataset = random_rdf(12, n_triples=40)
         RDFind(self._config(tmp_path)).discover(dataset)
@@ -489,6 +512,27 @@ def rewrite_as_version_1(directory):
     with mock.patch.object(checkpoint, "CHECKPOINT_VERSION", 1):
         manager._persist("fc", checkpoint.VALUE, fc)
         manager._persist("cg", checkpoint.DATASET, cg)
+
+
+def rewrite_ex_as_version_3(directory):
+    """Turn a finished phase-checkpoint dir's ``ex`` step into what the
+    release before code-valued broad CINDs wrote: a version-3 header over
+    ``(broad, stats)`` with ``Capture`` keys and reference sets."""
+    manifest = JobManifest.load(os.path.join(str(directory), "manifest.json"))
+    manager = CheckpointManager(
+        str(directory), "phase", fingerprint=manifest.fingerprint, resume=False
+    )
+    manager.manifest = manifest
+    (raw,) = manager._read_step_file("ex", checkpoint.VALUE)
+    broad, stats = pickle.loads(raw)
+    decoded = {
+        code_capture(dependent): (frozenset(map(code_capture, refs)), support)
+        for dependent, (refs, support) in broad.items()
+    }
+    with mock.patch.object(checkpoint, "CHECKPOINT_VERSION", 3):
+        manager._persist(
+            "ex", checkpoint.VALUE, [pickle.dumps((decoded, stats), protocol=4)]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -191,3 +191,81 @@ class TestCli:
     def test_bad_scope_rejected(self):
         with pytest.raises(SystemExit):
             main(["discover", "dataset:Countries", "--scope", "bogus"])
+
+
+class TestLimit:
+    """``-n/--limit`` is a non-negative row count on every subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover", "dataset:Countries"],
+            ["ontology", "dataset:Countries"],
+            ["facts", "dataset:Countries"],
+            ["rank", "dataset:Countries"],
+            ["cross", "dataset:Countries", "dataset:Countries"],
+            ["stream", "state"],
+            ["profile", "dataset:Countries"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_limit_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "-n", "-1"])
+        assert raised.value.code == 2
+        assert "argument -n/--limit: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_non_integer_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["discover", "dataset:Countries", "--limit", "few"])
+        assert raised.value.code == 2
+        assert "invalid non_negative_int value: 'few'" in capsys.readouterr().err
+
+    def test_discover_to_a_file_never_builds_the_cind_rows(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.core.discovery import DiscoveryResult, RDFind, RDFindConfig
+        from repro.core.serialization import dump_result
+        from repro.datasets.registry import load
+
+        expected = tmp_path / "expected.json"
+        dump_result(
+            RDFind(RDFindConfig(support_threshold=5)).discover(
+                load("Countries", scale=0.1, encoded=True)
+            ),
+            expected,
+        )
+
+        def unbuilt(_result):
+            raise AssertionError("result.cinds was built")
+
+        monkeypatch.setattr(DiscoveryResult, "cinds", property(unbuilt))
+        path = tmp_path / "out.json"
+        out = run(
+            capsys, "discover", "dataset:Countries", "--scale", "0.1", "-s", "5",
+            "--limit", "0", "-o", str(path),
+        )
+        assert "⊆" not in out and "full result written" in out
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_limit_prints_the_first_rows_in_result_order(self, capsys):
+        from repro.core.discovery import RDFind, RDFindConfig
+        from repro.datasets.registry import load
+
+        result = RDFind(RDFindConfig(support_threshold=5)).discover(
+            load("Countries", scale=0.1, encoded=True)
+        )
+        out = run(
+            capsys, "discover", "dataset:Countries", "--scale", "0.1", "-s", "5",
+            "-n", "5",
+        )
+        lines = out.splitlines()
+        rules = lines.index("association rules:")
+        # Summary lines (the run, and spill or fault lines) are not indented.
+        assert [line for line in lines[:rules] if line.startswith("  ")] == [
+            "  " + row.render(result.dictionary) for row in result.cinds[:5]
+        ]
+        assert lines[rules + 1 :] == [
+            "  " + rule.render(result.dictionary)
+            for rule in result.association_rules[:5]
+        ]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import extraction
 from repro.core.capture_groups import create_capture_groups
-from repro.core.cind import CIND, Capture, capture_code
+from repro.core.cind import CIND, Capture, capture_code, code_capture
 from repro.core.extraction import (
     ExtractionConfig,
     extract_broad_cinds,
@@ -31,7 +31,13 @@ def run_extraction(
     frequent = detect_frequent_conditions(env, triples, h=h, fp_rate=1e-9)
     groups = create_capture_groups(env, triples, frequent=frequent)
     config = ExtractionConfig(h=h, **config_overrides)
-    return extract_broad_cinds(env, groups, config)
+    broad, stats = extract_broad_cinds(env, groups, config)
+    captures = extraction._Memo(code_capture)  # one object per code
+    decode = captures.__getitem__
+    return {
+        decode(dependent): (frozenset(map(decode, refs)), support)
+        for dependent, (refs, support) in broad.items()
+    }, stats
 
 
 def broad_as_set(broad):

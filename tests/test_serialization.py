@@ -186,7 +186,7 @@ class TestEncoderBytes:
         assert full.cinds and full.association_rules
         result = dataclasses.replace(
             full,
-            cinds=full.cinds if keep_cinds else [],
+            blocks=full.blocks if keep_cinds else [],
             association_rules=full.association_rules if keep_rules else [],
         )
         text = dumped(result, tmp_path)
@@ -216,6 +216,58 @@ class TestEncoderBytes:
             encoder.rule_rows(result.association_rules),
         )
         assert "".join(pieces) == result_json(result)
+
+
+@pytest.fixture(scope="module")
+def many_rows():
+    """A result of more than 2 x 4,096 CINDs."""
+    result = find_pertinent_cinds(
+        random_rdf(7, n_triples=400, n_subjects=40, n_objects=40).encode(),
+        support_threshold=1,
+    )
+    assert len(result.cinds) > 2 * 4096 and result.association_rules
+    return result
+
+
+class TestBlockWriter:
+    """``write_result`` writes one string per block, whatever the blocks."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=8),
+        keep_cinds=st.booleans(),
+        keep_rules=st.booleans(),
+    )
+    def test_blocks_of_any_size_write_the_oracle_bytes(
+        self, many_rows, sizes, keep_cinds, keep_rules, tmp_path_factory
+    ):
+        """The result's rows re-cut into blocks of ``sizes`` refs in turn:
+        a block names its first row's dependent and support."""
+        rows = [
+            (dependent, support, referenced)
+            for dependent, support, refs in many_rows.blocks
+            for referenced in refs
+        ]
+        blocks, at = [], 0
+        for size in itertools.cycle(sizes):
+            if at >= len(rows) or not keep_cinds:
+                break
+            cut = rows[at : at + size]
+            blocks.append((cut[0][0], cut[0][1], [ref for _d, _s, ref in cut]))
+            at += size
+        result = dataclasses.replace(
+            many_rows,
+            blocks=blocks,
+            association_rules=many_rows.association_rules if keep_rules else [],
+        )
+        text = dumped(result, tmp_path_factory.mktemp("blocks"))
+        assert text == result_json(result)
+        assert ('"cinds": []' in text) == (not keep_cinds)
+        assert ('"association_rules": []' in text) == (not keep_rules)
 
 
 class TestMalformedDocuments:

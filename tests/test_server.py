@@ -360,6 +360,32 @@ class TestRecovery:
             server.stop()
 
 
+class TestWorkerJob:
+    def test_job_writes_the_result_without_building_cind_rows(
+        self, tmp_path, tiny_nt, monkeypatch
+    ):
+        """The worker writes minimality's blocks and counts from the stats."""
+        from repro.core.discovery import DiscoveryResult
+        from repro.server import worker
+
+        store = JobStore(str(tmp_path / "jobs"))
+        record = store.create(JobRequest(dataset=tiny_nt, support_threshold=2))
+        direct = RDFind(RDFindConfig(support_threshold=2)).discover(
+            _load_input(tiny_nt)
+        )
+        expected = json.dumps(result_to_dict(direct), ensure_ascii=False, indent=1)
+
+        def unbuilt(_result):
+            raise AssertionError("result.cinds was built")
+
+        monkeypatch.setattr(DiscoveryResult, "cinds", property(unbuilt))
+        assert worker.run_job(store.job_dir(record.id)) == 0
+        outcome = store.outcome(record.id)
+        assert outcome["state"] == "succeeded", outcome
+        assert outcome["summary"]["pertinent_cinds"] == direct.stats.num_pertinent_cinds
+        assert store.raw_result(record.id) == expected.encode("utf-8")
+
+
 class TestStore:
     def test_request_validation(self):
         with pytest.raises(ValueError):
