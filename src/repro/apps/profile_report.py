@@ -88,11 +88,12 @@ class ProfileReport:
 def profile_dataset(
     dataset: Union[Dataset, EncodedDataset],
     h: Optional[int] = None,
-    parallelism: int = 4,
+    config: Optional[RDFindConfig] = None,
 ) -> ProfileReport:
     """Profile a dataset end to end.
 
-    ``h`` defaults to the advisor's knowledge-discovery recommendation.
+    ``h`` defaults to the advisor's knowledge-discovery recommendation;
+    discovery runs under ``config`` with its support threshold set to ``h``.
     """
     started = time.perf_counter()
     if isinstance(dataset, Dataset):
@@ -106,9 +107,7 @@ def profile_dataset(
             if rec.use_case == "knowledge discovery"
         )
 
-    discovery = RDFind(
-        RDFindConfig(support_threshold=h, parallelism=parallelism)
-    ).discover(dataset)
+    discovery = RDFind((config or RDFindConfig()).with_support(h)).discover(dataset)
 
     return ProfileReport(
         name=dataset.name,

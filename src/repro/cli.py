@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.apps.advisor import recommend_support_threshold
 from repro.apps.integration import discover_cross_cinds
@@ -146,7 +146,9 @@ def _scope(name: str) -> ConditionScope:
     raise SystemExit(f"unknown scope {name!r} (use 'full' or 'predicates')")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, runtime: bool = True) -> None:
+    """Input, ``h``, ``-p`` and ``--scale``; plus the runtime flags when
+    the subcommand runs RDFind (``runtime``)."""
     parser.add_argument("input", help="N-Triples file or dataset:<Name>")
     parser.add_argument(
         "-s", "--support", type=int, default=25, help="support threshold h"
@@ -157,10 +159,32 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale", type=float, default=1.0, help="scale for dataset: inputs"
     )
-    _add_executor_flags(parser)
+    if runtime:
+        _add_runtime_flags(parser)
 
 
-def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
+#: Where the runtime flags land: each destination is the RDFindConfig
+#: keyword the flag sets.
+_RUNTIME_KEYWORDS = (
+    "executor",
+    "workers",
+    "fault_seed",
+    "max_retries",
+    "shuffle",
+    "memory_budget_bytes",
+    "spill_dir",
+    "task_timeout_seconds",
+    "checkpoint_dir",
+    "resume",
+    "crash_points",
+)
+
+
+def _add_runtime_flags(
+    parser: argparse.ArgumentParser, checkpoints: bool = True
+) -> None:
+    """How a run executes (never what it finds); ``checkpoints`` adds the
+    three flags of a driver that owns its checkpoint directory."""
     parser.add_argument(
         "--executor", choices=("serial", "process"), default=None,
         help="dataflow backend: 'serial' (inline, default) or 'process' "
@@ -171,7 +195,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="process-pool size (default: min(parallelism, cores))",
     )
     parser.add_argument(
-        "--faults", type=int, default=None, metavar="SEED",
+        "--faults", type=int, default=None, metavar="SEED", dest="fault_seed",
         help="inject deterministic faults from this seed (transient errors, "
         "worker crashes, stragglers); recovery must reproduce the clean "
         "output byte-for-byte",
@@ -197,75 +221,52 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "each run gets a fresh subdirectory, removed when the run ends",
     )
     parser.add_argument(
-        "--checkpoint", choices=("off", "phase", "stage"), default=None,
-        help="durable checkpointing granularity: 'phase' persists each "
-        "pipeline phase at its boundary, 'stage' also persists sub-stage "
-        "boundaries inside the phases (default: off)",
+        "--task-timeout-seconds", type=float, default=None, metavar="SECONDS",
+        help="per-task wall-clock bound under --executor process; a hung "
+        "task becomes a retryable transient fault (default: no bound)",
     )
+    if not checkpoints:
+        return
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="where the job manifest and checkpoint step files live "
-        "(required with --checkpoint; checkpoints survive the run)",
+        help="turn checkpointing on: the job manifest and one step file "
+        "per completed phase (fc, cg, ex) live here and survive the run",
     )
     parser.add_argument(
-        "--resume", action="store_true", default=False,
+        "--resume", action="store_true", default=None,
         help="continue a killed job from its last durable checkpoint "
         "boundary (validates the manifest against this run's config; "
         "output is byte-identical to an uninterrupted run)",
     )
     parser.add_argument(
         "--crash-point", action="append", default=None,
-        metavar="MOMENT:STEP",
+        metavar="MOMENT:STEP", dest="crash_points",
         help="inject a driver crash at a checkpoint boundary, e.g. "
         "'after:fc' (fires once; the attempt count is persisted so a "
         "--resume relaunch passes); repeatable",
     )
-    parser.add_argument(
-        "--task-timeout-seconds", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock bound under --executor process; a hung "
-        "task becomes a retryable transient fault (default: no bound)",
-    )
 
 
-def _apply_executor_flags(args: argparse.Namespace) -> None:
-    """Publish executor/fault flags as environment defaults.
+def _run_settings(args: argparse.Namespace) -> Dict[str, Any]:
+    """The runtime flags given on the command line, as RDFindConfig keywords.
 
-    ``RDFindConfig`` reads RDFIND_EXECUTOR / RDFIND_WORKERS /
-    RDFIND_FAULTS / RDFIND_MAX_RETRIES / RDFIND_SHUFFLE /
-    RDFIND_MEMORY_BUDGET_BYTES / RDFIND_SPILL_DIR / RDFIND_CHECKPOINT /
-    RDFIND_CHECKPOINT_DIR / RDFIND_RESUME / RDFIND_CRASH_POINT /
-    RDFIND_TASK_TIMEOUT_SECONDS as its defaults, so
-    setting the environment here makes the choice reach every config the
-    subcommands build internally (funnel, profile, rank, ...).
+    A flag that was not given is left out, so the config's own default
+    applies.  Workspace directories are checked here, before any work.
     """
-    if getattr(args, "executor", None):
-        os.environ["RDFIND_EXECUTOR"] = args.executor
-    if getattr(args, "workers", None):
-        os.environ["RDFIND_WORKERS"] = str(args.workers)
-    if getattr(args, "faults", None) is not None:
-        os.environ["RDFIND_FAULTS"] = str(args.faults)
-    if getattr(args, "max_retries", None) is not None:
-        os.environ["RDFIND_MAX_RETRIES"] = str(args.max_retries)
-    if getattr(args, "shuffle", None):
-        os.environ["RDFIND_SHUFFLE"] = args.shuffle
-    if getattr(args, "memory_budget_bytes", None) is not None:
-        os.environ["RDFIND_MEMORY_BUDGET_BYTES"] = str(args.memory_budget_bytes)
-    if getattr(args, "spill_dir", None):
-        _require_writable_dir(args.spill_dir, flag="--spill-dir")
-        os.environ["RDFIND_SPILL_DIR"] = args.spill_dir
-    if getattr(args, "checkpoint", None):
-        os.environ["RDFIND_CHECKPOINT"] = args.checkpoint
-    if getattr(args, "checkpoint_dir", None):
-        _require_writable_dir(args.checkpoint_dir, flag="--checkpoint-dir")
-        os.environ["RDFIND_CHECKPOINT_DIR"] = args.checkpoint_dir
-    if getattr(args, "resume", False):
-        os.environ["RDFIND_RESUME"] = "1"
-    if getattr(args, "crash_point", None):
-        os.environ["RDFIND_CRASH_POINT"] = ",".join(args.crash_point)
-    if getattr(args, "task_timeout_seconds", None) is not None:
-        os.environ["RDFIND_TASK_TIMEOUT_SECONDS"] = str(
-            args.task_timeout_seconds
-        )
+    settings = {
+        key: getattr(args, key)
+        for key in _RUNTIME_KEYWORDS
+        if getattr(args, key, None) is not None
+    }
+    if "crash_points" in settings:
+        settings["crash_points"] = tuple(settings["crash_points"])
+    for key, flag in (
+        ("spill_dir", "--spill-dir"),
+        ("checkpoint_dir", "--checkpoint-dir"),
+    ):
+        if key in settings:
+            _require_writable_dir(settings[key], flag=flag)
+    return settings
 
 
 def _require_writable_dir(path: str, *, flag: str) -> None:
@@ -285,24 +286,18 @@ def _require_writable_dir(path: str, *, flag: str) -> None:
         raise SystemExit(f"error: {flag} {path!r} is not a writable directory: {error}")
 
 
-def _snapshot_cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """Where checkpointed runs cache dataset snapshots, if anywhere.
-
-    A run with a checkpoint workspace has opted into durable warm-start
-    state, so dataset snapshots live beside the checkpoints — a
-    ``--resume`` relaunch then skips re-parsing its input entirely.
-    """
-    checkpoint_dir = getattr(args, "checkpoint_dir", None) or os.environ.get(
-        "RDFIND_CHECKPOINT_DIR"
-    )
-    if not checkpoint_dir:
-        return None
-    return os.path.join(checkpoint_dir, "snapshots")
-
-
 def _discover(args: argparse.Namespace) -> DiscoveryResult:
+    settings = _run_settings(args)
+    # A run with a checkpoint workspace has opted into durable warm-start
+    # state, so dataset snapshots live beside the checkpoints: a
+    # --resume relaunch then skips re-parsing its input entirely.
+    checkpoint_dir = settings.get("checkpoint_dir")
     dataset = _load_input(
-        args.input, scale=args.scale, snapshot_dir=_snapshot_cache_dir(args)
+        args.input,
+        scale=args.scale,
+        snapshot_dir=(
+            os.path.join(checkpoint_dir, "snapshots") if checkpoint_dir else None
+        ),
     )
     variant = getattr(args, "variant", "rdfind")
     builders = {
@@ -314,6 +309,7 @@ def _discover(args: argparse.Namespace) -> DiscoveryResult:
         support_threshold=args.support,
         parallelism=args.parallelism,
         scope=_scope(getattr(args, "scope", "full")),
+        **settings,
     )
     return RDFind(config).discover(dataset)
 
@@ -377,10 +373,10 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_funnel(args: argparse.Namespace) -> int:
+    config = RDFindConfig(parallelism=args.parallelism, **_run_settings(args))
     dataset = _load_input(args.input, scale=args.scale)
     funnel = search_space_funnel(
-        dataset, args.support, exhaustive=args.exhaustive,
-        parallelism=args.parallelism,
+        dataset, args.support, exhaustive=args.exhaustive, config=config
     )
     print(funnel.describe())
     return 0
@@ -421,12 +417,13 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    config = RDFindConfig(
+        support_threshold=args.support,
+        parallelism=args.parallelism,
+        **_run_settings(args),
+    )
     encoded = _load_input(args.input, scale=args.scale)
-    result = RDFind(
-        RDFindConfig(
-            support_threshold=args.support, parallelism=args.parallelism
-        )
-    ).discover(encoded)
+    result = RDFind(config).discover(encoded)
     ranking = rank_cinds(result, encoded)
     flagged = spurious(ranking)
     print(
@@ -609,6 +606,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             job_dir=args.job_dir,
             max_concurrent_jobs=args.max_concurrent_jobs,
             max_queued_jobs=args.max_queued_jobs,
+            run_settings=_run_settings(args),
         )
     )
     try:
@@ -771,15 +769,24 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    config = RDFindConfig(parallelism=args.parallelism, **_run_settings(args))
     dataset = _load_input(args.input, scale=args.scale)
     h = args.support if args.support > 0 else None
-    print(profile_dataset(dataset, h=h, parallelism=args.parallelism)
-          .describe(limit=args.limit))
+    print(profile_dataset(dataset, h=h, config=config).describe(limit=args.limit))
     return 0
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """Long options match exactly (subparsers included): a retired flag
+    must not resolve to a surviving one it prefixes, as ``--checkpoint``
+    would to ``--checkpoint-dir``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="rdfind",
         description="RDFind: pertinent CIND discovery in RDF datasets "
         "(SIGMOD 2016 reproduction)",
@@ -819,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     histogram = sub.add_parser(
         "histogram", help="Figure 4 condition-frequency histogram"
     )
-    _add_common(histogram)
+    _add_common(histogram, runtime=False)
 
     ontology = sub.add_parser("ontology", help="ontology reverse engineering")
     _add_common(ontology)
@@ -832,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise = sub.add_parser(
         "advise", help="recommend support thresholds (paper Section 10)"
     )
-    _add_common(advise)
+    _add_common(advise, runtime=False)
 
     rank = sub.add_parser(
         "rank", help="rank CINDs by meaningfulness (paper Section 10)"
@@ -843,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     inds = sub.add_parser(
         "inds", help="plain attribute-level INDs (SINDY-style)"
     )
-    _add_common(inds)
+    _add_common(inds, runtime=False)
 
     cross = sub.add_parser(
         "cross", help="cross-dataset CINDs (data integration)"
@@ -948,7 +955,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", default=False,
         help="log every HTTP request to stderr",
     )
-    _add_executor_flags(serve)
+    # Handed to every worker on its command line; the worker owns its
+    # job's checkpoint dir, and crash points are per-request test hooks.
+    _add_runtime_flags(serve, checkpoints=False)
 
     snapshot = sub.add_parser(
         "snapshot",
@@ -1041,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("-p", "--parallelism", type=int, default=4)
     profile.add_argument("--scale", type=float, default=1.0)
-    _add_executor_flags(profile)
+    _add_runtime_flags(profile)
     profile.add_argument("-n", "--limit", type=non_negative_int, default=10)
 
     return parser
@@ -1071,7 +1080,6 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    _apply_executor_flags(args)
     return _COMMANDS[args.command](args)
 
 

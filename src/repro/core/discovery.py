@@ -20,7 +20,6 @@ exposes the ablation variants of Section 8.5 as configuration presets:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -59,7 +58,6 @@ from repro.core.minimality import (
     consolidate_pertinent,
 )
 from repro.dataflow.checkpoint import (
-    CHECKPOINT_MODES,
     CheckpointManager,
     dataset_digest,
     fingerprint_fields,
@@ -111,70 +109,59 @@ class RDFindConfig:
         Dataflow backend: ``"serial"`` (default) runs partition tasks
         inline; ``"process"`` runs them concurrently on a persistent
         process pool — real multi-core execution with byte-identical
-        output.  Defaults from the ``RDFIND_EXECUTOR`` environment
-        variable when set (how the CLI and CI propagate the choice).
+        output.
     workers:
         Pool size for the ``process`` executor (defaults to
-        ``min(parallelism, available cores)``; ``RDFIND_WORKERS``
-        overrides when set).
+        ``min(parallelism, available cores)``).
     fault_seed:
         When set, build a seeded deterministic
         :class:`~repro.dataflow.faults.FaultPlan` and inject faults into
         every stage's tasks (transient errors, worker crashes,
         stragglers).  Recovery must reproduce the fault-free output
-        byte-for-byte.  ``RDFIND_FAULTS`` supplies the default.
+        byte-for-byte.
     fault_plan:
         An explicit plan (overrides ``fault_seed``); lets tests force
         specific faults at specific stages.
     max_retries:
         Retry budget per task (``RetryPolicy.max_retries``).  ``None``
-        keeps the policy default.  ``RDFIND_MAX_RETRIES`` supplies the
-        default.
+        keeps the policy default.
     shuffle:
         Data plane for keyed operators: ``"inline"`` (in-memory buckets,
         the default and reference) or ``"spill"`` (disk-backed sorted
         runs under a byte-accurate budget, merged reduce-side; see
         :mod:`repro.dataflow.shuffle`).  Output is byte-identical either
-        way.  ``RDFIND_SHUFFLE`` supplies the default.
+        way.
     memory_budget_bytes:
         Per-worker byte cap on spill-mode shuffle state; overflowing
         state is cut to a sorted run on disk.  Only meaningful with
-        ``shuffle="spill"``.  ``RDFIND_MEMORY_BUDGET_BYTES`` supplies the
-        default.
+        ``shuffle="spill"``.
     spill_dir:
         Directory under which spill workspaces are created (a fresh
         ``mkdtemp`` per run, removed when the run finishes — success or
-        failure).  Defaults to the system temp dir; ``RDFIND_SPILL_DIR``
-        supplies the default.
-    checkpoint:
-        Durable checkpointing granularity: ``"off"`` (default),
-        ``"phase"`` (persist each of the three pipeline phases at its
-        boundary), or ``"stage"`` (additionally persist sub-stage
-        boundaries inside FCDetector and CINDExtractor).  See
-        :mod:`repro.dataflow.checkpoint`.  ``RDFIND_CHECKPOINT`` supplies
-        the default.
+        failure).  Defaults to the system temp dir.
     checkpoint_dir:
-        Where the job manifest and step files live.  Required when
-        ``checkpoint`` is not ``"off"``; checkpoints are durable — they
-        survive the run.  ``RDFIND_CHECKPOINT_DIR`` supplies the default.
+        Checkpointing is on iff this is set: each of the three pipeline
+        phases (fc, cg, ex) is persisted here at its boundary, with the
+        job manifest beside them (see :mod:`repro.dataflow.checkpoint`).
+        Checkpoints are durable — they survive the run.
     resume:
         Continue a killed job from its last durable boundary: the
         manifest in ``checkpoint_dir`` is validated against this
         config's fingerprint (mismatch is a typed error), completed
         steps are loaded instead of recomputed, and the final output is
-        byte-identical to an uninterrupted run.  ``RDFIND_RESUME``
-        supplies the default.
+        byte-identical to an uninterrupted run.
     crash_points:
         Injected *driver* crash points, each ``"<moment>:<step>"`` with
         moment ``before`` or ``after`` (e.g. ``"after:fc"``): the
         process aborts at that checkpoint boundary, once — the attempt
         count is persisted in the manifest, so the resumed run passes.
-        ``RDFIND_CRASH_POINT`` supplies the default (comma-separated).
     task_timeout_seconds:
         Per-task wall-clock bound under the ``process`` executor; a hung
         task becomes a retryable transient fault instead of hanging the
         job.  Off by default; ignored by ``serial``.
-        ``RDFIND_TASK_TIMEOUT_SECONDS`` supplies the default.
+
+    Every field is a plain value: nothing is read from the environment.
+    The CLI maps its runtime flags onto these keywords.
     """
 
     support_threshold: int = 25
@@ -188,68 +175,18 @@ class RDFindConfig:
     candidate_bloom_hashes: int = DEFAULT_CANDIDATE_BLOOM_HASHES
     memory_budget: Optional[int] = None
     keep_broad_cinds: bool = False
-    executor: str = field(
-        default_factory=lambda: os.environ.get("RDFIND_EXECUTOR", "serial")
-    )
-    workers: Optional[int] = field(
-        default_factory=lambda: (
-            int(os.environ["RDFIND_WORKERS"])
-            if os.environ.get("RDFIND_WORKERS")
-            else None
-        )
-    )
-    fault_seed: Optional[int] = field(
-        default_factory=lambda: (
-            int(os.environ["RDFIND_FAULTS"])
-            if os.environ.get("RDFIND_FAULTS")
-            else None
-        )
-    )
+    executor: str = "serial"
+    workers: Optional[int] = None
+    fault_seed: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
-    max_retries: Optional[int] = field(
-        default_factory=lambda: (
-            int(os.environ["RDFIND_MAX_RETRIES"])
-            if os.environ.get("RDFIND_MAX_RETRIES")
-            else None
-        )
-    )
-    shuffle: str = field(
-        default_factory=lambda: os.environ.get("RDFIND_SHUFFLE", "inline")
-    )
-    memory_budget_bytes: Optional[int] = field(
-        default_factory=lambda: (
-            int(os.environ["RDFIND_MEMORY_BUDGET_BYTES"])
-            if os.environ.get("RDFIND_MEMORY_BUDGET_BYTES")
-            else None
-        )
-    )
-    spill_dir: Optional[str] = field(
-        default_factory=lambda: os.environ.get("RDFIND_SPILL_DIR") or None
-    )
-    checkpoint: str = field(
-        default_factory=lambda: os.environ.get("RDFIND_CHECKPOINT", "off")
-    )
-    checkpoint_dir: Optional[str] = field(
-        default_factory=lambda: os.environ.get("RDFIND_CHECKPOINT_DIR") or None
-    )
-    resume: bool = field(
-        default_factory=lambda: os.environ.get("RDFIND_RESUME", "").lower()
-        in ("1", "true", "yes", "on")
-    )
-    crash_points: Tuple[str, ...] = field(
-        default_factory=lambda: tuple(
-            point
-            for point in os.environ.get("RDFIND_CRASH_POINT", "").split(",")
-            if point
-        )
-    )
-    task_timeout_seconds: Optional[float] = field(
-        default_factory=lambda: (
-            float(os.environ["RDFIND_TASK_TIMEOUT_SECONDS"])
-            if os.environ.get("RDFIND_TASK_TIMEOUT_SECONDS")
-            else None
-        )
-    )
+    max_retries: Optional[int] = None
+    shuffle: str = "inline"
+    memory_budget_bytes: Optional[int] = None
+    spill_dir: Optional[str] = None
+    checkpoint_dir: Optional[str] = None
+    resume: bool = False
+    crash_points: Tuple[str, ...] = ()
+    task_timeout_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.support_threshold < 1:
@@ -274,21 +211,8 @@ class RDFindConfig:
             raise ValueError(
                 f"memory_budget_bytes must be >= 1, got {self.memory_budget_bytes}"
             )
-        if self.checkpoint not in CHECKPOINT_MODES:
-            raise ValueError(
-                f"checkpoint must be one of {CHECKPOINT_MODES}, "
-                f"got {self.checkpoint!r}"
-            )
-        if self.checkpoint != "off" and not self.checkpoint_dir:
-            raise ValueError(
-                "checkpoint_dir is required when checkpointing is on "
-                "(set --checkpoint-dir / RDFIND_CHECKPOINT_DIR)"
-            )
-        if self.resume and self.checkpoint == "off":
-            raise ValueError(
-                "resume requires checkpointing "
-                "(set --checkpoint phase|stage)"
-            )
+        if self.resume and not self.checkpoint_dir:
+            raise ValueError("resume requires a checkpoint_dir (--checkpoint-dir)")
         for point in self.crash_points:
             moment, _separator, step = point.partition(":")
             if moment not in CRASH_MOMENTS or not step:
@@ -296,10 +220,10 @@ class RDFindConfig:
                     f"bad crash point {point!r} "
                     f"(expected '<{'|'.join(CRASH_MOMENTS)}>:<step>')"
                 )
-        if self.crash_points and self.checkpoint == "off":
+        if self.crash_points and not self.checkpoint_dir:
             raise ValueError(
                 "crash points fire at checkpoint boundaries; "
-                "they require --checkpoint phase|stage"
+                "they require a checkpoint_dir (--checkpoint-dir)"
             )
         if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
             raise ValueError(
@@ -511,17 +435,18 @@ class RDFind:
         )
         manager: Optional[CheckpointManager] = None
         try:
-            if config.checkpoint != "off":
+            if config.checkpoint_dir:
                 manager = CheckpointManager(
                     config.checkpoint_dir,
-                    config.checkpoint,
                     fingerprint=checkpoint_fingerprint(config, encoded),
                     resume=config.resume,
                     fault_plan=config.effective_fault_plan(),
                     metrics=env.metrics,
                 )
                 manager.open()
-                env.checkpoint = manager
+
+            def step(name: str, compute):
+                return compute() if manager is None else manager.step(name, compute)
 
             # Imported here: the kernels import repro.core, whose package
             # import reaches this module.
@@ -540,10 +465,7 @@ class RDFind:
 
             frequent: Optional[FrequentConditions] = None
             if config.prune_infrequent_conditions:
-                if manager is not None:
-                    frequent = manager.step("fc", "phase", compute_frequent)
-                else:
-                    frequent = compute_frequent()
+                frequent = step("fc", compute_frequent)
 
             extraction_config = ExtractionConfig(
                 h=config.support_threshold,
@@ -562,27 +484,19 @@ class RDFind:
                 # Nesting the cg boundary inside the ex compute means a
                 # resume whose ex checkpoint is intact never touches
                 # CGCreator at all — the whole prefix is skipped.
-                if manager is not None:
-                    groups = manager.step_dataset(
-                        "cg", "phase", env, compute_groups
-                    )
-                else:
+                if manager is None:
                     groups = compute_groups()
+                else:
+                    groups = manager.step_dataset("cg", env, compute_groups)
                 return extract_broad_cinds(env, groups, extraction_config)
 
-            if manager is not None:
-                broad, extraction_stats = manager.step(
-                    "ex", "phase", compute_extraction
-                )
-            else:
-                broad, extraction_stats = compute_extraction()
+            broad, extraction_stats = step("ex", compute_extraction)
             captures = _Memo(code_capture)
             decode = captures.__getitem__
             blocks = consolidate_pertinent(broad, capture_rank(broad, decode))
         finally:
             if manager is not None:
                 manager.close()
-                env.checkpoint = None
             env.close()
 
         elapsed = time.perf_counter() - started

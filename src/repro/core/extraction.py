@@ -134,25 +134,8 @@ def extract_broad_cinds(
     stats = ExtractionStats()
     stats.groups_total = groups.count()
 
-    # Stage-granularity checkpointing: the capture-support pruning scan
-    # (one full pass over all groups) becomes a durable boundary.  The
-    # boundary value carries the pruned partitions *and* the stats the
-    # pruning pass computed, so a resumed run reports identical funnels.
-    ckpt = getattr(env, "checkpoint", None)
-    if ckpt is not None and not ckpt.enabled("stage"):
-        ckpt = None
-
     if config.prune_capture_support:
-        if ckpt is not None:
-            partitions, counters = ckpt.step(
-                "ex/pruned-groups",
-                "stage",
-                partial(_pruned_groups_payload, env, groups, config, stats),
-            )
-            stats.captures_total, stats.captures_pruned, stats.groups_after_pruning = counters
-            groups = env.from_partitions(partitions, name="ex/pruned-groups")
-        else:
-            groups = _prune_capture_support(env, groups, config, stats)
+        groups = _prune_capture_support(env, groups, config, stats)
     else:
         stats.groups_after_pruning = stats.groups_total
 
@@ -238,22 +221,6 @@ def _support_at_least(h: int, pair) -> bool:
 
 def _difference_from(prunable: FrozenSet[int], group: FrozenSet[int]):
     return group.difference(prunable)
-
-
-def _pruned_groups_payload(
-    env: ExecutionEnvironment,
-    groups: DataSet,
-    config: ExtractionConfig,
-    stats: ExtractionStats,
-):
-    """The ex/pruned-groups checkpoint value: partitions + pruning stats."""
-    pruned = _prune_capture_support(env, groups, config, stats)
-    counters = (
-        stats.captures_total,
-        stats.captures_pruned,
-        stats.groups_after_pruning,
-    )
-    return pruned.partitions, counters
 
 
 def _prune_capture_support(

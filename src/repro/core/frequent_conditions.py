@@ -142,20 +142,9 @@ def detect_frequent_conditions(
         raise ValueError(f"support threshold must be >= 1, got {h}")
     scope = scope if scope is not None else ConditionScope.full()
 
-    # Stage-granularity checkpointing: the counting stages (the expensive
-    # part of the phase) become durable boundaries.  The Bloom unions are
-    # bit-wise ORs and the AR list is sorted at the end, so neither
-    # depends on the order of a restored count dict.
-    ckpt = getattr(env, "checkpoint", None)
-    if ckpt is not None and not ckpt.enabled("stage"):
-        ckpt = None
-
-    def step(name: str, compute):
-        return ckpt.step(name, "stage", compute) if ckpt is not None else compute()
-
     # Steps 1-2: frequent unary conditions with early aggregation.
-    unary_counts: Dict[UnaryCondition, int] = step(
-        "fc/unary", partial(unary_counts_kernel, env, batches, scope, h)
+    unary_counts: Dict[UnaryCondition, int] = unary_counts_kernel(
+        env, batches, scope, h
     )
     frequent_unary = env.from_collection(
         unary_counts.items(), name="fc/unary-frequent"
@@ -171,10 +160,7 @@ def detect_frequent_conditions(
     binary_counts: Dict[BinaryCondition, int] = {}
     if scope.allow_binary and len(scope.condition_attrs) >= 2:
         # Steps 6-7: frequent binary conditions (Algorithm 1).
-        binary_counts = step(
-            "fc/binary",
-            partial(binary_counts_kernel, env, batches, scope, unary_bloom, h),
-        )
+        binary_counts = binary_counts_kernel(env, batches, scope, unary_bloom, h)
         frequent_binary = env.from_collection(
             binary_counts.items(), name="fc/binary-frequent"
         )
@@ -187,10 +173,7 @@ def detect_frequent_conditions(
         binary_bloom = BloomFilter.for_capacity(1, fp_rate)
 
     # Step 11: association rules by joining unary and binary counters.
-    association_rules = step(
-        "fc/rules",
-        partial(_extract_association_rules, frequent_unary, frequent_binary),
-    )
+    association_rules = _extract_association_rules(frequent_unary, frequent_binary)
 
     return FrequentConditions(
         h=h,

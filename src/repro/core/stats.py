@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.core.cind import Capture
@@ -134,12 +134,14 @@ def search_space_funnel(
     h: int,
     scope: Optional[ConditionScope] = None,
     exhaustive: bool = False,
-    parallelism: int = 4,
+    config: Optional[RDFindConfig] = None,
 ) -> SearchSpaceFunnel:
     """Compute the Figure 2 funnel for a dataset and support threshold.
 
     Candidate counts are exact (ordered capture pairs); the broad and
-    pertinent CIND counts come from an RDFind run.  With
+    pertinent CIND counts come from an RDFind run under ``config`` (its
+    parallelism and runtime settings; ``h`` and ``scope`` are this
+    call's).  With
     ``exhaustive=True`` the all-valid and all-minimal counts are computed
     by the brute-force oracle — only feasible for small datasets, as the
     paper's own numbers (1.3 *billion* CINDs in 72k triples) attest.
@@ -149,9 +151,7 @@ def search_space_funnel(
     scope = scope if scope is not None else ConditionScope.full()
 
     total, frequent, broad_captures = _distinct_captures(dataset, scope, h)
-    config = RDFindConfig(
-        support_threshold=h, parallelism=parallelism, scope=scope
-    )
+    config = replace(config or RDFindConfig(), support_threshold=h, scope=scope)
     result = RDFind(config).discover(dataset)
 
     valid_cinds = minimal_cinds = None

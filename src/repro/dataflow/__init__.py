@@ -34,7 +34,6 @@ over columnar id slices (:mod:`repro.dataflow.kernels`).
 
 from repro.dataflow.bloom import BloomFilter
 from repro.dataflow.checkpoint import (
-    CHECKPOINT_MODES,
     CheckpointError,
     CheckpointManager,
     CheckpointMismatchError,
@@ -74,7 +73,6 @@ from repro.dataflow.shuffle import (
 
 __all__ = [
     "BloomFilter",
-    "CHECKPOINT_MODES",
     "CheckpointError",
     "CheckpointManager",
     "CheckpointMismatchError",

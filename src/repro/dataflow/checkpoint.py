@@ -3,8 +3,8 @@
 PR 3 made *tasks* survive failures inside a live driver and PR 4 gave the
 shuffle a durable on-disk format — but a killed driver still lost the
 whole three-phase pipeline.  This module closes that gap the way RDFind's
-Flink substrate does (PAPER.md Section 8): at each phase/stage boundary
-the driver atomically persists the boundary's materialized result, plus a
+Flink substrate does (PAPER.md Section 8): at each phase boundary (fc, cg,
+ex) the driver atomically persists the boundary's materialized result, plus a
 :class:`JobManifest` that records which boundaries completed, under which
 configuration, and how often each injected driver crash point has already
 fired.  A relaunch with ``resume=True`` validates the manifest, loads the
@@ -19,8 +19,8 @@ state or ``*.tmp`` litter, never a half-valid artifact)::
     <checkpoint-dir>/
       manifest.json      completed steps, config fingerprint, crash counts
       fc.ckpt            one CRC-framed file per completed step
-      cg.ckpt            (step names are sanitized: '/' -> '-')
-      ...
+      cg.ckpt
+      ex.ckpt
 
 A step file is a stream of :mod:`repro.core.framing` frames: a pickled
 header frame (magic, version, step name, payload kind, config
@@ -62,7 +62,6 @@ from repro.dataflow import workspace
 from repro.dataflow.faults import DRIVER_CRASH_EXIT_CODE, FaultPlan
 
 __all__ = [
-    "CHECKPOINT_MODES",
     "CheckpointError",
     "CheckpointMismatchError",
     "CheckpointCorruptError",
@@ -72,15 +71,6 @@ __all__ = [
     "dataset_digest",
     "fingerprint_fields",
 ]
-
-#: Recognised checkpoint granularities, coarse to fine.  ``phase``
-#: checkpoints the three pipeline phases (fc / cg / ex); ``stage``
-#: additionally checkpoints sub-stage boundaries inside them.
-CHECKPOINT_MODES = ("off", "phase", "stage")
-
-#: Granularity levels a step can declare (``stage`` implies ``phase``).
-PHASE = "phase"
-STAGE = "stage"
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "rdfind-job-manifest"
@@ -197,11 +187,11 @@ class JobManifest:
     to; ``steps`` maps completed step names to their :class:`StepRecord`;
     ``crash_attempts`` counts, per ``moment:step`` crash point, how often
     an injected driver crash has already fired — persisted *before* the
-    abort so the count survives it.
+    abort so the count survives it.  Manifests written while checkpoints
+    had a granularity carry a ``mode`` key, which loading ignores.
     """
 
     fingerprint: str
-    mode: str
     steps: Dict[str, StepRecord] = field(default_factory=dict)
     crash_attempts: Dict[str, int] = field(default_factory=dict)
 
@@ -210,7 +200,6 @@ class JobManifest:
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
             "fingerprint": self.fingerprint,
-            "mode": self.mode,
             "steps": {name: record.to_json() for name, record in self.steps.items()},
             "crash_attempts": dict(self.crash_attempts),
         }
@@ -238,7 +227,6 @@ class JobManifest:
             }
             return cls(
                 fingerprint=str(data["fingerprint"]),
-                mode=str(data["mode"]),
                 steps=steps,
                 crash_attempts=crash_attempts,
             )
@@ -281,32 +269,24 @@ def _dataset_chunks(partitions: List[List[Any]]) -> Iterator[bytes]:
 class CheckpointManager:
     """Persists and restores pipeline boundaries for one discovery job.
 
-    The discovery facade creates one manager per job (when the
-    configured mode is not ``off``), attaches it to the execution
-    environment as ``env.checkpoint``, and wraps each pipeline boundary
-    in :meth:`step` / :meth:`step_dataset`.  The manager decides, per
-    boundary, whether to load the persisted result (resume), compute and
-    persist it, or merely pass through (granularity disabled) — and
-    evaluates the fault plan's driver crash points on both sides of every
-    enabled boundary.
+    The discovery facade creates one manager per job (when the config
+    names a checkpoint directory) and wraps each pipeline boundary in
+    :meth:`step` / :meth:`step_dataset`.  The manager decides, per
+    boundary, whether to load the persisted result (resume) or compute
+    and persist it — and evaluates the fault plan's driver crash points
+    on both sides of every boundary.
     """
 
     def __init__(
         self,
         directory: str,
-        mode: str,
         fingerprint: str,
         *,
         resume: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         metrics=None,
     ) -> None:
-        if mode not in CHECKPOINT_MODES or mode == "off":
-            raise ValueError(
-                f"checkpoint mode must be 'phase' or 'stage', got {mode!r}"
-            )
         self.directory = str(directory)
-        self.mode = mode
         self.fingerprint = fingerprint
         self.resume = bool(resume)
         self.fault_plan = fault_plan
@@ -343,7 +323,6 @@ class CheckpointManager:
                         f"{manifest.fingerprint}, this job {self.fingerprint}); "
                         "rerun without --resume to start over"
                     )
-                manifest.mode = self.mode
                 self.manifest = manifest
                 return
         self._start_fresh()
@@ -355,14 +334,6 @@ class CheckpointManager:
             self._workspace_token = None
 
     # -- step API ------------------------------------------------------
-
-    def enabled(self, level: str) -> bool:
-        """Whether boundaries of ``level`` granularity are checkpointed."""
-        if level == PHASE:
-            return self.mode in (PHASE, STAGE)
-        if level == STAGE:
-            return self.mode == STAGE
-        raise ValueError(f"unknown checkpoint level {level!r}")
 
     def completed(self, name: str) -> bool:
         """Whether a durable checkpoint for ``name`` exists on disk."""
@@ -382,10 +353,8 @@ class CheckpointManager:
         except OSError:
             pass
 
-    def step(self, name: str, level: str, compute: Callable[[], Any]) -> Any:
+    def step(self, name: str, compute: Callable[[], Any]) -> Any:
         """Run one value boundary: restore it, or compute and persist it."""
-        if not self.enabled(level):
-            return compute()
         self._maybe_crash("before", name)
         value = self._restore(name, VALUE)
         if value is _MISSING:
@@ -398,15 +367,13 @@ class CheckpointManager:
         self._maybe_crash("after", name)
         return value
 
-    def step_dataset(self, name: str, level: str, env, compute: Callable[[], Any]) -> Any:
+    def step_dataset(self, name: str, env, compute: Callable[[], Any]) -> Any:
         """Like :meth:`step` for a partitioned DataSet boundary.
 
         Partitions are persisted in chunked frames and restored through
         ``env.from_partitions`` with the exact original layout, so every
         downstream stage sees the same per-worker data either way.
         """
-        if not self.enabled(level):
-            return compute()
         self._maybe_crash("before", name)
         payloads = self._restore(name, DATASET)
         if payloads is _MISSING:
@@ -434,8 +401,7 @@ class CheckpointManager:
         return os.path.join(self.directory, MANIFEST_NAME)
 
     def _path(self, name: str) -> str:
-        safe = name.replace("/", "-")
-        return os.path.join(self.directory, f"{safe}.ckpt")
+        return os.path.join(self.directory, f"{name}.ckpt")
 
     def _warn(self, message: str) -> None:
         print(f"checkpoint: {message}", file=sys.stderr, flush=True)
@@ -447,7 +413,7 @@ class CheckpointManager:
                     os.unlink(os.path.join(self.directory, entry))
                 except OSError:
                     pass
-        self.manifest = JobManifest(fingerprint=self.fingerprint, mode=self.mode)
+        self.manifest = JobManifest(fingerprint=self.fingerprint)
         self._save_manifest()
 
     def _save_manifest(self) -> None:

@@ -484,11 +484,6 @@ class ExecutionEnvironment:
         self._spill_root: Optional[str] = None
         self._spill_token: Optional[int] = None
         self._spill_stage_seq = 0
-        #: Optional CheckpointManager the discovery facade attaches so
-        #: pipeline code can checkpoint sub-stage boundaries (kept as a
-        #: plain attribute: repro.dataflow.checkpoint must stay importable
-        #: without the engine and vice versa).
-        self.checkpoint = None
         self.executor = create_executor(
             executor,
             self.parallelism,

@@ -12,9 +12,10 @@ owns the only scheduling loop in the server:
 * **execution** — a scheduler thread starts queued jobs oldest-first
   whenever a slot is free (``max_concurrent_jobs`` bounds the worker
   pool), each as a :mod:`repro.server.worker` subprocess with
-  checkpointing on.  A worker that dies without writing its outcome is
-  requeued (its next attempt *resumes* from the durable checkpoint) up
-  to ``max_attempts``, then declared failed.
+  checkpointing on and the server's ``run_settings`` on its command
+  line.  A worker that dies without writing its outcome is requeued (its
+  next attempt *resumes* from the durable checkpoint) up to
+  ``max_attempts``, then declared failed.
 * **recovery** — `start` rescans the store: jobs left ``running`` by a
   dead server are requeued (their checkpoints survive, so the rerun
   picks up at the last boundary), orphaned finished workers have their
@@ -28,13 +29,14 @@ owns the only scheduling loop in the server:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataflow import workspace
 from repro.datasets.registry import DATASETS
@@ -90,8 +92,9 @@ class NotAdmittingError(JobServiceError):
 class ServiceConfig:
     """Operating limits of one :class:`JobService`.
 
-    ``RDFIND_MAX_CONCURRENT_JOBS`` / ``RDFIND_MAX_QUEUED_JOBS`` /
-    ``RDFIND_JOB_DIR`` supply the CLI's defaults (see ``rdfind serve``).
+    ``run_settings`` are ``RDFindConfig`` keywords (``rdfind serve``'s
+    runtime flags) every worker receives on its command line; its
+    ``executor``, if any, is what a request that names none runs on.
     """
 
     job_dir: str
@@ -101,6 +104,7 @@ class ServiceConfig:
     retry_after_seconds: int = 5
     poll_interval_seconds: float = 0.05
     terminate_grace_seconds: float = 5.0
+    run_settings: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.job_dir:
@@ -263,6 +267,12 @@ class JobService:
         if not self._admitting:
             raise NotAdmittingError("server is shutting down; not accepting jobs")
         self._validate_dataset(request)
+        if request.executor is None:
+            # Pinned at admission: the cache key and the worker agree on
+            # the backend, whatever this or a later server defaults to.
+            request = replace(
+                request, executor=self.config.run_settings.get("executor", "serial")
+            )
         with self._lock:
             fingerprint = request.fingerprint()
             twin = self.store.find_by_fingerprint(fingerprint)
@@ -525,7 +535,10 @@ class JobService:
         log = open(self.store.log_path(record.id), "ab")
         try:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.server.worker", job_dir],
+                [
+                    sys.executable, "-m", "repro.server.worker", job_dir,
+                    json.dumps(self.config.run_settings, sort_keys=True),
+                ],
                 stdout=log,
                 stderr=subprocess.STDOUT,
                 env=_worker_environment(),

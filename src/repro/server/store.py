@@ -131,15 +131,6 @@ class JobRequest:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    def effective_executor(self) -> str:
-        """The backend this request will actually run on.
-
-        Resolved at admission time with the same default chain
-        :class:`RDFindConfig` uses, so the cache fingerprint and the
-        worker agree even when the request leaves ``executor`` unset.
-        """
-        return self.executor or os.environ.get("RDFIND_EXECUTOR", "serial")
-
     def fingerprint(self) -> str:
         """The result-cache key: BLAKE2b over every result-shaping field.
 
@@ -148,6 +139,8 @@ class JobRequest:
         fingerprint equal iff they would compute byte-identical results
         from the same deterministic generator output, so a cache hit can
         be served without recompute and an in-flight twin can be joined.
+        The service pins ``executor`` at admission; unset, it keys as
+        ``RDFindConfig``'s default backend.
         """
         return fingerprint_fields(
             dataset=self.dataset,
@@ -156,7 +149,7 @@ class JobRequest:
             scope=self.scope,
             variant=self.variant,
             parallelism=self.parallelism,
-            executor=self.effective_executor(),
+            executor=self.executor or "serial",
             workers=self.workers,
             hold=self.hold,
             crash_point=self.crash_point,

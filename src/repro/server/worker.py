@@ -1,4 +1,8 @@
-"""The per-job worker subprocess (``python -m repro.server.worker <job-dir>``).
+"""The per-job worker subprocess.
+
+Run as ``python -m repro.server.worker <job-dir> [<settings-json>]``, where
+the optional second argument is the server's run settings: a JSON object
+of ``RDFindConfig`` keywords (``rdfind serve``'s runtime flags).
 
 The service runs every admitted job in a fresh interpreter rather than a
 thread, which buys three guarantees a thread cannot give:
@@ -34,7 +38,7 @@ import signal
 import sys
 import threading
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.conditions import ConditionScope
 from repro.core.discovery import RDFind, RDFindConfig
@@ -105,19 +109,24 @@ def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
     return _load_input(spec, scale=request.scale, snapshot_dir=snapshot_dir)
 
 
-def _build_config(request: JobRequest, checkpoint_dir: str) -> RDFindConfig:
-    """The request as an :class:`RDFindConfig`, checkpointing always on.
+def _build_config(
+    request: JobRequest,
+    checkpoint_dir: str,
+    settings: Optional[Dict[str, Any]] = None,
+) -> RDFindConfig:
+    """The request over the server's run ``settings``, checkpointing on.
 
     ``resume=True`` unconditionally: a first attempt sees an empty
     checkpoint dir (clean run), a retried or server-restarted attempt
-    sees its predecessor's durable boundaries and skips them.
+    sees its predecessor's durable boundaries and skips them.  What the
+    request names wins over the settings.
     """
     scope = (
         ConditionScope.predicates_only()
         if request.scope == "predicates"
         else ConditionScope.full()
     )
-    overrides = {}
+    overrides = dict(settings or {})
     if request.executor is not None:
         overrides["executor"] = request.executor
     if request.workers is not None:
@@ -128,7 +137,6 @@ def _build_config(request: JobRequest, checkpoint_dir: str) -> RDFindConfig:
         support_threshold=request.support_threshold,
         parallelism=request.parallelism,
         scope=scope,
-        checkpoint="phase",
         checkpoint_dir=checkpoint_dir,
         resume=True,
         **overrides,
@@ -187,8 +195,9 @@ class _ProgressPublisher:
             self.publish()
 
 
-def run_job(job_dir: str) -> int:
-    """Execute the job persisted under ``job_dir``; returns an exit code."""
+def run_job(job_dir: str, settings: Optional[Dict[str, Any]] = None) -> int:
+    """Execute the job persisted under ``job_dir`` with the server's run
+    ``settings``; returns an exit code."""
     store = JobStore(os.path.dirname(os.path.abspath(job_dir)))
     job_id = os.path.basename(os.path.normpath(job_dir))
     data = read_json(store.record_path(job_id))
@@ -201,7 +210,7 @@ def run_job(job_dir: str) -> int:
     try:
         _hold_until_released(job_dir, request)
         dataset = _load_dataset(request, snapshot_dir=store.snapshot_dir())
-        config = _build_config(request, store.checkpoint_dir(job_id))
+        config = _build_config(request, store.checkpoint_dir(job_id), settings)
         metrics = JobMetrics()
         with _ProgressPublisher(store.progress_path(job_id), metrics):
             result = RDFind(config).discover(dataset, metrics=metrics)
@@ -241,11 +250,13 @@ def run_job(job_dir: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print(json.dumps({"error": "usage: repro.server.worker <job-dir>"}))
+    if len(argv) not in (1, 2):
+        print(json.dumps(
+            {"error": "usage: repro.server.worker <job-dir> [<settings-json>]"}
+        ))
         return 2
     _install_signal_handlers()
-    return run_job(argv[0])
+    return run_job(argv[0], json.loads(argv[1]) if len(argv) == 2 else None)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

@@ -79,11 +79,7 @@ class TestFingerprints:
     def test_job_fingerprint_ignores_crash_points(self, tmp_path):
         """The resume launch legitimately drops --crash-point."""
         encoded = random_rdf(5).encode()
-        common = dict(
-            support_threshold=3,
-            checkpoint="phase",
-            checkpoint_dir=str(tmp_path),
-        )
+        common = dict(support_threshold=3, checkpoint_dir=str(tmp_path))
         with_crash = RDFindConfig(crash_points=("after:fc",), **common)
         without = RDFindConfig(**common)
         assert checkpoint_fingerprint(with_crash, encoded) == checkpoint_fingerprint(
@@ -113,7 +109,6 @@ class TestManifest:
         path = str(tmp_path / "manifest.json")
         manifest = JobManifest(
             fingerprint="abc",
-            mode="phase",
             steps={"fc": StepRecord(kind="value", digest="d", bytes=10, seconds=0.5)},
             crash_attempts={"after:fc": 1},
         )
@@ -134,13 +129,13 @@ class TestManifest:
             JobManifest.from_json({"format": "something-else", "version": 1})
 
     def test_from_json_rejects_future_version(self):
-        data = JobManifest(fingerprint="f", mode="phase").to_json()
+        data = JobManifest(fingerprint="f").to_json()
         data["version"] = 99
         with pytest.raises(CheckpointCorruptError):
             JobManifest.from_json(data)
 
     def test_from_json_rejects_malformed_steps(self):
-        data = JobManifest(fingerprint="f", mode="phase").to_json()
+        data = JobManifest(fingerprint="f").to_json()
         data["steps"] = {"fc": "not-a-record"}
         with pytest.raises(CheckpointCorruptError):
             JobManifest.from_json(data)
@@ -151,8 +146,8 @@ class TestManifest:
 # ----------------------------------------------------------------------
 
 
-def _manager(tmp_path, mode="phase", fingerprint="job", **kwargs):
-    manager = CheckpointManager(str(tmp_path), mode, fingerprint, **kwargs)
+def _manager(tmp_path, fingerprint="job", **kwargs):
+    manager = CheckpointManager(str(tmp_path), fingerprint, **kwargs)
     manager.open()
     return manager
 
@@ -170,7 +165,7 @@ class TestManagerSteps:
             calls.append(1)
             return {"answer": 42}
 
-        assert manager.step("fc", "phase", compute) == {"answer": 42}
+        assert manager.step("fc", compute) == {"answer": 42}
         assert calls == [1]
         assert manager.completed("fc")
         assert os.path.exists(tmp_path / "fc.ckpt")
@@ -178,44 +173,31 @@ class TestManagerSteps:
 
     def test_resume_loads_without_recompute(self, tmp_path):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: [1, 2, 3])
+        first.step("fc", lambda: [1, 2, 3])
         first.close()
         second = _manager(tmp_path, resume=True)
-        assert second.step("fc", "phase", _fail_compute) == [1, 2, 3]
+        assert second.step("fc", _fail_compute) == [1, 2, 3]
         second.close()
-
-    def test_disabled_level_passes_through(self, tmp_path):
-        manager = _manager(tmp_path, mode="phase")
-        assert manager.step("fc/unary", "stage", lambda: 7) == 7
-        assert not manager.completed("fc/unary")
-        manager.close()
-
-    def test_stage_mode_enables_both_levels(self, tmp_path):
-        manager = _manager(tmp_path, mode="stage")
-        assert manager.enabled("phase") and manager.enabled("stage")
-        manager.step("fc/unary", "stage", lambda: 7)
-        assert os.path.exists(tmp_path / "fc-unary.ckpt")
-        manager.close()
 
     def test_step_dataset_round_trips_partition_layout(self, tmp_path):
         env = ExecutionEnvironment(parallelism=3)
         original = [[1, 2], [], [3, 4, 5]]
         first = _manager(tmp_path)
-        first.step_dataset("cg", "phase", env, lambda: env.from_partitions(original))
+        first.step_dataset("cg", env, lambda: env.from_partitions(original))
         first.close()
         second = _manager(tmp_path, resume=True)
-        restored = second.step_dataset("cg", "phase", env, _fail_compute)
+        restored = second.step_dataset("cg", env, _fail_compute)
         assert restored.partitions == original
         second.close()
         env.close()
 
     def test_non_resume_run_wipes_stale_steps(self, tmp_path):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: 1)
+        first.step("fc", lambda: 1)
         first.close()
         calls = []
         fresh = _manager(tmp_path, resume=False)
-        assert fresh.step("fc", "phase", lambda: calls.append(1) or 2) == 2
+        assert fresh.step("fc", lambda: calls.append(1) or 2) == 2
         assert calls == [1]
         fresh.close()
 
@@ -223,28 +205,28 @@ class TestManagerSteps:
         manager = _manager(tmp_path, resume=True)
         assert manager.manifest is not None
         assert manager.manifest.steps == {}
-        assert manager.step("fc", "phase", lambda: 5) == 5
+        assert manager.step("fc", lambda: 5) == 5
         manager.close()
 
     def test_resume_twice_still_loads(self, tmp_path):
         _m = _manager(tmp_path)
-        _m.step("fc", "phase", lambda: "v")
+        _m.step("fc", lambda: "v")
         _m.close()
         for _ in range(2):
             again = _manager(tmp_path, resume=True)
-            assert again.step("fc", "phase", _fail_compute) == "v"
+            assert again.step("fc", _fail_compute) == "v"
             again.close()
 
     def test_fingerprint_mismatch_raises_typed_error(self, tmp_path):
         first = _manager(tmp_path, fingerprint="job-a")
-        first.step("fc", "phase", lambda: 1)
+        first.step("fc", lambda: 1)
         first.close()
         with pytest.raises(CheckpointMismatchError):
             _manager(tmp_path, fingerprint="job-b", resume=True)
 
     def test_corrupt_manifest_on_resume_starts_fresh(self, tmp_path, capsys):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: 1)
+        first.step("fc", lambda: 1)
         first.close()
         with open(tmp_path / "manifest.json", "w") as stream:
             stream.write("not json at all")
@@ -255,65 +237,65 @@ class TestManagerSteps:
 
     def test_corrupted_frame_degrades_to_recompute(self, tmp_path, capsys):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: list(range(100)))
+        first.step("fc", lambda: list(range(100)))
         first.close()
         path = tmp_path / "fc.ckpt"
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF  # flip a payload byte: CRC must catch it
         path.write_bytes(bytes(blob))
         second = _manager(tmp_path, resume=True)
-        assert second.step("fc", "phase", lambda: "recomputed") == "recomputed"
+        assert second.step("fc", lambda: "recomputed") == "recomputed"
         assert "recomputing step" in capsys.readouterr().err
         # the bad checkpoint was replaced by the recomputed one
         third = _manager(tmp_path, resume=True)
-        assert third.step("fc", "phase", _fail_compute) == "recomputed"
+        assert third.step("fc", _fail_compute) == "recomputed"
         third.close()
         second.close()
 
     def test_truncated_file_degrades_to_recompute(self, tmp_path, capsys):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: list(range(100)))
+        first.step("fc", lambda: list(range(100)))
         first.close()
         path = tmp_path / "fc.ckpt"
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         second = _manager(tmp_path, resume=True)
-        assert second.step("fc", "phase", lambda: "recomputed") == "recomputed"
+        assert second.step("fc", lambda: "recomputed") == "recomputed"
         assert "recomputing step" in capsys.readouterr().err
         second.close()
 
     def test_swapped_step_file_degrades_to_recompute(self, tmp_path, capsys):
         """A frame-valid file for the wrong step must not load."""
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: "fc-value")
-        first.step("ex", "phase", lambda: "ex-value")
+        first.step("fc", lambda: "fc-value")
+        first.step("ex", lambda: "ex-value")
         first.close()
         os.replace(tmp_path / "fc.ckpt", tmp_path / "ex.ckpt")
         second = _manager(tmp_path, resume=True)
-        assert second.step("ex", "phase", lambda: "recomputed") == "recomputed"
+        assert second.step("ex", lambda: "recomputed") == "recomputed"
         assert "recomputing step" in capsys.readouterr().err
         second.close()
 
     def test_missing_file_with_manifest_entry_recomputes(self, tmp_path):
         first = _manager(tmp_path)
-        first.step("fc", "phase", lambda: 1)
+        first.step("fc", lambda: 1)
         first.close()
         os.unlink(tmp_path / "fc.ckpt")
         second = _manager(tmp_path, resume=True)
         assert not second.completed("fc")
-        assert second.step("fc", "phase", lambda: 2) == 2
+        assert second.step("fc", lambda: 2) == 2
         second.close()
 
     def test_metrics_account_saves_and_resumes(self, tmp_path):
         env = ExecutionEnvironment(parallelism=2)
         first = _manager(tmp_path, metrics=env.metrics)
-        first.step("fc", "phase", lambda: "v")
+        first.step("fc", lambda: "v")
         assert env.metrics.checkpoint_bytes > 0
         assert env.metrics.resumed_stages == 0
         first.close()
         env2 = ExecutionEnvironment(parallelism=2)
         second = _manager(tmp_path, resume=True, metrics=env2.metrics)
-        second.step("fc", "phase", _fail_compute)
+        second.step("fc", _fail_compute)
         assert env2.metrics.resumed_stages == 1
         stage_names = [stage.name for stage in env2.metrics.stages]
         assert "checkpoint/resume:fc" in stage_names
@@ -361,10 +343,7 @@ class TestDriverCrashPlan:
 class TestDiscoveryResume:
     def _config(self, tmp_path, **overrides):
         settings = dict(
-            support_threshold=2,
-            parallelism=2,
-            checkpoint="phase",
-            checkpoint_dir=str(tmp_path),
+            support_threshold=2, parallelism=2, checkpoint_dir=str(tmp_path)
         )
         settings.update(overrides)
         return RDFindConfig(**settings)
@@ -388,17 +367,21 @@ class TestDiscoveryResume:
         assert "checkpoint/resume:ex" in stage_names
         assert not any(name.startswith("cg/") for name in stage_names)
 
-    def test_stage_mode_resume_matches_clean_run(self, tmp_path):
+    def test_manifest_written_with_a_granularity_mode_resumes(self, tmp_path):
+        """Manifests from when checkpoints had a granularity carry
+        ``"mode": "phase"``; such a job dir resumes like any other."""
         dataset = random_rdf(10, n_triples=60)
         clean = RDFind(RDFindConfig(support_threshold=2, parallelism=2)).discover(
             dataset
         )
-        RDFind(self._config(tmp_path, checkpoint="stage")).discover(dataset)
-        resumed = RDFind(
-            self._config(tmp_path, checkpoint="stage", resume=True)
-        ).discover(dataset)
+        RDFind(self._config(tmp_path)).discover(dataset)
+        path = tmp_path / "manifest.json"
+        document = json.loads(path.read_text())
+        assert "mode" not in document
+        path.write_text(json.dumps(dict(document, mode="phase")))
+        resumed = RDFind(self._config(tmp_path, resume=True)).discover(dataset)
+        assert resumed.metrics.resumed_stages == 2
         assert result_to_dict(resumed) == result_to_dict(clean)
-        assert resumed.metrics.resumed_stages > 0
 
     def test_partial_checkpoint_recomputes_the_rest(self, tmp_path):
         """Simulates a crash between the fc and ex boundaries."""
@@ -407,9 +390,7 @@ class TestDiscoveryResume:
             dataset
         )
         RDFind(self._config(tmp_path)).discover(dataset)
-        manager = CheckpointManager(
-            str(tmp_path), "phase", fingerprint="ignored", resume=False
-        )
+        manager = CheckpointManager(str(tmp_path), fingerprint="ignored")
         # drop the later phases directly (no open(): that would wipe fc too)
         manager.manifest = JobManifest.load(tmp_path / "manifest.json")
         manager.discard("ex")
@@ -475,18 +456,12 @@ class TestDiscoveryResume:
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            RDFindConfig(checkpoint="sometimes", checkpoint_dir=str(tmp_path))
-        with pytest.raises(ValueError):
-            RDFindConfig(checkpoint="phase")  # dir required
-        with pytest.raises(ValueError):
-            RDFindConfig(resume=True)  # resume requires checkpointing
+            RDFindConfig(resume=True)  # resume requires a checkpoint dir
         with pytest.raises(ValueError):
             RDFindConfig(crash_points=("after:fc",))  # crash points too
         with pytest.raises(ValueError):
             RDFindConfig(
-                checkpoint="phase",
-                checkpoint_dir=str(tmp_path),
-                crash_points=("sometime:fc",),
+                checkpoint_dir=str(tmp_path), crash_points=("sometime:fc",)
             )
         with pytest.raises(ValueError):
             RDFindConfig(task_timeout_seconds=0)
@@ -498,9 +473,7 @@ def rewrite_as_version_1(directory):
     version-1 headers on ``fc`` and ``cg``, the capture groups as sets of
     ``Capture`` tuples, digests and manifest consistent, no ``ex``."""
     manifest = JobManifest.load(os.path.join(str(directory), "manifest.json"))
-    manager = CheckpointManager(
-        str(directory), "phase", fingerprint=manifest.fingerprint, resume=False
-    )
+    manager = CheckpointManager(str(directory), fingerprint=manifest.fingerprint)
     manager.manifest = manifest
     manager.discard("ex")
     fc = manager._read_step_file("fc", checkpoint.VALUE)
@@ -519,9 +492,7 @@ def rewrite_ex_as_version_3(directory):
     release before code-valued broad CINDs wrote: a version-3 header over
     ``(broad, stats)`` with ``Capture`` keys and reference sets."""
     manifest = JobManifest.load(os.path.join(str(directory), "manifest.json"))
-    manager = CheckpointManager(
-        str(directory), "phase", fingerprint=manifest.fingerprint, resume=False
-    )
+    manager = CheckpointManager(str(directory), fingerprint=manifest.fingerprint)
     manager.manifest = manifest
     (raw,) = manager._read_step_file("ex", checkpoint.VALUE)
     broad, stats = pickle.loads(raw)
@@ -543,10 +514,6 @@ def rewrite_ex_as_version_3(directory):
 def _cli(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    # keep parent-process checkpoint/fault settings from leaking in
-    for key in list(env):
-        if key.startswith("RDFIND_"):
-            del env[key]
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
         capture_output=True,
@@ -567,7 +534,7 @@ class TestCLICrashResume:
     def test_sigkilled_job_resumes_byte_identical(self, tmp_path, crash_point):
         clean = _cli([*DISCOVER, "-o", "clean.json"], tmp_path)
         assert clean.returncode == 0, clean.stderr
-        ckpt = ["--checkpoint", "phase", "--checkpoint-dir", "ckpt"]
+        ckpt = ["--checkpoint-dir", "ckpt"]
         crashed = _cli(
             [*DISCOVER, *ckpt, "--crash-point", crash_point, "-o", "crash.json"],
             tmp_path,
@@ -586,8 +553,7 @@ class TestCLICrashResume:
         clean = _cli([*DISCOVER, "-o", "clean.json"], tmp_path)
         assert clean.returncode == 0, clean.stderr
         flags = [
-            "--executor", "process", "--workers", "2",
-            "--checkpoint", "phase", "--checkpoint-dir", "ckpt",
+            "--executor", "process", "--workers", "2", "--checkpoint-dir", "ckpt",
         ]
         crashed = _cli([*DISCOVER, *flags, "--crash-point", "after:cg"], tmp_path)
         assert crashed.returncode == DRIVER_CRASH_EXIT_CODE, crashed.stderr
@@ -599,7 +565,7 @@ class TestCLICrashResume:
 
     def test_crash_attempt_is_durable_across_resume(self, tmp_path):
         """The same --crash-point on the resume run must NOT re-fire."""
-        ckpt = ["--checkpoint", "phase", "--checkpoint-dir", "ckpt"]
+        ckpt = ["--checkpoint-dir", "ckpt"]
         crashed = _cli([*DISCOVER, *ckpt, "--crash-point", "after:fc"], tmp_path)
         assert crashed.returncode == DRIVER_CRASH_EXIT_CODE
         resumed = _cli(
@@ -609,8 +575,7 @@ class TestCLICrashResume:
 
     def test_checkpoint_dir_validated_up_front(self, tmp_path):
         (tmp_path / "blocker").write_text("a file, not a directory")
-        result = _cli([*DISCOVER, "--checkpoint", "phase",
-                       "--checkpoint-dir", "blocker/nested"], tmp_path)
+        result = _cli([*DISCOVER, "--checkpoint-dir", "blocker/nested"], tmp_path)
         assert result.returncode != 0
         assert "not a writable directory" in result.stderr
 

@@ -6,7 +6,39 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _run_settings, build_parser, main
+
+#: The runtime flags as they once were on every RDFind-adjacent
+#: subcommand, each with a value to pass (``None``: a switch).
+_RUNTIME_FLAGS = {
+    "--executor": "serial",
+    "--workers": "2",
+    "--faults": "1",
+    "--max-retries": "1",
+    "--shuffle": "spill",
+    "--memory-budget-bytes": "4096",
+    "--spill-dir": "spill",
+    "--checkpoint": "phase",
+    "--checkpoint-dir": "ckpt",
+    "--resume": None,
+    "--crash-point": "after:fc",
+    "--task-timeout-seconds": "1",
+}
+
+#: (subcommand, option) pairs that parsed and did nothing: runtime flags
+#: on subcommands that never run RDFind, the checkpoint flags on a server
+#: whose workers own their checkpoints, and the retired granularity.
+_REMOVED_PAIRS = (
+    [(cmd, flag) for cmd in ("histogram", "advise", "inds") for flag in _RUNTIME_FLAGS]
+    + [
+        ("serve", flag)
+        for flag in ("--checkpoint", "--checkpoint-dir", "--resume", "--crash-point")
+    ]
+    + [
+        (cmd, "--checkpoint")
+        for cmd in ("discover", "funnel", "ontology", "facts", "rank", "profile")
+    ]
+)
 
 
 def run(capsys, *argv):
@@ -41,6 +73,48 @@ class TestCli:
                 main(argv)
             assert raised.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag", _REMOVED_PAIRS, ids=lambda value: value.lstrip("-")
+    )
+    def test_runtime_flags_only_where_a_run_honours_them(self, capsys, command, flag):
+        argv = (
+            ["serve", "--job-dir", "jobs"]
+            if command == "serve"
+            else [command, "dataset:Countries"]
+        )
+        argv.append(flag)
+        if _RUNTIME_FLAGS[flag] is not None:
+            argv.append(_RUNTIME_FLAGS[flag])
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_runtime_flags_arrive_as_config_keywords(self, tmp_path):
+        argv = ["discover", "dataset:Countries", "--executor", "process",
+                "--workers", "2", "--faults", "0", "--max-retries", "3",
+                "--shuffle", "spill", "--memory-budget-bytes", "4096",
+                "--spill-dir", str(tmp_path / "spill"),
+                "--task-timeout-seconds", "9",
+                "--checkpoint-dir", str(tmp_path / "ckpt"), "--resume",
+                "--crash-point", "after:fc", "--crash-point", "before:ex"]
+        assert _run_settings(build_parser().parse_args(argv)) == {
+            "executor": "process",
+            "workers": 2,
+            "fault_seed": 0,
+            "max_retries": 3,
+            "shuffle": "spill",
+            "memory_budget_bytes": 4096,
+            "spill_dir": str(tmp_path / "spill"),
+            "task_timeout_seconds": 9.0,
+            "checkpoint_dir": str(tmp_path / "ckpt"),
+            "resume": True,
+            "crash_points": ("after:fc", "before:ex"),
+        }
+        # Flags left out stay out: the config's own defaults apply.
+        plain = build_parser().parse_args(["funnel", "dataset:Countries"])
+        assert _run_settings(plain) == {}
 
     def test_serial_run_does_not_import_the_process_pool(self):
         """``multiprocessing`` and the pool are imported where a pool is built."""
@@ -110,11 +184,10 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_spill_plane_writes_the_same_bytes_and_says_it_ran(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, tmp_path
     ):
         import re
 
-        monkeypatch.delenv("RDFIND_SHUFFLE", raising=False)
         discover = ["discover", "dataset:Countries", "--scale", "0.1", "-s", "5"]
         inline = run(capsys, *discover, "-o", str(tmp_path / "inline.json"))
         spill = run(

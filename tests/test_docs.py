@@ -1,11 +1,16 @@
-"""The docs may only name files and flags that exist.
+"""The docs may only name files, flags and variables that exist.
 
 A deletion sweep leaves dangling references behind — a README row for a
 removed flag, a pointer to a removed benchmark script.  Every
 ``tests/…py`` / ``benchmarks/…py`` / ``examples/…py`` / ``src/…py`` /
-``BENCH_*.json`` path, every ``--flag`` token and every dotted
-``repro.x.y`` name in the user-facing documents must resolve against the
-tree, the registered parsers and the importable package.
+``BENCH_*.json`` path, every ``--flag`` token, every ``RDFIND_*``
+variable and every dotted ``repro.x.y`` name in the user-facing
+documents must resolve against the tree, the registered parsers, the
+source and the importable package.
+
+A run's settings have one way in — flags mapped to ``RDFindConfig``
+keywords — so the environment is read only by ``cli.py``'s front-door
+defaults (``serve`` and ``endpoint:`` inputs) and written nowhere.
 """
 
 import argparse
@@ -38,6 +43,9 @@ _PATH_RE = re.compile(
 )
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _DOTTED_RE = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+_VARIABLE_RE = re.compile(r"RDFIND_[A-Z_]+")
+
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def _parser_flags(parser: argparse.ArgumentParser) -> set:
@@ -94,3 +102,41 @@ def test_named_modules_import(document):
         name for name in set(_DOTTED_RE.findall(text)) if not _resolves(name)
     )
     assert not dangling, f"{document.name} names modules that do not import: {dangling}"
+
+
+def test_only_the_cli_reads_rdfind_variables():
+    readers = sorted(
+        str(path.relative_to(ROOT))
+        for path in SOURCES
+        if _VARIABLE_RE.search(path.read_text(encoding="utf-8"))
+    )
+    assert readers == ["src/repro/cli.py"]
+
+
+#: ``os.environ[...] = …``, ``os.environ.update(`` / ``.setdefault(``,
+#: ``os.putenv(``.
+_ENV_WRITE_RE = re.compile(
+    r"os\.environ\[[^\]]*\]\s*=(?!=)|os\.environ\.(?:update|setdefault)\(|os\.putenv\("
+)
+
+
+def test_nothing_in_src_writes_the_environment():
+    writes = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _ENV_WRITE_RE.search(line)
+    ]
+    assert not writes, f"environment writes: {writes}"
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda path: path.name)
+def test_named_variables_exist(document):
+    read = {
+        name
+        for path in SOURCES
+        for name in _VARIABLE_RE.findall(path.read_text(encoding="utf-8"))
+    }
+    named = set(_VARIABLE_RE.findall(document.read_text(encoding="utf-8")))
+    missing = sorted(named - read)
+    assert not missing, f"{document.name} names variables src/ never reads: {missing}"

@@ -121,8 +121,6 @@ class TestStableHash:
         for seed in ("0", "7777"):
             environment = dict(os.environ, PYTHONHASHSEED=seed)
             environment["PYTHONPATH"] = "src"
-            environment.pop("RDFIND_EXECUTOR", None)
-            environment.pop("RDFIND_WORKERS", None)
             outputs.add(
                 subprocess.run(
                     [sys.executable, "-c", script],
@@ -168,13 +166,6 @@ class TestExecutorFactory:
     def test_config_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="executor"):
             RDFindConfig(executor="threads")
-
-    def test_config_env_default(self, monkeypatch):
-        monkeypatch.setenv("RDFIND_EXECUTOR", "process")
-        monkeypatch.setenv("RDFIND_WORKERS", "3")
-        config = RDFindConfig()
-        assert config.executor == "process"
-        assert config.workers == 3
 
     def test_env_context_manager_closes_pool(self):
         with env(2, executor="process", workers=2) as environment:

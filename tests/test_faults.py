@@ -357,15 +357,6 @@ class TestFaultyDiscoveryEquivalence:
         assert faulty.metrics.total_faults_injected > 0
         assert faulty.metrics.total_retries > 0
 
-    def test_fault_seed_env_default(self, monkeypatch):
-        monkeypatch.setenv("RDFIND_FAULTS", "99")
-        monkeypatch.setenv("RDFIND_MAX_RETRIES", "5")
-        config = RDFindConfig()
-        assert config.fault_seed == 99
-        assert config.max_retries == 5
-        assert config.effective_fault_plan() == FaultPlan(seed=99)
-        assert config.effective_retry_policy() == RetryPolicy(max_retries=5)
-
     def test_no_plan_by_default(self):
         config = RDFindConfig()
         assert config.effective_fault_plan() is None

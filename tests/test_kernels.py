@@ -10,6 +10,8 @@ the same result bytes.
 from __future__ import annotations
 
 import sys
+import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -305,9 +307,15 @@ class TestDifferential:
         # Algorithm 3 and the validation pass on int filters.
         bloom_bits=st.sampled_from([8, 64, 512]),
         bloom_hashes=st.sampled_from([1, 4]),
+        # Seeded task faults fire on a task's first attempt only, so any
+        # retry budget of at least one recovers them.
+        fault_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+        max_retries=st.sampled_from([None, 1, 3]),
+        checkpointed=st.booleans(),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
-        self, rows, scope, variant, executor, shuffle, h, bloom_bits, bloom_hashes
+        self, rows, scope, variant, executor, shuffle, h, bloom_bits, bloom_hashes,
+        fault_seed, max_retries, checkpointed,
     ):
         dataset = Dataset.from_tuples(rows)
         config = _VARIANTS[variant](
@@ -319,10 +327,22 @@ class TestDifferential:
             shuffle=shuffle,
             candidate_bloom_bits=bloom_bits,
             candidate_bloom_hashes=bloom_hashes,
+            fault_seed=fault_seed,
+            max_retries=max_retries,
         )
-        result = RDFind(config).discover(dataset)
-        oracle = record_oracle.discover(dataset, config)
-        assert result_json(result) == result_json(oracle)
+        oracle = result_json(record_oracle.discover(dataset, config))
+        if checkpointed:
+            # A checkpointed run, then its resume: every phase boundary
+            # (fc unless the variant skips it, and ex) loads from disk.
+            with tempfile.TemporaryDirectory() as directory:
+                config = replace(config, checkpoint_dir=directory)
+                assert result_json(RDFind(config).discover(dataset)) == oracle
+                result = RDFind(replace(config, resume=True)).discover(dataset)
+            phases = 2 if config.prune_infrequent_conditions else 1
+            assert result.metrics.resumed_stages == phases
+        else:
+            result = RDFind(config).discover(dataset)
+        assert result_json(result) == oracle
 
         profiler = NaiveProfiler(
             dataset.encode(),

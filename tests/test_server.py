@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -36,6 +38,18 @@ from repro.server.store import atomic_write_json, read_json
 from tests.result_oracle import result_to_dict
 
 COUNTRIES = {"dataset": "Countries", "support_threshold": 5, "scale": 0.25}
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def direct_bytes(dataset: str, h: int, scale: float = 1.0) -> bytes:
+    """What ``discover -o`` writes for the same job."""
+    result = RDFind(RDFindConfig(support_threshold=h)).discover(
+        _load_input(dataset, scale=scale)
+    )
+    return json.dumps(result_to_dict(result), ensure_ascii=False, indent=1).encode(
+        "utf-8"
+    )
 
 
 def make_server(job_dir, **overrides):
@@ -311,6 +325,36 @@ class TestRecovery:
         finally:
             server2.stop()
 
+    def test_record_without_an_executor_restarts_and_resumes(self, tmp_path, tiny_nt):
+        """A job dir from before executors were pinned at admission: the
+        record says ``"executor": null`` and the manifest carries a
+        ``mode``.  The dead attempt checkpointed every phase; the
+        restarted server's worker runs on the default backend, so the
+        fingerprints agree and both phases resume."""
+        from repro.server import worker
+
+        job_dir = tmp_path / "jobs"
+        store = JobStore(str(job_dir))
+        request = JobRequest(dataset=tiny_nt, support_threshold=2)
+        record = store.create(request)
+        checkpoint_dir = store.checkpoint_dir(record.id)
+        RDFind(worker._build_config(request, checkpoint_dir)).discover(
+            worker._load_dataset(request)
+        )
+        manifest = os.path.join(checkpoint_dir, "manifest.json")
+        atomic_write_json(manifest, dict(read_json(manifest), mode="phase"))
+        store.save(dataclasses.replace(record, state="running", attempts=1))
+        assert read_json(store.record_path(record.id))["request"]["executor"] is None
+        server, client = make_server(job_dir)
+        try:
+            final = client.wait(record.id, timeout=120)
+            assert final["state"] == "succeeded"
+            assert final["attempts"] == 2
+            assert final["result_summary"]["resumed_stages"] == 2
+            assert client.raw_result(record.id) == direct_bytes(tiny_nt, 2)
+        finally:
+            server.stop()
+
     def test_graceful_stop_requeues_running_jobs(self, tmp_path):
         server, client = make_server(tmp_path / "jobs")
         job = client.submit(**COUNTRIES, hold=True)
@@ -360,7 +404,63 @@ class TestRecovery:
             server.stop()
 
 
+class TestRunSettings:
+    def test_server_settings_reach_the_worker_and_pin_the_executor(self, tmp_path):
+        """``serve``'s runtime flags travel to every worker on its command
+        line; a request that names no executor gets the server's."""
+        server, client = make_server(
+            tmp_path / "jobs",
+            run_settings={
+                "executor": "process",
+                "workers": 2,
+                "shuffle": "spill",
+                "memory_budget_bytes": 4096,
+                "fault_seed": 3,
+            },
+        )
+        try:
+            job = client.submit(**COUNTRIES)
+            final = client.wait(job["id"], timeout=300)
+            assert final["request"]["executor"] == "process"
+            summary = final["progress"]["summary"]
+            assert summary["executor"] == "process"
+            assert summary["spilled_runs"] > 0
+            assert summary["faults_injected"] > 0
+            assert client.raw_result(job["id"]) == direct_bytes(
+                "dataset:Countries", 5, scale=0.25
+            )
+            # The pinned request is what the cache keys on.
+            again = client.submit(**COUNTRIES, executor="process")
+            assert again["id"] == job["id"] and again["cache"] == "hit"
+        finally:
+            server.stop()
+
+
 class TestWorkerJob:
+    def test_ambient_runtime_variables_do_not_reach_a_job(
+        self, tmp_path, tiny_nt, monkeypatch
+    ):
+        """The variables that once configured every run in the process:
+        a plain job still runs once, unresumed, on the inline plane.  (In
+        a subprocess: a crash point that fires aborts its process.)"""
+        store = JobStore(str(tmp_path / "jobs"))
+        record = store.create(JobRequest(dataset=tiny_nt, support_threshold=2))
+        monkeypatch.setenv("RDFIND_CRASH_POINT", "after:fc")
+        monkeypatch.setenv("RDFIND_SHUFFLE", "spill")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.server.worker", store.job_dir(record.id)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outcome = store.outcome(record.id)
+        assert outcome["state"] == "succeeded"
+        assert outcome["summary"]["resumed_stages"] == 0
+        assert store.final_metrics(record.id)["summary"]["spilled_runs"] == 0
+        assert store.raw_result(record.id) == direct_bytes(tiny_nt, 2)
+
     def test_job_writes_the_result_without_building_cind_rows(
         self, tmp_path, tiny_nt, monkeypatch
     ):
@@ -403,7 +503,7 @@ class TestStore:
         with pytest.raises(ValueError):
             JobRequest.from_json(["not", "an", "object"])
 
-    def test_request_roundtrip_and_fingerprint(self, monkeypatch):
+    def test_request_roundtrip_and_fingerprint(self):
         request = JobRequest(dataset="Countries", support_threshold=7, scale=0.5)
         assert JobRequest.from_json(request.to_json()) == request
         assert request.fingerprint() == request.fingerprint()
@@ -411,12 +511,8 @@ class TestStore:
             request.fingerprint()
             != JobRequest(dataset="Countries", support_threshold=8).fingerprint()
         )
-        # The executor default chain is part of the key: an explicit
-        # "serial" and an unset executor (defaulting to serial)
-        # fingerprint the same, so they share one cache entry.  Clear the
-        # ambient override so "unset" really defaults to serial when the
-        # suite runs under RDFIND_EXECUTOR=process.
-        monkeypatch.delenv("RDFIND_EXECUTOR", raising=False)
+        # An explicit "serial" and an unset executor (RDFindConfig's
+        # default) fingerprint the same, so they share one cache entry.
         explicit = JobRequest(dataset="Countries", executor="serial")
         implicit = JobRequest(dataset="Countries")
         assert explicit.fingerprint() == implicit.fingerprint()

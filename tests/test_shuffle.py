@@ -727,20 +727,35 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="memory_budget_bytes"):
             RDFindConfig(memory_budget_bytes=0)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("RDFIND_SHUFFLE", "spill")
-        monkeypatch.setenv("RDFIND_MEMORY_BUDGET_BYTES", "65536")
-        monkeypatch.setenv("RDFIND_SPILL_DIR", "/tmp/spill-here")
-        config = RDFindConfig()
-        assert config.shuffle == "spill"
-        assert config.memory_budget_bytes == 65536
-        assert config.spill_dir == "/tmp/spill-here"
-
-    def test_env_defaults_absent(self, monkeypatch):
-        monkeypatch.delenv("RDFIND_SHUFFLE", raising=False)
-        monkeypatch.delenv("RDFIND_MEMORY_BUDGET_BYTES", raising=False)
-        monkeypatch.delenv("RDFIND_SPILL_DIR", raising=False)
-        config = RDFindConfig()
-        assert config.shuffle == "inline"
-        assert config.memory_budget_bytes is None
-        assert config.spill_dir is None
+    def test_environment_is_not_read(self, monkeypatch, tmp_path):
+        """The twelve variables that once supplied the runtime defaults
+        change nothing: a run's settings arrive as keywords only."""
+        for name, value in {
+            "RDFIND_EXECUTOR": "process",
+            "RDFIND_WORKERS": "3",
+            "RDFIND_FAULTS": "99",
+            "RDFIND_MAX_RETRIES": "5",
+            "RDFIND_SHUFFLE": "spill",
+            "RDFIND_MEMORY_BUDGET_BYTES": "65536",
+            "RDFIND_SPILL_DIR": str(tmp_path / "spill"),
+            "RDFIND_CHECKPOINT": "stage",
+            "RDFIND_CHECKPOINT_DIR": str(tmp_path / "ckpt"),
+            "RDFIND_RESUME": "1",
+            "RDFIND_CRASH_POINT": "after:fc",
+            "RDFIND_TASK_TIMEOUT_SECONDS": "7",
+        }.items():
+            monkeypatch.setenv(name, value)
+        assert RDFindConfig() == RDFindConfig(
+            executor="serial",
+            workers=None,
+            fault_seed=None,
+            max_retries=None,
+            shuffle="inline",
+            memory_budget_bytes=None,
+            spill_dir=None,
+            checkpoint_dir=None,
+            resume=False,
+            crash_points=(),
+            task_timeout_seconds=None,
+        )
+        assert RDFindConfig().effective_fault_plan() is None
