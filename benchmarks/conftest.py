@@ -82,13 +82,12 @@ class DiscoveryCache:
         memory_budget: Optional[int] = None,
         executor: str = "serial",
         workers: Optional[int] = None,
-        shuffle: str = "inline",
         memory_budget_bytes: Optional[int] = None,
     ) -> Tuple[DiscoveryResult, float]:
         """Discovery result plus wall-clock seconds (cached)."""
         key = (
             name, h, scale, parallelism, variant, predicates_only,
-            memory_budget, executor, workers, shuffle, memory_budget_bytes,
+            memory_budget, executor, workers, memory_budget_bytes,
         )
         if key not in self._runs:
             encoded = self.dataset(name, scale)
@@ -109,7 +108,6 @@ class DiscoveryCache:
                 memory_budget=memory_budget,
                 executor=executor,
                 workers=workers,
-                shuffle=shuffle,
                 memory_budget_bytes=memory_budget_bytes,
             )
             started = time.perf_counter()

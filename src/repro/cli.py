@@ -170,7 +170,6 @@ _RUNTIME_KEYWORDS = (
     "workers",
     "fault_seed",
     "max_retries",
-    "shuffle",
     "memory_budget_bytes",
     "spill_dir",
     "task_timeout_seconds",
@@ -205,15 +204,11 @@ def _add_runtime_flags(
         help="retry budget per task (default: 2)",
     )
     parser.add_argument(
-        "--shuffle", choices=("inline", "spill"), default=None,
-        help="keyed-operator data plane: 'inline' (in-memory buckets, "
-        "default) or 'spill' (disk-backed sorted runs merged reduce-side; "
-        "byte-identical output in bounded memory)",
-    )
-    parser.add_argument(
         "--memory-budget-bytes", type=int, default=None, metavar="BYTES",
-        help="per-worker byte cap on spill-mode shuffle state; overflowing "
-        "state is cut to a sorted run on disk (requires --shuffle spill)",
+        help="run the keyed operators on the spill plane at this per-worker "
+        "byte cap: overflowing shuffle state is cut to sorted runs on disk "
+        "and merged reduce-side, byte-identical output in bounded memory "
+        "(default: in-memory buckets)",
     )
     parser.add_argument(
         "--spill-dir", default=None, metavar="DIR",

@@ -45,6 +45,7 @@ from repro.core.extraction import (
     _Memo,
     extract_broad_cinds,
 )
+from repro.core.framing import fingerprint_fields
 from repro.core.frequent_conditions import (
     DEFAULT_FP_RATE,
     FrequentConditions,
@@ -57,13 +58,9 @@ from repro.core.minimality import (
     capture_rank,
     consolidate_pertinent,
 )
-from repro.dataflow.checkpoint import (
-    CheckpointManager,
-    dataset_digest,
-    fingerprint_fields,
-)
+from repro.dataflow.checkpoint import CheckpointManager, dataset_digest
 from repro.dataflow.engine import ExecutionEnvironment
-from repro.dataflow.shuffle import SHUFFLE_MODES
+from repro.dataflow.shuffle import SpillConfig
 from repro.dataflow.executors import EXECUTOR_NAMES
 from repro.dataflow.faults import CRASH_MOMENTS, FaultPlan, RetryPolicy
 from repro.dataflow.gcpause import gc_paused
@@ -125,16 +122,13 @@ class RDFindConfig:
     max_retries:
         Retry budget per task (``RetryPolicy.max_retries``).  ``None``
         keeps the policy default.
-    shuffle:
-        Data plane for keyed operators: ``"inline"`` (in-memory buckets,
-        the default and reference) or ``"spill"`` (disk-backed sorted
-        runs under a byte-accurate budget, merged reduce-side; see
-        :mod:`repro.dataflow.shuffle`).  Output is byte-identical either
-        way.
     memory_budget_bytes:
-        Per-worker byte cap on spill-mode shuffle state; overflowing
-        state is cut to a sorted run on disk.  Only meaningful with
-        ``shuffle="spill"``.
+        Picks the data plane of the keyed operators.  ``None`` (default)
+        is the inline plane: in-memory buckets, the reference.  An int
+        is the spill plane at that per-worker byte cap: shuffle state
+        that overflows it is cut to a sorted run on disk and the runs are
+        merged reduce-side (see :mod:`repro.dataflow.shuffle`).  Output
+        is byte-identical either way.
     spill_dir:
         Directory under which spill workspaces are created (a fresh
         ``mkdtemp`` per run, removed when the run finishes — success or
@@ -180,7 +174,6 @@ class RDFindConfig:
     fault_seed: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     max_retries: Optional[int] = None
-    shuffle: str = "inline"
     memory_budget_bytes: Optional[int] = None
     spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
@@ -203,10 +196,6 @@ class RDFindConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.shuffle not in SHUFFLE_MODES:
-            raise ValueError(
-                f"shuffle must be one of {SHUFFLE_MODES}, got {self.shuffle!r}"
-            )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ValueError(
                 f"memory_budget_bytes must be >= 1, got {self.memory_budget_bytes}"
@@ -427,8 +416,11 @@ class RDFind:
             workers=config.workers,
             fault_plan=config.effective_fault_plan(),
             retry_policy=config.effective_retry_policy(),
-            shuffle=config.shuffle,
-            memory_budget_bytes=config.memory_budget_bytes,
+            spill=(
+                None
+                if config.memory_budget_bytes is None
+                else SpillConfig(budget_bytes=config.memory_budget_bytes)
+            ),
             spill_dir=config.spill_dir,
             task_timeout_seconds=config.task_timeout_seconds,
             metrics=metrics,

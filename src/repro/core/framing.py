@@ -1,4 +1,4 @@
-"""Binary frame streams and the atomic file publish they are written with.
+"""Binary frame streams, the atomic file publish, and the one fingerprint.
 
 A frame on disk is ``[4-byte big-endian payload length][4-byte CRC32 of
 the payload][payload]``; a stream of frames ends at clean EOF.
@@ -14,19 +14,27 @@ without importing the discovery result types.
 :func:`atomic_write` is the one way a durable file is published:
 written under a temp name beside the target, flushed and fsynced, then
 renamed over it — a reader (or a restart after a power cut) sees the old
-content or the new, never a torn file.  Two renames stay outside it on
-purpose: ``shuffle.write_run`` (scratch run files that a retried task
-simply re-cuts must not pay an fsync) and the changelog's seal rename
-(the segment is already synced when it is renamed).
+content or the new, never a torn file; :func:`atomic_write_json` is it
+for every JSON document (manifests, job records, metrics).  Two renames
+stay outside it on purpose: ``shuffle.write_run`` (scratch run files
+that a retried task simply re-cuts must not pay an fsync) and the
+changelog's seal rename (the segment is already synced when it is
+renamed).
+
+:func:`fingerprint_fields` is the one identity hash of durable state:
+checkpoint manifests, server result-cache keys, fetch workspaces and
+snapshot cache file names are all keyed on it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import struct
 import zlib
 from contextlib import contextmanager
-from typing import IO, BinaryIO, Iterator, Optional
+from typing import IO, Any, BinaryIO, Iterator, Optional
 
 __all__ = [
     "FRAME_HEADER",
@@ -35,6 +43,8 @@ __all__ = [
     "FrameCorruptionError",
     "FrameTruncatedError",
     "atomic_write",
+    "atomic_write_json",
+    "fingerprint_fields",
     "pack_frame",
     "write_frame",
     "read_frame",
@@ -85,6 +95,26 @@ def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def atomic_write_json(path: str, payload: Any) -> None:
+    """Publish a JSON document through :func:`atomic_write`."""
+    with atomic_write(path, "w") as stream:
+        json.dump(payload, stream, indent=1, sort_keys=True)
+
+
+def fingerprint_fields(**fields: Any) -> str:
+    """A stable BLAKE2b-128 fingerprint over named fields.
+
+    Fields are canonicalized as sorted ``key=repr(value)`` lines, so two
+    calls fingerprint equal iff every field does — insertion order and
+    dict iteration order cannot leak in.  The scheme is frozen: every
+    job dir, checkpoint and snapshot cache entry on disk is named by it.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for key in sorted(fields):
+        digest.update(f"{key}={fields[key]!r}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def pack_frame(payload: bytes) -> bytes:

@@ -21,12 +21,12 @@ inline (the reference), the ``process`` backend executes them concurrently
 on a persistent process pool — real multi-core execution with
 byte-identical output.
 
-How keyed operators move data is pluggable too
-(:mod:`repro.dataflow.shuffle`): the ``inline`` shuffle materializes
-buckets in memory (the reference), the ``spill`` shuffle cuts sorted,
-CRC-framed runs to disk under a byte-accurate memory budget and merges
-them reduce-side — bounded memory on arbitrarily large buckets, again
-with byte-identical output.
+How keyed operators move data follows the byte budget
+(:mod:`repro.dataflow.shuffle`): without one the inline plane
+materializes buckets in memory (the reference); with one the spill plane
+cuts sorted, CRC-framed runs to disk under that byte-accurate budget and
+merges them reduce-side — bounded memory on arbitrarily large buckets,
+again with byte-identical output.
 
 The hot stages of the three discovery phases run as fused batch kernels
 over columnar id slices (:mod:`repro.dataflow.kernels`).
@@ -64,7 +64,6 @@ from repro.dataflow.faults import (
 from repro.dataflow.gcpause import gc_paused, stage_gc_pause
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.dataflow.shuffle import (
-    SHUFFLE_MODES,
     MemoryBudget,
     RunInfo,
     SpillConfig,
@@ -97,7 +96,6 @@ __all__ = [
     "StageMetrics",
     "gc_paused",
     "stage_gc_pause",
-    "SHUFFLE_MODES",
     "MemoryBudget",
     "RunInfo",
     "SpillConfig",

@@ -57,7 +57,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.core.framing import FrameError, atomic_write, iter_frames, write_frame
+from repro.core.framing import (
+    FrameError,
+    atomic_write,
+    atomic_write_json,
+    iter_frames,
+    write_frame,
+)
 from repro.dataflow import workspace
 from repro.dataflow.faults import DRIVER_CRASH_EXIT_CODE, FaultPlan
 
@@ -69,7 +75,6 @@ __all__ = [
     "JobManifest",
     "StepRecord",
     "dataset_digest",
-    "fingerprint_fields",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -112,19 +117,6 @@ class CheckpointCorruptError(CheckpointError):
     Internal signal: the manager converts it into a clean recompute of
     the affected step, never into a silently wrong answer.
     """
-
-
-def fingerprint_fields(**fields: Any) -> str:
-    """A stable BLAKE2b fingerprint over named configuration fields.
-
-    Fields are canonicalized as sorted ``key=value`` lines, so two
-    configs fingerprint equal iff every field does — insertion order and
-    dict iteration order cannot leak in.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for key in sorted(fields):
-        digest.update(f"{key}={fields[key]!r}\n".encode("utf-8"))
-    return digest.hexdigest()
 
 
 def dataset_digest(encoded) -> str:
@@ -235,8 +227,7 @@ class JobManifest:
 
     def save(self, path: str) -> None:
         """Atomically write the manifest (tmp-then-rename + fsync)."""
-        with atomic_write(path, "w") as stream:
-            json.dump(self.to_json(), stream, indent=1, sort_keys=True)
+        atomic_write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "JobManifest":

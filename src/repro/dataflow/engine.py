@@ -48,18 +48,20 @@ Each keyed operator is written once.  Its map task
 :func:`_keyed_map_task` for ``co_group``) hands its output to a *sink*,
 one driver (:meth:`DataSet._keyed_stages`) gathers what the sinks return
 per reduce partition, in task order, and runs the reduce-side task.  The
-*shuffle mode* picks the sink and the reduce-side task, nothing else.
-``shuffle="inline"``, the default and the reference, uses
+*data plane* picks the sink and the reduce-side task, nothing else, and
+the environment's byte budget picks the plane.  Without one (``spill=None``),
+the inline plane, the default and the reference, uses
 :class:`_BucketSink`: hash buckets in memory, state priced in records
 against ``memory_budget``, an overrun raises
 :class:`SimulatedOutOfMemory`; the reduce side folds a bucket in a dict.
-``shuffle="spill"`` uses :class:`~repro.dataflow.shuffle.SpillSink`:
-state priced in bytes against ``memory_budget_bytes``, an overrun cuts
-sorted, CRC-framed runs to disk; the reduce side k-way-merges the runs —
-bounded memory regardless of bucket size, output asserted byte-identical
-to ``inline`` on both executor backends.  Under the ``process`` backend
-the spill plane also moves the shuffled data through the filesystem
-instead of pickling whole buckets through the driver.
+With a :class:`~repro.dataflow.shuffle.SpillConfig`, the spill plane uses
+:class:`~repro.dataflow.shuffle.SpillSink`: state priced in bytes against
+its ``budget_bytes``, an overrun cuts sorted, CRC-framed runs to disk;
+the reduce side k-way-merges the runs — bounded memory regardless of
+bucket size, output asserted byte-identical to the inline plane on both
+executor backends.  Under the ``process`` backend the spill plane also
+moves the shuffled data through the filesystem instead of pickling whole
+buckets through the driver.
 
 A configurable per-partition *memory budget* (max records materialized in
 any one worker's in-memory state) emulates out-of-memory failures: stateful
@@ -102,7 +104,6 @@ from repro.dataflow.gcpause import stage_gc_pause
 from repro.dataflow.hashing import hash_partition, stable_hash
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.dataflow.shuffle import (
-    SHUFFLE_MODES,
     SpillConfig,
     SpillSink,
     _spill_apply_task,
@@ -120,7 +121,6 @@ __all__ = [
     "DataSet",
     "ExecutionEnvironment",
     "SimulatedOutOfMemory",  # re-exported from repro.dataflow.faults
-    "SHUFFLE_MODES",  # re-exported from repro.dataflow.shuffle
     "stable_hash",  # re-exported from repro.dataflow.hashing
     "pair_key",
     "pair_value",
@@ -424,25 +424,19 @@ class ExecutionEnvironment:
         Bounded-retry/backoff configuration for failed tasks
         (:class:`~repro.dataflow.faults.RetryPolicy`; a default policy
         with 2 retries applies when omitted).
-    shuffle:
-        Data plane for the keyed operators: ``"inline"`` (in-memory
-        buckets, the reference) or ``"spill"`` (disk-backed sorted runs
-        merged reduce-side; see :mod:`repro.dataflow.shuffle`).  Spill
-        output is byte-identical to inline.
-    memory_budget_bytes:
-        Per-worker cap, in estimated bytes (:func:`record_bytes`), on the
-        in-memory shuffle state of spill-mode operators; overflowing
-        state is cut to a sorted run on disk instead of raising.  Only
-        meaningful with ``shuffle="spill"``; ``None`` means a single
-        final flush per task.
+    spill:
+        The data plane of the keyed operators.  ``None`` (default) is the
+        inline plane: in-memory buckets, the reference.  A
+        :class:`~repro.dataflow.shuffle.SpillConfig` is the spill plane at
+        its ``budget_bytes``: per-worker shuffle state priced in estimated
+        bytes (:func:`record_bytes`) and cut to sorted runs on disk when
+        it overflows, merged reduce-side (see
+        :mod:`repro.dataflow.shuffle`).  Spill output is byte-identical
+        to inline.
     spill_dir:
         Directory under which the spill workspace is created (a fresh
         ``tempfile.mkdtemp`` per environment, removed on :meth:`close`).
         Defaults to the system temp dir.
-    spill_config:
-        Full :class:`~repro.dataflow.shuffle.SpillConfig` override for
-        tests and benchmarks (frame sizing, merge fan-in); wins over
-        ``memory_budget_bytes`` when given.
     task_timeout_seconds:
         Per-task wall-clock bound under the ``process`` backend; a
         timed-out task is treated as a retryable transient fault (the
@@ -459,27 +453,16 @@ class ExecutionEnvironment:
         workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        shuffle: str = "inline",
-        memory_budget_bytes: Optional[int] = None,
+        spill: Optional[SpillConfig] = None,
         spill_dir: Optional[str] = None,
-        spill_config: Optional[SpillConfig] = None,
         task_timeout_seconds: Optional[float] = None,
         metrics: Optional[JobMetrics] = None,
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if shuffle not in SHUFFLE_MODES:
-            raise ValueError(
-                f"unknown shuffle mode {shuffle!r}; expected one of {SHUFFLE_MODES}"
-            )
         self.parallelism = int(parallelism)
         self.memory_budget = memory_budget
-        self.shuffle = shuffle
-        self.spill_config = (
-            spill_config
-            if spill_config is not None
-            else SpillConfig(budget_bytes=memory_budget_bytes)
-        )
+        self.spill = spill
         self._spill_dir_base = spill_dir
         self._spill_root: Optional[str] = None
         self._spill_token: Optional[int] = None
@@ -505,7 +488,7 @@ class ExecutionEnvironment:
         """A fresh directory for one spill stage's run files.
 
         The workspace root is created lazily (``tempfile.mkdtemp`` under
-        ``spill_dir``), so inline-mode jobs never touch the filesystem.
+        ``spill_dir``), so inline-plane jobs never touch the filesystem.
         Stage directories are numbered rather than named — stage names
         contain ``/``.
         """
@@ -762,20 +745,20 @@ class DataSet(Generic[T]):
         ``i % parallelism``), so an operator with two inputs reports one
         entry per worker, like every other stage.
 
-        This is the only place that reads ``env.shuffle``.
+        This is the only place that reads ``env.spill``.
         """
         env = self.env
         parallelism = env.parallelism
         stage = env.metrics.new_stage(name)
         stage_dir: Optional[str] = None
-        if env.shuffle == "spill":
+        if env.spill is not None:
             stage_dir = env._new_spill_stage_dir()
             sinks = [
-                partial(SpillSink, env.spill_config, parallelism, stage_dir, index)
+                partial(SpillSink, env.spill, parallelism, stage_dir, index)
                 for index in range(len(map_inputs))
             ]
             reduce_task = reduce_tasks[1]
-            context: Tuple[Any, Any] = (env.spill_config, stage_dir)
+            context: Tuple[Any, Any] = (env.spill, stage_dir)
             part_records = run_records
         else:
             sinks = [
@@ -869,8 +852,8 @@ class DataSet(Generic[T]):
         capture-group size) — and only one pair per key and worker is
         shuffled.  Values must not be ``None``.
 
-        The budget rule, the same for every keyed operator: under
-        ``shuffle="inline"`` the record-count ``memory_budget`` is
+        The budget rule, the same for every keyed operator: on the
+        inline plane the record-count ``memory_budget`` is
         checked after every insert or merge into the combine table, and
         the first one that takes the table over it raises
         :class:`SimulatedOutOfMemory` under the stage ``name`` — with
@@ -886,7 +869,7 @@ class DataSet(Generic[T]):
         reports the largest table cost any worker ended with as
         ``peak_state_cost``.
 
-        Under ``shuffle="spill"`` the combiner cuts its table to sorted
+        On the spill plane the combiner cuts its table to sorted
         runs instead of raising: the byte-accurate spill budget replaces
         both the record count and ``state_cost_fn``, and the output stays
         byte-identical.
@@ -918,7 +901,7 @@ class DataSet(Generic[T]):
 
         ``fn`` receives the key and the (possibly empty) record lists from
         each side, enabling inner, outer, and semi joins.  Nothing
-        combines map-side, so under ``shuffle="inline"`` the record
+        combines map-side, so on the inline plane the record
         budget is checked where the records meet: a bucket larger than
         ``memory_budget`` raises under ``name + "/apply"``.
         """

@@ -43,14 +43,14 @@ class StageMetrics:
     retries: int = 0
     #: Faults a seeded FaultPlan injected into this stage's tasks.
     faults_injected: int = 0
-    #: Sorted runs this stage's workers cut to disk (--shuffle spill).
+    #: Sorted runs this stage's workers cut to disk (spill plane).
     spilled_runs: int = 0
     #: Bytes written to spill-run files by this stage's workers.
     spilled_bytes: int = 0
     #: Intermediate merge passes the reduce side needed when a partition
     #: held more runs than the merge fan-in (0 = single-pass merge).
     merge_passes: int = 0
-    #: Largest estimated in-memory state, in bytes, any spill-mode worker
+    #: Largest estimated in-memory state, in bytes, any spill-plane worker
     #: held before cutting a run (bounded by the byte budget).
     peak_state_bytes: int = 0
     #: Gen-0 GC passes the stage's gc-pause wrapper suppressed across
@@ -125,7 +125,7 @@ class StageMetrics:
             f"{self.name}: in={self.total_in} out={self.total_out} "
             f"par={self.parallel_seconds * 1000:.1f}ms cpu={self.cpu_seconds * 1000:.1f}ms "
             f"wall={self.wall_seconds * 1000:.1f}ms "
-            f"skew={self.skew:.2f} shuffle={self.shuffled_records} "
+            f"skew={self.skew:.2f} shuffled={self.shuffled_records} "
             f"bcast={self.broadcast_records}"
         )
         if self.faults_injected or self.retries:
@@ -203,7 +203,7 @@ class JobMetrics:
 
     @property
     def total_spilled_runs(self) -> int:
-        """Sorted runs cut to disk across all stages (--shuffle spill)."""
+        """Sorted runs cut to disk across all stages (spill plane)."""
         return sum(stage.spilled_runs for stage in self.stages)
 
     @property
@@ -218,7 +218,7 @@ class JobMetrics:
 
     @property
     def max_peak_state_bytes(self) -> int:
-        """Largest estimated spill-mode worker state over all stages."""
+        """Largest estimated spill-plane worker state over all stages."""
         return max((stage.peak_state_bytes for stage in self.stages), default=0)
 
     @property
@@ -297,7 +297,7 @@ class JobMetrics:
             f"  TOTAL: par={self.simulated_parallel_seconds * 1000:.1f}ms "
             f"cpu={self.total_cpu_seconds * 1000:.1f}ms "
             f"wall={self.wall_clock_seconds * 1000:.1f}ms "
-            f"shuffle={self.shuffled_records} bcast={self.broadcast_records}"
+            f"shuffled={self.shuffled_records} bcast={self.broadcast_records}"
         )
         if self.total_faults_injected or self.total_retries:
             total += (

@@ -5,10 +5,11 @@ bucket in memory, which caps the largest dataset the engine can group
 at the resident set — the paper's RDFind leans on Flink's out-of-core
 shuffle precisely to escape that cap (Sections 5-6: CGCreator and
 CINDExtractor group billions of capture evidences by value).  This
-module is the bounded-memory alternative, ``shuffle="spill"``.  The
-keyed operators themselves — the combine fold, the driver — live in the
-engine and are the same code on both planes; what is here is the two
-ends that differ:
+module is the bounded-memory alternative: a run that is given a byte
+budget (a :class:`SpillConfig`) runs on it, a run without one stays
+inline.  The keyed operators themselves — the combine fold, the driver
+— live in the engine and are the same code on both planes; what is here
+is the two ends that differ:
 
 :class:`SpillSink` (map side)
     Where a map task's pairs go.  A :class:`MemoryBudget` accounts
@@ -79,7 +80,6 @@ from repro.core.framing import (
 from repro.dataflow.hashing import stable_hash
 
 __all__ = [
-    "SHUFFLE_MODES",
     "SPILL_FORMAT_NAME",
     "SPILL_FORMAT_VERSION",
     "MemoryBudget",
@@ -91,9 +91,6 @@ __all__ = [
     "run_records",
     "write_run",
 ]
-
-#: The recognised shuffle modes, in preference order.
-SHUFFLE_MODES = ("inline", "spill")
 
 SPILL_FORMAT_NAME = "rdfind-spill"
 SPILL_FORMAT_VERSION = 1
@@ -174,14 +171,13 @@ class MemoryBudget:
     tells the owner it is time to cut a run.  ``peak_bytes`` survives
     resets so metrics can report the high-water mark a worker actually
     reached (which the spill machinery keeps within one record of the
-    limit).  ``limit_bytes=None`` disables overflow (a single final
-    flush still writes the data to disk).
+    limit).
     """
 
     __slots__ = ("limit_bytes", "used_bytes", "peak_bytes")
 
-    def __init__(self, limit_bytes: Optional[int] = None) -> None:
-        if limit_bytes is not None and limit_bytes < 1:
+    def __init__(self, limit_bytes: int) -> None:
+        if limit_bytes < 1:
             raise ValueError(f"limit_bytes must be >= 1, got {limit_bytes}")
         self.limit_bytes = limit_bytes
         self.used_bytes = 0
@@ -201,7 +197,7 @@ class MemoryBudget:
 
     @property
     def exceeded(self) -> bool:
-        return self.limit_bytes is not None and self.used_bytes > self.limit_bytes
+        return self.used_bytes > self.limit_bytes
 
     def __repr__(self) -> str:
         return (
@@ -212,14 +208,18 @@ class MemoryBudget:
 
 @dataclass(frozen=True)
 class SpillConfig:
-    """Knobs of the spilling shuffle (picklable; shipped in payloads)."""
+    """Knobs of the spilling shuffle (picklable; shipped in payloads).
 
-    budget_bytes: Optional[int] = None
+    ``budget_bytes`` is the per-worker cap on in-memory shuffle state;
+    giving one is what puts a run on the spill plane.
+    """
+
+    budget_bytes: int
     frame_records: int = DEFAULT_FRAME_RECORDS
     merge_fanin: int = DEFAULT_MERGE_FANIN
 
     def __post_init__(self) -> None:
-        if self.budget_bytes is not None and self.budget_bytes < 1:
+        if self.budget_bytes < 1:
             raise ValueError(f"budget_bytes must be >= 1, got {self.budget_bytes}")
         if self.frame_records < 1:
             raise ValueError(f"frame_records must be >= 1, got {self.frame_records}")

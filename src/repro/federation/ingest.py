@@ -37,11 +37,11 @@ from typing import Callable, List, Optional, Tuple, Union
 from repro.core.framing import (
     FrameCorruptionError,
     FrameTruncatedError,
-    atomic_write,
+    atomic_write_json,
+    fingerprint_fields,
     read_frame,
     write_frame,
 )
-from repro.dataflow.checkpoint import fingerprint_fields
 from repro.federation.client import SparqlEndpointClient
 from repro.federation.errors import (
     FetchMismatchError,
@@ -183,9 +183,7 @@ def _write_manifest(directory: str, endpoint: str, fingerprint: str) -> None:
         "query": SCAN_QUERY,
         "fingerprint": fingerprint,
     }
-    with atomic_write(os.path.join(directory, MANIFEST_NAME), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
 def _load_pages(path: str) -> Tuple[List[Tuple[str, str, str]], int, int]:

@@ -23,7 +23,7 @@ file, and a crash leaves at worst ``*.tmp`` litter for the workspace
 sweeper.
 
 Cache keys: :meth:`JobRequest.fingerprint` feeds the request's fields
-through :func:`repro.dataflow.checkpoint.fingerprint_fields` — the same
+through :func:`repro.core.framing.fingerprint_fields` — the same
 BLAKE2b scheme the checkpoint manifests are keyed on.  Dataset
 generators are seeded and deterministic, so ``(dataset, scale)``
 identifies the triple content without generating it at admission time.
@@ -39,8 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from repro.core.framing import atomic_write
-from repro.dataflow.checkpoint import fingerprint_fields
+from repro.core.framing import atomic_write_json, fingerprint_fields
 
 __all__ = [
     "ACTIVE_STATES",
@@ -49,7 +48,6 @@ __all__ = [
     "JobRecord",
     "JobRequest",
     "JobStore",
-    "atomic_write_json",
     "read_json",
 ]
 
@@ -66,12 +64,6 @@ _JOB_ID_RE = re.compile(r"^j(\d{6,})$")
 _SCOPES = ("full", "predicates")
 _VARIANTS = ("rdfind", "de", "nf")
 _EXECUTORS = ("serial", "process")
-
-
-def atomic_write_json(path: str, payload: Any) -> None:
-    """Publish a JSON document through :func:`atomic_write`."""
-    with atomic_write(path, "w") as stream:
-        json.dump(payload, stream, indent=1, sort_keys=True)
 
 
 def read_json(path: str) -> Optional[Any]:
@@ -134,7 +126,7 @@ class JobRequest:
     def fingerprint(self) -> str:
         """The result-cache key: BLAKE2b over every result-shaping field.
 
-        Uses :func:`repro.dataflow.checkpoint.fingerprint_fields` — the
+        Uses :func:`repro.core.framing.fingerprint_fields` — the
         exact scheme the checkpoint manifests are keyed on.  Two requests
         fingerprint equal iff they would compute byte-identical results
         from the same deterministic generator output, so a cache hit can

@@ -35,7 +35,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.core.conditions import ConditionScope
-from repro.core.framing import atomic_write
+from repro.core.framing import atomic_write_json
 from repro.server.service import BadRequestError, UnknownJobError
 from repro.streaming.session import StreamSession
 
@@ -113,8 +113,7 @@ class StreamManager:
             stream_dir = os.path.join(self.root_dir, stream_id)
             os.makedirs(stream_dir, exist_ok=True)
             meta_path = os.path.join(stream_dir, _META_NAME)
-            with atomic_write(meta_path, "w") as handle:
-                json.dump(dict(meta, id=stream_id), handle, indent=1)
+            atomic_write_json(meta_path, dict(meta, id=stream_id))
             self._sessions[stream_id] = self._open_session(stream_id, meta)
             self._stream_locks[stream_id] = threading.Lock()
         return self.status(stream_id)

@@ -42,10 +42,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.conditions import ConditionScope
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.framing import atomic_write
+from repro.core.framing import atomic_write, atomic_write_json
 from repro.core.serialization import write_result
 from repro.dataflow.metrics import JobMetrics
-from repro.server.store import JobRequest, JobStore, atomic_write_json, read_json
+from repro.server.store import JobRequest, JobStore, read_json
 
 __all__ = ["main", "run_job"]
 

@@ -35,7 +35,6 @@ is *never* trusted: it logs a warning and falls back to re-parsing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
@@ -49,6 +48,7 @@ from repro.core.framing import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     atomic_write,
+    fingerprint_fields,
     write_frame,
 )
 from repro.storage.columnar import EncodedDataset
@@ -65,7 +65,6 @@ __all__ = [
     "load_with_snapshot_cache",
     "save_snapshot",
     "snapshot_cache_fields",
-    "snapshot_cache_key",
     "snapshot_info",
 ]
 
@@ -414,16 +413,11 @@ def _section_array(walker: _FrameWalker, typecode: str, count: int, nbytes: int)
 # ----------------------------------------------------------------------
 
 
-def snapshot_cache_key(**fields) -> str:
-    """A stable hex key over the fields identifying a source input."""
-    digest = hashlib.blake2b(digest_size=16)
-    for key in sorted(fields):
-        digest.update(f"{key}={fields[key]!r}\n".encode("utf-8"))
-    return digest.hexdigest()
-
-
 def snapshot_cache_fields(spec: str, scale: float = 1.0) -> dict:
     """The cache-key fields for a CLI/server input spec.
+
+    The cache file is named by their
+    :func:`~repro.core.framing.fingerprint_fields`.
 
     Registry refs (``dataset:<name>``) are deterministic generators, so
     name + scale identify them; file inputs additionally fold in size and
@@ -459,7 +453,7 @@ def load_with_snapshot_cache(
     result is still returned).
     """
     path = os.path.join(
-        snapshot_dir, snapshot_cache_key(**key_fields) + SNAPSHOT_SUFFIX
+        snapshot_dir, fingerprint_fields(**key_fields) + SNAPSHOT_SUFFIX
     )
     if os.path.exists(path):
         try:

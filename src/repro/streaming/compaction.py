@@ -34,7 +34,7 @@ import warnings
 from typing import Optional, Tuple
 
 from repro.core.conditions import ConditionScope
-from repro.core.framing import atomic_write
+from repro.core.framing import atomic_write_json
 from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot, save_snapshot
 from repro.streaming.delta import DeltaStore
 from repro.streaming.maintainer import MaintenanceStats, StreamingRDFind
@@ -89,8 +89,7 @@ class StreamCheckpointer:
             "payload_digest": _digest(payload_path),
             "stats": maintainer.stats.to_dict(),
         }
-        with atomic_write(self.manifest_path, "w") as stream:
-            json.dump(manifest, stream, indent=1, sort_keys=True)
+        atomic_write_json(self.manifest_path, manifest)
         self._sweep(keep=payload_name)
         self.seq, self.nbytes = seq, os.path.getsize(payload_path)
         return payload_path

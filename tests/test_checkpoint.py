@@ -21,8 +21,8 @@ import pytest
 
 from repro.core.cind import code_capture
 from repro.core.discovery import RDFind, RDFindConfig, checkpoint_fingerprint
+from repro.core.framing import fingerprint_fields, write_frame
 from repro.core.serialization import dump_result
-from repro.core.framing import write_frame
 from repro.dataflow import checkpoint, workspace
 from repro.dataflow.checkpoint import (
     CheckpointCorruptError,
@@ -31,7 +31,6 @@ from repro.dataflow.checkpoint import (
     JobManifest,
     StepRecord,
     dataset_digest,
-    fingerprint_fields,
 )
 from repro.dataflow.engine import ExecutionEnvironment
 from repro.dataflow.executors import ProcessExecutor
@@ -62,6 +61,41 @@ class TestFingerprints:
         base = fingerprint_fields(a=1, b="x")
         assert fingerprint_fields(a=2, b="x") != base
         assert fingerprint_fields(a=1, b="y") != base
+
+    def test_literal_hexes_are_pinned(self, tmp_path):
+        """Job dirs, checkpoints and snapshot caches on disk are named by
+        these hexes: a changed scheme would orphan every one of them."""
+        from repro.datasets import table1
+        from repro.server.store import JobRequest
+        from repro.storage.snapshot import (
+            load_with_snapshot_cache,
+            snapshot_cache_fields,
+        )
+
+        assert fingerprint_fields(a=1, b="x") == "d9ca78bb7d79374c0ef72368e178b3c9"
+        encoded = table1(encoded=True)
+        assert (
+            checkpoint_fingerprint(RDFindConfig(support_threshold=2), encoded)
+            == "f183b7bf5aa87cfca26b1480ccb6bf8e"
+        )
+        # The spill plane is not part of a job's identity.
+        assert (
+            checkpoint_fingerprint(
+                RDFindConfig(
+                    support_threshold=2, memory_budget_bytes=4096, executor="process"
+                ),
+                encoded,
+            )
+            == "af5d6a2a5b11445a31d085504a513ca9"
+        )
+        assert (
+            JobRequest(dataset="Diseasome", support_threshold=10).fingerprint()
+            == "fe02e847664076b3cde5e7e352ce920e"
+        )
+        fields = snapshot_cache_fields("dataset:Diseasome", 1.0)
+        assert fingerprint_fields(**fields) == "086b566f4c4e79e0f212883e134ec39b"
+        load_with_snapshot_cache(str(tmp_path), fields, lambda: encoded)
+        assert os.listdir(tmp_path) == ["086b566f4c4e79e0f212883e134ec39b.snap"]
 
     def test_dataset_digest_stable_for_equal_content(self):
         first = random_rdf(3).encode()

@@ -25,9 +25,15 @@ _RUNTIME_FLAGS = {
     "--task-timeout-seconds": "1",
 }
 
+#: The subcommands that take the runtime flags.
+_RUNTIME_COMMANDS = (
+    "discover", "funnel", "ontology", "facts", "rank", "profile", "serve"
+)
+
 #: (subcommand, option) pairs that parsed and did nothing: runtime flags
 #: on subcommands that never run RDFind, the checkpoint flags on a server
-#: whose workers own their checkpoints, and the retired granularity.
+#: whose workers own their checkpoints, the retired granularity, and the
+#: plane switch (the byte budget alone picks the plane).
 _REMOVED_PAIRS = (
     [(cmd, flag) for cmd in ("histogram", "advise", "inds") for flag in _RUNTIME_FLAGS]
     + [
@@ -38,6 +44,7 @@ _REMOVED_PAIRS = (
         (cmd, "--checkpoint")
         for cmd in ("discover", "funnel", "ontology", "facts", "rank", "profile")
     ]
+    + [(cmd, "--shuffle") for cmd in _RUNTIME_COMMANDS]
 )
 
 
@@ -94,7 +101,7 @@ class TestCli:
     def test_runtime_flags_arrive_as_config_keywords(self, tmp_path):
         argv = ["discover", "dataset:Countries", "--executor", "process",
                 "--workers", "2", "--faults", "0", "--max-retries", "3",
-                "--shuffle", "spill", "--memory-budget-bytes", "4096",
+                "--memory-budget-bytes", "4096",
                 "--spill-dir", str(tmp_path / "spill"),
                 "--task-timeout-seconds", "9",
                 "--checkpoint-dir", str(tmp_path / "ckpt"), "--resume",
@@ -104,7 +111,6 @@ class TestCli:
             "workers": 2,
             "fault_seed": 0,
             "max_retries": 3,
-            "shuffle": "spill",
             "memory_budget_bytes": 4096,
             "spill_dir": str(tmp_path / "spill"),
             "task_timeout_seconds": 9.0,
@@ -188,10 +194,11 @@ class TestCli:
     ):
         import re
 
-        discover = ["discover", "dataset:Countries", "--scale", "0.1", "-s", "5"]
+        # The budget alone picks the spill plane: there is no other switch.
+        discover = ["discover", "dataset:Countries", "--scale", "0.2", "-s", "3"]
         inline = run(capsys, *discover, "-o", str(tmp_path / "inline.json"))
         spill = run(
-            capsys, *discover, "--shuffle", "spill",
+            capsys, *discover,
             "--memory-budget-bytes", "4096", "-o", str(tmp_path / "spill.json"),
         )
         assert "spill:" not in inline

@@ -9,6 +9,7 @@ from repro.dataflow.engine import (
     SimulatedOutOfMemory,
     record_cells,
 )
+from repro.dataflow.shuffle import SpillConfig
 
 
 def env(parallelism=3, **kwargs):
@@ -141,9 +142,10 @@ class TestKeyedOperators:
 class TestStageAccounting:
     """A keyed operator's two stages have one shape on both planes."""
 
-    @pytest.mark.parametrize("shuffle", ["inline", "spill"])
-    def test_co_group_reports_one_entry_per_worker(self, shuffle):
-        with env(3, shuffle=shuffle) as environment:
+    @pytest.mark.parametrize("budget_bytes", [None, 64], ids=["inline", "spill"])
+    def test_co_group_reports_one_entry_per_worker(self, budget_bytes):
+        spill = None if budget_bytes is None else SpillConfig(budget_bytes)
+        with env(3, spill=spill) as environment:
             left = environment.from_collection(range(10), name="left")
             right = environment.from_collection(range(5, 12), name="right")
             left.co_group(

@@ -333,11 +333,19 @@ class TestStageNames:
     ]
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("shuffle", ["inline", "spill"])
-    def test_default_run_stage_sequence(self, executor, shuffle):
+    @pytest.mark.parametrize(
+        "memory_budget_bytes", [None, 4096], ids=["inline", "spill"]
+    )
+    def test_default_run_stage_sequence(self, executor, memory_budget_bytes):
         dataset = registry.load("Countries", scale=0.1, encoded=True)
         config = RDFindConfig(
-            support_threshold=5, executor=executor, workers=2, shuffle=shuffle
+            support_threshold=5,
+            executor=executor,
+            workers=2,
+            memory_budget_bytes=memory_budget_bytes,
         )
         result = RDFind(config).discover(dataset)
         assert [stage.name for stage in result.metrics.stages] == self.DEFAULT_RUN
+        # The budget alone puts the run on the spill plane.
+        spilled = result.metrics.total_spilled_runs > 0
+        assert spilled == (memory_budget_bytes is not None)

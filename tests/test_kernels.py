@@ -301,7 +301,9 @@ class TestDifferential:
         scope=st.sampled_from(sorted(_SCOPES)),
         variant=st.sampled_from(sorted(_VARIANTS)),
         executor=st.sampled_from(["serial", "process"]),
-        shuffle=st.sampled_from(["inline", "spill"]),
+        # None: the inline plane; small: many spilled runs; large: one
+        # run per task and partition.
+        memory_budget_bytes=st.sampled_from([None, 512, 1 << 30]),
         h=st.integers(min_value=1, max_value=3),
         # Saturated to roomy candidate filters: all three cases of
         # Algorithm 3 and the validation pass on int filters.
@@ -314,8 +316,8 @@ class TestDifferential:
         checkpointed=st.booleans(),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
-        self, rows, scope, variant, executor, shuffle, h, bloom_bits, bloom_hashes,
-        fault_seed, max_retries, checkpointed,
+        self, rows, scope, variant, executor, memory_budget_bytes, h, bloom_bits,
+        bloom_hashes, fault_seed, max_retries, checkpointed,
     ):
         dataset = Dataset.from_tuples(rows)
         config = _VARIANTS[variant](
@@ -324,7 +326,7 @@ class TestDifferential:
             scope=_SCOPES[scope](),
             executor=executor,
             workers=2,
-            shuffle=shuffle,
+            memory_budget_bytes=memory_budget_bytes,
             candidate_bloom_bits=bloom_bits,
             candidate_bloom_hashes=bloom_hashes,
             fault_seed=fault_seed,
@@ -388,7 +390,6 @@ class TestMemoryBudgetVerdicts:
         config = _VARIANTS[variant](
             support_threshold=5,
             memory_budget=self.BUDGET,
-            shuffle="inline",
             executor="serial",
         )
         stage, records = self.verdict(lambda: RDFind(config).discover(dataset))

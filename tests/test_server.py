@@ -24,6 +24,7 @@ import pytest
 
 from repro.cli import _load_input
 from repro.core.discovery import RDFind, RDFindConfig
+from repro.core.framing import atomic_write_json
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.server import (
     DiscoveryServer,
@@ -34,7 +35,7 @@ from repro.server import (
     ServerError,
     ServiceConfig,
 )
-from repro.server.store import atomic_write_json, read_json
+from repro.server.store import read_json
 from tests.result_oracle import result_to_dict
 
 COUNTRIES = {"dataset": "Countries", "support_threshold": 5, "scale": 0.25}
@@ -413,7 +414,6 @@ class TestRunSettings:
             run_settings={
                 "executor": "process",
                 "workers": 2,
-                "shuffle": "spill",
                 "memory_budget_bytes": 4096,
                 "fault_seed": 3,
             },

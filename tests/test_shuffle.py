@@ -1,6 +1,6 @@
 """The spilling shuffle: frames, runs, byte budgets, and equivalence.
 
-The disk-backed data plane must be a pure memory substitution: spill-mode
+The disk-backed data plane must be a pure memory substitution: spill-plane
 output byte-identical to the inline shuffle on both executor backends,
 runs protected by CRC framing (corruption and truncation are loud, never
 silent), the byte-pricing function honest against ``sys.getsizeof``, and
@@ -31,7 +31,6 @@ from repro.core.framing import (
 from repro.dataflow.engine import ExecutionEnvironment, record_bytes
 from repro.dataflow.faults import TRANSIENT, FaultPlan
 from repro.dataflow.shuffle import (
-    SHUFFLE_MODES,
     MemoryBudget,
     RunInfo,
     SpillConfig,
@@ -192,11 +191,6 @@ class TestMemoryBudget:
         assert budget.used_bytes == 0
         assert budget.peak_bytes == 120
 
-    def test_unlimited_never_exceeds(self):
-        budget = MemoryBudget(None)
-        budget.charge(10**12)
-        assert not budget.exceeded
-
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
             MemoryBudget(0)
@@ -205,9 +199,11 @@ class TestMemoryBudget:
         with pytest.raises(ValueError):
             SpillConfig(budget_bytes=0)
         with pytest.raises(ValueError):
-            SpillConfig(frame_records=0)
+            SpillConfig(budget_bytes=1, frame_records=0)
         with pytest.raises(ValueError):
-            SpillConfig(merge_fanin=1)
+            SpillConfig(budget_bytes=1, merge_fanin=1)
+        with pytest.raises(TypeError):
+            SpillConfig()  # no unbudgeted spill plane
 
 
 # ----------------------------------------------------------------------
@@ -325,10 +321,13 @@ def _skewed_records(n=4000):
     return [(i * 17) % 101 if i % 2 else 0 for i in range(n)]
 
 
-def _run_keyed_pipeline(shuffle, executor="serial", **env_kwargs):
+def _run_keyed_pipeline(budget_bytes=None, executor="serial", **env_kwargs):
+    """The pipeline inline (no budget) or spilling at ``budget_bytes``."""
     data = _skewed_records()
+    if budget_bytes is not None:
+        env_kwargs["spill"] = SpillConfig(budget_bytes=budget_bytes)
     with ExecutionEnvironment(
-        parallelism=4, executor=executor, shuffle=shuffle, **env_kwargs
+        parallelism=4, executor=executor, **env_kwargs
     ) as env:
         ds = env.from_collection(data, name="src")
         reduced = ds.reduce_by_key(_mod7, _identity, _add).partitions
@@ -345,57 +344,36 @@ def _run_keyed_pipeline(shuffle, executor="serial", **env_kwargs):
 
 class TestSpillEquivalence:
     def test_spill_matches_inline_serial(self):
-        inline, _ = _run_keyed_pipeline("inline")
-        spill, summary = _run_keyed_pipeline("spill", memory_budget_bytes=4096)
+        inline, inline_summary = _run_keyed_pipeline()
+        spill, summary = _run_keyed_pipeline(4096)
         assert spill == inline
+        assert inline_summary["spilled_runs"] == 0
         assert summary["spilled_runs"] > 0
         assert summary["spilled_bytes"] > 0
 
     def test_spill_matches_inline_process(self):
-        inline, _ = _run_keyed_pipeline("inline")
-        spill, _ = _run_keyed_pipeline(
-            "spill",
-            executor="process",
-            workers=2,
-            memory_budget_bytes=4096,
-        )
+        inline, _ = _run_keyed_pipeline()
+        spill, _ = _run_keyed_pipeline(4096, executor="process", workers=2)
         assert spill == inline
 
     def test_cross_backend_merged_order_deterministic(self):
         # Same spill config on both backends: identical partitions AND
         # identical group order within every partition (list equality).
-        serial, serial_summary = _run_keyed_pipeline(
-            "spill", memory_budget_bytes=2048
-        )
+        serial, serial_summary = _run_keyed_pipeline(2048)
         process, process_summary = _run_keyed_pipeline(
-            "spill", executor="process", workers=2, memory_budget_bytes=2048
+            2048, executor="process", workers=2
         )
         assert serial == process
         assert serial_summary["spilled_runs"] == process_summary["spilled_runs"]
         assert serial_summary["spilled_bytes"] == process_summary["spilled_bytes"]
 
-    def test_unbudgeted_spill_still_matches(self):
-        # No byte budget: one final flush per task, everything through disk.
-        inline, _ = _run_keyed_pipeline("inline")
-        spill, summary = _run_keyed_pipeline("spill")
-        assert spill == inline
-        assert summary["spilled_runs"] > 0
-
     def test_multi_pass_merge_matches(self):
-        inline, _ = _run_keyed_pipeline("inline")
+        inline, _ = _run_keyed_pipeline()
         spill, summary = _run_keyed_pipeline(
-            "spill",
-            spill_config=SpillConfig(
-                budget_bytes=512, merge_fanin=2, frame_records=16
-            ),
+            spill=SpillConfig(budget_bytes=512, merge_fanin=2, frame_records=16)
         )
         assert spill == inline
         assert summary["merge_passes"] > 0
-
-    def test_rejects_unknown_mode(self):
-        assert SHUFFLE_MODES == ("inline", "spill")
-        with pytest.raises(ValueError, match="shuffle"):
-            ExecutionEnvironment(shuffle="mmap")
 
 
 class TestBoundedMemory:
@@ -408,8 +386,7 @@ class TestBoundedMemory:
         budget_bytes = 8192
         with ExecutionEnvironment(
             parallelism=2,
-            shuffle="spill",
-            memory_budget_bytes=budget_bytes,
+            spill=SpillConfig(budget_bytes=budget_bytes),
             memory_budget=100,  # record-count simulation: ignored by spill
         ) as env:
             pairs = env.from_collection(data).reduce_by_key(
@@ -440,8 +417,7 @@ class TestBoundedMemory:
         with ExecutionEnvironment(
             parallelism=2,
             memory_budget=100,
-            shuffle="spill",
-            memory_budget_bytes=8192,
+            spill=SpillConfig(budget_bytes=8192),
         ) as env:
             ds = env.from_collection(data)
             joined = ds.co_group(ds, _identity, _identity, _count_join)
@@ -456,7 +432,7 @@ class TestBoundedMemory:
         data = list(range(3000))
         budget_bytes = 8192
         with ExecutionEnvironment(
-            parallelism=2, shuffle="spill", memory_budget_bytes=budget_bytes
+            parallelism=2, spill=SpillConfig(budget_bytes=budget_bytes)
         ) as env:
             ds = env.from_collection(data)
             joined = ds.co_group(ds, _mod7, _mod7, _count_join)
@@ -538,6 +514,11 @@ def _run_drawn(operator, left, right, parallelism, **env_kwargs):
     return out.partitions, stages
 
 
+#: A byte budget no drawn input reaches: the spill plane cuts one run per
+#: task and reduce partition, at the end.
+_LARGE_BUDGET = 1 << 30
+
+
 class TestDrawnSpillEquivalence:
     @given(
         data=st.data(),
@@ -546,14 +527,17 @@ class TestDrawnSpillEquivalence:
         operator=st.sampled_from(
             ["reduce_by_key", "flat_map_reduce_by_key", "co_group"]
         ),
-        budget_bytes=st.one_of(st.none(), st.integers(256, 8192)),
+        # None: the inline plane again; small: many cuts; large: one.
+        memory_budget_bytes=st.one_of(
+            st.none(), st.integers(256, 8192), st.just(_LARGE_BUDGET)
+        ),
         merge_fanin=st.integers(2, 8),
         frame_records=st.integers(1, 64),
     )
     @settings(max_examples=60, deadline=None)
     def test_spill_partitions_equal_inline_partitions(
-        self, data, pool, parallelism, operator, budget_bytes, merge_fanin,
-        frame_records,
+        self, data, pool, parallelism, operator, memory_budget_bytes,
+        merge_fanin, frame_records,
     ):
         left = data.draw(_keyed_records(pool, 80))
         right = data.draw(_keyed_records(pool[::-1] + [("right-only", 1)], 40))
@@ -563,9 +547,10 @@ class TestDrawnSpillEquivalence:
             left,
             right,
             parallelism,
-            shuffle="spill",
-            spill_config=SpillConfig(
-                budget_bytes=budget_bytes,
+            spill=None
+            if memory_budget_bytes is None
+            else SpillConfig(
+                budget_bytes=memory_budget_bytes,
                 merge_fanin=merge_fanin,
                 frame_records=frame_records,
             ),
@@ -581,7 +566,7 @@ class TestDrawnSpillEquivalence:
                     == len(getattr(inline_stage, shape))
                     == parallelism
                 )
-            if budget_bytes is None:
+            if memory_budget_bytes in (None, _LARGE_BUDGET):
                 # One cut per task holds exactly the inline combine table.
                 assert spill_stage.records_in == inline_stage.records_in
                 assert spill_stage.records_out == inline_stage.records_out
@@ -599,7 +584,7 @@ class TestSpillHygiene:
     def test_workspace_removed_on_close(self, tmp_path):
         spill_dir = str(tmp_path / "spills")
         env = ExecutionEnvironment(
-            parallelism=2, shuffle="spill", spill_dir=spill_dir
+            parallelism=2, spill=SpillConfig(budget_bytes=4096), spill_dir=spill_dir
         )
         env.from_collection(range(100)).reduce_by_key(
             _mod7, _identity, _add
@@ -613,7 +598,7 @@ class TestSpillHygiene:
     def test_stage_dirs_removed_between_operators(self, tmp_path):
         spill_dir = str(tmp_path / "spills")
         with ExecutionEnvironment(
-            parallelism=2, shuffle="spill", spill_dir=spill_dir
+            parallelism=2, spill=SpillConfig(budget_bytes=4096), spill_dir=spill_dir
         ) as env:
             ds = env.from_collection(range(500))
             ds.reduce_by_key(_mod7, _identity, _add)
@@ -624,9 +609,7 @@ class TestSpillHygiene:
 
     def test_inline_mode_never_touches_disk(self, tmp_path):
         spill_dir = str(tmp_path / "spills")
-        with ExecutionEnvironment(
-            parallelism=2, shuffle="inline", spill_dir=spill_dir
-        ) as env:
+        with ExecutionEnvironment(parallelism=2, spill_dir=spill_dir) as env:
             env.from_collection(range(100)).reduce_by_key(
                 _mod7, _identity, _add
             )
@@ -643,10 +626,9 @@ class TestSpillHygiene:
             crash_rate=0.0,
             forced=(("reduce_by_key", 0, TRANSIENT), ("co_group/apply", 1, TRANSIENT)),
         )
-        clean, _ = _run_keyed_pipeline("spill", memory_budget_bytes=2048)
+        clean, _ = _run_keyed_pipeline(2048)
         faulty, summary = _run_keyed_pipeline(
-            "spill",
-            memory_budget_bytes=2048,
+            2048,
             fault_plan=plan,
             spill_dir=spill_dir,
         )
@@ -680,7 +662,6 @@ class TestDiscoveryEquivalence:
     def test_spill_discovery_identical(self, dataset, inline_result, executor):
         spill = _discover(
             dataset,
-            shuffle="spill",
             memory_budget_bytes=4096,
             executor=executor,
             workers=2 if executor == "process" else None,
@@ -696,8 +677,7 @@ class TestDiscoveryEquivalence:
         for h in (2, 4, 8):
             inline = _discover(dataset, support_threshold=h)
             spill = _discover(
-                dataset, support_threshold=h, shuffle="spill",
-                memory_budget_bytes=2048,
+                dataset, support_threshold=h, memory_budget_bytes=2048
             )
             assert spill.cinds == inline.cinds
             assert spill.association_rules == inline.association_rules
@@ -711,7 +691,6 @@ class TestDiscoveryEquivalence:
             RDFindConfig.direct_extraction(
                 support_threshold=2,
                 parallelism=4,
-                shuffle="spill",
                 memory_budget_bytes=2048,
             )
         ).discover(dataset)
@@ -719,9 +698,9 @@ class TestDiscoveryEquivalence:
 
 
 class TestConfigPlumbing:
-    def test_rejects_unknown_shuffle(self):
-        with pytest.raises(ValueError, match="shuffle"):
-            RDFindConfig(shuffle="tape")
+    def test_the_byte_budget_is_the_only_plane_knob(self):
+        with pytest.raises(TypeError, match="shuffle"):
+            RDFindConfig(shuffle="spill")
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError, match="memory_budget_bytes"):
@@ -750,7 +729,6 @@ class TestConfigPlumbing:
             workers=None,
             fault_seed=None,
             max_retries=None,
-            shuffle="inline",
             memory_budget_bytes=None,
             spill_dir=None,
             checkpoint_dir=None,

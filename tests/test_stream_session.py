@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.framing import write_frame
+from repro.core.framing import fingerprint_fields, write_frame
 from repro.core.serialization import dump_result
-from repro.dataflow.checkpoint import fingerprint_fields
 from repro.streaming import ChangeLogCorruptError
 from repro.streaming.session import StreamSession
 from tests.conftest import random_rdf
