@@ -159,14 +159,14 @@ def extract_broad_cinds(
     # materialized.  Non-dominant groups emit the group frozenset itself
     # as the initial reference set (shared, not copied per dependent) and
     # a materialize step removes each dependent from its own final set
-    # (see _materialize_shared_refs).
+    # (see _materialize_shared_refs); _CandidateMerger keeps it shared.
     #
     # Under a record-count memory budget the combiner *state* (one
     # referenced set per dependent capture seen so far) is priced —
     # exactly the footprint that kills RDFind-DE on dominant groups.
     merged = groups.flat_map_reduce_by_key(
         _SharedRefsCandidateEmitter(masks, average_load),
-        partial(_merge_candidate_values, masks),
+        _CandidateMerger(masks),
         state_cost_fn=(
             _candidate_state_cost if env.memory_budget is not None else None
         ),
@@ -295,6 +295,10 @@ class _SharedRefsCandidateEmitter:
     :func:`_materialize_shared_refs` removes it and recomputes the
     approx flag.
 
+    Every member of a group gets the *same* value tuple, and
+    :class:`_CandidateMerger` keeps it shared: members with the same
+    group history hold one reference-set object, not equal copies.
+
     A module-level class so the fused combine task stays picklable under
     the process executor.
     """
@@ -342,6 +346,9 @@ def _candidate_state_cost(value: CandidateValue) -> int:
 
     An exact set costs one cell per member: the shared set holds the
     referenced captures plus the dependent itself, i.e. ``|refs| + 1``.
+    Every dependent pays for its own set even where the fold shares one
+    object between several (:class:`_CandidateMerger`): the budget
+    models the paper's per-dependent combiner state, not this process's.
     """
     refs, _count, _approx = value
     if type(refs) is int:
@@ -417,6 +424,47 @@ def _merge_candidate_values(
         exact, bloom = (refs_b, refs_a) if type(refs_a) is int else (refs_a, refs_b)
         refs = _probe_members(masks, exact, bloom)
     return refs, count_a + count_b, (approx_a or approx_b) and bool(refs)
+
+
+class _CandidateMerger:
+    """:func:`_merge_candidate_values` with each exact meet computed once.
+
+    The fold calls ``merge(state, incoming)`` pair by pair, and the
+    incoming reference set is often one object over a run of calls: on
+    the map side one group's emission, on the reduce side the pairs that
+    carry one partition's shared partial.  Within such a run, dependents
+    whose accumulated sets are one object get one result object back, so
+    sharing cascades down the fold.  The memo is keyed by ``id(refs_a)``
+    and keeps ``refs_a`` alive, so an id is not reused within the run; it
+    is emptied when the right-hand object changes (a stage-long memo
+    would keep every intermediate meet alive) and dropped on pickling.
+    Bloom-valued operands bypass it.
+    """
+
+    __slots__ = ("masks", "right", "meets")
+
+    def __init__(self, masks: _Memo) -> None:
+        self.masks = masks
+        self.right: Optional[FrozenSet[int]] = None
+        self.meets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
+
+    def __reduce__(self):
+        return _CandidateMerger, (self.masks,)
+
+    def __call__(self, a: CandidateValue, b: CandidateValue) -> CandidateValue:
+        refs_a, refs_b = a[0], b[0]
+        if type(refs_a) is int or type(refs_b) is int:
+            return _merge_candidate_values(self.masks, a, b)
+        if refs_b is not self.right:
+            self.right = refs_b
+            self.meets = {}
+        hit = self.meets.get(id(refs_a))
+        if hit is None:
+            merged = _merge_candidate_values(self.masks, a, b)
+            self.meets[id(refs_a)] = (refs_a, merged[0])
+            return merged
+        refs = hit[1]
+        return refs, a[1] + b[1], (a[2] or b[2]) and bool(refs)
 
 
 def _probe_members(masks: _Memo, exact, bloom: int) -> FrozenSet[int]:

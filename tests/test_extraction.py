@@ -1,20 +1,27 @@
 """Tests for the CINDExtractor (broad CIND extraction from groups)."""
 
+import pickle
+from functools import partial
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import extraction
 from repro.core.capture_groups import create_capture_groups
 from repro.core.cind import CIND, Capture, capture_code, code_capture
 from repro.core.extraction import (
     ExtractionConfig,
+    _CandidateMerger,
+    _merge_candidate_values,
     extract_broad_cinds,
 )
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
+from repro.dataflow.bloom import int_key_mask
 from repro.dataflow.engine import ExecutionEnvironment, SimulatedOutOfMemory
 from repro.dataflow.kernels import batch_dataset
+from repro.datasets import registry
 from repro.rdf.model import Dataset
 from tests.conftest import random_rdf
 
@@ -154,6 +161,132 @@ class TestIntCandidateFilters:
         )
         assert broad == exact
         assert broad_as_set(broad) == oracle_broad_set(encoded, 1)
+
+
+def small_masks():
+    return extraction._Memo(partial(int_key_mask, num_bits=64, num_hashes=2))
+
+
+@st.composite
+def group_emissions(draw):
+    """Group emissions as the emitter makes them, cut into two map tasks.
+
+    A group hands all its members one value; its reference set is a pool
+    set itself (shared with other groups), an equal copy of one, or a
+    Bloom filter over one.  Counts and approx flags are drawn freely.
+    """
+    masks = small_masks()
+    pool = draw(st.lists(
+        st.frozensets(st.integers(0, 12), max_size=8), min_size=1, max_size=4
+    ))
+    groups = []
+    for _ in range(draw(st.integers(1, 12))):
+        base = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["shared", "copy", "filter"]))
+        if kind == "filter":
+            bloom = 0
+            for capture in base:
+                bloom |= masks[capture]
+            value = (bloom, draw(st.integers(1, 3)), True)
+        else:
+            refs = base if kind == "shared" else frozenset(set(base))
+            value = (refs, draw(st.integers(1, 3)), draw(st.booleans()))
+        members = draw(st.lists(
+            st.integers(0, 6), min_size=1, max_size=6, unique=True
+        ))
+        groups.append((value, members))
+    cut = draw(st.integers(0, len(groups)))
+    return masks, (groups[:cut], groups[cut:])
+
+
+def fold(merge, tasks, after_call=lambda: None):
+    """The engine's fold: a combine table per map task, then the reduce."""
+
+    def merged(table, key, value):
+        if key in table:
+            table[key] = merge(table[key], value)
+            after_call()
+        else:
+            table[key] = value
+
+    tables = []
+    for task in tasks:
+        table = {}
+        for value, members in task:
+            for key in members:
+                merged(table, key, value)
+        tables.append(table)
+    out = {}
+    for table in tables:
+        for key, value in table.items():
+            merged(out, key, value)
+    return out
+
+
+class TestSharedMeets:
+    """``_CandidateMerger`` is ``_merge_candidate_values``, meets shared."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_emissions())
+    def test_fold_equals_the_plain_fold(self, drawn):
+        masks, tasks = drawn
+        merger = _CandidateMerger(masks)
+
+        def memo_is_one_run():
+            right = merger.right
+            assert all(
+                result == left & right for left, result in merger.meets.values()
+            )
+
+        shared = fold(merger, tasks, memo_is_one_run)
+        assert shared == fold(partial(_merge_candidate_values, masks), tasks)
+
+    def test_identical_operands_yield_one_result_object(self):
+        merger = _CandidateMerger(small_masks())
+        left, right = frozenset({1, 2, 3}), frozenset({2, 3, 4})
+        first = merger((left, 1, False), (right, 1, False))
+        second = merger((left, 2, True), (right, 1, False))
+        assert first == (frozenset({2, 3}), 2, False)
+        assert second == (frozenset({2, 3}), 3, True)
+        assert second[0] is first[0]
+        # An equal but distinct right-hand set starts a new run.
+        third = merger((left, 1, False), (frozenset(set(right)), 1, False))
+        assert third == first and third[0] is not first[0]
+
+    def test_the_memo_holds_one_run_and_is_not_pickled(self):
+        masks = small_masks()
+        merger = _CandidateMerger(masks)
+        lefts = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
+        right = frozenset({1, 2, 3})
+        for left in lefts:
+            merger((left, 1, False), (right, 1, False))
+        assert len(merger.meets) == 3
+        # Bloom-valued operands bypass the memo.
+        merger((lefts[0], 1, False), (masks[1] | masks[2], 1, True))
+        merger((masks[2], 1, True), (right, 1, False))
+        assert merger.right is right and len(merger.meets) == 3
+        clone = pickle.loads(pickle.dumps(merger))
+        assert clone.meets == {} and clone.right is None
+        assert clone.masks[5] == masks[5]
+        other = frozenset({2, 3, 4})
+        merger((lefts[0], 1, False), (other, 1, False))
+        assert merger.right is other
+        assert list(merger.meets.values()) == [(lefts[0], frozenset({2}))]
+
+    def test_countries_dependents_share_reference_sets(self):
+        outputs = []
+        materialize = extraction._materialize_shared_refs
+
+        def spy(pair):
+            outputs.append(pair)
+            return materialize(pair)
+
+        encoded = registry.load("Countries", scale=0.2, encoded=True)
+        with mock.patch.object(extraction, "_materialize_shared_refs", spy):
+            run_extraction(encoded, 3)
+        exact = [refs for _dependent, (refs, _n, _a) in outputs if type(refs) is not int]
+        assert len(exact) > 100
+        assert len({id(refs) for refs in exact}) < len(exact)
 
 
 class TestCodesInsideCapturesOutside:
