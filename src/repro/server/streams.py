@@ -98,7 +98,11 @@ class StreamManager:
                 f"unknown scope {scope_name!r} (use 'full' or 'predicates')"
             )
         compact_every = body.get("compact_every", DEFAULT_COMPACT_EVERY)
-        if not isinstance(compact_every, int) or compact_every < 0:
+        if (
+            not isinstance(compact_every, int)
+            or isinstance(compact_every, bool)
+            or compact_every < 0
+        ):
             raise BadRequestError(
                 f"compact_every must be a non-negative integer, got {compact_every!r}"
             )

@@ -3,10 +3,11 @@
 Re-running discovery from scratch per update batch is wasteful, so this
 module maintains the discovery state incrementally:
 
-* per-condition posting sets — their sizes are the exact condition
-  frequencies — so that a condition *crossing* the support threshold
-  back-fills its captures from the already-seen triples (the subtle part
-  of maintaining the frequent-condition pruning online);
+* per-unary-condition posting sets and per-binary-condition counts —
+  the exact condition frequencies — so that a condition *crossing* the
+  support threshold back-fills its captures from the already-seen
+  triples (a binary one from the meet of its two unary postings; the
+  subtle part of maintaining the frequent-condition pruning online);
 * capture groups (Lemma 3's structure) and, per capture, its live-witness
   counts, whose key view is the interpretation and whose size the support;
 * a per-dependent cache of referenced-capture intersections (*rows*),
@@ -45,7 +46,7 @@ stop early.  One event changes one ``(capture, value)`` pair:
 Both rules only remove false and add true members, whatever the row's
 state.  Per-event work is bounded by the members that hold a cached row,
 not by group size, and adds arrive in bulk (:meth:`StreamingRDFind.add_all`:
-postings first, each touched condition looked at once, activations
+frequencies first, each touched condition looked at once, activations
 counted rather than replayed), so a bulk add pays nothing for rows it
 does not change — into cold state nothing is cached, into warm state
 only cached members of the groups it reaches are looked at — and a
@@ -216,9 +217,10 @@ class StreamingRDFind:
         }
         self._unposted = [a for a in map(int, ALL_ATTRS) if a not in attrs]
 
-        #: condition -> ids of the live triples satisfying it; its size
-        #: is the condition's frequency.
+        #: unary condition -> ids of the live triples satisfying it, whose
+        #: size is its frequency; binary condition -> its frequency (> 0).
         self._postings: Dict[Tuple[int, ...], Set[int]] = {}
+        self._counts: Dict[Tuple[int, ...], int] = {}
         self._active: Set[Tuple[int, ...]] = set()
 
         # Lemma 3 structures over capture codes: value -> captures, and
@@ -292,11 +294,12 @@ class StreamingRDFind:
     def add_all_encoded(self, triples: Iterable[EncodedTriple]) -> int:
         """:meth:`add_all` at id level — the one add path, bulk by construction.
 
-        Stores the new triples, extends the postings shape by shape, and
-        only then looks at each touched condition once: an active one
-        gains what the new triples show (the per-event rule, so cached
-        rows stay exact), one that reached h is activated from its whole
-        posting.  The state reached is a function of the live triple set.
+        Stores the new triples, extends the postings and counts shape by
+        shape, and only then looks at each touched condition once: an
+        active one gains what the new triples show (the per-event rule, so
+        cached rows stay exact), one that reached h is activated from all
+        its live triples.  The state reached is a function of the live
+        triple set.
         """
         ids: List[int] = []
         fresh: List[EncodedTriple] = []
@@ -308,22 +311,24 @@ class StreamingRDFind:
                 ids.append(triple_id)
                 fresh.append(triple)
         self.stats.triples_added += len(fresh)
-        postings, active, h = self._postings, self._active, self.h
+        postings, counts, active, h = self._postings, self._counts, self._active, self.h
         for beta, gamma, feeds in self._plan:
             gained: Dict[Tuple[int, ...], List[EncodedTriple]] = {}
             crossed: Set[Tuple[int, ...]] = set()
             for triple_id, triple in zip(ids, fresh):
                 if gamma is None:
                     condition = (beta, triple[beta])
+                    posting = postings.get(condition)
+                    if posting is None:
+                        posting = postings[condition] = set()
+                    posting.add(triple_id)
+                    count = len(posting)
                 else:
                     condition = (beta, triple[beta], gamma, triple[gamma])
-                posting = postings.get(condition)
-                if posting is None:
-                    posting = postings[condition] = set()
-                posting.add(triple_id)
+                    count = counts[condition] = counts.get(condition, 0) + 1
                 if condition in active:
                     gained.setdefault(condition, []).append(triple)
-                elif len(posting) >= h:
+                elif count >= h:
                     crossed.add(condition)
             self._resized.update(gained)
             for condition, shown in gained.items():
@@ -347,15 +352,21 @@ class StreamingRDFind:
                 del self._first[term]
                 self._moved.add(term)
                 self.stats.terms_repositioned += 1
-        postings, active, h = self._postings, self._active, self.h
+        postings, counts, active, h = self._postings, self._counts, self._active, self.h
         for condition, feeds in self._conditions(encoded):
-            posting = postings[condition]
-            posting.discard(triple_id)
-            if not posting:
-                del postings[condition]
+            if len(condition) == 2:
+                posting = postings[condition]
+                posting.discard(triple_id)
+                count = len(posting)
+                if not count:
+                    del postings[condition]
+            else:
+                count = counts.pop(condition) - 1
+                if count:
+                    counts[condition] = count
             if condition in active:
                 self._resized.add(condition)
-                if len(posting) < h:
+                if count < h:
                     self._deactivate(condition, feeds)
                 else:
                     for alpha, code in _fed(condition, feeds):
@@ -373,17 +384,24 @@ class StreamingRDFind:
     # -- threshold transitions -----------------------------------------
 
     def _activate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
-        """A condition crossed *up* to h: back-fill from its live posting.
+        """A condition crossed *up* to h: back-fill from its live triples.
 
-        Each fed capture starts empty (one condition feeds it), so its
-        witness counts are one ``Counter`` over the posting's rows; it then
-        joins its groups value by value as :meth:`_gain` would, its
-        interpretation already final.
+        A unary condition's are its posting, a binary one's the meet of
+        its two unary parts' postings (it keeps only a count).  Each fed
+        capture starts empty (one condition feeds it), so its witness
+        counts are one ``Counter`` over those rows; it then joins its
+        groups value by value as :meth:`_gain` would, its interpretation
+        already final.
         """
         self._active.add(condition)
         self._resized.add(condition)
         self.stats.conditions_activated += 1
-        rows = list(map(self.store.triple, self._postings[condition]))
+        postings = self._postings
+        if len(condition) == 2:
+            ids = postings[condition]
+        else:
+            ids = postings[condition[:2]] & postings[condition[2:]]
+        rows = list(map(self.store.triple, ids))
         groups, cache, touched = self._groups, self._refs_cache, self._touched
         for alpha, code in _fed(condition, feeds):
             witnesses = dict(Counter(map(itemgetter(alpha), rows)))
@@ -586,9 +604,9 @@ class StreamingRDFind:
     def association_rules(self) -> List[SupportedAR]:
         """Exact ARs among the currently frequent conditions (Lemma 2).
 
-        ``lhs → rhs`` is exact iff ``freq(lhs ∧ rhs) == freq(lhs)``, both
-        posting sizes that only an update holding ``lhs`` moves: just the
-        conditions resized since the last call are looked at again, where
+        ``lhs → rhs`` is exact iff ``freq(lhs ∧ rhs) == freq(lhs)``, a binary
+        count and a posting size only an update holding ``lhs`` moves: just
+        the conditions resized since the last call are looked at again, where
         any triple of ``lhs`` shows the one possible ``rhs``.  Document order.
         """
         postings, rules, position = self._postings, self._rules, self._position
@@ -603,7 +621,7 @@ class StreamingRDFind:
                     partner = self.store.triple(next(iter(posting)))[other]
                     lhs, rhs = (attr, value), (other, partner)
                     binary = lhs + rhs if attr < other else rhs + lhs
-                    if len(postings.get(binary, ())) == count:
+                    if self._counts.get(binary, 0) == count:
                         sides = (UnaryCondition(Attr(a), v) for a, v in (lhs, rhs))
                         rule = SupportedAR(AssociationRule(*sides), count)
                         key = (attr, position(value)), (other, position(partner))

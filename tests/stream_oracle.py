@@ -2,14 +2,15 @@
 
 What ``StreamingRDFind.document_json()`` did per query before it kept
 its rows, positions, rules and blocks between queries: intersect every
-row afresh, join the exact ARs over every active condition, filter the
+row afresh, join the exact ARs over every frequent condition, filter the
 AR-embedding captures out, consolidate, walk the whole store for every
 term's first occurrence, sort every row and encode the lot.  It reads
-the maintainer's evidence (postings, groups, witnesses) and none of its
-caches, so it is the reference the incremental document must equal byte
-for byte at every point.
+the live triples, the maintainer's evidence (groups, witnesses) and none
+of its caches or condition frequencies, so it is the reference the
+incremental document must equal byte for byte at every point.
 """
 
+from collections import Counter
 from itertools import chain
 
 from repro.core.cind import (
@@ -17,7 +18,7 @@ from repro.core.cind import (
     SupportedAR,
     code_capture,
 )
-from repro.core.conditions import UnaryCondition, is_binary
+from repro.core.conditions import UnaryCondition, conditions_of_triple, is_binary
 from repro.core.serialization import ResultEncoder, result_pieces
 from repro.rdf.model import Attr
 from repro.streaming.maintainer import BATCH_VARIANT
@@ -49,18 +50,26 @@ def rows_from_scratch(maintainer):
 
 
 def rules_from_scratch(maintainer):
-    """Exact ARs: the join over every active binary condition."""
-    postings = maintainer._postings
+    """Exact ARs: the join over every frequent binary condition.
+
+    The frequencies are counted afresh from the live triples, not read
+    from the maintainer's postings or counts, so a miscount there shows.
+    """
+    frequencies = Counter(
+        chain.from_iterable(
+            conditions_of_triple(triple, maintainer.scope)
+            for triple in maintainer.store.live()
+        )
+    )
     rules = []
-    for condition in maintainer._active:
-        if len(condition) != 4:
+    for condition, count in frequencies.items():
+        if not is_binary(condition) or count < maintainer.h:
             continue
-        count = len(postings[condition])
         first = UnaryCondition(Attr(condition[0]), condition[1])
         second = UnaryCondition(Attr(condition[2]), condition[3])
-        if len(postings[first]) == count:
+        if frequencies[first] == count:
             rules.append(SupportedAR(AssociationRule(first, second), count))
-        if len(postings[second]) == count:
+        if frequencies[second] == count:
             rules.append(SupportedAR(AssociationRule(second, first), count))
     return rules
 

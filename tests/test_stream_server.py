@@ -129,6 +129,17 @@ class TestStreamEndpoints:
                             body={"rows": []})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("compact_every", [True, False, -1, "5", 2.5])
+    def test_compact_every_must_be_a_plain_integer(self, served, compact_every):
+        """``true`` is no cadence: as an int it would compact after every
+        record, so it is refused like ``support_threshold: true``."""
+        _server, client = served
+        with pytest.raises(ServerError) as excinfo:
+            client.create_stream(support_threshold=2, compact_every=compact_every)
+        assert excinfo.value.status == 400
+        assert "compact_every" in str(excinfo.value)
+        assert client.streams() == []
+
 
 class TestStreamManager:
     def test_manager_recovery_without_http(self, tmp_path):

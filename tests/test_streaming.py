@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,7 +362,7 @@ class TestBulkAdd:
         h=st.integers(min_value=1, max_value=4),
     )
     def test_bulk_add_equals_one_add_at_a_time(self, script, scope, h):
-        """Cold or warm, before or after a query: postings, active set,
+        """Cold or warm, before or after a query: postings, counts, active set,
         witness counts, groups and every counter but the walk-order
         dependent ``groups_intersected`` agree after each op, the served
         rows and bytes after each query, and the bulk side keeps the
@@ -384,7 +385,7 @@ class TestBulkAdd:
                 assert bulk._refs_cache == twin._refs_cache
                 assert not bulk._dirty
             assert list(bulk.store.live()) == list(twin.store.live())
-            for state in ("_postings", "_active", "_witnesses", "_groups"):
+            for state in ("_postings", "_counts", "_active", "_witnesses", "_groups"):
                 assert getattr(bulk, state) == getattr(twin, state), state
             ours, theirs = bulk.stats.to_dict(), twin.stats.to_dict()
             del ours["groups_intersected"], theirs["groups_intersected"]
@@ -408,6 +409,83 @@ class TestBulkAdd:
         with pytest.raises(IndexError):
             maintainer.add_all([("a", "p", "b"), ("a", "p")])
         assert maintainer.triples == 0 and not maintainer._postings
+        assert not maintainer._counts
+
+
+def assert_frequencies(maintainer):
+    """Unary postings and binary counts, recounted from the live triples."""
+    postings, counts = {}, Counter()
+    store = maintainer.store
+    for triple in store.live():
+        for condition in conditions_of_triple(triple, maintainer.scope):
+            if len(condition) == 2:
+                postings.setdefault(tuple(condition), set()).add(store._ids[triple])
+            else:
+                counts[tuple(condition)] += 1
+    assert maintainer._postings == postings
+    assert maintainer._counts == counts
+    assert all(len(condition) == 2 for condition in maintainer._postings)
+    assert all(len(condition) == 4 for condition in maintainer._counts)
+    assert all(count > 0 for count in maintainer._counts.values())
+    assert maintainer._active == {
+        condition
+        for condition, frequency in itertools.chain(
+            ((c, len(ids)) for c, ids in postings.items()), counts.items()
+        )
+        if frequency >= maintainer.h
+    }
+
+
+class TestConditionFrequencies:
+    """A unary condition keeps its posting, a binary one only its count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        script=_script,
+        scope=st.sampled_from(sorted(_SCOPES)),
+        h=st.integers(min_value=1, max_value=4),
+    )
+    def test_postings_and_counts_follow_the_live_triples(self, script, scope, h):
+        maintainer = StreamingRDFind(h=h, scope=_SCOPES[scope]())
+        live = []
+        for op, *args in script:
+            if op == "add":
+                if maintainer.add(tuple(args)):
+                    live.append(tuple(args))
+            elif op == "remove":
+                if live:
+                    assert maintainer.remove(live.pop(args[0] % len(live)))
+            else:
+                maintainer.document_json()
+            assert_frequencies(maintainer)
+
+    def test_a_binary_condition_back_fills_from_the_meet_of_its_parts(self):
+        """``p=p ∧ o=x`` drops below h and crosses it again: its captures
+        are rebuilt from ``posting(p=p) & posting(o=x)``, which hold more
+        than the meet, into the witnesses a fresh maintainer builds."""
+        maintainer = StreamingRDFind(h=2)
+        maintainer.add_all(
+            [("a", "p", "x"), ("b", "p", "x"), ("c", "p", "y"), ("d", "q", "x")]
+        )
+        lookup = maintainer.dictionary.lookup
+        binary = (1, lookup("p"), 2, lookup("x"))
+        assert binary in maintainer._active and maintainer._counts[binary] == 2
+        maintainer.document_json()
+        assert maintainer.remove(("b", "p", "x"))
+        assert binary not in maintainer._active and maintainer._counts[binary] == 1
+        maintainer.document_json()
+        activated = maintainer.stats.conditions_activated
+        assert maintainer.add(("e", "p", "x"))
+        assert binary in maintainer._active
+        assert maintainer.stats.conditions_activated > activated
+        unary = maintainer._postings[binary[:2]], maintainer._postings[binary[2:]]
+        assert all(len(ids) == 3 for ids in unary) and len(unary[0] & unary[1]) == 2
+        fresh = StreamingRDFind(h=2, store=DeltaStore(maintainer.dictionary))
+        fresh.add_all_encoded(list(maintainer.store.live()))
+        assert maintainer._witnesses == fresh._witnesses
+        assert maintainer._groups == fresh._groups
+        assert maintainer.document_json() == fresh.document_json()
+        assert maintainer.document_json() == document_from_scratch(maintainer)
 
 
 def replayed(script, h, scope):
@@ -567,7 +645,7 @@ class TestCodesInsideCapturesOutside:
         # Conditions are plain tuples of plain ints.
         assert all(
             type(condition) is tuple and all(type(x) is int for x in condition)
-            for condition in maintainer._postings
+            for condition in itertools.chain(maintainer._postings, maintainer._counts)
         )
 
         returned = list(broad)
