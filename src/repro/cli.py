@@ -131,11 +131,19 @@ def _fetch_endpoint_input(url: str) -> EncodedDataset:
 
 
 def non_negative_int(text: str) -> int:
-    """The ``-n/--limit`` type: how many rows to print."""
-    limit = int(text)
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {limit}")
-    return limit
+    """A count where 0 is meaningful: ``-n/--limit``, a cadence."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """A count of at least 1: ``stream -s``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _scope(name: str) -> ConditionScope:
@@ -675,13 +683,14 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     Opens (or resumes) a :class:`~repro.streaming.session.StreamSession`,
     optionally bulk-loads an initial dataset on first open, applies an
-    update script (JSON-lines of ``{"op", "s", "p", "o"}``), and emits
-    result summaries at a configurable cadence.  With ``-o`` the final
-    result document is byte-identical to ``rdfind discover -o`` on the
-    materialized dataset.
+    update script (JSON-lines of ``{"op", "s", "p", "o"}``) in batches of
+    ``--emit-every`` (a bad line's batch is never logged), and prints a
+    summary after each.  With ``-o`` the final result document is
+    byte-identical to ``rdfind discover -o`` on the materialized dataset.
     """
     import json as _json
 
+    from repro.streaming.changelog import parse_delta
     from repro.streaming.session import StreamSession
 
     _require_writable_dir(args.state_dir, flag="state dir")
@@ -723,25 +732,23 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
         if args.updates:
             applied = 0
+            batch = []
             with open(args.updates, "r", encoding="utf-8") as handle:
                 for line_no, line in enumerate(handle, 1):
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        delta = _json.loads(line)
-                        op, s, p, o = (
-                            delta["op"], delta["s"], delta["p"], delta["o"]
-                        )
-                    except (ValueError, KeyError, TypeError) as error:
+                        batch.append(parse_delta(_json.loads(line)))
+                    except ValueError as error:
                         raise SystemExit(
                             f"error: {args.updates}:{line_no}: bad delta ({error})"
                         )
-                    session.apply(op, s, p, o)
-                    applied += 1
-                    if args.emit_every and applied % args.emit_every == 0:
+                    if len(batch) == args.emit_every:
+                        applied += session.apply_batch(batch)["applied"]
+                        batch = []
                         emit(f"after {applied:,} updates")
-            session.changelog.sync()
+            applied += session.apply_batch(batch)["applied"]
             print(f"applied {applied:,} updates from {args.updates}")
 
         emit("final")
@@ -992,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reopening it resumes from the last checkpoint",
     )
     stream.add_argument(
-        "-s", "--support", type=int, default=25, help="support threshold h"
+        "-s", "--support", type=positive_int, default=25, help="support threshold h"
     )
     stream.add_argument(
         "--scope", choices=("full", "predicates"), default="full",
@@ -1012,11 +1019,11 @@ def build_parser() -> argparse.ArgumentParser:
         "object per line, op in {add, remove}",
     )
     stream.add_argument(
-        "--emit-every", type=int, default=0,
-        help="print a result summary every N applied updates (0 = only at end)",
+        "--emit-every", type=non_negative_int, default=0,
+        help="apply updates in batches of N, summarizing after each (0 = one batch)",
     )
     stream.add_argument(
-        "--compact-every", type=int, default=0,
+        "--compact-every", type=non_negative_int, default=0,
         help="checkpoint the stream state every N applied records "
         "(0 = only with --compact-on-exit)",
     )

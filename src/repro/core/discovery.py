@@ -89,8 +89,6 @@ class RDFindConfig:
     prune_capture_support / balance_dominant_groups:
         Second lazy-pruning phase and the dominant-group machinery.
         Both ``False`` = RDFind-DE.
-    bloom_fp_rate:
-        False-positive rate of the frequent-condition Bloom filters.
     candidate_bloom_bits / candidate_bloom_hashes:
         Geometry of the per-dominant-group candidate filters (the paper's
         64-byte setting is the default).
@@ -164,7 +162,6 @@ class RDFindConfig:
     prune_infrequent_conditions: bool = True
     prune_capture_support: bool = True
     balance_dominant_groups: bool = True
-    bloom_fp_rate: float = DEFAULT_FP_RATE
     candidate_bloom_bits: int = DEFAULT_CANDIDATE_BLOOM_BITS
     candidate_bloom_hashes: int = DEFAULT_CANDIDATE_BLOOM_HASHES
     memory_budget: Optional[int] = None
@@ -452,7 +449,6 @@ class RDFind:
                     batches,
                     h=config.support_threshold,
                     scope=config.scope,
-                    fp_rate=config.bloom_fp_rate,
                 )
 
             frequent: Optional[FrequentConditions] = None
@@ -568,7 +564,7 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
         prune_infrequent_conditions=config.prune_infrequent_conditions,
         prune_capture_support=config.prune_capture_support,
         balance_dominant_groups=config.balance_dominant_groups,
-        bloom_fp_rate=config.bloom_fp_rate,
+        bloom_fp_rate=DEFAULT_FP_RATE,
         candidate_bloom_bits=config.candidate_bloom_bits,
         candidate_bloom_hashes=config.candidate_bloom_hashes,
         memory_budget=config.memory_budget,

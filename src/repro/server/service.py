@@ -210,13 +210,13 @@ class JobService:
                 except Exception:  # noqa: BLE001
                     pass
             self._logs.clear()
+        if graceful:
+            # The sweep a hard death would have gotten from the registry,
+            # the job dir's ``*.tmp`` litter included: its token is still in.
+            workspace.cleanup_registered()
         if self._workspace_token is not None:
             workspace.unregister(self._workspace_token)
             self._workspace_token = None
-        if graceful:
-            # The sweep a hard death would have gotten from the registry.
-            workspace.cleanup_registered()
-            self._sweep_tmp_litter()
 
     def stop_admitting(self) -> None:
         """First phase of graceful shutdown: reject new submissions."""
@@ -225,15 +225,6 @@ class JobService:
     @property
     def admitting(self) -> bool:
         return self._admitting
-
-    def _sweep_tmp_litter(self) -> None:
-        for dirpath, _dirnames, filenames in os.walk(self.store.directory):
-            for filename in filenames:
-                if filename.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(dirpath, filename))
-                    except OSError:
-                        pass
 
     def _recover_orphans(self) -> None:
         """Reconcile records left behind by a dead server.

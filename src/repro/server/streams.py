@@ -13,7 +13,9 @@ directories under ``<root>/``::
 
 A restarted server reopens every stream directory it finds — recovery is
 the session's own checkpoint-plus-suffix replay, so a server bounce
-costs a changelog suffix, not a rebuild.
+costs a changelog suffix, not a rebuild; one with no readable
+``stream.json`` is skipped with a warning, its id still taken.  A bad
+delta (``DeltaError``) makes its whole batch a 400 with nothing applied.
 
 Endpoints (wired in :mod:`repro.server.routes`)::
 
@@ -29,19 +31,23 @@ Endpoints (wired in :mod:`repro.server.routes`)::
 
 from __future__ import annotations
 
-import json
 import os
+import re
+import sys
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.conditions import ConditionScope
 from repro.core.framing import atomic_write_json
 from repro.server.service import BadRequestError, UnknownJobError
+from repro.server.store import read_json
+from repro.streaming.changelog import DeltaError
 from repro.streaming.session import StreamSession
 
 __all__ = ["StreamManager"]
 
 _META_NAME = "stream.json"
+_STREAM_ID_RE = re.compile(r"^st-(\d{6,})$")
 #: Delta batches beyond this are rejected (mirrors MAX_BODY_BYTES intent).
 MAX_DELTAS_PER_BATCH = 100_000
 #: Default compaction cadence for server-managed streams.
@@ -66,15 +72,20 @@ class StreamManager:
 
     def _recover(self) -> None:
         for name in sorted(os.listdir(self.root_dir)):
-            meta_path = os.path.join(self.root_dir, name, _META_NAME)
-            if not os.path.isfile(meta_path):
+            matched = _STREAM_ID_RE.match(name)
+            if matched is None:
                 continue
-            with open(meta_path, "r", encoding="utf-8") as stream:
-                meta = json.load(stream)
+            # Taken whether or not it opens: its changelog is still on disk.
+            self._next_index = max(self._next_index, int(matched.group(1)) + 1)
+            meta = read_json(os.path.join(self.root_dir, name, _META_NAME))
+            if not isinstance(meta, dict):
+                print(
+                    f"streams: skipping {name}: {_META_NAME} is missing or unreadable",
+                    file=sys.stderr,
+                )
+                continue
             self._sessions[name] = self._open_session(name, meta)
             self._stream_locks[name] = threading.Lock()
-            index = int(name.rsplit("-", 1)[-1])
-            self._next_index = max(self._next_index, index + 1)
 
     def _open_session(self, stream_id: str, meta: Dict[str, Any]) -> StreamSession:
         return StreamSession(
@@ -156,22 +167,12 @@ class StreamManager:
                 f"batch of {len(deltas)} deltas exceeds "
                 f"{MAX_DELTAS_PER_BATCH}"
             )
-        for index, delta in enumerate(deltas):
-            if not isinstance(delta, dict):
-                raise BadRequestError(f"delta #{index} is not an object")
-            op = delta.get("op")
-            if op not in ("add", "remove"):
-                raise BadRequestError(
-                    f"delta #{index} has unknown op {op!r} (use add/remove)"
-                )
-            for field in ("s", "p", "o"):
-                if not isinstance(delta.get(field), str):
-                    raise BadRequestError(
-                        f"delta #{index} is missing string field {field!r}"
-                    )
         session = self._session(stream_id)
         with self._locked(stream_id):
-            counts = session.apply_batch(deltas)
+            try:
+                counts = session.apply_batch(deltas)
+            except DeltaError as error:
+                raise BadRequestError(str(error)) from None
             return dict(counts, id=stream_id, last_seq=session.applied_seq)
 
     def results(self, stream_id: str) -> Dict[str, Any]:

@@ -28,7 +28,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import BinaryIO, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.framing import (
     FrameCorruptionError,
@@ -44,6 +45,8 @@ __all__ = [
     "ChangeLogCorruptError",
     "ChangeLogError",
     "ChangeRecord",
+    "DeltaError",
+    "parse_delta",
 ]
 
 OP_ADD = "add"
@@ -68,6 +71,35 @@ class ChangeLogCorruptError(ChangeLogError):
     *sealed* segment (sealed segments are complete by construction, so a
     short one means lost bytes, not a torn append).
     """
+
+
+class DeltaError(ChangeLogError):
+    """An update is not ``(op, s, p, o)`` with a known op and string terms."""
+
+
+def parse_delta(delta: Any) -> Tuple[str, str, str, str]:
+    """``(op, s, p, o)`` of one update, the one place its shape is decided.
+
+    An update is a ``{"op", "s", "p", "o"}`` mapping or a 4-item list or
+    tuple; ``op`` is ``add`` or ``remove`` and the terms are strings.
+    Nothing is coerced: anything else raises :class:`DeltaError`.
+    """
+    if isinstance(delta, Mapping):
+        missing = [name for name in ("op", "s", "p", "o") if name not in delta]
+        if missing:
+            raise DeltaError(f"missing field {missing[0]!r}")
+        delta = (delta["op"], delta["s"], delta["p"], delta["o"])
+    elif not isinstance(delta, (list, tuple)):
+        raise DeltaError(f"expected an object or a list, got {type(delta).__name__}")
+    if len(delta) != 4:
+        raise DeltaError(f"expected 4 fields (op, s, p, o), got {len(delta)}")
+    op, s, p, o = delta
+    if op not in _OPS:
+        raise DeltaError(f"unknown op {op!r} (use add/remove)")
+    for name, term in zip("spo", (s, p, o)):
+        if not isinstance(term, str):
+            raise DeltaError(f"{name} must be a string, got {type(term).__name__}")
+    return op, s, p, o
 
 
 class ChangeRecord(NamedTuple):
@@ -110,14 +142,12 @@ def _encode_record(seq: int, op: str, s: str, p: str, o: str) -> bytes:
 
 def _decode_record(payload: bytes, path: str) -> ChangeRecord:
     try:
-        seq, op, s, p, o = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+        seq, *delta = json.loads(payload.decode("utf-8"))
+        return ChangeRecord(int(seq), *parse_delta(delta))
+    except (UnicodeDecodeError, TypeError, ValueError) as error:
         raise ChangeLogCorruptError(
             f"{path}: malformed changelog record: {error}"
         ) from error
-    if op not in _OPS:
-        raise ChangeLogCorruptError(f"{path}: unknown changelog op {op!r}")
-    return ChangeRecord(int(seq), op, str(s), str(p), str(o))
 
 
 class ChangeLog:

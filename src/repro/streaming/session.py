@@ -15,6 +15,9 @@ maintainer, so the maintainer is always reconstructible from
 (checkpoint, log) — unless the checkpoint is *ahead* of the log, which
 means acknowledged updates were lost and is refused outright.
 
+:meth:`StreamSession.apply_batch` is the one write; it parses a whole
+batch (:func:`~repro.streaming.changelog.parse_delta`) before logging any.
+
 This is the engine under both front doors: ``rdfind stream`` (CLI) and
 the job server's ``/streams`` endpoints.
 """
@@ -23,40 +26,22 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.cind import SupportedCIND
 from repro.core.conditions import ConditionScope
 from repro.dataflow.gcpause import gc_paused
 from repro.streaming.changelog import (
     OP_ADD,
-    OP_REMOVE,
     ChangeLog,
     ChangeLogCorruptError,
-    ChangeRecord,
+    DeltaError,
+    parse_delta,
 )
 from repro.streaming.compaction import StreamCheckpointer
 from repro.streaming.maintainer import StreamingRDFind
 
 __all__ = ["StreamSession"]
-
-Delta = Union[Tuple[str, str, str, str], Dict[str, str]]
-
-
-def _normalize_delta(delta: Delta) -> Tuple[str, str, str, str]:
-    """``(op, s, p, o)`` from either tuple or ``{"op", "s", "p", "o"}`` form."""
-    if isinstance(delta, dict):
-        try:
-            return (
-                str(delta["op"]),
-                str(delta["s"]),
-                str(delta["p"]),
-                str(delta["o"]),
-            )
-        except KeyError as error:
-            raise ValueError(f"delta is missing field {error.args[0]!r}")
-    op, s, p, o = delta
-    return str(op), str(s), str(p), str(o)
 
 
 class StreamSession:
@@ -71,6 +56,8 @@ class StreamSession:
         max_segment_bytes: int = 4 << 20,
         fsync: bool = True,
     ) -> None:
+        if compact_every < 0:
+            raise ValueError(f"compact_every must be >= 0, got {compact_every}")
         self.directory = directory
         self.h = h
         self.scope = scope if scope is not None else ConditionScope.full()
@@ -105,7 +92,8 @@ class StreamSession:
                 )
             self.replayed_records = 0
             for record in self.changelog.replay(after_seq=self.applied_seq):
-                self._apply_record(record)
+                self.maintainer.apply(record.op, record.triple)
+                self.applied_seq = record.seq
                 self.replayed_records += 1
         #: Seconds this open spent on checkpoint rebuild + suffix replay.
         self.rebuild_seconds = time.perf_counter() - started
@@ -114,23 +102,31 @@ class StreamSession:
 
     # -- applying updates ----------------------------------------------
 
-    def _apply_record(self, record: ChangeRecord) -> bool:
-        changed = self.maintainer.apply(record.op, record.triple)
-        self.applied_seq = record.seq
-        return changed
+    def apply_batch(self, deltas: Iterable[Any]) -> Dict[str, int]:
+        """Log and apply a batch of updates; the log is synced once, at the end.
 
-    def apply(self, op: str, s: str, p: str, o: str) -> bool:
-        """Log and apply one update; returns whether state changed.
-
-        Duplicate adds and missing removes are logged too — the log
-        records what was *requested*; replay converges regardless
+        Every delta is parsed before any is logged: a bad one raises
+        :class:`DeltaError` naming its index, and nothing is logged or
+        applied.  Duplicate adds and missing removes are logged too — the
+        log records what was *requested*; replay converges regardless
         because the maintainer ignores them idempotently.
         """
-        seq = self.changelog.append(op, s, p, o)
-        changed = self.maintainer.apply(op, (s, p, o))
-        self.applied_seq = seq
-        self._applied(1)
-        return changed
+        parsed = []
+        for index, delta in enumerate(deltas):
+            try:
+                parsed.append(parse_delta(delta))
+            except DeltaError as error:
+                raise DeltaError(f"delta #{index}: {error}") from None
+        counts = {"applied": len(parsed), "added": 0, "removed": 0, "ignored": 0}
+        for op, s, p, o in parsed:
+            seq = self.changelog.append(op, s, p, o)
+            changed = self.maintainer.apply(op, (s, p, o))
+            self.applied_seq = seq
+            kind = "added" if op == OP_ADD else "removed"
+            counts[kind if changed else "ignored"] += 1
+            self._applied(1)
+        self.changelog.sync()
+        return counts
 
     def _applied(self, records: int) -> None:
         """Count applied records towards the cadence; compact when it is due."""
@@ -138,35 +134,13 @@ class StreamSession:
         if self.compact_every and self._since_compaction >= self.compact_every:
             self.compact()
 
-    def add(self, s: str, p: str, o: str) -> bool:
-        return self.apply(OP_ADD, s, p, o)
-
-    def remove(self, s: str, p: str, o: str) -> bool:
-        return self.apply(OP_REMOVE, s, p, o)
-
-    def apply_batch(self, deltas: Iterable[Delta]) -> Dict[str, int]:
-        """Apply a batch of deltas, syncing the log once at the end."""
-        counts = {"applied": 0, "added": 0, "removed": 0, "ignored": 0}
-        for delta in deltas:
-            op, s, p, o = _normalize_delta(delta)
-            changed = self.apply(op, s, p, o)
-            counts["applied"] += 1
-            if not changed:
-                counts["ignored"] += 1
-            elif op == OP_ADD:
-                counts["added"] += 1
-            else:
-                counts["removed"] += 1
-        self.changelog.sync()
-        return counts
-
     def load_initial(self, triples: Iterable) -> int:
         """Bulk-load an initial dataset as logged adds; returns new count.
 
         Logged, then applied as one bulk add, then synced; checkpointed at
         most once — after the sync — however small ``compact_every`` is.
         """
-        # As _normalize_delta; a malformed triple raises here, nothing logged yet.
+        # A malformed triple raises here, before anything is logged.
         triples = [(str(s), str(p), str(o)) for s, p, o in triples]
         with gc_paused():
             self.applied_seq = self.changelog.extend(OP_ADD, triples)

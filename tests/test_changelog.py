@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.core.framing import FRAME_HEADER, iter_frames
+from repro.core.framing import FRAME_HEADER, iter_frames, write_frame
 from repro.streaming.changelog import (
     OP_ADD,
     OP_REMOVE,
@@ -13,6 +13,8 @@ from repro.streaming.changelog import (
     ChangeLogCorruptError,
     ChangeLogError,
     ChangeRecord,
+    DeltaError,
+    parse_delta,
 )
 
 
@@ -223,3 +225,57 @@ class TestCorruption:
             pass
         with pytest.raises(ChangeLogCorruptError, match="multiple open"):
             ChangeLog(directory)
+
+
+class TestParseDelta:
+    """The one decision on what an update looks like."""
+
+    @pytest.mark.parametrize(
+        "delta, expected",
+        [
+            ({"op": "add", "s": "a", "p": "b", "o": "c"}, ("add", "a", "b", "c")),
+            ({"op": "add", "s": "a", "p": "b", "o": "c", "note": "extra keys pass"},
+             ("add", "a", "b", "c")),
+            (("add", "a", "b", "c"), ("add", "a", "b", "c")),
+            (["remove", "é", "", "\n"], ("remove", "é", "", "\n")),
+        ],
+    )
+    def test_accepted_forms(self, delta, expected):
+        assert parse_delta(delta) == expected
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            ({"op": "upsert", "s": "a", "p": "b", "o": "c"}, "unknown op 'upsert'"),
+            ({"op": "ADD", "s": "a", "p": "b", "o": "c"}, "unknown op 'ADD'"),
+            ({"op": "add", "s": "a", "p": "b"}, "missing field 'o'"),
+            ({"s": "a", "p": "b", "o": "c"}, "missing field 'op'"),
+            ({"op": "add", "s": 1, "p": "b", "o": "c"}, "s must be a string, got int"),
+            ({"op": "add", "s": "a", "p": None, "o": "c"}, "p must be a string"),
+            (("add", "a", "b", ["c"]), "o must be a string, got list"),
+            ((None, "a", "b", "c"), "unknown op None"),
+            (("add", "a", "b"), "expected 4 fields"),
+            (("add", "a", "b", "c", "d"), "expected 4 fields"),
+            ("add a b c", "expected an object or a list, got str"),
+            (7, "expected an object or a list, got int"),
+            (None, "got NoneType"),
+        ],
+    )
+    def test_rejected_forms(self, delta, message):
+        with pytest.raises(DeltaError, match=message) as raised:
+            parse_delta(delta)
+        assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "record",
+        [[1, "upsert", "a", "b", "c"], [1, "add", 5, "b", "c"], [1, "add", "a"], 3],
+    )
+    def test_records_are_read_through_it(self, tmp_path, record):
+        """A well-framed record that is no update is corruption, not a
+        triple: nothing is coerced on replay either."""
+        directory = tmp_path / "log"
+        directory.mkdir()
+        with open(directory / "seg-000000000001.open", "wb") as handle:
+            write_frame(handle, json.dumps(record).encode("utf-8"))
+        with pytest.raises(ChangeLogCorruptError, match="malformed changelog record"):
+            ChangeLog(str(directory))

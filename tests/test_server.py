@@ -364,6 +364,28 @@ class TestRecovery:
         record = server.service.store.get(job["id"])
         assert record.state == "queued" and record.attempts == 1
 
+    def test_graceful_stop_sweeps_tmp_litter(self, tmp_path, tiny_nt):
+        """A torn publish's ``*.tmp`` under the job dir is gone after a
+        graceful stop; records and results stay."""
+        server, client = make_server(tmp_path / "jobs")
+        job = client.submit(dataset=tiny_nt, support_threshold=2)
+        client.wait(job["id"], timeout=60)
+        store = server.service.store
+        job_dir = store.job_dir(job["id"])
+        litter = [
+            os.path.join(job_dir, "result.json.4242.tmp"),
+            os.path.join(store.directory, "stray.tmp"),
+        ]
+        for path in litter:
+            with open(path, "w") as handle:
+                handle.write("torn")
+        result = client.raw_result(job["id"])
+        server.stop(graceful=True)
+        assert not [path for path in litter if os.path.exists(path)]
+        assert store.get(job["id"]).state == "succeeded"
+        with open(store.result_path(job["id"]), "rb") as handle:
+            assert handle.read() == result
+
     def test_exhausted_retries_fail(self, tmp_path, tiny_nt):
         """A worker that dies on every attempt lands the job in "failed".
 

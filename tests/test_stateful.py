@@ -92,7 +92,7 @@ class StreamingMachine(RuleBasedStateMachine):
     @rule(triple=_triples)
     def add(self, triple):
         was_new = triple not in self.model
-        assert self.session.add(*triple) == was_new
+        assert self.session.apply_batch([("add", *triple)])["added"] == was_new
         self.since_checkpoint += 1
         if was_new:
             self.model.append(triple)
@@ -100,7 +100,7 @@ class StreamingMachine(RuleBasedStateMachine):
     @rule(triple=_triples)
     def remove(self, triple):
         was_live = triple in self.model
-        assert self.session.remove(*triple) == was_live
+        assert self.session.apply_batch([("remove", *triple)])["removed"] == was_live
         self.since_checkpoint += 1
         if was_live:
             self.model.remove(triple)

@@ -129,6 +129,18 @@ class TestStreamEndpoints:
                             body={"rows": []})
         assert excinfo.value.status == 400
 
+    def test_non_string_term_is_a_400_and_applies_nothing(self, served):
+        _server, client = served
+        stream = client.create_stream(support_threshold=1)
+        good = {"op": "add", "s": "a", "p": "b", "o": "c"}
+        with pytest.raises(ServerError) as excinfo:
+            client.post_deltas(stream["id"], [good, dict(good, s=1)])
+        assert excinfo.value.status == 400
+        assert "delta #1: s must be a string" in str(excinfo.value)
+        status = client.stream(stream["id"])
+        assert status["last_seq"] == status["changelog_seq"] == 0
+        assert status["triples"] == 0
+
     @pytest.mark.parametrize("compact_every", [True, False, -1, "5", 2.5])
     def test_compact_every_must_be_a_plain_integer(self, served, compact_every):
         """``true`` is no cadence: as an int it would compact after every
@@ -176,3 +188,47 @@ class TestStreamManager:
                 manager.apply_deltas(created["id"], {"deltas": oversized})
         finally:
             manager.close()
+
+    def test_unreadable_meta_is_skipped_with_a_warning(self, tmp_path, capsys):
+        """One damaged ``stream.json`` costs that stream, not the server."""
+        root = str(tmp_path / "streams")
+        manager = StreamManager(root)
+        first = manager.create({"support_threshold": 1})
+        second = manager.create({"support_threshold": 1})
+        manager.apply_deltas(
+            second["id"], {"deltas": deltas_for(random_rdf(35, n_triples=6))}
+        )
+        raw = manager.raw_results(second["id"])
+        manager.close()
+        with open(tmp_path / "streams" / first["id"] / "stream.json", "w") as handle:
+            handle.write('{"support_threshold": ')
+
+        recovered = StreamManager(root)
+        try:
+            assert f"skipping {first['id']}" in capsys.readouterr().err
+            assert [entry["id"] for entry in recovered.list_streams()] == [second["id"]]
+            assert recovered.raw_results(second["id"]) == raw
+            assert recovered.create({"support_threshold": 1})["id"] == "st-000003"
+        finally:
+            recovered.close()
+
+    def test_stream_dir_without_meta_keeps_its_id(self, tmp_path, capsys):
+        """A new stream never opens an old stream's changelog."""
+        root = str(tmp_path / "streams")
+        manager = StreamManager(root)
+        created = manager.create({"support_threshold": 1})
+        manager.apply_deltas(
+            created["id"], {"deltas": [{"op": "add", "s": "a", "p": "b", "o": "c"}]}
+        )
+        manager.close()
+        (tmp_path / "streams" / created["id"] / "stream.json").unlink()
+
+        recovered = StreamManager(root)
+        try:
+            assert f"skipping {created['id']}" in capsys.readouterr().err
+            assert recovered.list_streams() == []
+            fresh = recovered.create({"support_threshold": 1})
+            assert fresh["id"] == "st-000002"
+            assert fresh["triples"] == 0 and fresh["last_seq"] == 0
+        finally:
+            recovered.close()

@@ -20,7 +20,8 @@ from repro.cli import main as cli_main
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.framing import fingerprint_fields, write_frame
 from repro.core.serialization import dump_result
-from repro.streaming import ChangeLogCorruptError
+from repro.streaming import ChangeLog, ChangeLogCorruptError
+from repro.streaming.changelog import DeltaError
 from repro.streaming.session import StreamSession
 from tests.conftest import random_rdf
 
@@ -52,8 +53,7 @@ class TestResume:
     def test_reopen_replays_full_log_without_checkpoint(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(1):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(1))
             tail = session.applied_seq
             expected = session.document_json()
         with StreamSession(directory, h=2) as session:
@@ -64,12 +64,9 @@ class TestResume:
     def test_checkpoint_bounds_replay_to_suffix(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(2, n_ops=50):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(2, n_ops=50))
             session.compact()
-            for op, s, p, o in scripted_ops(3, n_ops=12):
-                session.apply(op, s, p, o)
-            session.changelog.sync()
+            session.apply_batch(scripted_ops(3, n_ops=12))
             expected = session.document_json()
         with StreamSession(directory, h=2) as session:
             assert session.resumed_from_checkpoint
@@ -79,8 +76,7 @@ class TestResume:
     def test_compact_every_cadence(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2, compact_every=20) as session:
-            for op, s, p, o in scripted_ops(4, n_ops=50):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(4, n_ops=50))
             assert session.maintainer.stats.compactions == 2
         with StreamSession(directory, h=2) as session:
             assert session.resumed_from_checkpoint
@@ -117,8 +113,7 @@ class TestResume:
         from it instead of replaying the whole log."""
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(5, n_ops=30):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(5, n_ops=30))
             session.compact()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -127,8 +122,7 @@ class TestResume:
                 assert session.replayed_records == 0
                 resumed = session.document_json()
         with StreamSession(str(tmp_path / "fresh"), h=3) as session:
-            for op, s, p, o in scripted_ops(5, n_ops=30):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(5, n_ops=30))
             assert session.document_json() == resumed
 
     def test_sigkill_resumes_from_last_checkpoint(self, tmp_path):
@@ -143,9 +137,7 @@ class TestResume:
             from repro.streaming.session import StreamSession
             from tests.test_stream_session import scripted_ops
             session = StreamSession(sys.argv[2], h=2, compact_every=25)
-            for op, s, p, o in scripted_ops(6, n_ops=63):
-                session.apply(op, s, p, o)
-            session.changelog.sync()
+            session.apply_batch(scripted_ops(6, n_ops=63))
             print(session.applied_seq, flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
             """
@@ -251,7 +243,7 @@ class TestReopenInterleavings:
                     if tuple(args) not in live:
                         live.append(tuple(args))
                 for session in (restarted, *steady.values()):
-                    session.apply(*delta)
+                    session.apply_batch([delta])
                 since_checkpoint += 1
             restarted.close()
             for session in steady.values():
@@ -293,7 +285,7 @@ class TestCheckpointTrust:
         with StreamSession(intact, h=2, fsync=False) as session:
             assert session.resumed_from_checkpoint
             assert session.applied_seq == session.changelog.last_seq == 10
-            assert session.add("x", "y", "z")
+            assert session.apply_batch([("add", "x", "y", "z")])["added"]
         with StreamSession(intact, h=2, fsync=False) as session:
             assert session.maintainer.triples == 11
 
@@ -303,8 +295,7 @@ class TestCheckpointTrust:
         supersedes and sweeps it."""
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(12, n_ops=30):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(12, n_ops=30))
             expected = session.document_json()
 
         sentinel = tmp_path / "unpickled"
@@ -367,8 +358,7 @@ class TestCheckpointTrust:
     def test_damaged_checkpoint_falls_back_to_full_replay(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(13, n_ops=25):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(13, n_ops=25))
             session.compact()
             expected = session.document_json()
         (payload,) = glob.glob(os.path.join(directory, "checkpoints", "*.snap"))
@@ -386,8 +376,7 @@ class TestCheckpointTrust:
         """``rdfind discover`` reads a stream's checkpoint like any snapshot."""
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(14, n_ops=40):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(14, n_ops=40))
             session.compact()
             expected = session.document_json()
         (payload,) = glob.glob(os.path.join(directory, "checkpoints", "*.snap"))
@@ -400,8 +389,7 @@ class TestCheckpointTrust:
     def test_stats_stay_lifetime_counters_across_reopen(self, tmp_path):
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(15, n_ops=40):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(15, n_ops=40))
             session.document_json()
             session.compact()
             before = session.status()["stats"]
@@ -413,8 +401,7 @@ class TestCheckpointTrust:
         one without them is no miss, the counters just start at 0."""
         directory = str(tmp_path / "state")
         with StreamSession(directory, h=2) as session:
-            for op, s, p, o in scripted_ops(16, n_ops=40):
-                session.apply(op, s, p, o)
+            session.apply_batch(scripted_ops(16, n_ops=40))
             document = session.document_json()
             session.compact()
             before = session.status()["stats"]
@@ -459,6 +446,40 @@ class TestBatchAndStatus:
                 "removed": 1,
                 "ignored": 2,
             }
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_a_bad_delta_rejects_the_whole_batch(self, tmp_path, bad_at):
+        """Parsed whole before anything is logged: a bad delta at ``#k``
+        leaves the log, the applied position and the live triples as
+        they were, and the session keeps working."""
+        with StreamSession(str(tmp_path / "state"), h=1) as session:
+            session.apply_batch(scripted_ops(17, n_ops=10))
+            before = (
+                session.changelog.last_seq,
+                session.applied_seq,
+                list(session.store.live()),
+            )
+            batch = [("add", "x", "y", f"z{index}") for index in range(4)]
+            batch.insert(bad_at, {"op": "add", "s": 1, "p": "y", "o": "z"})
+            with pytest.raises(DeltaError, match=f"delta #{bad_at}: s must be a string"):
+                session.apply_batch(batch)
+            assert (
+                session.changelog.last_seq,
+                session.applied_seq,
+                list(session.store.live()),
+            ) == before
+            assert session.apply_batch(batch[:bad_at] + batch[bad_at + 1 :]) == {
+                "applied": 4,
+                "added": 4,
+                "removed": 0,
+                "ignored": 0,
+            }
+        with StreamSession(str(tmp_path / "state"), h=1) as session:
+            assert session.replayed_records == before[0] + 4
+
+    def test_negative_compact_every_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="compact_every"):
+            StreamSession(str(tmp_path / "state"), h=2, compact_every=-1)
 
     def test_status_is_json_safe(self, tmp_path):
         with StreamSession(str(tmp_path / "state"), h=2) as session:
@@ -559,3 +580,51 @@ class TestCliDoor:
                     "--updates", str(tmp_path / "bad.jsonl"),
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"op": "add", "s": 1, "p": "p", "o": "o"}',
+            '{"op": "upsert", "s": "x", "p": "p", "o": "o"}',
+            '{"op": "add", "s": "x", ',
+        ],
+    )
+    def test_stream_cli_malformed_line_logs_nothing(self, tmp_path, bad_line):
+        """A bad line names its file and line, and the batch it belongs to
+        (the whole script, without --emit-every) is never logged."""
+        script = tmp_path / "updates.jsonl"
+        good = '{"op": "add", "s": "x", "p": "p", "o": "o"}'
+        script.write_text(f"{good}\n\n{good}\n{bad_line}\n{good}\n")
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit, match=f"^error: {script}:4: bad delta"):
+            cli_main(["stream", str(state), "-s", "2", "--updates", str(script)])
+        with ChangeLog(str(state / "changelog")) as log:
+            assert log.last_seq == 0
+
+    def test_stream_cli_logs_the_batches_before_a_bad_line(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"op": "add", "s": f"s{index}", "p": "p", "o": "o"})
+            for index in range(5)
+        ]
+        lines.insert(4, '{"op": "add", "s": "x", "p": "p"}')  # line 5
+        script = tmp_path / "updates.jsonl"
+        script.write_text("\n".join(lines) + "\n")
+        state = tmp_path / "state"
+        argv = ["stream", str(state), "-s", "2", "--emit-every", "2"]
+        with pytest.raises(SystemExit, match=f"{script}:5: bad delta"):
+            cli_main(argv + ["--updates", str(script)])
+        assert "[after 4 updates]" in capsys.readouterr().out
+        with ChangeLog(str(state / "changelog")) as log:
+            assert log.last_seq == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--compact-every", "-1"], ["--emit-every", "-2"], ["-s", "0"], ["-s", "-3"]],
+    )
+    def test_stream_cli_rejects_bad_settings_when_parsing(self, tmp_path, capsys, flags):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as raised:
+            cli_main(["stream", str(state)] + flags)
+        assert raised.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert not state.exists()
