@@ -82,12 +82,11 @@ class DiscoveryCache:
         memory_budget: Optional[int] = None,
         executor: str = "serial",
         workers: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> Tuple[DiscoveryResult, float]:
         """Discovery result plus wall-clock seconds (cached)."""
         key = (
             name, h, scale, parallelism, variant, predicates_only,
-            memory_budget, executor, workers, memory_budget_bytes,
+            memory_budget, executor, workers,
         )
         if key not in self._runs:
             encoded = self.dataset(name, scale)
@@ -108,7 +107,6 @@ class DiscoveryCache:
                 memory_budget=memory_budget,
                 executor=executor,
                 workers=workers,
-                memory_budget_bytes=memory_budget_bytes,
             )
             started = time.perf_counter()
             result = RDFind(config).discover(encoded)

@@ -178,8 +178,6 @@ _RUNTIME_KEYWORDS = (
     "workers",
     "fault_seed",
     "max_retries",
-    "memory_budget_bytes",
-    "spill_dir",
     "task_timeout_seconds",
     "checkpoint_dir",
     "resume",
@@ -212,18 +210,6 @@ def _add_runtime_flags(
         help="retry budget per task (default: 2)",
     )
     parser.add_argument(
-        "--memory-budget-bytes", type=int, default=None, metavar="BYTES",
-        help="run the keyed operators on the spill plane at this per-worker "
-        "byte cap: overflowing shuffle state is cut to sorted runs on disk "
-        "and merged reduce-side, byte-identical output in bounded memory "
-        "(default: in-memory buckets)",
-    )
-    parser.add_argument(
-        "--spill-dir", default=None, metavar="DIR",
-        help="directory for spill workspaces (default: system temp dir); "
-        "each run gets a fresh subdirectory, removed when the run ends",
-    )
-    parser.add_argument(
         "--task-timeout-seconds", type=float, default=None, metavar="SECONDS",
         help="per-task wall-clock bound under --executor process; a hung "
         "task becomes a retryable transient fault (default: no bound)",
@@ -254,7 +240,7 @@ def _run_settings(args: argparse.Namespace) -> Dict[str, Any]:
     """The runtime flags given on the command line, as RDFindConfig keywords.
 
     A flag that was not given is left out, so the config's own default
-    applies.  Workspace directories are checked here, before any work.
+    applies.  The checkpoint directory is checked here, before any work.
     """
     settings = {
         key: getattr(args, key)
@@ -263,12 +249,8 @@ def _run_settings(args: argparse.Namespace) -> Dict[str, Any]:
     }
     if "crash_points" in settings:
         settings["crash_points"] = tuple(settings["crash_points"])
-    for key, flag in (
-        ("spill_dir", "--spill-dir"),
-        ("checkpoint_dir", "--checkpoint-dir"),
-    ):
-        if key in settings:
-            _require_writable_dir(settings[key], flag=flag)
+    if "checkpoint_dir" in settings:
+        _require_writable_dir(settings["checkpoint_dir"], flag="--checkpoint-dir")
     return settings
 
 
@@ -276,7 +258,7 @@ def _require_writable_dir(path: str, *, flag: str) -> None:
     """Fail fast, before any work happens, on an unusable workspace dir.
 
     Creates the directory when missing and probes writability with a real
-    file: discovering at the first spill or checkpoint — possibly hours into
+    file: discovering at the first checkpoint — possibly hours into
     a job — that the directory is a file or read-only wastes the whole run.
     """
     try:
@@ -350,12 +332,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         print(
             f"fault tolerance: {metrics.total_faults_injected} faults injected, "
             f"{metrics.total_retries} task retries"
-        )
-    if metrics.total_spilled_runs:
-        print(
-            f"spill: {metrics.total_spilled_runs} runs, "
-            f"{metrics.total_spilled_bytes:,} bytes, "
-            f"{metrics.total_merge_passes} merge passes"
         )
     if metrics.checkpoint_bytes or metrics.resumed_stages:
         print(
@@ -595,7 +571,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     dirs survive, so the next ``serve`` resumes them at the last durable
     boundary).  A second signal forces immediate death — the job dir is
     registered with :mod:`repro.dataflow.workspace`, so ``*.tmp`` litter
-    is swept like a spill tree either way.
+    is swept either way.
     """
     import signal
     import threading

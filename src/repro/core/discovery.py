@@ -60,7 +60,6 @@ from repro.core.minimality import (
 )
 from repro.dataflow.checkpoint import CheckpointManager, dataset_digest
 from repro.dataflow.engine import ExecutionEnvironment
-from repro.dataflow.shuffle import SpillConfig
 from repro.dataflow.executors import EXECUTOR_NAMES
 from repro.dataflow.faults import CRASH_MOMENTS, FaultPlan, RetryPolicy
 from repro.dataflow.gcpause import gc_paused
@@ -120,17 +119,6 @@ class RDFindConfig:
     max_retries:
         Retry budget per task (``RetryPolicy.max_retries``).  ``None``
         keeps the policy default.
-    memory_budget_bytes:
-        Picks the data plane of the keyed operators.  ``None`` (default)
-        is the inline plane: in-memory buckets, the reference.  An int
-        is the spill plane at that per-worker byte cap: shuffle state
-        that overflows it is cut to a sorted run on disk and the runs are
-        merged reduce-side (see :mod:`repro.dataflow.shuffle`).  Output
-        is byte-identical either way.
-    spill_dir:
-        Directory under which spill workspaces are created (a fresh
-        ``mkdtemp`` per run, removed when the run finishes — success or
-        failure).  Defaults to the system temp dir.
     checkpoint_dir:
         Checkpointing is on iff this is set: each of the three pipeline
         phases (fc, cg, ex) is persisted here at its boundary, with the
@@ -171,8 +159,6 @@ class RDFindConfig:
     fault_seed: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     max_retries: Optional[int] = None
-    memory_budget_bytes: Optional[int] = None
-    spill_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     crash_points: Tuple[str, ...] = ()
@@ -193,10 +179,6 @@ class RDFindConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
-            raise ValueError(
-                f"memory_budget_bytes must be >= 1, got {self.memory_budget_bytes}"
-            )
         if self.resume and not self.checkpoint_dir:
             raise ValueError("resume requires a checkpoint_dir (--checkpoint-dir)")
         for point in self.crash_points:
@@ -413,12 +395,6 @@ class RDFind:
             workers=config.workers,
             fault_plan=config.effective_fault_plan(),
             retry_policy=config.effective_retry_policy(),
-            spill=(
-                None
-                if config.memory_budget_bytes is None
-                else SpillConfig(budget_bytes=config.memory_budget_bytes)
-            ),
-            spill_dir=config.spill_dir,
             task_timeout_seconds=config.task_timeout_seconds,
             metrics=metrics,
         )
@@ -520,9 +496,8 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
     dataset content (id columns + dictionary), ``h``, the scope, the
     variant flags, bloom geometry, partitioning, the executor backend,
     and the task-fault seed/rates.  Deliberately excluded: driver crash
-    points (the resume launch legitimately drops ``--crash-point``),
-    retry/backoff knobs, and the spill plane — none of them change any
-    boundary's value.
+    points (the resume launch legitimately drops ``--crash-point``) and
+    retry/backoff knobs — neither changes any boundary's value.
     """
     plan = config.effective_fault_plan()
     injects_task_faults = plan is not None and (

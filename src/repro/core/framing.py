@@ -6,20 +6,17 @@ Corruption surfaces as :class:`FrameCorruptionError` (checksum mismatch)
 and a short read as :class:`FrameTruncatedError`, so a reader can
 distinguish "bit rot" from "writer died mid-frame".
 
-The codec is re-exported by :mod:`repro.core.serialization` (the
-serialization facade); it lives here, dependency-free, so the shuffle
-subsystem (:mod:`repro.dataflow.shuffle`) can build run files on it
-without importing the discovery result types.
+Checkpoints, ``.snap`` snapshots and the stream changelog are all
+built on this codec; it is dependency-free, so any of them can import it
+without pulling in the discovery result types.
 
 :func:`atomic_write` is the one way a durable file is published:
 written under a temp name beside the target, flushed and fsynced, then
 renamed over it — a reader (or a restart after a power cut) sees the old
 content or the new, never a torn file; :func:`atomic_write_json` is it
-for every JSON document (manifests, job records, metrics).  Two renames
-stay outside it on purpose: ``shuffle.write_run`` (scratch run files
-that a retried task simply re-cuts must not pay an fsync) and the
-changelog's seal rename (the segment is already synced when it is
-renamed).
+for every JSON document (manifests, job records, metrics).  One rename
+stays outside it on purpose: the changelog's seal rename (the segment is
+already synced when it is renamed).
 
 :func:`fingerprint_fields` is the one identity hash of durable state:
 checkpoint manifests, server result-cache keys, fetch workspaces and

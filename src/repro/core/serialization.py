@@ -1,4 +1,4 @@
-"""Serializing discovery results (JSON) and binary frame streams.
+"""Serializing discovery results (JSON).
 
 Discovery is the expensive step; its consumers (the query minimizer, the
 ontology and knowledge apps, downstream tooling) often run later or
@@ -15,17 +15,6 @@ up to this boundary; a term is decoded and escaped once per distinct
 capture, not once per row.
 :func:`parse_result_dict` reads such documents back into string-valued
 structures ready for :class:`repro.sparql.minimizer.QueryMinimizer`.
-
-It also exposes the *binary frame* layer the spilling shuffle
-(:mod:`repro.dataflow.shuffle`) builds its run files on: length-prefixed,
-CRC-checked byte frames (defined in :mod:`repro.core.framing`, which is
-dependency-free so the shuffle can import it without pulling in the
-discovery result types; re-exported here as the serialization facade).
-A frame on disk is ``[4-byte big-endian payload length][4-byte CRC32 of
-the payload][payload]``; a stream of frames ends at clean EOF.
-Corruption surfaces as :class:`FrameCorruptionError` (checksum mismatch)
-and a short read as :class:`FrameTruncatedError`, so a reader can
-distinguish "bit rot" from "writer died mid-frame".
 
 Schema (version 1)::
 
@@ -67,17 +56,6 @@ from repro.core.conditions import (
     is_binary,
 )
 from repro.core.discovery import DiscoveryResult
-from repro.core.framing import (  # noqa: F401  (re-exported facade)
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    FrameCorruptionError,
-    FrameError,
-    FrameTruncatedError,
-    iter_frames,
-    pack_frame,
-    read_frame,
-    write_frame,
-)
 from repro.rdf.model import Attr
 
 FORMAT_NAME = "rdfind-result"

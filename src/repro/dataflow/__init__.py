@@ -21,12 +21,9 @@ inline (the reference), the ``process`` backend executes them concurrently
 on a persistent process pool — real multi-core execution with
 byte-identical output.
 
-How keyed operators move data follows the byte budget
-(:mod:`repro.dataflow.shuffle`): without one the inline plane
-materializes buckets in memory (the reference); with one the spill plane
-cuts sorted, CRC-framed runs to disk under that byte-accurate budget and
-merges them reduce-side — bounded memory on arbitrarily large buckets,
-again with byte-identical output.
+Keyed operators shuffle through hash buckets held in memory; a
+record-count budget per worker models the out-of-memory failures the
+paper reports.
 
 The hot stages of the three discovery phases run as fused batch kernels
 over columnar id slices (:mod:`repro.dataflow.kernels`).
@@ -63,12 +60,6 @@ from repro.dataflow.faults import (
 )
 from repro.dataflow.gcpause import gc_paused, stage_gc_pause
 from repro.dataflow.metrics import JobMetrics, StageMetrics
-from repro.dataflow.shuffle import (
-    MemoryBudget,
-    RunInfo,
-    SpillConfig,
-    record_bytes,
-)
 
 __all__ = [
     "BloomFilter",
@@ -96,8 +87,4 @@ __all__ = [
     "StageMetrics",
     "gc_paused",
     "stage_gc_pause",
-    "MemoryBudget",
-    "RunInfo",
-    "SpillConfig",
-    "record_bytes",
 ]

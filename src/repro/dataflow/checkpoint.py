@@ -1,9 +1,9 @@
 """Driver-level checkpoint/restore: crash-resumable discovery jobs.
 
-PR 3 made *tasks* survive failures inside a live driver and PR 4 gave the
-shuffle a durable on-disk format — but a killed driver still lost the
-whole three-phase pipeline.  This module closes that gap the way RDFind's
-Flink substrate does (PAPER.md Section 8): at each phase boundary (fc, cg,
+The executors make *tasks* survive failures inside a live driver, but a
+killed driver would still lose the whole three-phase pipeline.  This
+module closes that gap the way RDFind's Flink substrate does (PAPER.md
+Section 8): at each phase boundary (fc, cg,
 ex) the driver atomically persists the boundary's materialized result, plus a
 :class:`JobManifest` that records which boundaries completed, under which
 configuration, and how often each injected driver crash point has already
@@ -12,9 +12,9 @@ completed boundaries instead of recomputing them, and continues from the
 last durable one — with byte-identical final output on both executor
 backends.
 
-On-disk layout (everything written tmp-then-rename, the spill
-plane's atomicity discipline, so a crash mid-write leaves either the old
-state or ``*.tmp`` litter, never a half-valid artifact)::
+On-disk layout (everything written tmp-then-rename through
+:func:`repro.core.framing.atomic_write`, so a crash mid-write leaves
+either the old state or ``*.tmp`` litter, never a half-valid artifact)::
 
     <checkpoint-dir>/
       manifest.json      completed steps, config fingerprint, crash counts

@@ -45,23 +45,12 @@ between runs.
 Each keyed operator is written once.  Its map task
 (:func:`_combine_map_task` for the two reductions — ``reduce_by_key`` is
 ``flat_map_reduce_by_key`` over one pair per record — and
-:func:`_keyed_map_task` for ``co_group``) hands its output to a *sink*,
-one driver (:meth:`DataSet._keyed_stages`) gathers what the sinks return
-per reduce partition, in task order, and runs the reduce-side task.  The
-*data plane* picks the sink and the reduce-side task, nothing else, and
-the environment's byte budget picks the plane.  Without one (``spill=None``),
-the inline plane, the default and the reference, uses
-:class:`_BucketSink`: hash buckets in memory, state priced in records
-against ``memory_budget``, an overrun raises
-:class:`SimulatedOutOfMemory`; the reduce side folds a bucket in a dict.
-With a :class:`~repro.dataflow.shuffle.SpillConfig`, the spill plane uses
-:class:`~repro.dataflow.shuffle.SpillSink`: state priced in bytes against
-its ``budget_bytes``, an overrun cuts sorted, CRC-framed runs to disk;
-the reduce side k-way-merges the runs — bounded memory regardless of
-bucket size, output asserted byte-identical to the inline plane on both
-executor backends.  Under the ``process`` backend the spill plane also
-moves the shuffled data through the filesystem instead of pickling whole
-buckets through the driver.
+:func:`_keyed_map_task` for ``co_group``) splits its output into hash
+buckets in memory (:class:`_BucketSink`, state priced in records against
+``memory_budget``), one driver (:meth:`DataSet._keyed_stages`) gathers
+the buckets per reduce partition, in task order, and runs the
+reduce-side task, which folds a bucket in a dict.  There is one data
+plane, in memory.
 
 A configurable per-partition *memory budget* (max records materialized in
 any one worker's in-memory state) emulates out-of-memory failures: stateful
@@ -74,9 +63,6 @@ failures for Cinderella and RDFind-DE.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time
 from functools import partial
 from typing import (
@@ -85,7 +71,6 @@ from typing import (
     Dict,
     Generic,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -93,7 +78,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.dataflow import workspace as _workspace
 from repro.dataflow.executors import create_executor
 from repro.dataflow.faults import (
     FaultPlan,
@@ -103,14 +87,6 @@ from repro.dataflow.faults import (
 from repro.dataflow.gcpause import stage_gc_pause
 from repro.dataflow.hashing import hash_partition, stable_hash
 from repro.dataflow.metrics import JobMetrics, StageMetrics
-from repro.dataflow.shuffle import (
-    SpillConfig,
-    SpillSink,
-    _spill_apply_task,
-    _spill_reduce_task,
-    record_bytes,
-    run_records,
-)
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -125,7 +101,6 @@ __all__ = [
     "pair_key",
     "pair_value",
     "record_cells",
-    "record_bytes",  # re-exported from repro.dataflow.shuffle
 ]
 
 
@@ -218,19 +193,15 @@ def _one_pair(key_fn, value_fn, item):
 
 
 class _BucketSink:
-    """Map-side sink of the inline plane: in-memory hash buckets.
+    """Map-side state of a keyed operator: the record budget and the buckets.
 
-    A *sink* is where a map task's keyed output goes (the spill plane's is
-    :class:`repro.dataflow.shuffle.SpillSink`).  The map tasks know four
-    things about it: ``metered`` (does any pair need pricing at all),
-    ``charge`` (price one insert or merge, true on excess), ``overflow``
-    (deal with the excess) and ``finish`` (the output split by reduce
-    partition), plus ``emitted`` and ``stats()`` for the stage record.
-
-    Here state is priced in records — ``state_cost_fn`` of the values
-    when given, else one per key — against the per-worker
-    ``memory_budget``, and excess raises :class:`SimulatedOutOfMemory`:
-    an in-memory combiner has nowhere to put it.
+    State is priced in records — ``state_cost_fn`` of the values when
+    given, else one per key — against the per-worker ``memory_budget``.
+    ``charge`` prices one insert or merge and raises
+    :class:`SimulatedOutOfMemory` on the first excess (an in-memory
+    combiner has nowhere to put it); ``metered`` says whether any pair
+    needs pricing at all.  ``finish`` splits the output by reduce
+    partition and leaves ``used`` at the task's state cost.
     """
 
     __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "used", "emitted")
@@ -247,7 +218,7 @@ class _BucketSink:
     def metered(self) -> bool:
         return self.budget is not None or self.state_cost_fn is not None
 
-    def charge(self, key, previous, value) -> bool:
+    def charge(self, previous, value) -> None:
         cost_fn = self.state_cost_fn
         if cost_fn is None:
             if previous is None:
@@ -256,10 +227,8 @@ class _BucketSink:
             self.used += cost_fn(value)
         else:
             self.used += cost_fn(value) - cost_fn(previous)
-        return self.budget is not None and self.used > self.budget
-
-    def overflow(self, pairs) -> None:
-        raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
+        if self.budget is not None and self.used > self.budget:
+            raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
 
     def finish(self, pairs) -> List[List[Tuple[Any, Any]]]:
         parallelism = self.parallelism
@@ -271,20 +240,15 @@ class _BucketSink:
             self.used = self.emitted
         return parts
 
-    def stats(self) -> Tuple[int, int, int, int]:
-        """``(peak_state_cost, peak_state_bytes, spilled_runs, spilled_bytes)``."""
-        return self.used, 0, 0, 0
-
 
 def _combine_map_task(payload):
     """Map side of the keyed reductions: flatMap fused into the combine fold.
 
-    The one place pairs are folded before a shuffle, on either plane.
-    Each pair ``flat_fn`` yields goes into the local table as it is
-    produced; a metered sink prices every insert and merge and says when
-    the table has to go (spill: cut to sorted runs and start over;
-    inline: :class:`SimulatedOutOfMemory`).  A value of ``None`` reads as
-    "no value yet".
+    The one place pairs are folded before a shuffle.  Each pair
+    ``flat_fn`` yields goes into the local table as it is produced; a
+    metered sink prices every insert and merge and raises
+    :class:`SimulatedOutOfMemory` when the table outgrows the budget.  A
+    value of ``None`` reads as "no value yet".
     """
     flat_fn, reduce_fn, make_sink, partition = payload
     start = time.perf_counter()
@@ -310,45 +274,34 @@ def _combine_map_task(payload):
                     if previous is not None:
                         value = reduce_fn(previous, value)
                     local[key] = value
-                    if charge(key, previous, value):
-                        sink.overflow(local.items())
-                        local.clear()
+                    charge(previous, value)
         parts = sink.finish(local.items())
-    return parts, sink.emitted, sink.stats(), pause.suppressed, time.perf_counter() - start
+    return parts, sink.emitted, sink.used, pause.suppressed, time.perf_counter() - start
 
 
 def _keyed_map_task(payload):
     """Map side of ``co_group``: key every record of one input side.
 
-    Nothing combines, so records are buffered as ``(key, (side, item))``
-    in arrival order and every one is a fresh insert to the sink.
+    Nothing combines, so records are bucketed as ``(key, (side, item))``
+    in arrival order; the record budget is checked reduce-side, where the
+    two sides meet.
     """
     key_fn, side, make_sink, partition = payload
     start = time.perf_counter()
     sink = make_sink()
-    charge = sink.charge
-    pairs: List[Tuple[Any, Any]] = []
-    for item in partition:
-        key = key_fn(item)
-        value = (side, item)
-        pairs.append((key, value))
-        if charge(key, None, value):
-            sink.overflow(pairs)
-            pairs.clear()
-    parts = sink.finish(pairs)
-    return parts, sink.emitted, sink.stats(), 0, time.perf_counter() - start
+    parts = sink.finish([(key_fn(item), (side, item)) for item in partition])
+    return parts, sink.emitted, sink.used, 0, time.perf_counter() - start
 
 
-# Reduce-side tasks take ``(fn, part, context, index)``: ``part`` is what
-# the map tasks sent to reduce partition ``index`` (pairs here, run
-# manifests on the spill plane) and ``context`` belongs to the plane (here
-# the record budget and the stage name an overrun is reported under).
-# They return ``(result, gc-suppressed, merge passes, seconds)``.
+# Reduce-side tasks take ``(fn, bucket, budget, stage)``: ``bucket`` is
+# what the map tasks sent to one reduce partition, ``budget`` the record
+# budget and ``stage`` the name an overrun is reported under.  They
+# return ``(result, gc-suppressed, seconds)``.
 
 
 def _reduce_bucket_task(payload):
     """The post-shuffle reduction of one key bucket."""
-    reduce_fn, bucket, (budget, stage), _index = payload
+    reduce_fn, bucket, budget, stage = payload
     start = time.perf_counter()
     with stage_gc_pause() as pause:
         grouped: Dict[Any, Any] = {}
@@ -359,12 +312,12 @@ def _reduce_bucket_task(payload):
                 grouped[key] = value
         if budget is not None and len(grouped) > budget:
             raise SimulatedOutOfMemory(stage, len(grouped), budget)
-    return list(grouped.items()), pause.suppressed, 0, time.perf_counter() - start
+    return list(grouped.items()), pause.suppressed, time.perf_counter() - start
 
 
 def _co_group_apply_task(payload):
     """Group both sides of one bucket and apply the join function."""
-    fn, bucket, (budget, stage), _index = payload
+    fn, bucket, budget, stage = payload
     start = time.perf_counter()
     with stage_gc_pause() as pause:
         if budget is not None and len(bucket) > budget:
@@ -383,7 +336,7 @@ def _co_group_apply_task(payload):
         for key in right_groups:
             if key not in left_groups:
                 result.extend(fn(key, [], right_groups[key]))
-    return result, pause.suppressed, 0, time.perf_counter() - start
+    return result, pause.suppressed, time.perf_counter() - start
 
 
 def _local_reduce_task(payload):
@@ -424,19 +377,6 @@ class ExecutionEnvironment:
         Bounded-retry/backoff configuration for failed tasks
         (:class:`~repro.dataflow.faults.RetryPolicy`; a default policy
         with 2 retries applies when omitted).
-    spill:
-        The data plane of the keyed operators.  ``None`` (default) is the
-        inline plane: in-memory buckets, the reference.  A
-        :class:`~repro.dataflow.shuffle.SpillConfig` is the spill plane at
-        its ``budget_bytes``: per-worker shuffle state priced in estimated
-        bytes (:func:`record_bytes`) and cut to sorted runs on disk when
-        it overflows, merged reduce-side (see
-        :mod:`repro.dataflow.shuffle`).  Spill output is byte-identical
-        to inline.
-    spill_dir:
-        Directory under which the spill workspace is created (a fresh
-        ``tempfile.mkdtemp`` per environment, removed on :meth:`close`).
-        Defaults to the system temp dir.
     task_timeout_seconds:
         Per-task wall-clock bound under the ``process`` backend; a
         timed-out task is treated as a retryable transient fault (the
@@ -453,8 +393,6 @@ class ExecutionEnvironment:
         workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        spill: Optional[SpillConfig] = None,
-        spill_dir: Optional[str] = None,
         task_timeout_seconds: Optional[float] = None,
         metrics: Optional[JobMetrics] = None,
     ) -> None:
@@ -462,11 +400,6 @@ class ExecutionEnvironment:
             raise ValueError("parallelism must be >= 1")
         self.parallelism = int(parallelism)
         self.memory_budget = memory_budget
-        self.spill = spill
-        self._spill_dir_base = spill_dir
-        self._spill_root: Optional[str] = None
-        self._spill_token: Optional[int] = None
-        self._spill_stage_seq = 0
         self.executor = create_executor(
             executor,
             self.parallelism,
@@ -484,40 +417,9 @@ class ExecutionEnvironment:
         self.metrics.executor = self.executor.name
         self.metrics.workers = self.executor.workers
 
-    def _new_spill_stage_dir(self) -> str:
-        """A fresh directory for one spill stage's run files.
-
-        The workspace root is created lazily (``tempfile.mkdtemp`` under
-        ``spill_dir``), so inline-plane jobs never touch the filesystem.
-        Stage directories are numbered rather than named — stage names
-        contain ``/``.
-        """
-        if self._spill_root is None:
-            base = self._spill_dir_base
-            if base is not None:
-                os.makedirs(base, exist_ok=True)
-            self._spill_root = tempfile.mkdtemp(prefix="rdfind-spill-", dir=base)
-            # Interrupted runs (Ctrl-C, SIGTERM, plain exit without
-            # close()) must not leak the workspace.
-            self._spill_token = _workspace.register(
-                self._spill_root, kind=_workspace.TREE
-            )
-        stage_dir = os.path.join(
-            self._spill_root, f"stage{self._spill_stage_seq:04d}"
-        )
-        self._spill_stage_seq += 1
-        os.makedirs(stage_dir)
-        return stage_dir
-
     def close(self) -> None:
-        """Release executor resources and remove the spill workspace."""
+        """Release executor resources."""
         self.executor.close()
-        if self._spill_root is not None:
-            shutil.rmtree(self._spill_root, ignore_errors=True)
-            self._spill_root = None
-        if self._spill_token is not None:
-            _workspace.unregister(self._spill_token)
-            self._spill_token = None
 
     def __enter__(self) -> "ExecutionEnvironment":
         return self
@@ -728,94 +630,62 @@ class DataSet(Generic[T]):
         map_inputs: List[Tuple[Tuple[Any, ...], List[Any], int]],
         tail: str,
         fn: Callable[..., Any],
-        reduce_tasks: Tuple[Callable[[Any], Any], Callable[[Any], Any]],
+        reduce_task: Callable[[Any], Any],
         state_cost_fn: Optional[Callable[[Any], int]] = None,
         record_budget: Optional[int] = None,
     ) -> "DataSet[Any]":
-        """The driver of every keyed operator, on either plane.
+        """The driver of every keyed operator.
 
         ``map_inputs`` holds one ``(leading payload fields, partition,
-        logical size)`` per map task; each task gets a fresh sink and
-        returns its output split by reduce partition.  The parts are
-        gathered in task order — which is what fixes the fold order on
-        both planes — and handed to the plane's reduce-side task
-        (``reduce_tasks`` is the ``(inline, spill)`` pair) under the stage
-        ``name + tail``.  Map-side accounting is folded onto
+        logical size)`` per map task; each task gets a fresh
+        :class:`_BucketSink` and returns its output split by reduce
+        partition.  The parts are gathered in task order — which is what
+        fixes the fold order — and handed to ``reduce_task`` under the
+        stage ``name + tail``.  Map-side accounting is folded onto
         ``parallelism`` slots (task ``i`` counts towards slot
         ``i % parallelism``), so an operator with two inputs reports one
         entry per worker, like every other stage.
-
-        This is the only place that reads ``env.spill``.
         """
         env = self.env
         parallelism = env.parallelism
         stage = env.metrics.new_stage(name)
-        stage_dir: Optional[str] = None
-        if env.spill is not None:
-            stage_dir = env._new_spill_stage_dir()
-            sinks = [
-                partial(SpillSink, env.spill, parallelism, stage_dir, index)
-                for index in range(len(map_inputs))
-            ]
-            reduce_task = reduce_tasks[1]
-            context: Tuple[Any, Any] = (env.spill, stage_dir)
-            part_records = run_records
-        else:
-            sinks = [
-                partial(_BucketSink, parallelism, record_budget, state_cost_fn, name)
-            ] * len(map_inputs)
-            reduce_task = reduce_tasks[0]
-            context = (env.memory_budget, name + tail)
-            part_records = len
-        try:
-            payloads = [
-                leading + (make_sink, partition)
-                for (leading, partition, _size), make_sink in zip(map_inputs, sinks)
-            ]
-            results = self._run_stage(
-                stage,
-                map_task,
-                payloads,
-                records=sum(size for _l, _p, size in map_inputs),
-            )
-            stage.partition_seconds = [0.0] * parallelism
-            stage.records_in = [0] * parallelism
-            stage.records_out = [0] * parallelism
-            gathered: List[List[Any]] = [[] for _ in range(parallelism)]
-            for index, (parts, emitted, stats, suppressed, elapsed) in enumerate(results):
-                slot = index % parallelism
-                stage.partition_seconds[slot] += elapsed
-                stage.records_in[slot] += map_inputs[index][2]
-                stage.records_out[slot] += emitted
-                stage.shuffled_records += emitted
-                stage.gc_suppressed_collections += suppressed
-                peak_cost, peak_bytes, runs, spilled_bytes = stats
-                stage.peak_state_cost = max(stage.peak_state_cost, peak_cost)
-                stage.peak_state_bytes = max(stage.peak_state_bytes, peak_bytes)
-                stage.spilled_runs += runs
-                stage.spilled_bytes += spilled_bytes
-                for target, part in zip(gathered, parts):
-                    target.extend(part)
+        make_sink = partial(_BucketSink, parallelism, record_budget, state_cost_fn, name)
+        payloads = [leading + (make_sink, partition) for leading, partition, _size in map_inputs]
+        results = self._run_stage(
+            stage,
+            map_task,
+            payloads,
+            records=sum(size for _l, _p, size in map_inputs),
+        )
+        stage.partition_seconds = [0.0] * parallelism
+        stage.records_in = [0] * parallelism
+        stage.records_out = [0] * parallelism
+        gathered: List[List[Any]] = [[] for _ in range(parallelism)]
+        for index, (parts, emitted, cost, suppressed, elapsed) in enumerate(results):
+            slot = index % parallelism
+            stage.partition_seconds[slot] += elapsed
+            stage.records_in[slot] += map_inputs[index][2]
+            stage.records_out[slot] += emitted
+            stage.shuffled_records += emitted
+            stage.gc_suppressed_collections += suppressed
+            stage.peak_state_cost = max(stage.peak_state_cost, cost)
+            for target, part in zip(gathered, parts):
+                target.extend(part)
 
-            reduce_stage = env.metrics.new_stage(name + tail)
-            sizes = [part_records(part) for part in gathered]
-            payloads = [
-                (fn, part, context, index) for index, part in enumerate(gathered)
-            ]
-            out: List[List[Any]] = []
-            for size, (result, suppressed, passes, elapsed) in zip(
-                sizes,
-                self._run_stage(reduce_stage, reduce_task, payloads, records=sum(sizes)),
-            ):
-                reduce_stage.partition_seconds.append(elapsed)
-                reduce_stage.records_in.append(size)
-                reduce_stage.records_out.append(len(result))
-                reduce_stage.gc_suppressed_collections += suppressed
-                reduce_stage.merge_passes += passes
-                out.append(result)
-        finally:
-            if stage_dir is not None:
-                shutil.rmtree(stage_dir, ignore_errors=True)
+        reduce_stage = env.metrics.new_stage(name + tail)
+        payloads = [(fn, part, env.memory_budget, name + tail) for part in gathered]
+        out: List[List[Any]] = []
+        for part, (result, suppressed, elapsed) in zip(
+            gathered,
+            self._run_stage(
+                reduce_stage, reduce_task, payloads, records=sum(map(len, gathered))
+            ),
+        ):
+            reduce_stage.partition_seconds.append(elapsed)
+            reduce_stage.records_in.append(len(part))
+            reduce_stage.records_out.append(len(result))
+            reduce_stage.gc_suppressed_collections += suppressed
+            out.append(result)
         return DataSet(env, out, name=name)
 
     def reduce_by_key(
@@ -852,8 +722,8 @@ class DataSet(Generic[T]):
         capture-group size) — and only one pair per key and worker is
         shuffled.  Values must not be ``None``.
 
-        The budget rule, the same for every keyed operator: on the
-        inline plane the record-count ``memory_budget`` is
+        The budget rule, the same for every keyed operator: the
+        record-count ``memory_budget`` is
         checked after every insert or merge into the combine table, and
         the first one that takes the table over it raises
         :class:`SimulatedOutOfMemory` under the stage ``name`` — with
@@ -868,11 +738,6 @@ class DataSet(Generic[T]):
         grouped table once, under ``name + "/reduce"``.  The stage
         reports the largest table cost any worker ended with as
         ``peak_state_cost``.
-
-        On the spill plane the combiner cuts its table to sorted
-        runs instead of raising: the byte-accurate spill budget replaces
-        both the record count and ``state_cost_fn``, and the output stays
-        byte-identical.
         """
         inputs = [
             ((flat_fn, reduce_fn), partition, size)
@@ -884,7 +749,7 @@ class DataSet(Generic[T]):
             inputs,
             "/reduce",
             reduce_fn,
-            (_reduce_bucket_task, _spill_reduce_task),
+            _reduce_bucket_task,
             state_cost_fn=state_cost_fn,
             record_budget=self.env.memory_budget,
         )
@@ -901,8 +766,8 @@ class DataSet(Generic[T]):
 
         ``fn`` receives the key and the (possibly empty) record lists from
         each side, enabling inner, outer, and semi joins.  Nothing
-        combines map-side, so on the inline plane the record
-        budget is checked where the records meet: a bucket larger than
+        combines map-side, so the record budget is checked where the
+        records meet: a bucket larger than
         ``memory_budget`` raises under ``name + "/apply"``.
         """
         # One map task per partition of either input, the record's side
@@ -919,7 +784,7 @@ class DataSet(Generic[T]):
             inputs,
             "/apply",
             fn,
-            (_co_group_apply_task, _spill_apply_task),
+            _co_group_apply_task,
         )
 
     # ------------------------------------------------------------------

@@ -1,18 +1,13 @@
-"""Process-stable hashing for shuffle routing and spill-run sort keys.
+"""Process-stable hashing for shuffle routing.
 
 Shuffles are routed by :func:`stable_hash`, a deterministic 64-bit hash
 over the key types the pipeline uses.  Builtin ``hash`` would not do: it
 is randomized per process for strings (``PYTHONHASHSEED``), which would
 make partition assignment differ between pool workers and between runs.
 
-The same hash doubles as the *sort key* of the spilling shuffle's run
-files (:mod:`repro.dataflow.shuffle`): sorted runs from any process merge
-into the same global order, which is what makes spilled execution
-deterministic and byte-identical to the in-memory path.
-
 This lives in its own module (rather than in :mod:`repro.dataflow.engine`,
-which re-exports it) so the shuffle subsystem can import it without a
-circular dependency on the engine.
+which re-exports it) so modules below the engine can import it without a
+circular dependency.
 """
 
 from __future__ import annotations

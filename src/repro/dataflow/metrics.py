@@ -43,16 +43,6 @@ class StageMetrics:
     retries: int = 0
     #: Faults a seeded FaultPlan injected into this stage's tasks.
     faults_injected: int = 0
-    #: Sorted runs this stage's workers cut to disk (spill plane).
-    spilled_runs: int = 0
-    #: Bytes written to spill-run files by this stage's workers.
-    spilled_bytes: int = 0
-    #: Intermediate merge passes the reduce side needed when a partition
-    #: held more runs than the merge fan-in (0 = single-pass merge).
-    merge_passes: int = 0
-    #: Largest estimated in-memory state, in bytes, any spill-plane worker
-    #: held before cutting a run (bounded by the byte budget).
-    peak_state_bytes: int = 0
     #: Gen-0 GC passes the stage's gc-pause wrapper suppressed across
     #: all of its workers (repro.dataflow.gcpause.stage_gc_pause).
     gc_suppressed_collections: int = 0
@@ -107,10 +97,6 @@ class StageMetrics:
             "wall_seconds": self.wall_seconds,
             "retries": self.retries,
             "faults_injected": self.faults_injected,
-            "spilled_runs": self.spilled_runs,
-            "spilled_bytes": self.spilled_bytes,
-            "merge_passes": self.merge_passes,
-            "peak_state_bytes": self.peak_state_bytes,
             "gc_suppressed_collections": self.gc_suppressed_collections,
             "parallel_seconds": self.parallel_seconds,
             "cpu_seconds": self.cpu_seconds,
@@ -130,12 +116,6 @@ class StageMetrics:
         )
         if self.faults_injected or self.retries:
             line += f" faults={self.faults_injected} retries={self.retries}"
-        if self.spilled_runs or self.merge_passes:
-            line += (
-                f" spills={self.spilled_runs} "
-                f"spill-bytes={self.spilled_bytes} "
-                f"merge-passes={self.merge_passes}"
-            )
         if self.gc_suppressed_collections:
             line += f" gc-suppressed={self.gc_suppressed_collections}"
         return line
@@ -202,26 +182,6 @@ class JobMetrics:
         return sum(stage.faults_injected for stage in self.stages)
 
     @property
-    def total_spilled_runs(self) -> int:
-        """Sorted runs cut to disk across all stages (spill plane)."""
-        return sum(stage.spilled_runs for stage in self.stages)
-
-    @property
-    def total_spilled_bytes(self) -> int:
-        """Bytes written to spill-run files across all stages."""
-        return sum(stage.spilled_bytes for stage in self.stages)
-
-    @property
-    def total_merge_passes(self) -> int:
-        """Intermediate merge passes across all reduce-side stages."""
-        return sum(stage.merge_passes for stage in self.stages)
-
-    @property
-    def max_peak_state_bytes(self) -> int:
-        """Largest estimated spill-plane worker state over all stages."""
-        return max((stage.peak_state_bytes for stage in self.stages), default=0)
-
-    @property
     def max_skew(self) -> float:
         """Worst max/mean partition-time ratio over all stages."""
         return max((stage.skew for stage in self.stages), default=1.0)
@@ -263,10 +223,6 @@ class JobMetrics:
                 "skew": self.max_skew,
                 "retries": self.total_retries,
                 "faults_injected": self.total_faults_injected,
-                "spilled_runs": self.total_spilled_runs,
-                "spilled_bytes": self.total_spilled_bytes,
-                "merge_passes": self.total_merge_passes,
-                "peak_state_bytes": self.max_peak_state_bytes,
                 "checkpoint_bytes": self.checkpoint_bytes,
                 "checkpoint_seconds": self.checkpoint_seconds,
                 "resumed_stages": self.resumed_stages,
@@ -303,12 +259,6 @@ class JobMetrics:
             total += (
                 f" faults={self.total_faults_injected} "
                 f"retries={self.total_retries}"
-            )
-        if self.total_spilled_runs or self.total_merge_passes:
-            total += (
-                f" spills={self.total_spilled_runs} "
-                f"spill-bytes={self.total_spilled_bytes} "
-                f"merge-passes={self.total_merge_passes}"
             )
         if self.checkpoint_bytes or self.resumed_stages:
             total += (

@@ -1,26 +1,20 @@
 """Interrupt-safe cleanup of on-disk workspaces.
 
-The spill plane (:mod:`repro.dataflow.shuffle`) and the checkpoint
-subsystem (:mod:`repro.dataflow.checkpoint`) both materialize state under
-temporary directories.  Normal completion removes them in ``close()``,
-but a driver interrupted by Ctrl-C or ``kill`` used to leak its
-``rdfind-spill-*`` workspace: nothing between the signal and process
-death ran the cleanup.
+The checkpoint subsystem (:mod:`repro.dataflow.checkpoint`) and the job
+server (:mod:`repro.server.service`) keep durable artifacts in
+directories they write via tmp-then-rename.  A driver interrupted by
+Ctrl-C or ``kill`` between writing a temp file and renaming it would
+leave the ``*.tmp`` behind: nothing between the signal and process death
+ran the cleanup.
 
 This module keeps a registry of live workspace paths and installs — once,
 lazily, on the first registration — an :mod:`atexit` hook plus SIGINT and
-SIGTERM handlers that sweep the registry before the process dies.  Two
-cleanup disciplines exist, because the two workspaces have opposite
-durability contracts:
-
-``TREE``
-    The whole directory is scratch (spill runs); remove it entirely.
-
-``TMP_ONLY``
-    The directory holds durable artifacts written via tmp-then-rename
-    (checkpoints); remove only ``*.tmp`` litter so a half-written frame
-    file never survives an interrupt, while completed checkpoints —
-    the whole point of the subsystem — do.
+SIGTERM handlers that sweep the registry before the process dies.  There
+is one cleanup discipline, ``TMP_ONLY``: remove only ``*.tmp`` litter, so
+a half-written frame file never survives an interrupt, while completed
+checkpoints — the whole point of the subsystem — do.  (A ``TREE``
+discipline that removed a whole scratch directory served the on-disk
+shuffle, which is gone.)
 
 Registrations are tagged with the registering PID: forked pool workers
 inherit the registry but must never sweep the driver's workspaces, and
@@ -35,19 +29,16 @@ from __future__ import annotations
 
 import atexit
 import os
-import shutil
 import signal
 import threading
 from typing import Dict, List, Tuple
 
-__all__ = ["TREE", "TMP_ONLY", "register", "unregister", "cleanup_registered"]
+__all__ = ["TMP_ONLY", "register", "unregister", "cleanup_registered"]
 
-#: Remove the registered directory entirely (scratch workspaces).
-TREE = "tree"
 #: Remove only ``*.tmp`` files under the directory (durable workspaces).
 TMP_ONLY = "tmp-only"
 
-_KINDS = (TREE, TMP_ONLY)
+_KINDS = (TMP_ONLY,)
 
 #: Signals whose delivery should sweep the registry before dying.
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -59,7 +50,7 @@ _installed = False
 _previous_handlers: Dict[int, object] = {}
 
 
-def register(path: str, kind: str = TREE) -> int:
+def register(path: str, kind: str = TMP_ONLY) -> int:
     """Track ``path`` for cleanup on exit/interrupt; returns a token."""
     if kind not in _KINDS:
         raise ValueError(f"unknown workspace kind {kind!r} (expected one of {_KINDS})")
@@ -94,12 +85,9 @@ def cleanup_registered() -> List[str]:
         for token, _path, _kind in mine:
             _registry.pop(token, None)
     cleaned: List[str] = []
-    for _token, path, kind in mine:
+    for _token, path, _kind in mine:
         try:
-            if kind == TREE:
-                shutil.rmtree(path, ignore_errors=True)
-            else:
-                _remove_tmp_litter(path)
+            _remove_tmp_litter(path)
             cleaned.append(path)
         except OSError:  # pragma: no cover - defensive; never propagate
             pass

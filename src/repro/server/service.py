@@ -24,7 +24,7 @@ owns the only scheduling loop in the server:
   SIGTERMs in-flight workers, and puts their jobs back in the queue so
   the next start resumes them; the job dir is registered with
   :mod:`repro.dataflow.workspace` for the whole service lifetime, so a
-  hard death still gets its ``*.tmp`` litter swept like a spill tree.
+  signalled death still gets its ``*.tmp`` litter swept.
 """
 
 from __future__ import annotations

@@ -42,8 +42,7 @@ class TripleBatch:
     Budget accounting is duck-typed: ``budget_cells`` prices the batch
     for the record-count budget (:func:`repro.dataflow.engine.record_cells`,
     3 cells per triple — the same charge an ``EncodedTriple`` stream
-    pays), and :meth:`nbytes` prices it for the byte-accurate spill
-    budget (:func:`repro.dataflow.shuffle.record_bytes`).
+    pays).
     """
 
     __slots__ = ("s", "p", "o")
@@ -69,10 +68,6 @@ class TripleBatch:
     def budget_cells(self) -> int:
         """Record-budget price: one cell per id, as for encoded triples."""
         return TRIPLE_CELLS * len(self.s)
-
-    def nbytes(self) -> int:
-        """Byte-budget price of the batch: the bytes its columns hold."""
-        return sum(column.itemsize * len(column) for column in self.columns)
 
     def __repr__(self) -> str:
         return f"<TripleBatch: {len(self)} triples, '{self.s.typecode}' columns>"

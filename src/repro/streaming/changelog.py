@@ -2,7 +2,7 @@
 
 Built directly on :mod:`repro.core.framing` — every record is one
 CRC-framed JSON payload ``[seq, op, s, p, o]`` — so the changelog
-inherits the spill/checkpoint subsystems' corruption detection for free.
+inherits the checkpoint and snapshot formats' corruption detection for free.
 
 Layout: a directory of *segments*.  The writer appends to exactly one
 ``seg-<firstseq>.open`` file; when it exceeds ``max_segment_bytes`` the

@@ -91,7 +91,7 @@ class TestExtend:
                 with open(os.path.join(many, name), "rb") as b:
                     assert a.read() == b.read(), name
 
-    def test_record_bytes_are_compact_json(self, tmp_path):
+    def test_changelog_records_are_compact_json(self, tmp_path):
         """The hand-rolled record encoder spells ``json.dumps``."""
         directory = str(tmp_path / "log")
         with ChangeLog(directory) as log:

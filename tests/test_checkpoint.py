@@ -78,13 +78,10 @@ class TestFingerprints:
             checkpoint_fingerprint(RDFindConfig(support_threshold=2), encoded)
             == "f183b7bf5aa87cfca26b1480ccb6bf8e"
         )
-        # The spill plane is not part of a job's identity.
+        # The executor backend is part of a job's identity.
         assert (
             checkpoint_fingerprint(
-                RDFindConfig(
-                    support_threshold=2, memory_budget_bytes=4096, executor="process"
-                ),
-                encoded,
+                RDFindConfig(support_threshold=2, executor="process"), encoded
             )
             == "af5d6a2a5b11445a31d085504a513ca9"
         )
@@ -613,12 +610,6 @@ class TestCLICrashResume:
         assert result.returncode != 0
         assert "not a writable directory" in result.stderr
 
-    def test_spill_dir_validated_up_front(self, tmp_path):
-        (tmp_path / "blocker").write_text("a file, not a directory")
-        result = _cli([*DISCOVER, "--spill-dir", "blocker/nested"], tmp_path)
-        assert result.returncode != 0
-        assert "not a writable directory" in result.stderr
-
 
 # ----------------------------------------------------------------------
 # task timeouts (satellite: hung tasks become retryable faults)
@@ -699,20 +690,11 @@ class TestTaskTimeout:
 
 
 # ----------------------------------------------------------------------
-# workspace cleanup registry (satellite: no leaked spill/checkpoint litter)
+# workspace cleanup registry (satellite: no leaked checkpoint litter)
 # ----------------------------------------------------------------------
 
 
 class TestWorkspaceRegistry:
-    def test_tree_workspace_is_removed(self, tmp_path):
-        target = tmp_path / "spill"
-        target.mkdir()
-        (target / "run-0.bin").write_bytes(b"data")
-        workspace.register(str(target), kind=workspace.TREE)
-        cleaned = workspace.cleanup_registered()
-        assert str(target) in cleaned
-        assert not target.exists()
-
     def test_tmp_only_workspace_keeps_durable_files(self, tmp_path):
         target = tmp_path / "ckpt"
         target.mkdir()
@@ -724,22 +706,24 @@ class TestWorkspaceRegistry:
         assert not (target / "fc.ckpt.tmp").exists()
 
     def test_unregistered_workspace_is_left_alone(self, tmp_path):
-        target = tmp_path / "spill"
+        target = tmp_path / "ckpt"
         target.mkdir()
-        token = workspace.register(str(target), kind=workspace.TREE)
+        (target / "fc.ckpt.tmp").write_bytes(b"litter")
+        token = workspace.register(str(target), kind=workspace.TMP_ONLY)
         workspace.unregister(token)
         assert str(target) not in workspace.cleanup_registered()
-        assert target.exists()
+        assert (target / "fc.ckpt.tmp").exists()
 
     def test_other_process_entries_are_not_swept(self, tmp_path):
-        target = tmp_path / "spill"
+        target = tmp_path / "ckpt"
         target.mkdir()
-        token = workspace.register(str(target), kind=workspace.TREE)
+        (target / "fc.ckpt.tmp").write_bytes(b"litter")
+        token = workspace.register(str(target), kind=workspace.TMP_ONLY)
         path, kind, _pid = workspace._registry[token]
         workspace._registry[token] = (path, kind, os.getpid() + 1)
         try:
             assert str(target) not in workspace.cleanup_registered()
-            assert target.exists()
+            assert (target / "fc.ckpt.tmp").exists()
         finally:
             workspace._registry.pop(token, None)
 
@@ -748,14 +732,16 @@ class TestWorkspaceRegistry:
             workspace.register(str(tmp_path), kind="everything")
 
     def test_sigterm_sweeps_and_preserves_exit_status(self, tmp_path):
-        """A SIGTERM'd driver removes its spill tree before dying."""
-        target = tmp_path / "spill"
+        """A SIGTERM'd driver sweeps its temp litter before dying and
+        keeps its durable files."""
+        target = tmp_path / "ckpt"
         script = (
             "import os, signal, sys\n"
             "from repro.dataflow import workspace\n"
             f"os.makedirs({str(target)!r})\n"
-            f"open(os.path.join({str(target)!r}, 'run.bin'), 'wb').write(b'x')\n"
-            f"workspace.register({str(target)!r}, kind=workspace.TREE)\n"
+            f"open(os.path.join({str(target)!r}, 'fc.ckpt'), 'wb').write(b'x')\n"
+            f"open(os.path.join({str(target)!r}, 'cg.ckpt.tmp'), 'wb').write(b'x')\n"
+            f"workspace.register({str(target)!r}, kind=workspace.TMP_ONLY)\n"
             "print('ready', flush=True)\n"
             "os.kill(os.getpid(), signal.SIGTERM)\n"
         )
@@ -766,4 +752,5 @@ class TestWorkspaceRegistry:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert result.returncode == -15  # death by SIGTERM, as delivered
-        assert not target.exists()
+        assert not (target / "cg.ckpt.tmp").exists()
+        assert (target / "fc.ckpt").read_bytes() == b"x"

@@ -32,8 +32,9 @@ _RUNTIME_COMMANDS = (
 
 #: (subcommand, option) pairs that parsed and did nothing: runtime flags
 #: on subcommands that never run RDFind, the checkpoint flags on a server
-#: whose workers own their checkpoints, the retired granularity, and the
-#: plane switch (the byte budget alone picks the plane).
+#: whose workers own their checkpoints, the retired granularity, the
+#: plane switch, and the byte budget and directory of the removed
+#: on-disk shuffle.
 _REMOVED_PAIRS = (
     [(cmd, flag) for cmd in ("histogram", "advise", "inds") for flag in _RUNTIME_FLAGS]
     + [
@@ -45,6 +46,11 @@ _REMOVED_PAIRS = (
         for cmd in ("discover", "funnel", "ontology", "facts", "rank", "profile")
     ]
     + [(cmd, "--shuffle") for cmd in _RUNTIME_COMMANDS]
+    + [
+        (cmd, flag)
+        for cmd in _RUNTIME_COMMANDS
+        for flag in ("--memory-budget-bytes", "--spill-dir")
+    ]
 )
 
 
@@ -101,8 +107,6 @@ class TestCli:
     def test_runtime_flags_arrive_as_config_keywords(self, tmp_path):
         argv = ["discover", "dataset:Countries", "--executor", "process",
                 "--workers", "2", "--faults", "0", "--max-retries", "3",
-                "--memory-budget-bytes", "4096",
-                "--spill-dir", str(tmp_path / "spill"),
                 "--task-timeout-seconds", "9",
                 "--checkpoint-dir", str(tmp_path / "ckpt"), "--resume",
                 "--crash-point", "after:fc", "--crash-point", "before:ex"]
@@ -111,8 +115,6 @@ class TestCli:
             "workers": 2,
             "fault_seed": 0,
             "max_retries": 3,
-            "memory_budget_bytes": 4096,
-            "spill_dir": str(tmp_path / "spill"),
             "task_timeout_seconds": 9.0,
             "checkpoint_dir": str(tmp_path / "ckpt"),
             "resume": True,
@@ -188,24 +190,6 @@ class TestCli:
             )
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
-
-    def test_spill_plane_writes_the_same_bytes_and_says_it_ran(
-        self, capsys, tmp_path
-    ):
-        import re
-
-        # The budget alone picks the spill plane: there is no other switch.
-        discover = ["discover", "dataset:Countries", "--scale", "0.2", "-s", "3"]
-        inline = run(capsys, *discover, "-o", str(tmp_path / "inline.json"))
-        spill = run(
-            capsys, *discover,
-            "--memory-budget-bytes", "4096", "-o", str(tmp_path / "spill.json"),
-        )
-        assert "spill:" not in inline
-        assert re.search(r"^spill: [1-9]\d* runs, [\d,]+ bytes, \d+ merge passes$", spill, re.M)
-        assert (tmp_path / "inline.json").read_bytes() == (
-            tmp_path / "spill.json"
-        ).read_bytes()
 
     def test_histogram(self, capsys):
         out = run(capsys, "histogram", "dataset:Countries", "--scale", "0.05")
@@ -341,7 +325,7 @@ class TestLimit:
         )
         lines = out.splitlines()
         rules = lines.index("association rules:")
-        # Summary lines (the run, and spill or fault lines) are not indented.
+        # Summary lines (the run, and fault or checkpoint lines) are not indented.
         assert [line for line in lines[:rules] if line.startswith("  ")] == [
             "  " + row.render(result.dictionary) for row in result.cinds[:5]
         ]

@@ -9,7 +9,6 @@ from repro.dataflow.engine import (
     SimulatedOutOfMemory,
     record_cells,
 )
-from repro.dataflow.shuffle import SpillConfig
 
 
 def env(parallelism=3, **kwargs):
@@ -140,12 +139,10 @@ class TestKeyedOperators:
 
 
 class TestStageAccounting:
-    """A keyed operator's two stages have one shape on both planes."""
+    """A keyed operator's two stages report one entry per worker."""
 
-    @pytest.mark.parametrize("budget_bytes", [None, 64], ids=["inline", "spill"])
-    def test_co_group_reports_one_entry_per_worker(self, budget_bytes):
-        spill = None if budget_bytes is None else SpillConfig(budget_bytes)
-        with env(3, spill=spill) as environment:
+    def test_co_group_reports_one_entry_per_worker(self):
+        with env(3) as environment:
             left = environment.from_collection(range(10), name="left")
             right = environment.from_collection(range(5, 12), name="right")
             left.co_group(

@@ -36,6 +36,36 @@ class TestConfig:
     def test_with_support(self):
         assert RDFindConfig(support_threshold=5).with_support(9).support_threshold == 9
 
+    def test_environment_is_not_read(self, monkeypatch, tmp_path):
+        """The twelve variables that once supplied the runtime defaults
+        change nothing: a run's settings arrive as keywords only."""
+        for name, value in {
+            "RDFIND_EXECUTOR": "process",
+            "RDFIND_WORKERS": "3",
+            "RDFIND_FAULTS": "99",
+            "RDFIND_MAX_RETRIES": "5",
+            "RDFIND_SHUFFLE": "spill",
+            "RDFIND_MEMORY_BUDGET_BYTES": "65536",
+            "RDFIND_SPILL_DIR": str(tmp_path / "spill"),
+            "RDFIND_CHECKPOINT": "stage",
+            "RDFIND_CHECKPOINT_DIR": str(tmp_path / "ckpt"),
+            "RDFIND_RESUME": "1",
+            "RDFIND_CRASH_POINT": "after:fc",
+            "RDFIND_TASK_TIMEOUT_SECONDS": "7",
+        }.items():
+            monkeypatch.setenv(name, value)
+        assert RDFindConfig() == RDFindConfig(
+            executor="serial",
+            workers=None,
+            fault_seed=None,
+            max_retries=None,
+            checkpoint_dir=None,
+            resume=False,
+            crash_points=(),
+            task_timeout_seconds=None,
+        )
+        assert RDFindConfig().effective_fault_plan() is None
+
 
 class TestPaperExamples:
     def test_example3_cind_holds_at_h2(self, table1_encoded):
@@ -333,19 +363,8 @@ class TestStageNames:
     ]
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize(
-        "memory_budget_bytes", [None, 4096], ids=["inline", "spill"]
-    )
-    def test_default_run_stage_sequence(self, executor, memory_budget_bytes):
+    def test_default_run_stage_sequence(self, executor):
         dataset = registry.load("Countries", scale=0.1, encoded=True)
-        config = RDFindConfig(
-            support_threshold=5,
-            executor=executor,
-            workers=2,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        config = RDFindConfig(support_threshold=5, executor=executor, workers=2)
         result = RDFind(config).discover(dataset)
         assert [stage.name for stage in result.metrics.stages] == self.DEFAULT_RUN
-        # The budget alone puts the run on the spill plane.
-        spilled = result.metrics.total_spilled_runs > 0
-        assert spilled == (memory_budget_bytes is not None)

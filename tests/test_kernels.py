@@ -9,7 +9,6 @@ the same result bytes.
 
 from __future__ import annotations
 
-import sys
 import tempfile
 from dataclasses import replace
 from unittest import mock
@@ -35,7 +34,6 @@ from repro.dataflow.kernels import (
     binary_counts_kernel,
     unary_counts_kernel,
 )
-from repro.dataflow.shuffle import record_bytes
 from repro.datasets import registry
 from repro.rdf.model import Dataset
 from repro.storage.columnar import build_triple_batches
@@ -92,16 +90,6 @@ class TestTripleBatches:
         batches = build_triple_batches(encoded, 4)
         assert sum(record_cells(b) for b in batches) == encoded.cells
         assert all(b.budget_cells == 3 * len(b) for b in batches)
-
-    def test_byte_budget_pricing_is_honest(self):
-        """nbytes prices the batch at the column payload it actually holds."""
-        encoded = random_rdf(8, n_triples=2000, n_subjects=40, n_objects=40).encode()
-        (batch,) = build_triple_batches(encoded, 1)
-        payload = sum(len(column.tobytes()) for column in batch.columns)
-        assert batch.nbytes() == payload
-        priced = record_bytes(batch)
-        assert priced == sys.getsizeof(batch) + batch.nbytes()
-        assert priced >= payload
 
     def test_invalid_batch_count_rejected(self):
         encoded = random_rdf(9, n_triples=10).encode()
@@ -301,9 +289,6 @@ class TestDifferential:
         scope=st.sampled_from(sorted(_SCOPES)),
         variant=st.sampled_from(sorted(_VARIANTS)),
         executor=st.sampled_from(["serial", "process"]),
-        # None: the inline plane; small: many spilled runs; large: one
-        # run per task and partition.
-        memory_budget_bytes=st.sampled_from([None, 512, 1 << 30]),
         h=st.integers(min_value=1, max_value=3),
         # Saturated to roomy candidate filters: all three cases of
         # Algorithm 3 and the validation pass on int filters.
@@ -316,7 +301,7 @@ class TestDifferential:
         checkpointed=st.booleans(),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
-        self, rows, scope, variant, executor, memory_budget_bytes, h, bloom_bits,
+        self, rows, scope, variant, executor, h, bloom_bits,
         bloom_hashes, fault_seed, max_retries, checkpointed,
     ):
         dataset = Dataset.from_tuples(rows)
@@ -326,7 +311,6 @@ class TestDifferential:
             scope=_SCOPES[scope](),
             executor=executor,
             workers=2,
-            memory_budget_bytes=memory_budget_bytes,
             candidate_bloom_bits=bloom_bits,
             candidate_bloom_hashes=bloom_hashes,
             fault_seed=fault_seed,

@@ -436,7 +436,6 @@ class TestRunSettings:
             run_settings={
                 "executor": "process",
                 "workers": 2,
-                "memory_budget_bytes": 4096,
                 "fault_seed": 3,
             },
         )
@@ -446,7 +445,6 @@ class TestRunSettings:
             assert final["request"]["executor"] == "process"
             summary = final["progress"]["summary"]
             assert summary["executor"] == "process"
-            assert summary["spilled_runs"] > 0
             assert summary["faults_injected"] > 0
             assert client.raw_result(job["id"]) == direct_bytes(
                 "dataset:Countries", 5, scale=0.25
@@ -463,12 +461,11 @@ class TestWorkerJob:
         self, tmp_path, tiny_nt, monkeypatch
     ):
         """The variables that once configured every run in the process:
-        a plain job still runs once, unresumed, on the inline plane.  (In
-        a subprocess: a crash point that fires aborts its process.)"""
+        a plain job still runs once, unresumed.  (In a subprocess: a crash
+        point that fires aborts its process.)"""
         store = JobStore(str(tmp_path / "jobs"))
         record = store.create(JobRequest(dataset=tiny_nt, support_threshold=2))
         monkeypatch.setenv("RDFIND_CRASH_POINT", "after:fc")
-        monkeypatch.setenv("RDFIND_SHUFFLE", "spill")
         done = subprocess.run(
             [sys.executable, "-m", "repro.server.worker", store.job_dir(record.id)],
             env=dict(os.environ, PYTHONPATH=SRC),
@@ -480,7 +477,6 @@ class TestWorkerJob:
         outcome = store.outcome(record.id)
         assert outcome["state"] == "succeeded"
         assert outcome["summary"]["resumed_stages"] == 0
-        assert store.final_metrics(record.id)["summary"]["spilled_runs"] == 0
         assert store.raw_result(record.id) == direct_bytes(tiny_nt, 2)
 
     def test_job_writes_the_result_without_building_cind_rows(
