@@ -47,7 +47,7 @@ def main() -> None:
         f"{len(maintainer.pertinent_cinds()):,} CINDs"
     )
 
-    # Idle query: nothing dirty, nothing recomputed.
+    # Idle query: nothing dirty, nothing recomputed, no block rendered.
     before = maintainer.stats.dependents_recomputed
     maintainer.pertinent_cinds()
     print(
@@ -55,10 +55,10 @@ def main() -> None:
         f"{maintainer.stats.dependents_recomputed - before} dependents"
     )
 
-    # Sanity: the maintainer's batch-semantics view (AR-equivalence
-    # rewriting applied at query time) matches batch discovery — its
-    # document is what `rdfind discover -o` would write, kept per
-    # dependent and re-rendered only where the deltas reached.
+    # Sanity: the maintainer answers what batch discovery answers on
+    # the same snapshot — pertinent_cinds() decodes the blocks of the
+    # document `rdfind discover -o` would write, kept per dependent and
+    # re-rendered only where the deltas reached.
     batch_result = find_pertinent_cinds(
         maintainer.materialize(), support_threshold=h
     )
@@ -66,7 +66,8 @@ def main() -> None:
     print(
         f"batch re-discovery on the same snapshot: "
         f"{len(batch_result.cinds):,} pertinent CINDs "
-        f"(maintainer.document_json(): {len(document['cinds']):,}, "
+        f"(maintainer: {len(maintainer.pertinent_cinds()):,}, its document: "
+        f"{len(document['cinds']):,}, "
         f"{maintainer.stats.blocks_rebuilt:,} blocks rendered so far)"
     )
 

@@ -695,8 +695,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     f"(seq {session.applied_seq:,})"
                 )
 
-        def emit(tag: str) -> None:
-            cinds = session.pertinent_cinds()
+        def emit(tag: str) -> list:
+            cinds = session.maintainer.pertinent_cinds()
             stats = session.maintainer.stats
             print(
                 f"[{tag}] seq {session.applied_seq:,}: "
@@ -705,6 +705,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 f"(+{stats.triples_added:,}/-{stats.triples_removed:,} applied, "
                 f"{stats.compactions} compactions)"
             )
+            return cinds
 
         if args.updates:
             applied = 0
@@ -727,10 +728,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
             applied += session.apply_batch(batch)["applied"]
             print(f"applied {applied:,} updates from {args.updates}")
 
-        emit("final")
-        dictionary = session.maintainer.dictionary
-        for supported in session.pertinent_cinds()[: args.limit]:
-            print(" ", supported.render(dictionary))
+        for supported in emit("final")[: args.limit]:
+            print(" ", session.maintainer.render(supported))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(session.document_json())

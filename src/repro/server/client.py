@@ -223,10 +223,12 @@ class ServerClient:
     def result(
         self, job_id: str, offset: int = 0, limit: Optional[int] = None
     ) -> Dict[str, Any]:
-        query = f"?offset={offset}"
-        if limit is not None:
-            query += f"&limit={limit}"
-        return self._request("GET", f"/jobs/{job_id}/result{query}")
+        return self._page(f"/jobs/{job_id}/result", offset, limit)
+
+    def _page(self, path: str, offset: int, limit: Optional[int]) -> Dict[str, Any]:
+        """One page of a job's or a stream's result document."""
+        query = f"?offset={offset}" + ("" if limit is None else f"&limit={limit}")
+        return self._request("GET", path + query)
 
     def raw_result(self, job_id: str) -> bytes:
         """The full result document bytes (diffable against ``discover -o``)."""
@@ -259,8 +261,10 @@ class ServerClient:
             "POST", f"/streams/{stream_id}/deltas", body={"deltas": deltas}
         )
 
-    def stream_results(self, stream_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/streams/{stream_id}/results")
+    def stream_results(
+        self, stream_id: str, offset: int = 0, limit: Optional[int] = None
+    ) -> Dict[str, Any]:
+        return self._page(f"/streams/{stream_id}/results", offset, limit)
 
     def raw_stream_results(self, stream_id: str) -> bytes:
         """The stream's batch-identical result document bytes."""

@@ -21,8 +21,8 @@ Routes::
     POST /streams                 create a stream (h/scope/compact cadence)
     GET  /streams/<id>            status + MaintenanceStats counters
     POST /streams/<id>/deltas     apply a batch of add/remove deltas
-    GET  /streams/<id>/results    current pertinent CINDs; ?raw=1 returns
-                                  the batch-identical result document
+    GET  /streams/<id>/results    the stream's result document, paged and
+                                  shaped as a job's result (?raw=1 too)
     POST /streams/<id>/compact    checkpoint the stream state now
 
 Error mapping: BadRequest -> 400, UnknownJob -> 404, Conflict -> 409,
@@ -36,7 +36,7 @@ import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.datasets.registry import DATASETS
@@ -55,6 +55,34 @@ __all__ = ["DiscoveryServer"]
 
 #: Submission bodies larger than this are rejected outright.
 MAX_BODY_BYTES = 1 << 20
+
+
+def result_page(
+    result_id: str, document: Dict[str, Any], offset: int, limit: Optional[int]
+) -> Dict[str, Any]:
+    """One page of a result document's CINDs (plus all ARs on page 0):
+    a job's and a stream's alike."""
+    if offset < 0:
+        raise BadRequestError(f"offset must be >= 0, got {offset}")
+    if limit is not None and limit < 0:
+        raise BadRequestError(f"limit must be >= 0, got {limit}")
+    cinds = document.get("cinds", [])
+    page = cinds[offset:] if limit is None else cinds[offset : offset + limit]
+    return {
+        "id": result_id,
+        "format": document.get("format"),
+        "version": document.get("version"),
+        "variant": document.get("variant"),
+        "support_threshold": document.get("support_threshold"),
+        "total_cinds": len(cinds),
+        "offset": offset,
+        "limit": limit,
+        "cinds": page,
+        "association_rules": (
+            document.get("association_rules", []) if offset == 0 else []
+        ),
+        "total_association_rules": len(document.get("association_rules", [])),
+    }
 
 
 class _JsonHandler(BaseHTTPRequestHandler):
@@ -168,11 +196,15 @@ class _JsonHandler(BaseHTTPRequestHandler):
             if len(parts) == 2 and parts[0] == "jobs":
                 return lambda query: self._get_job(parts[1], query)
             if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                return lambda query: self._get_result(parts[1], query)
+                return lambda query: self._send_result(
+                    parts[1], query, self.service.raw_result
+                )
             if len(parts) == 2 and parts[0] == "streams":
                 return lambda query: self._get_stream(parts[1], query)
             if len(parts) == 3 and parts[0] == "streams" and parts[2] == "results":
-                return lambda query: self._get_stream_results(parts[1], query)
+                return lambda query: self._send_result(
+                    parts[1], query, self.streams.raw_results
+                )
         elif method == "POST":
             if path == "/jobs":
                 return self._post_job
@@ -231,17 +263,21 @@ class _JsonHandler(BaseHTTPRequestHandler):
     def _get_job(self, job_id: str, _query: Dict[str, str]) -> None:
         self._send_json(200, self.service.job_status(job_id))
 
-    def _get_result(self, job_id: str, query: Dict[str, str]) -> None:
+    def _send_result(
+        self, result_id: str, query: Dict[str, str], raw: Callable[[str], bytes]
+    ) -> None:
+        """A job's or a stream's result document: its bytes with
+        ``?raw=1``, else one :func:`result_page` (``?offset=&limit=``)."""
         if query.get("raw") in ("1", "true", "yes"):
-            raw = self.service.raw_result(job_id)
-            self._send_bytes(200, raw, "application/json; charset=utf-8")
+            self._send_bytes(200, raw(result_id), "application/json; charset=utf-8")
             return
         try:
             offset = int(query.get("offset", 0))
             limit = int(query["limit"]) if query.get("limit") else None
         except ValueError as error:
             raise BadRequestError(f"bad pagination parameter: {error}")
-        self._send_json(200, self.service.result_page(job_id, offset, limit))
+        document = json.loads(raw(result_id))
+        self._send_json(200, result_page(result_id, document, offset, limit))
 
     def _post_cancel(self, job_id: str, _query: Dict[str, str]) -> None:
         self._read_body()  # drain (keep-alive hygiene); cancel takes no body
@@ -254,20 +290,10 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"streams": self.streams.list_streams()})
 
     def _post_stream(self, _query: Dict[str, str]) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise BadRequestError("stream config must be a JSON object")
-        self._send_json(201, {"stream": self.streams.create(body)})
+        self._send_json(201, {"stream": self.streams.create(self._read_body())})
 
     def _get_stream(self, stream_id: str, _query: Dict[str, str]) -> None:
         self._send_json(200, {"stream": self.streams.status(stream_id)})
-
-    def _get_stream_results(self, stream_id: str, query: Dict[str, str]) -> None:
-        if query.get("raw") in ("1", "true", "yes"):
-            raw = self.streams.raw_results(stream_id)
-            self._send_bytes(200, raw, "application/json; charset=utf-8")
-            return
-        self._send_json(200, self.streams.results(stream_id))
 
     def _post_stream_deltas(self, stream_id: str, _query: Dict[str, str]) -> None:
         body = self._read_body()

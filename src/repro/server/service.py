@@ -330,36 +330,6 @@ class JobService:
     def list_jobs(self) -> List[Dict[str, object]]:
         return [record.to_json() for record in self.store.list_records()]
 
-    def result_page(
-        self, job_id: str, offset: int = 0, limit: Optional[int] = None
-    ) -> Dict[str, object]:
-        """One page of a finished job's CINDs (plus all ARs on page 0)."""
-        if offset < 0:
-            raise BadRequestError(f"offset must be >= 0, got {offset}")
-        if limit is not None and limit < 0:
-            raise BadRequestError(f"limit must be >= 0, got {limit}")
-        record = self._finished_record(job_id)
-        document = self.store.result_document(job_id)
-        if document is None:
-            raise ConflictError(f"job {job_id} result document is missing")
-        cinds = document.get("cinds", [])
-        page = cinds[offset:] if limit is None else cinds[offset : offset + limit]
-        return {
-            "id": record.id,
-            "format": document.get("format"),
-            "version": document.get("version"),
-            "variant": document.get("variant"),
-            "support_threshold": document.get("support_threshold"),
-            "total_cinds": len(cinds),
-            "offset": offset,
-            "limit": limit,
-            "cinds": page,
-            "association_rules": (
-                document.get("association_rules", []) if offset == 0 else []
-            ),
-            "total_association_rules": len(document.get("association_rules", [])),
-        }
-
     def raw_result(self, job_id: str) -> bytes:
         """The full result document, byte-identical to ``discover -o``."""
         self._finished_record(job_id)

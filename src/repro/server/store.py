@@ -383,10 +383,6 @@ class JobStore:
         data = read_json(self.metrics_path(job_id))
         return data if isinstance(data, dict) else None
 
-    def result_document(self, job_id: str) -> Optional[Dict[str, Any]]:
-        data = read_json(self.result_path(job_id))
-        return data if isinstance(data, dict) else None
-
     def raw_result(self, job_id: str) -> Optional[bytes]:
         """The result document's exact on-disk bytes (byte-diffable
         against the CLI's ``discover -o`` output)."""

@@ -13,9 +13,9 @@ directories under ``<root>/``::
 
 A restarted server reopens every stream directory it finds — recovery is
 the session's own checkpoint-plus-suffix replay, so a server bounce
-costs a changelog suffix, not a rebuild; one with no readable
-``stream.json`` is skipped with a warning, its id still taken.  A bad
-delta (``DeltaError``) makes its whole batch a 400 with nothing applied.
+costs a changelog suffix, not a rebuild; one whose ``stream.json`` is
+missing or fails ``create``'s checks is skipped with a warning, its id
+still taken.  A bad delta (``DeltaError``) makes its batch a 400.
 
 Endpoints (wired in :mod:`repro.server.routes`)::
 
@@ -24,8 +24,8 @@ Endpoints (wired in :mod:`repro.server.routes`)::
                                   "compact_every"?}) -> 201 + summary
     GET  /streams/<id>            status incl. MaintenanceStats.to_dict()
     POST /streams/<id>/deltas     apply {"deltas": [{"op","s","p","o"}, ...]}
-    GET  /streams/<id>/results    pertinent CINDs + ARs; ?raw=1 returns the
-                                  batch-identical result document bytes
+    GET  /streams/<id>/results    the result document, paged as a job's;
+                                  ?raw=1 returns its ``discover -o`` bytes
     POST /streams/<id>/compact    checkpoint now (bounds restart replay)
 """
 
@@ -56,6 +56,30 @@ DEFAULT_COMPACT_EVERY = 10_000
 _SCOPES = {"full": ConditionScope.full, "predicates": ConditionScope.predicates_only}
 
 
+def _stream_meta(body: Any) -> Dict[str, Any]:
+    """A stream's config — a create body or a ``stream.json`` — checked,
+    defaults filled; :class:`BadRequestError` says what is wrong."""
+    if not isinstance(body, dict):
+        raise BadRequestError("stream config must be a JSON object")
+    meta = {
+        "support_threshold": body.get("support_threshold"),
+        "scope": body.get("scope", "full"),
+        "compact_every": body.get("compact_every", DEFAULT_COMPACT_EVERY),
+    }
+    for name, least, kind in (
+        ("support_threshold", 1, "positive"),
+        ("compact_every", 0, "non-negative"),
+    ):
+        value = meta[name]
+        if type(value) is not int or value < least:  # a bool is no count
+            raise BadRequestError(f"{name} must be a {kind} integer, got {value!r}")
+    if meta["scope"] not in _SCOPES:
+        raise BadRequestError(
+            f"unknown scope {meta['scope']!r} (use 'full' or 'predicates')"
+        )
+    return meta
+
+
 class StreamManager:
     """Owns every live :class:`StreamSession` under one root directory."""
 
@@ -77,12 +101,11 @@ class StreamManager:
                 continue
             # Taken whether or not it opens: its changelog is still on disk.
             self._next_index = max(self._next_index, int(matched.group(1)) + 1)
-            meta = read_json(os.path.join(self.root_dir, name, _META_NAME))
-            if not isinstance(meta, dict):
-                print(
-                    f"streams: skipping {name}: {_META_NAME} is missing or unreadable",
-                    file=sys.stderr,
-                )
+            path = os.path.join(self.root_dir, name, _META_NAME)
+            try:
+                meta = _stream_meta(read_json(path))
+            except BadRequestError as error:
+                print(f"streams: skipping {name}: {path}: {error}", file=sys.stderr)
                 continue
             self._sessions[name] = self._open_session(name, meta)
             self._stream_locks[name] = threading.Lock()
@@ -90,38 +113,15 @@ class StreamManager:
     def _open_session(self, stream_id: str, meta: Dict[str, Any]) -> StreamSession:
         return StreamSession(
             os.path.join(self.root_dir, stream_id),
-            h=int(meta["support_threshold"]),
-            scope=_SCOPES[meta.get("scope", "full")](),
-            compact_every=int(meta.get("compact_every", DEFAULT_COMPACT_EVERY)),
+            h=meta["support_threshold"],
+            scope=_SCOPES[meta["scope"]](),
+            compact_every=meta["compact_every"],
         )
 
     # -- lifecycle -----------------------------------------------------
 
-    def create(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        h = body.get("support_threshold")
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-            raise BadRequestError(
-                f"support_threshold must be a positive integer, got {h!r}"
-            )
-        scope_name = body.get("scope", "full")
-        if scope_name not in _SCOPES:
-            raise BadRequestError(
-                f"unknown scope {scope_name!r} (use 'full' or 'predicates')"
-            )
-        compact_every = body.get("compact_every", DEFAULT_COMPACT_EVERY)
-        if (
-            not isinstance(compact_every, int)
-            or isinstance(compact_every, bool)
-            or compact_every < 0
-        ):
-            raise BadRequestError(
-                f"compact_every must be a non-negative integer, got {compact_every!r}"
-            )
-        meta = {
-            "support_threshold": h,
-            "scope": scope_name,
-            "compact_every": compact_every,
-        }
+    def create(self, body: Any) -> Dict[str, Any]:
+        meta = _stream_meta(body)
         with self._lock:
             stream_id = f"st-{self._next_index:06d}"
             self._next_index += 1
@@ -174,20 +174,6 @@ class StreamManager:
             except DeltaError as error:
                 raise BadRequestError(str(error)) from None
             return dict(counts, id=stream_id, last_seq=session.applied_seq)
-
-    def results(self, stream_id: str) -> Dict[str, Any]:
-        session = self._session(stream_id)
-        with self._locked(stream_id):
-            cinds = session.pertinent_cinds()
-            dictionary = session.maintainer.dictionary
-            return {
-                "id": stream_id,
-                "support_threshold": session.h,
-                "triples": session.maintainer.triples,
-                "last_seq": session.applied_seq,
-                "count": len(cinds),
-                "cinds": [sc.render(dictionary) for sc in cinds],
-            }
 
     def raw_results(self, stream_id: str) -> bytes:
         """The batch-identical result document (diffable vs ``discover -o``)."""

@@ -1,7 +1,7 @@
 """Streaming updates: durable changelog, add/remove maintenance, recovery.
 
-ROADMAP item 3: the batch reproduction learns to sit behind a live,
-mutating knowledge graph.  The subsystem is a stack of small modules::
+Discovery behind a live, mutating knowledge graph, answering what
+``rdfind discover`` answers on its current triples; a stack of modules::
 
     changelog.py   durable CRC-framed add/remove log (ChangeLog):
                    monotonic sequence numbers, sealed/open segments,
@@ -25,9 +25,9 @@ mutating knowledge graph.  The subsystem is a stack of small modules::
                    server's `/streams` endpoints
 
 Correctness bar (enforced by the test suite): after *any* prefix of an
-add/remove sequence, ``pertinent_cinds()`` equals a from-scratch run on
-the materialized dataset, and the emitted result document is
-byte-identical to batch ``rdfind discover -o`` on that dataset.
+add/remove sequence, the result document is byte-identical to batch
+``rdfind discover -o`` on the materialized dataset, and
+``pertinent_cinds()`` (its rows, decoded) is that run's ``cinds``, in order.
 """
 
 from repro.streaming.changelog import (

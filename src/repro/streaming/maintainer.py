@@ -22,9 +22,9 @@ tuple, from the moment a triple arrives until a query is answered; which
 captures a condition feeds is a per-scope plan computed once, so an
 evidence event is shifts, an ``or``, two dict lookups and a set add.
 ``Capture`` objects come from a per-maintainer memo, one object per
-code: :meth:`broad_cinds` decodes changed rows, and the document decodes
-what it sorts and renders; its rows, their minimality and its blocks
-stay codes.
+code: the document decodes what it sorts and renders, and
+:meth:`pertinent_cinds` / :meth:`broad_cinds` what they return; the
+rows, their minimality and the blocks stay codes.
 
 The cache invariant has two clauses: a cached row outside the *dirty
 set* equals Lemma 3's intersection (``c ⊆ c'`` iff ``c'`` is in every
@@ -65,21 +65,18 @@ quantity moves in only one direction, so only that direction is checked.
   groups, and only *retract* evidence — a value leaves an interpretation
   exactly when its witness count hits zero.
 
-Two query surfaces:
-
-* :meth:`pertinent_cinds` — the maintainer's native semantics (no
-  AR-equivalence rewriting), validated against
-  ``NaiveProfiler(..., prune_ar_equivalents=False)``;
-* :meth:`document_json` (through :meth:`result_document` and
-  :meth:`batch_result`) — the *batch pipeline's* semantics: exact
-  association rules from the maintained frequencies, AR-embedding binary
-  captures filtered out of the adjacency, rows ordered by each term's
-  first live occurrence (the id order of a cold batch encode) and
-  rendered by the one result encoder, so the document is
-  **byte-identical** to ``rdfind discover -o`` on the materialized
-  dataset.  (The batch pipeline bakes AR rewriting into its capture
-  groups; here an AR can be broken by a later delta, so the rewrite stays
-  at query time — applied to the blocks that changed, not to the lot.)
+One answer, the *batch pipeline's*: :meth:`document_json` (through
+:meth:`result_document` and :meth:`batch_result`) holds exact
+association rules from the maintained frequencies, AR-embedding binary
+captures filtered out of the adjacency, rows ordered by each term's
+first live occurrence (the id order of a cold batch encode) and
+rendered by the one result encoder, so the document is
+**byte-identical** to ``rdfind discover -o`` on the materialized
+dataset.  :meth:`pertinent_cinds` decodes the same blocks, so its rows
+and their order are ``DiscoveryResult.cinds`` of that run.  (The batch
+pipeline bakes AR rewriting into its capture groups; here an AR can be
+broken by a later delta, so the rewrite stays at query time — applied
+to the blocks that changed, not to the lot.)
 """
 
 from __future__ import annotations
@@ -238,12 +235,12 @@ class StreamingRDFind:
         self._decoded = _Memo(code_capture)
 
         # What a query keeps rather than rebuilds.  Rows rewritten since
-        # the last broad_cinds(), dependents due a new block; the decoded
-        # adjacency; unary capture -> cached binary ones relaxing to it;
-        # named term -> position (see _position), terms that lost theirs.
+        # the last _settle(), dependents due a new block; each non-empty
+        # row as last settled; unary capture -> settled binary ones relaxing
+        # to it; named term -> position (see _position), terms that lost it.
         self._touched: Set[int] = set()
         self._stale: Set[int] = set()
-        self._broad: Dict[Capture, Tuple[FrozenSet[Capture], int]] = {}
+        self._settled: Dict[int, FrozenSet[int]] = {}
         self._relaxers: Dict[int, Set[int]] = {}
         self._first: Dict[int, int] = {}
         self._moved: Set[int] = set()
@@ -253,8 +250,8 @@ class StreamingRDFind:
         self._rules: Dict[Tuple[int, int, int], Tuple] = {}
         self._pruned: Set[int] = set()
         self._rule_order: List[Tuple] = []
-        # Blocks: dependent -> (sort key, dependent, rows, terms named),
-        # the same tuples in document order, and the document they spell.
+        # Blocks: dependent -> (sort key, minimality's block, rendered rows,
+        # terms named), the same tuples in document order, and the document.
         self._blocks: Dict[int, Tuple] = {}
         self._order: List[Tuple] = []
         self._encoder = ResultEncoder(self.dictionary.decode, self._decoded.__getitem__)
@@ -501,7 +498,7 @@ class StreamingRDFind:
                 self._touched.add(member)
 
     # ------------------------------------------------------------------
-    # queries (maintainer semantics: no AR rewriting)
+    # rows
     # ------------------------------------------------------------------
 
     def capture_support(self, capture: Capture) -> int:
@@ -531,12 +528,10 @@ class StreamingRDFind:
             if c in bound or c != dependent and values <= witnesses[c].keys()
         )
 
-    def broad_cinds(self) -> Dict[Capture, Tuple[FrozenSet[Capture], int]]:
-        """Current broad CINDs in adjacency form (recomputing dirty rows).
-
-        The decoded form of the row cache, a changed row at a time: the
-        dict is the maintained one.
-        """
+    def _settle(self) -> None:
+        """Make the dirty rows exact (or drop them below h) and mark stale
+        every rewritten row, and the binary dependents relaxing to a row
+        that differs from its last settled one."""
         self.stats.queries += 1
         witnesses, cache, touched = self._witnesses, self._refs_cache, self._touched
         for dependent in self._dirty:
@@ -547,35 +542,31 @@ class StreamingRDFind:
                 cache.pop(dependent, None)
         touched.update(self._dirty)
         self._dirty.clear()
-        decoded, broad, stale = self._decoded, self._broad, self._stale
+        settled, stale = self._settled, self._stale
         for code in touched:
-            capture = decoded[code]
-            row = frozenset(map(decoded.__getitem__, cache.get(code, ())))
-            old, _support = broad.pop(capture, (frozenset(), 0))
-            if row:
-                broad[capture] = (row, len(witnesses[code]))
-            if row != old:  # the binary dependents relaxing to it read this row
+            row = cache.get(code, frozenset())
+            if row != settled.pop(code, frozenset()):
                 stale.update(self._relaxers.get(code, ()))
+            if row:
+                settled[code] = row
             for part in unary_part_codes(code):
                 relaxers = self._relaxers.setdefault(part, set())
                 (relaxers.add if row else relaxers.discard)(code)
         stale.update(touched)
         touched.clear()
-        return broad
 
-    def pertinent_cinds(self) -> List[SupportedCIND]:
-        """Current pertinent (broad and minimal) CINDs, in ``Capture`` order."""
-        self.broad_cinds()
+    def broad_cinds(self) -> Dict[Capture, Tuple[FrozenSet[Capture], int]]:
+        """Current broad CINDs in adjacency form (no AR rewriting), the
+        settled rows decoded."""
+        self._settle()
         decode, witnesses = self._decoded.__getitem__, self._witnesses
-        rows = {c: (r, len(witnesses[c])) for c, r in self._refs_cache.items() if r}
-        return list(block_cinds(consolidate_pertinent(rows, decode), decode))
-
-    def render(self, supported: SupportedCIND) -> str:
-        """Render a result row with this maintainer's dictionary."""
-        return supported.render(self.dictionary)
+        return {
+            decode(code): (frozenset(map(decode, row)), len(witnesses[code]))
+            for code, row in self._settled.items()
+        }
 
     # ------------------------------------------------------------------
-    # queries (batch semantics: AR rewriting at query time)
+    # queries (the batch answer: AR rewriting at query time)
     # ------------------------------------------------------------------
 
     def _position(self, term: int) -> int:
@@ -667,10 +658,10 @@ class StreamingRDFind:
         filter-then-intersect, and supports are untouched.
         """
         self.association_rules()  # first: the rows it reads may be bounds
-        self.broad_cinds()
+        self._settle()
         stale, moved, cache = self._stale, self._moved, self._refs_cache
         if moved:
-            stale.update(b[1] for b in self._order if not moved.isdisjoint(b[3]))
+            stale.update(b[1][0] for b in self._order if not moved.isdisjoint(b[3]))
             moved.clear()
         pruned, witnesses = self._pruned, self._witnesses
         rows: BroadCINDs = {}
@@ -696,16 +687,17 @@ class StreamingRDFind:
         for code in stale & blocks.keys():
             del order[bisect_left(order, blocks.pop(code))]
             self._document = None
-        for dependent, support, refs in cinds:
+        for block in cinds:
+            dependent, support, refs = block
             if dependent in stale:
                 terms = (decoded[c].condition[1::2] for c in (dependent, *refs))
-                blocks[dependent] = block = (
+                blocks[dependent] = entry = (
                     (-support, self._sort_key(dependent)),
-                    dependent,
+                    block,
                     self._encoder.block(dependent, support, refs),
                     frozenset(chain.from_iterable(terms)),
                 )
-                insort(order, block)
+                insort(order, entry)
                 self.stats.blocks_rebuilt += 1
                 self._document = None
         stale.clear()
@@ -722,6 +714,17 @@ class StreamingRDFind:
             texts = (block[2] for block in blocks), (rule[1] for rule in rules)
             self._document = "".join(result_pieces(self.h, BATCH_VARIANT, *texts))
         return self._document
+
+    def pertinent_cinds(self) -> List[SupportedCIND]:
+        """The document's pertinent CINDs in document order: the rows of
+        ``rdfind discover`` on the materialized dataset."""
+        blocks, _rules = self.result_document()
+        decode = self._decoded.__getitem__
+        return list(block_cinds((block[1] for block in blocks), decode))
+
+    def render(self, supported: SupportedCIND) -> str:
+        """Render a result row with this maintainer's dictionary."""
+        return supported.render(self.dictionary)
 
     # ------------------------------------------------------------------
     # introspection

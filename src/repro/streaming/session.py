@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
-from repro.core.cind import SupportedCIND
 from repro.core.conditions import ConditionScope
 from repro.dataflow.gcpause import gc_paused
 from repro.streaming.changelog import (
@@ -161,9 +160,6 @@ class StreamSession:
         self.last_compact_seconds = time.perf_counter() - started
 
     # -- queries -------------------------------------------------------
-
-    def pertinent_cinds(self) -> List[SupportedCIND]:
-        return self.maintainer.pertinent_cinds()
 
     def document_json(self) -> str:
         return self.maintainer.document_json()

@@ -119,16 +119,17 @@ class StreamingMachine(RuleBasedStateMachine):
 
     @rule()
     def query(self):
-        """Ask for the document here: the steps since the last query meet
+        """Ask for the document here: the step since the last query meets
         warm blocks, positions and rules, and :meth:`document_is_batch_bytes`
-        checks what they made of them."""
+        checks what it made of them."""
         self.served = self.session.document_json()
 
     @invariant()
     def document_is_batch_bytes(self):
         """A document just served is ``discover`` + ``dump_result`` on the
-        materialized triples.  (Asking after *every* step would leave the
-        incremental state nothing to accumulate, so only ``query`` asks.)"""
+        materialized triples.  (Rendering it after *every* step would cost
+        a batch run per step, so only ``query`` asks;
+        :meth:`pertinent_matches_batch` settles the blocks after each.)"""
         served, self.served = self.served, None
         if served is None:
             return
@@ -143,6 +144,7 @@ class StreamingMachine(RuleBasedStateMachine):
 
     @invariant()
     def pertinent_matches_batch(self):
+        """The rows the stream answers are the batch semantics' rows."""
         if not self.model:
             return
         from repro.core.cind import decode_cind
@@ -152,7 +154,7 @@ class StreamingMachine(RuleBasedStateMachine):
             for sc in self.maintainer.pertinent_cinds()
         }
         encoded = Dataset(self.model).encode()
-        profiler = NaiveProfiler(encoded, prune_ar_equivalents=False)
+        profiler = NaiveProfiler(encoded)
         want = {
             (decode_cind(sc.cind, encoded.dictionary), sc.support)
             for sc in profiler.pertinent_cinds(self.h)

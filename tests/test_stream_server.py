@@ -51,7 +51,6 @@ class TestStreamEndpoints:
         assert applied["last_seq"] == applied["applied"]
 
         page = client.stream_results(stream["id"])
-        assert page["count"] == len(page["cinds"])
         assert page["support_threshold"] == 2
 
         # Raw results are byte-identical to the batch pipeline.
@@ -64,7 +63,18 @@ class TestStreamEndpoints:
         expected = json.dumps(
             result_to_dict(batch), ensure_ascii=False, indent=1
         ).encode("utf-8")
-        assert client.raw_stream_results(stream["id"]) == expected
+        raw = client.raw_stream_results(stream["id"])
+        assert raw == expected
+
+        # The page is the raw document's, paged as a job's result is.
+        document = json.loads(raw)
+        assert page["total_cinds"] == len(document["cinds"]) > 2
+        assert page["cinds"] == document["cinds"]
+        assert page["association_rules"] == document["association_rules"]
+        sliced = client.stream_results(stream["id"], offset=1, limit=2)
+        assert sliced["cinds"] == document["cinds"][1:3]
+        assert (sliced["offset"], sliced["limit"]) == (1, 2)
+        assert sliced["total_cinds"] == page["total_cinds"]
 
         listed = client.streams()
         assert [entry["id"] for entry in listed] == [stream["id"]]
@@ -208,6 +218,35 @@ class TestStreamManager:
             assert f"skipping {first['id']}" in capsys.readouterr().err
             assert [entry["id"] for entry in recovered.list_streams()] == [second["id"]]
             assert recovered.raw_results(second["id"]) == raw
+            assert recovered.create({"support_threshold": 1})["id"] == "st-000003"
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"scope": "full"},
+            {"support_threshold": 2, "scope": "bogus"},
+            {"support_threshold": True},
+            {"support_threshold": 2, "compact_every": "5"},
+            ["support_threshold", 2],
+        ],
+    )
+    def test_invalid_meta_is_skipped_and_keeps_its_id(self, tmp_path, capsys, meta):
+        """A ``stream.json`` that ``create`` would refuse costs that stream,
+        not the server's start."""
+        root = str(tmp_path / "streams")
+        manager = StreamManager(root)
+        created = manager.create({"support_threshold": 1})
+        kept = manager.create({"support_threshold": 1})
+        manager.close()
+        with open(tmp_path / "streams" / created["id"] / "stream.json", "w") as handle:
+            json.dump(meta, handle)
+
+        recovered = StreamManager(root)
+        try:
+            assert f"skipping {created['id']}" in capsys.readouterr().err
+            assert [entry["id"] for entry in recovered.list_streams()] == [kept["id"]]
             assert recovered.create({"support_threshold": 1})["id"] == "st-000003"
         finally:
             recovered.close()

@@ -23,9 +23,9 @@ from tests.stream_oracle import (
 
 
 def oracle_decoded(dataset, h):
-    """Ground truth under the maintainer's semantics (no AR rewriting)."""
+    """Ground truth under the batch semantics (AR-equivalent captures pruned)."""
     encoded = dataset.encode()
-    profiler = NaiveProfiler(encoded, prune_ar_equivalents=False)
+    profiler = NaiveProfiler(encoded)
     return {
         (decode_cind(sc.cind, encoded.dictionary), sc.support)
         for sc in profiler.pertinent_cinds(h)
@@ -108,6 +108,11 @@ class TestBatchByteIdentity:
             result_to_dict(batch), ensure_ascii=False, indent=1
         )
         assert maintainer.document_json() == expected
+        # The rows the stream answers are the batch rows, in batch order.
+        assert [
+            (decode_cind(sc.cind, maintainer.dictionary), sc.support)
+            for sc in maintainer.pertinent_cinds()
+        ] == [(decode_cind(sc.cind, batch.dictionary), sc.support) for sc in batch.cinds]
 
 
 class TestThresholdChurn:
