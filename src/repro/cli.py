@@ -139,7 +139,7 @@ def non_negative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A count of at least 1: ``stream -s``."""
+    """A count of at least 1: ``-s/--support``, ``-p``, ``--workers``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -159,10 +159,10 @@ def _add_common(parser: argparse.ArgumentParser, runtime: bool = True) -> None:
     the subcommand runs RDFind (``runtime``)."""
     parser.add_argument("input", help="N-Triples file or dataset:<Name>")
     parser.add_argument(
-        "-s", "--support", type=int, default=25, help="support threshold h"
+        "-s", "--support", type=positive_int, default=25, help="support threshold h"
     )
     parser.add_argument(
-        "-p", "--parallelism", type=int, default=4, help="simulated workers"
+        "-p", "--parallelism", type=positive_int, default=4, help="simulated workers"
     )
     parser.add_argument(
         "--scale", type=float, default=1.0, help="scale for dataset: inputs"
@@ -196,7 +196,7 @@ def _add_runtime_flags(
         "(persistent process pool on real cores)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=positive_int, default=None,
         help="process-pool size (default: min(parallelism, cores))",
     )
     parser.add_argument(
@@ -206,7 +206,7 @@ def _add_runtime_flags(
         "output byte-for-byte",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=None,
+        "--max-retries", type=non_negative_int, default=None,
         help="retry budget per task (default: 2)",
     )
     parser.add_argument(
@@ -834,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cross.add_argument("left", help="N-Triples/Turtle file or dataset:<Name>")
     cross.add_argument("right", help="N-Triples/Turtle file or dataset:<Name>")
-    cross.add_argument("-s", "--support", type=int, default=25)
+    cross.add_argument("-s", "--support", type=positive_int, default=25)
     cross.add_argument("--scale", type=float, default=1.0)
     cross.add_argument("-n", "--limit", type=non_negative_int, default=20)
 
@@ -878,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="two or more endpoint URLs, optionally labeled NAME=URL",
     )
     federate.add_argument(
-        "-s", "--support", type=int, default=25, help="support threshold h"
+        "-s", "--support", type=positive_int, default=25, help="support threshold h"
     )
     federate.add_argument(
         "-o", "--output", default=None,
@@ -1022,10 +1022,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("input", help="N-Triples file or dataset:<Name>")
     profile.add_argument(
-        "-s", "--support", type=int, default=0,
+        "-s", "--support", type=non_negative_int, default=0,
         help="support threshold (0 = use the advisor's recommendation)",
     )
-    profile.add_argument("-p", "--parallelism", type=int, default=4)
+    profile.add_argument("-p", "--parallelism", type=positive_int, default=4)
     profile.add_argument("--scale", type=float, default=1.0)
     _add_runtime_flags(profile)
     profile.add_argument("-n", "--limit", type=non_negative_int, default=10)

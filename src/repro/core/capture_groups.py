@@ -49,7 +49,8 @@ def expand_captures(codes: Set[int]) -> CaptureGroup:
     """
     expanded = set(codes)
     for code in codes:
-        expanded.update(unary_part_codes(code))
+        if code >> 36:  # a unary code has no parts (``unary_part_codes``)
+            expanded.update(unary_part_codes(code))
     return frozenset(expanded)
 
 

@@ -14,16 +14,20 @@ RDFind uses Bloom filters in two places:
    :func:`int_key_mask` instead of a :class:`BloomFilter`.
 
 The implementation uses the classic double-hashing scheme
-``index_i = (h1 + i * h2) mod m`` over a ``bytearray`` bit vector.  Hashes
-are derived from BLAKE2b over a canonical byte encoding, so filters are
-deterministic across processes regardless of ``PYTHONHASHSEED``.
+``index_i = (h1 + i * h2) mod m`` over a ``bytearray`` bit vector.  Int
+keys (ints and tuples of ints: every key the pipeline probes) hash as
+builtin ``hash`` mixed by the shuffle's ``splitmix64``, other keys as
+BLAKE2b over a canonical byte encoding, so filters are deterministic
+across processes regardless of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Iterable, Tuple
+from typing import Any, Callable, Iterable, Tuple
+
+from repro.dataflow.hashing import splitmix64
 
 
 def _canonical_bytes(item: Any) -> bytes:
@@ -50,24 +54,7 @@ def _canonical_bytes(item: Any) -> bytes:
     raise TypeError(f"unsupported Bloom filter key type: {type(item).__name__}")
 
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(value: int) -> int:
-    """splitmix64 finalizer (mirrors ``engine._mix_int``; kept local so the
-    Bloom filter stays dependency-free).
-
-    Builtin ``hash`` is the identity for small ints, so the dense
-    sequential term ids a :class:`~repro.rdf.model.TermDictionary` hands
-    out would otherwise produce *correlated* probe positions — adjacent
-    ids probing adjacent slots — and an observed false-positive rate well
-    above the configured one.  The finalizer decorrelates them.
-    """
-    value &= _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 def _is_int_key(item: Any) -> bool:
@@ -92,8 +79,8 @@ def _is_int_key(item: Any) -> bool:
 
 def _hash_pair(item: Any) -> Tuple[int, int]:
     if _is_int_key(item):
-        h1 = _mix64(hash(item))
-        h2 = _mix64(h1 ^ _GOLDEN) | 1  # odd, so it cycles all slots
+        h1 = splitmix64(hash(item))
+        h2 = splitmix64(h1 ^ _GOLDEN) | 1  # odd, so it cycles all slots
         return h1, h2
     digest = hashlib.blake2b(_canonical_bytes(item), digest_size=16).digest()
     h1 = int.from_bytes(digest[:8], "big")
@@ -186,27 +173,30 @@ class BloomFilter:
         bits = self._bits
         return all(bits[i >> 3] & (1 << (i & 7)) for i in self._indexes(item))
 
-    def contains_int_key(self, item: Any) -> bool:
-        """Membership test for a key KNOWN to be ints/tuples-of-ints.
+    def int_key_probe(self) -> Callable[[Any], bool]:
+        """``key in self`` for int keys, as a closure to bind once per batch.
 
-        Exactly ``item in self`` for such keys — same hash pair, same
-        probe positions — minus the per-probe key-type dispatch and
-        generator machinery, which dominate the probe cost on the hot
-        paths (the batch kernels probe conditions built from encoded term
-        ids, so the precondition holds by construction).  Calling this
-        with str/bytes-bearing keys silently computes *wrong* (and
-        ``PYTHONHASHSEED``-dependent) positions; use ``in`` when the key
-        type is not statically known.
+        Same positions as ``in`` for ints and tuples of ints, minus the
+        key-type dispatch; the second hash is mixed only once the first
+        position is set.  Bools and str/bytes keys get *wrong* positions.
         """
-        h1 = _mix64(hash(item))
-        h2 = _mix64(h1 ^ _GOLDEN) | 1
         bits = self._bits
         num_bits = self.num_bits
-        for i in range(self.num_hashes):
-            index = (h1 + i * h2) % num_bits
+        others = range(1, self.num_hashes)
+
+        def probe(key) -> bool:
+            h1 = splitmix64(hash(key))
+            index = h1 % num_bits
             if not bits[index >> 3] & (1 << (index & 7)):
                 return False
-        return True
+            h2 = splitmix64(h1 ^ _GOLDEN) | 1
+            for i in others:
+                index = (h1 + i * h2) % num_bits
+                if not bits[index >> 3] & (1 << (index & 7)):
+                    return False
+            return True
+
+        return probe
 
     def __reduce__(self):
         return BloomFilter.from_bytes, (self.to_bytes(),)

@@ -85,7 +85,7 @@ from repro.dataflow.faults import (
     SimulatedOutOfMemory,
 )
 from repro.dataflow.gcpause import stage_gc_pause
-from repro.dataflow.hashing import hash_partition, stable_hash
+from repro.dataflow.hashing import _MASK64, hash_partition, stable_hash
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 
 T = TypeVar("T")
@@ -234,7 +234,14 @@ class _BucketSink:
         parallelism = self.parallelism
         parts: List[List[Tuple[Any, Any]]] = [[] for _ in range(parallelism)]
         for pair in pairs:
-            parts[hash_partition(pair[0], parallelism)].append(pair)
+            key = pair[0]
+            if type(key) is int:  # hash_partition's splitmix64, inlined
+                key &= _MASK64
+                key = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                key = ((key ^ (key >> 27)) * 0x94D049BB133111EB) & _MASK64
+                parts[(key ^ (key >> 31)) % parallelism].append(pair)
+            else:
+                parts[hash_partition(key, parallelism)].append(pair)
         self.emitted = sum(map(len, parts))
         if self.state_cost_fn is None:
             self.used = self.emitted

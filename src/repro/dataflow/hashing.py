@@ -18,8 +18,12 @@ from typing import Any
 _MASK64 = (1 << 64) - 1
 
 
-def _mix_int(value: int) -> int:
-    """splitmix64 finalizer — a cheap, well-mixed 64-bit int hash."""
+def splitmix64(value: int) -> int:
+    """splitmix64 finalizer: the int mixer of routing and Bloom filters.
+
+    Builtin ``hash`` is the identity for small ints; mixed, dense term ids
+    probe uncorrelated filter slots.
+    """
     value &= _MASK64
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -39,9 +43,9 @@ def stable_hash(key: Any) -> int:
     if key is None:
         return 0x9E3779B97F4A7C15
     if isinstance(key, bool):
-        return _mix_int(2 if key else 1)
+        return splitmix64(2 if key else 1)
     if isinstance(key, int):
-        return _mix_int(key)
+        return splitmix64(key)
     if isinstance(key, str):
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
@@ -49,15 +53,15 @@ def stable_hash(key: Any) -> int:
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "big")
     if isinstance(key, tuple):
-        accumulator = _mix_int(0x1000003 + len(key))
+        accumulator = splitmix64(0x1000003 + len(key))
         for element in key:
-            accumulator = _mix_int(accumulator ^ stable_hash(element))
+            accumulator = splitmix64(accumulator ^ stable_hash(element))
         return accumulator
     if isinstance(key, frozenset):
         accumulator = 0
         for element in key:  # XOR: order-independent
             accumulator ^= stable_hash(element)
-        return _mix_int(accumulator ^ len(key))
+        return splitmix64(accumulator ^ len(key))
     return hash(key) & _MASK64
 
 

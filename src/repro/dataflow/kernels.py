@@ -6,8 +6,10 @@ encoded dataset kept as three parallel id ``array`` columns — instead of
 a stream of per-triple Python records.  The kernels fuse whole operator
 chains into one pass per partition (no intermediate record lists), and
 pay the expensive per-record work (Bloom probes, capture codes) once per
-distinct id: a column has far fewer distinct ids than elements, and the
-unary filter keeps those decisions for the job (``_passing_ids``).
+distinct key: a column has far fewer distinct ids than elements, the
+unary filter keeps its decisions for the job (``_passing_ids``), and a
+batch decides each binary ``(v_beta, v_gamma)`` pair once, probing plain
+id tuples through ``BloomFilter.int_key_probe``.
 
 Exactness (checked by ``tests/test_kernels.py`` against the
 record-at-a-time transcriptions of Algorithms 1-2 in
@@ -31,6 +33,7 @@ unchanged on the ``serial`` and ``process`` executor backends.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import combinations
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.core.cind import capture_code
@@ -90,9 +93,10 @@ class _UnaryBatchCounter:
         return counters
 
 
-def _merge_attr_counters(a: Dict, b: Dict) -> Dict:
-    for attr, counter in b.items():
-        a[attr].update(counter)
+def _merge_counters(a: Dict, b: Dict) -> Dict:
+    """Merge two workers' per-attribute (or per-pair) counter tables."""
+    for key, counter in b.items():
+        a[key].update(counter)
     return a
 
 
@@ -112,7 +116,7 @@ def unary_counts_kernel(
     attrs = tuple(sorted(scope.condition_attrs))
     merged = batches.reduce_partitions(
         _UnaryBatchCounter(attrs),
-        _merge_attr_counters,
+        _merge_counters,
         name="fc/unary-columnar",
     )
     env._check_budget(
@@ -131,18 +135,20 @@ def _passing_ids(column, attr, unary_bloom) -> Set[int]:
 
     One probe per distinct id and job — a column has far fewer distinct ids
     than elements, and the filter keeps the ids decided and those that
-    passed (``decisions``) for the next batch and stage — on the same
-    ``UnaryCondition`` keys the filter was built from.  Without a filter
-    (RDFind-NF) every id passes.
+    passed (``decisions``) for the next batch and stage — on plain
+    ``(attr, value)`` tuples, which hash like their ``UnaryCondition``.
+    Without a filter (RDFind-NF) every id passes.
     """
     distinct = set(column)
     if unary_bloom is None:
         return distinct
     seen, passed = unary_bloom.decisions.setdefault(attr, (set(), set()))
-    probe = unary_bloom.contains_int_key
     fresh = distinct - seen
-    passed.update(value for value in fresh if probe(UnaryCondition(attr, value)))
-    seen |= fresh
+    if fresh:
+        probe = unary_bloom.int_key_probe()
+        attr = int(attr)
+        passed.update(value for value in fresh if probe((attr, value)))
+        seen |= fresh
     return distinct & passed
 
 
@@ -153,11 +159,7 @@ class _BinaryBatchCounter:
 
     def __init__(self, attrs: Tuple, unary_bloom) -> None:
         self.attrs = attrs
-        pairs = []
-        for index, attr1 in enumerate(attrs):
-            for attr2 in attrs[index + 1 :]:
-                pairs.append((attr1, attr2))
-        self.pairs = tuple(pairs)
+        self.pairs = tuple(combinations(attrs, 2))
         self.unary_bloom = unary_bloom
 
     def __call__(self, partition: List[TripleBatch]) -> Dict:
@@ -178,12 +180,6 @@ class _BinaryBatchCounter:
         return counters
 
 
-def _merge_pair_counters(a: Dict, b: Dict) -> Dict:
-    for pair, counter in b.items():
-        a[pair].update(counter)
-    return a
-
-
 def binary_counts_kernel(
     env: ExecutionEnvironment,
     batches: DataSet,
@@ -199,17 +195,16 @@ def binary_counts_kernel(
     attrs = tuple(sorted(scope.condition_attrs))
     merged = batches.reduce_partitions(
         _BinaryBatchCounter(attrs, unary_bloom),
-        _merge_pair_counters,
+        _merge_counters,
         name="fc/binary-columnar",
     )
     counts: Dict[BinaryCondition, int] = {}
-    for index, attr1 in enumerate(attrs):
-        for attr2 in attrs[index + 1 :]:
-            pair_counter = merged[(attr1, attr2)]
-            env._check_budget("fc/binary-columnar", len(pair_counter))
-            for (v1, v2), count in pair_counter.items():
-                if count >= h:
-                    counts[BinaryCondition(attr1, v1, attr2, v2)] = count
+    for attr1, attr2 in combinations(attrs, 2):
+        pair_counter = merged[(attr1, attr2)]
+        env._check_budget("fc/binary-columnar", len(pair_counter))
+        for (v1, v2), count in pair_counter.items():
+            if count >= h:
+                counts[BinaryCondition(attr1, v1, attr2, v2)] = count
     return counts
 
 
@@ -239,9 +234,11 @@ class EvidenceBatchKernel:
     (:func:`_passing_ids`) and shared by all projections; each
     projection maps its passing ids to their unary codes, so the
     per-triple work is two dict lookups per projection.  Only when *both*
-    parts pass is the binary decision looked up, memoized per distinct
-    ``(v_beta, v_gamma)`` pair — those are the pairs that repeat (a
-    frequent binary condition occurs at least ``h`` times).
+    parts pass is the binary decision looked up, memoized per batch and
+    distinct ``(v_beta, v_gamma)`` pair — those are the pairs that repeat
+    (a frequent binary condition occurs at least ``h`` times).  Keys are
+    plain tuples of column indexes and ids, which hash and compare like
+    the conditions and rules the filter and rule set hold.
     """
 
     __slots__ = ("projections", "unary_bloom", "binary_bloom", "rules", "allow_binary")
@@ -261,26 +258,6 @@ class EvidenceBatchKernel:
             self.unary_bloom = self.binary_bloom = None
             self.rules = frozenset()
         self.allow_binary = scope.allow_binary
-
-    def _binary_code(self, alpha, beta, gamma, v_beta: int, v_gamma: int) -> int:
-        """The binary capture's code, or 0 where the unary evidences stand in.
-
-        The attributes arrive as plain column indexes; they hash and
-        compare like their ``Attr``, so filter and rule keys are the same.
-        """
-        binary = BinaryCondition(beta, v_beta, gamma, v_gamma)
-        if not self.allow_binary or not (
-            self.binary_bloom is None or self.binary_bloom.contains_int_key(binary)
-        ):
-            return 0
-        unary_beta = UnaryCondition(beta, v_beta)
-        unary_gamma = UnaryCondition(gamma, v_gamma)
-        if (unary_beta, unary_gamma) in self.rules or (
-            unary_gamma,
-            unary_beta,
-        ) in self.rules:
-            return 0
-        return capture_code((alpha, binary))
 
     def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Set[int]]]:
         if batch.s.itemsize > 4:
@@ -310,6 +287,10 @@ class EvidenceBatchKernel:
                         {},
                     )
                 )
+        bloom = self.binary_bloom
+        binary_probe = None if bloom is None else bloom.int_key_probe()
+        rules = self.rules
+        allow_binary = self.allow_binary
         for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
             stop = start + EVIDENCE_FOLD_ROWS
             table: Dict[int, Set[int]] = defaultdict(set)
@@ -326,9 +307,18 @@ class EvidenceBatchKernel:
                         pair = (row[beta], row[gamma])
                         codes = pairs.get(pair)
                         if codes is None:
-                            code = self._binary_code(alpha, beta, gamma, *pair)
-                            codes = pairs[pair] = (
-                                (code,) if code else (beta_code, gamma_code)
-                            )
+                            v_beta, v_gamma = pair
+                            # frequent (the filter) and embedding no AR
+                            binary = (beta, v_beta, gamma, v_gamma)
+                            if (
+                                allow_binary
+                                and (binary_probe is None or binary_probe(binary))
+                                and ((beta, v_beta), (gamma, v_gamma)) not in rules
+                                and ((gamma, v_gamma), (beta, v_beta)) not in rules
+                            ):
+                                codes = (capture_code((alpha, binary)),)
+                            else:
+                                codes = (beta_code, gamma_code)
+                            pairs[pair] = codes
                         table[row[alpha]].update(codes)
             yield from table.items()

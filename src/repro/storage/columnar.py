@@ -141,19 +141,19 @@ class EncodedDataset:
         ``Dataset.from_tuples(rows).encode()`` column for column.
         """
         dataset = cls(dictionary=dictionary, name=name)
-        encode = dataset.dictionary.encode
-        append = dataset.append_ids
+        rows = dataset.dictionary.encode_rows(rows)
         if deduplicate:
-            seen = set()
-            add_seen = seen.add
-            for row in rows:
-                ids = (encode(row[0]), encode(row[1]), encode(row[2]))
-                if ids not in seen:
-                    add_seen(ids)
-                    append(*ids)
-        else:
-            for row in rows:
-                append(encode(row[0]), encode(row[1]), encode(row[2]))
+            rows = dict.fromkeys(rows)  # the first occurrence keeps its place
+        columns = ([], [], [])
+        s, p, o = (column.append for column in columns)
+        for s_id, p_id, o_id in rows:
+            s(s_id)
+            p(p_id)
+            o(o_id)
+        if columns[0] and max(map(max, columns)) > INT32_MAX:
+            dataset._widen()
+        for column, ids in zip(dataset.columns, columns):
+            column.extend(ids)
         return dataset
 
     def append_ids(self, s: int, p: int, o: int) -> None:
@@ -207,13 +207,6 @@ class EncodedDataset:
         dataset._p = p
         dataset._o = o
         return dataset
-
-    def append_terms(self, s: str, p: str, o: str) -> EncodedTriple:
-        """Intern and append one string triple; returns its encoding."""
-        encode = self.dictionary.encode
-        ids = EncodedTriple(encode(s), encode(p), encode(o))
-        self.append_ids(*ids)
-        return ids
 
     def _widen(self) -> None:
         """Upgrade the columns from 32-bit to 64-bit ids."""

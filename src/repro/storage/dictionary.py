@@ -16,7 +16,8 @@ above the RDF data model may depend on it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Largest id representable in a 32-bit signed array column.
 INT32_MAX = 2**31 - 1
@@ -57,13 +58,33 @@ class TermDictionary:
 
     def encode(self, term: str) -> int:
         """Return the id for ``term``, assigning a new one if needed."""
-        term_id = self._term_to_id.get(term)
-        if term_id is None:
-            term_id = len(self._id_to_term)
-            self._term_to_id[term] = term_id
+        term_id = self._term_to_id.setdefault(term, len(self._id_to_term))
+        if term_id == len(self._id_to_term):
             self._id_to_term.append(term)
             self._utf8_payload += _term_nbytes(term)
         return term_id
+
+    def encode_rows(
+        self, rows: Iterable[Sequence[str]]
+    ) -> Iterator[Tuple[int, int, int]]:
+        """:meth:`encode` over ``(s, p, o)`` rows: yields their id triples.
+
+        One ``setdefault`` per term; the reverse list and the UTF-8 payload
+        catch up from the forward map's tail when the iteration ends.
+        """
+        table = self._term_to_id
+        intern = table.setdefault
+        try:
+            for row in rows:
+                yield (
+                    intern(row[0], len(table)),
+                    intern(row[1], len(table)),
+                    intern(row[2], len(table)),
+                )
+        finally:
+            new_terms = list(islice(table, len(self._id_to_term), None))
+            self._id_to_term.extend(new_terms)
+            self._utf8_payload += sum(map(_term_nbytes, new_terms))
 
     def encode_existing(self, term: str) -> int:
         """Return the id for a term that must already be present."""
@@ -73,10 +94,9 @@ class TermDictionary:
         """The id for ``term`` if it is known, else ``None`` (no interning)."""
         return self._term_to_id.get(term)
 
-    def encode_many(self, terms: Sequence[str]) -> List[int]:
+    def encode_many(self, terms: Iterable[str]) -> List[int]:
         """Intern a batch of terms, preserving order."""
-        encode = self.encode
-        return [encode(term) for term in terms]
+        return list(map(self.encode, terms))
 
     def decode(self, term_id: int) -> str:
         """Return the term for ``term_id``."""

@@ -42,7 +42,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.framing import (
     FRAME_HEADER,
@@ -218,20 +218,16 @@ class SnapshotTermDictionary(TermDictionary):
     :class:`TermDictionary` it subclasses.
     """
 
-    __slots__ = ("_blob", "_ends", "_count", "_indexed", "_keepalive")
+    __slots__ = ("_blob", "_ends", "_indexed", "_keepalive")
 
     def __init__(self, blob: memoryview, ends: array, keepalive=None) -> None:
         super().__init__()
         self._blob = blob
         self._ends = ends
-        self._count = len(ends)
         self._indexed = False
         self._keepalive = keepalive
-        self._id_to_term = [None] * self._count
+        self._id_to_term = [None] * len(ends)  # decoded on first use
         self._utf8_payload = len(blob)
-
-    def __len__(self) -> int:
-        return self._count
 
     def decode(self, term_id: int) -> str:
         term = self._id_to_term[term_id]
@@ -243,7 +239,7 @@ class SnapshotTermDictionary(TermDictionary):
 
     def terms(self) -> Iterator[str]:
         decode = self.decode
-        return (decode(term_id) for term_id in range(self._count))
+        return (decode(term_id) for term_id in range(len(self._id_to_term)))
 
     def _ensure_index(self) -> None:
         """Materialize every term and the forward map (first string use)."""
@@ -264,9 +260,11 @@ class SnapshotTermDictionary(TermDictionary):
 
     def encode(self, term: str) -> int:
         self._ensure_index()
-        term_id = super().encode(term)
-        self._count = len(self._id_to_term)
-        return term_id
+        return super().encode(term)
+
+    def encode_rows(self, rows):
+        self._ensure_index()
+        return super().encode_rows(rows)
 
     def encode_existing(self, term: str) -> int:
         self._ensure_index()
@@ -274,10 +272,7 @@ class SnapshotTermDictionary(TermDictionary):
 
     def materialize(self) -> TermDictionary:
         """An eager, self-contained copy (no mmap references)."""
-        eager = TermDictionary()
-        for term in self.terms():
-            eager.encode(term)
-        return eager
+        return _rebuild_eager_dictionary(self.terms())
 
     def __reduce__(self):
         # mmap-backed views cannot cross a pickle boundary (the process
@@ -285,10 +280,9 @@ class SnapshotTermDictionary(TermDictionary):
         return (_rebuild_eager_dictionary, (list(self.terms()),))
 
 
-def _rebuild_eager_dictionary(terms: List[str]) -> TermDictionary:
+def _rebuild_eager_dictionary(terms: Iterable[str]) -> TermDictionary:
     dictionary = TermDictionary()
-    for term in terms:
-        dictionary.encode(term)
+    dictionary.encode_many(terms)
     return dictionary
 
 

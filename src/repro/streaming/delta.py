@@ -127,11 +127,12 @@ class DeltaStore:
         discovery over this dataset sorts and renders exactly as it
         would over a cold load.
         """
-        fresh = EncodedDataset(dictionary=TermDictionary(), name=name)
         decode = self.dictionary.decode
-        for s, p, o in self._live.values():
-            fresh.append_terms(decode(s), decode(p), decode(o))
-        return fresh
+        return EncodedDataset.from_terms(
+            ((decode(s), decode(p), decode(o)) for s, p, o in self._live.values()),
+            name=name,
+            deduplicate=False,
+        )
 
     def as_dataset(self, name: str = "") -> Dataset:
         """The live triples as a decoded string :class:`Dataset`."""

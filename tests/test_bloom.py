@@ -5,7 +5,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.conditions import BinaryCondition, UnaryCondition
 from repro.dataflow.bloom import BloomFilter, int_key_mask
+from repro.rdf.model import Attr
 
 
 _int_keys = st.one_of(
@@ -123,12 +125,70 @@ class TestIntKeyMask:
             bits |= int_key_mask(member, *geometry)
         for key in members + probes:
             may_contain = int_key_mask(key, *geometry) & ~bits == 0
-            assert may_contain == bloom.contains_int_key(key)
+            assert may_contain == bloom.int_key_probe()(key)
             assert may_contain or key not in members  # no false negatives
 
     def test_hash_count_validation(self):
         with pytest.raises(ValueError):
             int_key_mask(7, 512, 0)
+
+
+_wide_ints = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(2**63, 2**80),  # beyond builtin hash's modulus
+)
+_probe_keys = st.one_of(
+    _wide_ints,
+    st.lists(_wide_ints, max_size=4).map(tuple),
+    st.recursive(
+        _wide_ints, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8
+    ),
+    st.builds(UnaryCondition, st.sampled_from(Attr), _wide_ints),
+    st.builds(
+        BinaryCondition,
+        st.sampled_from(Attr),
+        _wide_ints,
+        st.sampled_from(Attr),
+        _wide_ints,
+    ),
+)
+
+
+class TestIntKeyProbe:
+    """``int_key_probe()``: the batch kernels' probe, bound once per batch."""
+
+    @given(
+        members=st.lists(_probe_keys, max_size=25),
+        probes=st.lists(_probe_keys, max_size=25),
+        num_bits=st.integers(8, 5000),
+        num_hashes=st.integers(1, 10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_probe_agrees_with_membership(self, members, probes, num_bits, num_hashes):
+        bloom = BloomFilter(num_bits, num_hashes)
+        bloom.update(members)
+        probe = bloom.int_key_probe()
+        for key in members + probes:
+            assert probe(key) == (key in bloom)
+
+    def test_plain_tuples_probe_like_their_conditions(self):
+        bloom = BloomFilter.for_capacity(64, 0.01)
+        bloom.update(UnaryCondition(Attr.P, value) for value in range(0, 200, 3))
+        bloom.add(BinaryCondition(Attr.S, 4, Attr.O, 9))
+        probe = bloom.int_key_probe()
+        for value in range(200):
+            assert probe((1, value)) == (UnaryCondition(Attr.P, value) in bloom)
+        assert probe((0, 4, 2, 9))
+
+    def test_probe_reads_the_live_bits(self):
+        bloom = BloomFilter(4096, num_hashes=3)
+        probe = bloom.int_key_probe()
+        assert not probe((1, 2))
+        bloom.add((1, 2))
+        other = BloomFilter(4096, num_hashes=3)
+        other.add(77)
+        bloom.union_update(other)
+        assert probe((1, 2)) and probe(77)
 
 
 class TestSizing:

@@ -257,6 +257,50 @@ class TestCli:
             main(["discover", "dataset:Countries", "--scope", "bogus"])
 
 
+class TestNumericFlags:
+    """A count out of range is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["discover", "dataset:Countries", "-s", "0"], "-s/--support", 0),
+            (["discover", "dataset:Countries", "-s", "-3"], "-s/--support", -3),
+            (["discover", "dataset:Countries", "-p", "0"], "-p/--parallelism", 0),
+            (
+                ["discover", "dataset:Countries", "--executor", "process", "--workers", "0"],
+                "--workers",
+                0,
+            ),
+            (["funnel", "dataset:Countries", "-s", "0"], "-s/--support", 0),
+            (["inds", "dataset:Countries", "-p", "-1"], "-p/--parallelism", -1),
+            (["cross", "dataset:Countries", "dataset:Countries", "-s", "0"], "-s/--support", 0),
+            (["profile", "dataset:Countries", "-p", "0"], "-p/--parallelism", 0),
+        ],
+        ids=lambda part: "-".join(part) if isinstance(part, list) else None,
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_negative_max_retries_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["discover", "dataset:Countries", "--max-retries", "-1"])
+        assert raised.value.code == 2
+        assert "argument --max-retries: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_profile_support_zero_asks_the_advisor(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["profile", "dataset:Countries", "-s", "0"]).support == 0
+        with pytest.raises(SystemExit) as raised:
+            parser.parse_args(["profile", "dataset:Countries", "-s", "-1"])
+        assert raised.value.code == 2
+        assert "argument -s/--support: must be >= 0, got -1" in capsys.readouterr().err
+
+
 class TestLimit:
     """``-n/--limit`` is a non-negative row count on every subcommand."""
 

@@ -7,8 +7,11 @@ from repro.dataflow.engine import (
     DataSet,
     ExecutionEnvironment,
     SimulatedOutOfMemory,
+    _BucketSink,
     record_cells,
 )
+from repro.dataflow.hashing import hash_partition, stable_hash
+from repro.rdf.model import Attr
 
 
 def env(parallelism=3, **kwargs):
@@ -388,3 +391,45 @@ class TestFusedFastPath:
             )
 
         assert run() == run(memory_budget=10_000)
+
+
+class TestIntRouting:
+    """``_BucketSink.finish`` routes an int key through its own inlined
+    splitmix64; the route must be ``hash_partition``'s."""
+
+    @staticmethod
+    def route(key, parallelism):
+        parts = _BucketSink(parallelism, None, None, "route").finish([(key, "v")])
+        (index,) = [i for i, part in enumerate(parts) if part]
+        assert parts[index] == [(key, "v")]
+        return index
+
+    @given(
+        key=st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.integers(2**63, 2**66),
+            st.integers(0, 2**40),
+        ),
+        parallelism=st.integers(1, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_int_route_is_the_stable_route(self, key, parallelism):
+        assert self.route(key, parallelism) == hash_partition(key, parallelism)
+        assert self.route(key, parallelism) == stable_hash(key) % parallelism
+
+    def test_bools_keep_their_own_route(self):
+        assert stable_hash(True) != stable_hash(1)
+        assert stable_hash(False) != stable_hash(0)
+        for parallelism in range(1, 10):
+            for flag in (True, False):
+                assert self.route(flag, parallelism) == stable_hash(flag) % parallelism
+        assert any(
+            self.route(flag, parallelism) != self.route(int(flag), parallelism)
+            for parallelism in range(2, 10)
+            for flag in (True, False)
+        )
+
+    def test_other_keys_take_hash_partition(self):
+        for key in ("s", b"b", (1, 2), (1, (2, "x")), frozenset({3, 4}), None, Attr.O):
+            for parallelism in (1, 4, 7):
+                assert self.route(key, parallelism) == hash_partition(key, parallelism)

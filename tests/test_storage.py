@@ -226,3 +226,96 @@ class TestStorageVariantIdentity:
         assert list(direct.dictionary.terms()) == list(
             via_strings.dictionary.terms()
         )
+
+
+class TestBulkInterning:
+    """``from_terms`` interns in bulk (``TermDictionary.encode_rows``) and
+    must agree with ``encode`` called term by term."""
+
+    ROWS = [
+        ("a", "p", "a"),  # a new term twice in one row
+        ("a", "p", "b"),
+        ("a", "p", "b"),  # a duplicate row
+        (UNICODE_TERMS[0], "q", UNICODE_TERMS[1]),
+        ("b", UNICODE_TERMS[2], "c"),
+        ("c", "c", "c"),
+        ("x", "p", "shared-1"),
+        ("shared-0", "q", "x"),
+        (UNICODE_TERMS[5], "p", UNICODE_TERMS[0]),
+    ] + [(f"s{i % 7}", f"p{i % 3}", f"o{i % 11}") for i in range(40)]
+
+    SEED_TERMS = ["shared-0", "p", UNICODE_TERMS[1], "shared-1"]
+
+    @staticmethod
+    def dictionaries(kind, tmp_path):
+        """Two equal dictionaries of one kind: one for each side."""
+        if kind == "fresh":
+            return TermDictionary(), TermDictionary()
+
+        def seeded():
+            dataset = EncodedDataset()
+            dataset.dictionary.encode_many(TestBulkInterning.SEED_TERMS)
+            dataset.append_ids(0, 1, 2)
+            return dataset
+
+        if kind == "shared":
+            return seeded().dictionary, seeded().dictionary
+        from repro.storage.snapshot import (
+            SnapshotTermDictionary,
+            load_snapshot,
+            save_snapshot,
+        )
+
+        path = str(tmp_path / "seed.snap")
+        save_snapshot(seeded(), path)
+        pair = load_snapshot(path).dictionary, load_snapshot(path).dictionary
+        assert all(isinstance(lazy, SnapshotTermDictionary) for lazy in pair)
+        return pair
+
+    @staticmethod
+    def term_by_term(rows, dictionary, deduplicate):
+        expected = EncodedDataset(dictionary=dictionary)
+        seen = set()
+        for row in rows:
+            ids = tuple(dictionary.encode(term) for term in row)
+            if not deduplicate or ids not in seen:
+                seen.add(ids)
+                expected.append_ids(*ids)
+        return expected
+
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    @pytest.mark.parametrize("kind", ["fresh", "shared", "snapshot"])
+    def test_same_ids_len_nbytes_and_terms(self, tmp_path, kind, deduplicate):
+        bulk_dictionary, single_dictionary = self.dictionaries(kind, tmp_path)
+        bulk = EncodedDataset.from_terms(
+            self.ROWS, dictionary=bulk_dictionary, deduplicate=deduplicate
+        )
+        single = self.term_by_term(self.ROWS, single_dictionary, deduplicate)
+        assert bulk.dictionary is bulk_dictionary
+        assert list(bulk) == list(single)
+        assert len(bulk) == len(single) == (48 if deduplicate else 49)
+        assert len(bulk_dictionary) == len(single_dictionary)
+        assert bulk_dictionary.nbytes() == single_dictionary.nbytes()
+        assert list(bulk_dictionary.terms()) == list(single_dictionary.terms())
+        for term_id in range(len(single_dictionary)):
+            assert bulk_dictionary.decode(term_id) == single_dictionary.decode(term_id)
+            assert bulk_dictionary.lookup(single_dictionary.decode(term_id)) == term_id
+        # New terms after the bulk intern continue the same id sequence.
+        assert bulk_dictionary.encode("later") == single_dictionary.encode("later")
+
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    def test_columns_widen_past_int32(self, monkeypatch, deduplicate):
+        import repro.storage.columnar as columnar
+
+        monkeypatch.setattr(columnar, "INT32_MAX", 3)
+        bulk = EncodedDataset.from_terms(self.ROWS, deduplicate=deduplicate)
+        single = self.term_by_term(self.ROWS, TermDictionary(), deduplicate)
+        assert bulk.columns[0].typecode == single.columns[0].typecode == "q"
+        assert list(bulk) == list(single)
+        small = EncodedDataset.from_terms(self.ROWS[:2], deduplicate=deduplicate)
+        assert small.columns[0].typecode == "i"  # ids 0..2 fit
+
+    def test_empty_rows(self):
+        empty = EncodedDataset.from_terms([])
+        assert len(empty) == 0 and len(empty.dictionary) == 0
+        assert empty.columns[0].typecode == "i"
