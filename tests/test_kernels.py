@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.capture_groups import create_capture_groups
-from repro.core.conditions import ConditionScope, UnaryCondition
+from repro.core.conditions import Attr, ConditionScope, UnaryCondition
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.extraction import ExtractionConfig, extract_broad_cinds
 from repro.core.frequent_conditions import detect_frequent_conditions
@@ -228,6 +228,25 @@ class TestKernelOracles:
         assert broad == oracle_broad
         assert stats == oracle_stats
         assert broad
+
+
+class TestBloomIntKeyFastPath:
+    def test_agrees_with_contains_for_int_tuple_keys(self):
+        bloom = BloomFilter.for_capacity(256, 0.01)
+        members = [UnaryCondition(Attr.P, v) for v in range(0, 200, 3)]
+        bloom.update(members)
+        probe = bloom.int_key_probe()
+        probes = [UnaryCondition(Attr.P, v) for v in range(200)] + [
+            (a, b) for a in range(10) for b in range(10)
+        ]
+        for key in probes:
+            assert probe(key) == (key in bloom)
+
+    def test_plain_int_keys(self):
+        bloom = BloomFilter.from_items(range(0, 100, 7), capacity=20)
+        probe = bloom.int_key_probe()
+        for value in range(100):
+            assert probe(value) == (value in bloom)
 
 
 # ----------------------------------------------------------------------
