@@ -97,37 +97,18 @@ def _load_source(
     if spec.startswith("dataset:"):
         return load(spec[len("dataset:") :], scale=scale, encoded=encoded)
     if spec.startswith("endpoint:"):
-        dataset = _fetch_endpoint_input(spec[len("endpoint:") :])
+        # rdfind fetch's defaults; to tune a fetch, fetch to a .snap first.
+        from repro.federation.client import SparqlEndpointClient
+        from repro.federation.ingest import fetch_endpoint
+
+        url = spec[len("endpoint:") :]
+        dataset = fetch_endpoint(SparqlEndpointClient(url), name=url).encoded
         return dataset if encoded else dataset.decode()
     if str(spec).endswith((".ttl", ".turtle")):
         dataset = parse_turtle_file(spec)
     else:
         dataset = parse_ntriples_file(spec)
     return dataset.encode() if encoded else dataset
-
-
-def _fetch_endpoint_input(url: str) -> EncodedDataset:
-    """Ingest an ``endpoint:<URL>`` input via the federation client.
-
-    Tunables come from the environment (no per-subcommand flags needed
-    everywhere an input spec is accepted): RDFIND_ENDPOINT_PAGE_SIZE,
-    RDFIND_ENDPOINT_TIMEOUT, RDFIND_FETCH_WORKSPACE (set it to make the
-    fetch resumable).  ``rdfind fetch`` exposes the full knob set.
-    """
-    from repro.federation.client import SparqlEndpointClient
-    from repro.federation.ingest import fetch_endpoint
-
-    client = SparqlEndpointClient(
-        url,
-        timeout=float(os.environ.get("RDFIND_ENDPOINT_TIMEOUT", "10.0")),
-    )
-    fetched = fetch_endpoint(
-        client,
-        name=url,
-        workspace=os.environ.get("RDFIND_FETCH_WORKSPACE") or None,
-        page_size=int(os.environ.get("RDFIND_ENDPOINT_PAGE_SIZE", "1000")),
-    )
-    return fetched.encoded
 
 
 def non_negative_int(text: str) -> int:
@@ -143,6 +124,30 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A duration that must pass: ``--timeout``, ``--task-timeout-seconds``."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """A delay where 0 means none: ``--backoff``, ``--breaker-cooldown``."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def unit_fraction(text: str) -> float:
+    """A fraction in ``[0, 1]``: ``--jitter``."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -210,7 +215,8 @@ def _add_runtime_flags(
         help="retry budget per task (default: 2)",
     )
     parser.add_argument(
-        "--task-timeout-seconds", type=float, default=None, metavar="SECONDS",
+        "--task-timeout-seconds", type=positive_float, default=None,
+        metavar="SECONDS",
         help="per-task wall-clock bound under --executor process; a hung "
         "task becomes a retryable transient fault (default: no bound)",
     )
@@ -464,24 +470,24 @@ def _build_endpoint_client(url: str, args: argparse.Namespace):
 
 def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--page-size", type=int, default=1000,
+        "--page-size", type=positive_int, default=1000,
         help="initial SELECT page size; halves on persistent page "
         "failures and re-grows on success (default 1000)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=10.0,
+        "--timeout", type=positive_float, default=10.0,
         help="per-request deadline in seconds (default 10)",
     )
     parser.add_argument(
-        "--retries", type=int, default=4,
+        "--retries", type=non_negative_int, default=4,
         help="retry budget per request (default 4)",
     )
     parser.add_argument(
-        "--backoff", type=float, default=0.2,
+        "--backoff", type=non_negative_float, default=0.2,
         help="base backoff in seconds, doubling per retry (default 0.2)",
     )
     parser.add_argument(
-        "--jitter", type=float, default=0.5,
+        "--jitter", type=unit_fraction, default=0.5,
         help="seeded jitter fraction on backoff delays (default 0.5)",
     )
     parser.add_argument(
@@ -490,12 +496,12 @@ def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:
         "sequence (default 0)",
     )
     parser.add_argument(
-        "--breaker-threshold", type=int, default=5,
+        "--breaker-threshold", type=positive_int, default=5,
         help="consecutive transient failures that open the per-endpoint "
         "circuit breaker (default 5)",
     )
     parser.add_argument(
-        "--breaker-cooldown", type=float, default=30.0,
+        "--breaker-cooldown", type=non_negative_float, default=30.0,
         help="seconds an open breaker waits before letting one probe "
         "through (default 30)",
     )
@@ -569,9 +575,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     The first signal shuts down gracefully: admission stops, in-flight
     workers are terminated and their jobs requeued (their checkpoint
     dirs survive, so the next ``serve`` resumes them at the last durable
-    boundary).  A second signal forces immediate death — the job dir is
-    registered with :mod:`repro.dataflow.workspace`, so ``*.tmp`` litter
-    is swept either way.
+    boundary) and the job dir's dead-writer ``*.tmp`` litter is swept.
+    A second signal forces immediate death; its litter is swept when the
+    next ``serve`` starts.
     """
     import signal
     import threading
@@ -863,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore any pages already in --workspace and refetch from row 0",
     )
     fetch.add_argument(
-        "--min-page-size", type=int, default=1,
+        "--min-page-size", type=positive_int, default=1,
         help="floor for adaptive page-size halving (default 1)",
     )
     _add_endpoint_flags(fetch)
@@ -900,33 +906,25 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the discovery job server (HTTP, stdlib-only)"
     )
     serve.add_argument(
-        "--host", default=os.environ.get("RDFIND_HOST", "127.0.0.1"),
-        help="bind address (default 127.0.0.1; RDFIND_HOST overrides)",
+        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
     serve.add_argument(
-        "--port", type=int,
-        default=int(os.environ.get("RDFIND_PORT", "8745")),
-        help="bind port; 0 picks an ephemeral port "
-        "(default 8745; RDFIND_PORT overrides)",
+        "--port", type=int, default=8745,
+        help="bind port; 0 picks an ephemeral port (default 8745)",
     )
     serve.add_argument(
-        "--job-dir", default=os.environ.get("RDFIND_JOB_DIR") or None,
-        required=not os.environ.get("RDFIND_JOB_DIR"),
+        "--job-dir", required=True,
         help="durable job workspace: one subdirectory per job holding its "
-        "record, result, and checkpoint dir (jobs survive restarts; "
-        "RDFIND_JOB_DIR supplies the default)",
+        "record, result, and checkpoint dir (jobs survive restarts)",
     )
     serve.add_argument(
-        "--max-concurrent-jobs", type=int,
-        default=int(os.environ.get("RDFIND_MAX_CONCURRENT_JOBS", "2")),
-        help="worker subprocesses running at once "
-        "(default 2; RDFIND_MAX_CONCURRENT_JOBS overrides)",
+        "--max-concurrent-jobs", type=positive_int, default=2,
+        help="worker subprocesses running at once (default 2)",
     )
     serve.add_argument(
-        "--max-queued-jobs", type=int,
-        default=int(os.environ.get("RDFIND_MAX_QUEUED_JOBS", "8")),
+        "--max-queued-jobs", type=non_negative_int, default=8,
         help="admission bound on waiting jobs; submissions beyond it get "
-        "429 + Retry-After (default 8; RDFIND_MAX_QUEUED_JOBS overrides)",
+        "429 + Retry-After (default 8)",
     )
     serve.add_argument(
         "--verbose", action="store_true", default=False,

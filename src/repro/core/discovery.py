@@ -459,8 +459,6 @@ class RDFind:
             decode = captures.__getitem__
             blocks = consolidate_pertinent(broad, capture_rank(broad, decode))
         finally:
-            if manager is not None:
-                manager.close()
             env.close()
 
         elapsed = time.perf_counter() - started

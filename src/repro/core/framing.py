@@ -18,6 +18,13 @@ for every JSON document (manifests, job records, metrics).  One rename
 stays outside it on purpose: the changelog's seal rename (the segment is
 already synced when it is renamed).
 
+Recovery lives here too.  :func:`sweep_tmp` removes a dead writer's
+temps; each directory's owner calls it when it opens the directory, so
+no signal handler or exit hook is needed.  :func:`read_manifest` checks
+the ``format``/``version`` JSON manifests :func:`write_manifest`
+publishes, and :func:`read_whole_frames` cuts a torn last frame off an
+append-only frame file.
+
 :func:`fingerprint_fields` is the one identity hash of durable state:
 checkpoint manifests, server result-cache keys, fetch workspaces and
 snapshot cache file names are all keyed on it.
@@ -28,10 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import zlib
 from contextlib import contextmanager
-from typing import IO, Any, BinaryIO, Iterator, Optional
+from typing import IO, Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "FRAME_HEADER",
@@ -39,13 +47,19 @@ __all__ = [
     "FrameError",
     "FrameCorruptionError",
     "FrameTruncatedError",
+    "ManifestError",
     "atomic_write",
     "atomic_write_json",
+    "sweep_tmp",
+    "write_manifest",
+    "check_manifest",
+    "read_manifest",
     "fingerprint_fields",
     "pack_frame",
     "write_frame",
     "read_frame",
     "iter_frames",
+    "read_whole_frames",
 ]
 
 #: ``[payload length][CRC32 of payload]``, both unsigned 32-bit big-endian.
@@ -69,14 +83,22 @@ class FrameTruncatedError(FrameError):
     """The stream ended in the middle of a frame (writer died mid-write)."""
 
 
+class ManifestError(ValueError):
+    """A manifest is unreadable, not a JSON object, or of another kind/version."""
+
+
+#: What :func:`atomic_write` names its temp: ``<name>.<writer pid>.tmp``.
+_TMP_NAME = re.compile(r"^.+\.(\d+)\.tmp$")
+
+
 @contextmanager
 def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
     """Open a stream whose content replaces ``path`` atomically on exit.
 
     The temp file lives in the target's directory (a rename is atomic
-    only within one filesystem) under a per-process ``*.tmp`` name, so
-    concurrent writers of one path never share it and the workspace
-    sweepers recognise what a killed writer leaves.  A clean exit
+    only within one filesystem) under a per-process ``<name>.<pid>.tmp``
+    name, so concurrent writers of one path never share it and
+    :func:`sweep_tmp` recognises what a killed writer leaves.  A clean exit
     flushes, fsyncs and renames; any exception unlinks the temp and
     leaves ``path`` untouched.
     """
@@ -98,6 +120,68 @@ def atomic_write_json(path: str, payload: Any) -> None:
     """Publish a JSON document through :func:`atomic_write`."""
     with atomic_write(path, "w") as stream:
         json.dump(payload, stream, indent=1, sort_keys=True)
+
+
+def sweep_tmp(directory: str) -> List[str]:
+    """Remove the temps of dead :func:`atomic_write` writers under ``directory``.
+
+    Walks the whole tree; returns the removed paths.  A live writer's
+    temp (this process's included) and every other name stay.
+    """
+    removed: List[str] = []
+    for dirpath, _dirnames, filenames in os.walk(directory):
+        for filename in filenames:
+            match = _TMP_NAME.match(filename)
+            if match is None or not _writer_gone(int(match.group(1))):
+                continue
+            path = os.path.join(dirpath, filename)
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - swept concurrently
+                continue
+            removed.append(path)
+    return removed
+
+
+def _writer_gone(pid: int) -> bool:
+    """Whether no process with ``pid`` exists (so its temp is litter)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # another user's process, or no such PID
+        pass
+    return False
+
+
+def write_manifest(path: str, kind: str, version: int, fields: Mapping[str, Any]) -> None:
+    """Publish ``fields`` as a ``kind``/``version`` JSON manifest."""
+    atomic_write_json(path, {**fields, "format": kind, "version": version})
+
+
+def check_manifest(data: Any, kind: str, version: int) -> Dict[str, Any]:
+    """``data`` itself if it is a ``kind`` manifest of ``version``, else
+    :class:`ManifestError`; the caller checks its own fields."""
+    if not isinstance(data, dict):
+        raise ManifestError(f"manifest is a JSON {type(data).__name__}, not an object")
+    found = (data.get("format"), data.get("version"))
+    if found != (kind, version):
+        raise ManifestError(f"not a {kind} manifest of version {version}: {found!r}")
+    return data
+
+
+def read_manifest(path: str, kind: str, version: int) -> Dict[str, Any]:
+    """Read and check a manifest: a missing file is :class:`FileNotFoundError`,
+    anything else wrong with it (unreadable, not UTF-8 JSON, not an
+    object, another ``kind`` or ``version``) a :class:`ManifestError`."""
+    try:
+        with open(path, "rb") as stream:
+            data = json.loads(stream.read().decode("utf-8"))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as error:
+        raise ManifestError(f"unreadable manifest {path}: {error}") from error
+    return check_manifest(data, kind, version)
 
 
 def fingerprint_fields(**fields: Any) -> str:
@@ -168,3 +252,24 @@ def iter_frames(stream: BinaryIO) -> Iterator[bytes]:
         if payload is None:
             return
         yield payload
+
+
+def read_whole_frames(path: str) -> Tuple[List[bytes], int]:
+    """Every whole frame's payload in an append-only frame file, and the
+    number of bytes of a torn last frame (a writer died mid-append) cut
+    off its end.  CRC damage raises :class:`FrameCorruptionError` and
+    leaves the file as it is.
+    """
+    payloads: List[bytes] = []
+    with open(path, "rb") as stream:
+        end = 0
+        try:
+            for payload in iter_frames(stream):
+                payloads.append(payload)
+                end = stream.tell()
+        except FrameTruncatedError:
+            pass
+        size = stream.seek(0, os.SEEK_END)
+    if end < size:
+        os.truncate(path, end)
+    return payloads, size - end

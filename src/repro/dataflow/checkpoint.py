@@ -14,7 +14,8 @@ backends.
 
 On-disk layout (everything written tmp-then-rename through
 :func:`repro.core.framing.atomic_write`, so a crash mid-write leaves
-either the old state or ``*.tmp`` litter, never a half-valid artifact)::
+either the old state or ``*.tmp`` litter, which the next
+:meth:`CheckpointManager.open` sweeps — never a half-valid artifact)::
 
     <checkpoint-dir>/
       manifest.json      completed steps, config fingerprint, crash counts
@@ -41,7 +42,7 @@ Driver crash points (:meth:`FaultPlan.decide_driver_crash`) are evaluated
 before and after every boundary.  A firing point first persists its
 incremented attempt count into the manifest, then aborts the process via
 ``os._exit`` — the moral equivalent of SIGKILL: no ``finally`` blocks, no
-atexit hooks.  Because the count is durable, the resumed run sees
+exit hooks.  Because the count is durable, the resumed run sees
 ``attempt >= fire_attempts`` and sails past the same boundary — the
 "fault state for deterministic replay" part of the manifest.
 """
@@ -49,7 +50,6 @@ atexit hooks.  Because the count is durable, the resumed run sees
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import sys
@@ -59,12 +59,15 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.framing import (
     FrameError,
+    ManifestError,
     atomic_write,
     atomic_write_json,
+    check_manifest,
     iter_frames,
+    read_manifest,
+    sweep_tmp,
     write_frame,
 )
-from repro.dataflow import workspace
 from repro.dataflow.faults import DRIVER_CRASH_EXIT_CODE, FaultPlan
 
 __all__ = [
@@ -198,17 +201,8 @@ class JobManifest:
 
     @classmethod
     def from_json(cls, data: Any) -> "JobManifest":
-        if not isinstance(data, dict):
-            raise CheckpointCorruptError("manifest is not a JSON object")
-        if data.get("format") != MANIFEST_FORMAT:
-            raise CheckpointCorruptError(
-                f"not a {MANIFEST_FORMAT} file (format={data.get('format')!r})"
-            )
-        if data.get("version") != MANIFEST_VERSION:
-            raise CheckpointCorruptError(
-                f"unsupported manifest version {data.get('version')!r}"
-            )
         try:
+            check_manifest(data, MANIFEST_FORMAT, MANIFEST_VERSION)
             steps = {
                 str(name): StepRecord.from_json(record)
                 for name, record in dict(data["steps"]).items()
@@ -233,9 +227,8 @@ class JobManifest:
     def load(cls, path: str) -> "JobManifest":
         """Read and validate a manifest; corruption raises the typed error."""
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-        except (OSError, ValueError) as error:
+            data = read_manifest(path, MANIFEST_FORMAT, MANIFEST_VERSION)
+        except (OSError, ManifestError) as error:
             raise CheckpointCorruptError(f"unreadable manifest {path}: {error}") from error
         return cls.from_json(data)
 
@@ -283,23 +276,20 @@ class CheckpointManager:
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.manifest: Optional[JobManifest] = None
-        self._workspace_token: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------
 
     def open(self) -> None:
-        """Create/validate the workspace and load or initialize the manifest.
+        """Create/validate the directory and load or initialize the manifest.
 
-        Resume semantics: a missing manifest means a clean fresh run; a
-        corrupt manifest is discarded with a warning (clean recompute); a
-        manifest for a different config fingerprint is a
-        :class:`CheckpointMismatchError`.  A non-resume run always starts
-        fresh, wiping stale step files.
+        A dead writer's temp litter is swept first.  Resume semantics: a
+        missing manifest means a clean fresh run; a corrupt manifest is
+        discarded with a warning (clean recompute); a manifest for a
+        different config fingerprint is a :class:`CheckpointMismatchError`.
+        A non-resume run always starts fresh, wiping stale step files.
         """
         os.makedirs(self.directory, exist_ok=True)
-        self._workspace_token = workspace.register(
-            self.directory, kind=workspace.TMP_ONLY
-        )
+        sweep_tmp(self.directory)
         manifest_path = self._manifest_path()
         if self.resume and os.path.exists(manifest_path):
             try:
@@ -319,10 +309,7 @@ class CheckpointManager:
         self._start_fresh()
 
     def close(self) -> None:
-        """Detach from the workspace registry (checkpoints stay durable)."""
-        if self._workspace_token is not None:
-            workspace.unregister(self._workspace_token)
-            self._workspace_token = None
+        """Nothing to release: no file stays open, checkpoints stay durable."""
 
     # -- step API ------------------------------------------------------
 
@@ -399,7 +386,7 @@ class CheckpointManager:
 
     def _start_fresh(self) -> None:
         for entry in os.listdir(self.directory):
-            if entry.endswith(".ckpt") or entry.endswith(".tmp"):
+            if entry.endswith(".ckpt"):
                 try:
                     os.unlink(os.path.join(self.directory, entry))
                 except OSError:

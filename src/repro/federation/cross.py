@@ -288,12 +288,9 @@ def _salvage(
         return None
     from repro.federation.ingest import PAGES_NAME, _load_pages
 
-    pages_path = os.path.join(workspace, PAGES_NAME)
-    if not os.path.exists(pages_path):
-        return None
     try:
-        rows, _, _ = _load_pages(pages_path)
-    except Exception:
+        rows, _ = _load_pages(os.path.join(workspace, PAGES_NAME))
+    except Exception:  # noqa: BLE001 - a missing or damaged file salvages nothing
         return None
     return EncodedDataset.from_terms(
         rows, dictionary=dictionary, name=name, deduplicate=True

@@ -36,11 +36,13 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.framing import (
     FrameCorruptionError,
-    FrameTruncatedError,
-    atomic_write_json,
+    ManifestError,
     fingerprint_fields,
-    read_frame,
+    read_manifest,
+    read_whole_frames,
+    sweep_tmp,
     write_frame,
+    write_manifest,
 )
 from repro.federation.client import SparqlEndpointClient
 from repro.federation.errors import (
@@ -175,50 +177,26 @@ def _fetch_fingerprint(endpoint: str) -> str:
     )
 
 
-def _write_manifest(directory: str, endpoint: str, fingerprint: str) -> None:
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "endpoint": endpoint,
-        "query": SCAN_QUERY,
-        "fingerprint": fingerprint,
-    }
-    atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
+def _load_pages(path: str) -> Tuple[List[Tuple[str, str, str]], int]:
+    """Stored rows and the page count; a torn tail frame is cut off.
 
-
-def _load_pages(path: str) -> Tuple[List[Tuple[str, str, str]], int, int]:
-    """Stored rows, the page count, and the clean byte length of the file.
-
-    A torn tail (:class:`FrameTruncatedError`) keeps the good prefix and
-    reports its end offset so the caller can truncate the litter away;
-    corruption propagates for the caller to turn into a clean restart.
+    Corruption propagates for the caller to turn into a clean restart.
     """
+    payloads, cut = read_whole_frames(path)
+    if cut:
+        _warn(
+            f"fetch workspace {path} ends in a torn page frame; "
+            f"dropping the tail and resuming from the last whole page"
+        )
     rows: List[Tuple[str, str, str]] = []
-    pages = 0
-    clean_end = 0
-    with open(path, "rb") as handle:
-        while True:
-            try:
-                payload = read_frame(handle)
-            except FrameTruncatedError:
-                _warn(
-                    f"fetch workspace {path} ends in a torn page frame; "
-                    f"dropping the tail and resuming from the last whole page"
-                )
-                break
-            if payload is None:
-                break
-            page = json.loads(payload.decode("utf-8"))
-            if not isinstance(page, list):
-                raise FrameCorruptionError(
-                    f"page frame payload is not a row list: {type(page).__name__}"
-                )
-            for row in page:
-                s, p, o = row
-                rows.append((s, p, o))
-            pages += 1
-            clean_end = handle.tell()
-    return rows, pages, clean_end
+    for payload in payloads:
+        page = json.loads(payload.decode("utf-8"))
+        if not isinstance(page, list):
+            raise FrameCorruptionError(
+                f"page frame payload is not a row list: {type(page).__name__}"
+            )
+        rows.extend((s, p, o) for s, p, o in page)
+    return rows, len(payloads)
 
 
 def _open_workspace(
@@ -226,30 +204,34 @@ def _open_workspace(
 ) -> Tuple[List[Tuple[str, str, str]], int]:
     """Prepare the workspace; returns (resumed rows, resumed page count).
 
-    Fresh directory → write the manifest, start empty.  Existing
-    workspace → validate the fingerprint (mismatch is a typed error),
-    then load the stored pages, repairing a torn tail in place and
+    A dead writer's temp litter is swept first.  Fresh directory → write
+    the manifest, start empty.  Existing workspace → validate the
+    fingerprint (mismatch is a typed error), then load the stored pages,
     restarting cleanly (with a warning) on corruption.
     """
     os.makedirs(directory, exist_ok=True)
+    sweep_tmp(directory)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     pages_path = os.path.join(directory, PAGES_NAME)
     fingerprint = _fetch_fingerprint(endpoint)
 
-    def fresh() -> Tuple[List[Tuple[str, str, str]], int]:
-        _write_manifest(directory, endpoint, fingerprint)
-        with open(pages_path, "wb"):
-            pass
+    def restart() -> Tuple[List[Tuple[str, str, str]], int]:
+        open(pages_path, "wb").close()
         return [], 0
 
-    if not resume or not os.path.exists(manifest_path):
-        return fresh()
+    def fresh() -> Tuple[List[Tuple[str, str, str]], int]:
+        fields = {"endpoint": endpoint, "query": SCAN_QUERY, "fingerprint": fingerprint}
+        write_manifest(manifest_path, MANIFEST_FORMAT, MANIFEST_VERSION, fields)
+        return restart()
 
+    if not resume:
+        return fresh()
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = read_manifest(manifest_path, MANIFEST_FORMAT, MANIFEST_VERSION)
         stored = manifest["fingerprint"]
-    except (ValueError, KeyError, OSError) as error:
+    except FileNotFoundError:
+        return fresh()
+    except (ManifestError, KeyError) as error:
         _warn(
             f"fetch workspace manifest {manifest_path} is unreadable "
             f"({error}); restarting the fetch cleanly"
@@ -263,23 +245,15 @@ def _open_workspace(
             f"or delete this one"
         )
     if not os.path.exists(pages_path):
-        with open(pages_path, "wb"):
-            pass
-        return [], 0
+        return restart()
     try:
-        rows, pages, clean_end = _load_pages(pages_path)
-    except (FrameCorruptionError, ValueError) as error:
+        return _load_pages(pages_path)
+    except ValueError as error:  # FrameCorruptionError included
         _warn(
             f"fetch workspace {pages_path} is corrupt ({error}); "
             f"restarting the fetch cleanly"
         )
-        with open(pages_path, "wb"):
-            pass
-        return [], 0
-    if clean_end < os.path.getsize(pages_path):
-        with open(pages_path, "r+b") as handle:
-            handle.truncate(clean_end)
-    return rows, pages
+        return restart()
 
 
 def _append_page(pages_path: str, rows: List[Tuple[str, str, str]]) -> None:

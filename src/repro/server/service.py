@@ -16,15 +16,14 @@ owns the only scheduling loop in the server:
   line.  A worker that dies without writing its outcome is requeued (its
   next attempt *resumes* from the durable checkpoint) up to
   ``max_attempts``, then declared failed.
-* **recovery** — `start` rescans the store: jobs left ``running`` by a
-  dead server are requeued (their checkpoints survive, so the rerun
-  picks up at the last boundary), orphaned finished workers have their
-  outcome adopted.
+* **recovery** — `start` sweeps dead writers' temps
+  (:func:`repro.core.framing.sweep_tmp`) and rescans the store: jobs
+  left ``running`` by a dead server are requeued (their checkpoints
+  survive, so the rerun picks up at the last boundary), orphaned
+  finished workers have their outcome adopted.
 * **shutdown** — `stop` (the SIGTERM/SIGINT path) stops admitting,
   SIGTERMs in-flight workers, and puts their jobs back in the queue so
-  the next start resumes them; the job dir is registered with
-  :mod:`repro.dataflow.workspace` for the whole service lifetime, so a
-  signalled death still gets its ``*.tmp`` litter swept.
+  the next start resumes them.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.dataflow import workspace
+from repro.core.framing import sweep_tmp
 from repro.datasets.registry import DATASETS
 from repro.server.store import (
     ACTIVE_STATES,
@@ -152,7 +151,6 @@ class JobService:
         self._admitting = False
         self._stop_event = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
-        self._workspace_token: Optional[int] = None
         self.started_jobs = 0  # lifetime spawn count (cache-efficacy telemetry)
 
     # -- lifecycle -----------------------------------------------------
@@ -161,12 +159,7 @@ class JobService:
         """Recover orphaned jobs, open admission, start the scheduler."""
         if self._scheduler is not None:
             raise RuntimeError("service already started")
-        # Durable artifacts in the job dir are published tmp-then-rename,
-        # so like a checkpoint dir it is swept TMP_ONLY: litter dies with
-        # the process, records/results/checkpoints survive it.
-        self._workspace_token = workspace.register(
-            self.store.directory, kind=workspace.TMP_ONLY
-        )
+        sweep_tmp(self.store.directory)
         self._recover_orphans()
         self._admitting = True
         self._stop_event.clear()
@@ -211,12 +204,7 @@ class JobService:
                     pass
             self._logs.clear()
         if graceful:
-            # The sweep a hard death would have gotten from the registry,
-            # the job dir's ``*.tmp`` litter included: its token is still in.
-            workspace.cleanup_registered()
-        if self._workspace_token is not None:
-            workspace.unregister(self._workspace_token)
-            self._workspace_token = None
+            sweep_tmp(self.store.directory)  # every worker is reaped by now
 
     def stop_admitting(self) -> None:
         """First phase of graceful shutdown: reject new submissions."""
@@ -417,6 +405,7 @@ class JobService:
                     except Exception:  # noqa: BLE001
                         pass
         for job_id, proc in done:
+            sweep_tmp(self.store.job_dir(job_id))
             record = self.store.get(job_id)
             if record is None or record.state != "running":
                 continue

@@ -19,8 +19,8 @@ The single-writer split is the concurrency story: the server mutates
 ``job.json`` (queued/running/cancelled bookkeeping), the worker writes
 everything else, and both sides publish with the checkpoint plane's
 tmp-then-rename discipline — a reader never observes a torn
-file, and a crash leaves at worst ``*.tmp`` litter for the workspace
-sweeper.
+file, and a crash leaves at worst ``*.tmp`` litter for the service to
+sweep (:func:`repro.core.framing.sweep_tmp`).
 
 Cache keys: :meth:`JobRequest.fingerprint` feeds the request's fields
 through :func:`repro.core.framing.fingerprint_fields` — the same

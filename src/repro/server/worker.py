@@ -65,11 +65,10 @@ _CONFIG_BUILDERS = {
 def _install_signal_handlers() -> None:
     """Make SIGTERM take the whole job down, pool children included.
 
-    Installed before any workspace registration, so the workspace
-    module's own handler (installed later, when the checkpoint manager
-    registers the job's checkpoint dir) chains back to this one: sweep
-    tmp litter first, then kill the executor's children, then die with
-    the signal's default disposition so the exit status is honest.
+    The only handler in the worker: kill the executor's children, then
+    die with the signal's default disposition so the exit status is
+    honest.  A torn publish's ``*.tmp`` stays behind; the service sweeps
+    the job dir once it has reaped this process.
     """
 
     def handler(signum: int, _frame) -> None:

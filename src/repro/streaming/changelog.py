@@ -34,8 +34,9 @@ from typing import Any, BinaryIO, Iterable, Iterator, List, NamedTuple, Optional
 from repro.core.framing import (
     FrameCorruptionError,
     FrameTruncatedError,
+    iter_frames,
     pack_frame,
-    read_frame,
+    read_whole_frames,
 )
 
 __all__ = [
@@ -225,33 +226,22 @@ class ChangeLog:
         return first_seq - 1 if payload is None else _decode_record(payload, path).seq
 
     def _recover_open_segment(self) -> int:
-        """Drop a torn tail record, truncate the file, return the tail seq."""
+        """Cut a torn tail record off the open segment, return the tail seq."""
         last = self._open_first_seq - 1
-        good_offset = 0
-        with open(self._open_path, "rb") as stream:
-            while True:
-                try:
-                    payload = read_frame(stream)
-                except FrameTruncatedError:
-                    warnings.warn(
-                        f"{self._open_path}: dropping truncated tail record "
-                        f"after seq {last} (writer died mid-append)",
-                        stacklevel=2,
-                    )
-                    break
-                except FrameCorruptionError as error:
-                    raise ChangeLogCorruptError(
-                        f"{self._open_path}: {error}"
-                    ) from error
-                if payload is None:
-                    break
-                record = _decode_record(payload, self._open_path)
-                self._check_seq(record, last)
-                last = record.seq
-                good_offset = stream.tell()
-        if good_offset != os.path.getsize(self._open_path):
-            with open(self._open_path, "r+b") as stream:
-                stream.truncate(good_offset)
+        try:
+            payloads, cut = read_whole_frames(self._open_path)
+        except FrameCorruptionError as error:
+            raise ChangeLogCorruptError(f"{self._open_path}: {error}") from error
+        for payload in payloads:
+            record = _decode_record(payload, self._open_path)
+            self._check_seq(record, last)
+            last = record.seq
+        if cut:
+            warnings.warn(
+                f"{self._open_path}: dropping truncated tail record "
+                f"after seq {last} (writer died mid-append)",
+                stacklevel=2,
+            )
         return last
 
     def _check_seq(self, record: ChangeRecord, previous: int) -> None:
@@ -357,24 +347,18 @@ class ChangeLog:
         if not os.path.exists(path):
             return
         with open(path, "rb") as stream:
-            while True:
-                try:
-                    payload = read_frame(stream)
-                except FrameTruncatedError as error:
-                    if sealed:
-                        raise ChangeLogCorruptError(
-                            f"{path}: truncated sealed segment: {error}"
-                        ) from error
-                    warnings.warn(
-                        f"{path}: dropping truncated tail record on replay",
-                        stacklevel=2,
-                    )
-                    return
-                except FrameCorruptionError as error:
-                    raise ChangeLogCorruptError(f"{path}: {error}") from error
-                if payload is None:
-                    return
-                yield payload
+            try:
+                yield from iter_frames(stream)
+            except FrameTruncatedError as error:
+                if sealed:
+                    raise ChangeLogCorruptError(
+                        f"{path}: truncated sealed segment: {error}"
+                    ) from error
+                warnings.warn(
+                    f"{path}: dropping truncated tail record on replay", stacklevel=2
+                )
+            except FrameCorruptionError as error:
+                raise ChangeLogCorruptError(f"{path}: {error}") from error
 
     # -- introspection -------------------------------------------------
 

@@ -28,13 +28,12 @@ checkpoint is a cache, never the source of truth.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
 from typing import Optional, Tuple
 
 from repro.core.conditions import ConditionScope
-from repro.core.framing import atomic_write_json
+from repro.core.framing import ManifestError, read_manifest, write_manifest
 from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot, save_snapshot
 from repro.streaming.delta import DeltaStore
 from repro.streaming.maintainer import MaintenanceStats, StreamingRDFind
@@ -81,15 +80,13 @@ class StreamCheckpointer:
         payload_path = os.path.join(self.directory, payload_name)
         save_snapshot(maintainer.materialize(name=payload_name), payload_path)
         manifest = {
-            "format": CHECKPOINT_MAGIC,
-            "version": CHECKPOINT_VERSION,
             "seq": seq,
             "triples": maintainer.triples,
             "payload": payload_name,
             "payload_digest": _digest(payload_path),
             "stats": maintainer.stats.to_dict(),
         }
-        atomic_write_json(self.manifest_path, manifest)
+        write_manifest(self.manifest_path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, manifest)
         self._sweep(keep=payload_name)
         self.seq, self.nbytes = seq, os.path.getsize(payload_path)
         return payload_path
@@ -115,20 +112,13 @@ class StreamCheckpointer:
         least a *visible* decision.
         """
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as stream:
-                manifest = json.load(stream)
+            manifest = read_manifest(
+                self.manifest_path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+            )
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as error:
-            return self._miss(self.manifest_path, f"unreadable manifest ({error})")
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != CHECKPOINT_MAGIC
-            or manifest.get("version") != CHECKPOINT_VERSION
-        ):
-            return self._miss(
-                self.manifest_path, "not a version-2 manifest (payload left unread)"
-            )
+        except ManifestError as error:
+            return self._miss(self.manifest_path, f"{error} (payload left unread)")
         payload_path = os.path.join(self.directory, str(manifest.get("payload")))
         try:
             if _digest(payload_path) != manifest.get("payload_digest"):

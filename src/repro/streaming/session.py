@@ -6,10 +6,11 @@ Layout::
         changelog/      ChangeLog segments (the source of truth)
         checkpoints/    StreamCheckpointer manifest + ``.snap`` of the live triples
 
-Opening a session recovers: rebuild the maintainer from the checkpoint
-(any ``h``, any scope — it holds triples, not state), then replay only
-the changelog records past its position (``replayed_records`` says how
-many — the restart-cost number the compaction cadence controls).  Every
+Opening a session recovers: sweep dead writers' temps, rebuild the
+maintainer from the checkpoint (any ``h``, any scope — it holds triples,
+not state), then replay only the changelog records past its position
+(``replayed_records`` says how many — the restart-cost number the
+compaction cadence controls).  Every
 accepted update is appended to the changelog *before* it touches the
 maintainer, so the maintainer is always reconstructible from
 (checkpoint, log) — unless the checkpoint is *ahead* of the log, which
@@ -29,6 +30,7 @@ import time
 from typing import Any, Dict, Iterable, Optional
 
 from repro.core.conditions import ConditionScope
+from repro.core.framing import sweep_tmp
 from repro.dataflow.gcpause import gc_paused
 from repro.streaming.changelog import (
     OP_ADD,
@@ -63,6 +65,7 @@ class StreamSession:
         #: Compact after this many applied records (0 = only on demand).
         self.compact_every = compact_every
         os.makedirs(directory, exist_ok=True)
+        sweep_tmp(directory)
         self.changelog = ChangeLog(
             os.path.join(directory, "changelog"),
             max_segment_bytes=max_segment_bytes,

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from typing import List, Tuple
 
 import pytest
 
 from repro.datasets.table1 import table1
 from repro.rdf.model import Dataset, EncodedDataset
+
+
+def reaped_pid() -> int:
+    """The PID of a child that has exited and been reaped: a dead writer."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 def random_rdf(

@@ -23,7 +23,7 @@ from repro.core.cind import code_capture
 from repro.core.discovery import RDFind, RDFindConfig, checkpoint_fingerprint
 from repro.core.framing import fingerprint_fields, write_frame
 from repro.core.serialization import dump_result
-from repro.dataflow import checkpoint, workspace
+from repro.dataflow import checkpoint
 from repro.dataflow.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
@@ -42,7 +42,7 @@ from repro.dataflow.faults import (
 )
 from repro.dataflow.metrics import StageMetrics
 from repro.rdf.model import Dataset
-from tests.conftest import ar_set, cind_set, random_rdf
+from tests.conftest import ar_set, cind_set, random_rdf, reaped_pid
 from tests.result_oracle import result_to_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,6 +147,21 @@ class TestManifest:
         loaded = JobManifest.load(path)
         assert loaded == manifest
         assert os.listdir(tmp_path) == ["manifest.json"]
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        JobManifest(
+            fingerprint="abc",
+            steps={"fc": StepRecord(kind="value", digest="d", bytes=10, seconds=0.5)},
+            crash_attempts={"after:fc": 1},
+        ).save(path)
+        with open(path, encoding="utf-8") as stream:
+            assert stream.read() == (
+                '{\n "crash_attempts": {\n  "after:fc": 1\n },\n'
+                ' "fingerprint": "abc",\n "format": "rdfind-job-manifest",\n'
+                ' "steps": {\n  "fc": {\n   "bytes": 10,\n   "digest": "d",\n'
+                '   "kind": "value",\n   "seconds": 0.5\n  }\n },\n "version": 1\n}'
+            )
 
     def test_load_rejects_non_json(self, tmp_path):
         path = str(tmp_path / "manifest.json")
@@ -690,67 +705,47 @@ class TestTaskTimeout:
 
 
 # ----------------------------------------------------------------------
-# workspace cleanup registry (satellite: no leaked checkpoint litter)
+# sweep on open: a dead writer's litter goes, signal state stays
 # ----------------------------------------------------------------------
 
 
-class TestWorkspaceRegistry:
-    def test_tmp_only_workspace_keeps_durable_files(self, tmp_path):
-        target = tmp_path / "ckpt"
-        target.mkdir()
-        (target / "fc.ckpt").write_bytes(b"durable")
-        (target / "fc.ckpt.tmp").write_bytes(b"litter")
-        workspace.register(str(target), kind=workspace.TMP_ONLY)
-        workspace.cleanup_registered()
-        assert (target / "fc.ckpt").exists()
-        assert not (target / "fc.ckpt.tmp").exists()
-
-    def test_unregistered_workspace_is_left_alone(self, tmp_path):
-        target = tmp_path / "ckpt"
-        target.mkdir()
-        (target / "fc.ckpt.tmp").write_bytes(b"litter")
-        token = workspace.register(str(target), kind=workspace.TMP_ONLY)
-        workspace.unregister(token)
-        assert str(target) not in workspace.cleanup_registered()
-        assert (target / "fc.ckpt.tmp").exists()
-
-    def test_other_process_entries_are_not_swept(self, tmp_path):
-        target = tmp_path / "ckpt"
-        target.mkdir()
-        (target / "fc.ckpt.tmp").write_bytes(b"litter")
-        token = workspace.register(str(target), kind=workspace.TMP_ONLY)
-        path, kind, _pid = workspace._registry[token]
-        workspace._registry[token] = (path, kind, os.getpid() + 1)
-        try:
-            assert str(target) not in workspace.cleanup_registered()
-            assert (target / "fc.ckpt.tmp").exists()
-        finally:
-            workspace._registry.pop(token, None)
-
-    def test_rejects_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            workspace.register(str(tmp_path), kind="everything")
-
-    def test_sigterm_sweeps_and_preserves_exit_status(self, tmp_path):
-        """A SIGTERM'd driver sweeps its temp litter before dying and
-        keeps its durable files."""
-        target = tmp_path / "ckpt"
+class TestSweepOnOpen:
+    def test_discover_leaves_signal_handlers_alone(self, tmp_path):
+        """A checkpointed run installs no SIGTERM/SIGINT handler (checked
+        in a fresh interpreter, whose handlers no other test touched)."""
         script = (
-            "import os, signal, sys\n"
-            "from repro.dataflow import workspace\n"
-            f"os.makedirs({str(target)!r})\n"
-            f"open(os.path.join({str(target)!r}, 'fc.ckpt'), 'wb').write(b'x')\n"
-            f"open(os.path.join({str(target)!r}, 'cg.ckpt.tmp'), 'wb').write(b'x')\n"
-            f"workspace.register({str(target)!r}, kind=workspace.TMP_ONLY)\n"
-            "print('ready', flush=True)\n"
-            "os.kill(os.getpid(), signal.SIGTERM)\n"
+            "import signal\n"
+            "from repro.core.discovery import RDFind, RDFindConfig\n"
+            "from repro.datasets import table1\n"
+            "def handlers():\n"
+            "    return [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)]\n"
+            "before = handlers()\n"
+            f"config = RDFindConfig(support_threshold=2, checkpoint_dir={str(tmp_path)!r})\n"
+            "RDFind(config).discover(table1())\n"
+            "print(before == handlers(), handlers())\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         result = subprocess.run(
             [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert result.returncode == -15  # death by SIGTERM, as delivered
-        assert not (target / "cg.ckpt.tmp").exists()
-        assert (target / "fc.ckpt").read_bytes() == b"x"
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("True"), result.stdout
+
+    def test_open_sweeps_a_dead_writers_temp_only(self, tmp_path):
+        first = _manager(tmp_path)
+        first.step("fc", lambda: 1)
+        first.close()
+        dead = tmp_path / f"cg.ckpt.{reaped_pid()}.tmp"
+        kept = [
+            tmp_path / f"ex.ckpt.{os.getpid()}.tmp",
+            tmp_path / "snapshots" / "stray.tmp",
+        ]
+        (tmp_path / "snapshots").mkdir()
+        for path in [dead, *kept]:
+            path.write_bytes(b"torn")
+        resumed = _manager(tmp_path, resume=True)
+        assert not dead.exists()
+        assert all(path.exists() for path in kept)
+        assert resumed.step("fc", _fail_compute) == 1

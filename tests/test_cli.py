@@ -292,6 +292,52 @@ class TestNumericFlags:
         assert raised.value.code == 2
         assert "argument --max-retries: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag, bound",
+        [
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--page-size", "0"],
+             "--page-size", "must be >= 1, got 0"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--min-page-size", "0"],
+             "--min-page-size", "must be >= 1, got 0"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--retries", "-1"],
+             "--retries", "must be >= 0, got -1"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--timeout", "0"],
+             "--timeout", "must be > 0, got 0.0"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--timeout", "nan"],
+             "--timeout", "must be > 0, got nan"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--breaker-threshold", "0"],
+             "--breaker-threshold", "must be >= 1, got 0"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--jitter", "2"],
+             "--jitter", "must be in [0, 1], got 2.0"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--backoff", "-0.5"],
+             "--backoff", "must be >= 0, got -0.5"),
+            (["fetch", "http://x/sparql", "-o", "x.snap", "--breaker-cooldown", "-1"],
+             "--breaker-cooldown", "must be >= 0, got -1.0"),
+            (["federate", "http://a/sparql", "http://b/sparql", "--retries", "-1"],
+             "--retries", "must be >= 0, got -1"),
+            (["serve", "--job-dir", "d", "--max-concurrent-jobs", "0"],
+             "--max-concurrent-jobs", "must be >= 1, got 0"),
+            (["serve", "--job-dir", "d", "--max-queued-jobs", "-1"],
+             "--max-queued-jobs", "must be >= 0, got -1"),
+            (["discover", "dataset:Countries", "--task-timeout-seconds", "0"],
+             "--task-timeout-seconds", "must be > 0, got 0.0"),
+        ],
+        ids=lambda part: "-".join(part) if isinstance(part, list) else None,
+    )
+    def test_endpoint_server_and_seconds_bounds(self, capsys, argv, flag, bound):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {bound}" in err
+        assert "Traceback" not in err
+
+    def test_serve_requires_a_job_dir(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["serve"])
+        assert raised.value.code == 2
+        assert "--job-dir" in capsys.readouterr().err
+
     def test_profile_support_zero_asks_the_advisor(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["profile", "dataset:Countries", "-s", "0"]).support == 0

@@ -9,8 +9,8 @@ documents must resolve against the tree, the registered parsers, the
 source and the importable package.
 
 A run's settings have one way in — flags mapped to ``RDFindConfig``
-keywords — so the environment is read only by ``cli.py``'s front-door
-defaults (``serve`` and ``endpoint:`` inputs) and written nowhere.
+keywords — and ``src/`` neither reads nor writes an ``RDFIND_*``
+variable, so a document may name none.
 """
 
 import argparse
@@ -104,13 +104,13 @@ def test_named_modules_import(document):
     assert not dangling, f"{document.name} names modules that do not import: {dangling}"
 
 
-def test_only_the_cli_reads_rdfind_variables():
+def test_src_reads_no_rdfind_variable():
     readers = sorted(
         str(path.relative_to(ROOT))
         for path in SOURCES
         if _VARIABLE_RE.search(path.read_text(encoding="utf-8"))
     )
-    assert readers == ["src/repro/cli.py"]
+    assert readers == []
 
 
 #: ``os.environ[...] = …``, ``os.environ.update(`` / ``.setdefault(``,

@@ -42,8 +42,10 @@ from repro.federation.errors import (
     TransientEndpointError,
 )
 from repro.federation.ingest import (
+    MANIFEST_NAME,
     PAGES_NAME,
     AdaptivePager,
+    _open_workspace,
     fetch_endpoint,
     page_query,
 )
@@ -56,6 +58,7 @@ from repro.rdf.ntriples import (
     write_ntriples_file,
 )
 from repro.storage.columnar import EncodedDataset
+from tests.conftest import reaped_pid
 
 SCAN = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
 
@@ -488,6 +491,32 @@ class TestResumableFetch:
             # New ephemeral port -> different endpoint identity.
             with pytest.raises(FetchMismatchError):
                 fetch_endpoint(fast_client(other.url), page_size=16, workspace=ws)
+
+    def test_manifest_bytes_are_pinned(self, tmp_path, capsys):
+        """The workspace manifest, byte for byte; a workspace holding
+        exactly these bytes resumes without a warning."""
+        ws = tmp_path / "ws"
+        pinned = (
+            '{\n "endpoint": "http://example.invalid/sparql",\n'
+            ' "fingerprint": "2b5aa488b5c36a7914bee15bfb6cf2f5",\n'
+            ' "format": "rdfind-fetch-manifest",\n'
+            ' "query": "SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o",\n'
+            ' "version": 1\n}'
+        )
+        assert _open_workspace(str(ws), "http://example.invalid/sparql", False) == ([], 0)
+        assert (ws / MANIFEST_NAME).read_text(encoding="utf-8") == pinned
+        (ws / PAGES_NAME).write_bytes(b"")
+        assert _open_workspace(str(ws), "http://example.invalid/sparql", True) == ([], 0)
+        assert (ws / MANIFEST_NAME).read_text(encoding="utf-8") == pinned
+        assert capsys.readouterr().err == ""
+
+    def test_open_sweeps_a_dead_writers_temp(self, tmp_path):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        dead = ws / f"{MANIFEST_NAME}.{reaped_pid()}.tmp"
+        dead.write_text("torn")
+        _open_workspace(str(ws), "http://example.invalid/sparql", True)
+        assert sorted(os.listdir(ws)) == [MANIFEST_NAME, PAGES_NAME]
 
     def test_no_resume_flag_refetches_from_scratch(self, data_file, tmp_path):
         ws = str(tmp_path / "ws")

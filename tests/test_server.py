@@ -36,6 +36,7 @@ from repro.server import (
     ServiceConfig,
 )
 from repro.server.store import read_json
+from tests.conftest import reaped_pid
 from tests.result_oracle import result_to_dict
 
 COUNTRIES = {"dataset": "Countries", "support_threshold": 5, "scale": 0.25}
@@ -365,26 +366,68 @@ class TestRecovery:
         assert record.state == "queued" and record.attempts == 1
 
     def test_graceful_stop_sweeps_tmp_litter(self, tmp_path, tiny_nt):
-        """A torn publish's ``*.tmp`` under the job dir is gone after a
-        graceful stop; records and results stay."""
+        """A dead writer's torn publish under the job dir is gone after a
+        graceful stop; records, results and a ``*.tmp`` that
+        ``atomic_write`` did not name stay."""
         server, client = make_server(tmp_path / "jobs")
         job = client.submit(dataset=tiny_nt, support_threshold=2)
         client.wait(job["id"], timeout=60)
         store = server.service.store
-        job_dir = store.job_dir(job["id"])
-        litter = [
-            os.path.join(job_dir, "result.json.4242.tmp"),
-            os.path.join(store.directory, "stray.tmp"),
-        ]
-        for path in litter:
+        litter = os.path.join(store.job_dir(job["id"]), f"result.json.{reaped_pid()}.tmp")
+        stray = os.path.join(store.directory, "stray.tmp")
+        for path in (litter, stray):
             with open(path, "w") as handle:
                 handle.write("torn")
         result = client.raw_result(job["id"])
         server.stop(graceful=True)
-        assert not [path for path in litter if os.path.exists(path)]
+        assert not os.path.exists(litter)
+        assert os.path.exists(stray)
         assert store.get(job["id"]).state == "succeeded"
         with open(store.result_path(job["id"]), "rb") as handle:
             assert handle.read() == result
+
+    def test_start_sweeps_the_job_store(self, tmp_path):
+        """A dead server's and dead workers' temps anywhere in the store
+        are gone once the next service starts; its own stay."""
+        store = JobStore(str(tmp_path / "jobs"))
+        checkpoint = os.path.join(store.job_dir("j000001"), "checkpoint")
+        os.makedirs(checkpoint)
+        os.makedirs(store.snapshot_dir())
+        dead = [
+            os.path.join(checkpoint, f"fc.ckpt.{reaped_pid()}.tmp"),
+            os.path.join(store.snapshot_dir(), f"d.snap.{reaped_pid()}.tmp"),
+        ]
+        own = os.path.join(store.job_dir("j000001"), f"job.json.{os.getpid()}.tmp")
+        for path in (*dead, own):
+            with open(path, "w") as handle:
+                handle.write("torn")
+        server, _client = make_server(store.directory)
+        try:
+            assert not [path for path in dead if os.path.exists(path)]
+            assert os.path.exists(own)
+        finally:
+            server.stop()
+
+    def test_reaped_workers_temp_is_swept(self, tmp_path, tiny_nt):
+        """A live worker's temp stays; once the scheduler reaps the dead
+        worker, its job dir is swept before the retry starts."""
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+            wait_running_attempt(client, job["id"], 1)
+            worker = server.service._procs[job["id"]]
+            litter = os.path.join(
+                server.service.store.job_dir(job["id"]), f"result.json.{worker.pid}.tmp"
+            )
+            with open(litter, "w") as handle:
+                handle.write("torn")
+            worker.kill()
+            wait_running_attempt(client, job["id"], 2)
+            assert not os.path.exists(litter)
+            release(server, job["id"])
+            assert client.wait(job["id"], timeout=120)["state"] == "succeeded"
+        finally:
+            server.stop()
 
     def test_exhausted_retries_fail(self, tmp_path, tiny_nt):
         """A worker that dies on every attempt lands the job in "failed".

@@ -23,7 +23,7 @@ from repro.core.serialization import dump_result
 from repro.streaming import ChangeLog, ChangeLogCorruptError
 from repro.streaming.changelog import DeltaError
 from repro.streaming.session import StreamSession
-from tests.conftest import random_rdf
+from tests.conftest import random_rdf, reaped_pid
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -427,6 +427,56 @@ class TestCheckpointTrust:
             }
             assert session.document_json() == document
             assert session.status()["stats"]["blocks_rebuilt"] > 0
+
+
+class TestStateDirectory:
+    def test_open_sweeps_a_dead_writers_temp_only(self, tmp_path):
+        directory = tmp_path / "state"
+        with StreamSession(str(directory), h=2, fsync=False) as session:
+            session.apply_batch(scripted_ops(21, n_ops=20))
+            session.compact()
+            expected = session.document_json()
+        checkpoints = directory / "checkpoints"
+        dead = checkpoints / f"manifest.json.{reaped_pid()}.tmp"
+        kept = [checkpoints / f"state-1.snap.{os.getpid()}.tmp", directory / "stray.tmp"]
+        for path in [dead, *kept]:
+            path.write_bytes(b"torn")
+        with StreamSession(str(directory), h=2, fsync=False) as session:
+            assert session.resumed_from_checkpoint
+            assert session.document_json() == expected
+        assert not dead.exists()
+        assert all(path.exists() for path in kept)
+
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        directory = str(tmp_path / "state")
+        with StreamSession(directory, h=2, fsync=False) as session:
+            session.apply_batch(
+                [("add", "a", "p", "b"), ("add", "c", "p", "b"), ("add", "a", "q", "c")]
+            )
+            session.compact()
+        path = os.path.join(directory, "checkpoints", "manifest.json")
+        with open(path, encoding="utf-8") as handle:
+            manifest = handle.read()
+        counters = {
+            "blocks_rebuilt": 0, "compactions": 1, "conditions_activated": 4,
+            "conditions_deactivated": 0, "dependents_recomputed": 0,
+            "duplicates_ignored": 0, "evidences_applied": 12,
+            "evidences_retracted": 0, "groups_intersected": 0, "queries": 0,
+            "removals_ignored": 0, "terms_repositioned": 0, "triples_added": 3,
+            "triples_removed": 0,
+        }
+        assert manifest == json.dumps(
+            {
+                "format": "rdfind-stream-checkpoint",
+                "payload": "state-000000000003.snap",
+                "payload_digest": "6623370ecf456a0728e1fa2d2142b0b5",
+                "seq": 3,
+                "stats": counters,
+                "triples": 3,
+                "version": 2,
+            },
+            indent=1,
+        )
 
 
 class TestBatchAndStatus:
