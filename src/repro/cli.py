@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.apps.advisor import recommend_support_threshold
 from repro.apps.integration import discover_cross_cinds
@@ -49,9 +49,13 @@ from repro.core.serialization import dump_result
 from repro.core.stats import condition_frequency_histogram, search_space_funnel
 from repro.datasets.registry import DATASETS, load
 from repro.rdf.model import Dataset, EncodedDataset
-from repro.rdf.ntriples import parse_ntriples_file, write_ntriples_file
-from repro.rdf.turtle import parse_turtle_file
-from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot
+from repro.rdf.ntriples import (
+    NTriplesParseError,
+    parse_ntriples_file,
+    write_ntriples_file,
+)
+from repro.rdf.turtle import TurtleParseError, parse_turtle_file
+from repro.storage.snapshot import SNAPSHOT_SUFFIX, SnapshotError, load_snapshot
 
 
 def _load_input(
@@ -88,6 +92,23 @@ def _load_input(
         )
         return dataset
     return _load_source(spec, scale, encoded=encoded)
+
+
+def _read_input(spec: str, loader: Callable = _load_input, **kwargs):
+    """``loader(spec, **kwargs)`` at the command line: an input that cannot
+    be read — missing, a directory, malformed, not a snapshot, an unknown
+    registry name — ends as one ``error: <input>: <reason>`` line, exit 1.
+    (The server worker calls :func:`_load_input` and keeps the exception.)"""
+    try:
+        return loader(spec, **kwargs)
+    except (
+        OSError, NTriplesParseError, TurtleParseError, SnapshotError, KeyError
+    ) as error:
+        # The registry's KeyError names the known datasets: print it unquoted.
+        reason = getattr(error, "strerror", None) or (
+            error.args[0] if isinstance(error, KeyError) else error
+        )
+        raise SystemExit(f"error: {spec}: {reason}") from None
 
 
 def _load_source(
@@ -283,7 +304,7 @@ def _discover(args: argparse.Namespace) -> DiscoveryResult:
     # state, so dataset snapshots live beside the checkpoints: a
     # --resume relaunch then skips re-parsing its input entirely.
     checkpoint_dir = settings.get("checkpoint_dir")
-    dataset = _load_input(
+    dataset = _read_input(
         args.input,
         scale=args.scale,
         snapshot_dir=(
@@ -316,7 +337,7 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    dataset = load(args.name, scale=args.scale)
+    dataset = _read_input(args.name, load, scale=args.scale)
     count = write_ntriples_file(dataset, args.output)
     print(f"wrote {count:,} triples of {dataset.name} to {args.output}")
     return 0
@@ -359,7 +380,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_funnel(args: argparse.Namespace) -> int:
     config = RDFindConfig(parallelism=args.parallelism, **_run_settings(args))
-    dataset = _load_input(args.input, scale=args.scale)
+    dataset = _read_input(args.input, scale=args.scale)
     funnel = search_space_funnel(
         dataset, args.support, exhaustive=args.exhaustive, config=config
     )
@@ -368,7 +389,7 @@ def cmd_funnel(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale)
+    dataset = _read_input(args.input, scale=args.scale)
     histogram = condition_frequency_histogram(dataset)
     print(f"{'frequency':>10} {'conditions':>12}")
     for frequency in sorted(histogram):
@@ -395,7 +416,7 @@ def cmd_facts(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale)
+    dataset = _read_input(args.input, scale=args.scale)
     analysis = recommend_support_threshold(dataset)
     print(analysis.describe())
     return 0
@@ -407,7 +428,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         **_run_settings(args),
     )
-    encoded = _load_input(args.input, scale=args.scale)
+    encoded = _read_input(args.input, scale=args.scale)
     result = RDFind(config).discover(encoded)
     ranking = rank_cinds(result, encoded)
     flagged = spurious(ranking)
@@ -421,7 +442,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_inds(args: argparse.Namespace) -> int:
-    dataset = _load_input(args.input, scale=args.scale)
+    dataset = _read_input(args.input, scale=args.scale)
     result = discover_inds(dataset, parallelism=args.parallelism)
     print(
         f"plain INDs over the s/p/o attributes "
@@ -438,8 +459,8 @@ def cmd_inds(args: argparse.Namespace) -> int:
 def cmd_cross(args: argparse.Namespace) -> int:
     # cross-dataset discovery re-encodes both sides into one shared
     # dictionary, so the inputs stay in string form here
-    left = _load_input(args.left, scale=args.scale, encoded=False)
-    right = _load_input(args.right, scale=args.scale, encoded=False)
+    left = _read_input(args.left, scale=args.scale, encoded=False)
+    right = _read_input(args.right, scale=args.scale, encoded=False)
     report = discover_cross_cinds(left, right, h=args.support)
     print(report.describe(limit=args.limit))
     return 0
@@ -636,7 +657,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.storage.snapshot import save_snapshot, snapshot_info
 
     if args.snapshot_command == "save":
-        dataset = _load_input(args.input, scale=args.scale)
+        dataset = _read_input(args.input, scale=args.scale)
         header = save_snapshot(dataset, args.output)
         size = os.path.getsize(args.output)
         print(
@@ -694,7 +715,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if session.applied_seq:
                 print(f"state dir is non-empty; ignoring --init {args.init}")
             else:
-                dataset = _load_input(args.init, scale=args.scale, encoded=False)
+                dataset = _read_input(args.init, scale=args.scale, encoded=False)
                 loaded = session.load_initial(dataset)
                 print(
                     f"loaded {loaded:,} initial triples from {args.init} "
@@ -753,7 +774,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config = RDFindConfig(parallelism=args.parallelism, **_run_settings(args))
-    dataset = _load_input(args.input, scale=args.scale)
+    dataset = _read_input(args.input, scale=args.scale)
     h = args.support if args.support > 0 else None
     print(profile_dataset(dataset, h=h, config=config).describe(limit=args.limit))
     return 0

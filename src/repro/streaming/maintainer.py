@@ -37,21 +37,27 @@ stop early.  One event changes one ``(capture, value)`` pair:
   dirty); every *other* member ``d`` of ``group[v]`` with a cached row
   gains ``c`` iff ``I(d) ⊆ I(c)`` (it cannot have held ``c`` before:
   ``v ∈ I(d)``, ``v ∉ I(c)``);
-* capture ``c`` **loses** ``v``: every other member of ``group[v]`` with
-  a cached row drops ``c``; only ``c`` itself is marked dirty, because
-  its row may grow — from what it was, which stays as the bound;
+* capture ``c`` **loses** ``v``: every other member of ``group[v]`` whose
+  row holds ``c`` drops it — ``holders[c] ∩ group[v]``, read off the
+  *holder index*, the rows' exact transpose; only ``c`` itself is marked
+  dirty, because its row may grow — from what it was, which stays as the
+  bound;
 * capture ``c`` is **torn down** (its condition fell below h): the loss
   rule for each of its values.
 
 Both rules only remove false and add true members, whatever the row's
-state.  Per-event work is bounded by the members that hold a cached row,
-not by group size, and adds arrive in bulk (:meth:`StreamingRDFind.add_all`:
+state.  Per-event work is bounded by cached rows, not by group size — a
+gain tests the group's cached members for coverage, a loss visits only
+its holders — and adds arrive in bulk (:meth:`StreamingRDFind.add_all`:
 frequencies first, each touched condition looked at once, activations
 counted rather than replayed), so a bulk add pays nothing for rows it
 does not change — into cold state nothing is cached, into warm state
 only cached members of the groups it reaches are looked at — and a
 query recomputes only the captures that lost a value, reached h or were
 (re)built — ``MaintenanceStats.dependents_recomputed`` counts those.
+The holder index also names the rows a flipped association rule makes
+stale.  It is derived state, written with the rows and never
+checkpointed: a compaction load or a reopen rebuilds it with them.
 
 Monotonicity is what keeps a delta cheap: within one delta class, every
 quantity moves in only one direction, so only that direction is checked.
@@ -230,6 +236,10 @@ class StreamingRDFind:
 
         self._dirty: Set[int] = set()
         self._refs_cache: Dict[int, FrozenSet[int]] = {}
+        #: capture -> the dependents whose cached row holds it: the exact
+        #: transpose of _refs_cache (no empty sets), written with it by
+        #: _set_row / _hold only.  Derived state, never checkpointed.
+        self._holders: Dict[int, Set[int]] = {}
         #: code -> its Capture, one object per distinct code (as the batch
         #: extractor decodes its result).
         self._decoded = _Memo(code_capture)
@@ -399,14 +409,14 @@ class StreamingRDFind:
         else:
             ids = postings[condition[:2]] & postings[condition[2:]]
         rows = list(map(self.store.triple, ids))
-        groups, cache, touched = self._groups, self._refs_cache, self._touched
+        groups, cache = self._groups, self._refs_cache
         for alpha, code in _fed(condition, feeds):
             witnesses = dict(Counter(map(itemgetter(alpha), rows)))
             self._witnesses[code] = witnesses
             self.stats.evidences_applied += len(witnesses)
             # A row survives a tear-down as a bound: it shrinks as in _gain.
             row = cache.get(code)
-            (self._dirty if row is None else touched).add(code)
+            (self._dirty if row is None else self._touched).add(code)
             interpretation = witnesses.keys()
             for value in witnesses:
                 group = groups.get(value)
@@ -418,10 +428,9 @@ class StreamingRDFind:
                 for member in cache.keys() & group if cache else ():
                     covered = self._witnesses[member].keys() <= interpretation
                     if covered and member != code:
-                        cache[member] = cache[member] | {code}
-                        touched.add(member)
+                        self._hold(member, code, True)
             if row is not None:
-                cache[code] = row
+                self._set_row(code, row)
 
     def _deactivate(self, condition: Tuple[int, ...], feeds: Feeds) -> None:
         """A condition dropped *below* h: tear its captures down whole."""
@@ -451,13 +460,13 @@ class StreamingRDFind:
         self.stats.evidences_applied += 1
         # The gainer's own row — exact or a lower bound — can only shrink,
         # to members of the group it joined; with no row it is dirty.
-        cache, touched = self._refs_cache, self._touched
+        cache = self._refs_cache
         row = cache.get(capture)
         if row is None:
             self._dirty.add(capture)
         else:
-            cache[capture] = row & group
-            touched.add(capture)
+            self._set_row(capture, row & group)
+            self._touched.add(capture)
         # Any other member gains the gainer iff its interpretation is
         # now covered.  The keys-view intersection walks the smaller
         # side in C: an empty cache (bulk load) or a giant group of
@@ -465,8 +474,7 @@ class StreamingRDFind:
         interpretation = witnesses.keys()
         for member in cache.keys() & group:
             if member != capture and self._witnesses[member].keys() <= interpretation:
-                cache[member] = cache[member] | {capture}
-                touched.add(member)
+                self._hold(member, capture, True)
 
     def _lose(self, capture: int, value: int) -> None:
         """One witness of ``value`` in ``capture`` is gone."""
@@ -484,18 +492,47 @@ class StreamingRDFind:
         self.stats.evidences_retracted += 1
 
     def _leave_group(self, capture: int, value: int) -> None:
-        """``capture`` lost ``value``: it leaves the group and its members' rows."""
+        """``capture`` lost ``value``: it leaves the group, and the rows of
+        the members that hold it (its holders in the group) drop it."""
         group = self._groups[value]
         group.discard(capture)
         if not group:
             del self._groups[value]
             return
-        cache = self._refs_cache
-        for member in cache.keys() & group:
-            row = cache[member]
-            if capture in row:
-                cache[member] = row - {capture}
-                self._touched.add(member)
+        held = self._holders.get(capture)
+        for member in held & group if held else ():
+            self._hold(member, capture, False)
+
+    def _hold(self, member: int, capture: int, holds: bool) -> None:
+        """``member``'s cached row gains (or drops) ``capture``."""
+        cache, holders = self._refs_cache, self._holders
+        if holds:
+            cache[member] = cache[member] | {capture}
+            holders.setdefault(capture, set()).add(member)
+        else:
+            cache[member] = cache[member] - {capture}
+            held = holders[capture]
+            held.discard(member)
+            if not held:
+                del holders[capture]
+        self._touched.add(member)
+
+    def _set_row(self, dependent: int, row: Optional[FrozenSet[int]]) -> None:
+        """Replace ``dependent``'s cached row (``None``: drop it)."""
+        cache, holders = self._refs_cache, self._holders
+        old = cache.get(dependent, frozenset())
+        if row is None:
+            cache.pop(dependent, None)
+            row = frozenset()
+        else:
+            cache[dependent] = row
+        for capture in old - row:
+            held = holders[capture]
+            held.discard(dependent)
+            if not held:
+                del holders[capture]
+        for capture in row - old:
+            holders.setdefault(capture, set()).add(dependent)
 
     # ------------------------------------------------------------------
     # rows
@@ -536,10 +573,10 @@ class StreamingRDFind:
         witnesses, cache, touched = self._witnesses, self._refs_cache, self._touched
         for dependent in self._dirty:
             if len(witnesses.get(dependent, ())) >= self.h:
-                cache[dependent] = self._refs_of(dependent)
+                self._set_row(dependent, self._refs_of(dependent))
                 self.stats.dependents_recomputed += 1
             else:
-                cache.pop(dependent, None)
+                self._set_row(dependent, None)
         touched.update(self._dirty)
         self._dirty.clear()
         settled, stale = self._settled, self._stale
@@ -601,8 +638,13 @@ class StreamingRDFind:
         any triple of ``lhs`` shows the one possible ``rhs``.  Document order.
         """
         postings, rules, position = self._postings, self._rules, self._position
-        if self._moved:  # sort keys hold positions: look at every rule again
-            self._resized.update(key[:2] for key in rules)
+        moved = self._moved
+        if moved:  # sort keys hold positions: look again at rules naming a moved term
+            self._resized.update(
+                key[:2]
+                for key, entry in rules.items()
+                if key[1] in moved or entry[2].rule.rhs.value in moved
+            )
         changed, flipped = False, set()
         for attr, value in [c for c in self._resized if len(c) == 2]:
             posting = postings.get((attr, value), ())
@@ -632,11 +674,8 @@ class StreamingRDFind:
         if flipped:  # whatever names a capture whose rule came or went is stale
             self._pruned = {entry[3] for entry in rules.values()}
             self._stale.update(flipped)
-            cache = self._refs_cache
-            for pruned in flipped if cache else ():
-                for value in self._witnesses.get(pruned, ()):
-                    named = cache.keys() & self._groups[value]
-                    self._stale.update(m for m in named if pruned in cache[m])
+            for pruned in flipped:
+                self._stale.update(self._holders.get(pruned, ()))
         if changed:
             self._rule_order, self._document = sorted(rules.values()), None
         return [entry[2] for entry in self._rule_order]

@@ -31,6 +31,16 @@ def full_intersection(maintainer, code):
     return frozenset(set.intersection(*groups) - {code})
 
 
+def holders_from_scratch(maintainer):
+    """The transpose of the cached rows: capture -> the dependents whose
+    row holds it (so no capture maps to an empty set)."""
+    holders = {}
+    for dependent, row in maintainer._refs_cache.items():
+        for code in row:
+            holders.setdefault(code, set()).add(dependent)
+    return holders
+
+
 def rows_from_scratch(maintainer):
     """``broad_cinds()`` with no cache: every row intersected afresh.
 

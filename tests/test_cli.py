@@ -257,6 +257,44 @@ class TestCli:
             main(["discover", "dataset:Countries", "--scope", "bogus"])
 
 
+#: Per kind of unreadable input: (argv with ``{}`` for the input, how to
+#: make the input under a temp dir — ``None``: a name, not a path — and
+#: what the reason says).
+_BAD_INPUTS = {
+    "missing file": (["discover", "{}"], None, "No such file or directory"),
+    "missing, histogram": (["histogram", "{}"], None, "No such file or directory"),
+    "directory": (["discover", "{}"], "mkdir", "Is a directory"),
+    "bad N-Triples": (["discover", "{}"], ("bad.nt", "<a> <b> .\n"), "line 1"),
+    "bad Turtle": (["discover", "{}"], ("bad.ttl", "@prefix : <x> .\n:a :b\n"), "line 3"),
+    "not a snapshot": (["discover", "{}"], ("bad.snap", "hello"), "not an RDFind snapshot"),
+    "unknown dataset": (["discover", "dataset:Nope"], None, "unknown dataset 'Nope'"),
+    "unknown, generate": (["generate", "Nope", "-o", "x.nt"], None, "unknown dataset"),
+}
+
+
+class TestBadInput:
+    """An input that cannot be read is one error line and exit 1, as
+    ``rdfind stream``'s bad delta is, never a traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_INPUTS))
+    def test_reported_as_one_error_line(self, tmp_path, kind):
+        argv, make, reason = _BAD_INPUTS[kind]
+        path = tmp_path / "missing.nt"
+        if make == "mkdir":
+            path = tmp_path / "adir"
+            path.mkdir()
+        elif make is not None:
+            path = tmp_path / make[0]
+            path.write_text(make[1], encoding="utf-8")
+        argv = [arg.format(path) for arg in argv]
+        spec = argv[1]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        message = raised.value.code  # SystemExit(str): printed to stderr, status 1
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"error: {spec}: ") and reason in message
+
+
 class TestNumericFlags:
     """A count out of range is a usage error, not a traceback."""
 

@@ -18,6 +18,7 @@ from repro.core.validation import NaiveProfiler
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.store import TripleStore
 from repro.streaming import StreamSession
+from tests.stream_oracle import holders_from_scratch
 
 _terms = st.sampled_from(["a", "b", "c", "d", "e"])
 _triples = st.builds(Triple, _terms, _terms, _terms)
@@ -160,6 +161,11 @@ class StreamingMachine(RuleBasedStateMachine):
             for sc in profiler.pertinent_cinds(self.h)
         }
         assert got == want
+
+    @invariant()
+    def holders_are_the_rows_transpose(self):
+        """The holder index is derived: compaction and reopen rebuild it."""
+        assert self.maintainer._holders == holders_from_scratch(self.maintainer)
 
 
 TestStreamingMachine = StreamingMachine.TestCase

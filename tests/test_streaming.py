@@ -8,16 +8,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cind import Capture, code_capture, decode_cind
-from repro.core.conditions import ConditionScope, conditions_of_triple
+from repro.core.cind import Capture, capture_code, code_capture, decode_cind
+from repro.core.conditions import ConditionScope, UnaryCondition, conditions_of_triple
 from repro.core.discovery import RDFind, RDFindConfig
+from repro.core.serialization import dump_result
 from repro.core.validation import NaiveProfiler
+from repro.rdf.model import Attr
 from repro.streaming import DeltaStore, StreamingRDFind
 from tests.conftest import random_rdf
 from tests.result_oracle import result_to_dict
 from tests.stream_oracle import (
     document_from_scratch,
     full_intersection,
+    holders_from_scratch,
     rows_from_scratch,
 )
 
@@ -332,8 +335,48 @@ class TestExactInvalidation:
                     assert len(maintainer._witnesses[code]) >= h
                 elif code in maintainer._witnesses:  # else torn down: no row due
                     assert row <= full_intersection(maintainer, code)
+            assert maintainer._holders == holders_from_scratch(maintainer)
             for code in maintainer._witnesses:
                 assert maintainer._refs_of(code) == full_intersection(maintainer, code)
+
+
+class TestHolderIndex:
+    """A loss walks the rows that hold the leaver, not its whole group."""
+
+    def test_a_loss_touches_only_the_holders(self, tmp_path):
+        """``x`` is in the interpretation of every ``(s | p=…)`` capture
+        below, each with a cached row; only ``knows`` (the same subjects as
+        ``likes``) holds ``likes``.  ``likes`` losing ``x`` rewrites that
+        one row and dirties ``likes`` itself."""
+        scope = ConditionScope.predicates_only()
+        maintainer = StreamingRDFind(h=2, scope=scope)
+        triples = [("x", "likes", "b"), ("y", "likes", "b"), ("y", "likes", "c")]
+        triples += [("x", "knows", "e"), ("y", "knows", "f")]
+        for i in range(12):
+            triples += [("x", f"q{i}", "g"), (f"z{i}", f"q{i}", "g")]
+        maintainer.add_all(triples)
+        maintainer.document_json()
+        encode = maintainer.dictionary.encode
+        likes, knows = (
+            capture_code((Attr.S, UnaryCondition(Attr.P, encode(predicate))))
+            for predicate in ("likes", "knows")
+        )
+        x = encode("x")
+        group = maintainer._groups[x]
+        assert len(group & maintainer._refs_cache.keys()) == 14
+        assert {m for m in group if likes in maintainer._refs_cache[m]} == {knows}
+        assert not maintainer._touched and not maintainer._dirty
+
+        assert maintainer.remove(("x", "likes", "b"))
+        assert maintainer._touched == {knows}
+        assert maintainer._dirty == {likes}
+        assert likes not in maintainer._holders
+        result = RDFind(RDFindConfig(support_threshold=2, scope=scope)).discover(
+            maintainer.materialize()
+        )
+        path = tmp_path / "batch.json"
+        dump_result(result, path)
+        assert maintainer.document_json() == path.read_text("utf-8")
 
 
 _triple = st.tuples(_term, st.sampled_from(["p", "q", "r"]), _term)
@@ -355,6 +398,7 @@ def assert_cache_invariant(maintainer):
             assert len(maintainer._witnesses[code]) >= maintainer.h
         elif code in maintainer._witnesses:  # else torn down: no row due
             assert row <= full_intersection(maintainer, code)
+    assert maintainer._holders == holders_from_scratch(maintainer)
 
 
 class TestBulkAdd:
