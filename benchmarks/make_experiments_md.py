@@ -64,10 +64,18 @@ VERDICTS: Dict[str, str] = {
         "1/7500 of the paper's scale."
     ),
     "Figure 9": (
-        "**Verdict — reproduced.** Near-linear simulated scale-out with "
-        "~7-8× average speed-up at 10 workers (paper: 8.14×); the "
-        "20-worker column mirrors the paper's extra 1.38× from intra-node "
-        "threads."
+        "**Verdict — not reproduced: about half the paper's speed-up.** "
+        "The simulated scale-out is sub-linear. In three standalone runs "
+        "each, 10 workers averaged 4.13× before the keyed kernels folded "
+        "whole partitions (3.95×, 4.66×, 3.78×) and 3.92× after (3.80×, "
+        "4.19×, 3.78×); the suite run that filled this table read 3.70× "
+        "(paper: 8.14×). The bench's `average > 4.0` gate failed in 5 of "
+        "these 7 runs. Folding shrank the one-worker cg/ex stages more "
+        "than the ten-worker ones, and the ten-worker column is held by "
+        "the serial `fc/unary-columnar/merge` and by per-partition costs: "
+        "ROADMAP item 2 has the breakdown and the plan. The 20-worker "
+        "column still gains over 10 workers, as the paper's intra-node "
+        "threads do."
     ),
     "Figure 10": (
         "**Verdict — shape reproduced.** Runtimes are flat for large h and "

@@ -44,8 +44,10 @@ between is specific to captures, and minimality consolidates the codes
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.dataflow.bloom import int_key_mask
@@ -155,11 +157,12 @@ def extract_broad_cinds(
 
     # Candidate generation is FUSED into the keyed aggregation (Flink's
     # operator chaining): a group's candidate sets fold into the combiner
-    # as they are produced, so the quadratic flatMap output is never
-    # materialized.  Non-dominant groups emit the group frozenset itself
-    # as the initial reference set (shared, not copied per dependent) and
-    # a materialize step removes each dependent from its own final set
-    # (see _materialize_shared_refs); _CandidateMerger keeps it shared.
+    # as they are produced (the emitter's fold, or pair by pair when
+    # priced), so the quadratic flatMap output is never materialized.
+    # Non-dominant groups emit the group frozenset itself as the initial
+    # reference set (shared, not copied per dependent) and a materialize
+    # step removes each dependent from its own final set (see
+    # _materialize_shared_refs); the merges keep it shared.
     #
     # Under a record-count memory budget the combiner *state* (one
     # referenced set per dependent capture seen so far) is priced —
@@ -205,9 +208,17 @@ def extract_broad_cinds(
 # ----------------------------------------------------------------------
 
 
-def _emit_capture_counters(group: FrozenSet[int]) -> Iterator[Tuple[int, int]]:
-    for capture in group:
-        yield capture, 1
+class _CaptureCounter:
+    """``(capture, 1)`` per group member; ``fold`` counts in C."""
+
+    __slots__ = ()
+
+    def __call__(self, group: FrozenSet[int]) -> Iterator[Tuple[int, int]]:
+        for capture in group:
+            yield capture, 1
+
+    def fold(self, partition: List[FrozenSet[int]], _add) -> Counter:
+        return Counter(chain.from_iterable(partition))
 
 
 def _support_below(h: int, pair: Tuple[int, int]) -> bool:
@@ -233,7 +244,7 @@ def _prune_capture_support(
     # per-capture (capture, 1) records fold into the combiner as they are
     # produced instead of being materialized first.
     supports = groups.flat_map_reduce_by_key(
-        _emit_capture_counters,
+        _CaptureCounter(),
         operator.add,
         name="ex/capture-support",
     )
@@ -309,20 +320,49 @@ class _SharedRefsCandidateEmitter:
         self.masks = masks
         self.average_load = average_load
 
-    def __call__(
-        self, group: FrozenSet[int]
-    ) -> Iterator[Tuple[int, CandidateValue]]:
+    def _value(self, group: FrozenSet[int]) -> CandidateValue:
         size = len(group)
         if size * size > self.average_load:
             masks = self.masks
             bloom = 0
             for capture in group:
                 bloom |= masks[capture]
-            value = (bloom, 1, True)
-        else:
-            value = (group, 1, False)
+            return bloom, 1, True
+        return group, 1, False
+
+    def __call__(
+        self, group: FrozenSet[int]
+    ) -> Iterator[Tuple[int, CandidateValue]]:
+        value = self._value(group)
         for capture in group:
             yield capture, value
+
+    def fold(
+        self, partition: List[FrozenSet[int]], _merge
+    ) -> Dict[int, CandidateValue]:
+        """The partition's candidate sets merged in one table, inline: an
+        exact group takes its exact ∩ exact meets through a memo kept for
+        that group, as :class:`_CandidateMerger` keeps one per run."""
+        masks = self.masks
+        table: Dict[int, CandidateValue] = {}
+        get = table.get
+        for group in partition:
+            value = self._value(group)
+            meets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
+            for capture in group:
+                previous = get(capture)
+                if previous is None:
+                    table[capture] = value
+                elif value[2] or type(previous[0]) is int:
+                    table[capture] = _merge_candidate_values(masks, previous, value)
+                else:
+                    refs = previous[0]
+                    hit = meets.get(id(refs))
+                    if hit is None:  # keeps refs alive: its id stays unique
+                        hit = meets[id(refs)] = (refs, refs & group)
+                    meet = hit[1]
+                    table[capture] = (meet, previous[1] + 1, previous[2] and bool(meet))
+        return table
 
 
 def _materialize_shared_refs(pair):
@@ -429,15 +469,16 @@ def _merge_candidate_values(
 class _CandidateMerger:
     """:func:`_merge_candidate_values` with each exact meet computed once.
 
-    The fold calls ``merge(state, incoming)`` pair by pair, and the
+    A pair fold calls ``merge(state, incoming)`` pair by pair, and the
     incoming reference set is often one object over a run of calls: on
-    the map side one group's emission, on the reduce side the pairs that
-    carry one partition's shared partial.  Within such a run, dependents
-    whose accumulated sets are one object get one result object back, so
-    sharing cascades down the fold.  The memo is keyed by ``id(refs_a)``
-    and keeps ``refs_a`` alive, so an id is not reused within the run; it
-    is emptied when the right-hand object changes (a stage-long memo
-    would keep every intermediate meet alive) and dropped on pickling.
+    the priced map side one group's emission, on the reduce side the
+    pairs that carry one partition's shared partial.  Within such a run,
+    dependents whose accumulated sets are one object get one result
+    object back, so sharing cascades down the fold.  The memo is keyed by
+    ``id(refs_a)`` and keeps ``refs_a`` alive, so an id is not reused
+    within the run; it is emptied when the right-hand object changes (a
+    stage-long memo would keep every intermediate meet alive) and
+    dropped on pickling.
     Bloom-valued operands bypass it.
     """
 

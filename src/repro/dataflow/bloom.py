@@ -27,7 +27,7 @@ import hashlib
 import math
 from typing import Any, Callable, Iterable, Tuple
 
-from repro.dataflow.hashing import splitmix64
+from repro.dataflow.hashing import _MASK64, splitmix64
 
 
 def _canonical_bytes(item: Any) -> bytes:
@@ -177,19 +177,26 @@ class BloomFilter:
         """``key in self`` for int keys, as a closure to bind once per batch.
 
         Same positions as ``in`` for ints and tuples of ints, minus the
-        key-type dispatch; the second hash is mixed only once the first
-        position is set.  Bools and str/bytes keys get *wrong* positions.
+        key-type dispatch, with :func:`splitmix64` inlined; the second
+        hash is mixed only once the first position is set.  Bools and
+        str/bytes keys get *wrong* positions.
         """
         bits = self._bits
         num_bits = self.num_bits
         others = range(1, self.num_hashes)
 
         def probe(key) -> bool:
-            h1 = splitmix64(hash(key))
+            h1 = hash(key) & _MASK64
+            h1 = ((h1 ^ (h1 >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            h1 = ((h1 ^ (h1 >> 27)) * 0x94D049BB133111EB) & _MASK64
+            h1 ^= h1 >> 31
             index = h1 % num_bits
             if not bits[index >> 3] & (1 << (index & 7)):
                 return False
-            h2 = splitmix64(h1 ^ _GOLDEN) | 1
+            h2 = h1 ^ _GOLDEN
+            h2 = ((h2 ^ (h2 >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            h2 = ((h2 ^ (h2 >> 27)) * 0x94D049BB133111EB) & _MASK64
+            h2 = (h2 ^ (h2 >> 31)) | 1
             for i in others:
                 index = (h1 + i * h2) % num_bits
                 if not bits[index >> 3] & (1 << (index & 7)):

@@ -255,7 +255,8 @@ def _combine_map_task(payload):
     ``flat_fn`` yields goes into the local table as it is produced; a
     metered sink prices every insert and merge and raises
     :class:`SimulatedOutOfMemory` when the table outgrows the budget.  A
-    value of ``None`` reads as "no value yet".
+    value of ``None`` reads as "no value yet".  Unmetered, a ``flat_fn``
+    with a ``fold`` builds the whole table itself.
     """
     flat_fn, reduce_fn, make_sink, partition = payload
     start = time.perf_counter()
@@ -263,17 +264,7 @@ def _combine_map_task(payload):
     with stage_gc_pause() as pause:
         local: Dict[Any, Any] = {}
         local_get = local.get
-        if not sink.metered:
-            # Unpriced, unbudgeted fast path (the batch kernels' case):
-            # same fold, same insertion order, no per-pair branch work.
-            for item in partition:
-                for key, value in flat_fn(item):
-                    previous = local_get(key)
-                    if previous is None:
-                        local[key] = value
-                    else:
-                        local[key] = reduce_fn(previous, value)
-        else:
+        if sink.metered:
             charge = sink.charge
             for item in partition:
                 for key, value in flat_fn(item):
@@ -282,6 +273,18 @@ def _combine_map_task(payload):
                         value = reduce_fn(previous, value)
                     local[key] = value
                     charge(previous, value)
+        elif hasattr(flat_fn, "fold"):
+            # Unpriced (the batch kernels' case): the kernel folds the
+            # whole partition where its data already is.
+            local = flat_fn.fold(partition, reduce_fn)
+        else:
+            for item in partition:
+                for key, value in flat_fn(item):
+                    previous = local_get(key)
+                    if previous is None:
+                        local[key] = value
+                    else:
+                        local[key] = reduce_fn(previous, value)
         parts = sink.finish(local.items())
     return parts, sink.emitted, sink.used, pause.suppressed, time.perf_counter() - start
 
@@ -727,7 +730,11 @@ class DataSet(Generic[T]):
         materialized — essential when a record expands into very many
         pairs (e.g. CIND candidate sets, which are quadratic in
         capture-group size) — and only one pair per key and worker is
-        shuffled.  Values must not be ``None``.
+        shuffled.  Values must not be ``None``.  A ``flat_fn`` may also
+        define ``fold(partition, reduce_fn) -> dict``: the table folding
+        its pairs with ``reduce_fn`` would build — same keys, same
+        first-seen order, equal values — built in one call per
+        partition; it is used when no pair needs pricing.
 
         The budget rule, the same for every keyed operator: the
         record-count ``memory_budget`` is

@@ -19,12 +19,13 @@ record-at-a-time transcriptions of Algorithms 1-2 in
   as per-triple counters; their consumers (Bloom unions, sorted AR
   lists, sorted final output) do not depend on dict order.
 * The capture-group kernel (:class:`EvidenceBatchKernel`) folds evidences
-  into a ``value -> {codes}`` dict, :data:`EVIDENCE_FOLD_ROWS` triples at
-  a time, in exactly the per-triple, per-projection order of Algorithm 2 —
-  batch ``i`` holds round-robin partition ``i``'s triples in partition
-  order — and a dict iterates in first-insertion order, so the fused
-  combiner builds the same aggregation dict and the shuffle routes the
-  same buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
+  into a ``value -> {codes}`` dict (a whole partition at once, or
+  :data:`EVIDENCE_FOLD_ROWS` triples at a time for a priced combiner) in
+  exactly the per-triple, per-projection order of Algorithm 2 — batch
+  ``i`` holds round-robin partition ``i``'s triples in partition order —
+  and a dict iterates in first-insertion order, so the fused combiner
+  builds the same aggregation dict and the shuffle routes the same
+  buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
 
 Everything here is module-level (and picklable), so the kernels run
 unchanged on the ``serial`` and ``process`` executor backends.
@@ -212,7 +213,7 @@ def binary_counts_kernel(
 # capture-evidence kernel (CGCreator, Algorithm 2)
 # ----------------------------------------------------------------------
 
-#: Rows folded into the kernel's own table between hand-overs to the engine's
+#: Rows folded into the kernel's own table between hand-overs to a priced
 #: combiner: the kernel's transient state is bounded whatever the batch size.
 EVIDENCE_FOLD_ROWS = 4096
 
@@ -227,8 +228,10 @@ class EvidenceBatchKernel:
     binary condition yields a single binary capture evidence; an
     AR-embedding or infrequent one yields the passing unary evidences.
     Evidences — a capture is its :func:`~repro.core.cind.capture_code` —
-    are folded per value in per-triple, per-projection order, and the
-    generator yields a chunk's ``(value, {codes})`` pairs as first seen.
+    are folded per value in per-triple, per-projection order: ``fold``
+    builds a partition's table in one pass, and the generator yields a
+    chunk's ``(value, {codes})`` pairs as first seen (for a priced
+    combiner, which charges them one by one).
 
     The passing ids are computed once per batch and condition attribute
     (:func:`_passing_ids`) and shared by all projections; each
@@ -260,6 +263,24 @@ class EvidenceBatchKernel:
         self.allow_binary = scope.allow_binary
 
     def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Set[int]]]:
+        fold_rows = self._row_folder(batch)
+        for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
+            stop = start + EVIDENCE_FOLD_ROWS
+            table: Dict[int, Set[int]] = defaultdict(set)
+            fold_rows(zip(*(column[start:stop] for column in batch.columns)), table)
+            yield from table.items()
+
+    def fold(self, partition: List[TripleBatch], _reduce_fn) -> Dict[int, Set[int]]:
+        """The whole partition's evidences in one table (the stage's
+        reduce is set union): no chunk tables, nothing folded twice."""
+        table: Dict[int, Set[int]] = defaultdict(set)
+        for batch in partition:
+            self._row_folder(batch)(zip(*batch.columns), table)
+        return table
+
+    def _row_folder(self, batch: TripleBatch):
+        """``fold_rows(rows, table)``: the row loop both paths share, with
+        ``batch``'s passing ids, codes and probe bound once."""
         if batch.s.itemsize > 4:
             raise ValueError("capture codes cover array('i') term ids only")
         passing = {
@@ -291,10 +312,9 @@ class EvidenceBatchKernel:
         binary_probe = None if bloom is None else bloom.int_key_probe()
         rules = self.rules
         allow_binary = self.allow_binary
-        for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
-            stop = start + EVIDENCE_FOLD_ROWS
-            table: Dict[int, Set[int]] = defaultdict(set)
-            for row in zip(*(column[start:stop] for column in batch.columns)):
+
+        def fold_rows(rows, table: Dict[int, Set[int]]) -> None:
+            for row in rows:
                 for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
                     beta_code = beta_codes.get(row[beta])
                     gamma_code = gamma_codes.get(row[gamma])
@@ -321,4 +341,5 @@ class EvidenceBatchKernel:
                                 codes = (beta_code, gamma_code)
                             pairs[pair] = codes
                         table[row[alpha]].update(codes)
-            yield from table.items()
+
+        return fold_rows

@@ -9,20 +9,23 @@ the same result bytes.
 
 from __future__ import annotations
 
+import operator
 import tempfile
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import extraction
 from repro.core.capture_groups import create_capture_groups
 from repro.core.conditions import Attr, ConditionScope, UnaryCondition
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.extraction import ExtractionConfig, extract_broad_cinds
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
-from repro.dataflow.bloom import BloomFilter
+from repro.dataflow.bloom import BloomFilter, int_key_mask
 from repro.dataflow.engine import (
     ExecutionEnvironment,
     SimulatedOutOfMemory,
@@ -30,6 +33,7 @@ from repro.dataflow.engine import (
 )
 from repro.dataflow.executors import ProcessExecutor, create_executor
 from repro.dataflow.kernels import (
+    EvidenceBatchKernel,
     batch_dataset,
     binary_counts_kernel,
     unary_counts_kernel,
@@ -230,6 +234,78 @@ class TestKernelOracles:
         assert broad
 
 
+def _pair_fold(kernel, partition, reduce_fn):
+    """The table the engine's priced loop builds from ``kernel(item)``."""
+    table = {}
+    for item in partition:
+        for key, value in kernel(item):
+            previous = table.get(key)
+            table[key] = value if previous is None else reduce_fn(previous, value)
+    return table
+
+
+class TestPartitionFolds:
+    """Each keyed kernel's ``fold`` builds the table its pairs fold into."""
+
+    @staticmethod
+    def stage_inputs(kernel, scope, pruned, parallelism):
+        """(flat_fn, the stage's reduce_fn factory, partitions)."""
+        encoded = random_rdf(21, n_triples=150, n_subjects=8, n_objects=8).encode()
+        scope = _SCOPES[scope]()
+        env = ExecutionEnvironment(parallelism=parallelism)
+        batches = batch_dataset(env, encoded)
+        frequent = (
+            detect_frequent_conditions(env, batches, h=2, scope=scope)
+            if pruned
+            else None
+        )
+        if kernel == "evidence":
+            kernel_fn = EvidenceBatchKernel(scope, frequent)
+            return kernel_fn, lambda: operator.ior, batches.partitions
+        groups = create_capture_groups(env, batches, scope, frequent).partitions
+        if kernel == "capture-support":
+            return extraction._CaptureCounter(), lambda: operator.add, groups
+        masks = extraction._Memo(partial(int_key_mask, num_bits=64, num_hashes=2))
+        # inf: every group exact.  The median load: the larger half of
+        # the groups is dominant, so exact, Bloom-valued and mixed merges
+        # all occur.
+        loads = sorted(len(group) ** 2 for partition in groups for group in partition)
+        average_load = float("inf") if kernel == "merge" else loads[len(loads) // 2]
+        return (
+            extraction._SharedRefsCandidateEmitter(masks, average_load),
+            partial(extraction._CandidateMerger, masks),
+            groups,
+        )
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("scope", ["full", "predicates"])
+    @pytest.mark.parametrize(
+        "kernel", ["evidence", "capture-support", "merge", "merge-dominant"]
+    )
+    def test_fold_equals_the_pair_fold(
+        self, monkeypatch, kernel, scope, pruned, parallelism
+    ):
+        from repro.dataflow import kernels
+
+        # The evidence kernel's pairs then come in 7-row chunk tables,
+        # each folded again: keys recur across chunk boundaries.
+        monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", 7)
+        flat_fn, reduce_fn, partitions = self.stage_inputs(
+            kernel, scope, pruned, parallelism
+        )
+        folded_values = []
+        for partition in partitions:
+            expected = _pair_fold(flat_fn, partition, reduce_fn())
+            folded = flat_fn.fold(partition, reduce_fn())
+            # Same keys in the same first-seen order, with equal values.
+            assert list(folded.items()) == list(expected.items())
+            folded_values.extend(folded.values())
+        assert folded_values
+        if kernel == "merge-dominant":  # some candidates have Bloom lineage
+            assert any(approx for _refs, _count, approx in folded_values)
+
+
 class TestBloomIntKeyFastPath:
     def test_agrees_with_contains_for_int_tuple_keys(self):
         bloom = BloomFilter.for_capacity(256, 0.01)
@@ -301,10 +377,13 @@ class TestDifferential:
         fault_seed=st.one_of(st.none(), st.integers(0, 2**16)),
         max_retries=st.sampled_from([None, 1, 3]),
         checkpointed=st.booleans(),
+        # A roomy budget never trips here; it sends every keyed stage down
+        # the priced per-pair fold instead of the kernels' partition folds.
+        memory_budget=st.sampled_from([None, 10**9]),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
         self, rows, scope, variant, executor, h, bloom_bits,
-        bloom_hashes, fault_seed, max_retries, checkpointed,
+        bloom_hashes, fault_seed, max_retries, checkpointed, memory_budget,
     ):
         dataset = Dataset.from_tuples(rows)
         config = _VARIANTS[variant](
@@ -317,6 +396,7 @@ class TestDifferential:
             candidate_bloom_hashes=bloom_hashes,
             fault_seed=fault_seed,
             max_retries=max_retries,
+            memory_budget=memory_budget,
         )
         oracle = result_json(record_oracle.discover(dataset, config))
         if checkpointed:
