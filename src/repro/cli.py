@@ -48,57 +48,28 @@ from repro.core.discovery import DiscoveryResult, RDFind, RDFindConfig
 from repro.core.serialization import dump_result
 from repro.core.stats import condition_frequency_histogram, search_space_funnel
 from repro.datasets.registry import DATASETS, load
-from repro.rdf.model import Dataset, EncodedDataset
+from repro.inputs import load_input
 from repro.rdf.ntriples import (
     NTriplesParseError,
     parse_ntriples_file,
     write_ntriples_file,
 )
-from repro.rdf.turtle import TurtleParseError, parse_turtle_file
+from repro.rdf.turtle import TurtleParseError
 from repro.storage.snapshot import SNAPSHOT_SUFFIX, SnapshotError, load_snapshot
 
 
-def _load_input(
-    spec: str,
-    scale: float = 1.0,
-    encoded: bool = True,
-    snapshot_dir: "Optional[str]" = None,
-) -> "Dataset | EncodedDataset":
-    """Load an input, dictionary-encoded unless ``encoded`` is false.
-
-    ``dataset:`` inputs are generated straight into dictionary-encoded
-    columns and parsed files are encoded right after parsing;
-    ``encoded=False`` returns the string :class:`Dataset` instead (for
-    callers that re-encode several inputs into one shared dictionary).
-
-    ``*.snap`` inputs are mmap-loaded snapshots
-    (:mod:`repro.storage.snapshot`).  With ``snapshot_dir`` set, other
-    encoded inputs go through the snapshot cache: a warm job skips
-    parsing entirely, a cold one leaves a snapshot behind.
-    """
-    if str(spec).endswith(SNAPSHOT_SUFFIX):
-        dataset = load_snapshot(spec)
-        return dataset if encoded else dataset.decode()
-    if snapshot_dir and encoded:
-        from repro.storage.snapshot import (
-            load_with_snapshot_cache,
-            snapshot_cache_fields,
-        )
-
-        dataset, _hit = load_with_snapshot_cache(
-            snapshot_dir,
-            snapshot_cache_fields(spec, scale),
-            lambda: _load_source(spec, scale, encoded=True),
-        )
-        return dataset
-    return _load_source(spec, scale, encoded=encoded)
+def _load_input(spec: str, scale: float = 1.0, encoded: bool = True, snapshot_dir=None):
+    """:func:`repro.inputs.load_input`, parsing through this module's
+    ``parse_ntriples_file`` (looked up per call: a wrapper bound here counts)."""
+    return load_input(spec, scale, encoded, snapshot_dir, parse_ntriples_file)
 
 
 def _read_input(spec: str, loader: Callable = _load_input, **kwargs):
     """``loader(spec, **kwargs)`` at the command line: an input that cannot
     be read — missing, a directory, malformed, not a snapshot, an unknown
     registry name — ends as one ``error: <input>: <reason>`` line, exit 1.
-    (The server worker calls :func:`_load_input` and keeps the exception.)"""
+    (The server worker calls :func:`repro.inputs.load_input` and keeps the
+    exception.)"""
     try:
         return loader(spec, **kwargs)
     except (
@@ -109,27 +80,6 @@ def _read_input(spec: str, loader: Callable = _load_input, **kwargs):
             error.args[0] if isinstance(error, KeyError) else error
         )
         raise SystemExit(f"error: {spec}: {reason}") from None
-
-
-def _load_source(
-    spec: str, scale: float, encoded: bool
-) -> "Dataset | EncodedDataset":
-    """Parse/generate an input from its source of truth (no snapshots)."""
-    if spec.startswith("dataset:"):
-        return load(spec[len("dataset:") :], scale=scale, encoded=encoded)
-    if spec.startswith("endpoint:"):
-        # rdfind fetch's defaults; to tune a fetch, fetch to a .snap first.
-        from repro.federation.client import SparqlEndpointClient
-        from repro.federation.ingest import fetch_endpoint
-
-        url = spec[len("endpoint:") :]
-        dataset = fetch_endpoint(SparqlEndpointClient(url), name=url).encoded
-        return dataset if encoded else dataset.decode()
-    if str(spec).endswith((".ttl", ".turtle")):
-        dataset = parse_turtle_file(spec)
-    else:
-        dataset = parse_ntriples_file(spec)
-    return dataset.encode() if encoded else dataset
 
 
 def non_negative_int(text: str) -> int:

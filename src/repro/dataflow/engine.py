@@ -201,10 +201,10 @@ class _BucketSink:
     :class:`SimulatedOutOfMemory` on the first excess (an in-memory
     combiner has nowhere to put it); ``metered`` says whether any pair
     needs pricing at all.  ``finish`` splits the output by reduce
-    partition and leaves ``used`` at the task's state cost.
+    partition; ``peak`` is then the most the task's state cost reached.
     """
 
-    __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "used", "emitted")
+    __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "used", "peak", "emitted")
 
     def __init__(self, parallelism, budget, state_cost_fn, stage) -> None:
         self.parallelism = parallelism
@@ -212,6 +212,7 @@ class _BucketSink:
         self.state_cost_fn = state_cost_fn
         self.stage = stage
         self.used = 0
+        self.peak = 0
         self.emitted = 0
 
     @property
@@ -227,8 +228,10 @@ class _BucketSink:
             self.used += cost_fn(value)
         else:
             self.used += cost_fn(value) - cost_fn(previous)
-        if self.budget is not None and self.used > self.budget:
-            raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
+        if self.used > self.peak:  # within budget so far: only a new peak trips it
+            self.peak = self.used
+            if self.budget is not None and self.used > self.budget:
+                raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
 
     def finish(self, pairs) -> List[List[Tuple[Any, Any]]]:
         parallelism = self.parallelism
@@ -245,6 +248,7 @@ class _BucketSink:
         self.emitted = sum(map(len, parts))
         if self.state_cost_fn is None:
             self.used = self.emitted
+        self.peak = max(self.peak, self.used)
         return parts
 
 
@@ -286,7 +290,7 @@ def _combine_map_task(payload):
                     else:
                         local[key] = reduce_fn(previous, value)
         parts = sink.finish(local.items())
-    return parts, sink.emitted, sink.used, pause.suppressed, time.perf_counter() - start
+    return parts, sink.emitted, sink.peak, pause.suppressed, time.perf_counter() - start
 
 
 def _keyed_map_task(payload):
@@ -300,7 +304,7 @@ def _keyed_map_task(payload):
     start = time.perf_counter()
     sink = make_sink()
     parts = sink.finish([(key_fn(item), (side, item)) for item in partition])
-    return parts, sink.emitted, sink.used, 0, time.perf_counter() - start
+    return parts, sink.emitted, sink.peak, 0, time.perf_counter() - start
 
 
 # Reduce-side tasks take ``(fn, bucket, budget, stage)``: ``bucket`` is
@@ -750,7 +754,7 @@ class DataSet(Generic[T]):
         ``state_cost_fn`` ``reduce_fn`` must return a new value rather
         than grow ``previous`` in place.  The reduce side checks its
         grouped table once, under ``name + "/reduce"``.  The stage
-        reports the largest table cost any worker ended with as
+        reports the largest table cost any worker reached as
         ``peak_state_cost``.
         """
         inputs = [

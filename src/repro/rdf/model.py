@@ -115,7 +115,7 @@ class Dataset:
         ``len()`` and ``encode()`` answer from the columns; the first string
         access decodes them and drops the backing.  Exists for the two-call
         shape ``parse_ntriples_file(p).encode()`` the benchmark's shims time;
-        goes when those are re-pointed at ``repro.cli._load_source``.
+        goes when those are re-pointed at ``repro.inputs.load_source``.
         """
         dataset = cls.__new__(cls)
         dataset._encoded, dataset.name = encoded, encoded.name

@@ -291,21 +291,20 @@ class ServerClient:
                 time.sleep(poll)
 
     def wait(
-        self,
-        job_id: str,
-        timeout: float = 300.0,
-        poll: float = 0.1,
-        expect: str = "succeeded",
+        self, job_id: str, timeout: float = 300.0, expect: str = "succeeded"
     ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its final status.
+        """Long-poll until the job is terminal; returns its final status.
 
+        Each request (``GET /jobs/<id>?wait=``) is held by the server
+        until the job ends, for at most half this client's ``timeout``.
         Raises :class:`ServerError` when the terminal state is not
         ``expect`` (pass ``expect=None`` to accept any terminal state),
         or on timeout.
         """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.job(job_id)
+            hold = min(deadline - time.monotonic(), self.timeout / 2)
+            status = self._request("GET", f"/jobs/{job_id}?wait={max(0.0, hold):.3f}")
             if status["state"] in TERMINAL_STATES:
                 if expect is not None and status["state"] != expect:
                     raise ServerError(
@@ -318,7 +317,6 @@ class ServerClient:
                     f"timed out after {timeout}s waiting for job {job_id} "
                     f"(state {status['state']!r})"
                 )
-            time.sleep(poll)
 
     def wait_state(
         self, job_id: str, state: str, timeout: float = 60.0, poll: float = 0.05

@@ -11,7 +11,9 @@ Routes::
     GET  /datasets                the Table 2 registry
     GET  /jobs                    all job records
     POST /jobs                    submit (JobRequest body) -> record + cache status
-    GET  /jobs/<id>               record + live JobMetrics progress
+    GET  /jobs/<id>               record + live JobMetrics progress; with
+                                  ?wait=<s>, once the job is terminal or
+                                  s (at most MAX_WAIT_SECONDS) runs out
     GET  /jobs/<id>/result        paginated CINDs (?offset=&limit=), or the
                                   raw result document bytes with ?raw=1
                                   (byte-identical to `rdfind discover -o`)
@@ -55,6 +57,9 @@ __all__ = ["DiscoveryServer"]
 
 #: Submission bodies larger than this are rejected outright.
 MAX_BODY_BYTES = 1 << 20
+
+#: The longest a ``GET /jobs/<id>?wait=`` request is held open.
+MAX_WAIT_SECONDS = 30.0
 
 
 def result_page(
@@ -260,8 +265,14 @@ class _JsonHandler(BaseHTTPRequestHandler):
         status = 200 if cache in ("hit", "joined") else 201
         self._send_json(status, {"job": record.to_json(), "cache": cache})
 
-    def _get_job(self, job_id: str, _query: Dict[str, str]) -> None:
-        self._send_json(200, self.service.job_status(job_id))
+    def _get_job(self, job_id: str, query: Dict[str, str]) -> None:
+        try:
+            wait = min(float(query.get("wait") or 0), MAX_WAIT_SECONDS)
+        except ValueError as error:
+            raise BadRequestError(f"bad wait parameter: {error}")
+        if not wait >= 0:  # negative or nan
+            raise BadRequestError(f"wait must be seconds >= 0, got {query['wait']}")
+        self._send_json(200, self.service.job_status(job_id, wait=wait))
 
     def _send_result(
         self, result_id: str, query: Dict[str, str], raw: Callable[[str], bytes]

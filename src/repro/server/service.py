@@ -11,19 +11,23 @@ owns the only scheduling loop in the server:
   with a ``Retry-After`` hint.
 * **execution** — a scheduler thread starts queued jobs oldest-first
   whenever a slot is free (``max_concurrent_jobs`` bounds the worker
-  pool), each as a :mod:`repro.server.worker` subprocess with
-  checkpointing on and the server's ``run_settings`` on its command
-  line.  A worker that dies without writing its outcome is requeued (its
-  next attempt *resumes* from the durable checkpoint) up to
-  ``max_attempts``, then declared failed.
+  pool), woken by submissions and worker exits, not a timer.  Each job
+  is handed over stdin to the *spare*: an idle :mod:`repro.server.worker`
+  subprocess started ahead (checkpointing on, the server's
+  ``run_settings`` on its command line, a job's imports done), and the
+  next spare starts.  A dead spare is replaced, never handed a job.  A
+  worker that dies without writing its outcome is requeued (its next
+  attempt *resumes* from the durable checkpoint) up to ``max_attempts``,
+  then declared failed.
 * **recovery** — `start` sweeps dead writers' temps
   (:func:`repro.core.framing.sweep_tmp`) and rescans the store: jobs
   left ``running`` by a dead server are requeued (their checkpoints
   survive, so the rerun picks up at the last boundary), orphaned
   finished workers have their outcome adopted.
-* **shutdown** — `stop` (the SIGTERM/SIGINT path) stops admitting,
-  SIGTERMs in-flight workers, and puts their jobs back in the queue so
-  the next start resumes them.
+* **shutdown** — `stop` (the SIGTERM/SIGINT path) stops admitting and
+  the scheduler, SIGTERMs the spare and in-flight workers, puts their
+  jobs back in the queue so the next start resumes them, and answers
+  waiting status requests.  A dead server's spare exits at stdin's end.
 """
 
 from __future__ import annotations
@@ -101,7 +105,6 @@ class ServiceConfig:
     max_queued_jobs: int = 8
     max_attempts: int = 3
     retry_after_seconds: int = 5
-    poll_interval_seconds: float = 0.05
     terminate_grace_seconds: float = 5.0
     run_settings: Dict[str, Any] = field(default_factory=dict)
 
@@ -147,11 +150,13 @@ class JobService:
         self.store = JobStore(config.job_dir)
         self._lock = threading.Lock()
         self._procs: Dict[str, subprocess.Popen] = {}
-        self._logs: Dict[str, object] = {}
+        self._spare: Optional[subprocess.Popen] = None
         self._admitting = False
         self._stop_event = threading.Event()
+        self._wake = threading.Event()  # set: the scheduler has work to look at
+        self._changed = threading.Condition()  # notified: a job became terminal
         self._scheduler: Optional[threading.Thread] = None
-        self.started_jobs = 0  # lifetime spawn count (cache-efficacy telemetry)
+        self.started_jobs = 0  # lifetime job starts (cache-efficacy telemetry)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -161,12 +166,15 @@ class JobService:
             raise RuntimeError("service already started")
         sweep_tmp(self.store.directory)
         self._recover_orphans()
+        with self._lock:
+            self._spare = self._start_worker()
         self._admitting = True
         self._stop_event.clear()
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="job-scheduler", daemon=True
         )
         self._scheduler.start()
+        self._wake.set()  # recovery may have requeued jobs
 
     def stop(self, graceful: bool = True) -> None:
         """Drain and shut down.
@@ -180,11 +188,16 @@ class JobService:
         """
         self._admitting = False
         self._stop_event.set()
+        self._wake.set()
         if self._scheduler is not None:
             self._scheduler.join(timeout=10.0)
             self._scheduler = None
         with self._lock:
             procs = dict(self._procs)
+            spare, self._spare = self._spare, None
+        if spare is not None:
+            spare.stdin.close()  # type: ignore[union-attr]
+            self._terminate(spare)
         for job_id, proc in procs.items():
             self._terminate(proc)
             if graceful:
@@ -197,12 +210,8 @@ class JobService:
                         self._adopt_outcome(record, outcome)
         with self._lock:
             self._procs.clear()
-            for log in self._logs.values():
-                try:
-                    log.close()  # type: ignore[attr-defined]
-                except Exception:  # noqa: BLE001
-                    pass
-            self._logs.clear()
+        with self._changed:
+            self._changed.notify_all()  # waiting status requests answer now
         if graceful:
             sweep_tmp(self.store.directory)  # every worker is reaped by now
 
@@ -266,7 +275,9 @@ class JobService:
                     f"jobs waiting); retry later",
                     retry_after_seconds=self.config.retry_after_seconds,
                 )
-            return self.store.create(request), "miss"
+            record = self.store.create(request)
+        self._wake.set()
+        return record, "miss"
 
     def _validate_dataset(self, request: JobRequest) -> None:
         spec = request.dataset
@@ -303,8 +314,19 @@ class JobService:
             raise UnknownJobError(f"no such job {job_id!r}")
         return record
 
-    def job_status(self, job_id: str) -> Dict[str, object]:
-        """The record plus live progress, as one JSON-ready dict."""
+    def job_status(self, job_id: str, wait: float = 0.0) -> Dict[str, object]:
+        """The record plus live progress, as one JSON-ready dict.
+
+        With ``wait`` seconds it answers once the job is terminal, the
+        service stops, or the time is up, whichever comes first.
+        """
+        if wait > 0:
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: self._stop_event.is_set()
+                    or self.record(job_id).state in TERMINAL_STATES,
+                    timeout=wait,
+                )
         record = self.record(job_id)
         status: Dict[str, object] = record.to_json()
         if record.state == "running":
@@ -351,14 +373,7 @@ class JobService:
                 )
             record = replace(record, cancel_requested=True)
             if record.state == "queued":
-                record = replace(
-                    record,
-                    state="cancelled",
-                    finished=time.time(),
-                    error="cancelled by client",
-                )
-                self.store.save(record)
-                return record
+                return self._finish(record, "cancelled", error="cancelled by client")
             self.store.save(record)
             proc = self._procs.get(job_id)
         # Running: the scheduler reaps the terminated worker and, seeing
@@ -382,7 +397,11 @@ class JobService:
     # -- scheduling ----------------------------------------------------
 
     def _scheduler_loop(self) -> None:
-        while not self._stop_event.wait(self.config.poll_interval_seconds):
+        while True:
+            self._wake.wait()
+            self._wake.clear()
+            if self._stop_event.is_set():
+                return
             try:
                 self._reap_finished()
                 self._start_queued()
@@ -398,12 +417,6 @@ class JobService:
             ]
             for job_id, _proc in done:
                 del self._procs[job_id]
-                log = self._logs.pop(job_id, None)
-                if log is not None:
-                    try:
-                        log.close()  # type: ignore[attr-defined]
-                    except Exception:  # noqa: BLE001
-                        pass
         for job_id, proc in done:
             sweep_tmp(self.store.job_dir(job_id))
             record = self.store.get(job_id)
@@ -445,21 +458,23 @@ class JobService:
         state: str,
         error=None,
         result_summary=None,
-    ) -> None:
-        self.store.save(
-            replace(
-                record,
-                state=state,
-                finished=time.time(),
-                error=error,
-                result_summary=result_summary,
-            )
+    ) -> JobRecord:
+        record = replace(
+            record,
+            state=state,
+            finished=time.time(),
+            error=error,
+            result_summary=result_summary,
         )
+        self.store.save(record)
+        with self._changed:
+            self._changed.notify_all()
+        return record
 
     def _start_queued(self) -> None:
         with self._lock:
             free = self.config.max_concurrent_jobs - len(self._procs)
-            if free <= 0:
+            if free <= 0 or self._stop_event.is_set():
                 return
             queued = [
                 record
@@ -470,7 +485,7 @@ class JobService:
                 self._spawn(record)
 
     def _spawn(self, record: JobRecord) -> None:
-        """Launch one worker subprocess (caller holds the lock)."""
+        """Hand the job to the spare and start the next (caller holds the lock)."""
         job_dir = self.store.job_dir(record.id)
         # Stale artifacts from a previous attempt must not be readable as
         # this attempt's verdict; checkpoints, of course, stay.
@@ -482,24 +497,22 @@ class JobService:
                 os.unlink(path)
             except OSError:
                 pass
-        log = open(self.store.log_path(record.id), "ab")
+        proc, self._spare = self._spare, None
+        if proc is not None and proc.poll() is not None:
+            proc.stdin.close()  # type: ignore[union-attr]
+            proc = None  # a dead spare is replaced, never handed a job
+        if proc is None:  # or no spare could be started
+            try:
+                proc = self._start_worker()
+            except OSError as error:
+                self._finish(record, "failed", error=f"could not spawn worker: {error}")
+                return
         try:
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.server.worker", job_dir,
-                    json.dumps(self.config.run_settings, sort_keys=True),
-                ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=_worker_environment(),
-                cwd=self.store.directory,
-            )
-        except OSError as error:
-            log.close()
-            self._finish(record, "failed", error=f"could not spawn worker: {error}")
-            return
+            proc.stdin.write(os.fsencode(job_dir) + b"\n")  # type: ignore[union-attr]
+            proc.stdin.close()  # type: ignore[union-attr]
+        except OSError:
+            pass  # it died just now: reaped as a crashed attempt
         self._procs[record.id] = proc
-        self._logs[record.id] = log
         self.started_jobs += 1
         self.store.save(
             replace(
@@ -509,3 +522,24 @@ class JobService:
                 attempts=record.attempts + 1,
             )
         )
+        self._spare = self._start_worker()  # `stop` takes it under the lock
+
+    def _start_worker(self) -> subprocess.Popen:
+        """A worker parked on its stdin, and a thread that wakes the
+        scheduler when it exits (which also reaps it)."""
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.server.worker", "-",
+                json.dumps(self.config.run_settings, sort_keys=True),
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            env=_worker_environment(),
+            cwd=self.store.directory,
+        )
+        threading.Thread(target=self._wake_on_exit, args=(proc,), daemon=True).start()
+        return proc
+
+    def _wake_on_exit(self, proc: subprocess.Popen) -> None:
+        proc.wait()
+        self._wake.set()

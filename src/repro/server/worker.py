@@ -2,7 +2,11 @@
 
 Run as ``python -m repro.server.worker <job-dir> [<settings-json>]``, where
 the optional second argument is the server's run settings: a JSON object
-of ``RDFindConfig`` keywords (``rdfind serve``'s runtime flags).
+of ``RDFindConfig`` keywords (``rdfind serve``'s runtime flags).  With
+``-`` for the job dir the worker is the service's *spare*: it imports
+everything a job runs, then reads the job dir from one line of stdin,
+sends its stdout and stderr to the job's ``worker.log`` and runs the
+job.  At end of file (its server is gone) it exits.
 
 The service runs every admitted job in a fresh interpreter rather than a
 thread, which buys three guarantees a thread cannot give:
@@ -44,7 +48,9 @@ from repro.core.conditions import ConditionScope
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.framing import atomic_write, atomic_write_json
 from repro.core.serialization import write_result
+from repro.dataflow import kernels  # noqa: F401 - loaded by every job; warm in a spare
 from repro.dataflow.metrics import JobMetrics
+from repro.inputs import load_input
 from repro.server.store import JobRequest, JobStore, read_json
 
 __all__ = ["main", "run_job"]
@@ -92,10 +98,6 @@ def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
     mmap-loads the dataset instead of re-parsing/generating it; the
     first cold job populates the cache.
     """
-    # cli._load_input is the one canonical input loader (registry refs,
-    # .nt, .ttl, .snap); imported lazily to keep worker startup lean.
-    from repro.cli import _load_input
-
     spec = request.dataset
     if (
         not spec.startswith(("dataset:", "endpoint:"))
@@ -105,7 +107,7 @@ def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
         # loader's explicit form.  (endpoint: refs pass through to the
         # loader's federation path untouched.)
         spec = f"dataset:{spec}"
-    return _load_input(spec, scale=request.scale, snapshot_dir=snapshot_dir)
+    return load_input(spec, scale=request.scale, snapshot_dir=snapshot_dir)
 
 
 def _build_config(
@@ -247,15 +249,32 @@ def run_job(job_dir: str, settings: Optional[Dict[str, Any]] = None) -> int:
         return 1
 
 
+def _log_to(path: str) -> None:
+    """Point fds 1 and 2 at ``path`` (appended), flushing what came before."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) not in (1, 2):
         print(json.dumps(
-            {"error": "usage: repro.server.worker <job-dir> [<settings-json>]"}
+            {"error": "usage: repro.server.worker <job-dir>|- [<settings-json>]"}
         ))
         return 2
     _install_signal_handlers()
-    return run_job(argv[0], json.loads(argv[1]) if len(argv) == 2 else None)
+    job_dir = argv[0]
+    if job_dir == "-":
+        job_dir = sys.stdin.readline().rstrip("\n")
+        if not job_dir:
+            return 0  # end of file: no job is coming
+        store_dir, job_id = os.path.split(os.path.abspath(job_dir))
+        _log_to(JobStore(store_dir).log_path(job_id))
+    return run_job(job_dir, json.loads(argv[1]) if len(argv) == 2 else None)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

@@ -74,7 +74,7 @@ SNAPSHOT_MAGIC = b"RDSNAP01"
 #: Header ``version`` field; bumped on any layout change.
 SNAPSHOT_VERSION = 1
 
-#: Canonical snapshot file extension (recognized by ``cli._load_input``).
+#: Canonical snapshot file extension (recognized by ``repro.inputs.load_input``).
 SNAPSHOT_SUFFIX = ".snap"
 
 #: Split section payloads into frames of at most this many bytes (well

@@ -126,6 +126,31 @@ class TestKeyedOperators:
         stage = environment.metrics.stage_by_name("flat_map_reduce_by_key")
         assert stage.peak_state_cost == 8
 
+    def test_peak_state_cost_is_the_running_peak(self):
+        """State that shrinks as it folds reports the most it held: a
+        budget of exactly that passes, one cell less trips that stage."""
+        items = [
+            ("a", frozenset(range(5))),
+            ("b", frozenset(range(4))),
+            ("a", frozenset([0])),
+            ("b", frozenset([0])),
+        ]
+
+        def run(budget):
+            environment = env(1, memory_budget=budget)
+            environment.from_collection(items).flat_map_reduce_by_key(
+                lambda pair: [pair], lambda a, b: a & b, state_cost_fn=len,
+                name="shrink",
+            ).collect()
+            return environment.metrics.stage_by_name("shrink").peak_state_cost
+
+        peak = run(None)
+        assert peak == 9  # the table ends at 2
+        assert run(peak) == peak
+        with pytest.raises(SimulatedOutOfMemory) as raised:
+            run(peak - 1)
+        assert raised.value.stage == "shrink" and raised.value.records == peak
+
     def test_co_group_inner_and_outer(self):
         left = env(2).from_collection([("a", 1), ("b", 2)])
         right = left.env.from_collection([("b", 20), ("c", 30)])

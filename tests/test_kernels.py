@@ -106,8 +106,10 @@ class TestTripleBatches:
 # ----------------------------------------------------------------------
 
 
-def kernel_env(executor="serial"):
-    return ExecutionEnvironment(parallelism=3, executor=executor)
+def kernel_env(executor="serial", memory_budget=None):
+    return ExecutionEnvironment(
+        parallelism=3, executor=executor, memory_budget=memory_budget
+    )
 
 
 class TestKernelOracles:
@@ -140,6 +142,10 @@ class TestKernelOracles:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("pruned", [False, True])
     def test_capture_groups_match_algorithm_2(self, executor, pruned):
+        self.check_capture_groups(executor, pruned)
+
+    @staticmethod
+    def check_capture_groups(executor, pruned, memory_budget=None):
         encoded = random_rdf(14, n_triples=120, n_subjects=8, n_objects=8).encode()
         scope = ConditionScope.full()
         frequent = None
@@ -148,7 +154,7 @@ class TestKernelOracles:
             frequent = detect_frequent_conditions(
                 fc_env, batch_dataset(fc_env, encoded), h=2, scope=scope
             )
-        oracle_env, env = kernel_env(executor), kernel_env(executor)
+        oracle_env, env = kernel_env(executor), kernel_env(executor, memory_budget)
         oracle = record_oracle.create_capture_groups(
             oracle_env, batch_dataset(oracle_env, encoded), scope, frequent
         ).partitions
@@ -167,11 +173,13 @@ class TestKernelOracles:
     ):
         """A 40-row batch folded 1, 2 and 7 rows at a time: every chunk
         boundary hands the engine's combiner keys it has and has not seen,
-        and the partitions — order included — stay the per-triple ones."""
+        and the partitions — order included — stay the per-triple ones.
+        A roomy budget prices the stage, so the kernel runs chunk by chunk
+        (unpriced, it folds the whole partition at once)."""
         from repro.dataflow import kernels
 
         monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", fold_rows)
-        self.test_capture_groups_match_algorithm_2(executor, pruned)
+        self.check_capture_groups(executor, pruned, memory_budget=10**9)
 
     @given(
         st.lists(st.integers(0, 400), max_size=40),

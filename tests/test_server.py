@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -55,10 +56,8 @@ def direct_bytes(dataset: str, h: int, scale: float = 1.0) -> bytes:
 
 
 def make_server(job_dir, **overrides):
-    """A running server on an ephemeral port, scheduler polling fast."""
-    config = ServiceConfig(
-        job_dir=str(job_dir), poll_interval_seconds=0.02, **overrides
-    )
+    """A running server on an ephemeral port."""
+    config = ServiceConfig(job_dir=str(job_dir), **overrides)
     server = DiscoveryServer(JobService(config), port=0).start()
     return server, ServerClient(server.url)
 
@@ -77,6 +76,33 @@ def wait_running_attempt(client, job_id, attempt, timeout=30.0):
             return status
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never reached running attempt {attempt}")
+
+
+def worker_pids(directory):
+    """PIDs of live ``repro.server.worker`` processes whose cwd is the
+    job store ``directory`` (where the service starts every worker)."""
+    directory = os.path.realpath(str(directory))
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+            cwd = os.readlink(f"/proc/{entry}/cwd")
+        except OSError:
+            continue  # gone, or not ours to look at
+        if b"repro.server.worker" in argv and os.path.realpath(cwd) == directory:
+            pids.append(int(entry))
+    return pids
+
+
+def wait_until(predicate, timeout=10.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.02)
 
 
 @pytest.fixture(scope="module")
@@ -466,8 +492,172 @@ class TestRecovery:
             final = client.wait(job["id"], expect="failed", timeout=60)
             assert final["attempts"] == 1  # failed cleanly, not requeued
             assert final["error"]
+            # The worker's stderr went to the job's log at hand-off.
+            with open(server.service.store.log_path(job["id"])) as handle:
+                assert f"worker: job {job['id']} failed" in handle.read()
         finally:
             server.stop()
+
+
+class TestWarmWorkers:
+    """A job is handed to the pre-started spare worker; the service moves
+    on wake-ups; no worker outlives the service that started it."""
+
+    def test_job_runs_on_the_spare_with_the_bytes_of_discover_o(
+        self, tmp_path, tiny_nt
+    ):
+        from repro.cli import main
+
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            spare = server.service._spare
+            job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+            client.wait_state(job["id"], "running")
+            with server.service._lock:  # the hand-off is done under it
+                assert server.service._procs[job["id"]] is spare
+                assert server.service._spare not in (None, spare)  # the next
+            release(server, job["id"])
+            final = client.wait(job["id"], timeout=120)
+            assert final["attempts"] == 1 and server.service.started_jobs == 1
+            out = tmp_path / "cli.json"
+            assert main(["discover", tiny_nt, "-s", "2", "--limit", "0",
+                         "-o", str(out)]) == 0
+            assert client.raw_result(job["id"]) == out.read_bytes()
+        finally:
+            server.stop()
+
+    def test_concurrent_jobs_each_get_a_worker(self, tmp_path, tiny_nt):
+        """More jobs than the one idle spare: each hand-off takes the spare
+        just started (still importing, or not), never a busy worker."""
+        server, client = make_server(tmp_path / "jobs", max_concurrent_jobs=3)
+        try:
+            jobs = [
+                client.submit(dataset=tiny_nt, support_threshold=h, hold=True)
+                for h in (2, 3, 4)
+            ]
+            for job in jobs:
+                client.wait_state(job["id"], "running")
+            with server.service._lock:
+                procs = {id(server.service._procs[job["id"]]) for job in jobs}
+            assert len(procs) == 3
+            for job in jobs:
+                release(server, job["id"])
+            for job, h in zip(jobs, (2, 3, 4)):
+                client.wait(job["id"], timeout=120)
+                assert client.raw_result(job["id"]) == direct_bytes(tiny_nt, h)
+        finally:
+            server.stop()
+        assert worker_pids(server.service.store.directory) == []
+
+    def test_cancel_and_crash_retry_on_spares(self, tmp_path, tiny_nt):
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            held = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+            client.wait_state(held["id"], "running")
+            client.cancel(held["id"])
+            assert client.wait(held["id"], expect="cancelled", timeout=30)
+            crashing = client.submit(
+                dataset=tiny_nt, support_threshold=3, crash_point="after:fc"
+            )
+            final = client.wait(crashing["id"], timeout=120)
+            assert final["attempts"] == 2
+            assert final["result_summary"]["resumed_stages"] >= 1
+            assert server.service.started_jobs == 3  # jobs started, not processes
+        finally:
+            server.stop()
+
+    def test_a_dead_spare_is_replaced_not_handed_a_job(self, tmp_path, tiny_nt):
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            dead = server.service._spare
+            dead.kill()
+            dead.wait(timeout=10)
+            job = client.submit(dataset=tiny_nt, support_threshold=2)
+            final = client.wait(job["id"], timeout=120)
+            assert final["attempts"] == 1
+            assert client.raw_result(job["id"]) == direct_bytes(tiny_nt, 2)
+        finally:
+            server.stop()
+
+    def test_long_poll_answers_when_the_job_ends(self, tmp_path, tiny_nt):
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+            client.wait_state(job["id"], "running")
+            assert client.job(job["id"])["state"] == "running"  # a plain GET
+            held = client._request("GET", f"/jobs/{job['id']}?wait=0.2")
+            assert held["state"] == "running"  # the wait ran out
+            threading.Timer(0.3, release, (server, job["id"])).start()
+            began = time.monotonic()
+            done = client._request("GET", f"/jobs/{job['id']}?wait=60")
+            assert done["state"] == "succeeded"
+            assert time.monotonic() - began < 30  # answered by the finish
+            for bad in ("-1", "nan", "soon"):
+                with pytest.raises(ServerError) as excinfo:
+                    client._request("GET", f"/jobs/{job['id']}?wait={bad}")
+                assert excinfo.value.status == 400
+        finally:
+            server.stop()
+
+    def test_long_poll_answers_on_stop(self, tmp_path, tiny_nt):
+        server, client = make_server(tmp_path / "jobs")
+        job = client.submit(dataset=tiny_nt, support_threshold=2, hold=True)
+        client.wait_state(job["id"], "running")
+        service = server.service
+        answers = []
+        poller = threading.Thread(
+            target=lambda: answers.append(service.job_status(job["id"], wait=60))
+        )
+        poller.start()
+        wait_until(lambda: service._changed._waiters, what="the long-poll")
+        began = time.monotonic()
+        server.stop()
+        poller.join(timeout=30)
+        assert not poller.is_alive() and time.monotonic() - began < 30
+        assert answers[0]["state"] == "queued"  # requeued by the stop
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    @pytest.mark.parametrize("delay", [0.0, 0.005, 0.02, 0.1])
+    def test_stop_racing_a_hand_off_reaps_every_worker(
+        self, tmp_path, tiny_nt, monkeypatch, delay
+    ):
+        started = []
+        start_worker = JobService._start_worker
+
+        def recording(service):
+            proc = start_worker(service)
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(JobService, "_start_worker", recording)
+        server, client = make_server(tmp_path / "jobs")
+        client.submit(dataset=tiny_nt, support_threshold=2)
+        time.sleep(delay)
+        server.stop()
+        assert len(started) >= 1
+        assert all(proc.returncode is not None for proc in started)
+        assert worker_pids(server.service.store.directory) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_a_killed_server_leaves_no_worker(self, tmp_path):
+        job_dir = tmp_path / "jobs"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--job-dir", str(job_dir)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline().split()
+            ServerClient(banner[banner.index("on") + 1]).wait_ready()
+            wait_until(lambda: worker_pids(job_dir), what="the spare")
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        wait_until(lambda: not worker_pids(job_dir), timeout=5.0,
+                   what="the spare to exit")
 
 
 class TestRunSettings:
@@ -500,6 +690,21 @@ class TestRunSettings:
 
 
 class TestWorkerJob:
+    def test_worker_import_loads_no_http_machinery(self):
+        """An idle spare holds only what a job runs."""
+        probe = (
+            "import sys, repro.server.worker; "
+            "print(sorted(m for m in sys.modules if m in "
+            "('http.server', 'urllib.request') or m.startswith('repro.apps')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_ambient_runtime_variables_do_not_reach_a_job(
         self, tmp_path, tiny_nt, monkeypatch
     ):

@@ -14,7 +14,7 @@ from tests.result_oracle import result_to_dict
 
 
 def make_server(job_dir):
-    config = ServiceConfig(job_dir=str(job_dir), poll_interval_seconds=0.02)
+    config = ServiceConfig(job_dir=str(job_dir))
     server = DiscoveryServer(JobService(config), port=0).start()
     return server, ServerClient(server.url)
 
