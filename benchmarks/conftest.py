@@ -80,13 +80,10 @@ class DiscoveryCache:
         variant: str = "rdfind",
         predicates_only: bool = False,
         memory_budget: Optional[int] = None,
-        executor: str = "serial",
-        workers: Optional[int] = None,
     ) -> Tuple[DiscoveryResult, float]:
         """Discovery result plus wall-clock seconds (cached)."""
         key = (
-            name, h, scale, parallelism, variant, predicates_only,
-            memory_budget, executor, workers,
+            name, h, scale, parallelism, variant, predicates_only, memory_budget,
         )
         if key not in self._runs:
             encoded = self.dataset(name, scale)
@@ -105,8 +102,6 @@ class DiscoveryCache:
                 parallelism=parallelism,
                 scope=scope,
                 memory_budget=memory_budget,
-                executor=executor,
-                workers=workers,
             )
             started = time.perf_counter()
             result = RDFind(config).discover(encoded)

@@ -91,7 +91,7 @@ def non_negative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A count of at least 1: ``-s/--support``, ``-p``, ``--workers``."""
+    """A count of at least 1: ``-s/--support``, ``-p``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -99,7 +99,7 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """A duration that must pass: ``--timeout``, ``--task-timeout-seconds``."""
+    """A duration that must pass: ``--timeout``."""
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
@@ -150,11 +150,8 @@ def _add_common(parser: argparse.ArgumentParser, runtime: bool = True) -> None:
 #: Where the runtime flags land: each destination is the RDFindConfig
 #: keyword the flag sets.
 _RUNTIME_KEYWORDS = (
-    "executor",
-    "workers",
     "fault_seed",
     "max_retries",
-    "task_timeout_seconds",
     "checkpoint_dir",
     "resume",
     "crash_points",
@@ -167,15 +164,6 @@ def _add_runtime_flags(
     """How a run executes (never what it finds); ``checkpoints`` adds the
     three flags of a driver that owns its checkpoint directory."""
     parser.add_argument(
-        "--executor", choices=("serial", "process"), default=None,
-        help="dataflow backend: 'serial' (inline, default) or 'process' "
-        "(persistent process pool on real cores)",
-    )
-    parser.add_argument(
-        "--workers", type=positive_int, default=None,
-        help="process-pool size (default: min(parallelism, cores))",
-    )
-    parser.add_argument(
         "--faults", type=int, default=None, metavar="SEED", dest="fault_seed",
         help="inject deterministic faults from this seed (transient errors, "
         "worker crashes, stragglers); recovery must reproduce the clean "
@@ -184,12 +172,6 @@ def _add_runtime_flags(
     parser.add_argument(
         "--max-retries", type=non_negative_int, default=None,
         help="retry budget per task (default: 2)",
-    )
-    parser.add_argument(
-        "--task-timeout-seconds", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock bound under --executor process; a hung "
-        "task becomes a retryable transient fault (default: no bound)",
     )
     if not checkpoints:
         return
@@ -301,8 +283,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         f"{stats.num_triples:,} triples -> {stats.num_pertinent_cinds:,} pertinent "
         f"CINDs, {len(result.association_rules):,} ARs "
         f"in {result.elapsed_seconds:.2f}s "
-        f"(simulated parallel {result.metrics.simulated_parallel_seconds:.2f}s, "
-        f"executor={result.metrics.executor} x{result.metrics.workers})"
+        f"(simulated parallel {result.metrics.simulated_parallel_seconds:.2f}s)"
     )
     metrics = result.metrics
     if metrics.total_faults_injected or metrics.total_retries:

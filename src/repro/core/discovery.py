@@ -60,7 +60,6 @@ from repro.core.minimality import (
 )
 from repro.dataflow.checkpoint import CheckpointManager, dataset_digest
 from repro.dataflow.engine import ExecutionEnvironment
-from repro.dataflow.executors import EXECUTOR_NAMES
 from repro.dataflow.faults import CRASH_MOMENTS, FaultPlan, RetryPolicy
 from repro.dataflow.gcpause import gc_paused
 from repro.dataflow.metrics import JobMetrics
@@ -99,14 +98,6 @@ class RDFindConfig:
     keep_broad_cinds:
         Also materialize the full broad (pre-minimality) CIND list on the
         result object.
-    executor:
-        Dataflow backend: ``"serial"`` (default) runs partition tasks
-        inline; ``"process"`` runs them concurrently on a persistent
-        process pool — real multi-core execution with byte-identical
-        output.
-    workers:
-        Pool size for the ``process`` executor (defaults to
-        ``min(parallelism, available cores)``).
     fault_seed:
         When set, build a seeded deterministic
         :class:`~repro.dataflow.faults.FaultPlan` and inject faults into
@@ -135,10 +126,6 @@ class RDFindConfig:
         moment ``before`` or ``after`` (e.g. ``"after:fc"``): the
         process aborts at that checkpoint boundary, once — the attempt
         count is persisted in the manifest, so the resumed run passes.
-    task_timeout_seconds:
-        Per-task wall-clock bound under the ``process`` executor; a hung
-        task becomes a retryable transient fault instead of hanging the
-        job.  Off by default; ignored by ``serial``.
 
     Every field is a plain value: nothing is read from the environment.
     The CLI maps its runtime flags onto these keywords.
@@ -154,15 +141,12 @@ class RDFindConfig:
     candidate_bloom_hashes: int = DEFAULT_CANDIDATE_BLOOM_HASHES
     memory_budget: Optional[int] = None
     keep_broad_cinds: bool = False
-    executor: str = "serial"
-    workers: Optional[int] = None
     fault_seed: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     max_retries: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     crash_points: Tuple[str, ...] = ()
-    task_timeout_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.support_threshold < 1:
@@ -171,12 +155,6 @@ class RDFindConfig:
             )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.resume and not self.checkpoint_dir:
@@ -192,10 +170,6 @@ class RDFindConfig:
             raise ValueError(
                 "crash points fire at checkpoint boundaries; "
                 "they require a checkpoint_dir (--checkpoint-dir)"
-            )
-        if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
-            raise ValueError(
-                f"task_timeout_seconds must be > 0, got {self.task_timeout_seconds}"
             )
 
     def effective_fault_plan(self) -> Optional[FaultPlan]:
@@ -341,8 +315,6 @@ class DiscoveryResult:
             "broad_cinds": self.stats.num_broad_cinds,
             "elapsed_seconds": self.elapsed_seconds,
             "simulated_parallel_seconds": self.metrics.simulated_parallel_seconds,
-            "executor": self.config.executor,
-            "workers": self.metrics.workers,
         }
 
     def __repr__(self) -> str:
@@ -391,75 +363,69 @@ class RDFind:
             parallelism=config.parallelism,
             memory_budget=config.memory_budget,
             name=f"{config.variant_name}(h={config.support_threshold})",
-            executor=config.executor,
-            workers=config.workers,
             fault_plan=config.effective_fault_plan(),
             retry_policy=config.effective_retry_policy(),
-            task_timeout_seconds=config.task_timeout_seconds,
             metrics=metrics,
         )
         manager: Optional[CheckpointManager] = None
-        try:
-            if config.checkpoint_dir:
-                manager = CheckpointManager(
-                    config.checkpoint_dir,
-                    fingerprint=checkpoint_fingerprint(config, encoded),
-                    resume=config.resume,
-                    fault_plan=config.effective_fault_plan(),
-                    metrics=env.metrics,
-                )
-                manager.open()
+        if config.checkpoint_dir:
+            manager = CheckpointManager(
+                config.checkpoint_dir,
+                fingerprint=checkpoint_fingerprint(config, encoded),
+                resume=config.resume,
+                fault_plan=config.effective_fault_plan(),
+                metrics=env.metrics,
+            )
+            manager.open()
 
-            def step(name: str, compute):
-                return compute() if manager is None else manager.step(name, compute)
+        def step(name: str, compute):
+            return compute() if manager is None else manager.step(name, compute)
 
-            # Imported here: the kernels import repro.core, whose package
-            # import reaches this module.
-            from repro.dataflow.kernels import batch_dataset
+        # Imported here: the kernels import repro.core, whose package
+        # import reaches this module.
+        from repro.dataflow.kernels import batch_dataset
 
-            batches = batch_dataset(env, encoded)
+        batches = batch_dataset(env, encoded)
 
-            def compute_frequent() -> FrequentConditions:
-                return detect_frequent_conditions(
-                    env,
-                    batches,
-                    h=config.support_threshold,
-                    scope=config.scope,
-                )
-
-            frequent: Optional[FrequentConditions] = None
-            if config.prune_infrequent_conditions:
-                frequent = step("fc", compute_frequent)
-
-            extraction_config = ExtractionConfig(
+        def compute_frequent() -> FrequentConditions:
+            return detect_frequent_conditions(
+                env,
+                batches,
                 h=config.support_threshold,
-                prune_capture_support=config.prune_capture_support,
-                balance_dominant_groups=config.balance_dominant_groups,
-                candidate_bloom_bits=config.candidate_bloom_bits,
-                candidate_bloom_hashes=config.candidate_bloom_hashes,
+                scope=config.scope,
             )
 
-            def compute_groups():
-                return create_capture_groups(
-                    env, batches, scope=config.scope, frequent=frequent
-                )
+        frequent: Optional[FrequentConditions] = None
+        if config.prune_infrequent_conditions:
+            frequent = step("fc", compute_frequent)
 
-            def compute_extraction():
-                # Nesting the cg boundary inside the ex compute means a
-                # resume whose ex checkpoint is intact never touches
-                # CGCreator at all — the whole prefix is skipped.
-                if manager is None:
-                    groups = compute_groups()
-                else:
-                    groups = manager.step_dataset("cg", env, compute_groups)
-                return extract_broad_cinds(env, groups, extraction_config)
+        extraction_config = ExtractionConfig(
+            h=config.support_threshold,
+            prune_capture_support=config.prune_capture_support,
+            balance_dominant_groups=config.balance_dominant_groups,
+            candidate_bloom_bits=config.candidate_bloom_bits,
+            candidate_bloom_hashes=config.candidate_bloom_hashes,
+        )
 
-            broad, extraction_stats = step("ex", compute_extraction)
-            captures = _Memo(code_capture)
-            decode = captures.__getitem__
-            blocks = consolidate_pertinent(broad, capture_rank(broad, decode))
-        finally:
-            env.close()
+        def compute_groups():
+            return create_capture_groups(
+                env, batches, scope=config.scope, frequent=frequent
+            )
+
+        def compute_extraction():
+            # Nesting the cg boundary inside the ex compute means a
+            # resume whose ex checkpoint is intact never touches
+            # CGCreator at all — the whole prefix is skipped.
+            if manager is None:
+                groups = compute_groups()
+            else:
+                groups = manager.step_dataset("cg", env, compute_groups)
+            return extract_broad_cinds(env, groups, extraction_config)
+
+        broad, extraction_stats = step("ex", compute_extraction)
+        captures = _Memo(code_capture)
+        decode = captures.__getitem__
+        blocks = consolidate_pertinent(broad, capture_rank(broad, decode))
 
         elapsed = time.perf_counter() - started
         stats = DiscoveryStats(
@@ -492,8 +458,10 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
 
     Covers everything that shapes the persisted boundary values: the
     dataset content (id columns + dictionary), ``h``, the scope, the
-    variant flags, bloom geometry, partitioning, the executor backend,
-    and the task-fault seed/rates.  Deliberately excluded: driver crash
+    variant flags, bloom geometry, partitioning, and the task-fault
+    seed/rates.  ``executor="serial"`` is a constant: it was a setting
+    once, and every checkpoint on disk is named by a digest that
+    includes it.  Deliberately excluded: driver crash
     points (the resume launch legitimately drops ``--crash-point``) and
     retry/backoff knobs — neither changes any boundary's value.
     """
@@ -541,7 +509,7 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
         candidate_bloom_bits=config.candidate_bloom_bits,
         candidate_bloom_hashes=config.candidate_bloom_hashes,
         memory_budget=config.memory_budget,
-        executor=config.executor,
+        executor="serial",
         faults=fault_key,
     )
 

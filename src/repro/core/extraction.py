@@ -309,9 +309,6 @@ class _SharedRefsCandidateEmitter:
     Every member of a group gets the *same* value tuple, and
     :class:`_CandidateMerger` keeps it shared: members with the same
     group history hold one reference-set object, not equal copies.
-
-    A module-level class so the fused combine task stays picklable under
-    the process executor.
     """
 
     __slots__ = ("masks", "average_load")
@@ -550,8 +547,7 @@ def _validate_uncertain(
 class _ValidationEmitter:
     """Per-work-unit validation sets for the uncertain candidates.
 
-    Carries the broadcast uncertain-candidate map so the flat_map stays
-    picklable under the process executor.
+    Carries the broadcast uncertain-candidate map into the flat_map.
     """
 
     __slots__ = ("masks", "uncertain")

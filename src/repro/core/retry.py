@@ -87,9 +87,6 @@ class RetryPolicy:
     function of ``(seed, key, n)``, so a fixed seed yields an identical
     delay sequence on every run — across every subsystem that shares the
     policy (regression-tested in ``tests/test_retry.py``).
-
-    Frozen dataclass of primitives, hence picklable: the dataflow
-    process backend ships its subclass to pool workers.
     """
 
     max_retries: int = 2

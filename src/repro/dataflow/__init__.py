@@ -15,11 +15,9 @@ behind the paper's scale-out and skew experiments (Figures 9, 12, 13): the
 shape of those curves is a function of per-partition load, which the
 simulation preserves exactly.
 
-Where the per-partition tasks run is pluggable
-(:mod:`repro.dataflow.executors`): the ``serial`` backend executes them
-inline (the reference), the ``process`` backend executes them concurrently
-on a persistent process pool — real multi-core execution with
-byte-identical output.
+The per-partition tasks run inline, one after another
+(:mod:`repro.dataflow.executors`), with seeded fault injection and
+bounded retries.
 
 Keyed operators shuffle through hash buckets held in memory; a
 record-count budget per worker models the out-of-memory failures the
@@ -42,13 +40,7 @@ from repro.dataflow.engine import (
     SimulatedOutOfMemory,
     stable_hash,
 )
-from repro.dataflow.executors import (
-    EXECUTOR_NAMES,
-    ProcessExecutor,
-    SerialExecutor,
-    available_cores,
-    create_executor,
-)
+from repro.dataflow.executors import SerialExecutor
 from repro.dataflow.faults import (
     DRIVER_CRASH_EXIT_CODE,
     FaultPlan,
@@ -56,7 +48,6 @@ from repro.dataflow.faults import (
     RetryPolicy,
     SimulatedClock,
     SimulatedWorkerCrash,
-    TaskTimeoutError,
 )
 from repro.dataflow.gcpause import gc_paused, stage_gc_pause
 from repro.dataflow.metrics import JobMetrics, StageMetrics
@@ -68,16 +59,11 @@ __all__ = [
     "CheckpointMismatchError",
     "JobManifest",
     "DRIVER_CRASH_EXIT_CODE",
-    "TaskTimeoutError",
     "DataSet",
     "ExecutionEnvironment",
     "SimulatedOutOfMemory",
     "stable_hash",
-    "EXECUTOR_NAMES",
     "SerialExecutor",
-    "ProcessExecutor",
-    "available_cores",
-    "create_executor",
     "FaultPlan",
     "InjectedTaskFault",
     "RetryPolicy",

@@ -1,6 +1,6 @@
 """Driver-level checkpoint/restore: crash-resumable discovery jobs.
 
-The executors make *tasks* survive failures inside a live driver, but a
+The task runner makes *tasks* survive failures inside a live driver, but a
 killed driver would still lose the whole three-phase pipeline.  This
 module closes that gap the way RDFind's Flink substrate does (PAPER.md
 Section 8): at each phase boundary (fc, cg,
@@ -9,8 +9,7 @@ ex) the driver atomically persists the boundary's materialized result, plus a
 configuration, and how often each injected driver crash point has already
 fired.  A relaunch with ``resume=True`` validates the manifest, loads the
 completed boundaries instead of recomputing them, and continues from the
-last durable one — with byte-identical final output on both executor
-backends.
+last durable one — with byte-identical final output.
 
 On-disk layout (everything written tmp-then-rename through
 :func:`repro.core.framing.atomic_write`, so a crash mid-write leaves
@@ -415,16 +414,6 @@ class CheckpointManager:
         )
         sys.stderr.flush()
         sys.stdout.flush()
-        # SIGKILL any pool workers first: a dead driver's cluster manager
-        # would reclaim its containers, and orphaned idle workers holding
-        # inherited stdout/stderr pipes would hang any pipe-reading parent.
-        try:
-            import multiprocessing
-
-            for child in multiprocessing.active_children():
-                child.kill()
-        except Exception:  # noqa: BLE001 - the abort must happen regardless
-            pass
         os._exit(DRIVER_CRASH_EXIT_CODE)
 
     def _persist(self, name: str, kind: str, payloads: Iterable[bytes]) -> None:

@@ -1,4 +1,4 @@
-"""Eager, partitioned dataflow engine with pluggable executor backends.
+"""Eager, partitioned dataflow engine.
 
 This is the substrate RDFind runs on in this reproduction, standing in for
 Apache Flink (see DESIGN.md, substitutions).  An
@@ -8,13 +8,10 @@ eagerly, one *task* per partition, timing each task so that the engine can
 report what a cluster would have achieved
 (:class:`repro.dataflow.metrics.JobMetrics`).
 
-Where the tasks run is decided by the environment's executor backend
-(:mod:`repro.dataflow.executors`): ``serial`` runs them inline in the
-driver (the reference behaviour), ``process`` runs them concurrently on a
-persistent process pool — real multi-core execution.  Every per-partition
-task is a module-level function over a picklable payload, so the same
-task code serves both backends and results are byte-identical between
-them.
+The tasks run inline in the driver, one after another, under
+:class:`~repro.dataflow.executors.SerialExecutor`, which injects the
+configured faults and retries failed tasks.  Every per-partition task is
+a module-level function over its payload.
 
 Operator vocabulary (mapping to the paper's Appendix C):
 
@@ -39,8 +36,7 @@ Shuffles are routed by :func:`stable_hash`, a deterministic 64-bit hash
 over the key types the pipeline uses (defined in
 :mod:`repro.dataflow.hashing`, re-exported here).  Builtin ``hash`` would
 not do: it is randomized per process for strings (``PYTHONHASHSEED``),
-which would make partition assignment differ between pool workers and
-between runs.
+which would make partition assignment differ between runs.
 
 Each keyed operator is written once.  Its map task
 (:func:`_combine_map_task` for the two reductions — ``reduce_by_key`` is
@@ -55,10 +51,8 @@ plane, in memory.
 A configurable per-partition *memory budget* (max records materialized in
 any one worker's in-memory state) emulates out-of-memory failures: stateful
 operators raise :class:`SimulatedOutOfMemory` when a single worker would
-have to hold more records than the budget allows.  The exception pickles
-faithfully, so a budget blown inside a pool worker surfaces in the driver
-exactly like a serial one.  The paper's Figures 7 and 13 report such
-failures for Cinderella and RDFind-DE.
+have to hold more records than the budget allows.  The paper's Figures 7
+and 13 report such failures for Cinderella and RDFind-DE.
 """
 
 from __future__ import annotations
@@ -78,7 +72,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.dataflow.executors import create_executor
+from repro.dataflow.executors import SerialExecutor
 from repro.dataflow.faults import (
     FaultPlan,
     RetryPolicy,
@@ -105,17 +99,17 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# picklable helpers for keyed operators (usable from any backend)
+# module-level helpers for keyed operators
 # ----------------------------------------------------------------------
 
 
 def pair_key(pair: Tuple[K, V]) -> K:
-    """First element of a pair — the canonical picklable ``key_fn``."""
+    """First element of a pair — the canonical ``key_fn``."""
     return pair[0]
 
 
 def pair_value(pair: Tuple[K, V]) -> V:
-    """Second element of a pair — the canonical picklable ``value_fn``."""
+    """Second element of a pair — the canonical ``value_fn``."""
     return pair[1]
 
 
@@ -147,13 +141,12 @@ def record_cells(record: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# per-partition task functions (module-level, hence picklable)
+# per-partition task functions
 # ----------------------------------------------------------------------
 #
 # Each task consumes one partition's payload and returns its result plus
-# the seconds the worker spent — measured inside the worker, so the
-# per-partition timings (and the skew they reveal) are real under both
-# backends.
+# the seconds the worker spent — measured inside the task, so the
+# per-partition timings (and the skew they reveal) are real.
 
 
 def _map_task(payload):
@@ -374,28 +367,15 @@ class ExecutionEnvironment:
         ``None`` disables the check.
     name:
         Job name used in metric reports.
-    executor:
-        Backend that runs the per-partition tasks: ``"serial"`` (inline,
-        the default and reference) or ``"process"`` (persistent process
-        pool — real cores, but operator functions must be picklable; see
-        :mod:`repro.dataflow.executors`).
-    workers:
-        Pool size for the ``process`` backend; defaults to
-        ``min(parallelism, available cores)``.  Ignored by ``serial``.
     fault_plan:
         Optional seeded :class:`~repro.dataflow.faults.FaultPlan`; when
-        given, the executor injects deterministic per-task faults
+        given, the task runner injects deterministic per-task faults
         (transient errors, worker crashes, stragglers, forced OOMs) that
         the retry machinery must absorb — output stays byte-identical.
     retry_policy:
         Bounded-retry/backoff configuration for failed tasks
         (:class:`~repro.dataflow.faults.RetryPolicy`; a default policy
         with 2 retries applies when omitted).
-    task_timeout_seconds:
-        Per-task wall-clock bound under the ``process`` backend; a
-        timed-out task is treated as a retryable transient fault (the
-        pool is abandoned and the task replayed).  ``None`` (default)
-        waits forever; ignored by ``serial``.
     """
 
     def __init__(
@@ -403,43 +383,21 @@ class ExecutionEnvironment:
         parallelism: int = 1,
         memory_budget: Optional[int] = None,
         name: str = "job",
-        executor: str = "serial",
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        task_timeout_seconds: Optional[float] = None,
         metrics: Optional[JobMetrics] = None,
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.parallelism = int(parallelism)
         self.memory_budget = memory_budget
-        self.executor = create_executor(
-            executor,
-            self.parallelism,
-            workers,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            task_timeout_seconds=task_timeout_seconds,
-        )
+        self.executor = SerialExecutor(retry_policy=retry_policy, fault_plan=fault_plan)
         # A caller-supplied JobMetrics lets an observer in another thread
         # watch the job live (the server's worker snapshots it into
         # progress.json while discovery runs); default is a private one.
         self.metrics = metrics if metrics is not None else JobMetrics()
         self.metrics.job_name = name
         self.metrics.parallelism = self.parallelism
-        self.metrics.executor = self.executor.name
-        self.metrics.workers = self.executor.workers
-
-    def close(self) -> None:
-        """Release executor resources."""
-        self.executor.close()
-
-    def __enter__(self) -> "ExecutionEnvironment":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
 
     def from_collection(
         self, items: Iterable[T], name: str = "source"
@@ -469,8 +427,8 @@ class ExecutionEnvironment:
         Each partition holds exactly one batch object (e.g. a
         :class:`~repro.storage.columnar.TripleBatch`); ``sizes`` declares
         how many *logical* records each batch stands for, so stage
-        accounting and the process backend's inline threshold see the
-        real record volume rather than "one record per partition".
+        accounting sees the real record volume rather than "one record
+        per partition".
         ``cost_fn`` prices one batch in memory-budget cells (see
         :func:`record_cells`); when given, each worker's batch is charged
         against the memory budget rather than held for free.
@@ -544,8 +502,8 @@ class DataSet(Generic[T]):
         #: For batch datasets (one columnar batch per partition): how many
         #: logical records each partition's batch stands for.  ``None``
         #: means the partitions hold plain records and size is their
-        #: length.  Keeps record accounting — and the process backend's
-        #: inline threshold — honest when a partition's ``len`` is 1.
+        #: length.  Keeps record accounting honest when a partition's
+        #: ``len`` is 1.
         self.logical_sizes = logical_sizes
 
     def _partition_sizes(self) -> List[int]:
@@ -554,25 +512,19 @@ class DataSet(Generic[T]):
             return list(self.logical_sizes)
         return [len(partition) for partition in self.partitions]
 
-    def _total_records(self) -> int:
-        return sum(self._partition_sizes())
-
     def _run_stage(
         self,
         stage: StageMetrics,
         task: Callable[[Any], Any],
         payloads: List[Any],
-        records: Optional[int] = None,
     ) -> List[Any]:
         """Run one task per payload on the executor, recording wall-clock.
 
-        ``records`` hints the stage's total input size so the process
-        backend can run trivially small stages inline.  The stage record
-        itself is handed to the executor so fault injections and retries
-        are accounted where they happen.
+        The stage record itself is handed to the executor so fault
+        injections and retries are accounted where they happen.
         """
         start = time.perf_counter()
-        results = self.env.executor.run(task, payloads, records=records, stage=stage)
+        results = self.env.executor.run(task, payloads, stage=stage)
         stage.wall_seconds += time.perf_counter() - start
         return results
 
@@ -589,7 +541,7 @@ class DataSet(Generic[T]):
         out: List[List[Any]] = []
         for partition, (result, elapsed) in zip(
             self.partitions,
-            self._run_stage(stage, task, payloads, records=self._total_records()),
+            self._run_stage(stage, task, payloads),
         ):
             stage.partition_seconds.append(elapsed)
             stage.records_in.append(len(partition))
@@ -625,7 +577,7 @@ class DataSet(Generic[T]):
         out: List[List[U]] = []
         for size, (result, elapsed) in zip(
             self._partition_sizes(),
-            self._run_stage(stage, _map_partition_task, payloads, records=self._total_records()),
+            self._run_stage(stage, _map_partition_task, payloads),
         ):
             stage.partition_seconds.append(elapsed)
             stage.records_in.append(size)
@@ -665,12 +617,7 @@ class DataSet(Generic[T]):
         stage = env.metrics.new_stage(name)
         make_sink = partial(_BucketSink, parallelism, record_budget, state_cost_fn, name)
         payloads = [leading + (make_sink, partition) for leading, partition, _size in map_inputs]
-        results = self._run_stage(
-            stage,
-            map_task,
-            payloads,
-            records=sum(size for _l, _p, size in map_inputs),
-        )
+        results = self._run_stage(stage, map_task, payloads)
         stage.partition_seconds = [0.0] * parallelism
         stage.records_in = [0] * parallelism
         stage.records_out = [0] * parallelism
@@ -691,9 +638,7 @@ class DataSet(Generic[T]):
         out: List[List[Any]] = []
         for part, (result, suppressed, elapsed) in zip(
             gathered,
-            self._run_stage(
-                reduce_stage, reduce_task, payloads, records=sum(map(len, gathered))
-            ),
+            self._run_stage(reduce_stage, reduce_task, payloads),
         ):
             reduce_stage.partition_seconds.append(elapsed)
             reduce_stage.records_in.append(len(part))
@@ -819,16 +764,15 @@ class DataSet(Generic[T]):
 
         This mirrors the paper's Bloom-filter construction: each worker
         builds a local partial, then one worker unions the partials
-        (Figure 5, steps 3-4).  ``local_fn`` runs on the executor (so it
-        must be picklable under the process backend); ``merge_fn`` runs on
-        the driver and may be any callable.
+        (Figure 5, steps 3-4).  ``local_fn`` runs on the executor, one
+        task per partition; ``merge_fn`` runs once over the partials.
         """
         stage = self.env.metrics.new_stage(name)
         payloads = [(local_fn, partition) for partition in self.partitions]
         partials: List[U] = []
         for size, (partial, elapsed) in zip(
             self._partition_sizes(),
-            self._run_stage(stage, _local_reduce_task, payloads, records=self._total_records()),
+            self._run_stage(stage, _local_reduce_task, payloads),
         ):
             partials.append(partial)
             stage.partition_seconds.append(elapsed)
@@ -882,7 +826,7 @@ class DataSet(Generic[T]):
     def rebalance(self, name: str = "rebalance") -> "DataSet[T]":
         """Round-robin redistribute records evenly across workers.
 
-        Pure data movement — runs on the driver under every backend.
+        Pure data movement — runs on the driver, outside the executor.
         """
         env = self.env
         parallelism = env.parallelism

@@ -12,11 +12,10 @@ Three pieces:
 :class:`FaultPlan`
     Decides, per ``(stage, task_index, attempt)``, whether a task suffers
     a fault and of which kind — a transient task exception, a simulated
-    worker-process death (surfacing as
-    :class:`concurrent.futures.BrokenExecutor`), a straggler slowdown, or
+    worker death (:class:`SimulatedWorkerCrash`), a straggler slowdown, or
     a forced :class:`SimulatedOutOfMemory`.  Decisions are pure functions
     of the seed (BLAKE2b, not ``random``), so they are independent of
-    execution order, interpreter hash seed, and backend.
+    execution order and interpreter hash seed.
 
 :class:`RetryPolicy`
     Bounded re-execution with exponential backoff.  Backoff waits are
@@ -31,7 +30,7 @@ Three pieces:
 :class:`SimulatedOutOfMemory`
     A simulated worker exceeded its per-partition memory budget.  Lives
     here (rather than in :mod:`repro.dataflow.engine`, which re-exports
-    it) so the executor layer can classify it without a circular import:
+    it) so the task runner can classify it without a circular import:
     a *genuine* budget OOM is deterministic and must not be retried —
     re-running the same task against the same budget fails identically,
     so it fails the job (the paper's Figure 7/13 "failed" cells).  An
@@ -43,9 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.retry import RetryPolicy as _SharedRetryPolicy
 from repro.core.retry import SimulatedClock  # noqa: F401 - re-exported API
@@ -81,13 +79,6 @@ class SimulatedOutOfMemory(MemoryError):
         self.records = records
         self.budget = budget
 
-    def __reduce__(self):
-        # BaseException pickles via self.args, which holds the formatted
-        # message, not the three constructor arguments; without this
-        # override the exception could not cross a process-pool boundary
-        # (nor survive a retry loop's catch-and-replay cycle intact).
-        return (SimulatedOutOfMemory, (self.stage, self.records, self.budget))
-
 
 class InjectedTaskFault(RuntimeError):
     """A transient task failure injected by a :class:`FaultPlan`."""
@@ -101,39 +92,9 @@ class InjectedTaskFault(RuntimeError):
         self.task_index = task_index
         self.attempt = attempt
 
-    def __reduce__(self):
-        return (InjectedTaskFault, (self.stage, self.task_index, self.attempt))
 
-
-class TaskTimeoutError(RuntimeError):
-    """A task exceeded the per-task wall-clock timeout on every attempt.
-
-    Raised by the process executor after the retry budget is exhausted;
-    a single timeout is treated as a retryable transient fault (the pool
-    is abandoned and the task replayed on a fresh one).
-    """
-
-    def __init__(self, stage: str, task_index: int, timeout_seconds: float) -> None:
-        super().__init__(
-            f"task timed out: stage {stage!r} task {task_index} exceeded "
-            f"{timeout_seconds}s on every attempt"
-        )
-        self.stage = stage
-        self.task_index = task_index
-        self.timeout_seconds = timeout_seconds
-
-    def __reduce__(self):
-        return (TaskTimeoutError, (self.stage, self.task_index, self.timeout_seconds))
-
-
-class SimulatedWorkerCrash(BrokenExecutor):
-    """An injected worker-process death.
-
-    Subclasses :class:`~concurrent.futures.BrokenExecutor` so it travels
-    the exact code path a real pool breakage takes: the process backend
-    reacts by tearing the pool down, rebuilding it once, and replaying
-    the unfinished tasks.
-    """
+class SimulatedWorkerCrash(RuntimeError):
+    """An injected worker death: the task's work is lost and re-executed."""
 
     def __init__(self, stage: str, task_index: int, attempt: int) -> None:
         super().__init__(
@@ -144,9 +105,6 @@ class SimulatedWorkerCrash(BrokenExecutor):
         self.task_index = task_index
         self.attempt = attempt
 
-    def __reduce__(self):
-        return (SimulatedWorkerCrash, (self.stage, self.task_index, self.attempt))
-
 
 _SCALE = float(1 << 64)
 
@@ -155,8 +113,7 @@ def _uniform(seed: int, stage: str, task_index: int) -> float:
     """A deterministic uniform draw in [0, 1) for one task slot.
 
     BLAKE2b rather than ``random``: the draw must not depend on call
-    order (the process backend gathers results as they finish) nor on
-    ``PYTHONHASHSEED``.
+    order nor on ``PYTHONHASHSEED``.
     """
     digest = hashlib.blake2b(
         f"{seed}|{stage}|{task_index}".encode("utf-8"), digest_size=8
@@ -196,11 +153,6 @@ class FaultPlan:
         crash before/after a named checkpoint boundary (``moment`` is
         ``"before"`` or ``"after"``); how the CLI's ``--crash-point``
         and the crash-resume tests pin a kill at each phase boundary.
-
-    The plan is a frozen dataclass of primitives, hence picklable: the
-    process backend ships it to pool workers inside
-    :class:`FaultInjectingTask` wrappers, and both sides of the pipe
-    reach identical decisions.
     """
 
     seed: int = 0
@@ -283,37 +235,6 @@ class FaultPlan:
             time.sleep(self.straggler_seconds)
 
 
-class FaultInjectingTask:
-    """Wrap one task so its planned fault fires *inside the worker*.
-
-    Module-level and slot-based, hence picklable: under the process
-    backend the injected exception genuinely crosses the pool boundary,
-    exercising the same pickling path real worker failures take.
-    """
-
-    __slots__ = ("task", "plan", "stage", "task_index", "attempt")
-
-    def __init__(
-        self,
-        task: Callable[[Any], Any],
-        plan: FaultPlan,
-        stage: str,
-        task_index: int,
-        attempt: int,
-    ) -> None:
-        self.task = task
-        self.plan = plan
-        self.stage = stage
-        self.task_index = task_index
-        self.attempt = attempt
-
-    def __call__(self, payload: Any) -> Any:
-        kind = self.plan.decide(self.stage, self.task_index, self.attempt)
-        if kind is not None:
-            self.plan.raise_for(kind, self.stage, self.task_index, self.attempt)
-        return self.task(payload)
-
-
 @dataclass(frozen=True)
 class RetryPolicy(_SharedRetryPolicy):
     """The engine's task-retry policy on a simulated clock.
@@ -321,7 +242,7 @@ class RetryPolicy(_SharedRetryPolicy):
     The schedule (bounded exponential backoff, optional seeded jitter)
     is :class:`repro.core.retry.RetryPolicy`, unchanged; waits are
     charged to a :class:`~repro.core.retry.SimulatedClock` by the
-    executors.  Only retryability differs: the engine distinguishes
+    task runner.  Only retryability differs: the engine distinguishes
     *injected* faults (always transient) from a *genuine* simulated OOM
     (deterministic, never retryable).
     """
@@ -334,8 +255,8 @@ class RetryPolicy(_SharedRetryPolicy):
         A genuine :class:`SimulatedOutOfMemory` is deterministic — the
         same task against the same budget fails identically — so it is
         only retryable when this very slot *injected* it.  Everything
-        else that is an ``Exception`` (transient task errors, pickling
-        failures, pool breakage) is retryable; ``KeyboardInterrupt`` and
+        else that is an ``Exception`` (transient task errors, simulated
+        worker crashes) is retryable; ``KeyboardInterrupt`` and
         friends are not.
         """
         if isinstance(error, SimulatedOutOfMemory):

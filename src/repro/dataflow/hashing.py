@@ -3,7 +3,7 @@
 Shuffles are routed by :func:`stable_hash`, a deterministic 64-bit hash
 over the key types the pipeline uses.  Builtin ``hash`` would not do: it
 is randomized per process for strings (``PYTHONHASHSEED``), which would
-make partition assignment differ between pool workers and between runs.
+make partition assignment differ between runs.
 
 This lives in its own module (rather than in :mod:`repro.dataflow.engine`,
 which re-exports it) so modules below the engine can import it without a

@@ -27,8 +27,7 @@ record-at-a-time transcriptions of Algorithms 1-2 in
   builds the same aggregation dict and the shuffle routes the same
   buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
 
-Everything here is module-level (and picklable), so the kernels run
-unchanged on the ``serial`` and ``process`` executor backends.
+Every task here is module-level, like the engine's own.
 """
 
 from __future__ import annotations
@@ -109,9 +108,8 @@ def unary_counts_kernel(
 ) -> Dict[UnaryCondition, int]:
     """Frequent unary conditions with their counts (steps 1-2).
 
-    Runs the per-partition counting on the executor (real cores under the
-    process backend) and merges the partial per-attribute counters on the
-    driver.  The merged table holds one counter per distinct condition;
+    Runs the per-partition counting on the executor and merges the
+    partial per-attribute counters on the driver.  The merged table holds one counter per distinct condition;
     that is the state the record-count memory budget is charged.
     """
     attrs = tuple(sorted(scope.condition_attrs))

@@ -10,10 +10,8 @@ worker's share took on the real CPU.  From these we derive:
   experiment (Figure 9): skewed stages do not get faster with more
   workers, balanced ones do.
 * ``wall_clock_seconds`` — the *real* elapsed time the driver measured
-  around each stage's executor run.  Under the ``serial`` backend this
-  tracks ``total_cpu_seconds``; under the ``process`` backend it shrinks
-  toward ``simulated_parallel_seconds`` as tasks actually overlap on real
-  cores — the difference between the two is the observable speedup.
+  around each stage's executor run; the tasks run one after another, so
+  it tracks ``total_cpu_seconds``.
 * ``total_cpu_seconds`` — the aggregate work, independent of parallelism.
 * ``shuffled_records`` / ``broadcast_records`` — network volume proxies.
 """
@@ -127,10 +125,6 @@ class JobMetrics:
 
     job_name: str = ""
     parallelism: int = 1
-    #: Executor backend the job ran on ("serial" or "process").
-    executor: str = "serial"
-    #: Worker-process count of the backend (1 for serial).
-    workers: int = 1
     #: Framed bytes written to checkpoint step files (--checkpoint).
     checkpoint_bytes: int = 0
     #: Driver time spent persisting and restoring checkpoints.
@@ -212,8 +206,6 @@ class JobMetrics:
             "job_name": self.job_name,
             "summary": {
                 "parallelism": self.parallelism,
-                "executor": self.executor,
-                "workers": self.workers,
                 "stages": len(self.stages),
                 "simulated_parallel_seconds": self.simulated_parallel_seconds,
                 "wall_clock_seconds": self.wall_clock_seconds,
@@ -234,19 +226,15 @@ class JobMetrics:
     def summary(self) -> Dict[str, float]:
         """Headline numbers as a dict (useful for benchmark rows).
 
-        ``executor`` and ``workers`` identify the backend a row was
-        measured on (serial and process rows are otherwise
-        indistinguishable in benchmark JSON); ``skew`` is the worst
-        per-stage max/mean partition-time ratio.  This is the
-        ``summary`` block of :meth:`to_dict`.
+        ``skew`` is the worst per-stage max/mean partition-time ratio.
+        This is the ``summary`` block of :meth:`to_dict`.
         """
         return dict(self.to_dict()["summary"])
 
     def describe(self) -> str:
         """Multi-line report of all stages plus totals."""
         lines = [
-            f"job {self.job_name!r} (parallelism={self.parallelism}, "
-            f"executor={self.executor}, workers={self.workers})"
+            f"job {self.job_name!r} (parallelism={self.parallelism})"
         ]
         lines.extend("  " + stage.describe() for stage in self.stages)
         total = (

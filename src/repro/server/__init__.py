@@ -3,7 +3,7 @@
 The checkpoint subsystem (PR 5) already gives every discovery job a
 durable, fingerprinted identity — this package puts a front door on it.
 A :class:`~repro.server.routes.DiscoveryServer` accepts jobs over HTTP
-(dataset ref + ``h``/scope/variant/executor config), hands each one to
+(dataset ref + ``h``/scope/variant config), hands each one to
 a checkpoint-enabled worker subprocess started ahead of it (the idle
 *spare*, its imports done), and serves status — long-polled with
 ``?wait=`` —, live :class:`~repro.dataflow.metrics.JobMetrics` progress,

@@ -186,8 +186,7 @@ class ServerClient:
 
         Fields mirror :class:`repro.server.store.JobRequest` (``dataset``
         required; ``support_threshold``, ``scale``, ``scope``,
-        ``variant``, ``parallelism``, ``executor``, ``workers``
-        optional).
+        ``variant``, ``parallelism`` optional).
 
         A 429 (queue full) is retried within the bounded retry budget,
         waiting at least the server's ``Retry-After`` hint (capped by the

@@ -96,8 +96,7 @@ class ServiceConfig:
     """Operating limits of one :class:`JobService`.
 
     ``run_settings`` are ``RDFindConfig`` keywords (``rdfind serve``'s
-    runtime flags) every worker receives on its command line; its
-    ``executor``, if any, is what a request that names none runs on.
+    runtime flags) every worker receives on its command line.
     """
 
     job_dir: str
@@ -255,12 +254,6 @@ class JobService:
         if not self._admitting:
             raise NotAdmittingError("server is shutting down; not accepting jobs")
         self._validate_dataset(request)
-        if request.executor is None:
-            # Pinned at admission: the cache key and the worker agree on
-            # the backend, whatever this or a later server defaults to.
-            request = replace(
-                request, executor=self.config.run_settings.get("executor", "serial")
-            )
         with self._lock:
             fingerprint = request.fingerprint()
             twin = self.store.find_by_fingerprint(fingerprint)

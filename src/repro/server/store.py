@@ -32,6 +32,7 @@ identifies the triple content without generating it at admission time.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -63,7 +64,10 @@ _JOB_ID_RE = re.compile(r"^j(\d{6,})$")
 
 _SCOPES = ("full", "predicates")
 _VARIANTS = ("rdfind", "de", "nf")
-_EXECUTORS = ("serial", "process")
+
+#: Fields a record written before the process pool was removed may hold,
+#: with the values such a record can carry: every job ran serially.
+_RETIRED_FIELDS = {"executor": ("serial", None), "workers": (None,)}
 
 
 def read_json(path: str) -> Optional[Any]:
@@ -86,6 +90,10 @@ class JobRequest:
     mid-flight), ``crash_point`` forwards to
     :attr:`RDFindConfig.crash_points` so a worker can be SIGKILL-crashed
     at an exact checkpoint boundary and resumed.
+
+    Nothing is coerced: a count is an ``int`` (a bool is no count),
+    ``scale`` a finite number above 0 (kept as a float), ``hold`` a
+    bool, and the names are strings.
     """
 
     dataset: str
@@ -94,34 +102,32 @@ class JobRequest:
     scope: str = "full"
     variant: str = "rdfind"
     parallelism: int = 4
-    executor: Optional[str] = None
-    workers: Optional[int] = None
     hold: bool = False
     crash_point: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.dataset or not isinstance(self.dataset, str):
             raise ValueError("dataset is required")
-        if self.support_threshold < 1:
-            raise ValueError(
-                f"support_threshold must be >= 1, got {self.support_threshold}"
-            )
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        for name in ("support_threshold", "parallelism"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is no count
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        scale = self.scale
+        if type(scale) not in (int, float) or not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+        object.__setattr__(self, "scale", float(scale))
+        if type(self.hold) is not bool:
+            raise ValueError(f"hold must be a boolean, got {self.hold!r}")
+        for name in ("scope", "variant", "crash_point"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.scope not in _SCOPES:
             raise ValueError(f"scope must be one of {_SCOPES}, got {self.scope!r}")
         if self.variant not in _VARIANTS:
             raise ValueError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}"
             )
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.executor is not None and self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def fingerprint(self) -> str:
         """The result-cache key: BLAKE2b over every result-shaping field.
@@ -131,8 +137,9 @@ class JobRequest:
         fingerprint equal iff they would compute byte-identical results
         from the same deterministic generator output, so a cache hit can
         be served without recompute and an in-flight twin can be joined.
-        The service pins ``executor`` at admission; unset, it keys as
-        ``RDFindConfig``'s default backend.
+        ``executor`` and ``workers`` are constants: they were request
+        fields once, and every job dir on disk is named by a digest that
+        includes them.
         """
         return fingerprint_fields(
             dataset=self.dataset,
@@ -141,8 +148,8 @@ class JobRequest:
             scope=self.scope,
             variant=self.variant,
             parallelism=self.parallelism,
-            executor=self.executor or "serial",
-            workers=self.workers,
+            executor="serial",
+            workers=None,
             hold=self.hold,
             crash_point=self.crash_point,
         )
@@ -155,32 +162,36 @@ class JobRequest:
             "scope": self.scope,
             "variant": self.variant,
             "parallelism": self.parallelism,
-            "executor": self.executor,
-            "workers": self.workers,
             "hold": self.hold,
             "crash_point": self.crash_point,
         }
 
     @classmethod
     def from_json(cls, data: Any) -> "JobRequest":
+        """A request body or a stored record's request, checked.
+
+        A retired field is accepted only with a value serial runs had,
+        and dropped.
+        """
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
-        known = {
-            "dataset": data.get("dataset"),
-            "support_threshold": int(data.get("support_threshold", 25)),
-            "scale": float(data.get("scale", 1.0)),
-            "scope": str(data.get("scope", "full")),
-            "variant": str(data.get("variant", "rdfind")),
-            "parallelism": int(data.get("parallelism", 4)),
-            "executor": data.get("executor") or None,
-            "workers": int(data["workers"]) if data.get("workers") else None,
-            "hold": bool(data.get("hold", False)),
-            "crash_point": data.get("crash_point") or None,
-        }
-        unknown = sorted(set(data) - set(known))
+        for name, allowed in _RETIRED_FIELDS.items():
+            if data.get(name) not in allowed:
+                raise ValueError(
+                    f"{name} {data[name]!r} is not supported: "
+                    f"every job runs on the one serial executor"
+                )
+        fields = {"dataset": None}
+        fields.update(
+            (name, value) for name, value in data.items() if name not in _RETIRED_FIELDS
+        )
+        unknown = sorted(set(fields) - set(_REQUEST_FIELDS))
         if unknown:
             raise ValueError(f"unknown request fields: {', '.join(unknown)}")
-        return cls(**known)
+        return cls(**fields)
+
+
+_REQUEST_FIELDS = tuple(JobRequest.__dataclass_fields__)
 
 
 @dataclass

@@ -11,10 +11,10 @@ job.  At end of file (its server is gone) it exits.
 The service runs every admitted job in a fresh interpreter rather than a
 thread, which buys three guarantees a thread cannot give:
 
-* **cancellation** is a real SIGTERM — no cooperative polling threaded
-  through the pipeline, and a job's process executor children die with
-  it (the handler installed here SIGKILLs ``multiprocessing`` children
-  before re-delivering the signal);
+* **cancellation** is a real SIGTERM, under its default disposition — no
+  cooperative polling threaded through the pipeline (a torn publish's
+  ``*.tmp`` stays behind; the service sweeps the job dir once it has
+  reaped this process);
 * **crash isolation** — an OOM or interpreter abort takes down one job,
   not the server; the service requeues it and the relaunch *resumes*
   from its durable checkpoint (`resume=True` is unconditional: on a
@@ -36,9 +36,7 @@ definition, a crash.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import signal
 import sys
 import threading
 import time
@@ -66,29 +64,6 @@ _CONFIG_BUILDERS = {
     "de": RDFindConfig.direct_extraction,
     "nf": RDFindConfig.no_frequent_conditions,
 }
-
-
-def _install_signal_handlers() -> None:
-    """Make SIGTERM take the whole job down, pool children included.
-
-    The only handler in the worker: kill the executor's children, then
-    die with the signal's default disposition so the exit status is
-    honest.  A torn publish's ``*.tmp`` stays behind; the service sweeps
-    the job dir once it has reaped this process.
-    """
-
-    def handler(signum: int, _frame) -> None:
-        try:
-            for child in multiprocessing.active_children():
-                child.kill()
-        finally:
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
-
-    try:
-        signal.signal(signal.SIGTERM, handler)
-    except ValueError:  # pragma: no cover - non-main-thread embedding
-        pass
 
 
 def _load_dataset(request: JobRequest, snapshot_dir: Optional[str] = None):
@@ -119,8 +94,8 @@ def _build_config(
 
     ``resume=True`` unconditionally: a first attempt sees an empty
     checkpoint dir (clean run), a retried or server-restarted attempt
-    sees its predecessor's durable boundaries and skips them.  What the
-    request names wins over the settings.
+    sees its predecessor's durable boundaries and skips them.  A
+    request's ``crash_point`` joins the settings.
     """
     scope = (
         ConditionScope.predicates_only()
@@ -128,10 +103,6 @@ def _build_config(
         else ConditionScope.full()
     )
     overrides = dict(settings or {})
-    if request.executor is not None:
-        overrides["executor"] = request.executor
-    if request.workers is not None:
-        overrides["workers"] = request.workers
     if request.crash_point:
         overrides["crash_points"] = (request.crash_point,)
     return _CONFIG_BUILDERS[request.variant](
@@ -266,7 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             {"error": "usage: repro.server.worker <job-dir>|- [<settings-json>]"}
         ))
         return 2
-    _install_signal_handlers()
     job_dir = argv[0]
     if job_dir == "-":
         job_dir = sys.stdin.readline().rstrip("\n")

@@ -275,8 +275,8 @@ class SnapshotTermDictionary(TermDictionary):
         return _rebuild_eager_dictionary(self.terms())
 
     def __reduce__(self):
-        # mmap-backed views cannot cross a pickle boundary (the process
-        # executor pickles operator state); ship an eager copy instead.
+        # mmap-backed views cannot cross a pickle boundary; ship an
+        # eager copy instead.
         return (_rebuild_eager_dictionary, (list(self.terms()),))
 
 

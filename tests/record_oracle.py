@@ -158,9 +158,8 @@ def _dataflow_binary_counts(
 class _EvidenceEmitter:
     """The per-triple evidence function (Algorithm 2).
 
-    A module-level class rather than a closure so the process executor can
-    pickle it; the Bloom filters and rule set travel with the instance to
-    each pool worker once per stage.
+    A module-level class rather than a closure, like the engine's own
+    tasks; the Bloom filters and rule set travel with the instance.
     """
 
     __slots__ = ("projections", "unary_bloom", "binary_bloom", "rules", "allow_binary")
@@ -231,9 +230,6 @@ def _singleton_capture_set(pair: Tuple[int, int]) -> Set[int]:
 
 class _CandidateEmitter:
     """Per-group candidate-set producer (consumed by the fused reduce).
-
-    A module-level class so the fused combine task stays picklable under
-    the process executor.
     """
 
     __slots__ = ("masks", "average_load")

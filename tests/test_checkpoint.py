@@ -14,7 +14,6 @@ import os
 import pickle
 import subprocess
 import sys
-import time
 from unittest import mock
 
 import pytest
@@ -33,14 +32,7 @@ from repro.dataflow.checkpoint import (
     dataset_digest,
 )
 from repro.dataflow.engine import ExecutionEnvironment
-from repro.dataflow.executors import ProcessExecutor
-from repro.dataflow.faults import (
-    DRIVER_CRASH_EXIT_CODE,
-    FaultPlan,
-    RetryPolicy,
-    TaskTimeoutError,
-)
-from repro.dataflow.metrics import StageMetrics
+from repro.dataflow.faults import DRIVER_CRASH_EXIT_CODE, FaultPlan
 from repro.rdf.model import Dataset
 from tests.conftest import ar_set, cind_set, random_rdf, reaped_pid
 from tests.result_oracle import result_to_dict
@@ -77,13 +69,6 @@ class TestFingerprints:
         assert (
             checkpoint_fingerprint(RDFindConfig(support_threshold=2), encoded)
             == "f183b7bf5aa87cfca26b1480ccb6bf8e"
-        )
-        # The executor backend is part of a job's identity.
-        assert (
-            checkpoint_fingerprint(
-                RDFindConfig(support_threshold=2, executor="process"), encoded
-            )
-            == "af5d6a2a5b11445a31d085504a513ca9"
         )
         assert (
             JobRequest(dataset="Diseasome", support_threshold=10).fingerprint()
@@ -235,7 +220,6 @@ class TestManagerSteps:
         restored = second.step_dataset("cg", env, _fail_compute)
         assert restored.partitions == original
         second.close()
-        env.close()
 
     def test_non_resume_run_wipes_stale_steps(self, tmp_path):
         first = _manager(tmp_path)
@@ -346,8 +330,6 @@ class TestManagerSteps:
         stage_names = [stage.name for stage in env2.metrics.stages]
         assert "checkpoint/resume:fc" in stage_names
         second.close()
-        env.close()
-        env2.close()
 
 
 # ----------------------------------------------------------------------
@@ -509,8 +491,6 @@ class TestDiscoveryResume:
             RDFindConfig(
                 checkpoint_dir=str(tmp_path), crash_points=("sometime:fc",)
             )
-        with pytest.raises(ValueError):
-            RDFindConfig(task_timeout_seconds=0)
 
 
 def rewrite_as_version_1(directory):
@@ -595,20 +575,6 @@ class TestCLICrashResume:
         if crash_point != "before:fc":  # at least one phase was durable
             assert "resumed stages" in resumed.stdout
 
-    def test_process_executor_resume_byte_identical(self, tmp_path):
-        clean = _cli([*DISCOVER, "-o", "clean.json"], tmp_path)
-        assert clean.returncode == 0, clean.stderr
-        flags = [
-            "--executor", "process", "--workers", "2", "--checkpoint-dir", "ckpt",
-        ]
-        crashed = _cli([*DISCOVER, *flags, "--crash-point", "after:cg"], tmp_path)
-        assert crashed.returncode == DRIVER_CRASH_EXIT_CODE, crashed.stderr
-        resumed = _cli([*DISCOVER, *flags, "--resume", "-o", "resumed.json"], tmp_path)
-        assert resumed.returncode == 0, resumed.stderr
-        assert (tmp_path / "resumed.json").read_bytes() == (
-            tmp_path / "clean.json"
-        ).read_bytes()
-
     def test_crash_attempt_is_durable_across_resume(self, tmp_path):
         """The same --crash-point on the resume run must NOT re-fire."""
         ckpt = ["--checkpoint-dir", "ckpt"]
@@ -624,84 +590,6 @@ class TestCLICrashResume:
         result = _cli([*DISCOVER, "--checkpoint-dir", "blocker/nested"], tmp_path)
         assert result.returncode != 0
         assert "not a writable directory" in result.stderr
-
-
-# ----------------------------------------------------------------------
-# task timeouts (satellite: hung tasks become retryable faults)
-# ----------------------------------------------------------------------
-
-
-def _slow_once(marker_dir):
-    """Hang on the first attempt, succeed on the retry."""
-    marker = os.path.join(marker_dir, "attempted")
-    if not os.path.exists(marker):
-        with open(marker, "w") as stream:
-            stream.write("1")
-        time.sleep(30)
-    return "done"
-
-
-def _hang(_payload):
-    time.sleep(30)
-    return "never"
-
-
-def _raise_builtin_timeout(_payload):
-    raise TimeoutError("task-level timeout, not a hang")
-
-
-class TestTaskTimeout:
-    def test_hung_task_is_retried_on_fresh_pool(self, tmp_path):
-        executor = ProcessExecutor(
-            workers=1,
-            inline_threshold=0,
-            task_timeout_seconds=1.0,
-            retry_policy=RetryPolicy(max_retries=1, backoff_seconds=0.0),
-        )
-        stage = StageMetrics(name="work")
-        try:
-            results = executor.run(_slow_once, [str(tmp_path)], records=10, stage=stage)
-        finally:
-            executor.close()
-        assert results == ["done"]
-        assert stage.retries == 1
-
-    def test_always_hung_task_raises_typed_timeout(self, tmp_path):
-        executor = ProcessExecutor(
-            workers=1,
-            inline_threshold=0,
-            task_timeout_seconds=0.5,
-            retry_policy=RetryPolicy(max_retries=0),
-        )
-        stage = StageMetrics(name="work")
-        try:
-            with pytest.raises(TaskTimeoutError) as exc_info:
-                executor.run(_hang, [0], records=10, stage=stage)
-        finally:
-            executor.close()
-        assert exc_info.value.timeout_seconds == 0.5
-        # survives the pickle round-trip out of worker processes
-        clone = pickle.loads(pickle.dumps(exc_info.value))
-        assert isinstance(clone, TaskTimeoutError)
-
-    def test_unbounded_executor_keeps_builtin_timeouts_as_task_errors(self):
-        """Without a bound, a task raising TimeoutError is a normal failure
-        (py3.11+ aliases concurrent.futures.TimeoutError to the builtin)."""
-        executor = ProcessExecutor(
-            workers=1,
-            inline_threshold=0,
-            retry_policy=RetryPolicy(max_retries=0),
-        )
-        stage = StageMetrics(name="work")
-        try:
-            with pytest.raises(TimeoutError):
-                executor.run(_raise_builtin_timeout, [0], records=10, stage=stage)
-        finally:
-            executor.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(workers=1, task_timeout_seconds=0)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,6 @@ from repro.cli import _run_settings, build_parser, main
 #: The runtime flags as they once were on every RDFind-adjacent
 #: subcommand, each with a value to pass (``None``: a switch).
 _RUNTIME_FLAGS = {
-    "--executor": "serial",
-    "--workers": "2",
     "--faults": "1",
     "--max-retries": "1",
     "--shuffle": "spill",
@@ -22,7 +20,6 @@ _RUNTIME_FLAGS = {
     "--checkpoint-dir": "ckpt",
     "--resume": None,
     "--crash-point": "after:fc",
-    "--task-timeout-seconds": "1",
 }
 
 #: The subcommands that take the runtime flags.
@@ -79,6 +76,12 @@ class TestCli:
             discover + ["--storage", "strings"],
             discover + ["--planner", "static"],
             discover + ["--oom-recovery"],
+            discover + ["--executor", "serial"],
+            discover + ["--workers", "2"],
+            discover + ["--task-timeout-seconds", "1"],
+            ["serve", "--job-dir", "jobs", "--executor", "serial"],
+            ["serve", "--job-dir", "jobs", "--workers", "2"],
+            ["serve", "--job-dir", "jobs", "--task-timeout-seconds", "1"],
             ["snapshot", "save", "dataset:Countries", "-o", "c.snap", "--remap"],
             ["stream", "state", "-s", "5", "--no-fsync"],
         ):
@@ -105,17 +108,12 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_runtime_flags_arrive_as_config_keywords(self, tmp_path):
-        argv = ["discover", "dataset:Countries", "--executor", "process",
-                "--workers", "2", "--faults", "0", "--max-retries", "3",
-                "--task-timeout-seconds", "9",
+        argv = ["discover", "dataset:Countries", "--faults", "0", "--max-retries", "3",
                 "--checkpoint-dir", str(tmp_path / "ckpt"), "--resume",
                 "--crash-point", "after:fc", "--crash-point", "before:ex"]
         assert _run_settings(build_parser().parse_args(argv)) == {
-            "executor": "process",
-            "workers": 2,
             "fault_seed": 0,
             "max_retries": 3,
-            "task_timeout_seconds": 9.0,
             "checkpoint_dir": str(tmp_path / "ckpt"),
             "resume": True,
             "crash_points": ("after:fc", "before:ex"),
@@ -125,13 +123,14 @@ class TestCli:
         assert _run_settings(plain) == {}
 
     def test_serial_run_does_not_import_the_process_pool(self):
-        """``multiprocessing`` and the pool are imported where a pool is built."""
+        """A run starts no processes and logs nothing, so it imports
+        neither the process machinery nor ``logging``."""
         script = (
             "import sys; from repro.cli import main; "
             "code = main(['discover', 'dataset:Countries', '--scale', '0.05', "
-            "'-s', '5', '-n', '1', '--executor', 'serial']); "
-            "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules]; sys.exit(code or bool(loaded))"
+            "'-s', '5', '-n', '1']); "
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures', 'logging') "
+            "if m in sys.modules]; sys.exit(code or (f'loaded {loaded}' if loaded else 0))"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -304,11 +303,6 @@ class TestNumericFlags:
             (["discover", "dataset:Countries", "-s", "0"], "-s/--support", 0),
             (["discover", "dataset:Countries", "-s", "-3"], "-s/--support", -3),
             (["discover", "dataset:Countries", "-p", "0"], "-p/--parallelism", 0),
-            (
-                ["discover", "dataset:Countries", "--executor", "process", "--workers", "0"],
-                "--workers",
-                0,
-            ),
             (["funnel", "dataset:Countries", "-s", "0"], "-s/--support", 0),
             (["inds", "dataset:Countries", "-p", "-1"], "-p/--parallelism", -1),
             (["cross", "dataset:Countries", "dataset:Countries", "-s", "0"], "-s/--support", 0),
@@ -357,8 +351,6 @@ class TestNumericFlags:
              "--max-concurrent-jobs", "must be >= 1, got 0"),
             (["serve", "--job-dir", "d", "--max-queued-jobs", "-1"],
              "--max-queued-jobs", "must be >= 0, got -1"),
-            (["discover", "dataset:Countries", "--task-timeout-seconds", "0"],
-             "--task-timeout-seconds", "must be > 0, got 0.0"),
         ],
         ids=lambda part: "-".join(part) if isinstance(part, list) else None,
     )

@@ -170,14 +170,14 @@ class TestStageAccounting:
     """A keyed operator's two stages report one entry per worker."""
 
     def test_co_group_reports_one_entry_per_worker(self):
-        with env(3) as environment:
-            left = environment.from_collection(range(10), name="left")
-            right = environment.from_collection(range(5, 12), name="right")
-            left.co_group(
-                right, lambda x: x, lambda x: x, lambda k, l, r: [(k, l, r)], name="j"
-            )
-            shuffle_stage = environment.metrics.stage_by_name("j")
-            apply_stage = environment.metrics.stage_by_name("j/apply")
+        environment = env(3)
+        left = environment.from_collection(range(10), name="left")
+        right = environment.from_collection(range(5, 12), name="right")
+        left.co_group(
+            right, lambda x: x, lambda x: x, lambda k, l, r: [(k, l, r)], name="j"
+        )
+        shuffle_stage = environment.metrics.stage_by_name("j")
+        apply_stage = environment.metrics.stage_by_name("j/apply")
         # left + right of a worker summed: sizes 4,3,3 and 3,2,2
         assert shuffle_stage.records_in == [7, 5, 5]
         assert shuffle_stage.records_out == [7, 5, 5]
@@ -371,7 +371,6 @@ class TestBatchDatasets:
         stage = environment.metrics.stage_by_name("source/batches")
         assert stage.records_in == [3, 2]
         assert ds._partition_sizes() == [3, 2]
-        assert ds._total_records() == 5
 
     def test_from_batches_validates_shape(self):
         environment = env(2)

@@ -55,14 +55,11 @@ class TestConfig:
         }.items():
             monkeypatch.setenv(name, value)
         assert RDFindConfig() == RDFindConfig(
-            executor="serial",
-            workers=None,
             fault_seed=None,
             max_retries=None,
             checkpoint_dir=None,
             resume=False,
             crash_points=(),
-            task_timeout_seconds=None,
         )
         assert RDFindConfig().effective_fault_plan() is None
 
@@ -362,9 +359,8 @@ class TestStageNames:
         "ex/collect",
     ]
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_default_run_stage_sequence(self, executor):
+    def test_default_run_stage_sequence(self):
         dataset = registry.load("Countries", scale=0.1, encoded=True)
-        config = RDFindConfig(support_threshold=5, executor=executor, workers=2)
+        config = RDFindConfig(support_threshold=5)
         result = RDFind(config).discover(dataset)
         assert [stage.name for stage in result.metrics.stages] == self.DEFAULT_RUN

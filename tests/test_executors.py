@@ -1,15 +1,14 @@
-"""Executor backends: serial/process equivalence, stable hashing, OOM.
+"""The engine's routing and budget: stable hashing, round-robin overflow, OOM.
 
-The process backend must be a pure performance substitution: identical
-discovery output (CINDs, ARs, stage record counts), identical partition
-routing, and faithful error propagation.  These tests pin all three, plus
-the PYTHONHASHSEED regression for the stable hash partitioner.
+Partition routing must not depend on the interpreter's hash seed, and a
+blown per-worker memory budget must reach the driver with its fields
+intact.  These tests pin both, plus the PYTHONHASHSEED regression for the
+stable hash partitioner.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -17,27 +16,16 @@ import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.dataflow.engine import (
-    DataSet,
     ExecutionEnvironment,
     SimulatedOutOfMemory,
-    pair_key,
-    pair_value,
     stable_hash,
 )
-from repro.dataflow.executors import (
-    EXECUTOR_NAMES,
-    ProcessExecutor,
-    SerialExecutor,
-    create_executor,
-)
 from repro.dataflow.hashing import hash_partition
-from tests.conftest import ar_set, cind_set, random_rdf
+from tests.conftest import random_rdf
 
 
-def env(parallelism=4, executor="serial", **kwargs) -> ExecutionEnvironment:
-    return ExecutionEnvironment(
-        parallelism=parallelism, executor=executor, **kwargs
-    )
+def env(parallelism=4, **kwargs) -> ExecutionEnvironment:
+    return ExecutionEnvironment(parallelism=parallelism, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -134,116 +122,6 @@ class TestStableHash:
         assert len(outputs) == 1
 
 
-# ----------------------------------------------------------------------
-# backend construction
-# ----------------------------------------------------------------------
-
-
-class TestExecutorFactory:
-    def test_names(self):
-        assert EXECUTOR_NAMES == ("serial", "process")
-
-    def test_serial(self):
-        backend = create_executor("serial", 4)
-        assert isinstance(backend, SerialExecutor)
-        assert backend.workers == 1
-
-    def test_process_default_workers(self):
-        backend = create_executor("process", 4)
-        assert isinstance(backend, ProcessExecutor)
-        assert 1 <= backend.workers <= 4
-        backend.close()
-
-    def test_process_explicit_workers(self):
-        backend = create_executor("process", 4, workers=2)
-        assert backend.workers == 2
-        backend.close()
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            create_executor("threads", 4)
-
-    def test_config_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            RDFindConfig(executor="threads")
-
-    def test_env_context_manager_closes_pool(self):
-        with env(2, executor="process", workers=2) as environment:
-            data = environment.from_collection(range(10))
-            assert sorted(data.map(_identity, name="noop").collect()) == list(
-                range(10)
-            )
-        assert environment.executor._pool is None
-
-
-# ----------------------------------------------------------------------
-# engine-level equivalence
-# ----------------------------------------------------------------------
-
-
-def _double(x):
-    return x * 2
-
-
-def _expand(x):
-    return [x, -x]
-
-
-def _is_even(x):
-    return x % 2 == 0
-
-
-def _index_pairs(x):
-    return [(x % 5, 1), (x % 3, 1)]
-
-
-def _tag_partition(partition, worker):
-    return [(worker, item) for item in partition]
-
-
-def _join(key, left, right):
-    return [(key, len(left), len(right))]
-
-
-class TestEngineEquivalence:
-    """Every operator produces identical results under both backends."""
-
-    def run_pipeline(self, executor):
-        with env(4, executor=executor, workers=2) as environment:
-            data = environment.from_collection(range(40))
-            mapped = data.map(_double).flat_map(_expand).filter(_is_even)
-            tagged = mapped.map_partition(_tag_partition)
-            counts = data.flat_map(_index_pairs).reduce_by_key(
-                key_fn=pair_key,
-                value_fn=pair_value,
-                reduce_fn=_add,
-                name="counts",
-            )
-            fused = data.flat_map_reduce_by_key(
-                _index_pairs, _add, name="fused"
-            )
-            joined = counts.co_group(
-                fused, pair_key, pair_key, _join, name="join"
-            )
-            return {
-                "mapped": mapped.collect(),
-                "tagged": tagged.collect(),
-                "counts": counts.collect(),
-                "fused": fused.collect(),
-                "joined": joined.collect(),
-                "reduced_partitions": data.reduce_partitions(sum, _add),
-            }
-
-    def test_identical_results(self):
-        assert self.run_pipeline("serial") == self.run_pipeline("process")
-
-    def test_from_partitions_equivalence(self):
-        for executor in EXECUTOR_NAMES:
-            with env(2, executor=executor) as environment:
-                data = environment.from_partitions([[1], [2], [3], [4], [5]])
-                assert sorted(data.collect()) == [1, 2, 3, 4, 5]
-
-
 def _add(a, b):
     return a + b
 
@@ -263,44 +141,27 @@ class TestFromPartitionsRoundRobin:
 
 
 # ----------------------------------------------------------------------
-# OOM propagation from pool workers
+# OOM propagation from simulated workers
 # ----------------------------------------------------------------------
 
 
 class TestSimulatedOutOfMemory:
-    def test_pickle_roundtrip(self):
-        error = SimulatedOutOfMemory("stage-x", 123, 45)
-        clone = pickle.loads(pickle.dumps(error))
-        assert isinstance(clone, SimulatedOutOfMemory)
-        assert (clone.stage, clone.records, clone.budget) == ("stage-x", 123, 45)
-        assert "stage-x" in str(clone)
+    def test_raised_in_worker_reaches_driver(self):
+        """The budget check runs inside the combine task; a genuine OOM
+        is not retried and reaches the driver with its fields intact."""
+        environment = env(2, memory_budget=5)
+        data = environment.from_collection(range(100))
+        with pytest.raises(SimulatedOutOfMemory) as excinfo:
+            data.reduce_by_key(
+                key_fn=_identity, value_fn=_one, reduce_fn=_add, name="big"
+            )
+        assert excinfo.value.budget == 5
+        assert excinfo.value.stage == "big"
+        assert excinfo.value.records > 5
 
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_raised_in_worker_reaches_driver(self, executor):
-        """The budget check runs inside the combine task — under the
-        process backend that is a pool worker, so the exception must
-        pickle across the process boundary with its fields intact."""
-        with env(
-            2, executor=executor, workers=2, memory_budget=5
-        ) as environment:
-            data = environment.from_collection(range(100))
-            with pytest.raises(SimulatedOutOfMemory) as excinfo:
-                data.reduce_by_key(
-                    key_fn=_identity, value_fn=_one, reduce_fn=_add, name="big"
-                )
-            assert excinfo.value.budget == 5
-            assert excinfo.value.stage == "big"
-            assert excinfo.value.records > 5
-
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_discovery_oom_equivalent(self, executor):
+    def test_discovery_oom_equivalent(self):
         dataset = random_rdf(3, n_triples=200)
-        config = RDFindConfig(
-            support_threshold=2,
-            executor=executor,
-            workers=2,
-            memory_budget=40,
-        )
+        config = RDFindConfig(support_threshold=2, memory_budget=40)
         with pytest.raises(SimulatedOutOfMemory):
             RDFind(config).discover(dataset)
 
@@ -311,72 +172,3 @@ def _identity(x):
 
 def _one(_x):
     return 1
-
-
-# ----------------------------------------------------------------------
-# discovery-level equivalence (the acceptance criterion)
-# ----------------------------------------------------------------------
-
-
-def _discover(dataset, executor, **overrides):
-    config = RDFindConfig(
-        support_threshold=overrides.pop("support_threshold", 2),
-        executor=executor,
-        workers=overrides.pop("workers", 2),
-        **overrides,
-    )
-    return RDFind(config).discover(dataset)
-
-
-class TestDiscoveryEquivalence:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_datasets_identical(self, seed):
-        dataset = random_rdf(seed, n_triples=150)
-        serial = _discover(dataset, "serial")
-        process = _discover(dataset, "process")
-        # byte-identical: same CINDs in the same order, same supports
-        assert serial.cinds == process.cinds
-        assert serial.association_rules == process.association_rules
-        assert cind_set(serial) == cind_set(process)
-        assert ar_set(serial) == ar_set(process)
-
-    def test_table1_identical(self, table1_dataset):
-        serial = _discover(table1_dataset, "serial")
-        process = _discover(table1_dataset, "process")
-        assert serial.cinds == process.cinds
-        assert serial.association_rules == process.association_rules
-
-    def test_stage_record_counts_identical(self):
-        dataset = random_rdf(11, n_triples=150)
-        serial = _discover(dataset, "serial")
-        process = _discover(dataset, "process")
-        serial_stages = [
-            (stage.name, stage.total_in, stage.total_out, stage.shuffled_records)
-            for stage in serial.metrics.stages
-        ]
-        process_stages = [
-            (stage.name, stage.total_in, stage.total_out, stage.shuffled_records)
-            for stage in process.metrics.stages
-        ]
-        assert serial_stages == process_stages
-
-    def test_variants_identical(self, table1_dataset):
-        for builder in (
-            RDFindConfig.direct_extraction,
-            RDFindConfig.no_frequent_conditions,
-        ):
-            serial = RDFind(
-                builder(support_threshold=2, executor="serial", workers=2)
-            ).discover(table1_dataset)
-            process = RDFind(
-                builder(support_threshold=2, executor="process", workers=2)
-            ).discover(table1_dataset)
-            assert serial.cinds == process.cinds
-
-    def test_metrics_report_executor(self):
-        dataset = random_rdf(5, n_triples=60)
-        process = _discover(dataset, "process")
-        assert process.metrics.executor == "process"
-        assert process.metrics.workers >= 1
-        assert process.metrics.wall_clock_seconds > 0
-        assert process.summary()["executor"] == "process"

@@ -2,9 +2,8 @@
 
 The acceptance criterion mirrors Flink's recovery guarantee: with a seeded
 FaultPlan injecting transient failures, worker crashes, and stragglers,
-discovery output must be byte-identical to a fault-free run — on both the
-serial and the process backend — and the metrics must account for every
-injection and retry.
+discovery output must be byte-identical to a fault-free run, and the
+metrics must account for every injection and retry.
 """
 
 from __future__ import annotations
@@ -15,11 +14,7 @@ import pytest
 
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.dataflow.engine import SimulatedOutOfMemory
-from repro.dataflow.executors import (
-    EXECUTOR_NAMES,
-    ProcessExecutor,
-    SerialExecutor,
-)
+from repro.dataflow.executors import SerialExecutor
 from repro.dataflow.faults import (
     CRASH,
     OOM,
@@ -168,7 +163,7 @@ class TestSerialExecutorRecovery:
     def test_recovers_and_counts(self, kind):
         stage = StageMetrics(name="work")
         executor = SerialExecutor(fault_plan=_crash_forcing_plan(kind))
-        results = executor.run(_square, list(range(6)), records=6, stage=stage)
+        results = executor.run(_square, list(range(6)), stage=stage)
         assert results == [x * x for x in range(6)]
         assert stage.faults_injected == 1
         assert stage.retries == 1
@@ -185,7 +180,7 @@ class TestSerialExecutorRecovery:
         )
         stage = StageMetrics(name="work")
         executor = SerialExecutor(fault_plan=plan)
-        assert executor.run(_square, [3], records=1, stage=stage) == [9]
+        assert executor.run(_square, [3], stage=stage) == [9]
         assert stage.faults_injected == 1
         assert stage.retries == 0
 
@@ -203,7 +198,7 @@ class TestSerialExecutorRecovery:
             retry_policy=RetryPolicy(max_retries=2), fault_plan=plan
         )
         with pytest.raises(InjectedTaskFault):
-            executor.run(_square, [1], records=1, stage=stage)
+            executor.run(_square, [1], stage=stage)
         assert stage.retries == 2
 
     def test_genuine_error_without_plan_retries(self):
@@ -217,87 +212,8 @@ class TestSerialExecutorRecovery:
 
         stage = StageMetrics(name="work")
         executor = SerialExecutor()
-        assert executor.run(flaky, [7], records=1, stage=stage) == [7]
+        assert executor.run(flaky, [7], stage=stage) == [7]
         assert stage.retries == 1
-
-
-class TestProcessExecutorRecovery:
-    def _run(self, plan, payload_count=6, **kwargs):
-        stage = StageMetrics(name="work")
-        executor = ProcessExecutor(
-            workers=2, inline_threshold=0, fault_plan=plan, **kwargs
-        )
-        try:
-            results = executor.run(
-                _square,
-                list(range(payload_count)),
-                records=payload_count,
-                stage=stage,
-            )
-        finally:
-            executor.close()
-        return results, stage
-
-    def test_transient_fault_recovered_in_pool(self):
-        results, stage = self._run(_crash_forcing_plan(TRANSIENT))
-        assert results == [x * x for x in range(6)]
-        assert stage.faults_injected == 1
-        assert stage.retries == 1
-
-    def test_worker_crash_rebuilds_pool_once(self):
-        """An injected BrokenExecutor travels the real pool-breakage path:
-        teardown, one rebuild, replay of the unfinished tasks."""
-        results, stage = self._run(_crash_forcing_plan(CRASH))
-        assert results == [x * x for x in range(6)]
-        assert stage.faults_injected == 1
-        assert stage.retries >= 1
-
-    def test_injected_oom_is_retried(self):
-        results, stage = self._run(_crash_forcing_plan(OOM))
-        assert results == [x * x for x in range(6)]
-        assert stage.retries == 1
-
-    def test_below_threshold_runs_inline_with_recovery(self):
-        stage = StageMetrics(name="work")
-        executor = ProcessExecutor(fault_plan=_crash_forcing_plan(TRANSIENT), workers=2)
-        # records=None means "size unknown" and must run inline (no pool).
-        results = executor.run(_square, list(range(4)), records=None, stage=stage)
-        assert results == [x * x for x in range(4)]
-        assert executor._pool is None
-        executor.close()
-
-
-# ----------------------------------------------------------------------
-# exceptions survive pickling (pool boundary + retry replay)
-# ----------------------------------------------------------------------
-
-
-class TestFaultExceptionPickling:
-    def test_oom_survives_retry_and_reraise_cycle(self):
-        """The __reduce__ satellite: catch, pickle, unpickle, re-raise —
-        the cycle a pool worker's failure goes through — must preserve
-        the structured fields each time around."""
-        original = SimulatedOutOfMemory("cg/group-by-value", 999, 100)
-        for _round in range(3):
-            payload = pickle.dumps(original)
-            clone = pickle.loads(payload)
-            with pytest.raises(SimulatedOutOfMemory) as excinfo:
-                raise clone
-            original = excinfo.value
-        assert (original.stage, original.records, original.budget) == (
-            "cg/group-by-value",
-            999,
-            100,
-        )
-
-    def test_injected_fault_pickles(self):
-        clone = pickle.loads(pickle.dumps(InjectedTaskFault("s", 3, 1)))
-        assert (clone.stage, clone.task_index, clone.attempt) == ("s", 3, 1)
-
-    def test_worker_crash_pickles(self):
-        clone = pickle.loads(pickle.dumps(SimulatedWorkerCrash("s", 2, 0)))
-        assert isinstance(clone, SimulatedWorkerCrash)
-        assert (clone.stage, clone.task_index, clone.attempt) == ("s", 2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -315,21 +231,17 @@ PHASE_FAULTS = (
 )
 
 
-def _discover(dataset, executor, **overrides):
+def _discover(dataset, **overrides):
     config = RDFindConfig(
-        support_threshold=overrides.pop("support_threshold", 2),
-        executor=executor,
-        workers=overrides.pop("workers", 2),
-        **overrides,
+        support_threshold=overrides.pop("support_threshold", 2), **overrides
     )
     return RDFind(config).discover(dataset)
 
 
 class TestFaultyDiscoveryEquivalence:
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_forced_phase_faults_recovered(self, executor):
+    def test_forced_phase_faults_recovered(self):
         dataset = random_rdf(3, n_triples=200)
-        clean = _discover(dataset, executor)
+        clean = _discover(dataset)
         plan = FaultPlan(
             seed=0,
             transient_rate=0.0,
@@ -337,7 +249,7 @@ class TestFaultyDiscoveryEquivalence:
             straggler_rate=0.0,
             forced=PHASE_FAULTS,
         )
-        faulty = _discover(dataset, executor, fault_plan=plan)
+        faulty = _discover(dataset, fault_plan=plan)
         assert faulty.cinds == clean.cinds
         assert faulty.association_rules == clean.association_rules
         assert cind_set(faulty) == cind_set(clean)
@@ -346,11 +258,10 @@ class TestFaultyDiscoveryEquivalence:
         assert faulty.metrics.total_retries >= len(PHASE_FAULTS)
         assert clean.metrics.total_faults_injected == 0
 
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_seeded_random_faults_recovered(self, executor):
+    def test_seeded_random_faults_recovered(self):
         dataset = random_rdf(5, n_triples=150)
-        clean = _discover(dataset, executor)
-        faulty = _discover(dataset, executor, fault_seed=1234)
+        clean = _discover(dataset)
+        faulty = _discover(dataset, fault_seed=1234)
         assert faulty.cinds == clean.cinds
         assert faulty.association_rules == clean.association_rules
         # The default rates hit a ~190-stage pipeline with certainty.
@@ -364,7 +275,7 @@ class TestFaultyDiscoveryEquivalence:
 
     def test_summary_reports_fault_counters(self):
         dataset = random_rdf(5, n_triples=60)
-        result = _discover(dataset, "serial", fault_seed=7)
+        result = _discover(dataset, fault_seed=7)
         summary = result.metrics.summary()
         assert summary["faults_injected"] == result.metrics.total_faults_injected
         assert summary["retries"] == result.metrics.total_retries

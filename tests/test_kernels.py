@@ -13,7 +13,6 @@ import operator
 import tempfile
 from dataclasses import replace
 from functools import partial
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,7 +30,6 @@ from repro.dataflow.engine import (
     SimulatedOutOfMemory,
     record_cells,
 )
-from repro.dataflow.executors import ProcessExecutor, create_executor
 from repro.dataflow.kernels import (
     EvidenceBatchKernel,
     batch_dataset,
@@ -106,28 +104,24 @@ class TestTripleBatches:
 # ----------------------------------------------------------------------
 
 
-def kernel_env(executor="serial", memory_budget=None):
-    return ExecutionEnvironment(
-        parallelism=3, executor=executor, memory_budget=memory_budget
-    )
+def kernel_env(memory_budget=None):
+    return ExecutionEnvironment(parallelism=3, memory_budget=memory_budget)
 
 
 class TestKernelOracles:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_unary_counts_match_per_triple_counters(self, executor):
+    def test_unary_counts_match_per_triple_counters(self):
         encoded = random_rdf(11, n_triples=90).encode()
         scope = ConditionScope.full()
-        oracle_env, env = kernel_env(), kernel_env(executor)
+        oracle_env, env = kernel_env(), kernel_env()
         oracle, _frequent = record_oracle._dataflow_unary_counts(
             oracle_env, oracle_env.from_collection(encoded), scope, 2
         )
         assert unary_counts_kernel(env, batch_dataset(env, encoded), scope, 2) == oracle
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_binary_counts_match_algorithm_1(self, executor):
+    def test_binary_counts_match_algorithm_1(self):
         encoded = random_rdf(12, n_triples=90).encode()
         scope = ConditionScope.full()
-        oracle_env, env = kernel_env(), kernel_env(executor)
+        oracle_env, env = kernel_env(), kernel_env()
         triples = oracle_env.from_collection(encoded)
         unary, _frequent = record_oracle._dataflow_unary_counts(
             oracle_env, triples, scope, 2
@@ -139,13 +133,12 @@ class TestKernelOracles:
         batches = batch_dataset(env, encoded)
         assert binary_counts_kernel(env, batches, scope, bloom, 2) == oracle
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("pruned", [False, True])
-    def test_capture_groups_match_algorithm_2(self, executor, pruned):
-        self.check_capture_groups(executor, pruned)
+    def test_capture_groups_match_algorithm_2(self, pruned):
+        self.check_capture_groups(pruned)
 
     @staticmethod
-    def check_capture_groups(executor, pruned, memory_budget=None):
+    def check_capture_groups(pruned, memory_budget=None):
         encoded = random_rdf(14, n_triples=120, n_subjects=8, n_objects=8).encode()
         scope = ConditionScope.full()
         frequent = None
@@ -154,7 +147,7 @@ class TestKernelOracles:
             frequent = detect_frequent_conditions(
                 fc_env, batch_dataset(fc_env, encoded), h=2, scope=scope
             )
-        oracle_env, env = kernel_env(executor), kernel_env(executor, memory_budget)
+        oracle_env, env = kernel_env(), kernel_env(memory_budget)
         oracle = record_oracle.create_capture_groups(
             oracle_env, batch_dataset(oracle_env, encoded), scope, frequent
         ).partitions
@@ -166,11 +159,8 @@ class TestKernelOracles:
         assert kernel == oracle
 
     @pytest.mark.parametrize("fold_rows", [1, 2, 7])
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("pruned", [False, True])
-    def test_capture_groups_across_fold_chunks(
-        self, monkeypatch, fold_rows, executor, pruned
-    ):
+    def test_capture_groups_across_fold_chunks(self, monkeypatch, fold_rows, pruned):
         """A 40-row batch folded 1, 2 and 7 rows at a time: every chunk
         boundary hands the engine's combiner keys it has and has not seen,
         and the partitions — order included — stay the per-triple ones.
@@ -179,7 +169,7 @@ class TestKernelOracles:
         from repro.dataflow import kernels
 
         monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", fold_rows)
-        self.check_capture_groups(executor, pruned, memory_budget=10**9)
+        self.check_capture_groups(pruned, memory_budget=10**9)
 
     @given(
         st.lists(st.integers(0, 400), max_size=40),
@@ -223,14 +213,13 @@ class TestKernelOracles:
         with pytest.raises(ValueError, match="term ids"):
             create_capture_groups(env, batch_dataset(env, encoded))
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("balance", [False, True])
-    def test_shared_refs_match_per_dependent_candidates(self, executor, balance):
+    def test_shared_refs_match_per_dependent_candidates(self, balance):
         encoded = random_rdf(16, n_triples=150, n_subjects=8, n_objects=8).encode()
         config = ExtractionConfig(h=2, balance_dominant_groups=balance)
 
         def extract():
-            env = kernel_env(executor)
+            env = kernel_env()
             groups = create_capture_groups(env, batch_dataset(env, encoded))
             return extract_broad_cinds(env, groups, config)
 
@@ -355,16 +344,7 @@ _VARIANTS = {
 }
 
 
-def _pooled_executor(name, parallelism, workers=None, **kwargs):
-    """``create_executor`` whose process backend never falls back to inline
-    execution, so tiny drawn datasets still cross the pool's pickling."""
-    if name == "process":
-        return ProcessExecutor(workers, inline_threshold=0, **kwargs)
-    return create_executor(name, parallelism, workers, **kwargs)
-
-
 class TestDifferential:
-    @mock.patch("repro.dataflow.engine.create_executor", _pooled_executor)
     @settings(
         max_examples=40,
         deadline=None,
@@ -374,7 +354,6 @@ class TestDifferential:
         rows=_datasets,
         scope=st.sampled_from(sorted(_SCOPES)),
         variant=st.sampled_from(sorted(_VARIANTS)),
-        executor=st.sampled_from(["serial", "process"]),
         h=st.integers(min_value=1, max_value=3),
         # Saturated to roomy candidate filters: all three cases of
         # Algorithm 3 and the validation pass on int filters.
@@ -390,16 +369,14 @@ class TestDifferential:
         memory_budget=st.sampled_from([None, 10**9]),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
-        self, rows, scope, variant, executor, h, bloom_bits,
-        bloom_hashes, fault_seed, max_retries, checkpointed, memory_budget,
+        self, rows, scope, variant, h, bloom_bits, bloom_hashes,
+        fault_seed, max_retries, checkpointed, memory_budget,
     ):
         dataset = Dataset.from_tuples(rows)
         config = _VARIANTS[variant](
             support_threshold=h,
             parallelism=3,
             scope=_SCOPES[scope](),
-            executor=executor,
-            workers=2,
             candidate_bloom_bits=bloom_bits,
             candidate_bloom_hashes=bloom_hashes,
             fault_seed=fault_seed,
@@ -464,7 +441,6 @@ class TestMemoryBudgetVerdicts:
         config = _VARIANTS[variant](
             support_threshold=5,
             memory_budget=self.BUDGET,
-            executor="serial",
         )
         stage, records = self.verdict(lambda: RDFind(config).discover(dataset))
         assert stage == self.EXPECTED[variant]

@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import _load_input
 from repro.core.discovery import RDFind, RDFindConfig
-from repro.core.framing import atomic_write_json
+from repro.core.framing import atomic_write_json, fingerprint_fields
 from repro.dataflow.metrics import JobMetrics, StageMetrics
 from repro.server import (
     DiscoveryServer,
@@ -371,8 +371,9 @@ class TestRecovery:
         )
         manifest = os.path.join(checkpoint_dir, "manifest.json")
         atomic_write_json(manifest, dict(read_json(manifest), mode="phase"))
-        store.save(dataclasses.replace(record, state="running", attempts=1))
-        assert read_json(store.record_path(record.id))["request"]["executor"] is None
+        document = dataclasses.replace(record, state="running", attempts=1).to_json()
+        document["request"].update(executor=None, workers=None)
+        atomic_write_json(store.record_path(record.id), document)
         server, client = make_server(job_dir)
         try:
             final = client.wait(record.id, timeout=120)
@@ -661,30 +662,105 @@ class TestWarmWorkers:
 
 
 class TestRunSettings:
-    def test_server_settings_reach_the_worker_and_pin_the_executor(self, tmp_path):
+    def test_server_settings_reach_the_worker(self, tmp_path):
         """``serve``'s runtime flags travel to every worker on its command
-        line; a request that names no executor gets the server's."""
-        server, client = make_server(
-            tmp_path / "jobs",
-            run_settings={
-                "executor": "process",
-                "workers": 2,
-                "fault_seed": 3,
-            },
-        )
+        line; the faults they inject leave the result bytes alone."""
+        server, client = make_server(tmp_path / "jobs", run_settings={"fault_seed": 3})
         try:
             job = client.submit(**COUNTRIES)
             final = client.wait(job["id"], timeout=300)
-            assert final["request"]["executor"] == "process"
-            summary = final["progress"]["summary"]
-            assert summary["executor"] == "process"
-            assert summary["faults_injected"] > 0
+            assert final["progress"]["summary"]["faults_injected"] > 0
             assert client.raw_result(job["id"]) == direct_bytes(
                 "dataset:Countries", 5, scale=0.25
             )
-            # The pinned request is what the cache keys on.
-            again = client.submit(**COUNTRIES, executor="process")
+            again = client.submit(**COUNTRIES)
             assert again["id"] == job["id"] and again["cache"] == "hit"
+        finally:
+            server.stop()
+
+
+#: A field of a ``POST /jobs`` body with a value that must be refused, not
+#: coerced: a bool is no count, a string no number, a count is whole.
+_BAD_FIELDS = [
+    ("support_threshold", True),
+    ("support_threshold", 2.9),
+    ("support_threshold", "7"),
+    ("parallelism", False),
+    ("parallelism", 4.0),
+    ("scale", "nan"),
+    ("scale", float("nan")),
+    ("scale", float("inf")),
+    ("scale", True),
+    ("scale", 0),
+    ("hold", "false"),
+    ("hold", 1),
+    ("scope", 5),
+    ("variant", ["rdfind"]),
+    ("crash_point", 7),
+    ("executor", "process"),
+    ("executor", "threads"),
+    ("workers", 2),
+    ("workers", 0),
+]
+
+
+class TestRequestBodies:
+    @pytest.mark.parametrize(
+        "field, value", _BAD_FIELDS, ids=[f"{name}={value!r}" for name, value in _BAD_FIELDS]
+    )
+    def test_a_bad_field_is_a_400_naming_it(self, served, field, value):
+        _server, client, _job = served
+        before = client.jobs()
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(**{**COUNTRIES, field: value})
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.payload["error"]
+        assert client.jobs() == before
+
+
+class TestOlderStores:
+    def test_a_store_from_before_the_pool_went_carries_over(self, tmp_path, tiny_nt):
+        """Finished records as the release with the process pool wrote
+        them: ``executor`` pinned to ``"serial"`` at admission, or null from
+        before pinning, and ``workers`` null.  A new service recovers both,
+        and resubmitting the first request is a cache hit on the same job
+        with the same result bytes."""
+        from repro.server import worker
+
+        store = JobStore(str(tmp_path / "jobs"))
+        ids = []
+        for h, executor in ((2, "serial"), (3, None)):
+            record = store.create(JobRequest(dataset=tiny_nt, support_threshold=h))
+            assert worker.run_job(store.job_dir(record.id)) == 0
+            metrics = read_json(store.metrics_path(record.id))
+            metrics["summary"].update(executor="serial", workers=1)
+            atomic_write_json(store.metrics_path(record.id), metrics)
+            document = dict(
+                record.to_json(),
+                # An unset executor was keyed as "serial" then too.
+                fingerprint=fingerprint_fields(
+                    dataset=tiny_nt, scale=1.0, h=h, scope="full", variant="rdfind",
+                    parallelism=4, executor="serial", workers=None, hold=False,
+                    crash_point=None,
+                ),
+                state="succeeded",
+                started=record.created,
+                finished=record.created,
+                attempts=1,
+                result_summary=store.outcome(record.id)["summary"],
+            )
+            document["request"].update(executor=executor, workers=None)
+            atomic_write_json(store.record_path(record.id), document)
+            ids.append(record.id)
+        server, client = make_server(tmp_path / "jobs")
+        try:
+            jobs = client.jobs()
+            assert [job["id"] for job in jobs] == ids
+            assert {job["state"] for job in jobs} == {"succeeded"}
+            again = client.submit(dataset=tiny_nt, support_threshold=2)
+            assert again["id"] == ids[0] and again["cache"] == "hit"
+            assert client.raw_result(ids[0]) == direct_bytes(tiny_nt, 2)
+            assert server.service.started_jobs == 0
         finally:
             server.stop()
 
@@ -695,7 +771,8 @@ class TestWorkerJob:
         probe = (
             "import sys, repro.server.worker; "
             "print(sorted(m for m in sys.modules if m in "
-            "('http.server', 'urllib.request') or m.startswith('repro.apps')))"
+            "('http.server', 'urllib.request', 'multiprocessing', "
+            "'concurrent.futures', 'logging') or m.startswith('repro.apps')))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],
@@ -760,8 +837,8 @@ class TestStore:
             JobRequest(dataset="Countries", scope="bogus")
         with pytest.raises(ValueError):
             JobRequest(dataset="Countries", variant="bogus")
-        with pytest.raises(ValueError):
-            JobRequest(dataset="Countries", executor="threads")
+        with pytest.raises(ValueError, match="executor"):
+            JobRequest.from_json({"dataset": "Countries", "executor": "threads"})
         with pytest.raises(ValueError):
             JobRequest.from_json({"dataset": "Countries", "zork": 1})
         with pytest.raises(ValueError, match="unknown request fields: storage"):
@@ -777,11 +854,10 @@ class TestStore:
             request.fingerprint()
             != JobRequest(dataset="Countries", support_threshold=8).fingerprint()
         )
-        # An explicit "serial" and an unset executor (RDFindConfig's
-        # default) fingerprint the same, so they share one cache entry.
-        explicit = JobRequest(dataset="Countries", executor="serial")
-        implicit = JobRequest(dataset="Countries")
-        assert explicit.fingerprint() == implicit.fingerprint()
+        # A stored request's "serial" executor is dropped on load, so it
+        # shares one cache entry with a request that names none.
+        explicit = JobRequest.from_json({"dataset": "Countries", "executor": "serial"})
+        assert explicit == JobRequest(dataset="Countries")
 
     def test_find_by_fingerprint_preferences(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"))
@@ -820,7 +896,7 @@ class TestStore:
 
 class TestMetricsSatellite:
     def test_to_dict_is_json_safe_and_summary_matches(self):
-        metrics = JobMetrics(job_name="probe", parallelism=2, executor="serial")
+        metrics = JobMetrics(job_name="probe", parallelism=2)
         stage = StageMetrics(name="fc")
         stage.partition_seconds.extend([0.25, 0.75])
         stage.records_in.extend([10, 20])

@@ -142,8 +142,8 @@ class TestLazyDictionary:
         assert len(loaded.dictionary) == len(encoded.dictionary) + 1
 
     def test_pickles_to_plain_dictionary(self, tmp_path):
-        # the process executor pickles operator state; mmap views can't
-        # cross that boundary, so the lazy dictionary ships eagerly
+        # mmap views can't cross a pickle boundary, so the lazy
+        # dictionary ships eagerly
         encoded = random_rdf(47, n_triples=40).encode()
         _path, _header, loaded = roundtrip(tmp_path, encoded)
         clone = pickle.loads(pickle.dumps(loaded.dictionary))
@@ -250,24 +250,21 @@ class TestCorruptionRecovery:
         assert "st_mtime_ns" not in snapshot_cache_fields("dataset:Countries")
 
 
-def discovery_json(dataset, executor):
-    config = RDFindConfig(
-        support_threshold=5, parallelism=2, executor=executor
-    )
+def discovery_json(dataset):
+    config = RDFindConfig(support_threshold=5, parallelism=2)
     result = RDFind(config).discover(dataset)
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
 class TestDiscoveryByteIdentity:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_snapshot_loaded_discovery_is_byte_identical(self, tmp_path, executor):
+    def test_snapshot_loaded_discovery_is_byte_identical(self, tmp_path):
         dataset = random_rdf(61, n_triples=120)
         encoded = dataset.encode()
-        reference = discovery_json(encoded, executor)
+        reference = discovery_json(encoded)
         path = str(tmp_path / "d.snap")
         save_snapshot(encoded, path)
         loaded = load_snapshot(path)
-        assert discovery_json(loaded, executor) == reference
+        assert discovery_json(loaded) == reference
 
 
 def run_cli(capsys, *argv):
