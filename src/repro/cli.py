@@ -1007,7 +1007,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # stdout's reader left (``rdfind … | head``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports; not a traceback
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,6 @@ Section 8.5.
 
 from __future__ import annotations
 
-import operator
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.core.cind import unary_part_codes
@@ -37,6 +36,10 @@ from repro.dataflow.engine import DataSet, ExecutionEnvironment
 #: A capture group: the captures that share one common value, each as its
 #: :func:`~repro.core.cind.capture_code`.
 CaptureGroup = FrozenSet[int]
+
+#: A value's evidence codes in ``cg/group-by-value``: one fold's, in
+#: first-insertion order, or the merge ``(a, b)`` of two.
+Evidence = Tuple
 
 
 def expand_captures(codes: Set[int]) -> CaptureGroup:
@@ -65,7 +68,8 @@ def create_capture_groups(
     Returns a :class:`~repro.dataflow.engine.DataSet` of
     :data:`CaptureGroup` (frozensets of capture codes); the grouping values are
     discarded after aggregation, as in the paper ("the system discards the
-    values as they are no longer needed").
+    values as they are no longer needed").  Before ``cg/expand`` a value's
+    codes are :data:`Evidence` tuples: no group is also held as a set.
 
     Parameters
     ----------
@@ -87,11 +91,9 @@ def create_capture_groups(
     from repro.dataflow.kernels import EvidenceBatchKernel
 
     scope = scope if scope is not None else ConditionScope.full()
-    # The aggregation owns its accumulator sets, so the in-place union is
-    # safe; it is a left fold, so every evidence is inserted once.
     grouped = batches.flat_map_reduce_by_key(
         EvidenceBatchKernel(scope, frequent),
-        operator.ior,
+        merge_evidence,
         name="cg/group-by-value",
     )
     # Round-robin the groups before the expensive per-group work: the hash
@@ -103,7 +105,26 @@ def create_capture_groups(
     return rebalanced.map(_expand_group_value, name="cg/expand")
 
 
-def _expand_group_value(pair: Tuple[int, Set[int]]) -> CaptureGroup:
+def merge_evidence(a: Evidence, b: Evidence) -> Evidence:
+    """The ``cg/group-by-value`` reduce; :func:`evidence_set` replays it."""
+    return (a, b)
+
+
+def evidence_set(evidence: Evidence) -> Set[int]:
+    """The set a fold of sets builds (codes added one by one, a merge as
+    ``a |= b``): its history fixes the group's member order, which the
+    priced candidate state's running peak follows."""
+    rights = []
+    while type(evidence[0]) is not int:  # walk down the merges' left spine
+        evidence, right = evidence
+        rights.append(right)
+    codes = set(evidence)
+    for right in reversed(rights):
+        codes |= evidence_set(right)
+    return codes
+
+
+def _expand_group_value(pair: Tuple[int, Evidence]) -> CaptureGroup:
     """Drop the grouping value and expand subsumed unary captures."""
-    return expand_captures(pair[1])
+    return expand_captures(evidence_set(pair[1]))
 

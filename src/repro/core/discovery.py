@@ -415,12 +415,14 @@ class RDFind:
         def compute_extraction():
             # Nesting the cg boundary inside the ex compute means a
             # resume whose ex checkpoint is intact never touches
-            # CGCreator at all — the whole prefix is skipped.
+            # CGCreator at all — the whole prefix is skipped.  The groups
+            # are passed, not bound: from CPython 3.11, which hands a call's
+            # arguments to the callee, pruning then frees the unpruned ones.
             if manager is None:
-                groups = compute_groups()
-            else:
-                groups = manager.step_dataset("cg", env, compute_groups)
-            return extract_broad_cinds(env, groups, extraction_config)
+                return extract_broad_cinds(env, compute_groups(), extraction_config)
+            return extract_broad_cinds(
+                env, manager.step_dataset("cg", env, compute_groups), extraction_config
+            )
 
         broad, extraction_stats = step("ex", compute_extraction)
         captures = _Memo(code_capture)

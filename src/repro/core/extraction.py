@@ -231,7 +231,7 @@ def _support_at_least(h: int, pair) -> bool:
 
 
 def _difference_from(prunable: FrozenSet[int], group: FrozenSet[int]):
-    return group.difference(prunable)
+    return group if group.isdisjoint(prunable) else group.difference(prunable)
 
 
 def _prune_capture_support(

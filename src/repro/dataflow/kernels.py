@@ -19,7 +19,7 @@ record-at-a-time transcriptions of Algorithms 1-2 in
   as per-triple counters; their consumers (Bloom unions, sorted AR
   lists, sorted final output) do not depend on dict order.
 * The capture-group kernel (:class:`EvidenceBatchKernel`) folds evidences
-  into a ``value -> {codes}`` dict (a whole partition at once, or
+  into a ``value -> (codes)`` table (a whole partition at once, or
   :data:`EVIDENCE_FOLD_ROWS` triples at a time for a priced combiner) in
   exactly the per-triple, per-projection order of Algorithm 2 — batch
   ``i`` holds round-robin partition ``i``'s triples in partition order —
@@ -228,8 +228,9 @@ class EvidenceBatchKernel:
     Evidences — a capture is its :func:`~repro.core.cind.capture_code` —
     are folded per value in per-triple, per-projection order: ``fold``
     builds a partition's table in one pass, and the generator yields a
-    chunk's ``(value, {codes})`` pairs as first seen (for a priced
-    combiner, which charges them one by one).
+    chunk's ``(value, (codes))`` pairs as first seen (for a priced
+    combiner, which charges them one by one), each value's codes as a
+    tuple in first-insertion order (``capture_groups.Evidence``).
 
     The passing ids are computed once per batch and condition attribute
     (:func:`_passing_ids`) and shared by all projections; each
@@ -260,20 +261,22 @@ class EvidenceBatchKernel:
             self.rules = frozenset()
         self.allow_binary = scope.allow_binary
 
-    def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Set[int]]]:
+    def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         fold_rows = self._row_folder(batch)
         for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
             stop = start + EVIDENCE_FOLD_ROWS
-            table: Dict[int, Set[int]] = defaultdict(set)
+            table: Dict = defaultdict(dict)
             fold_rows(zip(*(column[start:stop] for column in batch.columns)), table)
-            yield from table.items()
+            yield from zip(table, map(tuple, table.values()))
 
-    def fold(self, partition: List[TripleBatch], _reduce_fn) -> Dict[int, Set[int]]:
-        """The whole partition's evidences in one table (the stage's
-        reduce is set union): no chunk tables, nothing folded twice."""
-        table: Dict[int, Set[int]] = defaultdict(set)
+    def fold(self, partition: List[TripleBatch], _reduce_fn) -> Dict[int, Tuple[int, ...]]:
+        """The whole partition's evidences in one table: no chunk tables,
+        nothing folded twice."""
+        table: Dict = defaultdict(dict)
         for batch in partition:
             self._row_folder(batch)(zip(*batch.columns), table)
+        for value, codes in table.items():
+            table[value] = tuple(codes)
         return table
 
     def _row_folder(self, batch: TripleBatch):
@@ -311,16 +314,16 @@ class EvidenceBatchKernel:
         rules = self.rules
         allow_binary = self.allow_binary
 
-        def fold_rows(rows, table: Dict[int, Set[int]]) -> None:
+        def fold_rows(rows, table: Dict[int, Dict[int, None]]) -> None:
             for row in rows:
                 for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
                     beta_code = beta_codes.get(row[beta])
                     gamma_code = gamma_codes.get(row[gamma])
                     if beta_code is None:
                         if gamma_code is not None:
-                            table[row[alpha]].add(gamma_code)
+                            table[row[alpha]][gamma_code] = None
                     elif gamma_code is None:
-                        table[row[alpha]].add(beta_code)
+                        table[row[alpha]][beta_code] = None
                     else:
                         pair = (row[beta], row[gamma])
                         codes = pairs.get(pair)
@@ -334,9 +337,9 @@ class EvidenceBatchKernel:
                                 and ((beta, v_beta), (gamma, v_gamma)) not in rules
                                 and ((gamma, v_gamma), (beta, v_beta)) not in rules
                             ):
-                                codes = (capture_code((alpha, binary)),)
+                                codes = {capture_code((alpha, binary)): None}
                             else:
-                                codes = (beta_code, gamma_code)
+                                codes = {beta_code: None, gamma_code: None}
                             pairs[pair] = codes
                         table[row[alpha]].update(codes)
 

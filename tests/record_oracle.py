@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 from unittest import mock
 
 from repro.core import discovery, extraction
-from repro.core.capture_groups import _expand_group_value
+from repro.core.capture_groups import expand_captures
 from repro.core.cind import Capture, capture_code
 from repro.core.conditions import (
     BinaryCondition,
@@ -228,6 +228,11 @@ def _singleton_capture_set(pair: Tuple[int, int]) -> Set[int]:
     return {pair[1]}
 
 
+def _expand_set_value(pair: Tuple[int, Set[int]]) -> FrozenSet[int]:
+    """Drop the grouping value and expand subsumed unary captures."""
+    return expand_captures(pair[1])
+
+
 class _CandidateEmitter:
     """Per-group candidate-set producer (consumed by the fused reduce).
     """
@@ -333,7 +338,7 @@ def create_capture_groups(
         name="cg/group-by-value",
     )
     return grouped.rebalance(name="cg/rebalance").map(
-        _expand_group_value, name="cg/expand"
+        _expand_set_value, name="cg/expand"
     )
 
 

@@ -139,6 +139,25 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr.decode()
 
+    def test_a_closed_pipe_ends_quietly(self):
+        """``rdfind discover … | head -c 10``: no traceback, status 141."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "discover", "dataset:Countries",
+                "--scale", "0.2", "-s", "3", "-n", "100000",  # ~400 KB of rows
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.read(10) == b"RDFind h=3"
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 141  # 128 + SIGPIPE (README)
+        assert stderr == ""
+
     def test_discover_variant_de(self, capsys):
         out = run(
             capsys, "discover", "dataset:Countries", "--scale", "0.1",

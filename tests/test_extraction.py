@@ -1,7 +1,9 @@
 """Tests for the CINDExtractor (broad CIND extraction from groups)."""
 
 import pickle
+from collections import Counter
 from functools import partial
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -339,3 +341,26 @@ class TestMemoryBudget:
     def test_config_validates_threshold(self):
         with pytest.raises(ValueError):
             ExtractionConfig(h=0)
+
+
+class TestPruneGroups:
+    def test_a_group_with_nothing_to_prune_is_kept_as_is(self):
+        encoded = random_rdf(8, n_triples=60).encode()
+        env = ExecutionEnvironment(parallelism=3)
+        triples = batch_dataset(env, encoded)
+        frequent = detect_frequent_conditions(env, triples, h=4, fp_rate=1e-9)
+        groups = create_capture_groups(env, triples, frequent=frequent)
+        before = [group for partition in groups.partitions for group in partition]
+        supports = Counter(chain.from_iterable(before))
+        prunable = {capture for capture, n in supports.items() if n < 4}
+        stats = extraction.ExtractionStats()
+        pruned = extraction._prune_capture_support(
+            env, groups, ExtractionConfig(h=4), stats
+        )
+        after = {id(group) for partition in pruned.partitions for group in partition}
+        untouched = [group for group in before if group.isdisjoint(prunable)]
+        touched = [group for group in before if not group.isdisjoint(prunable)]
+        assert stats.captures_pruned == len(prunable) > 0
+        assert untouched and touched
+        assert all(id(group) in after for group in untouched)
+        assert not any(id(group) in after for group in touched)
