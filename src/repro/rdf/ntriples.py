@@ -9,6 +9,8 @@ module implements a pragmatic, line-based N-Triples 1.1 reader/writer:
 * The standard string escapes (``\\n``, ``\\t``, ``\\"``, ``\\\\``,
   ``\\uXXXX``, ``\\UXXXXXXXX``).
 * Comments (``# ...``) and blank lines are skipped.
+* Blank-node labels may hold dots but do not end in one (N-Triples 1.1),
+  so ``_:b.`` is ``_:b`` followed by the statement's dot.
 
 The cursor parser (:func:`parse_ntriples_line`) is the authority on all of
 that and on every error.  The file loader first tries one regex for the
@@ -20,6 +22,11 @@ to round-trip: URIs and blank nodes are stored bare (no angle brackets),
 literals are stored with surrounding double quotes plus any suffix, e.g.
 ``"42"^^<http://www.w3.org/2001/XMLSchema#integer>`` or ``"chat"@fr``.
 ``is_literal``/``is_blank`` classify stored terms.
+
+:func:`write_ntriples_file` serializes each distinct term once per call.
+Escaping is one ``str.translate`` (an IRI also writes ``>`` as
+``\\u003E``), and a literal's closing quote is found by one regex, so no
+Python loop runs per character of a term.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import io
 import os
 import re
+from itertools import islice
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.rdf.model import Dataset, EncodedDataset, Triple
@@ -60,6 +68,15 @@ _ESCAPES_INV = {
     '"': '\\"',
     "\t": "\\t",
 }
+_ESCAPE_TABLE = str.maketrans(_ESCAPES_INV)
+#: An IRI also writes ``>``, which would end it early, as a UCHAR.
+_IRI_ESCAPE_TABLE = str.maketrans({**_ESCAPES_INV, ">": "\\u003E"})
+#: A literal's quoted part from its opening character: a backslash takes
+#: whatever character follows it, so an escaped quote does not close it.
+_QUOTED = re.compile(r'.[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL).match
+#: ``_:`` and a label.  A dot belongs to the label only when more of the
+#: label follows it, so ``_:b.`` ends a statement and ``_:b.c`` is one label.
+_BLANK = re.compile(r"_:[^ \t.]*(?:\.+[^ \t.#][^ \t.]*)*").match
 
 
 def is_literal(term: str) -> bool:
@@ -81,16 +98,10 @@ def literal_value(term: str) -> str:
 
 
 def _closing_quote(term: str) -> int:
-    index = 1
-    while index < len(term):
-        ch = term[index]
-        if ch == "\\":
-            index += 2
-            continue
-        if ch == '"':
-            return index
-        index += 1
-    raise ValueError(f"unterminated literal: {term!r}")
+    match = _QUOTED(term)
+    if match is None:
+        raise ValueError(f"unterminated literal: {term!r}")
+    return match.end() - 1
 
 
 def _unescape(text: str, line_number: int, line: str) -> str:
@@ -122,7 +133,7 @@ def _unescape(text: str, line_number: int, line: str) -> str:
 
 
 def _escape(text: str) -> str:
-    return "".join(_ESCAPES_INV.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPE_TABLE)
 
 
 class _LineParser:
@@ -177,30 +188,19 @@ class _LineParser:
         return _unescape(uri, self.line_number, self.line)
 
     def _parse_blank(self) -> str:
-        if not self.line.startswith("_:", self.pos):
+        match = _BLANK(self.line, self.pos)
+        if match is None:
             raise self.error("malformed blank node")
-        start = self.pos
-        pos = self.pos + 2
-        line = self.line
-        while pos < len(line) and line[pos] not in " \t.":
-            pos += 1
-        self.pos = pos
-        return line[start:pos]
+        self.pos = match.end()
+        return match[0]
 
     def _parse_literal(self) -> str:
         line = self.line
         start = self.pos
-        pos = start + 1
-        while pos < len(line):
-            ch = line[pos]
-            if ch == "\\":
-                pos += 2
-                continue
-            if ch == '"':
-                break
-            pos += 1
-        else:
+        match = _QUOTED(line, start)
+        if match is None:
             raise self.error("unterminated literal")
+        pos = match.end() - 1
         value = _unescape(line[start + 1 : pos], self.line_number, line)
         pos += 1
         suffix = ""
@@ -331,7 +331,7 @@ def serialize_term(term: str) -> str:
         return f'"{_escape(value)}"{suffix}'
     if is_blank(term):
         return term
-    return f"<{_escape(term)}>"
+    return f"<{term.translate(_IRI_ESCAPE_TABLE)}>"
 
 
 def serialize_triple(triple: Triple) -> str:
@@ -347,14 +347,30 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
     return "".join(serialize_triple(t) + "\n" for t in triples)
 
 
+class _TermMemo(dict):
+    """``memo[term]`` is ``serialize_term(term)``, computed once per term."""
+
+    __slots__ = ()
+
+    def __missing__(self, term: str) -> str:
+        self[term] = text = serialize_term(term)
+        return text
+
+
 def write_ntriples_file(
     triples: Iterable[Triple], path: Union[str, os.PathLike]
 ) -> int:
-    """Write triples to an N-Triples file; returns the statement count."""
+    """Write triples to an N-Triples file; returns the statement count.
+
+    Each distinct term is serialized once per call, and the statements
+    reach the file in batches."""
+    memo = _TermMemo()
+    rows = iter(triples)
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for triple in triples:
-            handle.write(serialize_triple(triple))
-            handle.write("\n")
-            count += 1
+        while batch := [
+            f"{memo[s]} {memo[p]} {memo[o]} .\n" for s, p, o in islice(rows, 8192)
+        ]:
+            handle.writelines(batch)
+            count += len(batch)
     return count

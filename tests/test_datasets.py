@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators and the Table 2 registry."""
 
+import hashlib
+
 import pytest
 
 from repro.core.discovery import find_pertinent_cinds
@@ -19,6 +21,7 @@ from repro.datasets import (
     table1,
 )
 from repro.rdf.model import Attr
+from repro.rdf.ntriples import write_ntriples_file
 
 
 class TestTable1:
@@ -187,6 +190,33 @@ class TestRegistry:
 
     def test_paper_triple_counts_recorded(self):
         assert DATASETS["Freebase"].paper_triples == 3_000_673_968
+
+
+#: What ``rdfind generate NAME --scale SCALE`` writes: ``(scale, statements,
+#: BLAKE2b-128 of the file)``.  Full size where that is cheap; a writer edit
+#: that moves a byte of any registry dataset fails here.
+GENERATED = {
+    "Countries": (1, 5_602, "65b4af70f87d1e790d055bf32766d41a"),
+    "Diseasome": (1, 72_357, "43685be6c6b0246a74c31498ac31597d"),
+    "LUBM-1": (0.2, 20_949, "144a685491330318407568d80c616989"),
+    "DrugBank": (0.2, 17_608, "83235f4dec7bb0de7efab1450672b722"),
+    "LinkedMDB": (0.2, 30_117, "72ed095e0583842376024b739b1a1bd3"),
+    "DB14-MPCE": (0.2, 28_816, "0ee1777ace9ba137a38eef516a14f5f0"),
+    "DB14-PLE": (0.2, 36_311, "3c2e0df6449081832aee8a0cbf62e319"),
+    "Freebase": (0.2, 40_002, "19afadbb66d37666f5c6ebc488dd40ad"),
+}
+
+
+class TestGeneratedBytes:
+    def test_every_registry_dataset_is_pinned(self):
+        assert set(GENERATED) == set(DATASETS)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generate_writes_the_pinned_bytes(self, name, tmp_path):
+        scale, statements, digest = GENERATED[name]
+        path = tmp_path / "generated.nt"
+        assert write_ntriples_file(load(name, scale=scale), path) == statements
+        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == digest
 
 
 class TestDiscoverability:

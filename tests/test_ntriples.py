@@ -4,16 +4,19 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.rdf.model import Dataset, Triple
 from repro.rdf.ntriples import (
     _FAST_LINE,
     NTriplesParseError,
+    _closing_quote,
+    _escape,
     _term_rows,
     is_blank,
     is_literal,
     literal_value,
+    make_literal,
     parse_ntriples,
     parse_ntriples_file,
     parse_ntriples_line,
@@ -46,6 +49,27 @@ class TestParseLine:
         triple = parse_ntriples_line("_:b1 <p> _:b2 .")
         assert triple.s == "_:b1"
         assert triple.o == "_:b2"
+
+    @pytest.mark.parametrize(
+        "line, triple",
+        [
+            ("_:x.y <b> <c> .", Triple("_:x.y", "b", "c")),
+            ("_:x..y\t<b> <c>.", Triple("_:x..y", "b", "c")),
+            ("<a> <b> _:b.c .", Triple("a", "b", "_:b.c")),
+            ("<a> <b> _:b.c.", Triple("a", "b", "_:b.c")),
+            ("<a> <b> _:b.", Triple("a", "b", "_:b")),
+            ("<a> <b> _:b. # c", Triple("a", "b", "_:b")),
+            ("<a> <b> _:b.#c", Triple("a", "b", "_:b")),
+        ],
+    )
+    def test_blank_labels_hold_dots_but_do_not_end_in_one(self, line, triple):
+        assert parse_ntriples_line(line) == triple
+        assert list(_term_rows([line])) == [triple]
+
+    @pytest.mark.parametrize("line", ["<a> <b> _:b..", "_:a. <b> <c> ."])
+    def test_a_dot_after_a_blank_label_still_ends_the_statement(self, line):
+        with pytest.raises(NTriplesParseError):
+            parse_ntriples_line(line)
 
     def test_escapes_in_literal(self):
         triple = parse_ntriples_line(r'<a> <b> "line\nbreak\t\"q\"" .')
@@ -160,6 +184,11 @@ class TestSerialize:
 
     def test_blank_kept_verbatim(self):
         assert serialize_term("_:b0") == "_:b0"
+
+    def test_iri_closing_bracket_is_written_as_a_uchar(self):
+        assert serialize_term("http://a/b>c") == "<http://a/b\\u003Ec>"
+        triple = Triple("http://a/b>c", "p", "http://a/\\>")
+        assert parse_ntriples_line(serialize_triple(triple)) == triple
 
     def test_triple_statement(self):
         statement = serialize_triple(Triple("a", "b", '"c"'))
@@ -379,3 +408,115 @@ class TestFastLineShape:
         assert actual.nbytes() == expected.nbytes()
         assert actual.dictionary.nbytes() == expected.dictionary.nbytes()
         assert actual.name == expected.name
+
+
+# ----------------------------------------------------------------------
+# the writer: datasets of stored terms round-trip through a file
+# ----------------------------------------------------------------------
+
+#: Seeded and offline: the same examples every run.
+FUZZ = settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Characters that need an escape somewhere, end a term or a line
+#: elsewhere, or are not ASCII.
+_AWKWARD = ['"', "\\", "\n", "\r", "\t", "\b", "\f", "'", ">", "<", "#", " ", ".",
+            "@", "^", "_", ":", "é", "\U0001F600", "\x0b", "\x85", "\u2028"]
+_awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=12
+)
+_stored_iri = st.builds("http://x/{}".format, _awkward_text)
+_label_char = st.sampled_from(["b", "Z", "0", "7", "é", "_"])
+_stored_blank = st.builds(
+    "_:{}{}".format,
+    _label_char,
+    st.one_of(
+        st.just(""),
+        st.builds(
+            "{}{}".format,
+            st.text(alphabet=st.sampled_from(["b", "0", "-", "_", ".", "é"]), max_size=6),
+            _label_char,
+        ),
+    ),
+)
+_stored_literal = st.one_of(
+    st.builds(make_literal, _awkward_text),
+    st.builds(make_literal, _awkward_text, language=st.sampled_from(["en", "en-US", "fr-BE"])),
+    st.builds(
+        make_literal,
+        _awkward_text,
+        datatype=st.sampled_from(
+            ["http://www.w3.org/2001/XMLSchema#integer", "dt", "http://x/a b", "x\\y", "é"]
+        ),
+    ),
+)
+_stored_triples = st.lists(
+    st.tuples(
+        st.one_of(_stored_iri, _stored_blank),
+        _stored_iri,
+        st.one_of(_stored_iri, _stored_blank, _stored_literal),
+    ),
+    max_size=12,
+)
+
+
+def _escape_oracle(text):
+    """The per-character escape :func:`_escape` replaced."""
+    inverse = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", '"': '\\"', "\t": "\\t"}
+    return "".join(inverse.get(ch, ch) for ch in text)
+
+
+def _closing_quote_oracle(term):
+    """The per-character scan :func:`_closing_quote` replaced."""
+    index = 1
+    while index < len(term):
+        ch = term[index]
+        if ch == "\\":
+            index += 2
+            continue
+        if ch == '"':
+            return index
+        index += 1
+    raise ValueError(f"unterminated literal: {term!r}")
+
+
+def _result(call, *args):
+    try:
+        return call(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+_quote_text = st.text(
+    alphabet=st.one_of(st.sampled_from(['"', "\\", "a", "\n", "é"]), st.characters()),
+    max_size=16,
+)
+
+
+class TestWriterRoundtrip:
+    @FUZZ
+    @given(_stored_triples)
+    def test_written_file_reads_back_the_same_triples_in_order(self, rows):
+        dataset = Dataset.from_tuples(rows)
+        handle, path = tempfile.mkstemp(suffix=".nt")
+        os.close(handle)
+        try:
+            assert write_ntriples_file(dataset, path) == len(dataset)
+            again = parse_ntriples_file(path).encode()
+        finally:
+            os.unlink(path)
+        assert list(again.decode()) == list(dataset)
+
+    @FUZZ
+    @given(_awkward_text)
+    def test_escape_matches_the_per_character_oracle(self, text):
+        assert _escape(text) == _escape_oracle(text)
+
+    @FUZZ
+    @given(st.one_of(_quote_text, _quote_text.map('"{}'.format)))
+    def test_closing_quote_matches_the_per_character_oracle(self, term):
+        assert _result(_closing_quote, term) == _result(_closing_quote_oracle, term)
