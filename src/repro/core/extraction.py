@@ -157,8 +157,8 @@ def extract_broad_cinds(
 
     # Candidate generation is FUSED into the keyed aggregation (Flink's
     # operator chaining): a group's candidate sets fold into the combiner
-    # as they are produced (the emitter's fold, or pair by pair when
-    # priced), so the quadratic flatMap output is never materialized.
+    # as they are produced (the emitter's fold, priced or not), so the
+    # quadratic flatMap output is never materialized.
     # Non-dominant groups emit the group frozenset itself as the initial
     # reference set (shared, not copied per dependent) and a materialize
     # step removes each dependent from its own final set (see
@@ -209,7 +209,8 @@ def extract_broad_cinds(
 
 
 class _CaptureCounter:
-    """``(capture, 1)`` per group member; ``fold`` counts in C."""
+    """``(capture, 1)`` per group member, the pairs ``fold`` is tested
+    against; ``fold`` counts in C (the engine prices it by its keys)."""
 
     __slots__ = ()
 
@@ -217,7 +218,7 @@ class _CaptureCounter:
         for capture in group:
             yield capture, 1
 
-    def fold(self, partition: List[FrozenSet[int]], _add) -> Counter:
+    def fold(self, partition: List[FrozenSet[int]], _add, _sink) -> Counter:
         return Counter(chain.from_iterable(partition))
 
 
@@ -309,6 +310,7 @@ class _SharedRefsCandidateEmitter:
     Every member of a group gets the *same* value tuple, and
     :class:`_CandidateMerger` keeps it shared: members with the same
     group history hold one reference-set object, not equal copies.
+    ``__call__`` is the pair form ``fold`` is tested against.
     """
 
     __slots__ = ("masks", "average_load")
@@ -335,12 +337,17 @@ class _SharedRefsCandidateEmitter:
             yield capture, value
 
     def fold(
-        self, partition: List[FrozenSet[int]], _merge
+        self, partition: List[FrozenSet[int]], _merge, sink
     ) -> Dict[int, CandidateValue]:
         """The partition's candidate sets merged in one table, inline: an
         exact group takes its exact ∩ exact meets through a memo kept for
-        that group, as :class:`_CandidateMerger` keeps one per run."""
+        that group, as :class:`_CandidateMerger` keeps one per run.  A
+        priced ``sink`` (:func:`_candidate_state_cost`) sees the pair
+        fold's running cost; an exact ∩ exact merge costs its change in
+        size."""
         masks = self.masks
+        cost = sink.state_cost_fn
+        used = peak = 0
         table: Dict[int, CandidateValue] = {}
         get = table.get
         for group in partition:
@@ -350,8 +357,14 @@ class _SharedRefsCandidateEmitter:
                 previous = get(capture)
                 if previous is None:
                     table[capture] = value
+                    if cost is None:
+                        continue
+                    used += cost(value)
                 elif value[2] or type(previous[0]) is int:
-                    table[capture] = _merge_candidate_values(masks, previous, value)
+                    merged = table[capture] = _merge_candidate_values(masks, previous, value)
+                    if cost is None:
+                        continue
+                    used += cost(merged) - cost(previous)
                 else:
                     refs = previous[0]
                     hit = meets.get(id(refs))
@@ -359,6 +372,11 @@ class _SharedRefsCandidateEmitter:
                         hit = meets[id(refs)] = (refs, refs & group)
                     meet = hit[1]
                     table[capture] = (meet, previous[1] + 1, previous[2] and bool(meet))
+                    if cost is None:
+                        continue
+                    used += len(meet) - len(refs)
+                if used > peak:
+                    peak = sink.reach(used)
         return table
 
 
@@ -466,10 +484,9 @@ def _merge_candidate_values(
 class _CandidateMerger:
     """:func:`_merge_candidate_values` with each exact meet computed once.
 
-    A pair fold calls ``merge(state, incoming)`` pair by pair, and the
-    incoming reference set is often one object over a run of calls: on
-    the priced map side one group's emission, on the reduce side the
-    pairs that carry one partition's shared partial.  Within such a run,
+    The reduce side calls ``merge(state, incoming)`` pair by pair, and
+    the incoming reference set is often one object over a run of calls:
+    the pairs that carry one partition's shared partial.  Within such a run,
     dependents whose accumulated sets are one object get one result
     object back, so sharing cascades down the fold.  The memo is keyed by
     ``id(refs_a)`` and keeps ``refs_a`` alive, so an id is not reused

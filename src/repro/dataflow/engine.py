@@ -46,7 +46,9 @@ buckets in memory (:class:`_BucketSink`, state priced in records against
 ``memory_budget``), one driver (:meth:`DataSet._keyed_stages`) gathers
 the buckets per reduce partition, in task order, and runs the
 reduce-side task, which folds a bucket in a dict.  There is one data
-plane, in memory.
+plane, in memory, and one fold per map task, priced or not: a batch
+kernel's own ``fold`` or, for any other ``flat_fn``, the pair-by-pair
+:func:`_pair_fold`.
 
 A configurable per-partition *memory budget* (max records materialized in
 any one worker's in-memory state) emulates out-of-memory failures: stateful
@@ -188,43 +190,34 @@ def _one_pair(key_fn, value_fn, item):
 class _BucketSink:
     """Map-side state of a keyed operator: the record budget and the buckets.
 
-    State is priced in records — ``state_cost_fn`` of the values when
-    given, else one per key — against the per-worker ``memory_budget``.
-    ``charge`` prices one insert or merge and raises
+    State is priced in records against the per-worker ``memory_budget``.
+    With a ``state_cost_fn`` the fold keeps the running cost of its
+    inserts and merges and hands each new peak to ``reach``, which raises
     :class:`SimulatedOutOfMemory` on the first excess (an in-memory
-    combiner has nowhere to put it); ``metered`` says whether any pair
-    needs pricing at all.  ``finish`` splits the output by reduce
+    combiner has nowhere to put it).  Without one, a table costs one
+    record per key and never shrinks, so ``finish`` prices the whole
+    table at once and raises what the first excess insert would have:
+    ``budget + 1`` records.  ``finish`` splits the output by reduce
     partition; ``peak`` is then the most the task's state cost reached.
     """
 
-    __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "used", "peak", "emitted")
+    __slots__ = ("parallelism", "budget", "state_cost_fn", "stage", "peak", "emitted")
 
     def __init__(self, parallelism, budget, state_cost_fn, stage) -> None:
         self.parallelism = parallelism
         self.budget = budget
         self.state_cost_fn = state_cost_fn
         self.stage = stage
-        self.used = 0
         self.peak = 0
         self.emitted = 0
 
-    @property
-    def metered(self) -> bool:
-        return self.budget is not None or self.state_cost_fn is not None
-
-    def charge(self, previous, value) -> None:
-        cost_fn = self.state_cost_fn
-        if cost_fn is None:
-            if previous is None:
-                self.used += 1
-        elif previous is None:
-            self.used += cost_fn(value)
-        else:
-            self.used += cost_fn(value) - cost_fn(previous)
-        if self.used > self.peak:  # within budget so far: only a new peak trips it
-            self.peak = self.used
-            if self.budget is not None and self.used > self.budget:
-                raise SimulatedOutOfMemory(self.stage, self.used, self.budget)
+    def reach(self, used: int) -> int:
+        """Record the new running peak ``used`` (within budget so far:
+        only a new peak trips it) and return it."""
+        self.peak = used
+        if self.budget is not None and used > self.budget:
+            raise SimulatedOutOfMemory(self.stage, used, self.budget)
+        return used
 
     def finish(self, pairs) -> List[List[Tuple[Any, Any]]]:
         parallelism = self.parallelism
@@ -240,49 +233,50 @@ class _BucketSink:
                 parts[hash_partition(key, parallelism)].append(pair)
         self.emitted = sum(map(len, parts))
         if self.state_cost_fn is None:
-            self.used = self.emitted
-        self.peak = max(self.peak, self.used)
+            budget = self.budget
+            self.peak = self.emitted
+            if budget is not None and self.emitted > budget:
+                raise SimulatedOutOfMemory(self.stage, budget + 1, budget)
         return parts
+
+
+def _pair_fold(flat_fn, partition, reduce_fn, sink) -> Dict[Any, Any]:
+    """The fold of a ``flat_fn`` without its own: pair by pair, each pair
+    going into the table as it is produced.  With a ``state_cost_fn`` an
+    insert costs ``cost(value)`` and a merge ``cost(merged) -
+    cost(previous)``.  A value of ``None`` reads as "no value yet"."""
+    cost = sink.state_cost_fn
+    used = peak = 0
+    table: Dict[Any, Any] = {}
+    get = table.get
+    for item in partition:
+        for key, value in flat_fn(item):
+            previous = get(key)
+            if previous is not None:
+                value = reduce_fn(previous, value)
+            table[key] = value
+            if cost is not None:
+                used += cost(value) - (0 if previous is None else cost(previous))
+                if used > peak:
+                    peak = sink.reach(used)
+    return table
 
 
 def _combine_map_task(payload):
     """Map side of the keyed reductions: flatMap fused into the combine fold.
 
-    The one place pairs are folded before a shuffle.  Each pair
-    ``flat_fn`` yields goes into the local table as it is produced; a
-    metered sink prices every insert and merge and raises
-    :class:`SimulatedOutOfMemory` when the table outgrows the budget.  A
-    value of ``None`` reads as "no value yet".  Unmetered, a ``flat_fn``
-    with a ``fold`` builds the whole table itself.
+    The one place pairs are folded before a shuffle, in one call: a
+    ``flat_fn`` with a ``fold`` builds the whole partition's table itself,
+    any other folds pair by pair (:func:`_pair_fold`).  Either way the
+    sink is priced as the pair fold would price it, and raises
+    :class:`SimulatedOutOfMemory` when the table outgrows the budget.
     """
     flat_fn, reduce_fn, make_sink, partition = payload
     start = time.perf_counter()
     sink = make_sink()
+    fold = getattr(flat_fn, "fold", None) or partial(_pair_fold, flat_fn)
     with stage_gc_pause() as pause:
-        local: Dict[Any, Any] = {}
-        local_get = local.get
-        if sink.metered:
-            charge = sink.charge
-            for item in partition:
-                for key, value in flat_fn(item):
-                    previous = local_get(key)
-                    if previous is not None:
-                        value = reduce_fn(previous, value)
-                    local[key] = value
-                    charge(previous, value)
-        elif hasattr(flat_fn, "fold"):
-            # Unpriced (the batch kernels' case): the kernel folds the
-            # whole partition where its data already is.
-            local = flat_fn.fold(partition, reduce_fn)
-        else:
-            for item in partition:
-                for key, value in flat_fn(item):
-                    previous = local_get(key)
-                    if previous is None:
-                        local[key] = value
-                    else:
-                        local[key] = reduce_fn(previous, value)
-        parts = sink.finish(local.items())
+        parts = sink.finish(fold(partition, reduce_fn, sink).items())
     return parts, sink.emitted, sink.peak, pause.suppressed, time.perf_counter() - start
 
 
@@ -680,10 +674,13 @@ class DataSet(Generic[T]):
         pairs (e.g. CIND candidate sets, which are quadratic in
         capture-group size) — and only one pair per key and worker is
         shuffled.  Values must not be ``None``.  A ``flat_fn`` may also
-        define ``fold(partition, reduce_fn) -> dict``: the table folding
-        its pairs with ``reduce_fn`` would build — same keys, same
+        define ``fold(partition, reduce_fn, sink) -> dict``: the table
+        folding its pairs with ``reduce_fn`` would build — same keys, same
         first-seen order, equal values — built in one call per
-        partition; it is used when no pair needs pricing.
+        partition.  When ``sink.state_cost_fn`` is set, the fold keeps the
+        running cost of its inserts and merges, in the pair fold's order,
+        and hands every new peak to ``sink.reach``; without one the
+        engine prices the finished table itself.
 
         The budget rule, the same for every keyed operator: the
         record-count ``memory_budget`` is

@@ -18,14 +18,14 @@ record-at-a-time transcriptions of Algorithms 1-2 in
 * The frequent-condition counting kernels produce the same count dicts
   as per-triple counters; their consumers (Bloom unions, sorted AR
   lists, sorted final output) do not depend on dict order.
-* The capture-group kernel (:class:`EvidenceBatchKernel`) folds evidences
-  into a ``value -> (codes)`` table (a whole partition at once, or
-  :data:`EVIDENCE_FOLD_ROWS` triples at a time for a priced combiner) in
-  exactly the per-triple, per-projection order of Algorithm 2 — batch
-  ``i`` holds round-robin partition ``i``'s triples in partition order —
-  and a dict iterates in first-insertion order, so the fused combiner
-  builds the same aggregation dict and the shuffle routes the same
-  buckets as a per-triple ``flat_map`` + ``reduce_by_key`` would.
+* The capture-group kernel (:class:`EvidenceBatchKernel`) folds a whole
+  partition's evidences into one ``value -> (codes)`` table, priced or
+  not (the engine prices it by its keys), in exactly the per-triple,
+  per-projection order of Algorithm 2 — batch ``i`` holds round-robin
+  partition ``i``'s triples in partition order — and a dict iterates in
+  first-insertion order, so the fused combiner builds the same
+  aggregation dict and the shuffle routes the same buckets as a
+  per-triple ``flat_map`` + ``reduce_by_key`` would.
 
 Every task here is module-level, like the engine's own.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.cind import capture_code
 from repro.core.conditions import (
@@ -211,10 +211,6 @@ def binary_counts_kernel(
 # capture-evidence kernel (CGCreator, Algorithm 2)
 # ----------------------------------------------------------------------
 
-#: Rows folded into the kernel's own table between hand-overs to a priced
-#: combiner: the kernel's transient state is bounded whatever the batch size.
-EVIDENCE_FOLD_ROWS = 4096
-
 
 class EvidenceBatchKernel:
     """Algorithm 2 over one column batch, for ``flat_map_reduce_by_key``.
@@ -227,10 +223,10 @@ class EvidenceBatchKernel:
     AR-embedding or infrequent one yields the passing unary evidences.
     Evidences — a capture is its :func:`~repro.core.cind.capture_code` —
     are folded per value in per-triple, per-projection order: ``fold``
-    builds a partition's table in one pass, and the generator yields a
-    chunk's ``(value, (codes))`` pairs as first seen (for a priced
-    combiner, which charges them one by one), each value's codes as a
-    tuple in first-insertion order (``capture_groups.Evidence``).
+    builds a partition's table in one pass, each value's codes as a
+    tuple in first-insertion order (``capture_groups.Evidence``).  The
+    table costs one record per value and never shrinks, so the engine
+    prices it once, after the fold.
 
     The passing ids are computed once per batch and condition attribute
     (:func:`_passing_ids`) and shared by all projections; each
@@ -261,27 +257,20 @@ class EvidenceBatchKernel:
             self.rules = frozenset()
         self.allow_binary = scope.allow_binary
 
-    def __call__(self, batch: TripleBatch) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        fold_rows = self._row_folder(batch)
-        for start in range(0, len(batch), EVIDENCE_FOLD_ROWS):
-            stop = start + EVIDENCE_FOLD_ROWS
-            table: Dict = defaultdict(dict)
-            fold_rows(zip(*(column[start:stop] for column in batch.columns)), table)
-            yield from zip(table, map(tuple, table.values()))
-
-    def fold(self, partition: List[TripleBatch], _reduce_fn) -> Dict[int, Tuple[int, ...]]:
-        """The whole partition's evidences in one table: no chunk tables,
-        nothing folded twice."""
-        table: Dict = defaultdict(dict)
+    def fold(
+        self, partition: List[TripleBatch], _reduce_fn, _sink
+    ) -> Dict[int, Tuple[int, ...]]:
+        """The whole partition's evidences in one table."""
+        table: Dict[int, Dict[int, None]] = defaultdict(dict)
         for batch in partition:
-            self._row_folder(batch)(zip(*batch.columns), table)
+            self._fold_batch(batch, table)
         for value, codes in table.items():
             table[value] = tuple(codes)
         return table
 
-    def _row_folder(self, batch: TripleBatch):
-        """``fold_rows(rows, table)``: the row loop both paths share, with
-        ``batch``'s passing ids, codes and probe bound once."""
+    def _fold_batch(self, batch: TripleBatch, table: Dict[int, Dict[int, None]]) -> None:
+        """Fold ``batch``'s rows into ``table``; its passing ids, codes and
+        pair memos are bound once and freed on return."""
         if batch.s.itemsize > 4:
             raise ValueError("capture codes cover array('i') term ids only")
         passing = {
@@ -313,34 +302,30 @@ class EvidenceBatchKernel:
         binary_probe = None if bloom is None else bloom.int_key_probe()
         rules = self.rules
         allow_binary = self.allow_binary
-
-        def fold_rows(rows, table: Dict[int, Dict[int, None]]) -> None:
-            for row in rows:
-                for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
-                    beta_code = beta_codes.get(row[beta])
-                    gamma_code = gamma_codes.get(row[gamma])
-                    if beta_code is None:
-                        if gamma_code is not None:
-                            table[row[alpha]][gamma_code] = None
-                    elif gamma_code is None:
-                        table[row[alpha]][beta_code] = None
-                    else:
-                        pair = (row[beta], row[gamma])
-                        codes = pairs.get(pair)
-                        if codes is None:
-                            v_beta, v_gamma = pair
-                            # frequent (the filter) and embedding no AR
-                            binary = (beta, v_beta, gamma, v_gamma)
-                            if (
-                                allow_binary
-                                and (binary_probe is None or binary_probe(binary))
-                                and ((beta, v_beta), (gamma, v_gamma)) not in rules
-                                and ((gamma, v_gamma), (beta, v_beta)) not in rules
-                            ):
-                                codes = {capture_code((alpha, binary)): None}
-                            else:
-                                codes = {beta_code: None, gamma_code: None}
-                            pairs[pair] = codes
-                        table[row[alpha]].update(codes)
-
-        return fold_rows
+        for row in zip(*batch.columns):
+            for alpha, beta, gamma, beta_codes, gamma_codes, pairs in plans:
+                beta_code = beta_codes.get(row[beta])
+                gamma_code = gamma_codes.get(row[gamma])
+                if beta_code is None:
+                    if gamma_code is not None:
+                        table[row[alpha]][gamma_code] = None
+                elif gamma_code is None:
+                    table[row[alpha]][beta_code] = None
+                else:
+                    pair = (row[beta], row[gamma])
+                    codes = pairs.get(pair)
+                    if codes is None:
+                        v_beta, v_gamma = pair
+                        # frequent (the filter) and embedding no AR
+                        binary = (beta, v_beta, gamma, v_gamma)
+                        if (
+                            allow_binary
+                            and (binary_probe is None or binary_probe(binary))
+                            and ((beta, v_beta), (gamma, v_gamma)) not in rules
+                            and ((gamma, v_gamma), (beta, v_beta)) not in rules
+                        ):
+                            codes = {capture_code((alpha, binary)): None}
+                        else:
+                            codes = {beta_code: None, gamma_code: None}
+                        pairs[pair] = codes
+                    table[row[alpha]].update(codes)

@@ -12,6 +12,8 @@ helpers to produce exactly that shape.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 from repro.rdf.model import Dataset, EncodedDataset, TermDictionary, Triple
@@ -37,24 +39,14 @@ class ZipfChooser:
         self._rng = rng
         weights = [1.0 / (rank + 1) ** alpha for rank in range(len(self._items))]
         total = sum(weights)
-        self._cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            self._cumulative.append(acc)
+        self._cumulative: List[float] = list(accumulate(weight / total for weight in weights))
         self._cumulative[-1] = 1.0
+        self._last = len(self._cumulative) - 1
 
     def choice(self) -> T:
-        """Draw one item."""
-        roll = self._rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < roll:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._items[lo]
+        """Draw one item: the first whose cumulative weight reaches the roll
+        (the last item if none before it does)."""
+        return self._items[bisect_left(self._cumulative, self._rng.random(), 0, self._last)]
 
     def sample(self, count: int) -> List[T]:
         """Draw ``count`` items (with replacement)."""

@@ -2,6 +2,7 @@
 plus the paper's lemmas as executable properties."""
 
 import gc
+import hashlib
 import sys
 import tracemalloc
 
@@ -16,6 +17,7 @@ from repro.core.discovery import (
     find_pertinent_cinds,
 )
 from repro.core.validation import NaiveProfiler
+from repro.dataflow.engine import SimulatedOutOfMemory
 from repro.datasets import registry
 from repro.rdf.model import Attr, Dataset
 from tests.conftest import ar_set, cind_set, random_rdf
@@ -417,3 +419,58 @@ class TestOneCopyOfTheGroups:
         config = RDFindConfig(support_threshold=10, memory_budget=10_000_000)
         stages = {s.name: s for s in RDFind(config).discover(encoded).metrics.stages}
         assert stages["ex/merge-candidates"].peak_state_cost == 1_585_919
+
+
+class TestBudgetedStageRecords:
+    """A budget prices the same folds an unbudgeted run makes: every stage
+    record and every out-of-memory verdict of Figs. 12's budget (6M) and
+    CI's (10M).  A run that completes pins a digest of its stage records
+    ``(name, records_in, records_out, shuffled_records,
+    peak_state_cost)``; one that fails, the failure's ``(stage, records)``.
+    Pinned while every priced keyed stage still folded pair by pair."""
+
+    VARIANTS = {
+        "rdfind": RDFindConfig,
+        "de": RDFindConfig.direct_extraction,
+        "nf": RDFindConfig.no_frequent_conditions,
+    }
+    EXPECTED = {
+        ("Countries", 3): {
+            ("rdfind", 6_000_000): "ed87bdcd8028f834",
+            ("rdfind", 10_000_000): "ed87bdcd8028f834",
+            ("de", 6_000_000): "da3d9e8bdc9b54a8",
+            ("de", 10_000_000): "da3d9e8bdc9b54a8",
+            ("nf", 6_000_000): "47b3155da0d4fc58",
+            ("nf", 10_000_000): "47b3155da0d4fc58",
+        },
+        ("Diseasome", 10): {
+            ("rdfind", 6_000_000): "ac7e675a12542295",
+            ("rdfind", 10_000_000): "ac7e675a12542295",
+            ("de", 6_000_000): ("ex/merge-candidates", 6_001_123),
+            ("de", 10_000_000): ("ex/merge-candidates", 10_000_547),
+        },
+    }
+
+    @staticmethod
+    def outcome(config, encoded):
+        try:
+            result = RDFind(config).discover(encoded)
+        except SimulatedOutOfMemory as error:
+            return error.stage, error.records
+        records = [
+            (s.name, s.records_in, s.records_out, s.shuffled_records, s.peak_state_cost)
+            for s in result.metrics.stages
+        ]
+        return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("dataset,h", sorted(EXPECTED))
+    def test_stage_records_and_verdicts(self, dataset, h):
+        encoded = registry.load(dataset, encoded=True)
+        got = {
+            (variant, budget): self.outcome(
+                self.VARIANTS[variant](support_threshold=h, memory_budget=budget),
+                encoded,
+            )
+            for variant, budget in self.EXPECTED[(dataset, h)]
+        }
+        assert got == self.EXPECTED[(dataset, h)]

@@ -21,13 +21,13 @@ from repro.core import extraction
 from repro.core.capture_groups import (
     create_capture_groups,
     evidence_set,
-    merge_evidence,
 )
 from repro.core.conditions import Attr, ConditionScope, UnaryCondition
 from repro.core.discovery import RDFind, RDFindConfig
 from repro.core.extraction import ExtractionConfig, extract_broad_cinds
 from repro.core.frequent_conditions import detect_frequent_conditions
 from repro.core.validation import NaiveProfiler
+from repro.dataflow import engine
 from repro.dataflow.bloom import BloomFilter, int_key_mask
 from repro.dataflow.engine import (
     ExecutionEnvironment,
@@ -139,10 +139,8 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("pruned", [False, True])
     def test_capture_groups_match_algorithm_2(self, pruned):
-        self.check_capture_groups(pruned)
-
-    @staticmethod
-    def check_capture_groups(pruned, memory_budget=None):
+        """Unpriced and under a roomy budget, which prices the stage, the
+        partitions — order included — are the per-triple ones."""
         encoded = random_rdf(14, n_triples=120, n_subjects=8, n_objects=8).encode()
         scope = ConditionScope.full()
         frequent = None
@@ -151,29 +149,18 @@ class TestKernelOracles:
             frequent = detect_frequent_conditions(
                 fc_env, batch_dataset(fc_env, encoded), h=2, scope=scope
             )
-        oracle_env, env = kernel_env(), kernel_env(memory_budget)
+        oracle_env = kernel_env()
         oracle = record_oracle.create_capture_groups(
             oracle_env, batch_dataset(oracle_env, encoded), scope, frequent
         ).partitions
-        kernel = create_capture_groups(
-            env, batch_dataset(env, encoded), scope, frequent
-        ).partitions
-        # Identical partitions, not just identical contents: the kernel
-        # feeds the same shuffle routing as the per-triple evidences.
-        assert kernel == oracle
-
-    @pytest.mark.parametrize("fold_rows", [1, 2, 7])
-    @pytest.mark.parametrize("pruned", [False, True])
-    def test_capture_groups_across_fold_chunks(self, monkeypatch, fold_rows, pruned):
-        """A 40-row batch folded 1, 2 and 7 rows at a time: every chunk
-        boundary hands the engine's combiner keys it has and has not seen,
-        and the partitions — order included — stay the per-triple ones.
-        A roomy budget prices the stage, so the kernel runs chunk by chunk
-        (unpriced, it folds the whole partition at once)."""
-        from repro.dataflow import kernels
-
-        monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", fold_rows)
-        self.check_capture_groups(pruned, memory_budget=10**9)
+        for memory_budget in (None, 10**9):
+            env = kernel_env(memory_budget)
+            kernel = create_capture_groups(
+                env, batch_dataset(env, encoded), scope, frequent
+            ).partitions
+            # Identical partitions, not just identical contents: the kernel
+            # feeds the same shuffle routing as the per-triple evidences.
+            assert kernel == oracle, memory_budget
 
     @given(
         st.lists(st.integers(0, 400), max_size=40),
@@ -236,7 +223,7 @@ class TestKernelOracles:
 
 
 def _pair_fold(kernel, partition, reduce_fn):
-    """The table the engine's priced loop builds from ``kernel(item)``."""
+    """The table the engine's pair loop builds from ``kernel(item)``."""
     table = {}
     for item in partition:
         for key, value in kernel(item):
@@ -245,12 +232,61 @@ def _pair_fold(kernel, partition, reduce_fn):
     return table
 
 
+def _priced_pair_fold(kernel, partition, reduce_fn, state_cost_fn, budget):
+    """The pair loop pricing every insert and merge as it makes it (one
+    record per new key without a ``state_cost_fn``): the first excess's
+    ``(stage, records)``, or the running peak when the fold finishes."""
+    cost = state_cost_fn or (lambda _value: 1)
+    table = {}
+    used = peak = 0
+    for item in partition:
+        for key, value in kernel(item):
+            previous = table.get(key)
+            if previous is None:
+                used += cost(value)
+            else:
+                value = reduce_fn(previous, value)
+                if state_cost_fn is not None:
+                    used += cost(value) - cost(previous)
+            table[key] = value
+            peak = max(peak, used)
+            if budget is not None and used > budget:
+                return "stage", used
+    return peak
+
+
+def _priced_fold(kernel, partition, reduce_fn, state_cost_fn, budget):
+    """The engine's map task over ``kernel.fold``, read like
+    :func:`_priced_pair_fold`."""
+    make_sink = partial(engine._BucketSink, 1, budget, state_cost_fn, "stage")
+    try:
+        _parts, _emitted, peak, _gc, _seconds = engine._combine_map_task(
+            (kernel, reduce_fn, make_sink, partition)
+        )
+    except SimulatedOutOfMemory as error:
+        return error.stage, error.records
+    return peak
+
+
+class _EvidencePairs:
+    """Algorithm 2's per-triple evidences (``tests/record_oracle.py``) as
+    ``(value, {code})`` pairs: the oracle of the evidence kernel's fold."""
+
+    def __init__(self, scope, frequent) -> None:
+        self.emitter = record_oracle._EvidenceEmitter(scope, frequent)
+
+    def __call__(self, triple):
+        for value, code in self.emitter(triple):
+            yield value, {code}
+
+
 class TestPartitionFolds:
     """Each keyed kernel's ``fold`` builds the table its pairs fold into."""
 
     @staticmethod
     def stage_inputs(kernel, scope, pruned, parallelism):
-        """(flat_fn, the stage's reduce_fn factory, partitions)."""
+        """(kernel, pair form, the pair form's reduce_fn factory, the
+        stage's state_cost_fn, partitions, the pair form's partitions)."""
         encoded = random_rdf(21, n_triples=150, n_subjects=8, n_objects=8).encode()
         scope = _SCOPES[scope]()
         env = ExecutionEnvironment(parallelism=parallelism)
@@ -261,20 +297,33 @@ class TestPartitionFolds:
             else None
         )
         if kernel == "evidence":
-            kernel_fn = EvidenceBatchKernel(scope, frequent)
-            return kernel_fn, lambda: merge_evidence, batches.partitions
+            # The kernel folds column batches; its oracle, triple records.
+            triples = record_oracle._triple_records(env, batches).partitions
+            return (
+                EvidenceBatchKernel(scope, frequent),
+                _EvidencePairs(scope, frequent),
+                lambda: operator.ior,
+                None,
+                batches.partitions,
+                triples,
+            )
         groups = create_capture_groups(env, batches, scope, frequent).partitions
         if kernel == "capture-support":
-            return extraction._CaptureCounter(), lambda: operator.add, groups
+            counter = extraction._CaptureCounter()
+            return counter, counter.__call__, lambda: operator.add, None, groups, groups
         masks = extraction._Memo(partial(int_key_mask, num_bits=64, num_hashes=2))
         # inf: every group exact.  The median load: the larger half of
         # the groups is dominant, so exact, Bloom-valued and mixed merges
         # all occur.
         loads = sorted(len(group) ** 2 for partition in groups for group in partition)
         average_load = float("inf") if kernel == "merge" else loads[len(loads) // 2]
+        emitter = extraction._SharedRefsCandidateEmitter(masks, average_load)
         return (
-            extraction._SharedRefsCandidateEmitter(masks, average_load),
+            emitter,
+            emitter.__call__,
             partial(extraction._CandidateMerger, masks),
+            extraction._candidate_state_cost,
+            groups,
             groups,
         )
 
@@ -284,29 +333,20 @@ class TestPartitionFolds:
     @pytest.mark.parametrize(
         "kernel", ["evidence", "capture-support", "merge", "merge-dominant"]
     )
-    def test_fold_equals_the_pair_fold(
-        self, monkeypatch, kernel, scope, pruned, parallelism
-    ):
-        from repro.dataflow import kernels
-
-        # The evidence kernel's pairs then come in 7-row chunk tables,
-        # each folded again: keys recur across chunk boundaries.
-        monkeypatch.setattr(kernels, "EVIDENCE_FOLD_ROWS", 7)
-        flat_fn, reduce_fn, partitions = self.stage_inputs(
-            kernel, scope, pruned, parallelism
+    def test_fold_equals_the_pair_fold(self, kernel, scope, pruned, parallelism):
+        flat_fn, pair_fn, reduce_fn, _cost, partitions, pair_partitions = (
+            self.stage_inputs(kernel, scope, pruned, parallelism)
         )
+        unpriced = engine._BucketSink(1, None, None, "stage")
         folded_values = []
-        for partition in partitions:
-            expected = _pair_fold(flat_fn, partition, reduce_fn())
-            folded = flat_fn.fold(partition, reduce_fn())
+        for partition, pair_partition in zip(partitions, pair_partitions):
+            expected = _pair_fold(pair_fn, pair_partition, reduce_fn())
+            folded = flat_fn.fold(partition, reduce_fn(), unpriced)
             # Same keys in the same first-seen order, with equal values.
             assert list(folded) == list(expected)
-            if kernel == "evidence":  # one fold vs merged chunk folds
-                values = [*folded.values(), *expected.values()]
-                assert {type(value) for value in values} == {tuple}
-                assert {k: evidence_set(v) for k, v in folded.items()} == {
-                    k: evidence_set(v) for k, v in expected.items()
-                }
+            if kernel == "evidence":  # code tuples vs per-triple sets
+                assert {type(value) for value in folded.values()} == {tuple}
+                assert {k: evidence_set(v) for k, v in folded.items()} == expected
             else:
                 assert folded == expected
             folded_values.extend(folded.values())
@@ -314,7 +354,31 @@ class TestPartitionFolds:
         if kernel == "merge-dominant":  # some candidates have Bloom lineage
             assert any(approx for _refs, _count, approx in folded_values)
 
-
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize(
+        "kernel", ["evidence", "capture-support", "merge", "merge-dominant"]
+    )
+    def test_priced_fold_prices_like_the_pair_fold(self, kernel, pruned, parallelism):
+        """Budgets swept across each partition's running peak: the fold
+        (kernel ``fold``, priced by the engine's sink) raises the pair
+        loop's first excess, ``(stage, records)``, or reaches its peak."""
+        flat_fn, pair_fn, reduce_fn, cost_fn, partitions, pair_partitions = (
+            self.stage_inputs(kernel, "full", pruned, parallelism)
+        )
+        outcomes = set()
+        for partition, pair_partition in zip(partitions, pair_partitions):
+            peak = _priced_pair_fold(pair_fn, pair_partition, reduce_fn(), cost_fn, None)
+            for budget in (None, peak, peak - 1, peak * 3 // 4, peak // 2, peak // 8, 0):
+                if budget is not None and budget < 0:
+                    continue
+                expected = _priced_pair_fold(
+                    pair_fn, pair_partition, reduce_fn(), cost_fn, budget
+                )
+                got = _priced_fold(flat_fn, partition, reduce_fn(), cost_fn, budget)
+                assert got == expected, budget
+                outcomes.add(type(expected))
+        assert outcomes == {int, tuple}  # some budgets trip, some do not
 class TestBloomIntKeyFastPath:
     def test_agrees_with_contains_for_int_tuple_keys(self):
         bloom = BloomFilter.for_capacity(256, 0.01)
@@ -376,8 +440,8 @@ class TestDifferential:
         fault_seed=st.one_of(st.none(), st.integers(0, 2**16)),
         max_retries=st.sampled_from([None, 1, 3]),
         checkpointed=st.booleans(),
-        # A roomy budget never trips here; it sends every keyed stage down
-        # the priced per-pair fold instead of the kernels' partition folds.
+        # A roomy budget never trips here; it prices every keyed stage's
+        # fold, which the candidate merge then charges insert by insert.
         memory_budget=st.sampled_from([None, 10**9]),
     )
     def test_result_bytes_equal_record_oracle_and_naive_profiler(
