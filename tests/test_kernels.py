@@ -42,7 +42,7 @@ from repro.dataflow.kernels import (
 )
 from repro.datasets import registry
 from repro.rdf.model import Dataset
-from repro.storage.columnar import build_triple_batches
+from repro.storage.columnar import TripleBatch, build_triple_batches
 
 from tests import record_oracle
 from tests.conftest import ar_set, cind_set, random_rdf
@@ -141,6 +141,20 @@ class TestKernelOracles:
     def test_capture_groups_match_algorithm_2(self, pruned):
         """Unpriced and under a roomy budget, which prices the stage, the
         partitions — order included — are the per-triple ones."""
+        self.check_capture_groups(pruned)
+
+    @pytest.mark.parametrize("fold_rows", [1, 2, 7])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_capture_groups_across_fold_chunks(self, fold_rows, pruned):
+        """Each worker's 40-row batch cut into batches of 1, 2 and 7 rows:
+        the partition's one fold carries its table across every batch
+        boundary — keys it has and has not seen — while passing ids, codes
+        and pair memos start afresh, and the partitions stay the
+        per-triple ones."""
+        self.check_capture_groups(pruned, fold_rows)
+
+    @staticmethod
+    def check_capture_groups(pruned, fold_rows=None):
         encoded = random_rdf(14, n_triples=120, n_subjects=8, n_objects=8).encode()
         scope = ConditionScope.full()
         frequent = None
@@ -155,9 +169,17 @@ class TestKernelOracles:
         ).partitions
         for memory_budget in (None, 10**9):
             env = kernel_env(memory_budget)
-            kernel = create_capture_groups(
-                env, batch_dataset(env, encoded), scope, frequent
-            ).partitions
+            batches = batch_dataset(env, encoded)
+            if fold_rows is not None:
+                batches.partitions = [
+                    [
+                        TripleBatch(*(column[start : start + fold_rows] for column in batch.columns))
+                        for batch in partition
+                        for start in range(0, len(batch), fold_rows)
+                    ]
+                    for partition in batches.partitions
+                ]
+            kernel = create_capture_groups(env, batches, scope, frequent).partitions
             # Identical partitions, not just identical contents: the kernel
             # feeds the same shuffle routing as the per-triple evidences.
             assert kernel == oracle, memory_budget
